@@ -1,4 +1,5 @@
-(* The experiment harness: X1-X9 (see DESIGN.md and EXPERIMENTS.md).
+(* The experiment harness: X1-X14, X9 retired (see DESIGN.md and
+   EXPERIMENTS.md).
 
    The paper has no quantitative evaluation tables (it is an industrial
    experience paper); these experiments quantify each claim its prose
@@ -169,7 +170,7 @@ let x3 () =
 (* X4 — the chase: correctness (Section 4.2) and scaling. *)
 
 (* One naive-vs-semi-naive measurement: same mapping, same source,
-   both evaluation modes of Exchange.Chase. *)
+   [Exchange.Chase.run_naive] against [Exchange.Chase.run]. *)
 type chase_side = {
   seconds : float;
   matches_examined : int;
@@ -188,9 +189,9 @@ let mapping_of source_program =
   | Ok g -> g.Mappings.Generate.mapping
   | Error e -> failwith (Exl.Errors.to_string e)
 
-let chase_side ~mode mapping source =
+let chase_side chase mapping source =
   let run () =
-    match Exchange.Chase.run ~mode mapping source with
+    match chase mapping source with
     | Ok (_, stats) -> stats
     | Error msg -> failwith msg
   in
@@ -208,8 +209,8 @@ let chase_row ~workload ~program ~data () =
   let source = Exchange.Instance.of_registry data in
   {
     workload;
-    naive = chase_side ~mode:Exchange.Chase.Naive mapping source;
-    semi_naive = chase_side ~mode:Exchange.Chase.Semi_naive mapping source;
+    naive = chase_side (fun m s -> Exchange.Chase.run_naive m s) mapping source;
+    semi_naive = chase_side (fun m s -> Exchange.Chase.run m s) mapping source;
   }
 
 (* The chase workloads reported in BENCH_PR2.json: the x4 micro
@@ -522,76 +523,6 @@ let x8 () =
        parallel dispatch counterproductive here; the subgraphs are verified\n\
        independent (test_engine.ml: parallel == sequential results), and on a\n\
        multicore host the three stl-heavy groups scale toward min(3, cores)x." 
-
-(* ------------------------------------------------------------------ *)
-(* X9 — incremental (delta) chase: revisions touch few tuples; work
-   should scale with the revision, not the instance. *)
-
-let x9 () =
-  header "X9  Incremental chase vs full re-chase [ms vs fraction revised]";
-  let rows = 40_000 in
-  let program = compile_exn Workload.join_program in
-  let mapping =
-    match Mappings.Generate.of_checked program with
-    | Ok g -> g.Mappings.Generate.mapping
-    | Error e -> failwith (Exl.Errors.to_string e)
-  in
-  let reg = Workload.join_registry ~rows () in
-  let base_source = Exchange.Instance.of_registry reg in
-  let base =
-    match Exchange.Chase.run mapping base_source with
-    | Ok (j, _) -> j
-    | Error msg -> failwith msg
-  in
-  Printf.printf "%12s %14s %14s %14s %12s %14s\n" "revised" "full chase"
-    "incremental" "in-place" "speedup" "facts touched";
-  List.iter
-    (fun fraction ->
-      (* revise the first [fraction] of A's tuples *)
-      let revised = Matrix.Registry.copy reg in
-      let a = Matrix.Registry.find_exn revised "A" in
-      let keys = Matrix.Cube.keys a in
-      let to_change = int_of_float (float_of_int rows *. fraction) in
-      List.iteri
-        (fun i k ->
-          if i < to_change then
-            match Matrix.Cube.find a k with
-            | Some v ->
-                Matrix.Cube.set a k
-                  (Matrix.Value.Float (Matrix.Value.to_float_exn v +. 0.5))
-            | None -> ())
-        keys;
-      let source = Exchange.Instance.of_registry revised in
-      let full_seconds =
-        time_avg (fun () ->
-            match Exchange.Chase.run mapping source with
-            | Ok _ -> ()
-            | Error msg -> failwith msg)
-      in
-      let touched = ref 0 in
-      let incr_seconds =
-        time_avg (fun () ->
-            match Exchange.Delta.run_incremental mapping ~base ~source with
-            | Ok (_, stats) -> touched := stats.Exchange.Chase.tuples_generated
-            | Error msg -> failwith msg)
-      in
-      (* maintenance mode: the engine updates its live solution *)
-      let live = Exchange.Instance.copy base in
-      let _, in_place_seconds =
-        time_once (fun () ->
-            match
-              Exchange.Delta.run_incremental ~in_place:true mapping ~base:live
-                ~source
-            with
-            | Ok r -> r
-            | Error msg -> failwith msg)
-      in
-      Printf.printf "%11.1f%% %14.1f %14.1f %14.1f %11.1fx %14d\n%!"
-        (fraction *. 100.) (ms full_seconds) (ms incr_seconds)
-        (ms in_place_seconds)
-        (full_seconds /. in_place_seconds)
-        !touched)
-    [ 0.001; 0.01; 0.1; 0.5 ]
 
 (* ------------------------------------------------------------------ *)
 (* X10 — observability overhead.  The exl-obs layer is an ambient
@@ -986,7 +917,7 @@ let shard_domain_counts = [ 1; 2; 4; 8 ]
    shard tasks go through the stealing executor, as in production. *)
 let shard_chase ~pool mapping source =
   match
-    Exchange.Chase.run ~shards:shard_shard_count ~shard_key:"r"
+    Shard.Driver.run ~shards:shard_shard_count ~key:"r"
       ~executor:(Engine.Pool.stealing_executor pool) mapping source
   with
   | Ok (j, _) -> j
@@ -1022,7 +953,6 @@ let shard_ab_check mapping data =
     mapping.Mappings.Mapping.target
 
 let shard_rows () =
-  Shard.Driver.install ();
   let mapping = mapping_of Workload.overview_program in
   let data = Workload.shard_registry () in
   shard_ab_check mapping data;
@@ -1075,7 +1005,6 @@ let all () =
   x6 ();
   x7 ();
   x8 ();
-  x9 ();
   x10 ();
   x11 ();
   x12 ();

@@ -347,7 +347,6 @@ let () =
   | _ :: "x6" :: _ -> Experiments.x6 ()
   | _ :: "x7" :: _ -> Experiments.x7 ()
   | _ :: "x8" :: _ -> Experiments.x8 ()
-  | _ :: "x9" :: _ -> Experiments.x9 ()
   | _ :: "x10" :: _ -> Experiments.x10 ()
   | _ :: "x11" :: _ -> Experiments.x11 ()
   | _ :: "x12" :: _ -> Experiments.x12 ()

@@ -14,15 +14,9 @@ type config = {
   optimize : bool;
       (* run the exl-opt containment pass on generated mappings before
          chasing them; on by default, opt out for A/B runs *)
-  columnar : bool;
-      (* chase through the vectorized column-batch kernels; on by
-         default, opt out for A/B runs against the row path *)
   shards : int;
       (* partition full chases across this many shards, run on the
          domain pool with work stealing; 1 = unsharded *)
-  shard_key : string option;
-      (* dimension to partition on; None = chosen per mapping by the
-         co-partitioning check *)
 }
 
 let default_config =
@@ -35,9 +29,7 @@ let default_config =
     retry = Dispatcher.default_retry;
     faults = None;
     optimize = true;
-    columnar = true;
     shards = 1;
-    shard_key = None;
   }
 
 (* The solution cache of the incremental path: the chase instance a
@@ -66,7 +58,6 @@ type t = {
 }
 
 let create ?(config = default_config) () =
-  if config.shards > 1 then Shard.Driver.install ();
   {
     config;
     determination = Determination.create ();
@@ -293,8 +284,7 @@ let rebuild_solution t covered =
         | _ -> Exchange.Chase.sequential_executor
       in
       match
-        Exchange.Chase.run ~columnar:t.config.columnar ~executor
-          ~shards:t.config.shards ?shard_key:t.config.shard_key mapping source
+        Shard.Driver.run ~executor ~shards:t.config.shards mapping source
       with
       | Error _ as e -> e
       | Ok (instance, stats) ->

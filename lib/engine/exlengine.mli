@@ -25,21 +25,13 @@ type config = {
           generated mappings before chasing them.  On by default; the
           optimized mapping is what gets chased, cached, and repaired
           incrementally. *)
-  columnar : bool;
-      (** Chase through the vectorized column-batch kernels
-          ({!Exchange.Chase.run}'s [columnar]).  On by default —
-          solutions and counters are identical to the row path; opt
-          out for A/B comparisons. *)
   shards : int;
       (** Partition full chases across this many shards
-          ({!Exchange.Chase.run}'s [shards]), running the per-shard
-          chases on the domain pool with work stealing.  [1] (the
-          default) = unsharded; [> 1] also brings the pool up even
-          without [parallel_dispatch].  Solutions are identical to the
-          unsharded run's. *)
-  shard_key : string option;
-      (** Dimension to partition on; [None] (the default) lets the
-          co-partitioning check choose per mapping. *)
+          ({!Shard.Driver.run}; the shard key is chosen per mapping),
+          running the per-shard chases on the domain pool with work
+          stealing.  [1] (the default) = unsharded; [> 1] also brings
+          the pool up even without [parallel_dispatch].  Solutions are
+          identical to the unsharded run's. *)
 }
 
 val default_config : config

@@ -30,8 +30,6 @@ let merge_stats ~into (s : stats) =
   into.egd_checks <- into.egd_checks + s.egd_checks;
   into.nulls_created <- into.nulls_created + s.nulls_created
 
-type mode = Naive | Semi_naive
-
 exception Chase_error of string
 
 (* Try to extend [binding] so that [args] (terms) match [fact] (values),
@@ -497,7 +495,7 @@ let check_target_egds ~check_egds (m : Mappings.Mapping.t) instance stats rels =
    rebuilding its per-application hash indexes every time.  Correct for
    non-monotone operators (aggregation, blackbox) precisely because
    each application starts from a cleared target. *)
-let run_naive ~check_egds (m : Mappings.Mapping.t) target stats =
+let naive_fixpoint ~check_egds (m : Mappings.Mapping.t) target stats =
   let tgds =
     List.stable_sort
       (fun a b -> String.compare (Tgd.target_relation a) (Tgd.target_relation b))
@@ -827,121 +825,82 @@ let run_semi_naive ~check_egds ~executor ~columnar (m : Mappings.Mapping.t)
   in
   loop 0 strata
 
-(* Static pre-check hook.  The chase itself must not depend on the
-   analysis library (dependency direction), so the check is injected:
-   the test harness points this at the weak-acyclicity certificate so
-   every chased mapping in the suite is also statically certified. *)
-let static_check : (Mappings.Mapping.t -> (unit, string) result) ref =
-  ref (fun _ -> Ok ())
-
 let sequential_executor tasks = List.iter (fun task -> task ()) tasks
 
-(* Sharded-chase hook.  The shard driver lives above this library (it
-   partitions instances and re-enters [run] per shard), so — like
-   [static_check] — it is injected rather than depended upon:
-   [Shard.Driver.install] fills the slot at module init.  [run ~shards]
-   with no installed runner is a hard error, not a silent fallback;
-   a missing linkage must not masquerade as a scaling measurement. *)
-type shard_request = {
-  shard_count : int;
-  shard_key : string option;
-  shard_range : bool;  (** range partitioning instead of hash *)
-}
+(* Σst: copy the source relations into a fresh instance over the target
+   schemas (the paper keeps the same symbols for a relation and its
+   copy; so do we).  With [columnar] a source relation whose target
+   schema matches is installed as a shared column batch — O(columns),
+   with the encode memoized on the source across runs — and its target
+   rows rebuild lazily only if something needs tuple-level access;
+   otherwise facts are copied row by row. *)
+let copy_sources ~columnar (m : Mappings.Mapping.t) source =
+  let target = Instance.create () in
+  List.iter (Instance.add_relation target) m.Mappings.Mapping.target;
+  List.iter
+    (fun schema ->
+      let name = schema.Schema.name in
+      match Instance.schema source name with
+      | None -> ()
+      | Some src_schema ->
+          let batched =
+            columnar
+            &&
+            match Instance.schema target name with
+            | Some tgt_schema -> Schema.equal tgt_schema src_schema
+            | None -> false
+          in
+          if batched then Instance.set_batch target name (Instance.batch source name)
+          else
+            Instance.iter_facts source name (fun fact ->
+                ignore (Instance.insert target name (Array.copy fact) : bool)))
+    m.Mappings.Mapping.source;
+  target
 
-type shard_runner =
-  check_egds:bool ->
-  executor:((unit -> unit) list -> unit) ->
-  columnar:bool ->
-  request:shard_request ->
-  Mappings.Mapping.t ->
-  Instance.t ->
-  (Instance.t * stats, string) result
+(* The common shell of [run] and [run_naive]: install Σst, evaluate
+   under the "chase.run" span, and flush the counters once per run. *)
+let chase_with ~mode ~columnar (m : Mappings.Mapping.t) source evaluate =
+  let stats = empty_stats () in
+  let target = copy_sources ~columnar m source in
+  let builds0, lookups0 = Instance.index_stats () in
+  let result =
+    Obs.with_span "chase.run"
+      ~attrs:
+        [
+          ("mode", mode);
+          ("tgds", string_of_int (List.length m.Mappings.Mapping.t_tgds));
+        ]
+      ~attrs_after:(fun () ->
+        [
+          ("rounds", string_of_int stats.rounds);
+          ("tuples_generated", string_of_int stats.tuples_generated);
+        ])
+      (fun () -> evaluate target stats)
+  in
+  (* Aggregated flush: the hot match loops touch only the local
+     [stats] record; the metrics registry sees one update per run. *)
+  if Obs.enabled () then begin
+    let builds1, lookups1 = Instance.index_stats () in
+    Obs.count "chase.runs";
+    Obs.count ~n:stats.rounds "chase.rounds";
+    Obs.count ~n:stats.matches_examined "chase.matches_examined";
+    Obs.count ~n:stats.tuples_generated "chase.tuples_generated";
+    Obs.count ~n:stats.tgds_applied "chase.tgds_applied";
+    Obs.count ~n:stats.egd_checks "chase.egd_checks";
+    Obs.count ~n:stats.nulls_created "chase.nulls_created";
+    Obs.count ~n:(builds1 - builds0) "chase.index_builds";
+    Obs.count ~n:(lookups1 - lookups0) "chase.index_lookups"
+  end;
+  Result.map (fun () -> (target, stats)) result
 
-let shard_runner : shard_runner option ref = ref None
+let run ?(check_egds = true) ?(executor = sequential_executor)
+    ?(columnar = true) m source =
+  chase_with ~mode:"semi_naive" ~columnar m source (fun target stats ->
+      run_semi_naive ~check_egds ~executor ~columnar m target stats)
 
-let run ?(check_egds = true) ?(mode = Semi_naive)
-    ?(executor = sequential_executor) ?(columnar = true) ?(shards = 1)
-    ?shard_key ?(shard_range = false) (m : Mappings.Mapping.t) source =
-  if shards > 1 && mode = Semi_naive then
-    match !shard_runner with
-    | None ->
-        Error
-          "sharded chase requested but no shard runner is installed (link \
-           lib/shard and call Shard.Driver.install ())"
-    | Some runner -> (
-        match !static_check m with
-        | Error msg -> Error ("static check failed before chase: " ^ msg)
-        | Ok () ->
-            runner ~check_egds ~executor ~columnar
-              ~request:{ shard_count = shards; shard_key; shard_range }
-              m source)
-  else
-  match !static_check m with
-  | Error msg -> Error ("static check failed before chase: " ^ msg)
-  | Ok () ->
-      let stats = empty_stats () in
-      let target = Instance.create () in
-      List.iter (Instance.add_relation target) m.Mappings.Mapping.target;
-      (* Σst: copy the source relations into the target (the paper keeps
-         the same symbols for a relation and its copy; so do we).  On
-         the columnar path a source relation whose target schema
-         matches is installed as a shared column batch — O(columns),
-         with the encode memoized on the source across runs — and its
-         target rows rebuild lazily only if something needs tuple-level
-         access. *)
-      List.iter
-        (fun schema ->
-          let name = schema.Schema.name in
-          match Instance.schema source name with
-          | None -> ()
-          | Some src_schema ->
-              let batched =
-                columnar && mode = Semi_naive
-                &&
-                match Instance.schema target name with
-                | Some tgt_schema -> Schema.equal tgt_schema src_schema
-                | None -> false
-              in
-              if batched then
-                Instance.set_batch target name (Instance.batch source name)
-              else
-                Instance.iter_facts source name (fun fact ->
-                    ignore (Instance.insert target name (Array.copy fact))))
-        m.Mappings.Mapping.source;
-      let builds0, lookups0 = Instance.index_stats () in
-      let result =
-        Obs.with_span "chase.run"
-          ~attrs:
-            [
-              ("mode", (match mode with Naive -> "naive" | Semi_naive -> "semi_naive"));
-              ("tgds", string_of_int (List.length m.Mappings.Mapping.t_tgds));
-            ]
-          ~attrs_after:(fun () ->
-            [
-              ("rounds", string_of_int stats.rounds);
-              ("tuples_generated", string_of_int stats.tuples_generated);
-            ])
-          (fun () ->
-            match mode with
-            | Naive -> run_naive ~check_egds m target stats
-            | Semi_naive ->
-                run_semi_naive ~check_egds ~executor ~columnar m target stats)
-      in
-      (* Aggregated flush: the hot match loops touch only the local
-         [stats] record; the metrics registry sees one update per run. *)
-      if Obs.enabled () then begin
-        let builds1, lookups1 = Instance.index_stats () in
-        Obs.count "chase.runs";
-        Obs.count ~n:stats.rounds "chase.rounds";
-        Obs.count ~n:stats.matches_examined "chase.matches_examined";
-        Obs.count ~n:stats.tuples_generated "chase.tuples_generated";
-        Obs.count ~n:stats.tgds_applied "chase.tgds_applied";
-        Obs.count ~n:stats.egd_checks "chase.egd_checks";
-        Obs.count ~n:stats.nulls_created "chase.nulls_created";
-        Obs.count ~n:(builds1 - builds0) "chase.index_builds";
-        Obs.count ~n:(lookups1 - lookups0) "chase.index_lookups"
-      end;
-      Result.map (fun () -> (target, stats)) result
+let run_naive ?(check_egds = true) m source =
+  chase_with ~mode:"naive" ~columnar:false m source (fun target stats ->
+      naive_fixpoint ~check_egds m target stats)
 
 (* ----- incremental re-evaluation from fact deltas ----- *)
 
@@ -1193,255 +1152,252 @@ let incr_agg_tgd instance stats istats bags ~fresh (source : Tgd.atom) group_by
 
 let incremental ?(check_egds = true) ?(executor = sequential_executor) ?state
     (m : Mappings.Mapping.t) ~solution ~deltas =
-  match !static_check m with
-  | Error msg -> Error ("static check failed before chase: " ^ msg)
-  | Ok () -> (
-      let unknown =
-        List.filter (fun (rel, _) -> Instance.schema solution rel = None) deltas
+  let unknown =
+    List.filter (fun (rel, _) -> Instance.schema solution rel = None) deltas
+  in
+  match unknown with
+  | (rel, _) :: _ ->
+      Error
+        (Printf.sprintf
+           "incremental chase: relation %s is not part of the solution" rel)
+  | [] ->
+      let stats = empty_stats () in
+      let istats = empty_incr_stats () in
+      (* Net change map, grown stratum by stratum as deltas
+         propagate upward. *)
+      let current : (string, fact_delta) Hashtbl.t = Hashtbl.create 16 in
+      let merge rel d =
+        if d.added <> [] || d.removed <> [] then
+          let prev =
+            Option.value ~default:empty_delta (Hashtbl.find_opt current rel)
+          in
+          Hashtbl.replace current rel
+            {
+              added = d.added @ prev.added;
+              removed = d.removed @ prev.removed;
+            }
       in
-      match unknown with
-      | (rel, _) :: _ ->
-          Error
-            (Printf.sprintf
-               "incremental chase: relation %s is not part of the solution" rel)
-      | [] ->
-          let stats = empty_stats () in
-          let istats = empty_incr_stats () in
-          (* Net change map, grown stratum by stratum as deltas
-             propagate upward. *)
-          let current : (string, fact_delta) Hashtbl.t = Hashtbl.create 16 in
-          let merge rel d =
-            if d.added <> [] || d.removed <> [] then
-              let prev =
-                Option.value ~default:empty_delta (Hashtbl.find_opt current rel)
-              in
-              Hashtbl.replace current rel
-                {
-                  added = d.added @ prev.added;
-                  removed = d.removed @ prev.removed;
-                }
+      (* Apply the input deltas to the previous solution; only
+         facts genuinely removed/added (set semantics) propagate. *)
+      List.iter
+        (fun (rel, d) ->
+          let removed =
+            List.filter (fun f -> Instance.remove solution rel f) d.removed
           in
-          (* Apply the input deltas to the previous solution; only
-             facts genuinely removed/added (set semantics) propagate. *)
-          List.iter
-            (fun (rel, d) ->
-              let removed =
-                List.filter (fun f -> Instance.remove solution rel f) d.removed
-              in
-              let added =
-                List.filter (fun f -> Instance.insert solution rel f) d.added
-              in
-              merge rel { added; removed })
-            deltas;
-          istats.input_facts <-
-            Hashtbl.fold
-              (fun _ d acc ->
-                acc + List.length d.added + List.length d.removed)
-              current 0;
-          let touched rel = Hashtbl.mem current rel in
-          let delta_removed rel =
-            match Hashtbl.find_opt current rel with
-            | Some d -> d.removed <> []
-            | None -> false
+          let added =
+            List.filter (fun f -> Instance.insert solution rel f) d.added
           in
-          let builds0, lookups0 = Instance.index_stats () in
-          let run_stratum_incr i stratum =
-            istats.strata_total <- istats.strata_total + 1;
-            let selected = select_touched stratum ~touched in
-            if selected = [] then begin
-              istats.strata_skipped <- istats.strata_skipped + 1;
-              Obs.count "chase.incr.strata_skipped";
-              Ok []
-            end
-            else begin
-              (* Per-tgd plan.  Insert-only tuple-level tgds replay
-                 seeded delta rounds; aggregations with persistent
-                 state re-aggregate affected groups; everything else
-                 (tuple-level deletions, blackbox, outer combine, and
-                 any tgd in a self-feeding fallback stratum) rederives
-                 DRed-style.  A tgd sharing a target with a rederived
-                 tgd must rederive too, or the target clear would lose
-                 its facts. *)
-              let stratum_targets =
-                List.sort_uniq String.compare
-                  (List.map Tgd.target_relation stratum)
-              in
-              let feeding =
+          merge rel { added; removed })
+        deltas;
+      istats.input_facts <-
+        Hashtbl.fold
+          (fun _ d acc ->
+            acc + List.length d.added + List.length d.removed)
+          current 0;
+      let touched rel = Hashtbl.mem current rel in
+      let delta_removed rel =
+        match Hashtbl.find_opt current rel with
+        | Some d -> d.removed <> []
+        | None -> false
+      in
+      let builds0, lookups0 = Instance.index_stats () in
+      let run_stratum_incr i stratum =
+        istats.strata_total <- istats.strata_total + 1;
+        let selected = select_touched stratum ~touched in
+        if selected = [] then begin
+          istats.strata_skipped <- istats.strata_skipped + 1;
+          Obs.count "chase.incr.strata_skipped";
+          Ok []
+        end
+        else begin
+          (* Per-tgd plan.  Insert-only tuple-level tgds replay
+             seeded delta rounds; aggregations with persistent
+             state re-aggregate affected groups; everything else
+             (tuple-level deletions, blackbox, outer combine, and
+             any tgd in a self-feeding fallback stratum) rederives
+             DRed-style.  A tgd sharing a target with a rederived
+             tgd must rederive too, or the target clear would lose
+             its facts. *)
+          let stratum_targets =
+            List.sort_uniq String.compare
+              (List.map Tgd.target_relation stratum)
+          in
+          let feeding =
+            List.exists
+              (fun tgd ->
                 List.exists
-                  (fun tgd ->
-                    List.exists
-                      (fun s -> List.mem s stratum_targets)
-                      (Tgd.source_relations tgd))
-                  selected
-              in
-              let plan_of tgd =
-                if feeding then `Rederive
-                else
-                  match tgd with
-                  | Tgd.Tuple_level _
-                    when not
-                           (List.exists delta_removed
-                              (Tgd.source_relations tgd)) ->
-                      `Delta
-                  | Tgd.Aggregation _ when state <> None -> `Agg
-                  | _ -> `Rederive
-              in
-              let plans = List.map (fun tgd -> (tgd, plan_of tgd)) selected in
-              let rederive_targets = Hashtbl.create 4 in
+                  (fun s -> List.mem s stratum_targets)
+                  (Tgd.source_relations tgd))
+              selected
+          in
+          let plan_of tgd =
+            if feeding then `Rederive
+            else
+              match tgd with
+              | Tgd.Tuple_level _
+                when not
+                       (List.exists delta_removed
+                          (Tgd.source_relations tgd)) ->
+                  `Delta
+              | Tgd.Aggregation _ when state <> None -> `Agg
+              | _ -> `Rederive
+          in
+          let plans = List.map (fun tgd -> (tgd, plan_of tgd)) selected in
+          let rederive_targets = Hashtbl.create 4 in
+          List.iter
+            (fun (tgd, plan) ->
+              if plan = `Rederive then
+                Hashtbl.replace rederive_targets (Tgd.target_relation tgd)
+                  ())
+            plans;
+          (* One pass suffices: demoting a tgd adds no new target. *)
+          let plans =
+            List.map
+              (fun (tgd, plan) ->
+                if
+                  plan <> `Rederive
+                  && Hashtbl.mem rederive_targets (Tgd.target_relation tgd)
+                then (tgd, `Rederive)
+                else (tgd, plan))
+              plans
+          in
+          let of_plan p =
+            List.filter_map
+              (fun (tgd, plan) -> if plan = p then Some tgd else None)
+              plans
+          in
+          let rederive = of_plan `Rederive in
+          let aggs = of_plan `Agg in
+          let delta_tl = of_plan `Delta in
+          (* A rederived aggregation's bags go stale (its target is
+             rebuilt outside the bag bookkeeping): drop them so the
+             next touching batch rebuilds from the source. *)
+          (match state with
+          | Some st ->
               List.iter
-                (fun (tgd, plan) ->
-                  if plan = `Rederive then
-                    Hashtbl.replace rederive_targets (Tgd.target_relation tgd)
-                      ())
-                plans;
-              (* One pass suffices: demoting a tgd adds no new target. *)
-              let plans =
-                List.map
-                  (fun (tgd, plan) ->
-                    if
-                      plan <> `Rederive
-                      && Hashtbl.mem rederive_targets (Tgd.target_relation tgd)
-                    then (tgd, `Rederive)
-                    else (tgd, plan))
-                  plans
-              in
-              let of_plan p =
-                List.filter_map
-                  (fun (tgd, plan) -> if plan = p then Some tgd else None)
-                  plans
-              in
-              let rederive = of_plan `Rederive in
-              let aggs = of_plan `Agg in
-              let delta_tl = of_plan `Delta in
-              (* A rederived aggregation's bags go stale (its target is
-                 rebuilt outside the bag bookkeeping): drop them so the
-                 next touching batch rebuilds from the source. *)
-              (match state with
-              | Some st ->
-                  List.iter
-                    (fun tgd ->
-                      match tgd with
-                      | Tgd.Aggregation _ ->
-                          Hashtbl.remove st (Tgd.to_string tgd)
-                      | _ -> ())
+                (fun tgd ->
+                  match tgd with
+                  | Tgd.Aggregation _ ->
+                      Hashtbl.remove st (Tgd.to_string tgd)
+                  | _ -> ())
+                rederive
+          | None -> ());
+          let mode = if rederive <> [] then "rederive" else "delta" in
+          if rederive <> [] then
+            istats.strata_rederived <- istats.strata_rederived + 1
+          else istats.strata_delta <- istats.strata_delta + 1;
+          Obs.with_span "chase.stratum"
+            ~attrs:
+              [
+                ("stratum", string_of_int i);
+                ("tgds", string_of_int (List.length selected));
+                ("mode", mode);
+              ]
+            (fun () ->
+              let ( let* ) = Result.bind in
+              (* Rederive first — it clears its targets wholesale;
+                 the other plans touch disjoint targets and read
+                 only lower strata. *)
+              let* out1 =
+                if rederive = [] then Ok []
+                else
+                  incr_rederive_stratum ~executor solution stats istats
                     rederive
-              | None -> ());
-              let mode = if rederive <> [] then "rederive" else "delta" in
-              if rederive <> [] then
-                istats.strata_rederived <- istats.strata_rederived + 1
-              else istats.strata_delta <- istats.strata_delta + 1;
-              Obs.with_span "chase.stratum"
-                ~attrs:
-                  [
-                    ("stratum", string_of_int i);
-                    ("tgds", string_of_int (List.length selected));
-                    ("mode", mode);
-                  ]
-                (fun () ->
-                  let ( let* ) = Result.bind in
-                  (* Rederive first — it clears its targets wholesale;
-                     the other plans touch disjoint targets and read
-                     only lower strata. *)
-                  let* out1 =
-                    if rederive = [] then Ok []
-                    else
-                      incr_rederive_stratum ~executor solution stats istats
-                        rederive
+              in
+              let* out2 =
+                if aggs = [] then Ok []
+                else
+                  let st = Option.get state in
+                  let outs = ref [] in
+                  Result.map
+                    (fun () -> !outs)
+                    (wrap_chase (fun () ->
+                         List.iter
+                           (fun tgd ->
+                             match tgd with
+                             | Tgd.Aggregation
+                                 { source; group_by; aggr; measure; target }
+                               ->
+                                 let key = Tgd.to_string tgd in
+                                 let bags, fresh =
+                                   match Hashtbl.find_opt st key with
+                                   | Some bags -> (bags, false)
+                                   | None ->
+                                       let bags =
+                                         build_agg_bags solution stats
+                                           source group_by measure
+                                       in
+                                       Hashtbl.replace st key bags;
+                                       (bags, true)
+                                 in
+                                 let delta =
+                                   Option.value ~default:empty_delta
+                                     (Hashtbl.find_opt current
+                                        source.Tgd.rel)
+                                 in
+                                 let d =
+                                   incr_agg_tgd solution stats istats bags
+                                     ~fresh source group_by aggr measure
+                                     target ~delta
+                                 in
+                                 stats.tgds_applied <-
+                                   stats.tgds_applied + 1;
+                                 if d.added <> [] || d.removed <> [] then
+                                   outs := (target, d) :: !outs
+                             | _ -> assert false)
+                           aggs))
+              in
+              let* out3 =
+                if delta_tl = [] then Ok []
+                else begin
+                  let seed : (string, Instance.fact list) Hashtbl.t =
+                    Hashtbl.create 8
                   in
-                  let* out2 =
-                    if aggs = [] then Ok []
-                    else
-                      let st = Option.get state in
-                      let outs = ref [] in
-                      Result.map
-                        (fun () -> !outs)
-                        (wrap_chase (fun () ->
-                             List.iter
-                               (fun tgd ->
-                                 match tgd with
-                                 | Tgd.Aggregation
-                                     { source; group_by; aggr; measure; target }
-                                   ->
-                                     let key = Tgd.to_string tgd in
-                                     let bags, fresh =
-                                       match Hashtbl.find_opt st key with
-                                       | Some bags -> (bags, false)
-                                       | None ->
-                                           let bags =
-                                             build_agg_bags solution stats
-                                               source group_by measure
-                                           in
-                                           Hashtbl.replace st key bags;
-                                           (bags, true)
-                                     in
-                                     let delta =
-                                       Option.value ~default:empty_delta
-                                         (Hashtbl.find_opt current
-                                            source.Tgd.rel)
-                                     in
-                                     let d =
-                                       incr_agg_tgd solution stats istats bags
-                                         ~fresh source group_by aggr measure
-                                         target ~delta
-                                     in
-                                     stats.tgds_applied <-
-                                       stats.tgds_applied + 1;
-                                     if d.added <> [] || d.removed <> [] then
-                                       outs := (target, d) :: !outs
-                                 | _ -> assert false)
-                               aggs))
-                  in
-                  let* out3 =
-                    if delta_tl = [] then Ok []
-                    else begin
-                      let seed : (string, Instance.fact list) Hashtbl.t =
-                        Hashtbl.create 8
-                      in
-                      Hashtbl.iter
-                        (fun rel d ->
-                          if d.added <> [] then Hashtbl.replace seed rel d.added)
-                        current;
-                      incr_delta_stratum solution stats istats delta_tl seed
-                    end
-                  in
-                  let* () =
-                    check_target_egds ~check_egds m solution stats
-                      (List.map Tgd.target_relation selected)
-                  in
-                  Ok (out1 @ out2 @ out3))
-            end
-          in
-          let rec loop i = function
-            | [] -> Ok ()
-            | stratum :: rest -> (
-                match run_stratum_incr i stratum with
-                | Error _ as e -> e
-                | Ok out ->
-                    List.iter (fun (rel, d) -> merge rel d) out;
-                    loop (i + 1) rest)
-          in
-          let result =
-            Obs.with_span "chase.incremental"
-              ~attrs:
-                [ ("delta_facts", string_of_int istats.input_facts) ]
-              ~attrs_after:(fun () ->
-                [
-                  ("strata_skipped", string_of_int istats.strata_skipped);
-                  ("facts_rederived", string_of_int istats.facts_rederived);
-                ])
-              (fun () -> loop 0 (strata_of m))
-          in
-          if Obs.enabled () then begin
-            let builds1, lookups1 = Instance.index_stats () in
-            Obs.count "chase.incr.runs";
-            Obs.count ~n:istats.input_facts "chase.incr.input_facts";
-            Obs.count ~n:istats.facts_rederived "chase.incr.facts_rederived";
-            Obs.count ~n:stats.matches_examined "chase.matches_examined";
-            Obs.count ~n:stats.tuples_generated "chase.tuples_generated";
-            Obs.count ~n:stats.tgds_applied "chase.tgds_applied";
-            Obs.count ~n:stats.egd_checks "chase.egd_checks";
-            Obs.count ~n:stats.nulls_created "chase.nulls_created";
-            Obs.count ~n:(builds1 - builds0) "chase.index_builds";
-            Obs.count ~n:(lookups1 - lookups0) "chase.index_lookups"
-          end;
-          Result.map (fun () -> (stats, istats)) result)
+                  Hashtbl.iter
+                    (fun rel d ->
+                      if d.added <> [] then Hashtbl.replace seed rel d.added)
+                    current;
+                  incr_delta_stratum solution stats istats delta_tl seed
+                end
+              in
+              let* () =
+                check_target_egds ~check_egds m solution stats
+                  (List.map Tgd.target_relation selected)
+              in
+              Ok (out1 @ out2 @ out3))
+        end
+      in
+      let rec loop i = function
+        | [] -> Ok ()
+        | stratum :: rest -> (
+            match run_stratum_incr i stratum with
+            | Error _ as e -> e
+            | Ok out ->
+                List.iter (fun (rel, d) -> merge rel d) out;
+                loop (i + 1) rest)
+      in
+      let result =
+        Obs.with_span "chase.incremental"
+          ~attrs:
+            [ ("delta_facts", string_of_int istats.input_facts) ]
+          ~attrs_after:(fun () ->
+            [
+              ("strata_skipped", string_of_int istats.strata_skipped);
+              ("facts_rederived", string_of_int istats.facts_rederived);
+            ])
+          (fun () -> loop 0 (strata_of m))
+      in
+      if Obs.enabled () then begin
+        let builds1, lookups1 = Instance.index_stats () in
+        Obs.count "chase.incr.runs";
+        Obs.count ~n:istats.input_facts "chase.incr.input_facts";
+        Obs.count ~n:istats.facts_rederived "chase.incr.facts_rederived";
+        Obs.count ~n:stats.matches_examined "chase.matches_examined";
+        Obs.count ~n:stats.tuples_generated "chase.tuples_generated";
+        Obs.count ~n:stats.tgds_applied "chase.tgds_applied";
+        Obs.count ~n:stats.egd_checks "chase.egd_checks";
+        Obs.count ~n:stats.nulls_created "chase.nulls_created";
+        Obs.count ~n:(builds1 - builds0) "chase.index_builds";
+        Obs.count ~n:(lookups1 - lookups0) "chase.index_lookups"
+      end;
+      Result.map (fun () -> (stats, istats)) result

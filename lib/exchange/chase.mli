@@ -30,39 +30,20 @@ val merge_stats : into:stats -> stats -> unit
 (** Fold per-task counters into an accumulator ([rounds] excluded — it
     is driver bookkeeping, never task-local). *)
 
-type mode =
-  | Naive
-      (** Textbook naive evaluation, kept as the benchmark baseline:
-          every round clears and fully re-derives each target in
-          canonical (target-name) order — no ordering oracle, no
-          persistent indexes — until a round changes nothing. *)
-  | Semi_naive
-      (** Stratified semi-naive evaluation (the default): strata run in
-          level order; round one of a stratum evaluates against the
-          full instance through the persistent {!Instance} indexes,
-          later rounds join only the previous round's delta. *)
-
-val static_check : (Mappings.Mapping.t -> (unit, string) result) ref
-(** Pre-chase hook, run on the mapping at the top of {!run}; defaults
-    to a no-op.  The test harness injects the analysis library's
-    weak-acyclicity + safety certificate here, so every mapping the
-    suite chases is also statically certified (the chase itself cannot
-    depend on the analysis library). *)
-
 val run :
   ?check_egds:bool ->
-  ?mode:mode ->
   ?executor:((unit -> unit) list -> unit) ->
   ?columnar:bool ->
-  ?shards:int ->
-  ?shard_key:string ->
-  ?shard_range:bool ->
   Mappings.Mapping.t ->
   Instance.t ->
   (Instance.t * stats, string) result
-(** Solve the data exchange problem; [Error] on egd violation (chase
-    failure) or on a tgd that cannot be evaluated (a variable occurring
-    only under uninvertible terms).
+(** Solve the data exchange problem by stratified semi-naive
+    evaluation: strata run in level order; round one of a stratum
+    evaluates against the full instance through the persistent
+    {!Instance} indexes, later rounds join only the previous round's
+    delta.  [Error] on egd violation (chase failure) or on a tgd that
+    cannot be evaluated (a variable occurring only under uninvertible
+    terms).
 
     [executor] runs the independent round-one applications of a
     multi-tgd stratum (pairwise distinct targets reading only lower
@@ -72,53 +53,40 @@ val run :
     invoked, so tasks only read shared relations and write their own
     target.
 
-    [columnar] (default [true], semi-naive mode only) routes
-    kernel-able tgds — all-variable selections/projections, two-atom
-    equi-joins, dimension-keyed aggregations — through vectorized
-    kernels over dictionary-encoded column batches, and installs Σst
-    source copies as shared batches instead of row-by-row.  The
-    solution, the result, and every [stats] counter are identical to
-    the row path's (the kernels replay its iteration order, counting,
-    and error rules); only wall-clock time and index telemetry
-    differ.
+    [columnar] (default [true]) routes kernel-able tgds — all-variable
+    selections/projections, two-atom equi-joins, dimension-keyed
+    aggregations — through vectorized kernels over dictionary-encoded
+    column batches, and installs Σst source copies as shared batches
+    instead of row-by-row.  The solution, the result, and every [stats]
+    counter are identical to the row path's (the kernels replay its
+    iteration order, counting, and error rules); only wall-clock time
+    and index telemetry differ.  [~columnar:false] is the row-evaluator
+    oracle; the row evaluator also runs every tgd the kernels do not
+    handle.
 
-    [shards > 1] (semi-naive mode only) routes the whole run through
-    the installed {!shard_runner}: the source instance is partitioned
-    on [shard_key] (auto-chosen when omitted; [shard_range] switches
-    hash partitioning to range), the co-partitionable tgds chase each
-    shard independently — [executor] then runs {e shard} tasks, one
-    per shard — and a deterministic merge plus a residual pass over
-    the cross-shard tgds completes the solution.  The solution equals
-    the unsharded one (property-tested); [stats] counters are
-    aggregates across shards and may differ.  [Error] if no runner is
-    installed (see {!shard_runner}). *)
+    Sharded execution sits above this function: see
+    [Shard.Driver.run]. *)
 
-(** {2 Sharded execution hooks}
-
-    The shard driver ([lib/shard]) sits {e above} this library — it
-    partitions instances and re-enters {!run} once per shard — so,
-    exactly like {!static_check}, it is injected rather than depended
-    upon. *)
-
-type shard_request = {
-  shard_count : int;
-  shard_key : string option;
-      (** dimension to partition on; [None] = choose automatically *)
-  shard_range : bool;  (** range partitioning instead of hash *)
-}
-
-type shard_runner =
-  check_egds:bool ->
-  executor:((unit -> unit) list -> unit) ->
-  columnar:bool ->
-  request:shard_request ->
+val run_naive :
+  ?check_egds:bool ->
   Mappings.Mapping.t ->
   Instance.t ->
   (Instance.t * stats, string) result
+(** Textbook naive evaluation, kept as the test oracle and benchmark
+    baseline: every round clears and fully re-derives each target in
+    canonical (target-name) order — no ordering oracle, no persistent
+    indexes, Σst copied row by row — until a round changes nothing.
+    Same solution as {!run}. *)
 
-val shard_runner : shard_runner option ref
-(** Filled by [Shard.Driver.install]; [None] makes [run ~shards]
-    return [Error] rather than silently running unsharded. *)
+val copy_sources :
+  columnar:bool -> Mappings.Mapping.t -> Instance.t -> Instance.t
+(** The Σst step every chase starts from: a fresh instance over the
+    mapping's target schemas holding a copy of each source relation.
+    With [columnar] a relation whose target schema equals its source
+    schema is installed as the source's shared column batch; otherwise
+    (and always when [columnar] is false) facts are copied row by
+    row.  {!run}, {!run_naive} and the shard driver's merge all
+    install sources through this function. *)
 
 val run_stratum :
   executor:((unit -> unit) list -> unit) ->

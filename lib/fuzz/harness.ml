@@ -177,13 +177,12 @@ let check_columnar scenario =
 (* --- axis: sharded vs unsharded chase --------------------------------- *)
 
 let check_shards scenario =
-  Shard.Driver.install ();
   match Result.bind (compiled scenario) Core.mapping_of with
   | Error msg -> Disagree ("no mapping: " ^ msg)
   | Ok mapping -> (
       let data = scenario.Scenario.data in
       let sharded mapping data =
-        Exchange.Chase.run ~shards:3 mapping
+        Shard.Driver.run ~shards:3 mapping
           (Exchange.Instance.of_registry (Registry.copy data))
       in
       match (chase ~columnar:true mapping data, sharded mapping data) with

@@ -17,37 +17,15 @@
    egd schedule the unsharded chase follows, only deferred past the
    merge for the shard phase's targets. *)
 
-open Matrix
 open Mappings
 open Exchange
 
 let local_targets (plan : Partition.t) =
   List.sort_uniq String.compare (List.map Tgd.target_relation plan.local)
 
-let merge ~columnar (plan : Partition.t) (m : Mapping.t) source
-    (sols : Instance.t list) =
-  let merged = Instance.create () in
-  List.iter (Instance.add_relation merged) m.Mapping.target;
-  (* Σst: identical to the unsharded run — batch install when the
-     schemas match on the columnar path, row copies otherwise. *)
-  List.iter
-    (fun (schema : Schema.t) ->
-      let name = schema.Schema.name in
-      match Instance.schema source name with
-      | None -> ()
-      | Some src_schema ->
-          let batched =
-            columnar
-            &&
-            match Instance.schema merged name with
-            | Some tgt_schema -> Schema.equal tgt_schema src_schema
-            | None -> false
-          in
-          if batched then Instance.set_batch merged name (Instance.batch source name)
-          else
-            Instance.iter_facts source name (fun fact ->
-                ignore (Instance.insert merged name (Array.copy fact) : bool)))
-    m.Mapping.source;
+let merge (plan : Partition.t) (m : Mapping.t) source (sols : Instance.t list) =
+  (* Σst exactly as the unsharded run installs it. *)
+  let merged = Chase.copy_sources ~columnar:true m source in
   List.iter
     (fun rel ->
       List.iter
@@ -58,7 +36,7 @@ let merge ~columnar (plan : Partition.t) (m : Mapping.t) source
     (local_targets plan);
   merged
 
-let residual_pass ~check_egds ~executor ~columnar (plan : Partition.t)
+let residual_pass ~check_egds ~executor (plan : Partition.t)
     (m : Mapping.t) merged (stats : Chase.stats) =
   let residual_targets =
     List.sort_uniq String.compare (List.map Tgd.target_relation plan.residual)
@@ -81,7 +59,8 @@ let residual_pass ~check_egds ~executor ~columnar (plan : Partition.t)
                   ("stratum", string_of_int i);
                   ("tgds", string_of_int (List.length res));
                 ]
-              (fun () -> Chase.run_stratum ~executor ~columnar merged stats res)
+              (fun () ->
+                Chase.run_stratum ~executor ~columnar:true merged stats res)
         in
         match step with
         | Error _ as e -> e
@@ -95,7 +74,7 @@ let residual_pass ~check_egds ~executor ~columnar (plan : Partition.t)
   in
   loop 0 strata
 
-let run_planned ~check_egds ~executor ~columnar (plan : Partition.t)
+let run_planned ~check_egds ~executor (plan : Partition.t)
     (m : Mapping.t) source =
   let shards = plan.Partition.shards in
   let stats = Chase.empty_stats () in
@@ -103,7 +82,7 @@ let run_planned ~check_egds ~executor ~columnar (plan : Partition.t)
   let parts =
     Obs.with_span "shard.split"
       ~attrs:[ ("key", plan.Partition.key) ]
-      (fun () -> Partition.split ~columnar plan source)
+      (fun () -> Partition.split plan source)
   in
   if Obs.enabled () then begin
     let sizes = Array.map Instance.total_facts parts in
@@ -124,8 +103,7 @@ let run_planned ~check_egds ~executor ~columnar (plan : Partition.t)
           Some
             (Obs.with_span "shard.chase"
                ~attrs:[ ("shard", string_of_int i) ]
-               (fun () ->
-                 Chase.run ~check_egds:false ~columnar sub parts.(i))))
+               (fun () -> Chase.run ~check_egds:false sub parts.(i))))
   in
   executor tasks;
   let rec collect i acc =
@@ -146,43 +124,40 @@ let run_planned ~check_egds ~executor ~columnar (plan : Partition.t)
   | Ok sols -> (
       (* Phase C: deterministic merge. *)
       let merged =
-        Obs.with_span "shard.merge" (fun () ->
-            merge ~columnar plan m source sols)
+        Obs.with_span "shard.merge" (fun () -> merge plan m source sols)
       in
       (* Phase D: residual tgds + deferred egd checks, in stratum
          order. *)
-      match residual_pass ~check_egds ~executor ~columnar plan m merged stats with
+      match residual_pass ~check_egds ~executor plan m merged stats with
       | Error _ as e -> e
       | Ok () -> Ok (merged, stats))
 
-let run_sharded ~check_egds ~executor ~columnar
-    ~(request : Chase.shard_request) (m : Mapping.t) source =
-  match
-    Partition.make ?key:request.Chase.shard_key ~range:request.Chase.shard_range
-      ~shards:request.Chase.shard_count m
-  with
-  | Error _ when request.Chase.shard_key = None ->
-      (* No candidate key at all (e.g. dimension-less sources): there is
-         nothing to partition on, so sharding degrades to the plain
-         chase.  An explicit key that fails still errors below. *)
-      Chase.run ~check_egds ~executor ~columnar m source
-  | Error msg -> Error ("sharded chase: " ^ msg)
-  | Ok plan ->
-      if plan.Partition.local = [] then
-        (* Nothing is shard-local: partitioning would only add
-           overhead, so run the plain chase.  The plan's reasons still
-           name every cross-shard atom for diagnostics. *)
-        Chase.run ~check_egds ~executor ~columnar m source
-      else
-        Obs.with_span "shard.run"
-          ~attrs:
-            [
-              ("key", plan.Partition.key);
-              ("shards", string_of_int plan.Partition.shards);
-              ("local", string_of_int (List.length plan.Partition.local));
-              ("residual", string_of_int (List.length plan.Partition.residual));
-            ]
-          (fun () -> run_planned ~check_egds ~executor ~columnar plan m source)
-
-let install () = Chase.shard_runner := Some run_sharded
-let () = install ()
+let run ?(check_egds = true) ?(executor = Chase.sequential_executor) ?key
+    ?(range = false) ~shards (m : Mapping.t) source =
+  if shards <= 1 then Chase.run ~check_egds ~executor m source
+  else
+    match Partition.make ?key ~range ~shards m with
+    | Error _ when key = None ->
+        (* No candidate key at all (e.g. dimension-less sources): there
+           is nothing to partition on, so sharding degrades to the
+           plain chase.  An explicit key that fails still errors
+           below. *)
+        Chase.run ~check_egds ~executor m source
+    | Error msg -> Error ("sharded chase: " ^ msg)
+    | Ok plan ->
+        if plan.Partition.local = [] then
+          (* Nothing is shard-local: partitioning would only add
+             overhead, so run the plain chase.  The plan's reasons
+             still name every cross-shard atom for diagnostics. *)
+          Chase.run ~check_egds ~executor m source
+        else
+          Obs.with_span "shard.run"
+            ~attrs:
+              [
+                ("key", plan.Partition.key);
+                ("shards", string_of_int plan.Partition.shards);
+                ("local", string_of_int (List.length plan.Partition.local));
+                ( "residual",
+                  string_of_int (List.length plan.Partition.residual) );
+              ]
+            (fun () -> run_planned ~check_egds ~executor plan m source)

@@ -10,21 +10,21 @@
 open Mappings
 open Exchange
 
-val run_sharded :
-  check_egds:bool ->
-  executor:((unit -> unit) list -> unit) ->
-  columnar:bool ->
-  request:Chase.shard_request ->
+val run :
+  ?check_egds:bool ->
+  ?executor:((unit -> unit) list -> unit) ->
+  ?key:string ->
+  ?range:bool ->
+  shards:int ->
   Mapping.t ->
   Instance.t ->
   (Instance.t * Chase.stats, string) result
-(** The {!Chase.shard_runner} implementation.  Falls back to the plain
-    chase when the plan leaves no tgd shard-local.  [executor] receives
-    one task per shard (and is also used for the residual pass's
-    round-one parallelism). *)
-
-val install : unit -> unit
-(** Point {!Chase.shard_runner} at {!run_sharded}.  Runs at module
-    initialization; call it (idempotently) to force the linker to keep
-    this library, e.g. from binaries that only reach sharding through
-    [Chase.run ~shards]. *)
+(** The sharded chase.  [shards <= 1] is exactly {!Chase.run} — no plan
+    is built — so unsharded callers pay nothing for going through here.
+    Otherwise the source is partitioned on [key] (chosen by
+    {!Partition.make} when omitted; [range] switches hash partitioning
+    to range cuts) and [executor] receives one task per shard (it also
+    runs the residual pass's round-one parallelism).  Falls back to the
+    plain chase when no key exists or the plan leaves no tgd
+    shard-local; an explicit [key] that cannot partition is an
+    [Error].  Every phase is columnar. *)

@@ -392,15 +392,14 @@ let assignment t source =
   end
 
 (* Split the source instance into [shards] instances: partitioned
-   relations scatter fact-by-fact on the key value, everything else is
-   replicated into every shard.  With [columnar] the split runs at the
-   batch level — per-shard row selections out of the (memoized) source
-   batch, dictionaries shared, nothing re-encoded — and replicated
-   relations are installed as the *same* shared batch in O(columns)
-   per shard.  Fact arrays are shared with [source] either way; shard
-   instances are read-only inputs to the per-shard chases, which copy
-   on Σst exactly like the unsharded run. *)
-let split ?(columnar = true) t source =
+   relations scatter on the key value, everything else is replicated
+   into every shard.  The split runs at the batch level — per-shard row
+   selections out of the (memoized) source batch, dictionaries shared,
+   nothing re-encoded — and replicated relations are installed as the
+   *same* shared batch in O(columns) per shard.  Shard instances are
+   read-only inputs to the per-shard chases, which copy on Σst exactly
+   like the unsharded run. *)
+let split t source =
   let parts = Array.init t.shards (fun _ -> Instance.create ()) in
   let assign = assignment t source in
   (* Dictionary pools are deliberately unsynchronized, so batches
@@ -418,13 +417,12 @@ let split ?(columnar = true) t source =
      building a batch appends codes to the (shared, lazily grown) pool
      dictionaries, so a copy taken mid-way would be missing the codes
      of every batch encoded after it. *)
-  if columnar then
-    List.iter
-      (fun (s : Schema.t) ->
-        match Instance.schema source s.Schema.name with
-        | Some _ -> ignore (Instance.batch source s.Schema.name : Columnar.Batch.t)
-        | None -> ())
-      t.mapping.Mapping.source;
+  List.iter
+    (fun (s : Schema.t) ->
+      match Instance.schema source s.Schema.name with
+      | Some _ -> ignore (Instance.batch source s.Schema.name : Columnar.Batch.t)
+      | None -> ())
+    t.mapping.Mapping.source;
   let rebase i (s : Schema.t) b =
     let dicts =
       Array.init (Array.length s.Schema.dims) (fun j ->
@@ -447,50 +445,34 @@ let split ?(columnar = true) t source =
           Array.iter (fun p -> Instance.add_relation p s) parts;
           match List.assoc_opt name t.status with
           | Some (Partitioned pos) ->
-              if columnar then begin
-                let b = Instance.batch source name in
-                let dict = Columnar.Batch.dim_dict b pos in
-                let codes = Columnar.Batch.dim_codes b pos in
-                (* decide each *code* once, then scatter row indexes *)
-                let code_shard =
-                  Array.init (Columnar.Dict.size dict) (fun c ->
-                      assign (Columnar.Dict.decode dict c))
-                in
-                let nrows = Columnar.Batch.nrows b in
-                let counts = Array.make t.shards 0 in
-                for r = 0 to nrows - 1 do
-                  let s = code_shard.(codes.(r)) in
-                  counts.(s) <- counts.(s) + 1
-                done;
-                let rows = Array.map (fun n -> Array.make n 0) counts in
-                let fill = Array.make t.shards 0 in
-                for r = 0 to nrows - 1 do
-                  let s = code_shard.(codes.(r)) in
-                  rows.(s).(fill.(s)) <- r;
-                  fill.(s) <- fill.(s) + 1
-                done;
-                Array.iteri
-                  (fun i idx ->
-                    Instance.set_batch parts.(i) name
-                      (rebase i s (Columnar.Batch.select b idx)))
-                  rows
-              end
-              else
-                Instance.iter_facts source name (fun fact ->
-                    ignore
-                      (Instance.insert parts.(assign fact.(pos)) name fact
-                        : bool))
+              let b = Instance.batch source name in
+              let dict = Columnar.Batch.dim_dict b pos in
+              let codes = Columnar.Batch.dim_codes b pos in
+              (* decide each *code* once, then scatter row indexes *)
+              let code_shard =
+                Array.init (Columnar.Dict.size dict) (fun c ->
+                    assign (Columnar.Dict.decode dict c))
+              in
+              let nrows = Columnar.Batch.nrows b in
+              let counts = Array.make t.shards 0 in
+              for r = 0 to nrows - 1 do
+                let s = code_shard.(codes.(r)) in
+                counts.(s) <- counts.(s) + 1
+              done;
+              let rows = Array.map (fun n -> Array.make n 0) counts in
+              let fill = Array.make t.shards 0 in
+              for r = 0 to nrows - 1 do
+                let s = code_shard.(codes.(r)) in
+                rows.(s).(fill.(s)) <- r;
+                fill.(s) <- fill.(s) + 1
+              done;
+              Array.iteri
+                (fun i idx ->
+                  Instance.set_batch parts.(i) name
+                    (rebase i s (Columnar.Batch.select b idx)))
+                rows
           | _ ->
-              if columnar then begin
-                let b = Instance.batch source name in
-                Array.iteri
-                  (fun i p -> Instance.set_batch p name (rebase i s b))
-                  parts
-              end
-              else
-                Instance.iter_facts source name (fun fact ->
-                    Array.iter
-                      (fun p -> ignore (Instance.insert p name fact : bool))
-                      parts)))
+              let b = Instance.batch source name in
+              Array.iteri (fun i p -> Instance.set_batch p name (rebase i s b)) parts))
     t.mapping.Mapping.source;
   parts

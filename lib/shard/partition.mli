@@ -55,11 +55,11 @@ val report : t -> string
     every local tgd, and every residual tgd with the atom (and reason)
     that breaks locality. *)
 
-val split : ?columnar:bool -> t -> Instance.t -> Instance.t array
+val split : t -> Instance.t -> Instance.t array
 (** Partition the source instance into [shards] read-only instances:
     partitioned relations scatter on the key value (hash of the
     printed value, or sorted-range cuts when [range]), all others are
-    replicated.  With [columnar] (default) the split works on the
-    memoized source batches — per-shard row selections sharing the
-    dictionaries, replicated relations installed as the same shared
-    batch — so nothing is re-encoded. *)
+    replicated.  The split works on the memoized source batches —
+    per-shard row selections sharing the dictionaries, replicated
+    relations installed as the same shared batch — so nothing is
+    re-encoded. *)

@@ -1,17 +1,3 @@
-(* Every mapping any test chases must also be statically certified:
-   safe tgds and a verified weak-acyclicity certificate. *)
-let () =
-  Exchange.Chase.static_check :=
-    fun m ->
-      match Analysis.Map_lints.safety m with
-      | d :: _ -> Error (Analysis.Diagnostic.to_string d)
-      | [] -> (
-          match Analysis.Acyclicity.check m with
-          | Error { Analysis.Acyclicity.cycle } ->
-              Error
-                ("not weakly acyclic: " ^ Analysis.Acyclicity.cycle_to_string m cycle)
-          | Ok cert -> Analysis.Acyclicity.verify cert)
-
 let () =
   Alcotest.run "exlengine"
     [
@@ -27,12 +13,12 @@ let () =
       ("exchange", Test_exchange.suite);
       ("columnar", Test_columnar.suite);
       ("shard", Test_shard.suite);
-      ("delta", Test_delta.suite);
       ("relational", Test_relational.suite);
       ("vector", Test_vector.suite);
       ("etl", Test_etl.suite);
       ("engine", Test_engine.suite);
       ("incr", Test_incr.suite);
+      ("delta", Test_incr.delta_suite);
       ("pool", Test_pool.suite);
       ("obs", Test_obs.suite);
       ("faults", Test_faults.suite);

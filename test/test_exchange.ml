@@ -207,15 +207,12 @@ let facts_by_relation mapping j =
 let check_same_solution src reg =
   let mapping = mapping_of_source src in
   let source = X.Instance.of_registry reg in
-  let run mode =
-    match X.Chase.run ~mode mapping source with
+  let run what = function
     | Ok r -> r
-    | Error msg -> Alcotest.failf "chase (%s): %s"
-        (match mode with X.Chase.Naive -> "naive" | _ -> "semi-naive")
-        msg
+    | Error msg -> Alcotest.failf "chase (%s): %s" what msg
   in
-  let naive_j, naive_stats = run X.Chase.Naive in
-  let semi_j, semi_stats = run X.Chase.Semi_naive in
+  let naive_j, naive_stats = run "naive" (X.Chase.run_naive mapping source) in
+  let semi_j, semi_stats = run "semi-naive" (X.Chase.run mapping source) in
   List.iter2
     (fun (name, naive_facts) (_, semi_facts) ->
       if

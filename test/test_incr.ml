@@ -350,6 +350,145 @@ let test_chase_incremental_aggregation_state () =
   check_relation_eq "S repaired (deletion empties group)" solution
     (solve mapping reg) "S"
 
+(* A blackbox (cumsum) tgd is not delta-decomposable: revising every
+   point of one slice rederives the target, which must match a
+   from-scratch chase of the revised source. *)
+let test_chase_incremental_blackbox_slice () =
+  let source = "cube A(q: quarter, r: string);\nT := cumsum(A);\n" in
+  let mapping = mapping_of source ~cubes:[ "T" ] in
+  let rows r offset =
+    List.init 8 (fun i ->
+        [| vq (2020 + (i / 4)) ((i mod 4) + 1); vs r; vf (offset +. float_of_int i) |])
+  in
+  let registry a0 =
+    let reg = Registry.create () in
+    Registry.add reg Registry.Elementary
+      (cube_of "A"
+         [ ("q", Domain.Period (Some Calendar.Quarter)); ("r", Domain.String) ]
+         (List.map Array.to_list (rows "a" a0 @ rows "b" 100.)));
+    reg
+  in
+  let solution = solve mapping (registry 0.) in
+  let deltas =
+    [ ("A", { Exchange.Chase.added = rows "a" 1.; removed = rows "a" 0. }) ]
+  in
+  let _, istats = ok (Exchange.Chase.incremental mapping ~solution ~deltas) in
+  Alcotest.(check int) "blackbox stratum rederived" 1
+    istats.Exchange.Chase.strata_rederived;
+  let scratch = solve mapping (registry 1.) in
+  List.iter (check_relation_eq "slice revision agrees" solution scratch) [ "A"; "T" ]
+
+(* Both join sides revised at the same key in one batch: the repaired
+   join must pair the two new measures, never an old one. *)
+let test_chase_incremental_both_join_sides () =
+  let mapping = mapping_of join_source ~cubes:[ "J" ] in
+  let reg = join_registry () in
+  let solution = solve mapping reg in
+  let revise old_m new_m =
+    {
+      Exchange.Chase.added = [ [| vq 2024 1; vs "n"; vf new_m |] ];
+      removed = [ [| vq 2024 1; vs "n"; vf old_m |] ];
+    }
+  in
+  ignore
+    (ok
+       (Exchange.Chase.incremental mapping ~solution
+          ~deltas:[ ("A", revise 2. 3.); ("B", revise 10. 20.) ]));
+  Alcotest.check value "3 * 20" (vf 60.)
+    (Option.get
+       (Cube.find
+          (Exchange.Instance.cube_of_relation solution "J")
+          (key [ vq 2024 1; vs "n" ])));
+  Cube.set (Registry.find_exn reg "A") (key [ vq 2024 1; vs "n" ]) (vf 3.);
+  Cube.set (Registry.find_exn reg "B") (key [ vq 2024 1; vs "n" ]) (vf 20.);
+  check_relation_eq "J repaired" solution (solve mapping reg) "J"
+
+(* Secondary indexes built on the cached solution must stay consistent
+   through the in-place insert/remove traffic of a repair: every
+   [ensure_index] bucket equals a fresh scan of its relation. *)
+let test_chase_incremental_keeps_indexes () =
+  let mapping =
+    (check_ok (Mappings.Generate.of_source Helpers.overview_program))
+      .Mappings.Generate.mapping
+  in
+  let reg = Helpers.overview_registry ~years:2 () in
+  let solution = solve mapping reg in
+  let indexed =
+    List.filter_map
+      (fun (schema : Schema.t) ->
+        if Array.length schema.Schema.dims = 0 then None
+        else begin
+          Exchange.Instance.ensure_index solution schema.Schema.name [ 0 ];
+          Some schema.Schema.name
+        end)
+      mapping.Mappings.Mapping.target
+  in
+  let k = [ vq 2021 2; vs "north" ] in
+  let old_fact =
+    List.find
+      (fun f -> Tuple.equal (Tuple.of_array (Array.sub f 0 2)) (key k))
+      (Exchange.Instance.facts solution "RGDPPC")
+  in
+  let new_m = Value.to_float_exn old_fact.(2) *. 1.07 in
+  let deltas =
+    [
+      ( "RGDPPC",
+        {
+          Exchange.Chase.added = [ Array.of_list (k @ [ vf new_m ]) ];
+          removed = [ old_fact ];
+        } );
+    ]
+  in
+  ignore (ok (Exchange.Chase.incremental mapping ~solution ~deltas));
+  Cube.set (Registry.find_exn reg "RGDPPC") (key k) (vf new_m);
+  let scratch = solve mapping reg in
+  List.iter
+    (fun name ->
+      check_relation_eq (name ^ " repaired") solution scratch name;
+      (* the repair may add indexes of its own; ours must survive *)
+      Alcotest.(check bool) (name ^ " still indexed") true
+        (List.mem [ 0 ] (Exchange.Instance.indexed_positions solution name));
+      let facts = Exchange.Instance.facts solution name in
+      List.iter
+        (fun fact ->
+          let bucket =
+            Exchange.Instance.lookup_index solution name [ 0 ] [ fact.(0) ]
+          in
+          let scan = List.filter (fun f -> Value.equal f.(0) fact.(0)) facts in
+          Alcotest.(check (list (array value)))
+            (name ^ " bucket == scan")
+            (List.sort compare scan) (List.sort compare bucket))
+        facts)
+    indexed
+
+(* An empty delta, and a delta that only re-inserts facts already
+   present, change nothing: every stratum is skipped and no fact is
+   derived. *)
+let test_chase_incremental_empty_delta () =
+  let mapping = mapping_of join_source ~cubes:[ "J" ] in
+  let reg = join_registry () in
+  let solution = solve mapping reg in
+  List.iter
+    (fun deltas ->
+      let stats, istats =
+        ok (Exchange.Chase.incremental mapping ~solution ~deltas)
+      in
+      Alcotest.(check int) "no input facts" 0 istats.Exchange.Chase.input_facts;
+      Alcotest.(check int) "every stratum skipped"
+        istats.Exchange.Chase.strata_total istats.Exchange.Chase.strata_skipped;
+      Alcotest.(check int) "no work" 0 stats.Exchange.Chase.tuples_generated;
+      List.iter
+        (check_relation_eq "solution unchanged" solution (solve mapping reg))
+        [ "A"; "B"; "J" ])
+    [
+      [];
+      [
+        ( "A",
+          { Exchange.Chase.added = [ [| vq 2024 1; vs "n"; vf 2. |] ]; removed = [] }
+        );
+      ];
+    ]
+
 (* --- the engine facade: apply_updates --- *)
 
 let make_engine ?config source data =
@@ -746,6 +885,10 @@ let suite =
     ("chase: incremental skips unreached strata", `Quick, test_chase_incremental_skips_unreached_strata);
     ("chase: incremental aggregation revision", `Quick, test_chase_incremental_aggregation_revision);
     ("chase: group-scoped aggregation state", `Quick, test_chase_incremental_aggregation_state);
+    ("chase: blackbox slice revision", `Quick, test_chase_incremental_blackbox_slice);
+    ("chase: both join sides revised", `Quick, test_chase_incremental_both_join_sides);
+    ("chase: indexes survive a repair", `Quick, test_chase_incremental_keeps_indexes);
+    ("chase: empty delta is a no-op", `Quick, test_chase_incremental_empty_delta);
     ("facade: apply_updates end to end", `Quick, test_apply_updates_end_to_end);
     ("facade: empty update batch", `Quick, test_apply_updates_empty_batch);
     ("facade: no-op batch propagates nothing", `Quick, test_apply_updates_noop_batch);
@@ -758,4 +901,183 @@ let suite =
     ("facade: cache invalidation on load", `Quick, test_apply_updates_cache_invalidation);
     ("facade: batch validation is atomic", `Quick, test_apply_updates_validation_atomic);
     QCheck_alcotest.to_alcotest prop_incremental_equals_scratch;
+  ]
+
+(* --- revisions of a whole source, diffed into deltas --- *)
+
+(* The "delta" suite drives [Chase.incremental] the way a batch reload
+   does: the new source is a revised copy of the old registry, the
+   deltas are the fact-level diff of the two, and the repaired solution
+   must equal a full chase of the revised source. *)
+
+let generated_mapping src =
+  (check_ok (Mappings.Generate.of_source src)).Mappings.Generate.mapping
+
+(* Set difference of the source relations of two registries, per
+   elementary cube, as the deltas [Chase.incremental] takes. *)
+let source_deltas ~old_reg ~new_reg =
+  let old_src = Exchange.Instance.of_registry old_reg
+  and new_src = Exchange.Instance.of_registry new_reg in
+  let table facts =
+    let t = Tuple.Table.create 64 in
+    List.iter (fun f -> Tuple.Table.replace t (Tuple.of_array (Array.copy f)) f) facts;
+    t
+  in
+  let minus a b =
+    let tb = table b in
+    List.filter (fun f -> not (Tuple.Table.mem tb (Tuple.of_array (Array.copy f)))) a
+  in
+  List.filter_map
+    (fun name ->
+      let before = Exchange.Instance.facts old_src name
+      and after = Exchange.Instance.facts new_src name in
+      match (minus after before, minus before after) with
+      | [], [] -> None
+      | added, removed -> Some (name, { Exchange.Chase.added; removed }))
+    (List.sort_uniq String.compare
+       (Registry.elementary_names old_reg @ Registry.elementary_names new_reg))
+
+(* Repair the solution of [old_reg] to [new_reg], with group-scoped
+   aggregation state; also return a full chase of [new_reg] to compare
+   against. *)
+let repair_and_full mapping ~old_reg ~new_reg =
+  let solution = solve mapping old_reg in
+  let deltas = source_deltas ~old_reg ~new_reg in
+  let state = Exchange.Chase.create_incr_state () in
+  let stats, istats =
+    ok (Exchange.Chase.incremental ~state mapping ~solution ~deltas)
+  in
+  (solution, solve mapping new_reg, stats, istats)
+
+let targets_agree mapping a b =
+  List.iter
+    (fun (schema : Schema.t) ->
+      check_relation_eq ("relation " ^ schema.Schema.name) a b schema.Schema.name)
+    mapping.Mappings.Mapping.target
+
+(* revise one measure of a cube in a registry copy *)
+let revise_measure reg name k factor =
+  let out = Registry.copy reg in
+  let cube = Registry.find_exn out name in
+  (match Cube.find cube k with
+  | Some v -> Cube.set cube k (Value.Float (Value.to_float_exn v *. factor))
+  | None -> Alcotest.failf "no tuple %s in %s" (Tuple.to_string k) name);
+  out
+
+let test_delta_single_revision_overview () =
+  let mapping = generated_mapping Helpers.overview_program in
+  let old_reg = small_overview () in
+  (* revise one quarterly per-capita figure *)
+  let new_reg =
+    revise_measure old_reg "RGDPPC" (key [ vq 2021 2; vs "north" ]) 1.05
+  in
+  let repaired, full, stats, istats = repair_and_full mapping ~old_reg ~new_reg in
+  targets_agree mapping full repaired;
+  Alcotest.(check int) "one fact replaced" 2 istats.Exchange.Chase.input_facts;
+  (* far less work than the full chase: the full solution has thousands
+     of facts, the revision touches a handful per relation *)
+  Alcotest.(check bool)
+    (Printf.sprintf "little work (%d)" stats.Exchange.Chase.tuples_generated)
+    true
+    (stats.Exchange.Chase.tuples_generated < 60)
+
+let test_delta_unaffected_branch () =
+  let mapping = generated_mapping Helpers.overview_program in
+  let old_reg = small_overview () in
+  let new_reg =
+    revise_measure old_reg "RGDPPC" (key [ vq 2021 2; vs "north" ]) 1.05
+  in
+  let base = solve mapping old_reg in
+  let repaired, full, _, istats = repair_and_full mapping ~old_reg ~new_reg in
+  targets_agree mapping full repaired;
+  (* PQR depends only on PDR: identical facts, its stratum skipped *)
+  check_relation_eq "PQR untouched" base repaired "PQR";
+  Alcotest.(check bool) "some stratum skipped outright" true
+    (istats.Exchange.Chase.strata_skipped >= 1)
+
+let test_delta_insertion_and_deletion () =
+  let dims = [ ("q", Domain.Period (Some Calendar.Quarter)); ("r", Domain.String) ] in
+  let mapping =
+    generated_mapping
+      "cube A(q: quarter, r: string);\n\
+       cube B(q: quarter, r: string);\n\
+       C := A * B;\n\
+       S := sum(C, group by q);\n"
+  in
+  let old_reg = Registry.create () in
+  Registry.add old_reg Registry.Elementary
+    (cube_of "A" dims
+       [ [ vq 2024 1; vs "x"; vf 2. ]; [ vq 2024 2; vs "x"; vf 3. ] ]);
+  Registry.add old_reg Registry.Elementary
+    (cube_of "B" dims
+       [ [ vq 2024 1; vs "x"; vf 10. ]; [ vq 2024 2; vs "x"; vf 10. ] ]);
+  (* delete one A tuple, insert another *)
+  let new_reg = Registry.copy old_reg in
+  let a = Registry.find_exn new_reg "A" in
+  Cube.remove a (key [ vq 2024 1; vs "x" ]);
+  Cube.set a (key [ vq 2024 3; vs "x" ]) (vf 7.);
+  Cube.set (Registry.find_exn new_reg "B") (key [ vq 2024 3; vs "x" ]) (vf 10.);
+  let repaired, full, _, _ = repair_and_full mapping ~old_reg ~new_reg in
+  targets_agree mapping full repaired;
+  (* sanity: the deleted join result is gone, the new one present *)
+  let c = Exchange.Instance.cube_of_relation repaired "C" in
+  Alcotest.(check bool) "old gone" false (Cube.mem c (key [ vq 2024 1; vs "x" ]));
+  Alcotest.check value "new there" (vf 70.)
+    (Option.get (Cube.find c (key [ vq 2024 3; vs "x" ])))
+
+let prop_delta_equals_full =
+  QCheck.Test.make ~count:40
+    ~name:"incremental chase == full chase under random revisions" arb_seeds
+    (fun (seed, rev_seed) ->
+      let src, old_reg = Gen.program_of_seed seed in
+      let mapping =
+        match Mappings.Generate.of_source src with
+        | Ok g -> g.Mappings.Generate.mapping
+        | Error e -> QCheck.Test.fail_reportf "gen: %s" (Exl.Errors.to_string e)
+      in
+      let chase what reg =
+        match Exchange.Chase.run mapping (Exchange.Instance.of_registry reg) with
+        | Ok (j, _) -> j
+        | Error msg -> QCheck.Test.fail_reportf "%s chase: %s\n%s" what msg src
+      in
+      (* random revision: scale some measures, drop a few tuples *)
+      let st = Random.State.make [| rev_seed; 77 |] in
+      let new_reg = Registry.copy old_reg in
+      List.iter
+        (fun name ->
+          let cube = Registry.find_exn new_reg name in
+          List.iter
+            (fun k ->
+              let roll = Random.State.float st 1.0 in
+              if roll < 0.05 then Cube.remove cube k
+              else if roll < 0.15 then
+                match Cube.find cube k with
+                | Some v ->
+                    Cube.set cube k (Value.Float (Value.to_float_exn v +. 1.25))
+                | None -> ())
+            (Cube.keys cube))
+        (Registry.elementary_names new_reg);
+      let solution = chase "base" old_reg in
+      let full = chase "full" new_reg in
+      match
+        Exchange.Chase.incremental mapping ~solution
+          ~deltas:(source_deltas ~old_reg ~new_reg)
+      with
+      | Error msg -> QCheck.Test.fail_reportf "incremental: %s\n%s" msg src
+      | Ok _ ->
+          List.for_all
+            (fun (schema : Schema.t) ->
+              let name = schema.Schema.name in
+              Cube.equal_data ~eps:1e-7
+                (Exchange.Instance.cube_of_relation full name)
+                (Exchange.Instance.cube_of_relation solution name)
+              || QCheck.Test.fail_reportf "relation %s differs on\n%s" name src)
+            mapping.Mappings.Mapping.target)
+
+let delta_suite =
+  [
+    ("single revision on the overview", `Quick, test_delta_single_revision_overview);
+    ("unaffected branch untouched", `Quick, test_delta_unaffected_branch);
+    ("insertion and deletion", `Quick, test_delta_insertion_and_deletion);
+    QCheck_alcotest.to_alcotest prop_delta_equals_full;
   ]

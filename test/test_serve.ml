@@ -324,16 +324,21 @@ let test_coalescing_merges_batches () =
     in
     (th, out)
   in
-  let p1 = post "set SALES 2024M03 rome 5\n" in
-  let p2 = post "del SALES 2024M03 rome\n" in
-  let p3 = post "set SALES 2024M01 rome 40\n" in
-  let rec wait_queued n =
-    if Server.queue_depth t < 3 && n > 0 then begin
+  let rec wait_queued depth n =
+    if Server.queue_depth t < depth && n > 0 then begin
       Thread.delay 0.002;
-      wait_queued (n - 1)
+      wait_queued depth (n - 1)
     end
   in
-  wait_queued 500;
+  (* Queue the batches one at a time: the del must follow the set it
+     cancels, and concurrent client threads do not enqueue in spawn
+     order. *)
+  let p1 = post "set SALES 2024M03 rome 5\n" in
+  wait_queued 1 500;
+  let p2 = post "del SALES 2024M03 rome\n" in
+  wait_queued 2 500;
+  let p3 = post "set SALES 2024M01 rome 40\n" in
+  wait_queued 3 500;
   Alcotest.(check int) "three batches queued" 3 (Server.queue_depth t);
   Server.resume_writer t;
   List.iter

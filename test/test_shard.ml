@@ -8,10 +8,6 @@ open Helpers
 module M = Mappings
 module X = Exchange
 
-(* Binaries reach sharding through [Chase.run ~shards]; make sure the
-   hook is installed even though nothing else references the library. *)
-let () = Shard.Driver.install ()
-
 let overview_mapping () =
   let checked = load_overview () in
   let { M.Generate.mapping; _ } = check_ok (M.Generate.of_checked checked) in
@@ -126,11 +122,9 @@ let facts_equal f1 f2 =
          Array.length a = Array.length b && Array.for_all2 Value.equal a b)
        f1 f2
 
-let check_same_solution what mapping reg ~shards ?shard_key ?(shard_range = false)
-    () =
+let check_same_solution what mapping reg ~shards ?key ?range () =
   let run ~shards =
-    X.Chase.run ~shards ?shard_key ~shard_range mapping
-      (X.Instance.of_registry reg)
+    Shard.Driver.run ~shards ?key ?range mapping (X.Instance.of_registry reg)
   in
   match (run ~shards:1, run ~shards) with
   | Ok (j1, _), Ok (j2, _) ->
@@ -155,11 +149,11 @@ let test_sharded_matches_unsharded () =
       ()
   in
   check_same_solution "auto key, hash" mapping reg ~shards:4 ();
-  check_same_solution "explicit r, hash" mapping reg ~shards:3 ~shard_key:"r" ();
-  check_same_solution "explicit r, range" mapping reg ~shards:3 ~shard_key:"r"
-    ~shard_range:true ();
+  check_same_solution "explicit r, hash" mapping reg ~shards:3 ~key:"r" ();
+  check_same_solution "explicit r, range" mapping reg ~shards:3 ~key:"r"
+    ~range:true ();
   (* "q" is a poor key (PQR replicates) but must still be correct *)
-  check_same_solution "explicit q, hash" mapping reg ~shards:2 ~shard_key:"q" ();
+  check_same_solution "explicit q, hash" mapping reg ~shards:2 ~key:"q" ();
   (* more shards than key values: some shards are empty *)
   check_same_solution "more shards than regions" mapping reg ~shards:16 ()
 
@@ -167,7 +161,7 @@ let test_sharded_bad_key_errors () =
   let mapping = overview_mapping () in
   let reg = overview_registry () in
   match
-    X.Chase.run ~shards:2 ~shard_key:"nope" mapping
+    Shard.Driver.run ~shards:2 ~key:"nope" mapping
       (X.Instance.of_registry reg)
   with
   | Error msg ->
@@ -224,7 +218,7 @@ let test_sharded_egd_parity () =
   in
   match
     ( X.Chase.run mapping (build ()),
-      X.Chase.run ~shards:3 ~shard_key:"r" mapping (build ()) )
+      Shard.Driver.run ~shards:3 ~key:"r" mapping (build ()) )
   with
   | Error e1, Error e2 ->
       Alcotest.(check string) "identical egd error" e1 e2
@@ -251,7 +245,7 @@ let prop_sharded_matches_unsharded =
           in
           match
             ( X.Chase.run mapping (X.Instance.of_registry reg),
-              X.Chase.run ~shards:3 mapping (X.Instance.of_registry reg) )
+              Shard.Driver.run ~shards:3 mapping (X.Instance.of_registry reg) )
           with
           | Ok (j1, _), Ok (j2, _) ->
               List.iter
