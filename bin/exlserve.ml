@@ -136,8 +136,9 @@ let run programs data_dir store_dir port host unix_socket max_queue
         prerr_endline ("error: " ^ msg);
         1
     | Ok (engine, report) ->
-        let collector = Obs.create () in
-        Obs.install collector;
+        (* /metrics only: a daemon that kept spans would grow by one
+           span per instrumented call on every commit *)
+        Obs.install (Obs.create ~spans:false ());
         let log =
           match log_file with
           | None -> None

@@ -101,7 +101,7 @@ let load_elementary t cube =
                    (Schema.to_string schema))
         else begin
           Registry.add t.store Registry.Elementary
-            (Cube.with_schema schema (Cube.copy cube));
+            (Cube.with_schema schema cube);
           if not (List.mem name t.dirty) then t.dirty <- name :: t.dirty;
           (* A wholesale replacement invalidates the incremental
              solution cache; the next update batch rebuilds it. *)

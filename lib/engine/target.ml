@@ -32,7 +32,7 @@ let registry_of_sources mapping registry =
     (fun schema ->
       let cube =
         match Registry.find registry schema.Schema.name with
-        | Some c -> Cube.with_schema schema (Cube.copy c)
+        | Some c -> Cube.with_schema schema c
         | None -> Cube.create schema
       in
       Registry.add out Registry.Elementary cube)

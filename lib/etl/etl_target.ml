@@ -15,7 +15,7 @@ let run_program ?batch_size checked registry =
         (fun schema ->
           let cube =
             match Registry.find registry schema.Schema.name with
-            | Some c -> Cube.with_schema schema (Cube.copy c)
+            | Some c -> Cube.with_schema schema c
             | None -> Cube.create schema
           in
           Registry.add storage Registry.Elementary cube)

@@ -314,7 +314,7 @@ let run (checked : Typecheck.checked) input =
     (fun schema ->
       let cube =
         match Registry.find input schema.Schema.name with
-        | Some c -> Cube.with_schema schema (Cube.copy c)
+        | Some c -> Cube.with_schema schema c
         | None -> Cube.create schema
       in
       Registry.add reg Registry.Elementary cube)

@@ -43,9 +43,58 @@ let iter f c = Tuple.Table.iter f c.data
 let fold f c init = Tuple.Table.fold f c.data init
 let keys c = fold (fun k _ acc -> k :: acc) c []
 
-let to_alist c =
-  fold (fun k v acc -> (k, v) :: acc) c []
-  |> List.sort (fun (a, _) (b, _) -> Tuple.compare a b)
+let by_key (a, _) (b, _) = Tuple.compare a b
+let to_alist c = fold (fun k v acc -> (k, v) :: acc) c [] |> List.sort by_key
+
+(* With a limit, a bounded max-heap keyed by [Tuple.compare] keeps the
+   [limit] smallest matching keys seen so far; only those get sorted.
+   Its capacity is capped by the cardinality, so a huge client-supplied
+   limit allocates no more than the cube holds. *)
+let select ?limit p c =
+  match limit with
+  | None ->
+      fold (fun k v acc -> if p k then (k, v) :: acc else acc) c []
+      |> List.sort by_key
+  | Some n ->
+      let cap = min n (cardinality c) in
+      if cap <= 0 then []
+      else begin
+        let heap = Array.make cap (Tuple.of_array [||], Value.Null) in
+        let size = ref 0 in
+        let above i j = by_key heap.(i) heap.(j) > 0 in
+        let swap i j =
+          let x = heap.(i) in
+          heap.(i) <- heap.(j);
+          heap.(j) <- x
+        in
+        let rec up i =
+          let parent = (i - 1) / 2 in
+          if i > 0 && above i parent then (swap i parent; up parent)
+        in
+        let rec down i =
+          let l = (2 * i) + 1 in
+          if l < !size then begin
+            let m = if l + 1 < !size && above (l + 1) l then l + 1 else l in
+            if above m i then (swap m i; down m)
+          end
+        in
+        iter
+          (fun k v ->
+            if p k then
+              if !size < cap then begin
+                heap.(!size) <- (k, v);
+                incr size;
+                up (!size - 1)
+              end
+              else if Tuple.compare k (fst heap.(0)) < 0 then begin
+                heap.(0) <- (k, v);
+                down 0
+              end)
+          c;
+        let rows = Array.sub heap 0 !size in
+        Array.sort by_key rows;
+        Array.to_list rows
+      end
 
 let of_alist schema alist =
   let c = create schema in

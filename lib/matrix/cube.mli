@@ -43,13 +43,23 @@ val keys : t -> Tuple.t list
 val to_alist : t -> (Tuple.t * Value.t) list
 (** Sorted by key — deterministic across runs. *)
 
+val select : ?limit:int -> (Tuple.t -> bool) -> t -> (Tuple.t * Value.t) list
+(** The facts whose key satisfies the predicate, sorted by key, and
+    only the first [limit] of them: equal to
+    [to_alist c |> List.filter (fun (k, _) -> p k)] truncated to
+    [limit] rows.  One pass over the cube; with a limit it sorts only
+    the [limit] smallest matching keys, so a read costs
+    O(cardinality + matches · log limit).  A non-positive [limit]
+    selects nothing. *)
+
 val of_alist : Schema.t -> (Tuple.t * Value.t) list -> t
 val of_rows : Schema.t -> Value.t list list -> t
 (** Each row is [dims @ [measure]]. *)
 
 val copy : t -> t
 val with_schema : Schema.t -> t -> t
-(** Same data under another schema (arity must match). *)
+(** A copy of the data under another schema (arity must match); the
+    result shares no table with its argument. *)
 
 val map_measure : (Value.t -> Value.t) -> t -> t
 (** Pointwise transform; [Null] results are dropped (partiality). *)

@@ -10,14 +10,16 @@ type t = {
   metrics : Metrics.t;
   provenance : Provenance.t;
   t0 : float;
+  spans : bool;
 }
 
-let create () =
+let create ?(spans = true) () =
   {
     trace = Trace.create ();
     metrics = Metrics.create ();
     provenance = Provenance.create ();
     t0 = Clock.now ();
+    spans;
   }
 
 let current : t option Atomic.t = Atomic.make None
@@ -59,6 +61,7 @@ let span_stack : int list ref Domain.DLS.key =
 let with_span ?(attrs = []) ?attrs_after name f =
   match Atomic.get current with
   | None -> f ()
+  | Some c when not c.spans -> f ()
   | Some c ->
       let stack = Domain.DLS.get span_stack in
       let parent = match !stack with [] -> None | p :: _ -> Some p in

@@ -19,9 +19,14 @@ type t = {
   metrics : Metrics.t;
   provenance : Provenance.t;
   t0 : float;  (** collector creation time, the trace's epoch *)
+  spans : bool;  (** whether {!with_span} records into [trace] *)
 }
 
-val create : unit -> t
+val create : ?spans:bool -> unit -> t
+(** A fresh collector.  With [~spans:false] (default [true]) it keeps
+    metrics and provenance but no spans: {!with_span} just runs its
+    thunk, so a long-lived process that only exports metrics does not
+    accumulate one span per instrumented call. *)
 
 val install : t -> unit
 (** Make [t] the ambient collector for the whole process. *)
@@ -52,4 +57,5 @@ val with_span :
     span's lane is the executing domain's id.  [attrs_after] is
     evaluated when the span closes, for attributes only known at the
     end (round counts, delta sizes).  Exception-safe: the span is
-    recorded even if the thunk raises. *)
+    recorded even if the thunk raises.  Under a collector created with
+    [~spans:false] it only runs the thunk. *)

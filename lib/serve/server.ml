@@ -104,25 +104,9 @@ let reply ?(headers = []) ?(content_type = "application/json") status body =
 let error_reply ?headers status reason =
   reply ?headers status (error_body status reason)
 
-let cube_json ?limit ?(filter = []) ~seq ~name (entry : Snapshot.entry) cube =
-  let indexed =
-    List.map
-      (fun (dim, v) ->
-        (Schema.dim_index_exn entry.Snapshot.schema dim, v))
-      filter
-  in
-  let matches tuple =
-    List.for_all (fun (i, v) -> Value.equal (Tuple.get tuple i) v) indexed
-  in
-  let rows =
-    Cube.to_alist cube
-    |> List.filter (fun (tuple, _) -> matches tuple)
-  in
-  let rows =
-    match limit with
-    | Some n -> List.filteri (fun i _ -> i < n) rows
-    | None -> rows
-  in
+let cube_json ?limit ?(matches = fun _ -> true) ~seq ~name
+    (entry : Snapshot.entry) cube =
+  let rows = Cube.select ?limit matches cube in
   J.to_string
     (J.Obj
        [
@@ -176,24 +160,39 @@ let status_string = function
 (* Dimension filters come in as query parameters named after the
    cube's dimensions; [limit] caps the row count.  Anything else is a
    client error, so typos fail loudly instead of silently returning
-   the unfiltered slice. *)
+   the unfiltered slice.  The filters compile to one key matcher,
+   [None] when there are none. *)
 let parse_filters (entry : Snapshot.entry) (req : Http.request) =
-  List.fold_left
-    (fun acc (k, v) ->
-      match acc with
-      | Error _ -> acc
-      | Ok (limit, filters) -> (
-          if k = "limit" then
-            match int_of_string_opt v with
-            | Some n when n >= 0 -> Ok (Some n, filters)
-            | _ -> Error "limit must be a non-negative integer"
-          else
-            match Schema.dim_index entry.Snapshot.schema k with
-            | Some _ ->
-                Ok (limit, filters @ [ (k, Value.of_string_guess v) ])
-            | None -> Error (Printf.sprintf "unknown query parameter %s" k)))
-    (Ok (None, []))
-    req.Http.query
+  let parsed =
+    List.fold_left
+      (fun acc (k, v) ->
+        match acc with
+        | Error _ -> acc
+        | Ok (limit, filters) -> (
+            if k = "limit" then
+              match int_of_string_opt v with
+              | Some n when n >= 0 -> Ok (Some n, filters)
+              | _ -> Error "limit must be a non-negative integer"
+            else
+              match Schema.dim_index entry.Snapshot.schema k with
+              | Some i -> Ok (limit, (i, Value.of_string_guess v) :: filters)
+              | None -> Error (Printf.sprintf "unknown query parameter %s" k)))
+      (Ok (None, []))
+      req.Http.query
+  in
+  Result.map
+    (fun (limit, filters) ->
+      let matches =
+        if filters = [] then None
+        else
+          Some
+            (fun tuple ->
+              List.for_all
+                (fun (i, v) -> Value.equal (Tuple.get tuple i) v)
+                filters)
+      in
+      (limit, matches))
+    parsed
 
 let degraded_reply name (entry : Snapshot.entry) =
   match entry.Snapshot.status with
@@ -212,10 +211,10 @@ let read_cube t ~as_of name req =
   | Some entry -> (
       match parse_filters entry req with
       | Error msg -> error_reply 400 msg
-      | Ok (limit, filter) -> (
+      | Ok (limit, matches) -> (
           let render cube =
             reply 200
-              (cube_json ?limit ~filter ~seq:(Snapshot.seq snap) ~name entry
+              (cube_json ?limit ?matches ~seq:(Snapshot.seq snap) ~name entry
                  cube)
           in
           match as_of with
@@ -259,23 +258,11 @@ let read_sdmx t ~dsd name req =
             | Some cube -> (
                 match parse_filters entry req with
                 | Error msg -> error_reply 400 msg
-                | Ok (_, filter) ->
-                    let indexed =
-                      List.map
-                        (fun (dim, v) ->
-                          (Schema.dim_index_exn entry.Snapshot.schema dim, v))
-                        filter
-                    in
+                | Ok (_, matches) ->
                     let cube =
-                      if indexed = [] then cube
-                      else
-                        Cube.filter
-                          (fun tuple _ ->
-                            List.for_all
-                              (fun (i, v) ->
-                                Value.equal (Tuple.get tuple i) v)
-                              indexed)
-                          cube
+                      match matches with
+                      | None -> cube
+                      | Some m -> Cube.filter (fun tuple _ -> m tuple) cube
                     in
                     reply ~content_type:"application/xml" 200
                       (Sdmx.generic_data_of_cube cube))))

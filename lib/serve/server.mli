@@ -1,5 +1,3 @@
-open Matrix
-
 (** exlserve: the concurrent query/update daemon over the incremental
     engine.
 
@@ -115,7 +113,3 @@ val pause_writer : t -> unit
 
 val resume_writer : t -> unit
 
-val cube_json : ?limit:int -> ?filter:(string * Value.t) list ->
-  seq:int -> name:string -> Snapshot.entry -> Cube.t -> string
-(** The slice rendering used by [GET /v1/cube/:name] — exposed for
-    the golden tests. *)

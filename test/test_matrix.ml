@@ -340,6 +340,48 @@ let prop_csv_roundtrip =
       | Ok back -> Cube.equal_data c back
       | Error _ -> false)
 
+(* Cube.select against its specification: sort everything, filter,
+   truncate.  Every case checks no limit, 0, 1, exactly the match
+   count, one past it and a random limit; filter values 10 and "zzz"
+   match nothing. *)
+let prop_cube_select_spec =
+  QCheck.Test.make ~count:200 ~name:"cube select == to_alist |> filter |> take"
+    QCheck.(
+      triple
+        (list (triple (int_range 0 9) (int_range 0 2) (int_range (-50) 50)))
+        (pair (int_range 0 3) (pair (int_range 0 10) (int_range 0 3)))
+        (int_range 0 40))
+    (fun (rows, (mode, (x, y)), random_limit) ->
+      let shops = [| "a"; "b"; "c"; "zzz" |] in
+      let schema =
+        Schema.make ~name:"T" ~dims:[ ("x", Domain.Int); ("shop", Domain.String) ] ()
+      in
+      let c = Cube.create schema in
+      List.iter
+        (fun (x, s, v) ->
+          Cube.set c (key [ vi x; vs shops.(s) ]) (vf (float_of_int v)))
+        rows;
+      let on_x k = Value.equal (Tuple.get k 0) (vi x)
+      and on_shop k = Value.equal (Tuple.get k 1) (vs shops.(y)) in
+      let p =
+        match mode with
+        | 0 -> fun _ -> true
+        | 1 -> on_x
+        | 2 -> on_shop
+        | _ -> fun k -> on_x k && on_shop k
+      in
+      let matching = List.filter (fun (k, _) -> p k) (Cube.to_alist c) in
+      let m = List.length matching in
+      List.for_all
+        (fun limit ->
+          let expected =
+            match limit with
+            | None -> matching
+            | Some n -> List.filteri (fun i _ -> i < n) matching
+          in
+          Cube.select ?limit p c = expected)
+        [ None; Some 0; Some 1; Some m; Some (m + 1); Some random_limit ])
+
 (* --- SDMX export (dissemination) --- *)
 
 let test_sdmx_time_periods () =
@@ -481,6 +523,7 @@ let suite =
     ("csv: rejects bad header", `Quick, test_csv_rejects_bad_header);
     ("csv: quoted newline", `Quick, test_csv_parse_quoted_newline);
     QCheck_alcotest.to_alcotest prop_csv_roundtrip;
+    QCheck_alcotest.to_alcotest prop_cube_select_spec;
     ("sdmx: time periods", `Quick, test_sdmx_time_periods);
     ("sdmx: dsd", `Quick, test_sdmx_dsd);
     ("sdmx: generic data", `Quick, test_sdmx_generic_data);

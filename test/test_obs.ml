@@ -92,6 +92,21 @@ let test_span_recorded_on_raise () =
   | [ s ] -> Alcotest.(check string) "span survives the raise" "doomed" s.Obs.Trace.name
   | spans -> Alcotest.failf "expected 1 span, got %d" (List.length spans)
 
+let test_span_free_collector () =
+  let c = Obs.create ~spans:false () in
+  Obs.with_collector c (fun () ->
+      let r = Obs.with_span "quiet" (fun () -> 41 + 1) in
+      Alcotest.(check int) "with_span passes the result through" 42 r;
+      (match Obs.with_span "quiet" (fun () -> failwith "bang") with
+      | () -> Alcotest.fail "exception swallowed"
+      | exception Failure msg ->
+          Alcotest.(check string) "exception re-raised" "bang" msg);
+      Obs.count "kept");
+  Alcotest.(check int) "no spans recorded" 0
+    (List.length (Obs.Trace.spans c.Obs.trace));
+  Alcotest.(check int) "metrics still counted" 1
+    (Obs.Metrics.counter_value c.Obs.metrics "kept")
+
 let test_with_collector_restores () =
   let outer = Obs.create () in
   let inner = Obs.create () in
@@ -244,6 +259,7 @@ let suite =
     ("disabled: every entry point is a no-op", `Quick, test_disabled_is_noop);
     ("spans: nesting, parents, attrs_after", `Quick, test_span_nesting_and_parents);
     ("spans: recorded when the thunk raises", `Quick, test_span_recorded_on_raise);
+    ("spans: span-free collector runs the thunk only", `Quick, test_span_free_collector);
     ("collector: with_collector restores", `Quick, test_with_collector_restores);
     ("export: chrome trace is valid JSON", `Quick, test_chrome_trace_parses);
     ("export: prometheus text exposition", `Quick, test_prometheus_format);

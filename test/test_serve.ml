@@ -180,6 +180,19 @@ let test_route_slice_filters () =
     (contains rome.Server.body "milan");
   let limited = get "/v1/cube/SALES?limit=1" in
   check_contains "limit" limited.Server.body "\"returned\":1";
+  (* rows come in key order, so a capped slice is a prefix of it:
+     (2024M01, milan) heads the cube, (2024M01, rome) the rome slice *)
+  check_contains "limit keeps the smallest key" limited.Server.body "milan";
+  let first_rome = get "/v1/cube/SALES?shop=rome&limit=1" in
+  check_contains "capped filter" first_rome.Server.body "\"returned\":1";
+  check_contains "smallest rome key" first_rome.Server.body
+    "[\"2024M01\",\"rome\"";
+  Alcotest.(check bool) "later rome key cut" false
+    (contains first_rome.Server.body "2024M02");
+  let none = get "/v1/cube/SALES?limit=0" in
+  check_contains "limit 0" none.Server.body "\"returned\":0";
+  check_contains "limit 0 keeps cardinality" none.Server.body
+    "\"cardinality\":3";
   let bad_dim = get "/v1/cube/SALES?region=x" in
   Alcotest.(check int) "unknown dimension is 400" 400 bad_dim.Server.status;
   let bad_limit = get "/v1/cube/SALES?limit=many" in
@@ -443,6 +456,27 @@ let test_metrics_exposition () =
         (get "exl_serve_coalesced_batch_count");
       Server.shutdown t)
 
+(* The daemon's collector: metrics for /metrics, no spans retained
+   however many requests and commits it serves. *)
+let test_metrics_without_spans () =
+  let c = Obs.create ~spans:false () in
+  Obs.with_collector c (fun () ->
+      let t = boot_server () in
+      for _ = 1 to 3 do
+        ignore (Server.handle_request t (request "GET" "/v1/cube/TOTAL"))
+      done;
+      ignore
+        (Server.handle_request t
+           (request "POST" "/v1/update" ~body:"set SALES 2024M01 rome 99\n"));
+      let m = Server.handle_request t (request "GET" "/metrics") in
+      Alcotest.(check int) "metrics endpoint" 200 m.Server.status;
+      List.iter
+        (fun metric -> check_contains "exposed" m.Server.body (metric ^ " "))
+        [ "exl_serve_commits"; "exl_chase_runs"; "exl_chase_incr_runs" ];
+      Server.shutdown t);
+  Alcotest.(check int) "no spans kept" 0
+    (List.length (Obs.Trace.spans c.Obs.trace))
+
 (* --- sockets end to end --- *)
 
 let write_all fd s =
@@ -660,6 +694,7 @@ let suite =
     ("writer: queued batches coalesce into one commit", `Quick, test_coalescing_merges_batches);
     ("writer: drain refuses updates, keeps reads", `Quick, test_drain_rejects_updates);
     ("metrics: prometheus exposition parses", `Quick, test_metrics_exposition);
+    ("metrics: span-free collector", `Quick, test_metrics_without_spans);
     ("socket: concurrent clients end to end", `Quick, test_socket_end_to_end);
     ("history: concurrent as-of reads see no torn state", `Quick, test_concurrent_asof_reads);
   ]
