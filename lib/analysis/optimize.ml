@@ -210,45 +210,155 @@ let fact_to_string f =
   ^ String.concat ", " (Array.to_list (Array.map Value.to_string f))
   ^ ")"
 
+(* Compare the chased solutions [j1] (of the original mapping) and [j2]
+   (of [m2]) on [m2]'s target relations — the original may
+   additionally hold temporaries, exactly the non-core facts the
+   optimizer removes.  [Ok facts_compared] or the first difference. *)
+let compare_solutions j1 j2 (m2 : Mapping.t) : (int, string) result =
+  let compared = ref 0 in
+  let mismatch =
+    List.find_map
+      (fun (s : Schema.t) ->
+        let rel = s.Schema.name in
+        let f1 = Exchange.Instance.facts j1 rel in
+        let f2 = Exchange.Instance.facts j2 rel in
+        compared := !compared + List.length f1;
+        if List.length f1 <> List.length f2 then
+          Some
+            (Printf.sprintf "%s: %d facts before vs %d after" rel
+               (List.length f1) (List.length f2))
+        else
+          List.find_map
+            (fun (a, b) ->
+              if fact_equal a b then None
+              else
+                Some
+                  (Printf.sprintf "%s: %s vs %s" rel (fact_to_string a)
+                     (fact_to_string b)))
+            (List.combine f1 f2))
+      m2.Mapping.target
+  in
+  match mismatch with
+  | Some msg -> Error ("solutions differ on critical instance: " ^ msg)
+  | None -> Ok !compared
+
+let original_failed e = Error ("original mapping failed on critical instance: " ^ e)
+
+(* Chase [m2] in full over [inst] and compare it with [j1], the
+   original's solution over the same instance. *)
+let chase_and_compare j1 (m2 : Mapping.t) inst =
+  match Exchange.Chase.run m2 inst with
+  | Error e -> (Error ("optimized mapping failed on critical instance: " ^ e), None)
+  | Ok (j2, _) -> (compare_solutions j1 j2 m2, Some j2)
+
 (* Chase both mappings over the critical instance of [m1] and diff the
-   solutions on the optimized mapping's target relations (the original
-   may additionally hold temporaries — exactly the non-core facts the
-   optimizer removes).  [Ok facts_compared] or the first difference. *)
+   solutions on [m2]'s target relations. *)
 let equivalent_on_critical (m1 : Mapping.t) (m2 : Mapping.t) :
     (int, string) result =
   let inst = critical_instance m1 in
-  match (Exchange.Chase.run m1 inst, Exchange.Chase.run m2 inst) with
-  | Error e, _ -> Error ("original mapping failed on critical instance: " ^ e)
-  | _, Error e -> Error ("optimized mapping failed on critical instance: " ^ e)
-  | Ok (j1, _), Ok (j2, _) -> (
-      let relations =
-        List.map (fun (s : Schema.t) -> s.Schema.name) m2.Mapping.target
+  match Exchange.Chase.run m1 inst with
+  | Error e -> original_failed e
+  | Ok (j1, _) -> fst (chase_and_compare j1 m2 inst)
+
+(* --- fusion checks against one base solution ------------------------- *)
+
+(* [fuse_all] checks each candidate [next] against the current mapping
+   [m] it was derived from.  The critical instance and [m]'s solution
+   over it are the same for every candidate, so the base keeps both,
+   chased once (lazily: a run with no candidate chases nothing).  A
+   committed candidate's solution becomes the next base, unless the
+   commit changed the mapping's constants, which the critical instance
+   is built from: then the next base is chased afresh. *)
+type fusion_base = {
+  mapping : Mapping.t;
+  consts : Value.t list;
+  instance : Exchange.Instance.t Lazy.t;
+  solution : (Exchange.Instance.t, string) result Lazy.t;
+}
+
+let fusion_base (m : Mapping.t) =
+  let instance = lazy (critical_instance m) in
+  let solution =
+    lazy (Result.map fst (Exchange.Chase.run m (Lazy.force instance)))
+  in
+  { mapping = m; consts = mapping_consts m; instance; solution }
+
+(* The relations [next] may derive differently from [m]: the targets of
+   tgds in one mapping but not (physically) in the other and,
+   transitively, the target of every tgd of [next] reading one of them.
+   Every other relation has the same tgds over the same inputs in both,
+   hence the same facts — given that [next] differs from [m] only in its
+   tgds and by dropping the relations (and egds) of tgds it dropped,
+   which is what a fusion does. *)
+let affected (m : Mapping.t) (next : Mapping.t) =
+  let only_in a b = List.filter (fun t -> not (List.memq t b)) a in
+  let rec close affected =
+    let grown =
+      List.filter
+        (fun tgd ->
+          (not (List.mem (Tgd.target_relation tgd) affected))
+          && List.exists
+               (fun r -> List.mem r affected)
+               (Tgd.source_relations tgd))
+        next.Mapping.t_tgds
+    in
+    if grown = [] then affected
+    else close (List.map Tgd.target_relation grown @ affected)
+  in
+  close
+    (List.map Tgd.target_relation
+       (only_in m.Mapping.t_tgds next.Mapping.t_tgds
+       @ only_in next.Mapping.t_tgds m.Mapping.t_tgds))
+
+(* Decide [equivalent_on_critical base.mapping next] by chasing only the
+   affected cone of [next], seeded with the base solution for every
+   other relation, then comparing all of [next]'s target relations as
+   the full check does.  Falls back to a full chase of [next] when its
+   tgd order does not stratify (the chase then runs one fixpoint
+   stratum, where the cone argument does not hold) and when the cone
+   chase fails, so that an error carries the full check's message.
+   Also returns [next]'s solution, when one was computed. *)
+let check_against (base : fusion_base) (next : Mapping.t) =
+  match Lazy.force base.solution with
+  | Error e -> (original_failed e, None)
+  | Ok j1 -> (
+      let full () = chase_and_compare j1 next (Lazy.force base.instance) in
+      if Result.is_error (Mappings.Stratify.check next) then full ()
+      else
+        let affected = affected base.mapping next in
+        let cone =
+          {
+            next with
+            Mapping.source =
+              List.filter
+                (fun (s : Schema.t) -> not (List.mem s.Schema.name affected))
+                next.Mapping.target;
+            t_tgds =
+              List.filter
+                (fun tgd -> List.mem (Tgd.target_relation tgd) affected)
+                next.Mapping.t_tgds;
+          }
+        in
+        match Exchange.Chase.run cone j1 with
+        | Error _ -> full ()
+        | Ok (j2, _) -> (compare_solutions j1 j2 next, Some j2))
+
+let check_fusion (base : fusion_base) (next : Mapping.t) =
+  match check_against base next with
+  | (Ok _ as verdict), Some j2 ->
+      let consts = mapping_consts next in
+      let committed =
+        if List.equal Value.equal consts base.consts then
+          {
+            mapping = next;
+            consts;
+            instance = base.instance;
+            solution = Lazy.from_val (Ok j2);
+          }
+        else fusion_base next
       in
-      let compared = ref 0 in
-      let mismatch =
-        List.find_map
-          (fun rel ->
-            let f1 = Exchange.Instance.facts j1 rel in
-            let f2 = Exchange.Instance.facts j2 rel in
-            compared := !compared + List.length f1;
-            if List.length f1 <> List.length f2 then
-              Some
-                (Printf.sprintf "%s: %d facts before vs %d after" rel
-                   (List.length f1) (List.length f2))
-            else
-              List.find_map
-                (fun (a, b) ->
-                  if fact_equal a b then None
-                  else
-                    Some
-                      (Printf.sprintf "%s: %s vs %s" rel (fact_to_string a)
-                         (fact_to_string b)))
-                (List.combine f1 f2))
-          relations
-      in
-      match mismatch with
-      | Some msg -> Error ("solutions differ on critical instance: " ^ msg)
-      | None -> Ok !compared)
+      (verdict, committed)
+  | verdict, _ -> (verdict, base)
 
 (* --- certificates and actions ---------------------------------------- *)
 
@@ -480,70 +590,99 @@ let remove_temp (m : Mapping.t) temp ~producer ~(replacements : (Tgd.t * Tgd.t) 
   in
   { m with Mapping.t_tgds; target; egds }
 
+(* One fusion candidate: [temp]'s producer inlined into every consumer
+   (bodies minimized, their I302/I303 actions held back in
+   [minimizing] until the fusion is committed), when each consumer
+   fuses and the cost gate passes. *)
+type fusion = {
+  producer : Tgd.t;
+  temp : string;
+  fused : (Tgd.t * Tgd.t) list;  (* consumer, minimized fused tgd *)
+  minimizing : action list;  (* in application order *)
+  unfused : int;
+  fused_cost : int;
+  next : Mapping.t;
+}
+
+let fusion_of ~original ?cards (m : Mapping.t) producer =
+  match producer with
+  | Tgd.Tuple_level _ -> (
+      let temp = Tgd.target_relation producer in
+      if not (Exl.Normalize.is_temp temp) then None
+      else
+        match usages m temp with
+        | [] -> None
+        | consumers -> (
+            let fused =
+              List.map
+                (fun consumer ->
+                  Option.map
+                    (fun f -> (consumer, f))
+                    (fuse_consumer ~producer ~consumer))
+                consumers
+            in
+            if List.exists Option.is_none fused then None
+            else
+              let replacements = List.filter_map Fun.id fused in
+              (* cost gate: inlining into k consumers repeats the
+                 producer's work k times but saves materializing and
+                 scanning the temporary *)
+              let env = cost_env ?cards m in
+              let unfused =
+                est_tgd env producer + out_card env producer
+                + List.fold_left (fun acc c -> acc + est_tgd env c) 0 consumers
+              in
+              let fused_cost =
+                List.fold_left
+                  (fun acc (_, f) -> acc + est_tgd env f)
+                  0 replacements
+              in
+              if fused_cost > unfused then None
+              else
+                (* minimize the fused bodies before committing (the
+                   merge of duplicate functional atoms typically fires
+                   right here) *)
+                let minimizing = ref [] in
+                let push a = minimizing := a :: !minimizing in
+                let fused =
+                  List.map
+                    (fun (c, f) -> (c, minimize_tgd push ~original f))
+                    replacements
+                in
+                Some
+                  {
+                    producer;
+                    temp;
+                    fused;
+                    minimizing = List.rev !minimizing;
+                    unfused;
+                    fused_cost;
+                    next = remove_temp m temp ~producer ~replacements:fused;
+                  }))
+  | _ -> None
+
+let fusion_candidates ?cards (m : Mapping.t) =
+  List.filter_map
+    (fun p -> Option.map (fun f -> f.next) (fusion_of ~original:m ?cards m p))
+    m.Mapping.t_tgds
+
 let fuse_all push ~original ?cards (m : Mapping.t) =
-  let rec loop (m : Mapping.t) rejected =
+  let rec loop base (m : Mapping.t) rejected =
     let candidate =
       List.find_map
         (fun producer ->
-          match producer with
-          | Tgd.Tuple_level _ -> (
-              let temp = Tgd.target_relation producer in
-              if
-                (not (Exl.Normalize.is_temp temp)) || List.mem temp rejected
-              then None
-              else
-                match usages m temp with
-                | [] -> None
-                | consumers -> (
-                    let fused =
-                      List.map
-                        (fun consumer ->
-                          Option.map
-                            (fun f -> (consumer, f))
-                            (fuse_consumer ~producer ~consumer))
-                        consumers
-                    in
-                    if List.exists Option.is_none fused then None
-                    else
-                      let replacements = List.filter_map Fun.id fused in
-                      (* cost gate: inlining into k consumers repeats
-                         the producer's work k times but saves
-                         materializing and scanning the temporary *)
-                      let env = cost_env ?cards m in
-                      let unfused =
-                        est_tgd env producer + out_card env producer
-                        + List.fold_left
-                            (fun acc c -> acc + est_tgd env c)
-                            0 consumers
-                      in
-                      let fused_cost =
-                        List.fold_left
-                          (fun acc (_, f) -> acc + est_tgd env f)
-                          0 replacements
-                      in
-                      if fused_cost > unfused then None
-                      else Some (producer, temp, replacements, unfused, fused_cost)))
-          | _ -> None)
+          if List.mem (Tgd.target_relation producer) rejected then None
+          else fusion_of ~original ?cards m producer)
         m.Mapping.t_tgds
     in
     match candidate with
     | None -> m
-    | Some (producer, temp, replacements, unfused, fused_cost) -> (
-        (* minimize the fused bodies before committing (the merge of
-           duplicate functional atoms typically fires right here) *)
-        let deferred = ref [] in
-        let push_deferred a = deferred := a :: !deferred in
-        let minimized =
-          List.map
-            (fun (c, f) -> (c, minimize_tgd push_deferred ~original f))
-            replacements
-        in
-        let next = remove_temp m temp ~producer ~replacements:minimized in
-        match equivalent_on_critical m next with
-        | Error _ -> loop m (temp :: rejected)
-        | Ok facts_compared ->
+    | Some f -> (
+        match check_fusion base f.next with
+        | Error _, _ -> loop base m (f.temp :: rejected)
+        | Ok facts_compared, committed ->
             List.iter
-              (fun (consumer, (_, fused)) ->
+              (fun (consumer, fused) ->
                 push
                   {
                     code = "I304";
@@ -553,19 +692,20 @@ let fuse_all push ~original ?cards (m : Mapping.t) =
                         "fused temporary %s into %s (est. matches %d → %d); \
                          equivalence checked on the critical instance (%d \
                          facts)"
-                        temp
+                        f.temp
                         (Tgd.target_relation consumer)
-                        unfused fused_cost facts_compared;
+                        f.unfused f.fused_cost facts_compared;
                     before = Some consumer;
                     after = Some fused;
                     certificate =
-                      Fusion_equivalence { producer; facts_compared };
+                      Fusion_equivalence
+                        { producer = f.producer; facts_compared };
                   })
-              (List.combine (List.map fst minimized) minimized);
-            List.iter push (List.rev !deferred);
-            loop next rejected)
+              f.fused;
+            List.iter push f.minimizing;
+            loop committed f.next rejected)
   in
-  loop m []
+  loop (fusion_base m) m []
 
 (* --- pass 4: outer-combine specialization (I305) ----------------------- *)
 
@@ -962,12 +1102,11 @@ let verify (r : report) : (unit, string) result =
            instance outright cannot be re-chased — then the per-action
            certificates (none of which can be fusion, which needs the
            same evidence) are all the verification there is. *)
-        match Exchange.Chase.run r.original (critical_instance r.original) with
+        let inst = critical_instance r.original in
+        match Exchange.Chase.run r.original inst with
         | Error _ -> Ok ()
-        | Ok _ -> (
-            match equivalent_on_critical r.original r.optimized with
-            | Ok _ -> Ok ()
-            | Error e -> Error e))
+        | Ok (j1, _) ->
+            Result.map ignore (fst (chase_and_compare j1 r.optimized inst)))
     | a :: rest -> (
         match verify_action r a with Ok () -> check rest | Error _ as e -> e)
   in

@@ -81,6 +81,39 @@ val equivalent_on_critical :
     relative float tolerance).  [Ok n] with [n] facts compared, or the
     first difference. *)
 
+(** {1 Fusion checks}
+
+    The optimizer certifies each fusion candidate against the current
+    mapping without re-chasing it: the mapping's solution on its
+    critical instance is chased once and shared by every candidate, and
+    each candidate chases only the relations its rewrite can change. *)
+
+type fusion_base
+(** A mapping with its critical instance and its solution over it,
+    both computed on first use. *)
+
+val fusion_base : Mappings.Mapping.t -> fusion_base
+
+val check_fusion :
+  fusion_base -> Mappings.Mapping.t -> (int, string) result * fusion_base
+(** [check_fusion (fusion_base m) next] returns what
+    [equivalent_on_critical m next] returns — verdict, facts compared,
+    message — by chasing only the cone of [next]: the targets of tgds
+    not physically shared with [m] and everything reading them, seeded
+    with [m]'s solution for every other relation.  [next] must differ
+    from [m] only in its tgds and by dropping the relations and egds of
+    tgds it dropped, as a fusion candidate does.  The second component
+    is the base to check the next candidate against once [next] is
+    committed: [next] with the solution just computed, or — when
+    [next]'s constants, and so its critical instance, differ from
+    [m]'s — a fresh base.  On [Error] it is the given base. *)
+
+val fusion_candidates :
+  ?cards:(string * int) list -> Mappings.Mapping.t -> Mappings.Mapping.t list
+(** The mappings the fusion pass would check as the fusion of one
+    temporary of the given mapping (cost-gated, fused bodies
+    minimized), in the order it tries them. *)
+
 val diagnostics : report -> Diagnostic.t list
 (** The actions as I3xx informational diagnostics. *)
 

@@ -348,6 +348,193 @@ let test_optimizer_report_json () =
     (fun needle -> Alcotest.(check bool) needle true (contains json needle))
     [ {|"actions":[|}; {|"kind":"fusion_equivalence"|}; {|"est_matches_before"|}; {|"tgds_after"|} ]
 
+(* --- fusion checks: the cone check against the full re-chase ----------- *)
+
+(* A wrong variant of a fusion candidate: every tgd it does not share
+   with [m] adds 0.5 to its head measure. *)
+let perturb (m : M.Mapping.t) (next : M.Mapping.t) =
+  let wrong tgd =
+    match tgd with
+    | Tgd.Tuple_level { lhs; rhs } when not (List.memq tgd m.M.Mapping.t_tgds) -> (
+        match List.rev rhs.Tgd.args with
+        | measure :: dims ->
+            let measure = Term.Binapp (Ops.Binop.Add, measure, Term.Const (Value.Float 0.5)) in
+            Tgd.Tuple_level { lhs; rhs = { rhs with Tgd.args = List.rev (measure :: dims) } }
+        | [] -> tgd)
+    | _ -> tgd
+  in
+  { next with M.Mapping.t_tgds = List.map wrong next.M.Mapping.t_tgds }
+
+(* Walk the fusion pass from [m]: check every fusion candidate of the
+   current mapping, and a perturbed variant of it, with the cone check
+   and with the full two-sided re-chase; then commit the first accepted
+   candidate (continuing from the base the commit hands back) and
+   repeat.  Returns the number of candidates checked, or the first
+   candidate the two checks disagree on. *)
+let walk_fusions (m : M.Mapping.t) =
+  let rec walk base m checked =
+    let outcomes =
+      List.concat_map
+        (fun next ->
+          List.map
+            (fun next ->
+              let cone, committed = O.check_fusion base next in
+              (next, cone, committed, O.equivalent_on_critical m next))
+            [ next; perturb m next ])
+        (O.fusion_candidates m)
+    in
+    let checked = checked + List.length outcomes in
+    match List.find_opt (fun (_, cone, _, full) -> cone <> full) outcomes with
+    | Some (next, cone, _, full) -> Error (next, cone, full)
+    | None -> (
+        match List.find_opt (fun (_, cone, _, _) -> Result.is_ok cone) outcomes with
+        | Some (next, _, committed, _) -> walk committed next checked
+        | None -> Ok checked)
+  in
+  walk (O.fusion_base m) m 0
+
+let verdict_to_string = function
+  | Ok n -> Printf.sprintf "Ok %d" n
+  | Error e -> "Error " ^ e
+
+let walk_or_fail what m =
+  match walk_fusions m with
+  | Ok checked -> checked
+  | Error (next, cone, full) ->
+      Alcotest.failf "%s: cone check %s, full check %s on\n%s" what
+        (verdict_to_string cone) (verdict_to_string full)
+        (M.Mapping.to_string next)
+
+let test_cone_check_on_examples () =
+  let dir = List.find Sys.file_exists [ "../examples"; "examples" ] in
+  let checked =
+    List.fold_left
+      (fun acc file ->
+        if not (Filename.check_suffix file ".exl") then acc
+        else
+          let path = Filename.concat dir file in
+          let program =
+            Exl.Program.load_exn (In_channel.with_open_bin path In_channel.input_all)
+          in
+          let { M.Generate.mapping; _ } = check_ok (M.Generate.of_checked program) in
+          acc + walk_or_fail path mapping)
+      (walk_or_fail "overview" (overview_mapping ()))
+      (Array.to_list (Sys.readdir dir))
+  in
+  Alcotest.(check bool) "candidates were checked" true (checked >= 16)
+
+(* The [tgds] attribute of every chase.run span [f] opens. *)
+let chased_tgd_counts f =
+  let c = Obs.create () in
+  let v = Obs.with_collector c f in
+  ( v,
+    List.filter_map
+      (fun (s : Obs.Trace.span) ->
+        if s.Obs.Trace.name = "chase.run" then
+          Some (int_of_string (List.assoc "tgds" s.Obs.Trace.attrs))
+        else None)
+      (Obs.Trace.spans c.Obs.trace) )
+
+(* [E] reads A only; [P] produces the temporary S__1 that [C] consumes;
+   [D] reads C's target. *)
+let cone_fixture () =
+  let dims = [ ("q", quarter); ("r", Domain.String) ] in
+  let s1 = schema "S__1" dims and s = schema "S" dims in
+  let u = schema "U" dims and v = schema "V" dims in
+  let qrm q m = [ q; var "r"; m ] in
+  let scaled k x = Term.Binapp (Ops.Binop.Mul, x, Term.Const (Value.Float k)) in
+  let plus k x = Term.Binapp (Ops.Binop.Add, x, Term.Const (Value.Float k)) in
+  let e = tl [ atom "A" (qrm (var "q") (var "m")) ] (atom "V" (qrm (var "q") (plus (-1.) (var "m")))) in
+  let p =
+    tl [ atom "A" (qrm (var "q") (var "m")) ] (atom "S__1" (qrm (Term.Shifted (var "q", 1)) (var "m")))
+  in
+  let c = tl [ atom "S__1" (qrm (var "q") (var "m")) ] (atom "S" (qrm (var "q") (scaled 2. (var "m")))) in
+  let reader () =
+    tl [ atom "S" (qrm (var "q") (var "m")) ] (atom "U" (qrm (var "q") (plus 1. (var "m"))))
+  in
+  let d = reader () in
+  let m = hand_mapping ~t_tgds:[ e; p; c; d ] ~targets:[ s1; s; u; v ] in
+  (* a fused consumer shifting A by [k], with head dimension [r] *)
+  let fused ?(r = var "r") k =
+    tl
+      [ atom "A" (qrm (var "q") (var "m")) ]
+      (atom "S" [ Term.Shifted (var "q", k); r; scaled 2. (var "m") ])
+  in
+  let next ?(d = d) fused =
+    {
+      m with
+      M.Mapping.t_tgds = [ e; fused; d ];
+      target = List.filter (fun (x : Schema.t) -> x.Schema.name <> "S__1") m.M.Mapping.target;
+      egds = List.filter (fun (x : M.Egd.t) -> x.M.Egd.relation <> "S__1") m.M.Mapping.egds;
+    }
+  in
+  (m, fused, next, reader)
+
+let test_cone_rejects_wrong_fusions () =
+  let m, fused, next, _ = cone_fixture () in
+  (* the mutant: the producer's shift by 1 became 2 *)
+  let bad = next (fused 2) in
+  let full = O.equivalent_on_critical m bad in
+  (match full with
+  | Error msg ->
+      Alcotest.(check bool) "full check reports differing solutions" true
+        (contains msg "solutions differ")
+  | Ok _ -> Alcotest.fail "the full check accepts a wrong fusion");
+  let (cone, _), chased = chased_tgd_counts (fun () -> O.check_fusion (O.fusion_base m) bad) in
+  Alcotest.(check string) "same rejection as the full check"
+    (verdict_to_string full) (verdict_to_string cone);
+  (* the base chases all four tgds; the candidate only the fused
+     consumer and its downstream reader, not the unaffected V *)
+  Alcotest.(check (list int)) "base chase, then the cone" [ 4; 2 ] chased;
+  let good = next (fused 1) in
+  Alcotest.(check string) "the correct fusion is accepted, same facts compared"
+    (verdict_to_string (O.equivalent_on_critical m good))
+    (verdict_to_string (fst (O.check_fusion (O.fusion_base m) good)));
+  (* a fused body the chase cannot run: q occurs only under a shift *)
+  let stuck =
+    next
+      (tl
+         [ atom "A" [ Term.Shifted (var "q", 1); var "r"; var "m" ] ]
+         (atom "S" [ var "q"; var "r"; var "m" ]))
+  in
+  let full = O.equivalent_on_critical m stuck in
+  Alcotest.(check bool) "full check reports the chase failure" true
+    (contains (verdict_to_string full) "optimized mapping failed");
+  Alcotest.(check string) "same chase failure from the cone check" (verdict_to_string full)
+    (verdict_to_string (fst (O.check_fusion (O.fusion_base m) stuck)))
+
+let test_commit_refreshes_base_on_new_constants () =
+  let m, fused, next, reader = cone_fixture () in
+  (* each commit is followed by a candidate whose only new tgd is a
+     rebuilt reader of S, so its cone is that one tgd *)
+  (* same constants: the committed solution is the next base *)
+  let fused1 = fused 1 in
+  let next1 = next fused1 in
+  let v1, committed = O.check_fusion (O.fusion_base m) next1 in
+  Alcotest.(check string) "commit accepted" (verdict_to_string (O.equivalent_on_critical m next1))
+    (verdict_to_string v1);
+  let next2 = next ~d:(reader ()) fused1 in
+  let (v2, _), chased = chased_tgd_counts (fun () -> O.check_fusion committed next2) in
+  Alcotest.(check (list int)) "no base re-chase, only the cone" [ 1 ] chased;
+  Alcotest.(check string) "same verdict as the full check"
+    (verdict_to_string (O.equivalent_on_critical next1 next2)) (verdict_to_string v2);
+  (* a commit adding the constant "zz" (dead under coalesce, so still
+     equivalent) grows the critical instance: the next check must chase
+     a fresh base over it *)
+  let fused1 = fused ~r:(Term.Coalesce (var "r", Term.Const (Value.String "zz"))) 1 in
+  let next1 = next fused1 in
+  let v1, committed = O.check_fusion (O.fusion_base m) next1 in
+  Alcotest.(check string) "constant-changing commit accepted"
+    (verdict_to_string (O.equivalent_on_critical m next1)) (verdict_to_string v1);
+  let next2 = next ~d:(reader ()) fused1 in
+  let (v2, _), chased = chased_tgd_counts (fun () -> O.check_fusion committed next2) in
+  Alcotest.(check (list int)) "fresh base chase, then the cone" [ 3; 1 ] chased;
+  let full = O.equivalent_on_critical next1 next2 in
+  Alcotest.(check string) "same facts compared as the full check" (verdict_to_string full)
+    (verdict_to_string v2);
+  Alcotest.(check bool) "a stale base would have compared fewer facts" true
+    (full <> O.equivalent_on_critical m next2)
+
 (* --- engine wiring ---------------------------------------------------- *)
 
 let test_engine_optimize_flag () =
@@ -447,6 +634,24 @@ let prop_optimize_preserves_chase =
           | Error e, _ | _, Error e ->
               QCheck.Test.fail_reportf "chase failed: %s\n%s" e src))
 
+let prop_cone_check_matches_full =
+  QCheck.Test.make ~count:qcheck_count
+    ~name:"fusion cone check == full re-chase on every candidate" Gen.arb_seed
+    (fun seed ->
+      let src, _ = Gen.program_of_seed ~profile:Fuzz.Gen.deep seed in
+      match Exl.Program.load src with
+      | Error e ->
+          QCheck.Test.fail_reportf "generated program does not check: %s\n%s"
+            (Exl.Errors.to_string e) src
+      | Ok checked -> (
+          let { M.Generate.mapping; _ } = check_ok (M.Generate.of_checked checked) in
+          match walk_fusions mapping with
+          | Ok _ -> true
+          | Error (next, cone, full) ->
+              QCheck.Test.fail_reportf "cone check %s, full check %s on\n%s\nfrom\n%s"
+                (verdict_to_string cone) (verdict_to_string full)
+                (M.Mapping.to_string next) src))
+
 let suite =
   [
     ("containment: subsumption", `Quick, test_subsumes);
@@ -463,6 +668,10 @@ let suite =
     ("optimize: tampered certificate rejected", `Quick, test_tampered_certificate_rejected);
     ("optimize: json report", `Quick, test_optimizer_report_json);
     ("engine: optimize flag A/B", `Quick, test_engine_optimize_flag);
+    ("fusion check: cone == full on the examples", `Quick, test_cone_check_on_examples);
+    ("fusion check: cone rejects like the full check", `Quick, test_cone_rejects_wrong_fusions);
+    ("fusion check: new constants refresh the base", `Quick, test_commit_refreshes_base_on_new_constants);
     ("docs: diagnostics catalogue drift", `Quick, test_diagnostics_docs_drift);
     QCheck_alcotest.to_alcotest prop_optimize_preserves_chase;
+    QCheck_alcotest.to_alcotest prop_cone_check_matches_full;
   ]
