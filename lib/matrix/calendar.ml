@@ -45,6 +45,17 @@ let floor_mod a b =
   let r = a mod b in
   if r <> 0 && (r < 0) <> (b < 0) then r + b else r
 
+(* Zero-padded decimal digits written straight into bytes: the fast
+   path of [%04d]/[%02d] for values known to fit the width. *)
+let put_digits b pos width n =
+  let n = ref n in
+  for i = pos + width - 1 downto pos do
+    Bytes.set b i (Char.unsafe_chr (48 + (!n mod 10)));
+    n := !n / 10
+  done
+
+let four_digit y = y >= 0 && y <= 9999
+
 module Date = struct
   type t = { year : int; month : int; day : int }
 
@@ -104,7 +115,18 @@ module Date = struct
 
   let add_days d n = of_rata_die (to_rata_die d + n)
   let day_of_week d = floor_mod (to_rata_die d + 2) 7
-  let to_string d = Printf.sprintf "%04d-%02d-%02d" d.year d.month d.day
+  let to_string d =
+    if not (four_digit d.year) then
+      Printf.sprintf "%04d-%02d-%02d" d.year d.month d.day
+    else begin
+      let b = Bytes.create 10 in
+      put_digits b 0 4 d.year;
+      Bytes.set b 4 '-';
+      put_digits b 5 2 d.month;
+      Bytes.set b 7 '-';
+      put_digits b 8 2 d.day;
+      Bytes.unsafe_to_string b
+    end
 
   let of_string s =
     match String.split_on_char '-' s with
@@ -239,13 +261,31 @@ module Period = struct
     in
     loop b.index []
 
+  (* [YYYY<tag><sub>], the sub-period zero-padded to [width]. *)
+  let tagged p tag width =
+    let y = year_of p and sub = sub_of p in
+    if not (four_digit y) then Printf.sprintf "%04d%c%0*d" y tag width sub
+    else begin
+      let b = Bytes.create (5 + width) in
+      put_digits b 0 4 y;
+      Bytes.set b 4 tag;
+      put_digits b 5 width sub;
+      Bytes.unsafe_to_string b
+    end
+
   let to_string p =
     match p.freq with
-    | Year -> Printf.sprintf "%04d" p.index
-    | Semester -> Printf.sprintf "%04dS%d" (year_of p) (sub_of p)
-    | Quarter -> Printf.sprintf "%04dQ%d" (year_of p) (sub_of p)
-    | Month -> Printf.sprintf "%04dM%02d" (year_of p) (sub_of p)
-    | Week -> Printf.sprintf "%04dW%02d" (year_of p) (sub_of p)
+    | Year ->
+        if four_digit p.index then begin
+          let b = Bytes.create 4 in
+          put_digits b 0 4 p.index;
+          Bytes.unsafe_to_string b
+        end
+        else Printf.sprintf "%04d" p.index
+    | Semester -> tagged p 'S' 1
+    | Quarter -> tagged p 'Q' 1
+    | Month -> tagged p 'M' 2
+    | Week -> tagged p 'W' 2
     | Day -> Date.to_string (start_date p)
 
   let of_string s =

@@ -1,5 +1,18 @@
 let manifest_name = "manifest"
 
+(* [Domain.to_string] spells a day-frequency period "day", which
+   [Domain.of_string] reads back as [Date]: the manifest keeps the two
+   apart. *)
+let day_period = "period-day"
+
+let domain_to_string = function
+  | Domain.Period (Some Calendar.Day) -> day_period
+  | d -> Domain.to_string d
+
+let domain_of_string s =
+  if s = day_period then Some (Domain.Period (Some Calendar.Day))
+  else Domain.of_string s
+
 let manifest_of_registry registry =
   let line name =
     let cube = Registry.find_exn registry name in
@@ -14,11 +27,11 @@ let manifest_of_registry registry =
            (Array.map
               (fun d ->
                 Printf.sprintf "%s:%s" d.Schema.dim_name
-                  (Domain.to_string d.Schema.dim_domain))
+                  (domain_to_string d.Schema.dim_domain))
               schema.Schema.dims))
     in
     Printf.sprintf "%s|%s|%s|%s:%s" name kind dims schema.Schema.measure_name
-      (Domain.to_string schema.Schema.measure_domain)
+      (domain_to_string schema.Schema.measure_domain)
   in
   String.concat "\n" (List.map line (Registry.names registry)) ^ "\n"
 
@@ -27,7 +40,7 @@ let parse_typed field what =
   | Some i ->
       let name = String.sub field 0 i in
       let dom = String.sub field (i + 1) (String.length field - i - 1) in
-      (match Domain.of_string dom with
+      (match domain_of_string dom with
       | Some d -> Ok (name, d)
       | None -> Error (Printf.sprintf "unknown domain %s in %s" dom what))
   | None -> Error (Printf.sprintf "malformed %s field %s" what field)
@@ -75,11 +88,9 @@ let registry_schemas_of_manifest text =
   in
   loop [] lines
 
-let write_file path content =
+let write_file path write =
   let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc content)
+  Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> write oc)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -90,12 +101,12 @@ let read_file path =
 let save ~dir registry =
   try
     if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-    write_file (Filename.concat dir manifest_name) (manifest_of_registry registry);
+    write_file (Filename.concat dir manifest_name) (fun oc ->
+        output_string oc (manifest_of_registry registry));
     List.iter
       (fun name ->
-        write_file
-          (Filename.concat dir (name ^ ".csv"))
-          (Csv.cube_to_string (Registry.find_exn registry name)))
+        write_file (Filename.concat dir (name ^ ".csv")) (fun oc ->
+            Csv.cube_to_channel_unsorted oc (Registry.find_exn registry name)))
       (Registry.names registry);
     Ok ()
   with Sys_error msg -> Error msg

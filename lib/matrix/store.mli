@@ -7,9 +7,15 @@
 
 val save : dir:string -> Registry.t -> (unit, string) result
 (** Creates [dir] if needed; writes [manifest] and one [<CUBE>.csv]
-    per cube, replacing existing files. *)
+    per cube, replacing existing files.  Rows are written in the
+    cube's iteration order, which is unspecified: keys are unique, so
+    no order is needed to read them back. *)
 
 val load : dir:string -> (Registry.t, string) result
+(** Reads every cube the manifest lists with [Csv.cube_of_string]:
+    rows in any order, each cell parsed by its column's domain, so a
+    string code such as ["040"] or ["2020Q1"] reloads as the string it
+    was.  A key repeated with another measure fails the load. *)
 
 val manifest_of_registry : Registry.t -> string
 (** The manifest text (one line per cube:

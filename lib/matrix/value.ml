@@ -73,17 +73,22 @@ let to_int = function
   | Bool b -> Some (if b then 1 else 0)
   | Null | Float _ | String _ | Date _ | Period _ -> None
 
+(* The C primitive behind [Printf]'s [%g]: the same text, without
+   interpreting a format at run time. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 let to_string = function
   | Null -> ""
   | Bool b -> string_of_bool b
   | Int i -> string_of_int i
   | Float f ->
       if Float.is_integer f && Float.abs f < 1e15 then
-        Printf.sprintf "%.0f" f
+        (* the text of [%.0f], which keeps the sign of a negative zero *)
+        if Float.sign_bit f && f = 0. then "-0" else string_of_int (int_of_float f)
       else
         (* shortest representation that round-trips exactly *)
-        let s = Printf.sprintf "%.15g" f in
-        if float_of_string s = f then s else Printf.sprintf "%.17g" f
+        let s = format_float "%.15g" f in
+        if float_of_string s = f then s else format_float "%.17g" f
   | String s -> s
   | Date d -> Calendar.Date.to_string d
   | Period p -> Calendar.Period.to_string p

@@ -35,8 +35,9 @@ val of_float : float -> t
 val to_int : t -> int option
 val to_string : t -> string
 val of_string_guess : string -> t
-(** Best-effort parse used by CSV loading: int, float, period, date,
-    bool, else string; [""] is [Null]. *)
+(** Best-effort parse used by CSV loading for [Int], [Float] and [Any]
+    columns: int, float, date, bool, period, else string; [""] is
+    [Null]. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -340,6 +340,288 @@ let prop_csv_roundtrip =
       | Ok back -> Cube.equal_data c back
       | Error _ -> false)
 
+(* The text of the Printf formats the fast writers replaced, kept here
+   as their reference. *)
+let printf_date (d : Calendar.Date.t) =
+  Printf.sprintf "%04d-%02d-%02d" d.year d.month d.day
+
+let printf_period p =
+  let y = Calendar.Period.year_of p and sub = Calendar.Period.sub_of p in
+  match Calendar.Period.freq p with
+  | Calendar.Year -> Printf.sprintf "%04d" (Calendar.Period.index p)
+  | Calendar.Semester -> Printf.sprintf "%04dS%d" y sub
+  | Calendar.Quarter -> Printf.sprintf "%04dQ%d" y sub
+  | Calendar.Month -> Printf.sprintf "%04dM%02d" y sub
+  | Calendar.Week -> Printf.sprintf "%04dW%02d" y sub
+  | Calendar.Day -> printf_date (Calendar.Period.start_date p)
+
+let printf_float f =
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else
+    let s = Printf.sprintf "%.15g" f in
+    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+
+let frequencies =
+  Calendar.[ Year; Semester; Quarter; Month; Week; Day ]
+
+(* Years on both sides of the four-digit range, and inside it. *)
+let gen_year =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl [ 0; 1; 999; 1000; 9999; -1; 10000; -10000; 123456 ];
+        int_range (-20000) 20000;
+        int_range 0 9999;
+      ])
+
+let gen_date_in gen_year =
+  QCheck.Gen.(
+    map3
+      (fun year month day ->
+        let day = min day (Calendar.Date.days_in_month ~year ~month) in
+        Calendar.Date.make ~year ~month ~day)
+      gen_year (int_range 1 12) (int_range 1 31))
+
+let prop_fast_to_string =
+  let gen =
+    QCheck.Gen.(
+      triple (gen_date_in gen_year) (pair (oneofl frequencies) (gen_date_in gen_year))
+        (oneof
+           [
+             oneofl [ 0.; -0.; 1e15 -. 1.; -.(1e15 -. 1.); 1e15; -1e15; 0.5; -2.25 ];
+             map float_of_int (int_range (-1_000_000) 1_000_000);
+             map (fun f -> Float.round (f *. 1e15)) (float_range (-1.) 1.);
+             float_range (-1e6) 1e6;
+           ]))
+  in
+  QCheck.Test.make ~count:1000 ~name:"fast to_string == Printf text"
+    (QCheck.make
+       ~print:(fun (d, (_, pd), f) ->
+         Printf.sprintf "%s / %s / %h" (printf_date d) (printf_date pd) f)
+       gen)
+    (fun (d, (freq, pd), f) ->
+      let p = Calendar.Period.of_date freq pd in
+      Calendar.Date.to_string d = printf_date d
+      && Calendar.Period.to_string p = printf_period p
+      && Value.to_string (Value.Float f) = printf_float f)
+
+let test_fast_to_string_edges () =
+  let d y = Calendar.Date.make ~year:y ~month:1 ~day:2 in
+  List.iter
+    (fun (want, got) -> Alcotest.(check string) want want got)
+    [
+      ("0000-01-02", Calendar.Date.to_string (d 0));
+      ("9999-01-02", Calendar.Date.to_string (d 9999));
+      ("10000-01-02", Calendar.Date.to_string (d 10000));
+      ("-001-01-02", Calendar.Date.to_string (d (-1)));
+      ("0007", Calendar.Period.to_string (Calendar.Period.year 7));
+      ("-007", Calendar.Period.to_string (Calendar.Period.year (-7)));
+      ("0012Q3", Calendar.Period.to_string (Calendar.Period.quarter 12 3));
+      ("12345M01", Calendar.Period.to_string (Calendar.Period.month 12345 1));
+      ("-0", Value.to_string (Value.Float (-0.)));
+      ("0", Value.to_string (Value.Float 0.));
+      ("999999999999999", Value.to_string (Value.Float (1e15 -. 1.)));
+      ("-999999999999999", Value.to_string (Value.Float (-.(1e15 -. 1.))));
+      ("1e+15", Value.to_string (Value.Float 1e15));
+    ]
+
+(* A fresh directory name under the system temp dir. *)
+let temp_dir prefix =
+  let dir = Filename.temp_file prefix "" in
+  Sys.remove dir;
+  dir
+
+let store_roundtrip ~dir cube =
+  let reg = Registry.create () in
+  Registry.add reg Registry.Elementary cube;
+  Result.bind (Store.save ~dir reg) (fun () -> Store.load ~dir)
+
+(* String codes that look like other types reload as the strings they
+   are; the empty string is written quoted and reloads as itself. *)
+let test_store_string_codes () =
+  let dir = temp_dir "exl_codes" in
+  List.iter
+    (fun code ->
+      let c = cube_of "C" [ ("geo", Domain.String) ] [ [ vs code; vf 1. ] ] in
+      match store_roundtrip ~dir c with
+      | Error msg -> Alcotest.failf "%S: %s" code msg
+      | Ok back ->
+          let reg = Registry.create () in
+          Registry.add reg Registry.Elementary c;
+          Alcotest.(check bool) (code ^ " round-trips") true
+            (Registry.equal_data reg back);
+          Alcotest.(check (list (pair (list value) value)))
+            (code ^ " stays a string")
+            [ ([ vs code ], vi 1) ]
+            (List.map
+               (fun (k, v) -> (Tuple.to_list k, v))
+               (Cube.to_alist (Registry.find_exn back "C"))))
+    [ "040"; "2020Q1"; "true"; "1e3"; "2015-01-01"; "" ]
+
+(* Big enough that the channel writers flush their buffer many times. *)
+let test_store_large_cube () =
+  let c =
+    cube_of "BIG"
+      [ ("i", Domain.Int); ("s", Domain.String) ]
+      (List.init 20_000 (fun i ->
+           [ vi i; vs (Printf.sprintf "code,%d \"q\"" (i mod 97)); vf (float_of_int i /. 7.) ]))
+  in
+  (match store_roundtrip ~dir:(temp_dir "exl_big") c with
+  | Ok back -> Alcotest.check cube_eq "store" c (Registry.find_exn back "BIG")
+  | Error msg -> Alcotest.fail msg);
+  let path = Filename.temp_file "exl_big" ".csv" in
+  let oc = open_out_bin path in
+  Csv.cube_to_channel oc c;
+  close_out oc;
+  let ic = open_in_bin path in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove path;
+  Alcotest.(check bool) "cube_to_channel == cube_to_string" true
+    (text = Csv.cube_to_string c)
+
+let test_csv_duplicate_keys () =
+  let schema = Schema.make ~name:"C" ~dims:[ ("geo", Domain.String) ] () in
+  (match Csv.cube_of_string schema "geo,value\nit,1\nfr,2\nit,1\n" with
+  | Ok c -> Alcotest.(check int) "identical duplicate kept once" 2 (Cube.cardinality c)
+  | Error msg -> Alcotest.failf "identical duplicate rejected: %s" msg);
+  match Csv.cube_of_string schema "geo,value\nit,1\nfr,2\nit,3\n" with
+  | Error msg ->
+      Alcotest.(check bool) msg true
+        (Astring_contains.contains msg "line 4: duplicate key (it)")
+  | Ok _ -> Alcotest.fail "conflicting duplicate accepted"
+
+(* Typed columns parse by their domain, CRLF rows included, and name
+   the cell they cannot read. *)
+let test_csv_typed_cells () =
+  let schema =
+    Schema.make ~name:"C"
+      ~dims:[ ("q", Domain.Period (Some Calendar.Quarter)); ("d", Domain.Date) ]
+      ()
+  in
+  (match Csv.cube_of_string schema "q,d,value\r\n2020Q1,2020-01-31,1\r\n" with
+  | Ok c ->
+      Alcotest.(check (option value)) "typed key" (Some (vi 1))
+        (Cube.find c (key [ vq 2020 1; vd 2020 1 31 ]))
+  | Error msg -> Alcotest.fail msg);
+  List.iter
+    (fun (text, want) ->
+      match Csv.cube_of_string schema text with
+      | Error msg -> Alcotest.(check string) want want msg
+      | Ok _ -> Alcotest.failf "accepted %S" text)
+    [
+      ("q,d,value\n2020M01,2020-01-31,1\n",
+       "line 2: column q: \"2020M01\" is not a quarter");
+      ("q,d,value\n2020Q1,2020-02-30,1\n",
+       "line 2: column d: \"2020-02-30\" is not a date");
+    ]
+
+let store_qcheck_count =
+  Helpers.qcheck_count ~var:"EXL_STORE_QCHECK_COUNT" ~default:100
+
+let all_domains =
+  Domain.[ Bool; Int; Float; String; Date; Period None; Any ]
+  @ List.map (fun f -> Domain.Period (Some f)) frequencies
+
+(* Keys with every character the writer must quote, and codes that look
+   like numbers, dates, periods and booleans. *)
+let gen_code =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl
+          [ ""; "040"; "2020Q1"; "2020"; "true"; "1e3"; "2015-01-01"; "-0"; "nan";
+            "a,b"; "say \"hi\""; "cr\rlf\n"; "\""; ","; "\n" ];
+        string_size ~gen:(oneofl [ 'a'; 'Z'; '0'; '9'; ','; '"'; '\r'; '\n'; ' '; '-'; 'Q' ])
+          (int_range 0 6);
+      ])
+
+let gen_measure_float =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl [ 0.; -0.; 1e15; -1e15; 1e15 -. 1.; -.(1e15 -. 1.); 0.1; -2.5e-7 ];
+        map (fun f -> Float.round (f *. 1e15)) (float_range (-1.) 1.);
+        float_range (-1e9) 1e9;
+        map float_of_int (int_range (-1000) 1000);
+      ])
+
+let gen_period =
+  QCheck.Gen.(
+    map2 (fun f d -> Calendar.Period.of_date f d) (oneofl frequencies)
+      (gen_date_in (int_range 1 9998)))
+
+(* Values of a domain that its CSV text reads back as: under [Any] the
+   guess decides, so strings there are letters the guess keeps. *)
+let gen_value dom =
+  let open QCheck.Gen in
+  let date = map (fun d -> Value.Date d) (gen_date_in (int_range 0 9999)) in
+  match dom with
+  | Domain.Bool -> map (fun b -> Value.Bool b) bool
+  | Domain.Int -> map (fun i -> Value.Int i) (oneof [ int_range (-1000) 1000; int ])
+  | Domain.Float ->
+      oneof [ map (fun f -> Value.Float f) gen_measure_float; map (fun i -> Value.Int i) small_signed_int ]
+  | Domain.String -> map (fun s -> Value.String s) gen_code
+  | Domain.Date -> date
+  | Domain.Period None -> map (fun p -> Value.Period p) gen_period
+  | Domain.Period (Some f) ->
+      map (fun d -> Value.Period (Calendar.Period.of_date f d)) (gen_date_in (int_range 1 9998))
+  | Domain.Any ->
+      oneof
+        [
+          map (fun i -> Value.Int i) small_signed_int;
+          map (fun f -> Value.Float (f +. 0.5)) (float_range (-1e6) 1e6);
+          map (fun b -> Value.Bool b) bool;
+          date;
+          map
+            (fun p -> Value.Period p)
+            (map2 Calendar.Period.of_date
+               (oneofl Calendar.[ Semester; Quarter; Month; Week ])
+               (gen_date_in (int_range 1 9998)));
+          map (fun s -> Value.String ("x" ^ s)) (string_size ~gen:(char_range 'a' 'z') (int_range 0 5));
+          return (Value.String "");
+        ]
+
+let gen_codec_cube =
+  let open QCheck.Gen in
+  let* dims = list_size (int_range 0 3) (oneofl all_domains) in
+  let* measure_domain = oneof [ return Domain.Float; oneofl all_domains ] in
+  let schema =
+    Schema.make ~name:"T" ~measure_domain
+      ~dims:(List.mapi (fun i d -> (Printf.sprintf "d%d" i, d)) dims)
+      ()
+  in
+  let gen_key =
+    flatten_l
+      (List.map
+         (fun d -> frequency [ (1, return Value.Null); (9, gen_value d) ])
+         dims)
+  in
+  let+ rows = list_size (int_range 0 40) (pair gen_key (gen_value measure_domain)) in
+  let c = Cube.create schema in
+  List.iter (fun (k, v) -> Cube.set c (Tuple.of_list k) v) rows;
+  c
+
+let prop_codec_roundtrip =
+  let dir = lazy (temp_dir "exl_codec") in
+  QCheck.Test.make ~count:store_qcheck_count
+    ~name:"csv and store codecs round-trip every domain"
+    (QCheck.make
+       ~print:(fun c -> Schema.to_string (Cube.schema c) ^ "\n" ^ Csv.cube_to_string c)
+       gen_codec_cube)
+    (fun c ->
+      let sorted =
+        match Csv.cube_of_string (Cube.schema c) (Csv.cube_to_string c) with
+        | Ok back -> Cube.equal_data c back
+        | Error msg -> QCheck.Test.fail_reportf "sorted: %s" msg
+      in
+      let stored =
+        match store_roundtrip ~dir:(Lazy.force dir) c with
+        | Ok back -> Cube.equal_data c (Registry.find_exn back "T")
+        | Error msg -> QCheck.Test.fail_reportf "store: %s" msg
+      in
+      sorted && stored)
+
 (* Cube.select against its specification: sort everything, filter,
    truncate.  Every case checks no limit, 0, 1, exactly the match
    count, one past it and a random limit; filter values 10 and "zzz"
@@ -523,6 +805,11 @@ let suite =
     ("csv: rejects bad header", `Quick, test_csv_rejects_bad_header);
     ("csv: quoted newline", `Quick, test_csv_parse_quoted_newline);
     QCheck_alcotest.to_alcotest prop_csv_roundtrip;
+    ("csv: duplicate keys", `Quick, test_csv_duplicate_keys);
+    ("csv: typed cells", `Quick, test_csv_typed_cells);
+    ("codec: fast to_string edges", `Quick, test_fast_to_string_edges);
+    QCheck_alcotest.to_alcotest prop_fast_to_string;
+    QCheck_alcotest.to_alcotest prop_codec_roundtrip;
     QCheck_alcotest.to_alcotest prop_cube_select_spec;
     ("sdmx: time periods", `Quick, test_sdmx_time_periods);
     ("sdmx: dsd", `Quick, test_sdmx_dsd);
@@ -531,4 +818,6 @@ let suite =
     ("sdmx: dataflows", `Quick, test_sdmx_dataflows);
     ("store: roundtrip", `Quick, test_store_roundtrip);
     ("store: manifest errors", `Quick, test_manifest_parse_errors);
+    ("store: string codes round-trip", `Quick, test_store_string_codes);
+    ("store: cube larger than the write buffer", `Quick, test_store_large_cube);
   ]
