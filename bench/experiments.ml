@@ -5,8 +5,11 @@
    experience paper); these experiments quantify each claim its prose
    makes, and their printed tables are the repository's "evaluation
    section".  Absolute numbers are machine-dependent; the shapes are
-   what EXPERIMENTS.md discusses. *)
+   what EXPERIMENTS.md discusses.  The fixed rows of X4 and X11-X13
+   live in the shared fixtures library ([Fixtures.Rows]), which the
+   test suite counts exactly. *)
 open Matrix
+open Fixtures
 
 (* Measurement discipline: one untimed warmup run (fills lazy caches —
    indexes, memoized batches, translation tables), then per-repetition
@@ -14,11 +17,10 @@ open Matrix
    report the MEDIAN, which a single GC pause or scheduler blip cannot
    move the way it moves a mean, plus the relative spread
    (p90 - p10) / median so tables show how trustworthy each median
-   is.  The regression guards compare medians only. *)
+   is.  The wall-clock guard compares medians only. *)
 type sample = {
   median_seconds : float;
   spread_pct : float;  (** (p90 - p10) / median, as a percentage *)
-  sample_reps : int;
 }
 
 let sample_stats durations =
@@ -36,7 +38,6 @@ let sample_stats durations =
     median_seconds = median;
     spread_pct =
       (if median > 0. then (at 0.9 -. at 0.1) /. median *. 100. else 0.);
-    sample_reps = n;
   }
 
 let samples_of elapsed f =
@@ -174,7 +175,6 @@ let x3 () =
 type chase_side = {
   seconds : float;
   matches_examined : int;
-  tuples_generated : int;
   rounds : int;
 }
 
@@ -183,11 +183,6 @@ type chase_row = {
   naive : chase_side;
   semi_naive : chase_side;
 }
-
-let mapping_of source_program =
-  match Mappings.Generate.of_checked (compile_exn source_program) with
-  | Ok g -> g.Mappings.Generate.mapping
-  | Error e -> failwith (Exl.Errors.to_string e)
 
 let chase_side chase mapping source =
   let run () =
@@ -200,42 +195,19 @@ let chase_side chase mapping source =
   {
     seconds;
     matches_examined = stats.Exchange.Chase.matches_examined;
-    tuples_generated = stats.Exchange.Chase.tuples_generated;
     rounds = stats.Exchange.Chase.rounds;
   }
 
-let chase_row ~workload ~program ~data () =
-  let mapping = mapping_of program in
-  let source = Exchange.Instance.of_registry data in
+let chase_row (r : Rows.row) =
+  let mapping = Rows.mapping_of r.Rows.program in
+  let source = Exchange.Instance.of_registry (r.Rows.data ()) in
   {
-    workload;
+    workload = r.Rows.label;
     naive = chase_side (fun m s -> Exchange.Chase.run_naive m s) mapping source;
     semi_naive = chase_side (fun m s -> Exchange.Chase.run m s) mapping source;
   }
 
-(* The chase workloads reported in BENCH_PR2.json: the x4 micro
-   workload (overview at 2 regions x 2 years), a >= 10x scale-up of
-   it, the single-join tgd at 16k rows, and a 16-step scalar chain
-   (deep dependency graph, the worst case for the order-blind naive
-   fixpoint). *)
-let chase_rows () =
-  [
-    chase_row ~workload:"overview 2rx2y (x4 micro)"
-      ~program:Workload.overview_program
-      ~data:(Workload.overview_registry ~regions:2 ~years:2 ())
-      ();
-    chase_row ~workload:"overview 8rx5y (10x scale)"
-      ~program:Workload.overview_program
-      ~data:(Workload.overview_registry ~regions:8 ~years:5 ())
-      ();
-    chase_row ~workload:"join 16k rows" ~program:Workload.join_program
-      ~data:(Workload.join_registry ~rows:16_000 ())
-      ();
-    chase_row ~workload:"chain length 16"
-      ~program:(Workload.chain_program ~length:16)
-      ~data:(Workload.chain_registry ~rows:2_000 ())
-      ();
-  ]
+let chase_rows () = List.map chase_row Rows.chase
 
 let print_chase_rows rows =
   Printf.printf "%-28s %10s %10s %14s %14s %8s %8s %7s\n" "workload"
@@ -537,11 +509,11 @@ type obs_overhead = {
   enabled_overhead_pct : float;
   disabled_site_ns : float;  (** one disabled [Obs.count] call *)
   counters : (string * int) list;
-      (** chase counters from one instrumented run, for the bench JSON *)
+      (** chase counters from one instrumented run *)
 }
 
 let obs_overhead () =
-  let mapping = mapping_of Workload.overview_program in
+  let mapping = Rows.mapping_of Workload.overview_program in
   let data = Workload.overview_registry ~regions:8 ~years:5 () in
   let source = Exchange.Instance.of_registry data in
   let run () =
@@ -588,8 +560,9 @@ let x10 () =
 (* ------------------------------------------------------------------ *)
 (* X11 — batched updates through the facade: [apply_updates] against a
    warm solution cache vs a from-scratch [recompute_all] (warm
-   translation cache), on the 10x overview workload.  The incremental
-   rows are what BENCH_PR5.json records and the CI guard re-measures. *)
+   translation cache), on the 10x overview workload ([Rows.incr_setup]).
+   test_counters.ml pins [facts_rederived]; the wall-clock guard holds
+   the speedup to its floor. *)
 
 type incr_row = {
   label : string;
@@ -604,45 +577,12 @@ type incr_row = {
 }
 
 let incr_rows () =
-  let config =
-    { Engine.Exlengine.default_config with record_history = false }
-  in
-  let engine = Engine.Exlengine.create ~config () in
+  let fixture = Rows.incr_setup () in
+  let engine = fixture.Rows.engine in
   let check = function Ok v -> v | Error msg -> failwith msg in
-  check
-    (Engine.Exlengine.register_program engine ~name:"overview"
-       Workload.overview_program);
-  let data = Workload.overview_registry ~regions:8 ~years:5 () in
-  List.iter
-    (fun name ->
-      check
-        (Engine.Exlengine.load_elementary engine (Registry.find_exn data name)))
-    [ "PDR"; "RGDPPC" ];
-  ignore (check (Engine.Exlengine.recompute_all engine) : Engine.Dispatcher.report);
-  check (Engine.Exlengine.warm engine);
-  (* the most recent PDR observations — revisions in production arrive
-     at the tail of the series *)
-  let keys =
-    List.sort
-      (fun a b -> String.compare (Tuple.to_string a) (Tuple.to_string b))
-      (Cube.keys (Registry.find_exn (Engine.Exlengine.store engine) "PDR"))
-  in
-  let n_keys = List.length keys in
-  let tail n = List.filteri (fun i _ -> i >= n_keys - n) keys in
-  (* Each timed application must differ from the previous one (an
-     already-applied batch compacts to zero deltas), so the revised
-     value carries a per-call salt. *)
-  let salt = ref 0 in
-  let batch n =
-    incr salt;
-    let v = Value.Float (5000. +. (0.125 *. float_of_int !salt)) in
-    List.map
-      (fun k -> Engine.Update.set ~cube:"PDR" ~key:(Tuple.to_list k) v)
-      (tail n)
-  in
-  let row label n =
+  let row (label, n) =
     let apply () =
-      check (Engine.Exlengine.apply_updates engine (batch n))
+      check (Engine.Exlengine.apply_updates engine (fixture.Rows.batch n))
     in
     let report = apply () in
     let incr_seconds =
@@ -665,11 +605,7 @@ let incr_rows () =
       strata_rederived = report.Engine.Exlengine.strata_rederived;
     }
   in
-  [
-    row "overview 8rx5y, 1 revised key" 1;
-    row "overview 8rx5y, 1% of PDR revised" (max 1 (n_keys / 100));
-    row "overview 8rx5y, 10% of PDR revised" (max 1 (n_keys / 10));
-  ]
+  List.map row fixture.Rows.batches
 
 let print_incr_rows rows =
   Printf.printf "%-36s %8s %12s %12s %9s %14s %8s\n" "workload" "batch"
@@ -691,8 +627,7 @@ let x11 () =
 (* X12 — the exl-opt optimizer: chase the generated mapping as-is vs
    the certified-optimized mapping on the same source instance.  The
    counter deltas (matches examined, tuples generated, non-core facts)
-   are deterministic; BENCH_PR6.json records them and `--guard-opt`
-   re-measures them in CI. *)
+   are deterministic; test_counters.ml pins them exactly. *)
 
 type opt_side = {
   opt_seconds : float;
@@ -725,15 +660,15 @@ let opt_side mapping source =
     opt_nulls = stats.Exchange.Chase.nulls_created;
   }
 
-let opt_row ~label ~program ~data () =
-  let mapping = mapping_of program in
+let opt_row (r : Rows.row) =
+  let mapping = Rows.mapping_of r.Rows.program in
   let report = Analysis.Optimize.run mapping in
   (match Analysis.Optimize.verify report with
   | Ok () -> ()
   | Error msg -> failwith ("optimizer certificate rejected: " ^ msg));
-  let source = Exchange.Instance.of_registry data in
+  let source = Exchange.Instance.of_registry (r.Rows.data ()) in
   {
-    opt_label = label;
+    opt_label = r.Rows.label;
     tgds_before = List.length mapping.Mappings.Mapping.t_tgds;
     tgds_after =
       List.length report.Analysis.Optimize.optimized.Mappings.Mapping.t_tgds;
@@ -743,21 +678,7 @@ let opt_row ~label ~program ~data () =
     opt = opt_side report.Analysis.Optimize.optimized source;
   }
 
-let opt_rows () =
-  [
-    opt_row ~label:"overview 2rx2y (x4 micro)"
-      ~program:Workload.overview_program
-      ~data:(Workload.overview_registry ~regions:2 ~years:2 ())
-      ();
-    opt_row ~label:"overview 8rx5y (10x scale)"
-      ~program:Workload.overview_program
-      ~data:(Workload.overview_registry ~regions:8 ~years:5 ())
-      ();
-    opt_row ~label:"outer growth 4rx40q"
-      ~program:Workload.outer_growth_program
-      ~data:(Workload.series_registry ~quarters:40 ~regions:4 ())
-      ();
-  ]
+let opt_rows () = List.map opt_row Rows.opt
 
 let print_opt_rows rows =
   Printf.printf "%-28s %7s %14s %14s %14s %10s %10s\n" "workload" "tgds"
@@ -784,8 +705,8 @@ let x12 () =
    same mapping and source.  Both paths produce identical solutions
    and identical deterministic counters — asserted here before any
    timing — so the rows compare pure execution strategy.
-   BENCH_PR7.json records the medians and `--guard-col` re-measures
-   them in CI against a 2x speedup floor. *)
+   test_counters.ml pins the counters; the wall-clock guard holds the
+   speedup to a 2x floor. *)
 
 type col_row = {
   col_label : string;
@@ -833,8 +754,10 @@ let col_ab_check ~label mapping data =
       (Printf.sprintf "X13 %s: columnar and row chase counters differ" label);
   s_col
 
-let col_row ~label ~program ~data () =
-  let mapping = mapping_of program in
+let col_row (r : Rows.row) =
+  let label = r.Rows.label in
+  let mapping = Rows.mapping_of r.Rows.program in
+  let data = r.Rows.data () in
   let stats = col_ab_check ~label mapping data in
   (* One shared source per side, as in production: source-resident
      caches (indexes, memoized batches) persist across revisions. *)
@@ -856,17 +779,7 @@ let col_row ~label ~program ~data () =
     col_tuples = stats.Exchange.Chase.tuples_generated;
   }
 
-let col_rows () =
-  [
-    col_row ~label:"overview 8rx5y chase"
-      ~program:Workload.overview_program
-      ~data:(Workload.overview_registry ~regions:8 ~years:5 ())
-      ();
-    col_row ~label:"grouped aggregation 200qx200r"
-      ~program:Workload.agg_program
-      ~data:(Workload.series_registry ~quarters:200 ~regions:200 ())
-      ();
-  ]
+let col_rows () = List.map col_row Rows.col
 
 let print_col_rows rows =
   Printf.printf "%-32s %16s %16s %9s %12s %10s\n" "workload"
@@ -899,10 +812,8 @@ let x13 () =
    Speedups are relative to the 1-domain run of the *same* sharded
    code path: split and merge costs appear on both sides of the ratio,
    so the table isolates how the per-shard phase scales with domains.
-   BENCH_PR10.json records the table and `--guard-shard` re-measures
-   it in CI against a 2.5x floor at 4 domains (the floor is only
-   enforceable on hosts that actually have 4 cores; see
-   Baseline.run_shard). *)
+   The wall-clock guard holds the 4-domain row to a 2.5x floor on
+   hosts that have 4 cores. *)
 
 type shard_row = {
   shard_domains : int;  (** participants: pool workers + the submitter *)
@@ -953,7 +864,7 @@ let shard_ab_check mapping data =
     mapping.Mappings.Mapping.target
 
 let shard_rows () =
-  let mapping = mapping_of Workload.overview_program in
+  let mapping = Rows.mapping_of Workload.overview_program in
   let data = Workload.shard_registry () in
   shard_ab_check mapping data;
   (* One shared source across all domain counts, as in [col_row]:

@@ -1,4 +1,4 @@
-(* Closed-loop load generator for exlserve (`bench --json-serve`).
+(* Closed-loop load generator for exlserve (`bench/main.exe -- guard`).
 
    Boots the daemon in-process on an ephemeral loopback port, then
    drives it with closed-loop client threads over real TCP — each
@@ -19,10 +19,8 @@ open Matrix
 
 type row = {
   label : string;
-  requests : int;  (** completed with a 2xx *)
   errors : int;  (** 5xx, transport failures, malformed responses *)
   rejected : int;  (** 429 admission-control pushback (not an error) *)
-  seconds : float;
   throughput : float;  (** 2xx responses per second *)
   p50_ms : float;
   p99_ms : float;
@@ -279,10 +277,8 @@ let run_scenario ~port ~label ~duration ~readers ~writers =
   Array.sort compare latencies;
   {
     label;
-    requests = ok;
     errors = bad;
     rejected = pushed;
-    seconds;
     throughput = (if seconds > 0. then float_of_int ok /. seconds else 0.);
     p50_ms = 1000. *. percentile latencies 0.50;
     p99_ms = 1000. *. percentile latencies 0.99;

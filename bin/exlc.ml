@@ -63,12 +63,16 @@ let dot_of_program source =
    for the target systems). *)
 let write_bundle dir program source =
   (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
+  (* [close_out] on success: a failed final flush (a full disk) raises
+     [Sys_error] there, which [close_out_noerr] would swallow. *)
   let write name content =
     let path = Filename.concat dir name in
     let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc content);
+    (match output_string oc content with
+    | () -> close_out oc
+    | exception e ->
+        close_out_noerr oc;
+        raise e);
     Printf.printf "wrote %s\n" path
   in
   let artifacts =
@@ -84,9 +88,12 @@ let write_bundle dir program source =
   in
   let rec loop = function
     | [] -> 0
-    | (name, Ok content) :: rest ->
-        write name content;
-        loop rest
+    | (name, Ok content) :: rest -> (
+        match write name content with
+        | () -> loop rest
+        | exception Sys_error msg ->
+            prerr_endline ("error: " ^ msg);
+            1)
     | (name, Error msg) :: _ ->
         prerr_endline ("error generating " ^ name ^ ": " ^ msg);
         1

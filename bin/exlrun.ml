@@ -17,6 +17,19 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* [close_out] on success: a failed final flush (a full disk) raises
+   [Sys_error] there, which [close_out_noerr] would swallow. *)
+let write_channel path write =
+  let oc = open_out path in
+  match write oc with
+  | () -> close_out oc
+  | exception e ->
+      close_out_noerr oc;
+      raise e
+
+let write_file path contents =
+  write_channel path (fun oc -> output_string oc contents)
+
 (* The Core back ends run the whole program on one engine; [engine] is
    the full EXLEngine facade — per-target dispatch with retry, fallback
    and quarantine (see docs/RELIABILITY.md). *)
@@ -50,22 +63,27 @@ let load_data data_dir (program : Core.program) =
   if !errors = [] then Ok registry
   else Error (String.concat "\n" (List.rev !errors))
 
+(* Write every derived cube; the exit code is 1 if a write failed. *)
 let write_results out_dir (program : Core.program) result =
   (try Sys.mkdir out_dir 0o755 with _ -> ());
-  List.iter
-    (fun schema ->
-      let name = schema.Schema.name in
-      if not (Exl.Normalize.is_temp name) then
-        match Registry.find result name with
-        | Some cube ->
-            let path = Filename.concat out_dir (name ^ ".csv") in
-            let oc = open_out path in
-            Fun.protect
-              ~finally:(fun () -> close_out_noerr oc)
-              (fun () -> Csv.cube_to_channel oc cube);
-            Printf.printf "wrote %s (%d tuples)\n" path (Cube.cardinality cube)
-        | None -> ())
-    (Exl.Typecheck.derived_schemas program)
+  match
+    List.iter
+      (fun schema ->
+        let name = schema.Schema.name in
+        if not (Exl.Normalize.is_temp name) then
+          match Registry.find result name with
+          | Some cube ->
+              let path = Filename.concat out_dir (name ^ ".csv") in
+              write_channel path (fun oc -> Csv.cube_to_channel oc cube);
+              Printf.printf "wrote %s (%d tuples)\n" path
+                (Cube.cardinality cube)
+          | None -> ())
+      (Exl.Typecheck.derived_schemas program)
+  with
+  | () -> 0
+  | exception Sys_error msg ->
+      prerr_endline ("error: " ^ msg);
+      1
 
 (* The EXLEngine facade path: dispatch per-target subgraphs with retry,
    fallback and quarantine.  A degraded run (quarantined or skipped
@@ -126,10 +144,12 @@ let run_engine ~source ~program ~registry ~out_dir ~overrides ~fault_plan
               prerr_endline ("error: " ^ msg);
               1
           | Ok report ->
-              write_results out_dir program (Engine.Exlengine.store engine);
+              let written =
+                write_results out_dir program (Engine.Exlengine.store engine)
+              in
               let summary = Engine.Dispatcher.failure_summary report in
               if summary <> "" then print_endline summary;
-              if Engine.Dispatcher.degraded report then 1 else 0))
+              if Engine.Dispatcher.degraded report then 1 else written))
 
 let run_inner file data_dir out_dir backend verify overrides fault_plan
     max_attempts backoff timeout shards pool_size =
@@ -165,15 +185,7 @@ let run_inner file data_dir out_dir backend verify overrides fault_plan
               | Error msg ->
                   prerr_endline ("error: " ^ msg);
                   1
-              | Ok result ->
-                  write_results out_dir program result;
-                  0))))
-
-let write_file path contents =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc contents)
+              | Ok result -> write_results out_dir program result))))
 
 (* Observability wrapper: when any telemetry output is requested,
    install an ambient collector around the whole run, then export.
@@ -293,8 +305,7 @@ let run_update file data_dir updates_file out_dir =
                         r.Engine.Exlengine.strata_skipped
                         r.Engine.Exlengine.strata_rederived;
                       write_results out_dir program
-                        (Engine.Exlengine.store engine);
-                      0))))
+                        (Engine.Exlengine.store engine)))))
 
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"EXL program file.")

@@ -88,9 +88,15 @@ let registry_schemas_of_manifest text =
   in
   loop [] lines
 
+(* [close_out] on success: a failed final flush (a full disk) raises
+   [Sys_error] there, which [close_out_noerr] would swallow. *)
 let write_file path write =
   let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> write oc)
+  match write oc with
+  | () -> close_out oc
+  | exception e ->
+      close_out_noerr oc;
+      raise e
 
 let read_file path =
   let ic = open_in_bin path in

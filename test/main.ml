@@ -26,4 +26,5 @@ let () =
       ("fuzz", Test_fuzz.suite);
       ("serve", Test_serve.suite);
       ("edges", Test_edges.suite);
+      ("counters", Test_counters.suite);
     ]

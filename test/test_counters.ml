@@ -1,0 +1,138 @@
+(* Exact counter checks over the benchmark's fixed rows
+   ([Fixtures.Rows]).  The counters are deterministic, so each is pinned
+   to its exact value: any change is an algorithmic change, to be
+   explained and re-pinned.  One chase per row, no timing and no naive
+   runs; the wall-clock side of the same rows is
+   `bench/main.exe -- guard`.  The perturbation tests show that each
+   family of counters moves when its input moves. *)
+open Matrix
+open Fixtures
+open Helpers
+
+let ok = function Ok v -> v | Error msg -> Alcotest.fail msg
+
+let source (r : Rows.row) = Exchange.Instance.of_registry (r.Rows.data ())
+
+let stats ?columnar mapping source =
+  match Exchange.Chase.run ?columnar mapping source with
+  | Ok (_, stats) -> stats
+  | Error msg -> Alcotest.fail msg
+
+(* The same row with one more PDR observation, in a quarter no other
+   fact reaches. *)
+let with_extra_pdr_key (r : Rows.row) =
+  {
+    r with
+    Rows.data =
+      (fun () ->
+        let reg = r.Rows.data () in
+        Cube.set (Registry.find_exn reg "PDR")
+          (key [ vd 2030 1 1; vs (Workload.region_name 0) ])
+          (vf 1.);
+        reg);
+  }
+
+(* --- semi-naive chase: matches examined --- *)
+
+let chase_expected = [ 1562; 15224; 32000; 32000 ]
+
+let semi_matches (r : Rows.row) =
+  (stats (Rows.mapping_of r.Rows.program) (source r))
+    .Exchange.Chase.matches_examined
+
+let test_chase () =
+  List.iter2
+    (fun (r : Rows.row) n -> Alcotest.(check int) r.Rows.label n (semi_matches r))
+    Rows.chase chase_expected
+
+let test_chase_perturbed () =
+  Alcotest.(check bool) "one extra PDR key moves the count" true
+    (semi_matches (with_extra_pdr_key Rows.micro) <> List.hd chase_expected)
+
+(* --- incremental apply_updates: facts rederived --- *)
+
+let incr_expected = [ 201; 208; 217 ]
+
+let rederived (fixture : Rows.incr) n =
+  (ok (Engine.Exlengine.apply_updates fixture.Rows.engine (fixture.Rows.batch n)))
+    .Engine.Exlengine.facts_rederived
+
+let test_incr () =
+  let fixture = Rows.incr_setup () in
+  List.iter2
+    (fun (label, n) expected ->
+      Alcotest.(check int) label expected (rederived fixture n))
+    fixture.Rows.batches incr_expected;
+  Alcotest.(check bool) "one extra revised key moves the count" true
+    (rederived fixture 2 <> List.hd incr_expected)
+
+(* --- optimizer: matches, tuples and non-core facts of the optimized
+   chase, which must examine fewer matches than the generated mapping
+   and create no non-core facts --- *)
+
+let opt_expected = [ (1533, 55, 0); (15147, 379, 0); (632, 355, 0) ]
+
+(* ((matches, tuples, nulls) optimized, matches unoptimized) *)
+let opt_counters (r : Rows.row) =
+  let mapping = Rows.mapping_of r.Rows.program in
+  let report = Analysis.Optimize.run mapping in
+  ok (Analysis.Optimize.verify report);
+  let source = source r in
+  let s = stats report.Analysis.Optimize.optimized source in
+  ( ( s.Exchange.Chase.matches_examined,
+      s.Exchange.Chase.tuples_generated,
+      s.Exchange.Chase.nulls_created ),
+    (stats mapping source).Exchange.Chase.matches_examined )
+
+let test_opt () =
+  List.iter2
+    (fun (r : Rows.row) expected ->
+      let ((matches, _, nulls) as optimized), unoptimized = opt_counters r in
+      Alcotest.(check (triple int int int)) r.Rows.label expected optimized;
+      Alcotest.(check bool)
+        (r.Rows.label ^ ": fewer matches than unoptimized")
+        true (matches < unoptimized);
+      Alcotest.(check int) (r.Rows.label ^ ": no non-core facts") 0 nulls)
+    Rows.opt opt_expected
+
+let test_opt_perturbed () =
+  Alcotest.(check bool) "one extra PDR key moves the counts" true
+    (fst (opt_counters (with_extra_pdr_key Rows.micro)) <> List.hd opt_expected)
+
+(* --- columnar vs row chase: identical counters, pinned --- *)
+
+let col_expected = [ 15224; 40000 ]
+
+(* matches examined on the columnar path, after checking the row path
+   counts the same matches and tuples *)
+let col_matches (r : Rows.row) =
+  let mapping = Rows.mapping_of r.Rows.program in
+  let source = source r in
+  let counters columnar =
+    let s = stats ~columnar mapping source in
+    (s.Exchange.Chase.matches_examined, s.Exchange.Chase.tuples_generated)
+  in
+  let col = counters true in
+  Alcotest.(check (pair int int)) (r.Rows.label ^ ": row == columnar")
+    (counters false) col;
+  fst col
+
+let test_col () =
+  List.iter2
+    (fun (r : Rows.row) n -> Alcotest.(check int) r.Rows.label n (col_matches r))
+    Rows.col col_expected
+
+let test_col_perturbed () =
+  Alcotest.(check bool) "one extra PDR key moves the count" true
+    (col_matches (with_extra_pdr_key (List.hd Rows.col)) <> List.hd col_expected)
+
+let suite =
+  [
+    ("chase: semi-naive matches", `Quick, test_chase);
+    ("chase: perturbed input", `Quick, test_chase_perturbed);
+    ("incr: facts rederived", `Quick, test_incr);
+    ("opt: optimized counters", `Quick, test_opt);
+    ("opt: perturbed input", `Quick, test_opt_perturbed);
+    ("col: row == columnar counters", `Quick, test_col);
+    ("col: perturbed input", `Quick, test_col_perturbed);
+  ]

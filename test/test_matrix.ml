@@ -756,6 +756,20 @@ let test_store_roundtrip () =
       Alcotest.(check (option string)) "derived preserved" (Some "derived")
         (Option.map Registry.kind_to_string (Registry.kind_of loaded "GDP"))
 
+(* A failed final flush (a full disk) is an error, not a saved store:
+   the cube's file is a link to a device that refuses every write. *)
+let test_store_full_disk () =
+  if not (Sys.file_exists "/dev/full") then Alcotest.skip ();
+  let dir = temp_dir "exl_full" in
+  Sys.mkdir dir 0o755;
+  Unix.symlink "/dev/full" (Filename.concat dir "C.csv");
+  let c = cube_of "C" [ ("geo", Domain.String) ] [ [ vs "it"; vf 1. ] ] in
+  let reg = Registry.create () in
+  Registry.add reg Registry.Elementary c;
+  match Store.save ~dir reg with
+  | Ok () -> Alcotest.fail "save reported success on a full disk"
+  | Error _ -> ()
+
 let test_manifest_parse_errors () =
   (match Store.registry_schemas_of_manifest "bad line" with
   | Error msg -> Alcotest.(check bool) "malformed" true
@@ -820,4 +834,5 @@ let suite =
     ("store: manifest errors", `Quick, test_manifest_parse_errors);
     ("store: string codes round-trip", `Quick, test_store_string_codes);
     ("store: cube larger than the write buffer", `Quick, test_store_large_cube);
+    ("store: full disk is an error", `Quick, test_store_full_disk);
   ]
