@@ -39,6 +39,16 @@ let registry_of_sources mapping registry =
     mapping.Mappings.Mapping.source;
   out
 
+(* A backend's cube conversions raise on an egd violation or a schema
+   mismatch; both are ordinary execution errors of the target. *)
+let conversion_errors f =
+  try f () with
+  | Cube.Functionality_violation { cube; key } ->
+      Error
+        (Printf.sprintf "functionality violation in %s at %s" cube
+           (Tuple.to_string key))
+  | Invalid_argument msg -> Error msg
+
 let sql =
   {
     name = "sql";
@@ -50,33 +60,8 @@ let sql =
           (Relational.Sql_gen.script_of_mapping mapping));
     execute =
       (fun mapping registry ->
-        let db = Relational.Database.create () in
-        List.iter
-          (fun schema ->
-            let cube =
-              match Registry.find registry schema.Schema.name with
-              | Some c -> Cube.with_schema schema c
-              | None -> Cube.create schema
-            in
-            Relational.Database.load_cube db cube)
-          mapping.Mappings.Mapping.source;
-        match Relational.Executor.run_mapping db mapping with
-        | Error _ as e -> e
-        | Ok _ -> (
-            try
-              Ok
-                (Relational.Database.to_registry db
-                   ~schemas:mapping.Mappings.Mapping.target
-                   ~elementary:
-                     (List.map
-                        (fun s -> s.Schema.name)
-                        mapping.Mappings.Mapping.source))
-            with
-            | Cube.Functionality_violation { cube; key } ->
-                Error
-                  (Printf.sprintf "functionality violation in %s at %s" cube
-                     (Tuple.to_string key))
-            | Invalid_argument msg -> Error msg))
+        conversion_errors (fun () ->
+            Relational.Sql_target.execute mapping registry));
   }
 
 let vector_supports = function
@@ -113,35 +98,29 @@ let vector =
             let schema_lookup = Mappings.Mapping.target_schema mapping in
             match Vector.Script_interp.run ~schema_lookup env script with
             | Error _ as e -> e
-            | Ok () -> (
-                try
-                  let out = Registry.create () in
-                  let elementary =
-                    List.map
-                      (fun s -> s.Schema.name)
-                      mapping.Mappings.Mapping.source
-                  in
-                  List.iter
-                    (fun schema ->
-                      let name = schema.Schema.name in
-                      let kind =
-                        if List.mem name elementary then Registry.Elementary
-                        else Registry.Derived
-                      in
-                      let cube =
-                        match Vector.Script_interp.frame env name with
-                        | Some f -> Vector.Frame.to_cube schema f
-                        | None -> Cube.create schema
-                      in
-                      Registry.add out kind cube)
-                    mapping.Mappings.Mapping.target;
-                  Ok out
-                with
-                | Cube.Functionality_violation { cube; key } ->
-                    Error
-                      (Printf.sprintf "functionality violation in %s at %s" cube
-                         (Tuple.to_string key))
-                | Invalid_argument msg -> Error msg)))
+            | Ok () ->
+                conversion_errors (fun () ->
+                    let out = Registry.create () in
+                    let elementary =
+                      List.map
+                        (fun s -> s.Schema.name)
+                        mapping.Mappings.Mapping.source
+                    in
+                    List.iter
+                      (fun schema ->
+                        let name = schema.Schema.name in
+                        let kind =
+                          if List.mem name elementary then Registry.Elementary
+                          else Registry.Derived
+                        in
+                        let cube =
+                          match Vector.Script_interp.frame env name with
+                          | Some f -> Vector.Frame.to_cube schema f
+                          | None -> Cube.create schema
+                        in
+                        Registry.add out kind cube)
+                      mapping.Mappings.Mapping.target;
+                    Ok out)))
   }
 
 let stl_family = [ "stl_t"; "stl_s"; "stl_r"; "deseason"; "trend_classical" ]
@@ -168,14 +147,10 @@ let make_etl ~name ~with_stl =
         | Ok job -> (
             let storage = registry_of_sources mapping registry in
             let schema_lookup = Mappings.Mapping.target_schema mapping in
-            match Etl.Engine.run_job ~storage ~schema_lookup job with
-            | Error _ as e -> e
-            | Ok _stats -> Ok storage
-            | exception Cube.Functionality_violation { cube; key } ->
-                Error
-                  (Printf.sprintf "functionality violation in %s at %s" cube
-                     (Tuple.to_string key))
-            | exception Invalid_argument msg -> Error msg))
+            conversion_errors (fun () ->
+                match Etl.Engine.run_job ~storage ~schema_lookup job with
+                | Error _ as e -> e
+                | Ok _stats -> Ok storage)))
   }
 
 let etl_no_stl = make_etl ~name:"etl" ~with_stl:false
@@ -205,20 +180,14 @@ let chase =
         in
         match Exchange.Chase.run mapping source with
         | Error _ as e -> e
-        | Ok (instance, _stats) -> (
-            try
-              Ok
-                (Exchange.Instance.to_registry instance
-                   ~elementary:
-                     (List.map
-                        (fun s -> s.Schema.name)
-                        mapping.Mappings.Mapping.source))
-            with
-            | Cube.Functionality_violation { cube; key } ->
-                Error
-                  (Printf.sprintf "functionality violation in %s at %s" cube
-                     (Tuple.to_string key))
-            | Invalid_argument msg -> Error msg));
+        | Ok (instance, _stats) ->
+            conversion_errors (fun () ->
+                Ok
+                  (Exchange.Instance.to_registry instance
+                     ~elementary:
+                       (List.map
+                          (fun s -> s.Schema.name)
+                          mapping.Mappings.Mapping.source))));
   }
 
 let builtins = [ sql; vector; etl_no_stl; chase ]

@@ -25,13 +25,16 @@ type t = {
   translate : Mappings.Mapping.t -> (artifact, string) result;
   execute : Mappings.Mapping.t -> Registry.t -> (Registry.t, string) result;
       (** Run the mapping's tgds; the input registry provides this
-          sub-mapping's source relations; the result holds the target
-          relations. *)
+          sub-mapping's source relations; the result holds at least
+          its derived relations (the target relations minus the
+          sources), which are all the dispatcher reads. *)
 }
 
 val sql : t
 (** The DBMS target: supports every tgd shape (black boxes via tabular
-    UDFs), including fused multi-atom tgds. *)
+    UDFs), including fused multi-atom tgds.  Runs
+    {!Relational.Sql_target.execute}, so its result holds the derived
+    relations only. *)
 
 val vector : t
 (** The R/Matlab target: native statistical operators, at most two

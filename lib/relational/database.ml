@@ -22,12 +22,7 @@ let mem t name = Hashtbl.mem t name
 let names t =
   Hashtbl.fold (fun k _ acc -> k :: acc) t [] |> List.sort String.compare
 
-let load_cube t cube = add_table t (Table.of_cube cube)
-
-let of_registry reg =
-  let t = create () in
-  List.iter (fun n -> load_cube t (Registry.find_exn reg n)) (Registry.names reg);
-  t
+let load_cube ?schema t cube = add_table t (Table.of_cube ?schema cube)
 
 let to_registry t ~schemas ~elementary =
   let reg = Registry.create () in

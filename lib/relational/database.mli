@@ -14,10 +14,10 @@ val find_exn : t -> string -> Table.t
 val mem : t -> string -> bool
 val names : t -> string list  (** Sorted. *)
 
-val of_registry : Registry.t -> t
-(** Loads every cube of the registry as a table. *)
+val load_cube : ?schema:Schema.t -> t -> Cube.t -> unit
+(** Adds the cube as a table ({!Table.of_cube}), replacing any table
+    of the same name. *)
 
-val load_cube : t -> Cube.t -> unit
 val to_registry : t -> schemas:Schema.t list -> elementary:string list -> Registry.t
 (** Reads the tables named by [schemas] back into cubes (applying the
     functionality check). *)

@@ -153,37 +153,44 @@ let base_scan db = function
   | Plan.Scan { table; _ } -> Database.find db table
   | _ -> None
 
+(* The column a plain-column expression reads, when it is one of the
+   scanned table's columns. *)
+let column_of res t = function
+  | Sql_ast.Col { alias; column } -> (
+      match res.index (alias, column) with
+      | Some i when i < Table.width t -> Some i
+      | _ -> None)
+  | _ -> None
+
+let all_some xs =
+  if List.for_all Option.is_some xs then Some (List.map Option.get xs)
+  else None
+
 (* Positions of plain-column key expressions in a scan's layout; [None]
    as soon as any key is computed (the generic path must evaluate it
    per row). *)
 let col_positions lookup scan t keys =
   let res = resolver_of_layout (layout lookup scan) in
-  let pos = function
-    | Sql_ast.Col { alias; column } -> (
-        match res.index (alias, column) with
-        | Some i when i < Table.width t -> Some i
-        | _ -> None)
-    | _ -> None
-  in
-  let ps = List.map pos keys in
-  if List.for_all Option.is_some ps then Some (List.map Option.get ps)
-  else None
+  all_some (List.map (column_of res t) keys)
 
-(* Code of the (at most one) [Null] entry of a dict, or -1. *)
-let null_code dict =
-  let rec go c =
-    if c >= Columnar.Dict.size dict then -1
-    else if Value.is_null (Columnar.Dict.decode dict c) then c
-    else go (c + 1)
-  in
-  go 0
+(* Column [pos] of [t] re-coded: per row, [f dict c] of the row's code
+   [c] in the column's dictionary, with [f] evaluated once per distinct
+   code rather than once per row. *)
+let recode t pos f =
+  let dict, codes = Table.column_codes t pos in
+  let x = Array.init (Columnar.Dict.size dict) (f dict) in
+  Array.map (fun c -> x.(c)) codes
+
+(* SQL null keys never join or group: their code becomes -1, decided in
+   the column's own dictionary before any translation. *)
+let unless_null f dict c = if Columnar.Dict.is_null dict c then -1 else f dict c
 
 (* Dictionary-encoded int-key hash join between two base tables: key
    columns compare by code (probe codes translated into the build
-   dict's space once per column), null keys poisoned to -1 so they
-   never join.  Row-for-row identical to the generic path, including
-   output order: probe rows in insertion order, each paired with its
-   matching build rows in insertion order. *)
+   dict's space once per column), null keys masked to -1 so they never
+   join.  Row-for-row identical to the generic path, including output
+   order: probe rows in insertion order, each paired with its matching
+   build rows in insertion order. *)
 let vectorized_hash_join lookup tb tp build probe build_keys probe_keys =
   match
     (col_positions lookup build tb build_keys,
@@ -193,22 +200,21 @@ let vectorized_hash_join lookup tb tp build probe build_keys probe_keys =
       Obs.count "executor.vectorized_joins";
       let brows = Table.rows_array tb and prows = Table.rows_array tp in
       let nbuild = Array.length brows and nprobe = Array.length prows in
-      let mask dict codes =
-        match null_code dict with
-        | -1 -> codes
-        | nc -> Array.map (fun c -> if c = nc then -1 else c) codes
-      in
       let build_cols, probe_cols, radices =
         List.fold_right2
           (fun bp pp (bs, ps, rs) ->
-            let db, cb = Table.column_codes tb bp in
-            let dp, cp = Table.column_codes tp pp in
-            let cp =
-              match Columnar.Dict.xlate dp db with
-              | None -> cp
-              | Some x -> Array.map (fun c -> x.(c)) cp
+            let db = fst (Table.column_codes tb bp) in
+            (* codes in the build dictionary's space, -1 where it
+               lacks the value *)
+            let in_build t pos =
+              let x = Columnar.Dict.xlate (fst (Table.column_codes t pos)) db in
+              recode t pos
+                (unless_null (fun _ c ->
+                     match x with Some x -> x.(c) | None -> c))
             in
-            (mask db cb :: bs, mask dp cp :: ps, Columnar.Dict.size db :: rs))
+            ( in_build tb bp :: bs,
+              in_build tp pp :: ps,
+              Columnar.Dict.size db :: rs ))
           bpos ppos ([], [], [])
       in
       let build_keys, probe_keys =
@@ -237,81 +243,156 @@ let vectorized_hash_join lookup tb tp build probe build_keys probe_keys =
       Some (List.rev !out)
   | _ -> None
 
-(* Grouped aggregation over a base table, vectorized: group keys
-   compare by per-column dictionary code, measures gather into one
-   float array segmented per group.  Replays the generic path exactly —
-   rows sorted first, groups in first-seen order over the sorted rows,
-   bags in sorted-row order, rows with a null key or non-numeric
-   measure skipped. *)
+(* A group key the aggregate kernel reads off one column's codes: the
+   column itself, or a dimension function of it ([QUARTER(D)]). *)
+type key_source = { pos : int; fn : Ops.Dim_fn.t option }
+
+let key_source res t = function
+  | Sql_ast.Dim_call (name, arg) -> (
+      match (Ops.Dim_fn.find name, column_of res t arg) with
+      | Some fn, Some pos -> Some { pos; fn = Some fn }
+      | _ -> None)
+  | e -> Option.map (fun pos -> { pos; fn = None }) (column_of res t e)
+
+let key_value { pos; fn } row =
+  match fn with
+  | None -> row.(pos)
+  | Some fn -> Option.value ~default:Value.Null (Ops.Dim_fn.apply fn row.(pos))
+
+(* Per row, the key's code in a space of its own (-1: a [Null] key),
+   and that space's radix. *)
+let key_column t { pos; fn } =
+  match fn with
+  | None ->
+      ( recode t pos (unless_null (fun _ c -> c)),
+        Columnar.Dict.size (fst (Table.column_codes t pos)) )
+  | Some fn ->
+      let out = Columnar.Dict.create () in
+      let codes =
+        recode t pos (fun dict c ->
+            match Ops.Dim_fn.apply fn (Columnar.Dict.decode dict c) with
+            | Some v -> Columnar.Dict.encode out v
+            | None -> -1)
+      in
+      (codes, Columnar.Dict.size out)
+
+(* Per row, the rank of its column-[pos] value among the column's
+   distinct values under [Value.compare], so comparing ranks compares
+   values: distinct codes hold values that are not [Value.equal], and
+   equality is [Value.compare] = 0. *)
+let column_ranks t pos =
+  let dict, codes = Table.column_codes t pos in
+  let by_value = Array.init (Columnar.Dict.size dict) Fun.id in
+  Array.sort
+    (fun a b ->
+      Value.compare (Columnar.Dict.decode dict a) (Columnar.Dict.decode dict b))
+    by_value;
+  let rank = Array.make (Array.length by_value) 0 in
+  Array.iteri (fun i c -> rank.(c) <- i) by_value;
+  Array.map (fun c -> rank.(c)) codes
+
+(* Grouped aggregation over a base table, vectorized: group keys —
+   plain columns or dimension functions of columns — compare by code,
+   groups form in one pass over the rows in load order, and only then
+   is each group put in canonical order.  The result replays the
+   generic path, which sorts the whole table by [Tuple.compare] first:
+   groups in first-seen order over the sorted rows (that is, ordered by
+   their least row), each bag in sorted-row order, equal rows in load
+   order, rows with a null key or non-numeric measure skipped.  Sorting
+   each group instead of the table gives the same bags for less work,
+   and keeps float sums independent of the order rows were loaded in. *)
 let vectorized_aggregate lookup t input keys measure aggr =
+  let res = resolver_of_layout (layout lookup input) in
   match
-    col_positions lookup input t (List.map fst keys @ [ measure ])
+    (all_some (List.map (fun (e, _) -> key_source res t e) keys),
+     column_of res t measure)
   with
-  | None -> None
-  | Some positions ->
+  | None, _ | _, None -> None
+  | Some sources, Some mpos ->
       Obs.count "executor.vectorized_aggregates";
-      let kpos = Array.of_list (List.filteri (fun i _ -> i < List.length keys) positions) in
-      let mpos = List.nth positions (List.length keys) in
       let rows = Table.rows_array t in
       let n = Array.length rows in
-      let order = Array.init n Fun.id in
-      Array.sort
-        (fun a b ->
-          Tuple.compare (Tuple.of_array rows.(a)) (Tuple.of_array rows.(b)))
-        order;
-      let key_cols =
-        Array.map
-          (fun p ->
-            let dict, codes = Table.column_codes t p in
-            let nc = null_code dict in
-            ((dict, codes, nc) : Columnar.Dict.t * int array * int))
-          kpos
-      in
-      (* Select the participating rows (sorted order), gathering their
-         measures; a null key or undefined measure drops the row. *)
-      let sel = Array.make n 0 and mf = Array.make (max 1 n) 0. in
+      let key_cols = Array.of_list (List.map (key_column t) sources) in
+      (* The participating rows, in load order, and their measures. *)
+      let sel = Array.make n 0 and mf = Array.make n 0. in
       let nsel = ref 0 in
-      for j = 0 to n - 1 do
-        let r = order.(j) in
-        let key_ok =
-          Array.for_all (fun (_, codes, nc) -> codes.(r) <> nc) key_cols
-        in
-        if key_ok then
+      for r = 0 to n - 1 do
+        if Array.for_all (fun (codes, _) -> codes.(r) >= 0) key_cols then
           match Value.to_float rows.(r).(mpos) with
           | None -> ()
           | Some m ->
               sel.(!nsel) <- r;
-              mf.(!nsel) <- m;
+              mf.(r) <- m;
               incr nsel
       done;
       let nsel = !nsel in
-      let cols =
-        Array.map
-          (fun ((_, codes, _) : Columnar.Dict.t * int array * int) ->
-            Array.init nsel (fun j -> codes.(sel.(j))))
-          key_cols
+      let g =
+        Columnar.Kernels.group
+          (Columnar.Kernels.dense_keys ~nrows:nsel
+             (Array.map
+                (fun (codes, _) -> Array.init nsel (fun j -> codes.(sel.(j))))
+                key_cols)
+             (Array.map snd key_cols))
       in
-      let radices =
-        Array.map (fun (d, _, _) -> Columnar.Dict.size d) key_cols
-      in
-      let gkeys = Columnar.Kernels.dense_keys ~nrows:nsel cols radices in
-      let g = Columnar.Kernels.group gkeys in
-      let offsets, data =
-        Columnar.Kernels.segment g (Array.sub mf 0 nsel)
-      in
-      let out = ref [] in
-      for gid = g.Columnar.Kernels.n_groups - 1 downto 0 do
-        let off = offsets.(gid) in
-        let len = offsets.(gid + 1) - off in
-        let result = Stats.Aggregate.apply_slice aggr data ~off ~len in
-        let rep = rows.(sel.(g.Columnar.Kernels.rep_rows.(gid))) in
-        out :=
-          Array.of_list
-            (Array.to_list (Array.map (fun p -> rep.(p)) kpos)
-            @ [ Value.of_float result ])
-          :: !out
+      let ng = g.Columnar.Kernels.n_groups in
+      (* Each group's rows, contiguous and still in load order. *)
+      let offsets = Array.make (ng + 1) 0 in
+      Array.iter
+        (fun gid -> offsets.(gid + 1) <- offsets.(gid + 1) + 1)
+        g.Columnar.Kernels.gids;
+      for gid = 1 to ng do
+        offsets.(gid) <- offsets.(gid) + offsets.(gid - 1)
       done;
-      Some !out
+      let members = Array.make nsel 0 in
+      let cursor = Array.sub offsets 0 ng in
+      Array.iteri
+        (fun j gid ->
+          members.(cursor.(gid)) <- sel.(j);
+          cursor.(gid) <- cursor.(gid) + 1)
+        g.Columnar.Kernels.gids;
+      (* Canonical order: [Tuple.compare] on whole rows, read off
+         per-column ranks (a column's ranks are built only when every
+         column before it ties), in a stable sort, so equal rows stay
+         in load order as in the generic path's stable sort. *)
+      let ranks =
+        Array.init (Table.width t) (fun pos -> lazy (column_ranks t pos))
+      in
+      let by_row a b =
+        let rec from pos =
+          if pos = Array.length ranks then 0
+          else
+            let r = Lazy.force ranks.(pos) in
+            match Int.compare r.(a) r.(b) with 0 -> from (pos + 1) | c -> c
+        in
+        from 0
+      in
+      for gid = 0 to ng - 1 do
+        let off = offsets.(gid) and len = offsets.(gid + 1) - offsets.(gid) in
+        if len > 1 then begin
+          let seg = Array.sub members off len in
+          Array.stable_sort by_row seg;
+          Array.blit seg 0 members off len
+        end
+      done;
+      let data = Array.map (fun r -> mf.(r)) members in
+      let order = Array.init ng Fun.id in
+      Array.stable_sort
+        (fun a b -> by_row members.(offsets.(a)) members.(offsets.(b)))
+        order;
+      Some
+        (Array.fold_right
+           (fun gid acc ->
+             let off = offsets.(gid) in
+             let result =
+               Stats.Aggregate.apply_slice aggr data ~off
+                 ~len:(offsets.(gid + 1) - off)
+             in
+             let rep = rows.(members.(off)) in
+             Array.of_list
+               (List.map (fun k -> key_value k rep) sources
+               @ [ Value.of_float result ])
+             :: acc)
+           order [])
 
 let rec execute db lookup (views : view_env) plan : Value.t array list =
   match plan with

@@ -1,47 +1,55 @@
 open Matrix
 
-(* Rows live in a prepend list (cheap inserts); [arr] and [cols] are
-   derived caches — the row array and per-column dictionary encodings
-   the executor's vectorized paths read — dropped on any mutation and
+(* Rows live in a growable array: [rows.(0 .. count-1)] in insertion
+   order.  [cols] caches the per-column dictionary encodings the
+   executor's vectorized paths read; it is dropped on any mutation and
    rebuilt lazily. *)
 type t = {
   name : string;
   columns : string list;
-  mutable rev_rows : Value.t array list;
+  width : int;
+  mutable rows : Value.t array array;
   mutable count : int;
-  mutable arr : Value.t array array option;
   cols : (int, Columnar.Dict.t * int array) Hashtbl.t;
 }
 
 let create ~name ~columns =
-  { name; columns; rev_rows = []; count = 0; arr = None; cols = Hashtbl.create 4 }
+  {
+    name;
+    columns;
+    width = List.length columns;
+    rows = [||];
+    count = 0;
+    cols = Hashtbl.create 4;
+  }
 
 let name t = t.name
 let columns t = t.columns
-let width t = List.length t.columns
+let width t = t.width
 let row_count t = t.count
 
 let insert t row =
-  if Array.length row <> width t then
+  if Array.length row <> t.width then
     invalid_arg
       (Printf.sprintf "Table.insert: row of width %d into %s(%s)"
          (Array.length row) t.name
          (String.concat ", " t.columns));
-  t.rev_rows <- row :: t.rev_rows;
+  if t.count = Array.length t.rows then begin
+    let rows = Array.make (max 16 (2 * t.count)) [||] in
+    Array.blit t.rows 0 rows 0 t.count;
+    t.rows <- rows
+  end;
+  t.rows.(t.count) <- row;
   t.count <- t.count + 1;
-  t.arr <- None;
   Hashtbl.reset t.cols
 
-let rows t = List.rev t.rev_rows
-
+(* Trimmed to [count] on demand, so the array handed out is exactly the
+   rows; the next insert grows it again. *)
 let rows_array t =
-  match t.arr with
-  | Some a -> a
-  | None ->
-      let a = Array.make t.count [||] in
-      List.iteri (fun i row -> a.(t.count - 1 - i) <- row) t.rev_rows;
-      t.arr <- Some a;
-      a
+  if Array.length t.rows <> t.count then t.rows <- Array.sub t.rows 0 t.count;
+  t.rows
+
+let rows t = Array.to_list (rows_array t)
 
 let column_codes t i =
   match Hashtbl.find_opt t.cols i with
@@ -55,39 +63,45 @@ let column_codes t i =
       Hashtbl.replace t.cols i (dict, codes);
       (dict, codes)
 
-let clear t =
-  t.rev_rows <- [];
-  t.count <- 0;
-  t.arr <- None;
-  Hashtbl.reset t.cols
-
-let of_cube cube =
-  let schema = Cube.schema cube in
+let of_cube ?schema cube =
+  let schema = Option.value schema ~default:(Cube.schema cube) in
+  if Schema.arity schema <> Schema.arity (Cube.schema cube) then
+    invalid_arg
+      (Printf.sprintf "Table.of_cube: %s has arity %d, schema %s needs %d"
+         (Cube.name cube)
+         (Schema.arity (Cube.schema cube))
+         schema.Schema.name (Schema.arity schema));
   let t =
     create ~name:schema.Schema.name
       ~columns:(Schema.dim_names schema @ [ schema.Schema.measure_name ])
   in
-  List.iter (fun (k, v) -> insert t (Tuple.append k v)) (Cube.to_alist cube);
+  let rows = Array.make (Cube.cardinality cube) [||] in
+  let i = ref 0 in
+  Cube.iter
+    (fun k v ->
+      rows.(!i) <- Tuple.append k v;
+      incr i)
+    cube;
+  t.rows <- rows;
+  t.count <- !i;
   t
 
 let to_cube schema t =
   let n = Schema.arity schema in
   let cube = Cube.create schema in
-  List.iter
-    (fun row ->
-      let key = Tuple.of_array (Array.sub row 0 n) in
-      Cube.add_strict cube key row.(n))
-    (rows t);
+  for r = 0 to t.count - 1 do
+    let row = t.rows.(r) in
+    Cube.add_strict cube (Tuple.of_array (Array.sub row 0 n)) row.(n)
+  done;
   cube
 
 let pp ppf t =
   Format.fprintf ppf "@[<v2>%s(%s) [%d rows]" t.name
     (String.concat ", " t.columns)
     t.count;
-  List.iter
-    (fun row ->
-      Format.fprintf ppf "@,%s"
-        (String.concat " | "
-           (List.map Value.to_string (Array.to_list row))))
-    (rows t);
+  for r = 0 to t.count - 1 do
+    Format.fprintf ppf "@,%s"
+      (String.concat " | "
+         (List.map Value.to_string (Array.to_list t.rows.(r))))
+  done;
   Format.fprintf ppf "@]"

@@ -21,8 +21,9 @@ val rows : t -> Value.t array list
 (** In insertion order. *)
 
 val rows_array : t -> Value.t array array
-(** The same rows as an array (insertion order), memoized until the
-    next mutation; callers must not mutate it. *)
+(** The same rows as an array (insertion order), without a copy: later
+    inserts go to a fresh array, so the one returned never changes;
+    callers must not mutate it. *)
 
 val column_codes : t -> int -> Columnar.Dict.t * int array
 (** Column [i] dictionary-encoded over a per-(table, column) dict:
@@ -31,10 +32,14 @@ val column_codes : t -> int -> Columnar.Dict.t * int array
     it at the use site when null keys must not join).  Memoized until
     the next mutation. *)
 
-val clear : t -> unit
-val of_cube : Cube.t -> t
-(** Columns are the dimension names followed by the measure name;
-    rows in sorted key order. *)
+val of_cube : ?schema:Schema.t -> Cube.t -> t
+(** The cube as a table named after [schema] (default: the cube's own),
+    whose columns are its dimension names followed by its measure name.
+    One pass, rows in the cube's iteration order: SQL results are
+    unordered, and every order-sensitive operator (aggregation) puts
+    its input in a canonical order itself.
+    @raise Invalid_argument when [schema]'s arity differs from the
+    cube's. *)
 
 val to_cube : Schema.t -> t -> Cube.t
 (** @raise Cube.Functionality_violation when rows conflict. *)

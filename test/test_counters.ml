@@ -126,6 +126,77 @@ let test_col_perturbed () =
   Alcotest.(check bool) "one extra PDR key moves the count" true
     (col_matches (with_extra_pdr_key (List.hd Rows.col)) <> List.hd col_expected)
 
+(* --- SQL executor: plan nodes on the vectorized paths --- *)
+
+module S = Relational.Sql_ast
+
+(* Executes [script] the way the SQL target does over [r]'s data and
+   returns (vectorized aggregates, vectorized joins, PQR's rows). *)
+let sql_counters (r : Rows.row) rewrite =
+  let mapping = Rows.mapping_of r.Rows.program in
+  let script =
+    match Relational.Sql_gen.statements_of_mapping mapping with
+    | Ok s -> List.map rewrite s
+    | Error msg -> Alcotest.fail msg
+  in
+  let data = r.Rows.data () in
+  let db = Relational.Database.create () in
+  List.iter
+    (fun schema ->
+      Relational.Database.load_cube ~schema db
+        (Registry.find_exn data schema.Schema.name))
+    mapping.Mappings.Mapping.source;
+  let c = Obs.create ~spans:false () in
+  ignore
+    (ok
+       (Obs.with_collector c (fun () ->
+            Relational.Executor.run_statements db
+              (Mappings.Mapping.target_schema mapping)
+              script)));
+  let counter = Obs.Metrics.counter_value c.Obs.metrics in
+  ( counter "executor.vectorized_aggregates",
+    counter "executor.vectorized_joins",
+    Relational.Table.to_cube
+      (Mappings.Mapping.target_schema_exn mapping "PQR")
+      (Relational.Database.find_exn db "PQR") )
+
+(* PQR's aggregate and GDP's; RGDP's join and the PCHNG temporaries'. *)
+let sql_expected = (2, 3)
+
+let test_sql () =
+  let aggregates, joins, _ = sql_counters Rows.micro Fun.id in
+  Alcotest.(check (pair int int)) "vectorized (aggregates, joins)" sql_expected
+    (aggregates, joins)
+
+(* PQR grouped by QUARTER(D + 0): the same groups, but the key is no
+   longer a dimension function of a column, so that aggregate leaves
+   the vectorized path. *)
+let test_sql_perturbed () =
+  let rec shifted = function
+    | S.Dim_call (fn, e) -> S.Dim_call (fn, S.Period_add (e, 0))
+    | e -> e
+  and rewrite = function
+    | S.Insert ({ S.table = "PQR"; select; _ } as i) ->
+        S.Insert
+          {
+            i with
+            S.select =
+              {
+                select with
+                S.projections =
+                  List.map (fun (e, n) -> (shifted e, n)) select.S.projections;
+                group_by = List.map shifted select.S.group_by;
+              };
+          }
+    | st -> st
+  in
+  let aggregates, joins, pqr = sql_counters Rows.micro rewrite in
+  let _, _, reference = sql_counters Rows.micro Fun.id in
+  Alcotest.(check (pair int int)) "one aggregate fewer"
+    (fst sql_expected - 1, snd sql_expected)
+    (aggregates, joins);
+  Alcotest.check cube_eq "same PQR" reference pqr
+
 let suite =
   [
     ("chase: semi-naive matches", `Quick, test_chase);
@@ -135,4 +206,6 @@ let suite =
     ("opt: perturbed input", `Quick, test_opt_perturbed);
     ("col: row == columnar counters", `Quick, test_col);
     ("col: perturbed input", `Quick, test_col_perturbed);
+    ("sql: vectorized plan nodes", `Quick, test_sql);
+    ("sql: perturbed input", `Quick, test_sql_perturbed);
   ]

@@ -303,6 +303,291 @@ let prop_parser_fixpoint =
               printed = text
               || QCheck.Test.fail_reportf "not a fixpoint:\n%s\nvs\n%s" text printed))
 
+(* --- executor fast paths == the generic row interpreter --- *)
+
+module S = Relational.Sql_ast
+
+let col alias column = S.Col { alias; column }
+
+(* Tables of Any-typed columns; [lookup] resolves each name to its
+   schema (the executor's layouts read column names from it). *)
+let any_schema name dims =
+  Schema.make ~name ~dims:(List.map (fun d -> (d, Domain.Any)) dims) ()
+
+let make_table db name dims rows =
+  let t =
+    Relational.Database.create_table db ~name ~columns:(dims @ [ "value" ])
+  in
+  List.iter (Relational.Table.insert t) rows
+
+(* A view over [base] reading every column: scans of it take the generic
+   path, because only base tables carry column dictionaries. *)
+let view_over ~name ~base dims =
+  let columns = dims @ [ "value" ] in
+  S.Create_view
+    {
+      name;
+      columns;
+      select =
+        {
+          S.projections = List.map (fun c -> (col base c, c)) columns;
+          from = S.Tables [ (base, base) ];
+          where = [];
+          group_by = [];
+        };
+    }
+
+(* Runs [select] as an INSERT into a fresh table OUT after [prelude];
+   OUT's rows in order. *)
+let run_select db lookup ?(prelude = []) select =
+  let columns = List.map snd select.S.projections in
+  match
+    Relational.Executor.run_statements db lookup
+      (prelude @ [ S.Insert { S.table = "OUT"; columns; select } ])
+  with
+  | Error msg -> Error msg
+  | Ok _ ->
+      Ok
+        (match Relational.Database.find db "OUT" with
+        | Some t -> Array.to_list (Relational.Table.rows_array t)
+        | None -> [])
+
+(* Bit-for-bit: floats by their bits, everything else structurally. *)
+let same_bits a b =
+  match (a, b) with
+  | Value.Float x, Value.Float y ->
+      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> a = b
+
+let same_rows a b =
+  List.length a = List.length b
+  && List.for_all2
+       (fun r1 r2 ->
+         Array.length r1 = Array.length r2 && Array.for_all2 same_bits r1 r2)
+       a b
+
+let show_rows rows =
+  String.concat "\n"
+    (List.map
+       (fun r ->
+         String.concat " | "
+           (Array.to_list
+              (Array.map
+                 (function
+                   | Value.Float f -> Printf.sprintf "%h" f
+                   | v -> Format.asprintf "%a" Value.pp v)
+                 r)))
+       rows)
+
+let test_join_null_probe_key () =
+  let schemas = [ any_schema "A" [ "x" ]; any_schema "B" [ "x" ];
+                  any_schema "BB" [ "x" ] ] in
+  let lookup name = List.find_opt (fun s -> s.Schema.name = name) schemas in
+  let select =
+    {
+      S.projections = [ (col "L" "x", "x"); (col "R" "value", "value") ];
+      from = S.Tables [ ("A", "L"); ("B", "R") ];
+      where = [ (col "L" "x", col "R" "x") ];
+      group_by = [];
+    }
+  in
+  let rows ~via_view =
+    let db = Relational.Database.create () in
+    make_table db "A" [ "x" ] [ [| vs "a"; vf 1. |] ];
+    make_table db (if via_view then "BB" else "B") [ "x" ]
+      [ [| Value.Null; vf 2. |]; [| vs "a"; vf 3. |] ];
+    let prelude = if via_view then [ view_over ~name:"B" ~base:"BB" [ "x" ] ] else [] in
+    match run_select db lookup ~prelude select with
+    | Ok rows -> rows
+    | Error msg -> Alcotest.fail msg
+  in
+  let expected = [ [| vs "a"; vf 3. |] ] in
+  Alcotest.(check bool) "generic path: one match" true
+    (same_rows expected (rows ~via_view:true));
+  Alcotest.(check bool) "vectorized join: the same match" true
+    (same_rows expected (rows ~via_view:false))
+
+(* Random base tables T(d, k, value) and U(k, value): temporal [d]
+   (dates, periods of every frequency, plus non-temporal values that
+   every dimension function maps to Null), [k] mixing Null, [Int 1]
+   and [Float 1.], measures of every magnitude plus non-numeric ones.
+   Small domains, so dimension tuples repeat. *)
+let gen_tables =
+  let open QCheck.Gen in
+  let freqs =
+    Calendar.[ Year; Semester; Quarter; Month; Week; Day ]
+  in
+  let date =
+    map
+      (fun n ->
+        Calendar.Date.add_days (Calendar.Date.make ~year:2019 ~month:11 ~day:1) n)
+      (int_bound 500)
+  in
+  let d =
+    frequency
+      [
+        (4, map (fun d -> Value.Date d) date);
+        ( 4,
+          map2
+            (fun f d -> Value.Period (Calendar.Period.of_date f d))
+            (oneofl freqs) date );
+        (1, return Value.Null);
+        (1, oneofl [ Value.Int 1; Value.String "x" ]);
+      ]
+  in
+  let k =
+    oneofl
+      [ Value.Null; Value.Int 1; Value.Float 1.; Value.Int 2; Value.Float 2.5;
+        Value.String "a"; Value.String "b" ]
+  in
+  let measure =
+    frequency
+      [
+        ( 6,
+          map2
+            (fun m e -> Value.Float (m *. (10. ** float_of_int e)))
+            (float_range (-1.) 1.) (int_range (-3) 12) );
+        (2, map (fun i -> Value.Int i) (int_range (-50) 50));
+        (1, return Value.Null);
+        (1, oneofl [ Value.String "x"; Value.Bool true ]);
+      ]
+  in
+  let t_rows = list_size (int_bound 60) (map3 (fun d k m -> [| d; k; m |]) d k measure) in
+  let u_rows = list_size (int_bound 12) (map2 (fun k m -> [| k; m |]) k measure) in
+  pair t_rows u_rows
+
+let arb_tables =
+  QCheck.make gen_tables ~print:(fun (t, u) ->
+      Printf.sprintf "T:\n%s\nU:\n%s" (show_rows t) (show_rows u))
+
+let fast_path_schemas =
+  List.concat_map
+    (fun (name, dims) ->
+      [ any_schema name dims; any_schema (name ^ "_BASE") dims ])
+    [ ("T", [ "d"; "k" ]); ("U", [ "k" ]) ]
+
+let fast_path_lookup name =
+  List.find_opt (fun s -> s.Schema.name = name) fast_path_schemas
+
+let aggregate_select keys aggr =
+  {
+    S.projections =
+      List.mapi (fun i e -> (e, Printf.sprintf "k%d" i)) keys
+      @ [ (S.Agg_call (aggr, col "T" "value"), "value") ];
+    from = S.Tables [ ("T", "T") ];
+    where = [];
+    group_by = keys;
+  }
+
+(* Every dimension function on [d] next to the plain [k], plain keys,
+   and no keys at all, under every aggregator (First and Last read the
+   bag order itself). *)
+let aggregate_selects =
+  let key_sets =
+    List.map
+      (fun fn -> [ S.Dim_call (fn, col "T" "d"); col "T" "k" ])
+      (Ops.Dim_fn.names ())
+    @ [ [ col "T" "d"; col "T" "k" ]; [ col "T" "k" ]; [] ]
+  in
+  List.concat_map
+    (fun keys -> List.map (aggregate_select keys) Stats.Aggregate.all)
+    key_sets
+
+let join_selects =
+  let join (lt, la) (rt, ra) pairs =
+    {
+      S.projections =
+        [ (col la "value", "lv"); (col ra "value", "rv") ]
+        @ List.mapi (fun i (l, _) -> (col la l, Printf.sprintf "j%d" i)) pairs;
+      from = S.Tables [ (lt, la); (rt, ra) ];
+      where = List.map (fun (l, r) -> (col la l, col ra r)) pairs;
+      group_by = [];
+    }
+  in
+  [
+    join ("T", "L") ("U", "R") [ ("k", "k") ];
+    join ("U", "L") ("T", "R") [ ("k", "k") ];
+    join ("T", "L") ("T", "R") [ ("d", "d"); ("k", "k") ];
+  ]
+
+(* [selects] over base tables T and U, and over views T and U of base
+   tables T_BASE and U_BASE (the generic path), with the vectorized
+   counters each run moved. *)
+let run_both (t_rows, u_rows) selects =
+  let run ~via_view select =
+    let db = Relational.Database.create () in
+    let suffix = if via_view then "_BASE" else "" in
+    make_table db ("T" ^ suffix) [ "d"; "k" ] t_rows;
+    make_table db ("U" ^ suffix) [ "k" ] u_rows;
+    let prelude =
+      if via_view then
+        [ view_over ~name:"T" ~base:"T_BASE" [ "d"; "k" ];
+          view_over ~name:"U" ~base:"U_BASE" [ "k" ] ]
+      else []
+    in
+    let c = Obs.create ~spans:false () in
+    let rows =
+      Obs.with_collector c (fun () ->
+          run_select db fast_path_lookup ~prelude select)
+    in
+    let counter = Obs.Metrics.counter_value c.Obs.metrics in
+    ( rows,
+      counter "executor.vectorized_aggregates"
+      + counter "executor.vectorized_joins" )
+  in
+  List.for_all
+    (fun select ->
+      match (run ~via_view:false select, run ~via_view:true select) with
+      | (Ok fast, 1), (Ok generic, 0) ->
+          same_rows fast generic
+          || QCheck.Test.fail_reportf
+               "fast path differs from the generic path on %s\nfast:\n%s\ngeneric:\n%s"
+               (Relational.Sql_print.select_to_string select)
+               (show_rows fast) (show_rows generic)
+      | (Error a, _), (Error b, _) -> a = b || QCheck.Test.fail_reportf "errors differ: %s / %s" a b
+      | (fast, nf), (generic, ng) ->
+          let show = function Ok rows -> show_rows rows | Error m -> "error: " ^ m in
+          QCheck.Test.fail_reportf
+            "on %s: fast (%d vectorized) %s\ngeneric (%d vectorized) %s"
+            (Relational.Sql_print.select_to_string select)
+            nf (show fast) ng (show generic))
+    selects
+
+(* The same cube, loaded in two orders: aggregates must not depend on
+   the order rows were loaded in (float sums included). *)
+let order_independent t_rows =
+  let cube = Cube.create (any_schema "T" [ "d"; "k" ]) in
+  List.iter
+    (fun row -> Cube.set cube (Tuple.of_array (Array.sub row 0 2)) row.(2))
+    t_rows;
+  let rows = List.map (fun (k, v) -> Tuple.append k v) (Cube.to_alist cube) in
+  let run rows select =
+    let db = Relational.Database.create () in
+    make_table db "T" [ "d"; "k" ] rows;
+    run_select db fast_path_lookup select
+  in
+  List.for_all
+    (fun select ->
+      match (run rows select, run (List.rev rows) select) with
+      | Ok a, Ok b ->
+          same_rows a b
+          || QCheck.Test.fail_reportf "load order changes %s:\n%s\nvs\n%s"
+               (Relational.Sql_print.select_to_string select)
+               (show_rows a) (show_rows b)
+      | Error a, Error b -> a = b
+      | _ -> QCheck.Test.fail_reportf "only one load order fails")
+    aggregate_selects
+
+let sql_qcheck_count =
+  Helpers.qcheck_count ~var:"EXL_SQL_QCHECK_COUNT" ~default:100
+
+let prop_fast_paths_match_generic =
+  QCheck.Test.make ~count:sql_qcheck_count
+    ~name:"executor fast paths == generic path, bit for bit, any load order"
+    arb_tables (fun ((t_rows, _) as tables) ->
+      run_both tables (aggregate_selects @ join_selects)
+      && order_independent t_rows)
+
 let suite =
   [
     ("sql text: join fragment", `Quick, test_sql_join_fragment);
@@ -311,6 +596,8 @@ let suite =
     ("sql text: ddl", `Quick, test_ddl_has_primary_keys);
     ("executor: constant select", `Quick, test_executor_constant_select);
     ("executor: plan explain", `Quick, test_plan_explain_shapes);
+    ("executor: null probe key joins nothing else", `Quick, test_join_null_probe_key);
+    QCheck_alcotest.to_alcotest prop_fast_paths_match_generic;
     ("end-to-end: overview", `Quick, test_sql_target_overview);
     ("end-to-end: overview fused", `Quick, test_sql_target_overview_fused);
     ("views: script", `Quick, test_sql_views_script);
