@@ -253,9 +253,20 @@ let x4 () =
     [ 1_000; 4_000; 16_000; 64_000 ];
   (* the equivalence theorem, at scale *)
   let data = Workload.join_registry ~rows:16_000 () in
-  (match Exchange.Verify.equivalent program data with
-  | Ok _ -> print_endline "chase solution == program output (16k rows)."
-  | Error msg -> Printf.printf "VERIFICATION FAILED:\n%s\n" msg);
+  (match
+     ( Core.run ~backend:Core.Reference program data,
+       Core.run ~backend:Core.Chase program data )
+   with
+  | Ok reference, Ok chased -> (
+      match
+        Registry.diff ~eps:1e-7 ~names:(Registry.names reference) reference
+          chased
+      with
+      | [] -> print_endline "chase solution == program output (16k rows)."
+      | problems ->
+          Printf.printf "VERIFICATION FAILED:\n%s\n"
+            (String.concat "\n" problems))
+  | Error msg, _ | _, Error msg -> Printf.printf "VERIFICATION FAILED:\n%s\n" msg);
   Printf.printf
     "\n  naive vs semi-naive evaluation [wall-clock; matches examined]\n\n";
   print_chase_rows (chase_rows ())
@@ -387,10 +398,15 @@ let x7 () =
     (fun (label, source, data_fn) ->
       let checked = compile_exn source in
       let data = data_fn () in
-      let run ?fused ?views () =
-        match Relational.Sql_target.run_program ?fused ?views checked data with
+      let run ?(fused = false) ?views () =
+        let mapping =
+          if fused then Core.fused_mapping_of checked else Core.mapping_of checked
+        in
+        match
+          Result.bind mapping (fun m -> Relational.Sql_target.execute ?views m data)
+        with
         | Ok _ -> ()
-        | Error e -> failwith (Exl.Errors.to_string e)
+        | Error msg -> failwith msg
       in
       let t_insert = ms (time_avg (fun () -> run ())) in
       let t_views = ms (time_avg (fun () -> run ~views:`Temporaries ())) in

@@ -254,7 +254,11 @@ let optimize file format fuse_mode no_fuse verify =
       let fuse_mode = if no_fuse then Fuse_off else fuse_mode in
       let opt =
         match fuse_mode with
-        | Fuse_safe -> Analysis.Optimize.run ~fuse:true mapping
+        | Fuse_safe -> (
+            (* lint already ran the default (fusing) optimizer *)
+            match report.Analysis.Lint.optimizer with
+            | Some opt -> opt
+            | None -> Analysis.Optimize.run ~fuse:true mapping)
         | Fuse_off -> Analysis.Optimize.run ~fuse:false mapping
         | Fuse_unsafe ->
             (* the historical purely syntactic fusion, kept as an A/B

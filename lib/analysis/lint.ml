@@ -10,6 +10,7 @@ type report = {
   diagnostics : Diagnostic.t list;
   checked : Exl.Typecheck.checked option;
   mapping : Mappings.Mapping.t option;
+  optimizer : Optimize.report option;
 }
 
 let source_diagnostics source =
@@ -19,6 +20,7 @@ let source_diagnostics source =
         diagnostics = [ Diagnostic.of_error ~default_code:"E001" e ];
         checked = None;
         mapping = None;
+        optimizer = None;
       }
   | Ok ast -> (
       match Exl.Typecheck.check ast with
@@ -27,6 +29,7 @@ let source_diagnostics source =
             diagnostics = List.map Diagnostic.of_error errs;
             checked = None;
             mapping = None;
+            optimizer = None;
           }
       | Ok checked ->
           let exl_findings = Exl_lints.run checked in
@@ -42,18 +45,25 @@ let source_diagnostics source =
              a clean mapping; chasing an inconsistent one is noise.
              I306 (egd discharge) is omitted here: it fires on nearly
              every tgd, so it only appears in [exlc optimize] reports. *)
-          let opt_findings =
+          let optimizer =
             match mapping with
             | Some m when not (List.exists Diagnostic.is_error findings) ->
+                Some (Optimize.run m)
+            | _ -> None
+          in
+          let opt_findings =
+            match optimizer with
+            | Some opt ->
                 List.filter
                   (fun d -> d.Diagnostic.code <> "I306")
-                  (Optimize.diagnostics (Optimize.run m))
-            | _ -> []
+                  (Optimize.diagnostics opt)
+            | None -> []
           in
           {
             diagnostics = Diagnostic.sort (findings @ opt_findings);
             checked = Some checked;
             mapping;
+            optimizer;
           })
 
 let filter ~suppress report =

@@ -7,6 +7,9 @@ type report = {
       (** present when the program parsed and type-checked *)
   mapping : Mappings.Mapping.t option;
       (** present when mapping generation also succeeded *)
+  optimizer : Optimize.report option;
+      (** [Optimize.run] on [mapping], present when the I3xx notes were
+          computed (a mapping with no error findings) *)
 }
 
 val source_diagnostics : string -> report

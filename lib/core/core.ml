@@ -1,3 +1,5 @@
+open Matrix
+
 type program = Exl.Typecheck.checked
 
 let err e = Exl.Errors.to_string e
@@ -24,61 +26,71 @@ let backend_name = function
 
 let all_backends = [ Reference; Chase; Sql; Vector_engine; Etl_engine ]
 
+(* The dispatcher's own targets run the whole mapping: [etl_full] is
+   the ETL target with every black box as a user-defined step. *)
+let target = function
+  | Reference -> None
+  | Chase -> Some Engine.Target.chase
+  | Sql -> Some Engine.Target.sql
+  | Vector_engine -> Some Engine.Target.vector
+  | Etl_engine -> Some Engine.Target.etl_full
+
 let run ?(backend = Reference) program registry =
-  match backend with
-  | Reference -> Result.map_error err (Exl.Interp.run program registry)
-  | Chase ->
-      Result.map_error err
-        (Result.map fst (Exchange.Verify.run_program_via_chase program registry))
-  | Sql -> Result.map_error err (Relational.Sql_target.run_program program registry)
-  | Vector_engine ->
-      Result.map_error err (Vector.Vector_target.run_program program registry)
-  | Etl_engine ->
-      Result.map_error err (Etl.Etl_target.run_program program registry)
+  match target backend with
+  | None -> Result.map_error err (Exl.Interp.run program registry)
+  | Some target ->
+      Result.bind (mapping_of program) (fun mapping ->
+          Result.map
+            (fun computed ->
+              (* the elementary cubes as the interpreter hands them
+                 back: copies under the declared schemas *)
+              let out =
+                Registry.of_sources registry mapping.Mappings.Mapping.source
+              in
+              List.iter
+                (fun name ->
+                  Registry.add out Registry.Derived
+                    (Registry.find_exn computed name))
+                (Registry.derived_names computed);
+              out)
+            (target.Engine.Target.execute mapping registry))
 
 let verify_all_backends ?(eps = 1e-7) program registry =
   match run ~backend:Reference program registry with
   | Error msg -> Error ("reference failed: " ^ msg)
   | Ok reference ->
-      let check_backend backend =
-        match run ~backend program registry with
-        | Error msg -> Some (Printf.sprintf "%s failed: %s" (backend_name backend) msg)
-        | Ok got ->
-            let problems =
-              List.filter_map
-                (fun name ->
-                  let expected = Matrix.Registry.find_exn reference name in
-                  match Matrix.Registry.find got name with
-                  | None -> Some (Printf.sprintf "%s: missing cube %s" (backend_name backend) name)
-                  | Some c ->
-                      if Matrix.Cube.equal_data ~eps expected c then None
-                      else
-                        Some
-                          (Printf.sprintf "%s: cube %s differs: %s"
-                             (backend_name backend) name
-                             (String.concat "; "
-                                (Matrix.Cube.diff_data ~eps expected c))))
-                (Matrix.Registry.names reference)
-            in
-            if problems = [] then None else Some (String.concat "\n" problems)
-      in
+      let names = Registry.names reference in
       let failures =
-        List.filter_map check_backend [ Chase; Sql; Vector_engine; Etl_engine ]
+        List.filter_map
+          (fun backend ->
+            let name = backend_name backend in
+            match run ~backend program registry with
+            | Error msg -> Some (Printf.sprintf "%s failed: %s" name msg)
+            | Ok got -> (
+                match Registry.diff ~eps ~names reference got with
+                | [] -> None
+                | problems ->
+                    Some
+                      (String.concat "\n"
+                         (List.map (fun p -> name ^ ": " ^ p) problems))))
+          [ Chase; Sql; Vector_engine; Etl_engine ]
       in
       if failures = [] then Ok () else Error (String.concat "\n" failures)
 
-let sql_of ?fused program =
-  Result.map_error err (Relational.Sql_target.script_of_program ?fused program)
+let sql_of ?(fused = false) program =
+  Result.bind
+    (if fused then fused_mapping_of program else mapping_of program)
+    Relational.Sql_target.script_of_mapping
 
 let ddl_of program = Result.map Relational.Sql_gen.ddl_of_mapping (mapping_of program)
 
 let r_of program =
-  Result.map_error err (Vector.Vector_target.r_script_of_program program)
+  Result.bind (mapping_of program) (fun m -> Vector.Vector_target.r_script_of_mapping m)
 
 let matlab_of program =
-  Result.map_error err (Vector.Vector_target.matlab_script_of_program program)
+  Result.bind (mapping_of program) Vector.Vector_target.matlab_script_of_mapping
 
 let kettle_of program =
-  Result.map_error err (Etl.Etl_target.kettle_catalog_of_program program)
+  Result.bind (mapping_of program) Etl.Etl_target.kettle_catalog_of_mapping
 
 let tgds_of program = Result.map Mappings.Mapping.to_string (mapping_of program)

@@ -32,7 +32,8 @@ val fused_mapping_of : program -> (Mappings.Mapping.t, string) result
     tgd (5) form). *)
 
 (** Execution back ends. [Reference] is the direct interpreter; the
-    others run generated code on the corresponding substrate; [Chase]
+    others run the generated mapping on the dispatcher's own targets
+    ({!Engine.Target.chase}, [sql], [vector] and [etl_full]); [Chase]
     solves the data-exchange problem. All produce identical cubes
     (property-tested). *)
 type backend = Reference | Chase | Sql | Vector_engine | Etl_engine
@@ -46,12 +47,22 @@ val run :
   Matrix.Registry.t ->
   (Matrix.Registry.t, string) result
 (** Run the program against elementary data (default backend:
-    [Reference]). *)
+    [Reference]).  Any other backend generates the mapping once and
+    calls its target's [execute] — the code the dispatcher runs —
+    then adds the elementary cubes, copied under their declared
+    schemas as the interpreter returns them ({!Matrix.Registry.of_sources}).
+    Target errors come back without a backend prefix. *)
 
 val verify_all_backends :
-  ?eps:float -> program -> Matrix.Registry.t -> (unit, string) result
+  ?eps:float ->
+  program ->
+  Matrix.Registry.t ->
+  (unit, string) result
 (** The paper's Section 4.2 equivalence, extended to every back end:
-    all five produce the same cubes, else a diff report. *)
+    every backend but [Reference] produces the reference interpreter's
+    cubes, else a diff report
+    ({!Matrix.Registry.diff}, one line per cube, prefixed with the
+    backend's name). *)
 
 (** Deployable artifacts per target system. *)
 

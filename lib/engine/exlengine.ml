@@ -11,9 +11,6 @@ type config = {
   retry : Dispatcher.retry_policy;
   faults : Faults.plan option;
       (* injected failures, for drills and tests; None in production *)
-  optimize : bool;
-      (* run the exl-opt containment pass on generated mappings before
-         chasing them; on by default, opt out for A/B runs *)
   shards : int;
       (* partition full chases across this many shards, run on the
          domain pool with work stealing; 1 = unsharded *)
@@ -28,7 +25,6 @@ let default_config =
     pool_size = None;
     retry = Dispatcher.default_retry;
     faults = None;
-    optimize = true;
     shards = 1;
   }
 
@@ -270,11 +266,7 @@ let rebuild_solution t covered =
          incrementally; [covered] only names user cubes (never
          temporaries), so pruning temporaries is invisible to
          [store_derived]. *)
-      let mapping =
-        if t.config.optimize then
-          (Analysis.Optimize.run generated).Analysis.Optimize.optimized
-        else generated
-      in
+      let mapping = (Analysis.Optimize.run generated).Analysis.Optimize.optimized in
       let source = Exchange.Instance.of_registry t.store in
       let executor =
         (* shard tasks are coarse and uneven: steal-half rebalancing

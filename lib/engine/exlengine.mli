@@ -20,11 +20,6 @@ type config = {
   faults : Faults.plan option;
       (** Deterministic fault injection for drills and tests;
           [None] (production) injects nothing. *)
-  optimize : bool;
-      (** Run the exl-opt containment pass ({!Analysis.Optimize}) on
-          generated mappings before chasing them.  On by default; the
-          optimized mapping is what gets chased, cached, and repaired
-          incrementally. *)
   shards : int;
       (** Partition full chases across this many shards
           ({!Shard.Driver.run}; the shard key is chosen per mapping),

@@ -26,19 +26,6 @@ type t = {
   execute : Mappings.Mapping.t -> Registry.t -> (Registry.t, string) result;
 }
 
-let registry_of_sources mapping registry =
-  let out = Registry.create () in
-  List.iter
-    (fun schema ->
-      let cube =
-        match Registry.find registry schema.Schema.name with
-        | Some c -> Cube.with_schema schema c
-        | None -> Cube.create schema
-      in
-      Registry.add out Registry.Elementary cube)
-    mapping.Mappings.Mapping.source;
-  out
-
 (* A backend's cube conversions raise on an egd violation or a schema
    mismatch; both are ordinary execution errors of the target. *)
 let conversion_errors f =
@@ -56,8 +43,8 @@ let sql =
     translate =
       (fun mapping ->
         Result.map
-          (fun script -> Sql_script (Relational.Sql_print.script_to_string script))
-          (Relational.Sql_gen.script_of_mapping mapping));
+          (fun s -> Sql_script s)
+          (Relational.Sql_target.script_of_mapping mapping));
     execute =
       (fun mapping registry ->
         conversion_errors (fun () ->
@@ -77,50 +64,11 @@ let vector =
     translate =
       (fun mapping ->
         Result.map
-          (fun script -> R_script (Vector.R_print.script_to_string script))
-          (Vector.Script_gen.script_of_mapping mapping));
+          (fun s -> R_script s)
+          (Vector.Vector_target.r_script_of_mapping mapping));
     execute =
       (fun mapping registry ->
-        match Vector.Script_gen.script_of_mapping mapping with
-        | Error _ as e -> e
-        | Ok script -> (
-            let env = Vector.Script_interp.create_env () in
-            List.iter
-              (fun schema ->
-                let cube =
-                  match Registry.find registry schema.Schema.name with
-                  | Some c -> Cube.with_schema schema c
-                  | None -> Cube.create schema
-                in
-                Vector.Script_interp.bind env schema.Schema.name
-                  (Vector.Frame.of_cube cube))
-              mapping.Mappings.Mapping.source;
-            let schema_lookup = Mappings.Mapping.target_schema mapping in
-            match Vector.Script_interp.run ~schema_lookup env script with
-            | Error _ as e -> e
-            | Ok () ->
-                conversion_errors (fun () ->
-                    let out = Registry.create () in
-                    let elementary =
-                      List.map
-                        (fun s -> s.Schema.name)
-                        mapping.Mappings.Mapping.source
-                    in
-                    List.iter
-                      (fun schema ->
-                        let name = schema.Schema.name in
-                        let kind =
-                          if List.mem name elementary then Registry.Elementary
-                          else Registry.Derived
-                        in
-                        let cube =
-                          match Vector.Script_interp.frame env name with
-                          | Some f -> Vector.Frame.to_cube schema f
-                          | None -> Cube.create schema
-                        in
-                        Registry.add out kind cube)
-                      mapping.Mappings.Mapping.target;
-                    Ok out)))
+        conversion_errors (fun () -> Vector.Vector_target.execute mapping registry));
   }
 
 let stl_family = [ "stl_t"; "stl_s"; "stl_r"; "deseason"; "trend_classical" ]
@@ -138,19 +86,11 @@ let make_etl ~name ~with_stl =
     translate =
       (fun mapping ->
         Result.map
-          (fun job -> Kettle_xml (Etl.Kettle.job_to_xml job))
-          (Etl.Etl_gen.job_of_mapping mapping));
+          (fun s -> Kettle_xml s)
+          (Etl.Etl_target.kettle_catalog_of_mapping mapping));
     execute =
       (fun mapping registry ->
-        match Etl.Etl_gen.job_of_mapping mapping with
-        | Error _ as e -> e
-        | Ok job -> (
-            let storage = registry_of_sources mapping registry in
-            let schema_lookup = Mappings.Mapping.target_schema mapping in
-            conversion_errors (fun () ->
-                match Etl.Engine.run_job ~storage ~schema_lookup job with
-                | Error _ as e -> e
-                | Ok _stats -> Ok storage)))
+        conversion_errors (fun () -> Etl.Etl_target.execute mapping registry));
   }
 
 let etl_no_stl = make_etl ~name:"etl" ~with_stl:false
@@ -175,19 +115,19 @@ let chase =
                    mapping.Mappings.Mapping.t_tgds))));
     execute =
       (fun mapping registry ->
-        let source =
-          Exchange.Instance.of_registry (registry_of_sources mapping registry)
-        in
-        match Exchange.Chase.run mapping source with
-        | Error _ as e -> e
-        | Ok (instance, _stats) ->
-            conversion_errors (fun () ->
-                Ok
-                  (Exchange.Instance.to_registry instance
-                     ~elementary:
-                       (List.map
-                          (fun s -> s.Schema.name)
-                          mapping.Mappings.Mapping.source))));
+        conversion_errors (fun () ->
+            let source =
+              Exchange.Instance.of_registry
+                (Registry.of_sources registry mapping.Mappings.Mapping.source)
+            in
+            Result.map
+              (fun (instance, _stats) ->
+                Exchange.Instance.to_registry instance
+                  ~elementary:
+                    (List.map
+                       (fun s -> s.Schema.name)
+                       mapping.Mappings.Mapping.source))
+              (Exchange.Chase.run mapping source)));
   }
 
 let builtins = [ sql; vector; etl_no_stl; chase ]

@@ -34,11 +34,17 @@ val sql : t
 (** The DBMS target: supports every tgd shape (black boxes via tabular
     UDFs), including fused multi-atom tgds.  Runs
     {!Relational.Sql_target.execute}, so its result holds the derived
-    relations only. *)
+    relations only.  Every target's [execute] wraps its backend
+    library's mapping-level [execute], turning an egd violation or
+    arity mismatch raised while converting cubes into an [Error]; these
+    are also what [Core.run] runs.  Likewise each [translate] wraps its
+    library's mapping-level translator
+    ({!Relational.Sql_target.script_of_mapping} here). *)
 
 val vector : t
 (** The R/Matlab target: native statistical operators, at most two
-    atoms per tuple-level tgd. *)
+    atoms per tuple-level tgd.  Runs {!Vector.Vector_target.execute}
+    (derived relations only). *)
 
 val etl_no_stl : t
 (** The ETL target with realistic capabilities: tuple-level operators,
@@ -47,7 +53,8 @@ val etl_no_stl : t
     be dispatched elsewhere. *)
 
 val etl_full : t
-(** The ETL target with user-defined steps covering all black boxes. *)
+(** The ETL target with user-defined steps covering all black boxes.
+    Both ETL targets run {!Etl.Etl_target.execute}. *)
 
 val chase : t
 (** The reference engine: runs the sub-mapping directly with the

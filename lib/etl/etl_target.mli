@@ -1,17 +1,23 @@
 open Matrix
 
-(** The ETL target system, end to end: EXL program → (unfused) mapping
-    → job of flows → streaming engine → cubes. *)
+(** The ETL target system: a schema mapping → job of flows, run on the
+    streaming engine or serialized as a Kettle catalog. *)
 
-val job_of_program :
-  Exl.Typecheck.checked -> (Job.t * Mappings.Mapping.t, Exl.Errors.t) result
-
-val run_program :
+val execute :
   ?batch_size:int ->
-  Exl.Typecheck.checked ->
+  Mappings.Mapping.t ->
   Registry.t ->
-  (Registry.t, Exl.Errors.t) result
+  (Registry.t, string) result
+(** The one ETL execution path: copy the mapping's source relations from
+    [registry] into a fresh storage (under their declared schemas, empty
+    when absent), run the mapping's job on it, and return the storage:
+    the sources plus every relation the job wrote.  [batch_size] is the
+    engine's row batch (semantics-neutral).  Job generation and engine
+    failures are [Error]s.
+    @raise Matrix.Cube.Functionality_violation when a flow writes two
+    measures for one key.
+    @raise Invalid_argument when a registry cube's arity differs from
+    its source schema. *)
 
-val kettle_catalog_of_program :
-  Exl.Typecheck.checked -> (string, Exl.Errors.t) result
+val kettle_catalog_of_mapping : Mappings.Mapping.t -> (string, string) result
 (** The Kettle-style XML the translation engine would feed to Pentaho. *)

@@ -307,18 +307,7 @@ let run_stmt env reg s =
   Errors.protect (fun () -> store env reg s (eval env reg s.rhs))
 
 let run (checked : Typecheck.checked) input =
-  let reg = Registry.create () in
-  (* Elementary cubes: copy data from the input registry, defaulting to
-     empty, always under the declared schema. *)
-  List.iter
-    (fun schema ->
-      let cube =
-        match Registry.find input schema.Schema.name with
-        | Some c -> Cube.with_schema schema c
-        | None -> Cube.create schema
-      in
-      Registry.add reg Registry.Elementary cube)
-    (Typecheck.elementary_schemas checked);
+  let reg = Registry.of_sources input (Typecheck.elementary_schemas checked) in
   let rec loop = function
     | [] -> Ok reg
     | s :: rest -> (

@@ -35,18 +35,6 @@ let chase ?(columnar = false) mapping data =
   Exchange.Chase.run ~columnar mapping
     (Exchange.Instance.of_registry (Registry.copy data))
 
-let compare_relations ?(eps = 1e-6) names j1 j2 =
-  List.find_map
-    (fun name ->
-      let c1 = Exchange.Instance.cube_of_relation j1 name in
-      let c2 = Exchange.Instance.cube_of_relation j2 name in
-      if Cube.equal_data ~eps c1 c2 then None
-      else
-        Some
-          (Printf.sprintf "cube %s differs (%d vs %d facts)" name
-             (Cube.cardinality c1) (Cube.cardinality c2)))
-    names
-
 (* --- axis: parse/pretty round-trip ----------------------------------- *)
 
 let roundtrip_once what prog =
@@ -137,6 +125,16 @@ let stats_diff (a : Exchange.Chase.stats) (b : Exchange.Chase.stats) =
       else Some (Printf.sprintf "counter %s: %d vs %d" name x y))
     fields
 
+(* The first target relation of [mapping] whose facts differ between
+   two chase solutions (an exact comparison). *)
+let facts_diff mapping j1 j2 =
+  List.find_map
+    (fun (s : Schema.t) ->
+      let name = s.Schema.name in
+      if Exchange.Instance.facts j1 name = Exchange.Instance.facts j2 name then None
+      else Some (Printf.sprintf "relation %s differs" name))
+    mapping.Mappings.Mapping.target
+
 let check_columnar scenario =
   match Result.bind (compiled scenario) Core.mapping_of with
   | Error msg -> Disagree ("no mapping: " ^ msg)
@@ -144,27 +142,12 @@ let check_columnar scenario =
       let data = scenario.Scenario.data in
       match (chase ~columnar:false mapping data, chase ~columnar:true mapping data) with
       | Ok (j1, s1), Ok (j2, s2) -> (
-          let names =
-            List.map
-              (fun (s : Schema.t) -> s.Schema.name)
-              mapping.Mappings.Mapping.target
+          let diff =
+            match facts_diff mapping j1 j2 with None -> stats_diff s1 s2 | d -> d
           in
-          let facts_diff =
-            List.find_map
-              (fun name ->
-                if
-                  Exchange.Instance.facts j1 name
-                  = Exchange.Instance.facts j2 name
-                then None
-                else Some (Printf.sprintf "relation %s differs" name))
-              names
-          in
-          match facts_diff with
+          match diff with
           | Some d -> Disagree ("row vs columnar: " ^ d)
-          | None -> (
-              match stats_diff s1 s2 with
-              | Some d -> Disagree ("row vs columnar: " ^ d)
-              | None -> Agree))
+          | None -> Agree)
       | Error e1, Error e2 ->
           if e1 = e2 then Agree
           else
@@ -187,22 +170,7 @@ let check_shards scenario =
       in
       match (chase ~columnar:true mapping data, sharded mapping data) with
       | Ok (j1, _), Ok (j2, _) -> (
-          let names =
-            List.map
-              (fun (s : Schema.t) -> s.Schema.name)
-              mapping.Mappings.Mapping.target
-          in
-          let facts_diff =
-            List.find_map
-              (fun name ->
-                if
-                  Exchange.Instance.facts j1 name
-                  = Exchange.Instance.facts j2 name
-                then None
-                else Some (Printf.sprintf "relation %s differs" name))
-              names
-          in
-          match facts_diff with
+          match facts_diff mapping j1 j2 with
           | Some d -> Disagree ("sharded vs unsharded: " ^ d)
           | None -> Agree)
       | Error _, Error _ ->
@@ -214,6 +182,35 @@ let check_shards scenario =
 
 (* --- axis: optimized mapping ------------------------------------------ *)
 
+(* Chase [baseline] and [variant] over the scenario's data: both
+   solutions hold the same elementary and user cubes, or both chases
+   fail with the same message. *)
+let compare_mappings scenario baseline variant ~what =
+  let data = scenario.Scenario.data in
+  match (chase baseline data, chase variant data) with
+  | Ok (j1, _), Ok (j2, _) -> (
+      let names =
+        Registry.elementary_names data @ derived_names scenario.Scenario.source
+      in
+      let registry j =
+        let r = Registry.create () in
+        List.iter
+          (fun name ->
+            Registry.add r Registry.Derived (Exchange.Instance.cube_of_relation j name))
+          names;
+        r
+      in
+      match Registry.diff ~eps:1e-6 ~names (registry j1) (registry j2) with
+      | [] -> Agree
+      | d :: _ -> Disagree (what ^ ": " ^ d))
+  | Error e1, Error e2 ->
+      if e1 = e2 then Agree
+      else
+        Disagree
+          (Printf.sprintf "%s: error messages differ: %s vs %s" what e1 e2)
+  | Ok _, Error e -> Disagree (Printf.sprintf "%s: variant errored: %s" what e)
+  | Error e, Ok _ -> Disagree (Printf.sprintf "%s: baseline errored: %s" what e)
+
 let check_optimize scenario =
   match Result.bind (compiled scenario) Core.mapping_of with
   | Error msg -> Disagree ("no mapping: " ^ msg)
@@ -221,28 +218,9 @@ let check_optimize scenario =
       let report = Analysis.Optimize.run mapping in
       match Analysis.Optimize.verify report with
       | Error msg -> Disagree ("optimizer certificate fails: " ^ msg)
-      | Ok () -> (
-          let data = scenario.Scenario.data in
-          match
-            (chase mapping data, chase report.Analysis.Optimize.optimized data)
-          with
-          | Ok (j1, _), Ok (j2, _) -> (
-              let names =
-                Registry.elementary_names data
-                @ derived_names scenario.Scenario.source
-              in
-              match compare_relations names j1 j2 with
-              | None -> Agree
-              | Some d -> Disagree ("optimized vs original: " ^ d))
-          | Error e1, Error e2 ->
-              if e1 = e2 then Agree
-              else
-                Disagree
-                  (Printf.sprintf
-                     "optimized vs original error messages differ: %s vs %s" e1
-                     e2)
-          | Ok _, Error e -> Disagree ("optimized chase errored: " ^ e)
-          | Error e, Ok _ -> Disagree ("original chase errored: " ^ e)))
+      | Ok () ->
+          compare_mappings scenario mapping report.Analysis.Optimize.optimized
+            ~what:"optimized vs original")
 
 (* --- axis: fusion ----------------------------------------------------- *)
 
@@ -326,24 +304,6 @@ let naive_fuse (m : Mappings.Mapping.t) =
       })
     candidate
 
-let compare_mappings scenario baseline variant ~what =
-  let data = scenario.Scenario.data in
-  match (chase baseline data, chase variant data) with
-  | Ok (j1, _), Ok (j2, _) -> (
-      let names =
-        Registry.elementary_names data @ derived_names scenario.Scenario.source
-      in
-      match compare_relations names j1 j2 with
-      | None -> Agree
-      | Some d -> Disagree (what ^ ": " ^ d))
-  | Error e1, Error e2 ->
-      if e1 = e2 then Agree
-      else
-        Disagree
-          (Printf.sprintf "%s: error messages differ: %s vs %s" what e1 e2)
-  | Ok _, Error e -> Disagree (Printf.sprintf "%s: variant errored: %s" what e)
-  | Error e, Ok _ -> Disagree (Printf.sprintf "%s: baseline errored: %s" what e)
-
 let check_fusion ~fuse scenario =
   match fuse with
   | Lattice.Off -> Skip "fusion disabled"
@@ -399,17 +359,16 @@ let apply_batch_directly data batch =
       | Engine.Update.Remove -> Cube.remove cube k)
     batch
 
+(* The first derived cube on which engine [a] differs from the
+   reference engine [b] (a scratch or fault-free run). *)
 let compare_engines ?(eps = 1e-6) a b =
-  List.find_map
-    (fun name ->
-      match (Engine.Exlengine.cube a name, Engine.Exlengine.cube b name) with
-      | Some ca, Some cb ->
-          if Cube.equal_data ~eps cb ca then None
-          else Some (Printf.sprintf "cube %s differs" name)
-      | None, None -> None
-      | Some _, None -> Some (Printf.sprintf "cube %s only incremental" name)
-      | None, Some _ -> Some (Printf.sprintf "cube %s only scratch" name))
-    (Engine.Determination.derived_order (Engine.Exlengine.determination a))
+  match
+    Registry.diff ~eps
+      ~names:(Engine.Determination.derived_order (Engine.Exlengine.determination a))
+      (Engine.Exlengine.store b) (Engine.Exlengine.store a)
+  with
+  | [] -> None
+  | d :: _ -> Some d
 
 let check_incremental scenario =
   if scenario.Scenario.updates = [] then Skip "no update batches"

@@ -1,12 +1,28 @@
-let counter = ref 0
+(* The [k] of a variable named [f<k>_...], the prefix a fusion step
+   gives the producer's variables. *)
+let fusion_index v =
+  match String.index_opt v '_' with
+  | Some i when i > 1 && v.[0] = 'f' -> int_of_string_opt (String.sub v 1 (i - 1))
+  | _ -> None
 
-let freshen_tgd_vars lhs rhs =
-  incr counter;
-  let prefix = Printf.sprintf "f%d_" !counter in
+(* Rename the producer's variables apart with the prefix [f<n>_], [n]
+   one above every fusion index among [vars] (all variables of both
+   tgds): no renamed variable can then capture one of the consumer's,
+   even when re-fusing a fused mapping, and the names depend only on
+   the two tgds, not on how many fusions ran before. *)
+let freshen_tgd_vars ~vars lhs rhs =
+  let n =
+    List.fold_left
+      (fun n v -> match fusion_index v with Some k -> max n k | None -> n)
+      0 vars
+  in
+  let prefix = Printf.sprintf "f%d_" (n + 1) in
   let rn (a : Tgd.atom) =
     { a with Tgd.args = List.map (Term.rename ~prefix) a.Tgd.args }
   in
   (List.map rn lhs, rn rhs)
+
+let atoms_vars atoms = List.concat_map Tgd.atom_vars atoms
 
 (* Substitute one variable by a term inside an atom list. *)
 let subst_atoms v term atoms =
@@ -24,7 +40,11 @@ let fuse_step ~producer ~consumer =
       let temp = p_rhs.Tgd.rel in
       match List.partition (fun (a : Tgd.atom) -> a.Tgd.rel = temp) c_lhs with
       | [ temp_atom ], other_atoms -> (
-          let p_lhs, p_rhs = freshen_tgd_vars p_lhs p_rhs in
+          let p_lhs, p_rhs =
+            freshen_tgd_vars
+              ~vars:(atoms_vars ((c_rhs :: c_lhs) @ (p_rhs :: p_lhs)))
+              p_lhs p_rhs
+          in
           (* Mutable working copies; each solved constraint is applied
              immediately everywhere, so later pairs see current terms. *)
           let prod_atoms = ref p_lhs in
@@ -80,7 +100,13 @@ let fuse_step_agg ~producer ~consumer =
       Tgd.Aggregation { source; group_by; aggr; measure; target } )
     when source.Tgd.rel = p_rhs.Tgd.rel
          && List.length source.Tgd.args = List.length p_rhs.Tgd.args -> (
-      let p_lhs, p_rhs = freshen_tgd_vars [ p_atom ] p_rhs in
+      let p_lhs, p_rhs =
+        freshen_tgd_vars
+          ~vars:
+            ((measure :: List.concat_map Term.vars group_by)
+            @ atoms_vars [ source; p_atom; p_rhs ])
+          [ p_atom ] p_rhs
+      in
       let p_atom = List.hd p_lhs in
       let rec bind acc = function
         | [] -> Some acc

@@ -11,6 +11,11 @@ type t = {
 let target_schema t name =
   List.find_opt (fun s -> s.Schema.name = name) t.target
 
+let derived t =
+  List.filter
+    (fun s -> not (List.exists (fun src -> src.Schema.name = s.Schema.name) t.source))
+    t.target
+
 let target_schema_exn t name =
   match target_schema t name with
   | Some s -> s

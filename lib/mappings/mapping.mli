@@ -18,6 +18,10 @@ type t = {
 
 val target_schema : t -> string -> Schema.t option
 val target_schema_exn : t -> string -> Schema.t
+val derived : t -> Schema.t list
+(** The target relations minus the sources: what executing the mapping
+    computes. *)
+
 val derived_order : t -> string list
 (** Target relations in the order their defining tgds appear. *)
 

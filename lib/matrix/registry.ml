@@ -39,6 +39,17 @@ let copy t =
     t;
   out
 
+let of_sources t schemas =
+  let out = create () in
+  List.iter
+    (fun schema ->
+      add out Elementary
+        (match find t schema.Schema.name with
+        | Some c -> Cube.with_schema schema c
+        | None -> Cube.create schema))
+    schemas;
+  out
+
 let restrict_elementary t =
   let out = create () in
   Hashtbl.iter
@@ -53,6 +64,21 @@ let equal_data ?eps a b =
   && List.for_all
        (fun n -> Cube.equal_data ?eps (find_exn a n) (find_exn b n))
        (names a)
+
+let diff ?eps ~names expected got =
+  List.filter_map
+    (fun name ->
+      match (find expected name, find got name) with
+      | None, None -> None
+      | Some _, None -> Some ("missing cube " ^ name)
+      | None, Some _ -> Some ("unexpected cube " ^ name)
+      | Some e, Some g ->
+          if Cube.equal_data ?eps e g then None
+          else
+            Some
+              (Printf.sprintf "cube %s differs: %s" name
+                 (String.concat "; " (Cube.diff_data ?eps e g))))
+    names
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>";

@@ -31,11 +31,26 @@ val schemas : t -> Schema.t list
 val copy : t -> t
 (** Deep copy: cubes are copied too. *)
 
+val of_sources : t -> Schema.t list -> t
+(** A fresh registry of elementary cubes, one per schema: the cube of
+    that name in [t] copied under the schema ({!Cube.with_schema}), or
+    an empty cube when [t] has none.  This is how the interpreter and
+    the chase, vector and ETL targets read their source relations.
+    @raise Invalid_argument when a cube's arity differs from its
+    schema's. *)
+
 val restrict_elementary : t -> t
 (** A copy containing only the elementary cubes — the source instance
     [I] of the data exchange problem. *)
 
 val equal_data : ?eps:float -> t -> t -> bool
 (** Same cube names, kinds ignored, with [Cube.equal_data] contents. *)
+
+val diff : ?eps:float -> names:string list -> t -> t -> string list
+(** [diff ~names expected got]: one line per named cube that is missing
+    from [got] ([missing cube N]), only in [got] ([unexpected cube N])
+    or holds other data ([cube N differs: ...], {!Cube.diff_data});
+    empty when every named cube agrees.  A name in neither registry
+    agrees. *)
 
 val pp : Format.formatter -> t -> unit

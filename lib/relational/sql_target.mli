@@ -1,7 +1,7 @@
 open Matrix
 
-(** The DBMS target system, end to end: EXL program → mapping → SQL →
-    executed against the in-memory engine → cubes. *)
+(** The DBMS target system: a schema mapping → SQL, executed against
+    the in-memory engine or rendered as script text. *)
 
 val execute :
   ?views:[ `None | `Temporaries ] ->
@@ -18,25 +18,12 @@ val execute :
     @raise Invalid_argument when a registry cube's arity differs from
     its source schema. *)
 
-val run_program :
-  ?fused:bool ->
+val script_of_mapping :
   ?views:[ `None | `Temporaries ] ->
-  Exl.Typecheck.checked ->
-  Registry.t ->
-  (Registry.t, Exl.Errors.t) result
-(** Translate and execute the program on the SQL engine, loading the
-    elementary cubes from [registry], through {!execute}; the result
-    also holds the elementary cubes, copied under their declared
-    schemas as the interpreter returns them.  With [fused] (default [false])
-    the mapping is fusion-simplified first, so no intermediate tables
-    are materialized for normalizer temporaries; with
-    [views:`Temporaries] they become CREATE VIEW instead (the paper's
-    Section 6 reformulation). *)
-
-val script_of_program :
-  ?fused:bool ->
-  ?views:[ `None | `Temporaries ] ->
-  Exl.Typecheck.checked ->
-  (string, Exl.Errors.t) result
-(** The SQL text that [run_program] executes (what EXLEngine would ship
-    to an external DBMS). *)
+  Mappings.Mapping.t ->
+  (string, string) result
+(** The SQL text that {!execute} runs (what EXLEngine would ship to an
+    external DBMS).  With [views:`Temporaries] normalizer temporaries
+    become CREATE VIEW instead of materialized tables (the paper's
+    Section 6 reformulation); for no intermediate tables at all, pass
+    a fused mapping ({!Mappings.Fuse.mapping}). *)

@@ -1,53 +1,37 @@
 open Matrix
 
-let prepared checked =
-  Result.bind (Mappings.Generate.of_checked checked)
-    (fun (g : Mappings.Generate.generated) ->
-      let mapping = g.Mappings.Generate.mapping in
-      match Script_gen.script_of_mapping mapping with
-      | Error msg -> Error (Exl.Errors.make ("vector target: " ^ msg))
-      | Ok script -> Ok (mapping, script))
-
-let run_program checked registry =
-  Result.bind (prepared checked) (fun (mapping, script) ->
+let execute mapping registry =
+  match Script_gen.script_of_mapping mapping with
+  | Error _ as e -> e
+  | Ok script -> (
       let env = Script_interp.create_env () in
+      let sources = Registry.of_sources registry mapping.Mappings.Mapping.source in
       List.iter
-        (fun schema ->
-          let cube =
-            match Registry.find registry schema.Schema.name with
-            | Some c -> Cube.with_schema schema c
-            | None -> Cube.create schema
-          in
-          Script_interp.bind env schema.Schema.name (Frame.of_cube cube))
-        mapping.Mappings.Mapping.source;
+        (fun name ->
+          Script_interp.bind env name (Frame.of_cube (Registry.find_exn sources name)))
+        (Registry.names sources);
       let schema_lookup = Mappings.Mapping.target_schema mapping in
       match Script_interp.run ~schema_lookup env script with
-      | Error msg -> Error (Exl.Errors.make ("vector target: " ^ msg))
+      | Error _ as e -> e
       | Ok () ->
-          Exl.Errors.protect (fun () ->
-              let reg = Registry.create () in
-              let elementary =
-                List.map (fun s -> s.Schema.name) mapping.Mappings.Mapping.source
-              in
-              List.iter
-                (fun schema ->
-                  let name = schema.Schema.name in
-                  let kind =
-                    if List.mem name elementary then Registry.Elementary
-                    else Registry.Derived
-                  in
-                  let cube =
-                    match Script_interp.frame env name with
-                    | Some f -> Frame.to_cube schema f
-                    | None -> Cube.create schema
-                  in
-                  Registry.add reg kind cube)
-                mapping.Mappings.Mapping.target;
-              reg))
+          let out = Registry.create () in
+          List.iter
+            (fun schema ->
+              Registry.add out Registry.Derived
+                (match Script_interp.frame env schema.Schema.name with
+                | Some f -> Frame.to_cube schema f
+                | None -> Cube.create schema))
+            (Mappings.Mapping.derived mapping);
+          Ok out)
 
-let r_script_of_program ?(io = false) checked =
+let script_of mapping =
+  Result.map_error
+    (fun msg -> "vector target: " ^ msg)
+    (Script_gen.script_of_mapping mapping)
+
+let r_script_of_mapping ?(io = false) mapping =
   Result.map
-    (fun (mapping, script) ->
+    (fun script ->
       let body = R_print.script_to_string script in
       if not io then body
       else
@@ -62,28 +46,21 @@ let r_script_of_program ?(io = false) checked =
           List.filter_map
             (fun s ->
               let name = s.Schema.name in
-              if
-                List.exists
-                  (fun src -> src.Schema.name = name)
-                  mapping.Mappings.Mapping.source
-                || Exl.Normalize.is_temp name
-              then None
+              if Exl.Normalize.is_temp name then None
               else
                 Some
                   (Printf.sprintf "write.csv(%s, \"%s.csv\", row.names=FALSE)"
                      name name))
-            mapping.Mappings.Mapping.target
+            (Mappings.Mapping.derived mapping)
         in
         String.concat "\n" sources ^ "\n" ^ body ^ String.concat "\n" finals
         ^ "\n")
-    (prepared checked)
+    (script_of mapping)
 
-let matlab_script_of_program checked =
-  Result.bind (prepared checked) (fun (mapping, script) ->
-      match
-        Matlab_print.script_to_string
-          ~schemas:(Mappings.Mapping.target_schema mapping)
-          script
-      with
-      | Ok s -> Ok s
-      | Error msg -> Error (Exl.Errors.make ("matlab printer: " ^ msg)))
+let matlab_script_of_mapping mapping =
+  Result.bind (script_of mapping) (fun script ->
+      Result.map_error
+        (fun msg -> "matlab printer: " ^ msg)
+        (Matlab_print.script_to_string
+           ~schemas:(Mappings.Mapping.target_schema mapping)
+           script))

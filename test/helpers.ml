@@ -100,6 +100,13 @@ let check_ok = function
   | Ok v -> v
   | Error e -> Alcotest.failf "unexpected error: %s" (Exl.Errors.to_string e)
 
+(* For the [(_, string) result]s of Core and the mapping-level targets. *)
+let core_ok = function
+  | Ok v -> v
+  | Error msg -> Alcotest.failf "unexpected error: %s" msg
+
+let overview_mapping () = core_ok (Core.mapping_of (load_overview ()))
+
 let check_err what = function
   | Ok _ -> Alcotest.failf "%s: expected an error" what
   | Error (e : Exl.Errors.t) -> e.Exl.Errors.msg
@@ -117,3 +124,32 @@ let qcheck_count ~var ~default =
   match read var with
   | Some n -> n
   | None -> Option.value ~default (read "EXL_QCHECK_COUNT")
+
+(* The paper's Section 4.2 for one back end: on random programs,
+   [Core.run ~backend] (the dispatcher's own target) computes the
+   reference interpreter's cubes. *)
+let prop_backend_matches_interp ~count ~name backend =
+  QCheck.Test.make ~count ~name Gen.arb_seed (fun seed ->
+      let src, reg = Gen.program_of_seed seed in
+      match Core.compile src with
+      | Error msg ->
+          QCheck.Test.fail_reportf "generated program does not check: %s\n%s"
+            msg src
+      | Ok program -> (
+          match
+            ( Core.run ~backend:Core.Reference program reg,
+              Core.run ~backend program reg )
+          with
+          | Error msg, _ ->
+              QCheck.Test.fail_reportf "reference failed on\n%s\n%s" src msg
+          | _, Error msg ->
+              QCheck.Test.fail_reportf "backend failed on\n%s\n%s" src msg
+          | Ok reference, Ok got -> (
+              match
+                Registry.diff ~eps:1e-7 ~names:(Registry.names reference)
+                  reference got
+              with
+              | [] -> true
+              | problems ->
+                  QCheck.Test.fail_reportf "mismatch on\n%s\n%s" src
+                    (String.concat "\n" problems))))

@@ -2,10 +2,6 @@
 open Matrix
 open Helpers
 
-let core_ok = function
-  | Ok v -> v
-  | Error msg -> Alcotest.failf "unexpected error: %s" msg
-
 let test_backend_names () =
   Alcotest.(check (list string)) "names"
     [ "reference"; "chase"; "sql"; "vector"; "etl" ]
@@ -46,7 +42,11 @@ let test_verify_reports_differences () =
 
 let test_r_io_primitives () =
   let program = Core.compile_exn Helpers.overview_program in
-  let r = check_ok (Vector.Vector_target.r_script_of_program ~io:true program) in
+  let r =
+    core_ok
+      (Vector.Vector_target.r_script_of_mapping ~io:true
+         (core_ok (Core.mapping_of program)))
+  in
   Alcotest.(check bool) "reads sources" true
     (Astring_contains.contains r "PDR <- read.csv(\"PDR.csv\")");
   Alcotest.(check bool) "writes finals" true
@@ -66,6 +66,33 @@ let test_run_on_every_backend () =
         (Cube.cardinality (Registry.find_exn result "PCHNG") > 0))
     Core.all_backends
 
+(* A registry cube whose arity differs from its source schema is an
+   [Error] from every target, never an escaping exception: through
+   [Core.run] and through the dispatcher's door. *)
+let test_arity_mismatch_is_an_error () =
+  let program = Core.compile_exn Helpers.overview_program in
+  let data = overview_registry () in
+  Registry.add data Registry.Elementary
+    (cube_of "PDR" [ ("r", Domain.String) ] [ [ vs "north"; vf 1. ] ]);
+  List.iter
+    (fun backend ->
+      match Core.run ~backend program data with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s: expected an error" (Core.backend_name backend))
+    [ Core.Chase; Core.Sql; Core.Vector_engine; Core.Etl_engine ];
+  let mapping = core_ok (Core.mapping_of program) in
+  List.iter
+    (fun target ->
+      match
+        Engine.Target.guarded_execute ~cubes:[ "PDR" ] target mapping data
+      with
+      | Error (Engine.Faults.Execute_error _) -> ()
+      | Error kind ->
+          Alcotest.failf "%s: %s" target.Engine.Target.name
+            (Engine.Faults.kind_to_string kind)
+      | Ok _ -> Alcotest.failf "%s: expected an error" target.Engine.Target.name)
+    [ Engine.Target.chase; Engine.Target.sql; Engine.Target.vector; Engine.Target.etl_full ]
+
 let suite =
   [
     ("backend names", `Quick, test_backend_names);
@@ -74,4 +101,5 @@ let suite =
     ("verify reports differences", `Quick, test_verify_reports_differences);
     ("r io primitives", `Quick, test_r_io_primitives);
     ("run on every backend", `Quick, test_run_on_every_backend);
+    ("arity mismatch is an error", `Quick, test_arity_mismatch_is_an_error);
   ]

@@ -4,10 +4,6 @@ open Matrix
 open Helpers
 module M = Mappings
 
-let core_ok = function
-  | Ok v -> v
-  | Error msg -> Alcotest.failf "unexpected error: %s" msg
-
 (* --- zero-dimensional (constant) cubes across every back end --- *)
 
 let test_constant_cube_all_backends () =

@@ -4,16 +4,14 @@ open Matrix
 open Helpers
 module M = Mappings
 
-let overview_job () =
-  let checked = load_overview () in
-  check_ok (Etl.Etl_target.job_of_program checked)
+let overview_job () = core_ok (Etl.Etl_gen.job_of_mapping (overview_mapping ()))
 
 (* --- flow structure --- *)
 
 let test_figure1_flow_shape () =
   (* Figure 1: the flow for tgd (2) is two data sources -> merge ->
      calculation -> output. *)
-  let job, _ = overview_job () in
+  let job = overview_job () in
   let flow =
     List.find (fun f -> f.Etl.Flow.name = "compute_RGDP") job.Etl.Job.flows
   in
@@ -27,7 +25,7 @@ let test_figure1_flow_shape () =
   Alcotest.(check string) "writes RGDP" "RGDP" (Etl.Flow.output_cube flow)
 
 let test_aggregation_flow_has_sort_and_group () =
-  let job, _ = overview_job () in
+  let job = overview_job () in
   let flow =
     List.find (fun f -> f.Etl.Flow.name = "compute_GDP") job.Etl.Job.flows
   in
@@ -36,7 +34,7 @@ let test_aggregation_flow_has_sort_and_group () =
   Alcotest.(check bool) "has group" true (List.mem "GroupBy" kinds)
 
 let test_blackbox_flow_user_defined () =
-  let job, _ = overview_job () in
+  let job = overview_job () in
   let flow =
     List.find (fun f -> f.Etl.Flow.name = "compute_GDPT") job.Etl.Job.flows
   in
@@ -67,8 +65,9 @@ let test_flow_validation_requires_one_output () =
 (* --- kettle serialization --- *)
 
 let test_kettle_xml () =
-  let checked = load_overview () in
-  let xml = check_ok (Etl.Etl_target.kettle_catalog_of_program checked) in
+  let xml =
+    core_ok (Etl.Etl_target.kettle_catalog_of_mapping (overview_mapping ()))
+  in
   List.iter
     (fun fragment ->
       Alcotest.(check bool) ("contains " ^ fragment) true
@@ -94,7 +93,7 @@ let test_etl_target_overview () =
   let reg = overview_registry () in
   let checked = load_overview () in
   let reference = check_ok (Exl.Interp.run checked reg) in
-  let via_etl = check_ok (Etl.Etl_target.run_program checked reg) in
+  let via_etl = core_ok (Core.run ~backend:Core.Etl_engine checked reg) in
   List.iter
     (fun name ->
       Alcotest.check cube_eq ("cube " ^ name)
@@ -104,34 +103,20 @@ let test_etl_target_overview () =
 
 let test_batch_size_is_semantics_neutral () =
   let reg = overview_registry () in
-  let checked = load_overview () in
-  let a = check_ok (Etl.Etl_target.run_program ~batch_size:7 checked reg) in
-  let b = check_ok (Etl.Etl_target.run_program ~batch_size:100000 checked reg) in
+  let mapping = overview_mapping () in
+  let a = core_ok (Etl.Etl_target.execute ~batch_size:7 mapping reg) in
+  let b = core_ok (Etl.Etl_target.execute ~batch_size:100000 mapping reg) in
   List.iter
     (fun name ->
       Alcotest.check cube_eq ("cube " ^ name) (Registry.find_exn a name)
         (Registry.find_exn b name))
     overview_names
 
+(* The dispatcher's Etl_engine target == the interpreter on random
+   programs (helpers.ml). *)
 let prop_etl_matches_interp =
-  QCheck.Test.make ~count:40
-    ~name:"ETL target == interpreter on random programs" Gen.arb_seed
-    (fun seed ->
-      let src, reg = Gen.program_of_seed seed in
-      let checked = Exl.Program.load_exn src in
-      let reference = check_ok (Exl.Interp.run checked reg) in
-      match Etl.Etl_target.run_program checked reg with
-      | Error e ->
-          QCheck.Test.fail_reportf "etl: %s\n%s" (Exl.Errors.to_string e) src
-      | Ok via_etl ->
-          List.for_all
-            (fun name ->
-              match Registry.find via_etl name with
-              | Some got ->
-                  Cube.equal_data ~eps:1e-7 (Registry.find_exn reference name) got
-                  || QCheck.Test.fail_reportf "cube %s differs on\n%s" name src
-              | None -> QCheck.Test.fail_reportf "missing %s on\n%s" name src)
-            (Registry.names reference))
+  prop_backend_matches_interp ~count:60
+    ~name:"ETL target == interpreter on random programs" Core.Etl_engine
 
 let suite =
   [

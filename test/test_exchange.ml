@@ -247,46 +247,33 @@ let prop_semi_naive_equals_naive =
 
 (* --- the equivalence theorem --- *)
 
-let test_equivalence_overview () =
+(* The chase of [mapping] over the overview data holds the
+   interpreter's cubes. *)
+let check_overview_chase mapping =
   let reg = overview_registry () in
-  let checked = load_overview () in
-  match X.Verify.equivalent checked reg with
-  | Ok stats ->
-      Alcotest.(check bool) "work done" true (stats.X.Chase.tuples_generated > 0)
-  | Error msg -> Alcotest.failf "not equivalent: %s" msg
+  let reference = check_ok (Exl.Interp.run (load_overview ()) reg) in
+  match X.Chase.run mapping (X.Instance.of_registry reg) with
+  | Error m -> Alcotest.failf "chase: %s" m
+  | Ok (j, stats) ->
+      Alcotest.(check bool) "work done" true (stats.X.Chase.tuples_generated > 0);
+      List.iter
+        (fun name ->
+          Alcotest.check cube_eq name
+            (Registry.find_exn reference name)
+            (X.Instance.cube_of_relation j name))
+        (Registry.names reference)
 
+let test_equivalence_overview () = check_overview_chase (overview_mapping ())
+
+(* The fused mapping produces the same final relations. *)
 let test_equivalence_overview_fused () =
-  (* Fused mapping produces the same final relations as the interpreter. *)
-  let reg = overview_registry () in
-  let checked = load_overview () in
-  let { M.Generate.mapping; _ } = check_ok (M.Generate.of_checked checked) in
-  let fused = M.Fuse.mapping mapping in
-  let j, _ =
-    match X.Chase.run fused (X.Instance.of_registry reg) with
-    | Ok r -> r
-    | Error m -> Alcotest.failf "chase: %s" m
-  in
-  let reference = check_ok (Exl.Interp.run checked reg) in
-  List.iter
-    (fun name ->
-      Alcotest.check cube_eq name
-        (Registry.find_exn reference name)
-        (X.Instance.cube_of_relation j name))
-    [ "PQR"; "RGDP"; "GDP"; "GDPT"; "PCHNG" ]
+  check_overview_chase (M.Fuse.mapping (overview_mapping ()))
 
+(* The dispatcher's Chase target == the interpreter on random
+   programs (helpers.ml). *)
 let prop_chase_equals_interp =
-  QCheck.Test.make ~count:60 ~name:"chase == interpreter on random programs"
-    Gen.arb_seed (fun seed ->
-      let src, reg = Gen.program_of_seed seed in
-      match Exl.Program.load src with
-      | Error e ->
-          QCheck.Test.fail_reportf "generated program does not check: %s\n%s"
-            (Exl.Errors.to_string e) src
-      | Ok checked -> (
-          match X.Verify.equivalent checked reg with
-          | Ok _ -> true
-          | Error msg ->
-              QCheck.Test.fail_reportf "mismatch on\n%s\n%s" src msg))
+  prop_backend_matches_interp ~count:60
+    ~name:"chase == interpreter on random programs" Core.Chase
 
 let suite =
   [

@@ -4,10 +4,6 @@
 open Matrix
 open Helpers
 
-let core_ok = function
-  | Ok v -> v
-  | Error msg -> Alcotest.failf "unexpected error: %s" msg
-
 let program_source =
   {|
 cube DEP(m: month, instrument: string);
@@ -97,19 +93,19 @@ let test_tgd_has_constant () =
 
 let test_sql_where_literal () =
   let checked = Exl.Program.load_exn program_source in
-  let sql = check_ok (Relational.Sql_target.script_of_program checked) in
+  let sql = core_ok (Core.sql_of checked) in
   Alcotest.(check bool) "where clause" true
     (Astring_contains.contains sql "C1.INSTRUMENT = 'overnight'")
 
 let test_r_filter_line () =
   let checked = Exl.Program.load_exn program_source in
-  let r = check_ok (Vector.Vector_target.r_script_of_program checked) in
+  let r = core_ok (Core.r_of checked) in
   Alcotest.(check bool) "R selection" true
     (Astring_contains.contains r "DEP$instrument == \"overnight\"")
 
 let test_kettle_filter_step () =
   let checked = Exl.Program.load_exn program_source in
-  let xml = check_ok (Etl.Etl_target.kettle_catalog_of_program checked) in
+  let xml = core_ok (Core.kettle_of checked) in
   Alcotest.(check bool) "FilterRows step" true
     (Astring_contains.contains xml "<type>FilterRows</type>")
 

@@ -280,11 +280,6 @@ let test_naive_agg_fusion_changes_semantics () =
 
 (* --- the overview pipeline end to end -------------------------------- *)
 
-let overview_mapping () =
-  let checked = load_overview () in
-  let { M.Generate.mapping; _ } = check_ok (M.Generate.of_checked checked) in
-  mapping
-
 let test_optimize_overview () =
   let m = overview_mapping () in
   let report = O.run m in
@@ -347,6 +342,39 @@ let test_optimizer_report_json () =
   List.iter
     (fun needle -> Alcotest.(check bool) needle true (contains json needle))
     [ {|"actions":[|}; {|"kind":"fusion_equivalence"|}; {|"est_matches_before"|}; {|"tgds_after"|} ]
+
+(* Fusion names depend only on the mapping: a second run in the same
+   process prints the same report. *)
+let test_optimizer_report_deterministic () =
+  let json () = O.report_to_json (O.run (overview_mapping ())) in
+  let first = json () in
+  Alcotest.(check string) "second run, same report" first (json ())
+
+(* A consumer that already carries fused names ([f1_q]) makes the
+   producer's variables start one index higher, so none is captured. *)
+let test_fusion_names_never_capture () =
+  let v x = Term.Var x in
+  let producer =
+    Tgd.Tuple_level
+      {
+        lhs = [ Tgd.atom "A" [ v "q"; v "m" ] ];
+        rhs = Tgd.atom "T__1" [ Term.Shifted (v "q", 1); v "m" ];
+      }
+  in
+  let consumer =
+    Tgd.Tuple_level
+      {
+        lhs = [ Tgd.atom "T__1" [ v "f1_q"; v "m1" ]; Tgd.atom "B" [ v "f1_q"; v "m2" ] ];
+        rhs =
+          Tgd.atom "OUT" [ v "f1_q"; Term.Binapp (Ops.Binop.Sub, v "m1", v "m2") ];
+      }
+  in
+  match M.Fuse.fuse_step ~producer ~consumer with
+  | Some fused ->
+      Alcotest.(check string) "renamed apart"
+        "B(f2_q + 1, m2) ∧ A(f2_q, m1) → OUT(f2_q + 1, m1 - m2)"
+        (Tgd.to_string fused)
+  | None -> Alcotest.fail "expected a fused tgd"
 
 (* --- fusion checks: the cone check against the full re-chase ----------- *)
 
@@ -537,22 +565,22 @@ let test_commit_refreshes_base_on_new_constants () =
 
 (* --- engine wiring ---------------------------------------------------- *)
 
-let test_engine_optimize_flag () =
-  let run_with optimize =
-    let config = { Engine.Exlengine.default_config with optimize } in
-    let t = Engine.Exlengine.create ~config () in
-    ok_s (Engine.Exlengine.register_program t ~name:"overview" overview_program);
-    let reg = overview_registry () in
-    List.iter
-      (fun name -> ok_s (Engine.Exlengine.load_elementary t (Registry.find_exn reg name)))
-      [ "PDR"; "RGDPPC" ];
-    ignore (ok_s (Engine.Exlengine.recompute t));
-    match Engine.Exlengine.cube t "PCHNG" with
-    | Some c -> c
-    | None -> Alcotest.fail "PCHNG not recomputed"
-  in
-  Alcotest.check cube_eq "same PCHNG with and without the optimizer" (run_with false)
-    (run_with true)
+(* The engine chases the optimized mapping; its PCHNG is the reference
+   interpreter's.  (Optimized == original is the fuzz optimize axis.) *)
+let test_engine_matches_interpreter () =
+  let t = Engine.Exlengine.create () in
+  ok_s (Engine.Exlengine.register_program t ~name:"overview" overview_program);
+  let reg = overview_registry () in
+  List.iter
+    (fun name -> ok_s (Engine.Exlengine.load_elementary t (Registry.find_exn reg name)))
+    [ "PDR"; "RGDPPC" ];
+  ignore (ok_s (Engine.Exlengine.recompute t));
+  let reference = check_ok (Exl.Interp.run (load_overview ()) reg) in
+  match Engine.Exlengine.cube t "PCHNG" with
+  | Some c ->
+      Alcotest.check cube_eq "engine PCHNG == interpreter"
+        (Registry.find_exn reference "PCHNG") c
+  | None -> Alcotest.fail "PCHNG not recomputed"
 
 (* --- docs drift -------------------------------------------------------- *)
 
@@ -667,7 +695,9 @@ let suite =
     ("chase: nulls_created counts temps", `Quick, test_nulls_created_counts_temps);
     ("optimize: tampered certificate rejected", `Quick, test_tampered_certificate_rejected);
     ("optimize: json report", `Quick, test_optimizer_report_json);
-    ("engine: optimize flag A/B", `Quick, test_engine_optimize_flag);
+    ("optimize: same report on a second run", `Quick, test_optimizer_report_deterministic);
+    ("fuse: names never capture", `Quick, test_fusion_names_never_capture);
+    ("engine: PCHNG == reference interpreter", `Quick, test_engine_matches_interpreter);
     ("fusion check: cone == full on the examples", `Quick, test_cone_check_on_examples);
     ("fusion check: cone rejects like the full check", `Quick, test_cone_rejects_wrong_fusions);
     ("fusion check: new constants refresh the base", `Quick, test_commit_refreshes_base_on_new_constants);

@@ -5,10 +5,6 @@
 open Matrix
 open Helpers
 
-let core_ok = function
-  | Ok v -> v
-  | Error msg -> Alcotest.failf "unexpected error: %s" msg
-
 let dims = [ ("q", Domain.Period (Some Calendar.Quarter)) ]
 
 let data () =

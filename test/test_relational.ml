@@ -4,9 +4,6 @@ open Matrix
 open Helpers
 module M = Mappings
 
-let overview_mapping () =
-  (check_ok (M.Generate.of_source Helpers.overview_program)).M.Generate.mapping
-
 let insert_for mapping name =
   match M.Mapping.tgd_for mapping name with
   | None -> Alcotest.failf "no tgd for %s" name
@@ -102,14 +99,17 @@ let test_sql_target_overview () =
   let reg = overview_registry () in
   let checked = load_overview () in
   let reference = check_ok (Exl.Interp.run checked reg) in
-  let via_sql = check_ok (Relational.Sql_target.run_program checked reg) in
+  let via_sql = core_ok (Core.run ~backend:Core.Sql checked reg) in
   registries_agree ~names:overview_names reference via_sql
 
 let test_sql_target_overview_fused () =
   let reg = overview_registry () in
   let checked = load_overview () in
   let reference = check_ok (Exl.Interp.run checked reg) in
-  let via_sql = check_ok (Relational.Sql_target.run_program ~fused:true checked reg) in
+  let via_sql =
+    core_ok
+      (Relational.Sql_target.execute (core_ok (Core.fused_mapping_of checked)) reg)
+  in
   registries_agree ~names:overview_names reference via_sql;
   (* Fusion removes the temp tables entirely. *)
   List.iter
@@ -118,9 +118,10 @@ let test_sql_target_overview_fused () =
     [ "PCHNG__1"; "PCHNG__2"; "PCHNG__3" ]
 
 let test_sql_views_script () =
-  let checked = load_overview () in
   let sql =
-    check_ok (Relational.Sql_target.script_of_program ~views:`Temporaries checked)
+    core_ok
+      (Relational.Sql_target.script_of_mapping ~views:`Temporaries
+         (overview_mapping ()))
   in
   Alcotest.(check bool) "create view" true
     (Astring_contains.contains sql "CREATE VIEW PCHNG__1");
@@ -132,7 +133,8 @@ let test_sql_views_execution () =
   let checked = load_overview () in
   let reference = check_ok (Exl.Interp.run checked reg) in
   let via_views =
-    check_ok (Relational.Sql_target.run_program ~views:`Temporaries checked reg)
+    core_ok
+      (Relational.Sql_target.execute ~views:`Temporaries (overview_mapping ()) reg)
   in
   registries_agree ~names:overview_names reference via_views;
   (* the temporaries were never materialized *)
@@ -142,77 +144,42 @@ let test_sql_views_execution () =
         (Cube.cardinality (Registry.find_exn via_views name)))
     [ "PCHNG__1" ]
 
+(* The SQL target computes the interpreter's derived cubes on random
+   programs, over [mapping_of] (the fused or the unfused mapping) and
+   with [views]. *)
+let sql_matches_interp ?views ~mapping_of seed =
+  let src, reg = Gen.program_of_seed seed in
+  let checked = Exl.Program.load_exn src in
+  let reference = check_ok (Exl.Interp.run checked reg) in
+  match Relational.Sql_target.execute ?views (core_ok (mapping_of checked)) reg with
+  | Error msg -> QCheck.Test.fail_reportf "sql: %s\n%s" msg src
+  | Ok via_sql -> (
+      match
+        Registry.diff ~eps:1e-7 ~names:(Registry.derived_names reference)
+          reference via_sql
+      with
+      | [] -> true
+      | problems ->
+          QCheck.Test.fail_reportf "%s\non\n%s" (String.concat "\n" problems) src)
+
 let prop_sql_views_matches_interp =
   QCheck.Test.make ~count:30
     ~name:"view-based SQL target == interpreter on random programs" Gen.arb_seed
-    (fun seed ->
-      let src, reg = Gen.program_of_seed seed in
-      let checked = Exl.Program.load_exn src in
-      let reference = check_ok (Exl.Interp.run checked reg) in
-      match Relational.Sql_target.run_program ~views:`Temporaries checked reg with
-      | Error e ->
-          QCheck.Test.fail_reportf "sql views: %s\n%s" (Exl.Errors.to_string e) src
-      | Ok via_sql ->
-          List.for_all
-            (fun name ->
-              match Registry.find via_sql name with
-              | Some got ->
-                  Cube.equal_data ~eps:1e-7 (Registry.find_exn reference name) got
-                  || QCheck.Test.fail_reportf "cube %s differs on\n%s" name src
-              | None -> QCheck.Test.fail_reportf "missing %s on\n%s" name src)
-            (Registry.names reference))
-
-let prop_sql_matches_interp =
-  QCheck.Test.make ~count:40 ~name:"SQL target == interpreter on random programs"
-    Gen.arb_seed (fun seed ->
-      let src, reg = Gen.program_of_seed seed in
-      let checked = Exl.Program.load_exn src in
-      let reference =
-        match Exl.Interp.run checked reg with
-        | Ok r -> r
-        | Error e -> QCheck.Test.fail_reportf "interp: %s" (Exl.Errors.to_string e)
-      in
-      match Relational.Sql_target.run_program checked reg with
-      | Error e ->
-          QCheck.Test.fail_reportf "sql: %s\n%s" (Exl.Errors.to_string e) src
-      | Ok via_sql ->
-          List.for_all
-            (fun name ->
-              match Registry.find via_sql name with
-              | Some got ->
-                  Cube.equal_data ~eps:1e-7 (Registry.find_exn reference name) got
-                  || QCheck.Test.fail_reportf "cube %s differs on\n%s" name src
-              | None -> QCheck.Test.fail_reportf "missing %s on\n%s" name src)
-            (Registry.names reference))
+    (sql_matches_interp ~views:`Temporaries ~mapping_of:Core.mapping_of)
 
 let prop_sql_fused_matches_interp =
   QCheck.Test.make ~count:40
     ~name:"fused SQL target == interpreter on random programs" Gen.arb_seed
-    (fun seed ->
-      let src, reg = Gen.program_of_seed seed in
-      let checked = Exl.Program.load_exn src in
-      let reference = check_ok (Exl.Interp.run checked reg) in
-      match Relational.Sql_target.run_program ~fused:true checked reg with
-      | Error e ->
-          QCheck.Test.fail_reportf "sql: %s\n%s" (Exl.Errors.to_string e) src
-      | Ok via_sql ->
-          List.for_all
-            (fun name ->
-              match Registry.find via_sql name with
-              | Some got ->
-                  Cube.equal_data ~eps:1e-7 (Registry.find_exn reference name) got
-                  || QCheck.Test.fail_reportf "cube %s differs on\n%s" name src
-              | None -> QCheck.Test.fail_reportf "missing %s on\n%s" name src)
-            (Registry.names reference))
+    (sql_matches_interp ~mapping_of:Core.fused_mapping_of)
 
 (* --- the SQL parser: printer fixpoint and execution equivalence --- *)
 
 let test_parser_roundtrip_overview () =
-  let checked = load_overview () in
   List.iter
     (fun views ->
       let text =
-        check_ok (Relational.Sql_target.script_of_program ~views checked)
+        core_ok
+          (Relational.Sql_target.script_of_mapping ~views (overview_mapping ()))
       in
       match Relational.Sql_parser.parse_script text with
       | Error msg -> Alcotest.failf "parse failed: %s\n%s" msg text
@@ -292,9 +259,8 @@ let prop_parser_fixpoint =
   QCheck.Test.make ~count:40 ~name:"SQL parse . print is the identity on generated scripts"
     Gen.arb_seed (fun seed ->
       let src, _ = Gen.program_of_seed seed in
-      let checked = Exl.Program.load_exn src in
-      match Relational.Sql_target.script_of_program checked with
-      | Error e -> QCheck.Test.fail_reportf "gen: %s" (Exl.Errors.to_string e)
+      match Core.sql_of (Exl.Program.load_exn src) with
+      | Error msg -> QCheck.Test.fail_reportf "gen: %s" msg
       | Ok text -> (
           match Relational.Sql_parser.parse_script text with
           | Error msg -> QCheck.Test.fail_reportf "parse: %s\n%s" msg text
@@ -588,6 +554,12 @@ let prop_fast_paths_match_generic =
       run_both tables (aggregate_selects @ join_selects)
       && order_independent t_rows)
 
+(* The dispatcher's Sql target == the interpreter on random
+   programs (helpers.ml). *)
+let prop_sql_matches_interp =
+  prop_backend_matches_interp ~count:60
+    ~name:"SQL target == interpreter on random programs" Core.Sql
+
 let suite =
   [
     ("sql text: join fragment", `Quick, test_sql_join_fragment);
@@ -608,6 +580,6 @@ let suite =
     ("parser: rejects garbage", `Quick, test_parser_rejects_garbage);
     ("parser: parsed script executes", `Quick, test_parsed_script_executes_equivalently);
     QCheck_alcotest.to_alcotest prop_parser_fixpoint;
-    QCheck_alcotest.to_alcotest prop_sql_matches_interp;
     QCheck_alcotest.to_alcotest prop_sql_fused_matches_interp;
+    QCheck_alcotest.to_alcotest prop_sql_matches_interp;
   ]

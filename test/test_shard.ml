@@ -8,11 +8,6 @@ open Helpers
 module M = Mappings
 module X = Exchange
 
-let overview_mapping () =
-  let checked = load_overview () in
-  let { M.Generate.mapping; _ } = check_ok (M.Generate.of_checked checked) in
-  mapping
-
 (* --- the co-partitioning plan on the worked example --- *)
 
 let test_plan_overview () =

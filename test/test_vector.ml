@@ -72,12 +72,8 @@ let test_frame_cube_roundtrip () =
 
 (* --- script generation and printing --- *)
 
-let overview_mapping () =
-  (check_ok (M.Generate.of_source Helpers.overview_program)).M.Generate.mapping
-
 let test_r_script_fragments () =
-  let checked = load_overview () in
-  let r = check_ok (Vector.Vector_target.r_script_of_program checked) in
+  let r = core_ok (Vector.Vector_target.r_script_of_mapping (overview_mapping ())) in
   List.iter
     (fun fragment ->
       Alcotest.(check bool) ("contains " ^ fragment) true
@@ -91,8 +87,9 @@ let test_r_script_fragments () =
     ]
 
 let test_matlab_script_fragments () =
-  let checked = load_overview () in
-  let m = check_ok (Vector.Vector_target.matlab_script_of_program checked) in
+  let m =
+    core_ok (Vector.Vector_target.matlab_script_of_mapping (overview_mapping ()))
+  in
   List.iter
     (fun fragment ->
       Alcotest.(check bool) ("contains " ^ fragment) true
@@ -115,7 +112,7 @@ let test_vector_target_overview () =
   let reg = overview_registry () in
   let checked = load_overview () in
   let reference = check_ok (Exl.Interp.run checked reg) in
-  let via_vector = check_ok (Vector.Vector_target.run_program checked reg) in
+  let via_vector = core_ok (Core.run ~backend:Core.Vector_engine checked reg) in
   List.iter
     (fun name ->
       Alcotest.check cube_eq ("cube " ^ name)
@@ -123,25 +120,11 @@ let test_vector_target_overview () =
         (Registry.find_exn via_vector name))
     overview_names
 
+(* The dispatcher's Vector_engine target == the interpreter on random
+   programs (helpers.ml). *)
 let prop_vector_matches_interp =
-  QCheck.Test.make ~count:40
-    ~name:"vector target == interpreter on random programs" Gen.arb_seed
-    (fun seed ->
-      let src, reg = Gen.program_of_seed seed in
-      let checked = Exl.Program.load_exn src in
-      let reference = check_ok (Exl.Interp.run checked reg) in
-      match Vector.Vector_target.run_program checked reg with
-      | Error e ->
-          QCheck.Test.fail_reportf "vector: %s\n%s" (Exl.Errors.to_string e) src
-      | Ok via_vector ->
-          List.for_all
-            (fun name ->
-              match Registry.find via_vector name with
-              | Some got ->
-                  Cube.equal_data ~eps:1e-7 (Registry.find_exn reference name) got
-                  || QCheck.Test.fail_reportf "cube %s differs on\n%s" name src
-              | None -> QCheck.Test.fail_reportf "missing %s on\n%s" name src)
-            (Registry.names reference))
+  prop_backend_matches_interp ~count:60
+    ~name:"vector target == interpreter on random programs" Core.Vector_engine
 
 let suite =
   [
