@@ -69,7 +69,21 @@ let parse_line ~schema_of lineno line =
                 fail "%s %s expects %d value(s), got %d" verb cube expected
                   (List.length cells)
               else
-                let vals = List.map Value.of_string_guess cells in
+                (* Each cell is read by its column's domain; text that
+                   does not parse stays a string, which the domain checks
+                   below reject. *)
+                let domains =
+                  Array.append
+                    (Array.map (fun d -> d.Schema.dim_domain) schema.Schema.dims)
+                    [| schema.Schema.measure_domain |]
+                in
+                let vals =
+                  List.mapi
+                    (fun i text ->
+                      Option.value ~default:(Value.String text)
+                        (Domain.parse domains.(i) text))
+                    cells
+                in
                 let key = List.filteri (fun i _ -> i < arity) vals in
                 if not (Schema.compatible_tuple schema (Tuple.of_list key)) then
                   fail "key %s out of domain for %s"

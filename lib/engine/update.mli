@@ -14,8 +14,9 @@ open Matrix
 
     [set] upserts the measure at a key (dimension values in schema
     order); [del] retracts the key.  Blank lines and [#] comments are
-    ignored.  Values are parsed like CSV cells ({!Matrix.Value}'s
-    guessing rules) and validated against the cube's registered schema,
+    ignored.  Each value is read like a CSV cell, by its column's
+    domain ({!Matrix.Domain.parse}: a string code such as [040] stays a
+    string), and validated against the cube's registered schema,
     so a batch either parses completely or reports the first bad
     line. *)
 

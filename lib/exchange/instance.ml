@@ -296,13 +296,19 @@ let set_batch t name b =
 
 let dict_pool t = t.pool
 
+(* Each cube is installed as one column batch, in key order (which is
+   [facts] order, keys being distinct): the chase's Σst copy adopts it
+   as is, and row stores are built only if something needs them. *)
 let of_registry reg =
   let t = create () in
   List.iter
     (fun name ->
       let cube = Registry.find_exn reg name in
-      add_relation t (Cube.schema cube);
-      Cube.iter (fun k v -> ignore (insert t name (Tuple.append k v))) cube)
+      let schema = Cube.schema cube in
+      add_relation t schema;
+      set_batch t name
+        (Columnar.Batch.of_facts ~pool:t.pool schema
+           (List.map (fun (k, v) -> Tuple.append k v) (Cube.to_alist cube))))
     (Registry.elementary_names reg);
   t
 

@@ -162,19 +162,7 @@ let cell ~line ~column dom quoted text =
     | (Domain.String | Domain.Any) when quoted -> Value.String ""
     | _ -> Value.Null
   else
-    let parsed =
-      match dom with
-      | Domain.String -> Some (Value.String text)
-      | Domain.Date -> Option.map (fun d -> Value.Date d) (Calendar.Date.of_string text)
-      | Domain.Bool -> Option.map (fun b -> Value.Bool b) (bool_of_string_opt text)
-      | Domain.Period freq -> (
-          match Calendar.Period.of_string text with
-          | Some p when freq = None || freq = Some (Calendar.Period.freq p) ->
-              Some (Value.Period p)
-          | _ -> None)
-      | Domain.Int | Domain.Float | Domain.Any -> Some (Value.of_string_guess text)
-    in
-    match parsed with
+    match Domain.parse dom text with
     | Some v -> v
     | None ->
         raise

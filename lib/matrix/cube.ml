@@ -47,16 +47,18 @@ let by_key (a, _) (b, _) = Tuple.compare a b
 let to_alist c = fold (fun k v acc -> (k, v) :: acc) c [] |> List.sort by_key
 
 (* With a limit, a bounded max-heap keyed by [Tuple.compare] keeps the
-   [limit] smallest matching keys seen so far; only those get sorted.
-   Its capacity is capped by the cardinality, so a huge client-supplied
-   limit allocates no more than the cube holds. *)
-let select ?limit p c =
+   [limit] smallest admitted rows emitted so far; only those get
+   sorted.  Its capacity is capped by [bound], so a huge client-supplied
+   limit allocates no more than the producer can emit.  [admit] runs
+   only on rows that would enter the heap. *)
+let smallest ?limit ?(admit = fun _ -> true) ~bound produce =
   match limit with
   | None ->
-      fold (fun k v acc -> if p k then (k, v) :: acc else acc) c []
-      |> List.sort by_key
+      let rows = ref [] in
+      produce (fun k v -> if admit k then rows := (k, v) :: !rows);
+      List.sort by_key !rows
   | Some n ->
-      let cap = min n (cardinality c) in
+      let cap = min n bound in
       if cap <= 0 then []
       else begin
         let heap = Array.make cap (Tuple.of_array [||], Value.Null) in
@@ -78,23 +80,26 @@ let select ?limit p c =
             if above m i then (swap m i; down m)
           end
         in
-        iter
-          (fun k v ->
-            if p k then
-              if !size < cap then begin
+        produce (fun k v ->
+            if !size < cap then begin
+              if admit k then begin
                 heap.(!size) <- (k, v);
                 incr size;
                 up (!size - 1)
               end
-              else if Tuple.compare k (fst heap.(0)) < 0 then begin
-                heap.(0) <- (k, v);
-                down 0
-              end)
-          c;
+            end
+            else if Tuple.compare k (fst heap.(0)) < 0 && admit k then begin
+              heap.(0) <- (k, v);
+              down 0
+            end);
         let rows = Array.sub heap 0 !size in
         Array.sort by_key rows;
         Array.to_list rows
       end
+
+let select ?limit p c =
+  smallest ?limit ~bound:(cardinality c) (fun emit ->
+      iter (fun k v -> if p k then emit k v) c)
 
 let of_alist schema alist =
   let c = create schema in

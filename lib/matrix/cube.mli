@@ -52,6 +52,20 @@ val select : ?limit:int -> (Tuple.t -> bool) -> t -> (Tuple.t * Value.t) list
     O(cardinality + matches · log limit).  A non-positive [limit]
     selects nothing. *)
 
+val smallest :
+  ?limit:int ->
+  ?admit:(Tuple.t -> bool) ->
+  bound:int ->
+  ((Tuple.t -> Value.t -> unit) -> unit) ->
+  (Tuple.t * Value.t) list
+(** [smallest ?limit ?admit ~bound produce]: the rows [produce] passes
+    to its callback whose key [admit] accepts, sorted by key, only the
+    first [limit] of them — the bounded heap behind [select], for
+    callers that enumerate their own candidates.  With a limit, [admit]
+    is asked only about rows small enough to enter the heap, so a costly
+    check runs on few of them.  [bound] is an upper bound on the rows
+    produced and caps the heap's allocation.  Keys must be distinct. *)
+
 val of_alist : Schema.t -> (Tuple.t * Value.t) list -> t
 val of_rows : Schema.t -> Value.t list list -> t
 (** Each row is [dims @ [measure]]. *)

@@ -31,6 +31,18 @@ let member v d =
       (Bool | Int | Float | String | Date | Period _) ) ->
       false
 
+let parse d text =
+  match d with
+  | String -> Some (Value.String text)
+  | Date -> Option.map (fun d -> Value.Date d) (Calendar.Date.of_string text)
+  | Bool -> Option.map (fun b -> Value.Bool b) (bool_of_string_opt text)
+  | Period freq -> (
+      match Calendar.Period.of_string text with
+      | Some p when freq = None || freq = Some (Calendar.Period.freq p) ->
+          Some (Value.Period p)
+      | _ -> None)
+  | Int | Float | Any -> Some (Value.of_string_guess text)
+
 let is_numeric = function
   | Int | Float -> true
   | Bool | String | Date | Period _ | Any -> false

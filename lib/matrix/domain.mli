@@ -22,6 +22,15 @@ val member : Value.t -> t -> bool
 (** Domain membership; [Null] belongs to every domain (partiality),
     [Int] values belong to [Float] (numeric widening). *)
 
+val parse : t -> string -> Value.t option
+(** A non-empty text read by the domain it belongs to: a [String]
+    domain keeps the text as it is (["040"] stays a string); [Date],
+    [Bool] and [Period] parse it as such, [None] when it does not parse
+    or a period has another frequency; [Int], [Float] and [Any] keep
+    {!Value.of_string_guess}'s best-effort guess, so the caller checks
+    {!member} where it must.  CSV cells, update batches and the
+    server's filters all read text this way. *)
+
 val is_numeric : t -> bool
 val is_temporal : t -> bool
 (** [Date] or [Period _]: the domains on which shift and frequency

@@ -22,20 +22,29 @@ let escape s =
     s;
   Buffer.contents buf
 
+external format_float : string -> float -> string = "caml_format_float"
+
+(* The texts of [%.0f] and [%.9g], without [Printf]'s format
+   interpretation, which cost most of a rendered row. *)
 let number_to_string f =
   if not (Float.is_finite f) then "null"
   else if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.9g" f
+    if Float.sign_bit f && f = 0. then "-0" else string_of_int (int_of_float f)
+  else format_float "%.9g" f
+
+(* A byte [escape] leaves as it is. *)
+let plain c = c >= ' ' && c <> '"' && c <> '\\'
+
+let add_quoted buf s =
+  Buffer.add_char buf '"';
+  Buffer.add_string buf (if String.for_all plain s then s else escape s);
+  Buffer.add_char buf '"'
 
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Num f -> Buffer.add_string buf (number_to_string f)
-  | Str s ->
-      Buffer.add_char buf '"';
-      Buffer.add_string buf (escape s);
-      Buffer.add_char buf '"'
+  | Str s -> add_quoted buf s
   | List items ->
       Buffer.add_char buf '[';
       List.iteri
@@ -49,9 +58,8 @@ let rec write buf = function
       List.iteri
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_char buf '"';
-          Buffer.add_string buf (escape k);
-          Buffer.add_string buf "\":";
+          add_quoted buf k;
+          Buffer.add_char buf ':';
           write buf v)
         fields;
       Buffer.add_char buf '}'

@@ -6,6 +6,7 @@ type config = {
   coalesce_window : float;
   request_timeout : float;
   commit_timeout : float;
+  max_connections : int;
   limits : Http.limits;
   log : (string -> unit) option;
 }
@@ -16,6 +17,7 @@ let default_config =
     coalesce_window = 0.002;
     request_timeout = 10.;
     commit_timeout = 30.;
+    max_connections = 256;
     limits = Http.default_limits;
     log = None;
   }
@@ -104,9 +106,8 @@ let reply ?(headers = []) ?(content_type = "application/json") status body =
 let error_reply ?headers status reason =
   reply ?headers status (error_body status reason)
 
-let cube_json ?limit ?(matches = fun _ -> true) ~seq ~name
-    (entry : Snapshot.entry) cube =
-  let rows = Cube.select ?limit matches cube in
+let cube_json ?limit ~filters ~seq ~name (entry : Snapshot.entry) view =
+  let rows = Snapshot.select ?limit ~filters view in
   J.to_string
     (J.Obj
        [
@@ -121,7 +122,7 @@ let cube_json ?limit ?(matches = fun _ -> true) ~seq ~name
                     (List.map value_json (Tuple.to_list tuple)
                     @ [ value_json v ]))
                 rows) );
-         ("cardinality", J.Num (float_of_int (Cube.cardinality cube)));
+         ("cardinality", J.Num (float_of_int (Snapshot.cardinality view)));
          ("returned", J.Num (float_of_int (List.length rows)));
          ("seq", J.Num (float_of_int seq));
        ])
@@ -158,41 +159,33 @@ let status_string = function
 (* ----- read endpoints ----- *)
 
 (* Dimension filters come in as query parameters named after the
-   cube's dimensions; [limit] caps the row count.  Anything else is a
-   client error, so typos fail loudly instead of silently returning
-   the unfiltered slice.  The filters compile to one key matcher,
-   [None] when there are none. *)
+   cube's dimensions, each value read by its dimension's domain;
+   [limit] caps the row count.  Anything else — a typo, or a value
+   outside the domain — is a client error, so it fails loudly instead
+   of silently returning the wrong slice. *)
 let parse_filters (entry : Snapshot.entry) (req : Http.request) =
-  let parsed =
-    List.fold_left
-      (fun acc (k, v) ->
-        match acc with
-        | Error _ -> acc
-        | Ok (limit, filters) -> (
-            if k = "limit" then
-              match int_of_string_opt v with
-              | Some n when n >= 0 -> Ok (Some n, filters)
-              | _ -> Error "limit must be a non-negative integer"
-            else
-              match Schema.dim_index entry.Snapshot.schema k with
-              | Some i -> Ok (limit, (i, Value.of_string_guess v) :: filters)
-              | None -> Error (Printf.sprintf "unknown query parameter %s" k)))
-      (Ok (None, []))
-      req.Http.query
-  in
-  Result.map
-    (fun (limit, filters) ->
-      let matches =
-        if filters = [] then None
-        else
-          Some
-            (fun tuple ->
-              List.for_all
-                (fun (i, v) -> Value.equal (Tuple.get tuple i) v)
-                filters)
-      in
-      (limit, matches))
-    parsed
+  let schema = entry.Snapshot.schema in
+  List.fold_left
+    (fun acc (k, v) ->
+      match acc with
+      | Error _ -> acc
+      | Ok (limit, filters) -> (
+          if k = "limit" then
+            match int_of_string_opt v with
+            | Some n when n >= 0 -> Ok (Some n, filters)
+            | _ -> Error "limit must be a non-negative integer"
+          else
+            match Schema.dim_index schema k with
+            | None -> Error (Printf.sprintf "unknown query parameter %s" k)
+            | Some i -> (
+                let dom = schema.Schema.dims.(i).Schema.dim_domain in
+                match Domain.parse dom v with
+                | Some x when Domain.member x dom -> Ok (limit, (i, x) :: filters)
+                | _ ->
+                    Error
+                      (Printf.sprintf "%s=%s: not a %s" k v (Domain.to_string dom)))))
+    (Ok (None, []))
+    req.Http.query
 
 let degraded_reply name (entry : Snapshot.entry) =
   match entry.Snapshot.status with
@@ -211,11 +204,11 @@ let read_cube t ~as_of name req =
   | Some entry -> (
       match parse_filters entry req with
       | Error msg -> error_reply 400 msg
-      | Ok (limit, matches) -> (
-          let render cube =
+      | Ok (limit, filters) -> (
+          let render view =
             reply 200
-              (cube_json ?limit ?matches ~seq:(Snapshot.seq snap) ~name entry
-                 cube)
+              (cube_json ?limit ~filters ~seq:(Snapshot.seq snap) ~name entry
+                 view)
           in
           match as_of with
           | None -> (
@@ -223,7 +216,7 @@ let read_cube t ~as_of name req =
               | Some r -> r
               | None -> (
                   match entry.Snapshot.current with
-                  | Some cube -> render cube
+                  | Some view -> render view
                   | None ->
                       error_reply 404
                         (Printf.sprintf "no data for cube %s" name)))
@@ -232,7 +225,7 @@ let read_cube t ~as_of name req =
                  versions even while the cube is quarantined — old
                  versions survive a failed recomputation. *)
               match Snapshot.as_of entry date with
-              | Some cube -> render cube
+              | Some view -> render view
               | None -> (
                   match degraded_reply name entry with
                   | Some r -> r
@@ -255,14 +248,16 @@ let read_sdmx t ~dsd name req =
         | None -> (
             match entry.Snapshot.current with
             | None -> error_reply 404 (Printf.sprintf "no data for cube %s" name)
-            | Some cube -> (
+            | Some view -> (
                 match parse_filters entry req with
                 | Error msg -> error_reply 400 msg
-                | Ok (_, matches) ->
+                | Ok (_, filters) ->
+                    let cube = Snapshot.to_cube view in
                     let cube =
-                      match matches with
-                      | None -> cube
-                      | Some m -> Cube.filter (fun tuple _ -> m tuple) cube
+                      if filters = [] then cube
+                      else
+                        Cube.of_alist (Cube.schema cube)
+                          (Snapshot.select ~filters view)
                     in
                     reply ~content_type:"application/xml" 200
                       (Sdmx.generic_data_of_cube cube))))
@@ -280,7 +275,7 @@ let catalog t =
             ("status", J.Str (status_string entry.Snapshot.status));
             ( "cardinality",
               match entry.Snapshot.current with
-              | Some c -> J.Num (float_of_int (Cube.cardinality c))
+              | Some view -> J.Num (float_of_int (Snapshot.cardinality view))
               | None -> J.Null );
             ( "versions",
               J.Num (float_of_int (List.length entry.Snapshot.versions)) );
@@ -343,9 +338,12 @@ let today () =
   Calendar.Date.make ~year:(tm.Unix.tm_year + 1900) ~month:(tm.Unix.tm_mon + 1)
     ~day:tm.Unix.tm_mday
 
-let value_of_json (j : J.t) =
+(* A JSON scalar as a value of domain [dom]: a string is read by the
+   domain (a string code such as "040" stays a string); text that does
+   not parse stays a string, which validation then rejects. *)
+let value_of_json dom (j : J.t) =
   match j with
-  | J.Str s -> Ok (Value.of_string_guess s)
+  | J.Str s -> Ok (Option.value ~default:(Value.String s) (Domain.parse dom s))
   | J.Num n ->
       Ok
         (if Float.is_integer n && Float.abs n < 1e15 then
@@ -365,17 +363,28 @@ let rec result_map f = function
           | Error _ as e -> e
           | Ok ys -> Ok (y :: ys)))
 
-let update_of_json (j : J.t) =
+let update_of_json ~schema_of (j : J.t) =
   match j with
   | J.Obj _ -> (
       match (J.member "cube" j, J.member "key" j) with
       | Some (J.Str cube), Some (J.List key) -> (
-          match result_map value_of_json key with
+          (* An unknown cube or a key of the wrong arity reads as [Any];
+             validation rejects it. *)
+          let dims, measure =
+            match schema_of cube with
+            | Some schema ->
+                ( Array.map (fun d -> d.Schema.dim_domain) schema.Schema.dims,
+                  schema.Schema.measure_domain )
+            | None -> ([||], Domain.Any)
+          in
+          let dim i = if i < Array.length dims then dims.(i) else Domain.Any in
+          match result_map Fun.id (List.mapi (fun i k -> value_of_json (dim i) k) key)
+          with
           | Error _ as e -> e
           | Ok key -> (
               match (J.member "value" j, J.member "delete" j) with
               | Some v, None -> (
-                  match value_of_json v with
+                  match value_of_json measure v with
                   | Error _ as e -> e
                   | Ok v -> Ok (Engine.Update.set ~cube ~key v))
               | None, Some (J.Bool true) ->
@@ -386,7 +395,7 @@ let update_of_json (j : J.t) =
 
 (* The JSON batch form: either a bare list of updates or an object
    {"updates": [...], "as_of": "YYYY-MM-DD"}. *)
-let updates_of_json text =
+let updates_of_json ~schema_of text =
   match J.parse text with
   | Error msg -> Error ("invalid JSON: " ^ msg)
   | Ok j -> (
@@ -405,7 +414,7 @@ let updates_of_json text =
       match items with
       | None -> Error "expected a list of updates or an \"updates\" field"
       | Some items -> (
-          match result_map update_of_json items with
+          match result_map (update_of_json ~schema_of) items with
           | Error _ as e -> e
           | Ok updates -> (
               match as_of with
@@ -423,12 +432,12 @@ let parse_update_body t (req : Http.request) =
     String.length content_type >= 16
     && String.sub content_type 0 16 = "application/json"
   in
+  let schema_of =
+    Engine.Determination.schema (Engine.Exlengine.determination t.engine)
+  in
   let from_body =
-    if is_json then updates_of_json req.Http.body
+    if is_json then updates_of_json ~schema_of req.Http.body
     else
-      let schema_of =
-        Engine.Determination.schema (Engine.Exlengine.determination t.engine)
-      in
       Result.map
         (fun updates -> (updates, None))
         (Engine.Update.of_string ~schema_of req.Http.body)
@@ -616,7 +625,8 @@ let commit_group t (as_of, jobs) =
           r.Engine.Exlengine.updated @ r.Engine.Exlengine.recomputed
         in
         let snap =
-          Snapshot.publish ~prev:(Atomic.get t.snap) ~touched t.engine
+          Snapshot.publish ~prev:(Atomic.get t.snap) ~revised:batch ~touched
+            t.engine
         in
         Atomic.set t.snap snap;
         Obs.count "serve.commits";
@@ -786,6 +796,20 @@ let connection t fd =
   unregister_conn t id;
   Atomic.decr t.inflight
 
+(* Over the connection cap: answer 503 on the accepting thread and
+   close.  The reply is one small write into an empty socket buffer, so
+   it does not block the accept loop. *)
+let refuse_busy t fd =
+  Obs.count "serve.connections_refused";
+  (try
+     write_all fd
+       (Http.response
+          ~headers:(("connection", "close") :: retry_after t)
+          ~status:503
+          (error_body 503 "too many connections, retry later"))
+   with Unix.Unix_error _ -> ());
+  try Unix.close fd with Unix.Unix_error _ -> ()
+
 let rec wait_until ~deadline cond =
   cond ()
   ||
@@ -835,6 +859,8 @@ let serve t fd =
        | [], _, _ -> ()
        | _ -> (
            match Unix.accept ~cloexec:true fd with
+           | client, _ when Atomic.get t.inflight >= t.config.max_connections ->
+               refuse_busy t client
            | client, _ ->
                Atomic.incr t.inflight;
                ignore (Thread.create (connection t) client)

@@ -16,7 +16,9 @@
       GET (read-your-writes: the reply is sent only after publish).
     - {e Admission control.}  The queue is bounded; when it is full
       the request is rejected immediately with 429 and a
-      [Retry-After] hint instead of queueing without bound.
+      [Retry-After] hint instead of queueing without bound.  Open
+      connections are bounded too: past [max_connections] a new one
+      is answered 503 with [Retry-After] and closed.
     - {e Graceful degradation.}  Cubes quarantined by the
       fault/retry/fallback machinery answer 503 with a structured
       diagnostic while healthy cubes keep serving; point-in-time
@@ -35,6 +37,10 @@ type config = {
   commit_timeout : float;
       (** max seconds a POST waits for its commit before answering
           504 (the commit itself still completes; default 30) *)
+  max_connections : int;
+      (** open connections beyond which an accepted one is answered
+          503 with [Retry-After] and closed, without a thread
+          (default 256) *)
   limits : Http.limits;  (** request parser bounds (400/413) *)
   log : (string -> unit) option;
       (** JSONL request-trace sink: one JSON object per request *)
@@ -88,7 +94,8 @@ val listen_unix : ?backlog:int -> path:string -> unit -> Unix.file_descr
 
 val serve : t -> Unix.file_descr -> unit
 (** Accept loop: one thread per connection with keep-alive and
-    pipelining, honoring [config.request_timeout].  Blocks until
+    pipelining, honoring [config.request_timeout]; a connection past
+    [config.max_connections] gets a 503 and no thread.  Blocks until
     {!shutdown}; closes the listening socket on exit. *)
 
 val serve_background : t -> Unix.file_descr -> Thread.t

@@ -197,6 +197,62 @@ let test_sql_perturbed () =
     (aggregates, joins);
   Alcotest.check cube_eq "same PQR" reference pqr
 
+(* --- serve: facts a commit copies, keys a slice examines --- *)
+
+(* PDR holds 14 608 facts, 1 826 of them in region r003.  A 1-key
+   commit copies none of them, and the r003 slice after it examines
+   r003's posting list plus the overlay's one revised key. *)
+let r003_facts = 1826
+let serve_expected = (0, r003_facts + 1)
+
+let request meth target body =
+  let raw =
+    Printf.sprintf "%s %s HTTP/1.1\r\ncontent-length: %d\r\n\r\n%s" meth target
+      (String.length body) body
+  in
+  match Serve.Http.parse raw 0 with
+  | Serve.Http.Complete (req, _) -> req
+  | _ -> Alcotest.fail "request fixture rejected"
+
+(* The counter [name] moved by one request, writer work included: a
+   POST answers only after its commit has been published. *)
+let counted server name req =
+  let c = Obs.create ~spans:false () in
+  let reply = Obs.with_collector c (fun () -> Serve.Server.handle_request server req) in
+  Alcotest.(check int) (req.Serve.Http.target ^ " answers") 200 reply.Serve.Server.status;
+  Obs.Metrics.counter_value c.Obs.metrics name
+
+let copied server batch =
+  counted server "serve.snapshot_facts_copied"
+    (request "POST" "/v1/update"
+       (String.concat "\n" (List.map Engine.Update.to_string batch)))
+
+let examined server =
+  counted server "serve.slice_keys_examined"
+    (request "GET" "/v1/cube/PDR?r=r003&limit=50" "")
+
+let test_serve () =
+  let fixture = Rows.incr_setup () in
+  let server = Serve.Server.create fixture.Rows.engine in
+  Fun.protect ~finally:(fun () -> Serve.Server.shutdown server) @@ fun () ->
+  let one = copied server (fixture.Rows.batch 1) in
+  Alcotest.(check (pair int int)) "(facts copied by a 1-key commit, keys examined)"
+    serve_expected (one, examined server)
+
+(* A commit revising more than an eighth of PDR folds the overlay into a
+   fresh base: it copies the cube, and the slice is back to the bare
+   posting list. *)
+let test_serve_perturbed () =
+  let fixture = Rows.incr_setup () in
+  let server = Serve.Server.create fixture.Rows.engine in
+  Fun.protect ~finally:(fun () -> Serve.Server.shutdown server) @@ fun () ->
+  Alcotest.(check int) "a boot slice reads the posting list" r003_facts
+    (examined server);
+  Alcotest.(check int) "a 2 000-key commit copies PDR" 14608
+    (copied server (fixture.Rows.batch 2000));
+  Alcotest.(check int) "the fold empties the overlay" r003_facts
+    (examined server)
+
 let suite =
   [
     ("chase: semi-naive matches", `Quick, test_chase);
@@ -208,4 +264,6 @@ let suite =
     ("col: perturbed input", `Quick, test_col_perturbed);
     ("sql: vectorized plan nodes", `Quick, test_sql);
     ("sql: perturbed input", `Quick, test_sql_perturbed);
+    ("serve: commit copies and slice keys", `Quick, test_serve);
+    ("serve: perturbed input", `Quick, test_serve_perturbed);
   ]

@@ -1,5 +1,6 @@
 (* exlserve: HTTP parser totality, routing, the single-writer commit
-   loop, snapshot isolation, admission control, degraded serving, and
+   loop, snapshot isolation and its oracle, admission control (queue
+   and connections), domain-typed filters and keys, degraded serving, and
    concurrent point-in-time reads (docs/SERVING.md). *)
 open Matrix
 open Helpers
@@ -679,6 +680,188 @@ let test_concurrent_asof_reads () =
             (Cube.find cube (key [ vq 2024 1 ])))
     [ 0; 1; 7; batches ]
 
+(* --- values read by their dimension's domain --- *)
+
+(* Region codes are strings with leading zeros: "040" must stay the
+   string "040", never become the integer 40. *)
+let codes_program = "cube POP(d: date, r: string);\nTOT := sum(POP, group by d);\n"
+
+let boot_codes () =
+  let engine = Engine.Exlengine.create () in
+  ok (Engine.Exlengine.register_program engine ~name:"p" codes_program);
+  ok
+    (Engine.Exlengine.load_elementary engine
+       (cube_of "POP"
+          [ ("d", Domain.Date); ("r", Domain.String) ]
+          [
+            [ vd 2019 1 1; vs "040"; vf 5. ];
+            [ vd 2019 1 1; vs "41"; vf 7. ];
+            [ vd 2019 1 2; vs "040"; vf 6. ];
+          ]));
+  ignore (ok (Engine.Exlengine.recompute_all engine));
+  ok (Engine.Exlengine.warm engine);
+  Server.create engine
+
+let test_route_domain_typed_values () =
+  let t = boot_codes () in
+  let get target = Server.handle_request t (request "GET" target) in
+  let post ?headers body =
+    Server.handle_request t (request "POST" ?headers ~body "/v1/update")
+  in
+  let returned target n =
+    let r = get target in
+    Alcotest.(check int) (target ^ " status") 200 r.Server.status;
+    check_contains target r.Server.body (Printf.sprintf "\"returned\":%d" n)
+  in
+  returned "/v1/cube/POP?r=040" 2;
+  returned "/v1/cube/POP?r=040&d=2019-01-02" 1;
+  returned "/v1/cube/POP?r=41" 1;
+  Alcotest.(check int) "a date filter that is no date" 400
+    (get "/v1/cube/POP?d=2019-13-45").Server.status;
+  check_contains "sdmx filter" (get "/v1/sdmx/POP?r=040").Server.body "040";
+  (* the text format *)
+  let r = post "set POP 2019-12-27 040 5.0\n" in
+  Alcotest.(check int) "text update of a 040 key" 200 r.Server.status;
+  returned "/v1/cube/POP?r=040" 3;
+  Alcotest.(check int) "a date key that is no date" 400
+    (post "set POP 2019-02-30 040 1\n").Server.status;
+  (* the JSON body *)
+  let json body = post ~headers:[ ("content-type", "application/json") ] body in
+  let r = json {|[{"cube":"POP","key":["2019-12-28","040"],"value":4}]|} in
+  Alcotest.(check int) "json update of a 040 key" 200 r.Server.status;
+  returned "/v1/cube/POP?r=040" 4;
+  returned "/v1/cube/POP?r=40" 0;
+  Alcotest.(check int) "a json date key that is no date" 400
+    (json {|[{"cube":"POP","key":["soon","040"],"value":4}]|}).Server.status;
+  let r = json {|[{"cube":"POP","key":["2019-12-28","040"],"delete":true}]|} in
+  Alcotest.(check int) "json delete of a 040 key" 200 r.Server.status;
+  returned "/v1/cube/POP?r=040" 3;
+  Server.shutdown t
+
+(* --- the connection cap --- *)
+
+let test_connection_cap () =
+  let config = { Server.default_config with Server.max_connections = 2 } in
+  let t = boot_server ~config () in
+  let fd, port = Server.listen_inet ~host:"127.0.0.1" ~port:0 () in
+  let server_thread = Server.serve_background t fd in
+  let connect () =
+    let c = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Unix.connect c (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+    c
+  in
+  let close c = try Unix.close c with Unix.Unix_error _ -> () in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.shutdown t;
+      Thread.join server_thread)
+    (fun () ->
+      (* two idle keep-alive connections hold both slots *)
+      let first = connect () and second = connect () in
+      let third = connect () in
+      let refused = read_all third in
+      close third;
+      check_contains "third connection refused" refused "HTTP/1.1 503";
+      check_contains "with a retry hint" refused "retry-after";
+      (* the held connections still serve *)
+      write_all first "GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n";
+      check_contains "held connection answers" (read_all first) "HTTP/1.1 200";
+      close first;
+      close second;
+      (* once they close, a new connection gets a thread again *)
+      let deadline = Unix.gettimeofday () +. 5. in
+      let rec admitted () =
+        match http ~port "GET" "/healthz" with
+        | 200, _ -> true
+        | _ when Unix.gettimeofday () < deadline ->
+            Thread.delay 0.01;
+            admitted ()
+        | _ -> false
+      in
+      Alcotest.(check bool) "a freed slot admits a connection" true (admitted ()))
+
+(* --- snapshots against a copy of the engine's cube --- *)
+
+(* Random cubes and publish sequences: value revisions, new keys and
+   removals, with batches big enough to fold the overlay into a fresh
+   base now and then.  Every snapshot must read like [Cube.select] on a
+   copy of the engine's cube taken when it was published — right away,
+   and again after every later publish. *)
+let prop_snapshot_oracle =
+  let xs = 12 and regions = [| "a"; "b"; "007"; "7" |] in
+  QCheck.Test.make ~count:40 ~name:"snapshot reads == select on a copy at its seq"
+    Gen.arb_seed (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let rand_key () =
+        [ vi (Random.State.int st xs); vs regions.(Random.State.int st (Array.length regions)) ]
+      in
+      let rand_value () = vf (float_of_int (Random.State.int st 1000)) in
+      let engine = Engine.Exlengine.create () in
+      ok
+        (Engine.Exlengine.register_program engine ~name:"p"
+           "cube A(x: int, r: string);\nD := A * 2;\n");
+      let rows = List.init (Random.State.int st 40) (fun _ -> rand_key () @ [ rand_value () ]) in
+      ok
+        (Engine.Exlengine.load_elementary engine
+           (cube_of "A" [ ("x", Domain.Int); ("r", Domain.String) ] rows));
+      ignore (ok (Engine.Exlengine.recompute_all engine));
+      let engine_copy () =
+        match Engine.Exlengine.cube engine "A" with
+        | Some c -> Cube.copy c
+        | None -> Alcotest.fail "A has no cube"
+      in
+      let reads =
+        List.concat_map
+          (fun filters -> List.map (fun limit -> (filters, limit)) [ None; Some 0; Some 1; Some 3 ])
+          ([ [] ]
+          @ List.init xs (fun x -> [ (0, vi x) ])
+          @ List.map (fun r -> [ (1, vs r) ]) (Array.to_list regions)
+          @ [ [ (0, vi 3); (1, vs "007") ]; [ (1, vs "zz") ] ])
+      in
+      let same a b =
+        List.equal (fun (k, v) (k', v') -> Tuple.equal k k' && Value.equal v v') a b
+      in
+      let check (snap, expected) =
+        match Snapshot.find snap "A" with
+        | Some { Snapshot.current = Some view; _ } ->
+            Snapshot.cardinality view = Cube.cardinality expected
+            && Cube.equal_data (Snapshot.to_cube view) expected
+            && List.for_all
+                 (fun (filters, limit) ->
+                   let p key =
+                     List.for_all (fun (i, v) -> Value.equal (Tuple.get key i) v) filters
+                   in
+                   same (Snapshot.select ?limit ~filters view) (Cube.select ?limit p expected))
+                 reads
+        | _ -> Cube.is_empty expected
+      in
+      let held = ref [ (Snapshot.capture engine, engine_copy ()) ] in
+      for _ = 1 to 12 do
+        let size = if Random.State.int st 4 = 0 then 12 else 1 + Random.State.int st 3 in
+        let batch =
+          Engine.Update.compact
+            (List.init size (fun _ ->
+                 if Random.State.int st 4 = 0 then Engine.Update.remove ~cube:"A" ~key:(rand_key ())
+                 else Engine.Update.set ~cube:"A" ~key:(rand_key ()) (rand_value ())))
+        in
+        let r = ok (Engine.Exlengine.apply_updates engine batch) in
+        let prev = fst (List.hd !held) in
+        let snap =
+          Snapshot.publish ~prev ~revised:batch
+            ~touched:(r.Engine.Exlengine.updated @ r.Engine.Exlengine.recomputed)
+            engine
+        in
+        let entry = (snap, engine_copy ()) in
+        if not (check entry) then QCheck.Test.fail_reportf "seq %d reads wrong right away" (Snapshot.seq snap);
+        held := entry :: !held
+      done;
+      List.iter
+        (fun ((snap, _) as entry) ->
+          if not (check entry) then
+            QCheck.Test.fail_reportf "seq %d reads wrong after later publishes" (Snapshot.seq snap))
+        !held;
+      true)
+
 let suite =
   [
     ("http: request line, path and query decoding", `Quick, test_parse_request_line);
@@ -697,4 +880,7 @@ let suite =
     ("metrics: span-free collector", `Quick, test_metrics_without_spans);
     ("socket: concurrent clients end to end", `Quick, test_socket_end_to_end);
     ("history: concurrent as-of reads see no torn state", `Quick, test_concurrent_asof_reads);
+    ("route: filters and update keys read by domain", `Quick, test_route_domain_typed_values);
+    ("socket: connections past the cap answer 503", `Quick, test_connection_cap);
+    QCheck_alcotest.to_alcotest prop_snapshot_oracle;
   ]
