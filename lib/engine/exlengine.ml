@@ -38,8 +38,10 @@ type solution = {
   sol_instance : Exchange.Instance.t;
   sol_covered : string list;  (* derived cubes the mapping computes *)
   sol_state : Exchange.Chase.incr_state;
-      (* group-scoped aggregation bags; lives and dies with the
-         instance *)
+      (* aggregation bags and derivation counts; lives and dies with
+         the instance *)
+  sol_written : (string, Cube.t) Hashtbl.t;
+      (* the store cube this solution last wrote, per derived cube *)
 }
 
 type t = {
@@ -164,6 +166,7 @@ let empty_update_report =
     strata_rederived = 0;
   }
 
+(* The update's key, once it passed validation. *)
 let validate_update t (u : Update.t) =
   match Determination.schema t.determination u.Update.cube with
   | None -> Error (Printf.sprintf "no program declares cube %s" u.Update.cube)
@@ -180,9 +183,9 @@ let validate_update t (u : Update.t) =
                (Tuple.to_string key) (Schema.to_string schema))
         else
           match u.Update.action with
-          | Update.Remove -> Ok ()
+          | Update.Remove -> Ok key
           | Update.Set v ->
-              if Domain.member v schema.Schema.measure_domain then Ok ()
+              if Domain.member v schema.Schema.measure_domain then Ok key
               else
                 Error
                   (Printf.sprintf "measure %s out of domain %s for %s"
@@ -190,24 +193,32 @@ let validate_update t (u : Update.t) =
                      (Domain.to_string schema.Schema.measure_domain)
                      u.Update.cube)
 
-let validate_updates t updates =
-  let rec loop = function
-    | [] -> Ok ()
+(* Every update paired with its key, or the first validation error. *)
+let keyed_updates t updates =
+  let rec loop acc = function
+    | [] -> Ok (List.rev acc)
     | u :: rest -> (
-        match validate_update t u with Error _ as e -> e | Ok () -> loop rest)
+        match validate_update t u with
+        | Error _ as e -> e
+        | Ok key -> loop ((u, key) :: acc) rest)
   in
-  loop updates
+  loop [] updates
+
+let validate_updates t updates = Result.map ignore (keyed_updates t updates)
+
+(* A key's value before the batch and after the updates so far. *)
+type revision = { original : Value.t option; mutable final : Value.t option }
 
 (* Apply the batch to the store's elementary cubes in order, then
    compact it to net per-key changes: a key revised twice contributes
    one removed/added pair, a revision back to the original value
    contributes nothing. *)
-let apply_to_store t updates =
-  let originals : (string, Value.t option Tuple.Table.t) Hashtbl.t =
+let apply_to_store t keyed =
+  let revisions : (string, revision Tuple.Table.t) Hashtbl.t =
     Hashtbl.create 8
   in
   List.iter
-    (fun (u : Update.t) ->
+    (fun ((u : Update.t), key) ->
       let name = u.Update.cube in
       let cube =
         match Registry.find t.store name with
@@ -221,39 +232,47 @@ let apply_to_store t updates =
             c
       in
       let touched =
-        match Hashtbl.find_opt originals name with
+        match Hashtbl.find_opt revisions name with
         | Some tbl -> tbl
         | None ->
             let tbl = Tuple.Table.create 16 in
-            Hashtbl.replace originals name tbl;
+            Hashtbl.replace revisions name tbl;
             tbl
       in
-      let key = Tuple.of_list u.Update.key in
-      if not (Tuple.Table.mem touched key) then
-        Tuple.Table.replace touched key (Cube.find cube key);
+      let revision =
+        match Tuple.Table.find_opt touched key with
+        | Some r -> r
+        | None ->
+            let original = Cube.find cube key in
+            let r = { original; final = original } in
+            Tuple.Table.replace touched key r;
+            r
+      in
       match u.Update.action with
-      | Update.Set v -> Cube.set cube key v
-      | Update.Remove -> Cube.remove cube key)
-    updates;
-  let fact key v = Array.append (Tuple.to_array key) [| v |] in
+      | Update.Set v ->
+          Cube.set cube key v;
+          revision.final <- (if Value.is_null v then None else Some v)
+      | Update.Remove ->
+          Cube.remove cube key;
+          revision.final <- None)
+    keyed;
   Hashtbl.fold
     (fun name touched acc ->
-      let cube = Registry.find_exn t.store name in
       let added = ref [] and removed = ref [] in
       Tuple.Table.iter
-        (fun key original ->
-          let final = Cube.find cube key in
+        (fun key { original; final } ->
           match (original, final) with
           | None, None -> ()
           | Some o, Some f when Value.equal o f -> ()
           | o, f ->
-              Option.iter (fun v -> removed := fact key v :: !removed) o;
-              Option.iter (fun v -> added := fact key v :: !added) f)
+              let fact v = Tuple.append key v in
+              Option.iter (fun v -> removed := fact v :: !removed) o;
+              Option.iter (fun v -> added := fact v :: !added) f)
         touched;
       if !added = [] && !removed = [] then acc
       else
         (name, { Exchange.Chase.added = !added; removed = !removed }) :: acc)
-    originals []
+    revisions []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 (* Full rebuild of the solution cache: one semi-naive chase of the
@@ -286,6 +305,7 @@ let rebuild_solution t covered =
               sol_instance = instance;
               sol_covered = covered;
               sol_state = Exchange.Chase.create_incr_state ();
+              sol_written = Hashtbl.create 8;
             }
           in
           t.solution <- Some sol;
@@ -299,14 +319,44 @@ let warm t =
         (fun _ -> ())
         (rebuild_solution t (Determination.derived_order t.determination))
 
-let store_derived ?(as_of = default_as_of) t sol ~write_back ~versioned =
-  List.iter
-    (fun name ->
-      let cube = Exchange.Instance.cube_of_relation sol.sol_instance name in
+(* Write the derived cubes [write_back] from the solution.  A cube
+   whose store copy is the one this solution last wrote becomes a copy
+   of it with the relation's net change from the chase applied;
+   any other (written by the dispatcher or loaded from disk, or a
+   solution's first write) is rebuilt whole from its relation.  The
+   store's previous cube is never mutated: published snapshots may
+   still be serving it.  Returns the facts written. *)
+let store_derived ?(as_of = default_as_of) t sol ~changes ~write_back
+    ~versioned =
+  List.fold_left
+    (fun written name ->
+      let previous = Registry.find t.store name in
+      let cube, n =
+        match (previous, Hashtbl.find_opt sol.sol_written name) with
+        | Some prev, Some last when prev == last -> (
+            match List.assoc_opt name changes with
+            | None -> (prev, 0)
+            | Some { Exchange.Chase.added; removed } ->
+                let cube = Cube.copy prev in
+                let arity = Schema.arity (Cube.schema cube) in
+                let key (f : Exchange.Instance.fact) =
+                  Tuple.of_array (Array.sub f 0 arity)
+                in
+                List.iter (fun f -> Cube.remove cube (key f)) removed;
+                List.iter (fun f -> Cube.set cube (key f) f.(arity)) added;
+                (cube, List.length removed + List.length added))
+        | _ ->
+            let cube =
+              Exchange.Instance.cube_of_relation sol.sol_instance name
+            in
+            (cube, Cube.cardinality cube)
+      in
+      Hashtbl.replace sol.sol_written name cube;
       Registry.add t.store Registry.Derived cube;
       if t.config.record_history && List.mem name versioned then
-        Historicity.store t.history ~valid_from:as_of cube)
-    write_back
+        Historicity.store t.history ~valid_from:as_of cube;
+      written + n)
+    0 write_back
 
 let apply_updates ?as_of t (updates : Update.t list) =
   if updates = [] then Ok empty_update_report
@@ -314,10 +364,10 @@ let apply_updates ?as_of t (updates : Update.t list) =
     Obs.with_span "incr.apply_updates"
       ~attrs:[ ("updates", string_of_int (List.length updates)) ]
     @@ fun () ->
-    match validate_updates t updates with
+    match keyed_updates t updates with
     | Error _ as e -> e
-    | Ok () -> (
-        let deltas = apply_to_store t updates in
+    | Ok keyed -> (
+        let deltas = apply_to_store t keyed in
         let facts_changed =
           List.fold_left
             (fun acc (_, d) ->
@@ -352,7 +402,8 @@ let apply_updates ?as_of t (updates : Update.t list) =
                       deltas
                   in
                   Result.map
-                    (fun (_stats, istats) -> (sol, true, istats))
+                    (fun (_stats, istats, changes) ->
+                      (sol, true, istats, changes))
                     (match
                        Exchange.Chase.incremental ?executor
                          ~state:sol.sol_state sol.sol_mapping
@@ -371,18 +422,22 @@ let apply_updates ?as_of t (updates : Update.t list) =
                     (fun (sol, tuples) ->
                       let istats = Exchange.Chase.empty_incr_stats () in
                       istats.Exchange.Chase.facts_rederived <- tuples;
-                      (sol, false, istats))
+                      (sol, false, istats, []))
                     (rebuild_solution t
                        (Determination.derived_order t.determination))
             in
             match propagated with
             | Error _ as e -> e
-            | Ok (sol, cache_hit, istats) ->
+            | Ok (sol, cache_hit, istats, changes) ->
                 (* Transitive invalidation: only the affected cubes get
                    a new dated version; untouched cubes keep their
                    history so [cube_as_of] still answers for them. *)
                 let write_back = if cache_hit then affected else sol.sol_covered in
-                store_derived ?as_of t sol ~write_back ~versioned:affected;
+                let written =
+                  store_derived ?as_of t sol ~changes ~write_back
+                    ~versioned:affected
+                in
+                Obs.count ~n:written "incr.facts_written_back";
                 if not cache_hit then t.dirty <- [];
                 Obs.count ~n:istats.Exchange.Chase.facts_rederived
                   "incr.facts_rederived";

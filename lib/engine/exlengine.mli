@@ -103,9 +103,13 @@ val apply_updates :
     cached solution of the previous batch, or falls back to one full
     semi-naive chase when no cached solution exists (first batch, or
     after {!load_elementary} / {!register_program} / {!load_store}
-    invalidated it).  Affected cubes get a new dated version in the
-    history; unaffected cubes keep theirs, so {!cube_as_of} still
-    answers for both.  An empty batch is a no-op. *)
+    invalidated it).  Each affected cube is written back as a copy of
+    its previous store cube with the chase's net change applied, or
+    rebuilt whole when the dispatcher or {!load_store} wrote the store
+    cube since; the previous cube is never mutated, so readers holding
+    it keep a consistent view.  Affected cubes get a new dated version
+    in the history; unaffected cubes keep theirs, so {!cube_as_of}
+    still answers for both.  An empty batch is a no-op. *)
 
 val save_store : t -> dir:string -> (unit, string) result
 (** Persist the central cube store (elementary and derived) to a

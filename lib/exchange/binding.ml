@@ -6,12 +6,28 @@ module Term = Mappings.Term
 type t = (string * Value.t) list
 
 let empty : t = []
-let lookup (b : t) v = List.assoc_opt v b
+let rec lookup (b : t) v =
+  match b with
+  | [] -> None
+  | (k, value) :: rest -> if String.equal k v then Some value else lookup rest v
+
+let rec is_bound (b : t) v =
+  match b with
+  | [] -> false
+  | (k, _) :: rest -> String.equal k v || is_bound rest v
 let bind (b : t) v value : t = (v, value) :: b
 let term_value b term = Term.eval (lookup b) term
 
-let term_fully_bound b term =
-  List.for_all (fun v -> lookup b v <> None) (Term.vars term)
+let rec term_fully_bound b = function
+  | Term.Var v -> is_bound b v
+  | Term.Const _ -> true
+  | Term.Shifted (t, _)
+  | Term.Dim_fn (_, t)
+  | Term.Scalar_fn (_, _, t)
+  | Term.Neg t ->
+      term_fully_bound b t
+  | Term.Binapp (_, t, u) | Term.Coalesce (t, u) ->
+      term_fully_bound b t && term_fully_bound b u
 
 let merge (a : t) (b : t) : t option =
   List.fold_left

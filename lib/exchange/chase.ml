@@ -165,18 +165,56 @@ let match_atoms instance stats atoms (k : Binding.t -> unit) =
 
 (* ----- semi-naive enumeration over the persistent indexes ----- *)
 
-(* What an atom may range over in a semi-naive round: the current
-   instance, the pre-round state (current minus this round's delta), or
-   exactly the delta.  With the pivot drawing from the delta, atoms
-   before it (in the original order) ranging over the full state and
-   atoms after it over the old state, every mixed combination of old
-   and delta facts is derived exactly once — the textbook semi-naive
-   decomposition. *)
-type atom_source =
-  | Full
-  | Old of unit Tuple.Table.t  (* membership of the facts to exclude *)
-  | Delta of Instance.fact list
+(* A small fact list probed by position: [bag_lookup] buckets it by
+   the probed positions on first use. *)
+type fact_bag = {
+  facts : Instance.fact list;
+  buckets : (int list, Instance.fact list Tuple.Table.t) Hashtbl.t;
+}
 
+let bag facts = { facts; buckets = Hashtbl.create 2 }
+
+let bag_lookup b positions key =
+  if b.facts = [] then []
+  else
+    let idx =
+      match Hashtbl.find_opt b.buckets positions with
+      | Some idx -> idx
+      | None ->
+          let idx = Tuple.Table.create 16 in
+          List.iter
+            (fun (f : Instance.fact) ->
+              Tuple.Table.add_multi idx
+                (Tuple.of_list (List.map (fun p -> f.(p)) positions))
+                f)
+            b.facts;
+          Hashtbl.replace b.buckets positions idx;
+          idx
+    in
+    Tuple.Table.find_multi idx key
+
+(* A relation's state before a change, read through the current
+   instance: the current facts minus [excluded] (added since) plus
+   [restored] (removed since). *)
+type old_view = { excluded : unit Tuple.Table.t; restored : fact_bag }
+
+let old_view ~added ~removed =
+  let excluded = Tuple.Table.create 16 in
+  List.iter (fun f -> Tuple.Table.replace excluded (Tuple.of_array f) ()) added;
+  { excluded; restored = bag removed }
+
+(* What an atom may range over in a semi-naive round: the current
+   instance, the state before the change ([Old]), or exactly the
+   delta.  With the pivot drawing from the delta, atoms before it (in
+   the original order) ranging over the full state and atoms after it
+   over the old state, every mixed combination of old and delta facts
+   is derived exactly once — the textbook semi-naive decomposition. *)
+type atom_source = Full | Old of old_view | Delta of fact_bag
+
+(* Enumerate the plan's atoms in list order.  An atom whose positions
+   are determined by the variables bound so far is probed (the
+   persistent index for the instance, a bucketed bag for deltas and
+   restored facts); any other is scanned. *)
 let match_plan instance stats (plan : (Tgd.atom * atom_source) list)
     (k : Binding.t -> unit) =
   let full_cache : (string, Instance.fact list) Hashtbl.t = Hashtbl.create 4 in
@@ -189,58 +227,58 @@ let match_plan instance stats (plan : (Tgd.atom * atom_source) list)
         Hashtbl.replace full_cache rel !acc;
         !acc
   in
-  let rec go bound_vars binding deferred = function
+  let current rel determined = function
+    | None -> all_facts rel
+    | Some values -> Instance.lookup_index instance rel determined values
+  in
+  let from_bag b determined = function
+    | None -> b.facts
+    | Some values -> bag_lookup b determined (Tuple.of_list values)
+  in
+  let candidates source rel determined values =
+    match source with
+    | Delta b -> from_bag b determined values
+    | Full -> current rel determined values
+    | Old view ->
+        List.rev_append
+          (from_bag view.restored determined values)
+          (List.filter
+             (fun f -> not (Tuple.Table.mem view.excluded (Tuple.of_array f)))
+             (current rel determined values))
+  in
+  (* Which positions each atom probes depends only on the plan order,
+     so it is worked out once per plan, not per binding. *)
+  let rec steps bound_vars = function
+    | [] -> []
+    | ((atom : Tgd.atom), source) :: rest ->
+        let determined = determined_positions bound_vars atom in
+        (atom, source, determined, List.map (List.nth atom.Tgd.args) determined)
+        :: steps (extend_bound_vars bound_vars atom) rest
+  in
+  let rec go binding deferred = function
     | [] ->
         if deferred <> [] then
           raise
             (Chase_error
                "tgd not executable: a complex term's variables never get bound");
         k binding
-    | ((atom : Tgd.atom), source) :: rest ->
-        let candidates =
-          match source with
-          | Delta facts -> Some facts
-          | Full | Old _ -> (
-              let determined = determined_positions bound_vars atom in
-              if determined = [] then Some (all_facts atom.Tgd.rel)
-              else
-                let expected =
-                  List.map
-                    (fun p ->
-                      Binding.term_value binding (List.nth atom.Tgd.args p))
-                    determined
-                in
-                if List.exists Option.is_none expected then None
-                else
-                  Some
-                    (Instance.lookup_index instance atom.Tgd.rel determined
-                       (List.map Option.get expected)))
-        in
-        let candidates =
-          match (candidates, source) with
-          | Some facts, Old excluded ->
-              Some
-                (List.filter
-                   (fun f -> not (Tuple.Table.mem excluded (Tuple.of_array f)))
-                   facts)
-          | _ -> candidates
-        in
-        let bound_vars' = extend_bound_vars bound_vars atom in
-        (match candidates with
-        | None -> ()
-        | Some facts ->
-            List.iter
-              (fun fact ->
-                stats.matches_examined <- stats.matches_examined + 1;
-                match match_fact binding deferred atom.Tgd.args fact with
-                | None -> ()
-                | Some (binding', deferred') -> (
-                    match settle_deferred binding' deferred' with
-                    | None -> ()
-                    | Some deferred'' -> go bound_vars' binding' deferred'' rest))
-              facts)
+    | ((atom : Tgd.atom), source, determined, probes) :: rest ->
+        let expected = List.map (Binding.term_value binding) probes in
+        if List.for_all Option.is_some expected then
+          List.iter
+            (fun fact ->
+              stats.matches_examined <- stats.matches_examined + 1;
+              match match_fact binding deferred atom.Tgd.args fact with
+              | None -> ()
+              | Some (binding', deferred') -> (
+                  match settle_deferred binding' deferred' with
+                  | None -> ()
+                  | Some deferred'' -> go binding' deferred'' rest))
+            (candidates source atom.Tgd.rel determined
+               (if determined = [] then None
+                else Some (List.map Option.get expected)))
   in
-  go [] Binding.empty [] plan
+  go Binding.empty [] (steps [] plan)
 
 let indexed_matcher instance stats atoms k =
   match_plan instance stats (List.map (fun a -> (a, Full)) atoms) k
@@ -266,62 +304,88 @@ let index_needs lhs =
    temporary relations are the labelled-null padding of a non-core
    solution (a core solution holds no temporaries), and outer combines
    additionally count every default substituted for a missing side. *)
+let count_new stats rel =
+  stats.tuples_generated <- stats.tuples_generated + 1;
+  if Exl.Normalize.is_temp rel then
+    stats.nulls_created <- stats.nulls_created + 1
+
 let emit_fact instance stats on_new rel values =
   let fact = Array.of_list values in
   if Instance.insert instance rel fact then begin
-    stats.tuples_generated <- stats.tuples_generated + 1;
-    if Exl.Normalize.is_temp rel then
-      stats.nulls_created <- stats.nulls_created + 1;
+    count_new stats rel;
     on_new rel fact
   end
 
+(* The rhs values a binding derives; [None] when any term is undefined,
+   which leaves a hole in the result cube, matching the
+   partial-function semantics of EXL operators. *)
+let rhs_fact binding (rhs : Tgd.atom) =
+  let values = List.map (Binding.term_value binding) rhs.Tgd.args in
+  if List.for_all Option.is_some values then Some (List.map Option.get values)
+  else None
+
 let apply_tuple_level ~matcher ~out instance stats on_new lhs (rhs : Tgd.atom) =
   matcher instance stats lhs (fun binding ->
-      (* Any undefined term leaves a hole in the result cube, matching
-         the partial-function semantics of EXL operators. *)
-      let values = List.map (Binding.term_value binding) rhs.Tgd.args in
-      if List.for_all Option.is_some values then
-        emit_fact out stats on_new rhs.Tgd.rel (List.map Option.get values))
+      Option.iter
+        (emit_fact out stats on_new rhs.Tgd.rel)
+        (rhs_fact binding rhs))
 
 (* Bind one source fact of an aggregation tgd to its (group key,
    measure) contribution; [None] when the fact does not match the
    source atom's constants.  Shared by the full evaluation and the
    group-scoped incremental path, which must classify delta facts
-   exactly the way the full run binned them. *)
-let agg_classify (source : Tgd.atom) group_by measure fact =
-  match match_fact Binding.empty [] source.Tgd.args fact with
-  | None -> None
-  | Some (binding, deferred) ->
-      if deferred <> [] then
-        raise (Chase_error "aggregation source atom must use variables");
-      let key_values =
-        List.map
-          (fun t ->
-            match Binding.term_value binding t with
-            | Some v -> v
-            | None ->
-                raise
-                  (Chase_error
-                     (Printf.sprintf
-                        "group-by term %s undefined on a source tuple"
-                        (Term.to_string t))))
-          group_by
-      in
-      let m =
-        match Option.bind (Binding.lookup binding measure) Value.to_float with
-        | Some f -> f
-        | None -> raise (Chase_error "aggregation measure is not numeric")
-      in
-      Some (Tuple.of_list key_values, m)
+   exactly the way the full run binned them.  Staged on the atom: when
+   its arguments are distinct variables (the generated shape) every
+   fact matches and a variable reads its position directly, with no
+   binding built per fact. *)
+let agg_classify (source : Tgd.atom) group_by measure =
+  let value_of lookup t =
+    match Term.eval lookup t with
+    | Some v -> v
+    | None ->
+        raise
+          (Chase_error
+             (Printf.sprintf "group-by term %s undefined on a source tuple"
+                (Term.to_string t)))
+  in
+  let classify lookup =
+    let key_values = List.map (value_of lookup) group_by in
+    match Option.bind (lookup measure) Value.to_float with
+    | Some m -> Some (Tuple.of_list key_values, m)
+    | None -> raise (Chase_error "aggregation measure is not numeric")
+  in
+  let vars =
+    List.filter_map (function Term.Var v -> Some v | _ -> None) source.Tgd.args
+  in
+  let arity = List.length source.Tgd.args in
+  if List.length (List.sort_uniq String.compare vars) = arity then
+    fun (fact : Instance.fact) ->
+      if Array.length fact <> arity then None
+      else
+        let rec position i v = function
+          | [] -> None
+          | w :: rest ->
+              if String.equal v w then Some fact.(i)
+              else position (i + 1) v rest
+        in
+        classify (fun v -> position 0 v vars)
+  else fun fact ->
+    match match_fact Binding.empty [] source.Tgd.args fact with
+    | None -> None
+    | Some (binding, deferred) ->
+        if deferred <> [] then
+          raise (Chase_error "aggregation source atom must use variables");
+        classify (Binding.lookup binding)
 
 let apply_aggregation ~out instance stats on_new (source : Tgd.atom) group_by
     aggr measure target =
   let groups : float list ref Tuple.Table.t = Tuple.Table.create 64 in
   let order = ref [] in
+  let classify = agg_classify source group_by measure in
   List.iter
     (fun fact ->
       stats.matches_examined <- stats.matches_examined + 1;
-      match agg_classify source group_by measure fact with
+      match classify fact with
       | None -> ()
       | Some (key, m) -> (
           match Tuple.Table.find_opt groups key with
@@ -582,39 +646,106 @@ let apply_full_collect ~vectorized instance tgd =
   in
   (res, local, List.rev !added)
 
-(* One pivot pass per lhs atom with a non-empty delta: the pivot ranges
-   over the delta, earlier atoms over the full state, later atoms over
-   the old state; the pivot is enumerated first so its variables drive
-   the indexed lookups of the remaining atoms. *)
+(* The order to enumerate [atoms] in, with its estimated cost: each
+   atom is tried first, followed greedily by the atoms that can be
+   probed, and the cheapest estimate wins — a scan costs the atom's
+   size times the enumerations before it, a probe one per enumeration
+   — ties going to the earliest first atom. *)
+let order_plan instance (atoms : (Tgd.atom * atom_source) list) =
+  let size ((a : Tgd.atom), source) =
+    float_of_int
+      (match source with
+      | Delta b -> List.length b.facts
+      | Full -> Instance.cardinality instance a.Tgd.rel
+      | Old view ->
+          Instance.cardinality instance a.Tgd.rel
+          + List.length view.restored.facts)
+  in
+  let greedy first =
+    let rec go bound acc = function
+      | [] -> List.rev acc
+      | remaining ->
+          let next =
+            match
+              List.find_opt
+                (fun (a, _) -> determined_positions bound a <> [])
+                remaining
+            with
+            | Some e -> e
+            | None -> List.hd remaining
+          in
+          go
+            (extend_bound_vars bound (fst next))
+            (next :: acc)
+            (List.filter (fun e -> e != next) remaining)
+    in
+    go (extend_bound_vars [] (fst first)) [ first ]
+      (List.filter (fun e -> e != first) atoms)
+  in
+  let cost order =
+    let rec go bound outer acc = function
+      | [] -> acc
+      | ((a, _) as e) :: rest ->
+          let bound' = extend_bound_vars bound a in
+          if determined_positions bound a = [] then
+            let n = outer *. size e in
+            go bound' n (acc +. n) rest
+          else go bound' outer (acc +. outer) rest
+    in
+    go [] 1. 0. order
+  in
+  List.fold_left
+    (fun best e ->
+      let order = greedy e in
+      let c = cost order in
+      match best with Some (_, c') when c' <= c -> best | _ -> Some (order, c))
+    None atoms
+  |> Option.get
+
+(* The plan of pivot [i]: atom [i] over the delta [facts], earlier
+   atoms over the current state, later ones over the old state.
+   Enumerating the pivot first is the textbook order, but it leaves the
+   next atom without a probe key when the pivot binds the join
+   variables only under a complex term (the pivot GDPT(q + 1, m) of
+   GDPT(q + 1, m) ∧ GDPT(q, m')): every delta fact would scan the other
+   relation.  [order_plan] then puts the other atom first and probes
+   the pivot through its bucketed delta. *)
+let pivot_plan instance lhs i facts ~old_of =
+  let atoms =
+    List.mapi
+      (fun j (a : Tgd.atom) ->
+        if j = i then (a, Delta (bag facts))
+        else if j < i then (a, Full)
+        else (a, Old (old_of a.Tgd.rel)))
+      lhs
+  in
+  order_plan instance
+    (List.nth atoms i :: List.filteri (fun j _ -> j <> i) atoms)
+
+(* One pivot pass per lhs atom with a non-empty delta (see
+   [pivot_plan]). *)
 let apply_tuple_level_delta instance stats on_new lhs (rhs : Tgd.atom)
-    ~delta_of ~delta_set =
+    ~delta_of ~old_of =
   List.iteri
     (fun i (pivot_atom : Tgd.atom) ->
       let d = delta_of pivot_atom.Tgd.rel in
-      if d <> [] then begin
-        let plan =
-          (pivot_atom, Delta d)
-          :: (List.mapi (fun j a -> (j, a)) lhs
-             |> List.filter (fun (j, _) -> j <> i)
-             |> List.map (fun (j, (a : Tgd.atom)) ->
-                    if j < i then (a, Full) else (a, Old (delta_set a.Tgd.rel))))
-        in
-        match_plan instance stats plan (fun binding ->
-            let values = List.map (Binding.term_value binding) rhs.Tgd.args in
-            if List.for_all Option.is_some values then
-              emit_fact instance stats on_new rhs.Tgd.rel
-                (List.map Option.get values))
-      end)
+      if d <> [] then
+        match_plan instance stats
+          (fst (pivot_plan instance lhs i d ~old_of))
+          (fun binding ->
+            Option.iter
+              (emit_fact instance stats on_new rhs.Tgd.rel)
+              (rhs_fact binding rhs)))
     lhs
 
-let apply_tgd_delta instance tgd stats on_new ~delta_of ~delta_set =
+let apply_tgd_delta instance tgd stats on_new ~delta_of ~old_of =
   let touched rels = List.exists (fun r -> delta_of r <> []) rels in
   wrap_chase (fun () ->
       match tgd with
       | Tgd.Tuple_level { lhs; rhs } ->
           if touched (List.map (fun (a : Tgd.atom) -> a.Tgd.rel) lhs) then begin
             apply_tuple_level_delta instance stats on_new lhs rhs ~delta_of
-              ~delta_set;
+              ~old_of;
             stats.tgds_applied <- stats.tgds_applied + 1
           end
       | _ ->
@@ -662,19 +793,14 @@ let delta_rounds ?(on_new = fun _ _ -> ()) instance stats stratum seed
             let delta_of rel =
               Option.value ~default:[] (Hashtbl.find_opt deltas rel)
             in
-            let sets : (string, unit Tuple.Table.t) Hashtbl.t =
-              Hashtbl.create 8
-            in
-            let delta_set rel =
-              match Hashtbl.find_opt sets rel with
-              | Some s -> s
+            let views : (string, old_view) Hashtbl.t = Hashtbl.create 8 in
+            let old_of rel =
+              match Hashtbl.find_opt views rel with
+              | Some v -> v
               | None ->
-                  let s = Tuple.Table.create 16 in
-                  List.iter
-                    (fun f -> Tuple.Table.replace s (Tuple.of_array f) ())
-                    (delta_of rel);
-                  Hashtbl.replace sets rel s;
-                  s
+                  let v = old_view ~added:(delta_of rel) ~removed:[] in
+                  Hashtbl.replace views rel v;
+                  v
             in
             let emit rel fact =
               record next rel fact;
@@ -684,7 +810,7 @@ let delta_rounds ?(on_new = fun _ _ -> ()) instance stats stratum seed
               | [] -> Ok ()
               | tgd :: rest -> (
                   match
-                    apply_tgd_delta instance tgd stats emit ~delta_of ~delta_set
+                    apply_tgd_delta instance tgd stats emit ~delta_of ~old_of
                   with
                   | Error msg ->
                       Error
@@ -961,9 +1087,10 @@ let select_touched stratum ~touched =
   Array.to_list tgds
   |> List.filteri (fun i _ -> selected.(i))
 
-(* Insert-only tuple-level strata: seed the semi-naive delta loop with
-   the input delta facts (already present in the instance) and let the
-   pivot/Full/Old decomposition derive exactly the new consequences. *)
+(* Insert-only tuple-level tgds without state: seed the semi-naive
+   delta loop with the input delta facts (already present in the
+   instance) and let the pivot/Full/Old decomposition derive exactly
+   the new consequences. *)
 let incr_delta_stratum instance stats istats selected seed =
   List.iter
     (fun tgd ->
@@ -988,11 +1115,12 @@ let incr_delta_stratum instance stats istats selected seed =
            (fun rel added acc -> (rel, { added; removed = [] }) :: acc)
            out [])
 
-(* DRed-style stratum rederivation, for deletions and for strata whose
-   tgds are not delta-decomposable (aggregation, blackbox, outer
-   combine): over-delete the touched targets entirely, re-run the
-   touched tgds from their (already updated) sources, then diff old vs
-   new facts to get a compact delta for the strata above. *)
+(* DRed-style stratum rederivation, for tgds with no delta plan
+   (blackbox, outer combine, self-feeding fallback strata, and without
+   state tuple-level deletions and aggregations): over-delete the
+   touched targets entirely, re-run the touched tgds from their
+   (already updated) sources, then diff old vs new facts to get a
+   compact delta for the strata above. *)
 let incr_rederive_stratum ~executor instance stats istats selected =
   let targets =
     List.sort_uniq String.compare (List.map Tgd.target_relation selected)
@@ -1043,10 +1171,18 @@ let incr_rederive_stratum ~executor instance stats istats selected =
    comparing solutions must use an epsilon. *)
 type agg_bags = float list ref Tuple.Table.t
 
-type incr_state = (string, agg_bags) Hashtbl.t
-(* Keyed by [Tgd.to_string], stable for the lifetime of a mapping. *)
+(* Per-tuple-level-tgd incremental state: each target fact maps to the
+   number of lhs matches deriving it.  Same lifecycle as the bags. *)
+type counts = int Tuple.Table.t
 
-let create_incr_state () : incr_state = Hashtbl.create 8
+type incr_state = {
+  bags : (string, agg_bags) Hashtbl.t;
+  counts : (string, counts) Hashtbl.t;
+}
+(* Both keyed by [Tgd.to_string], stable for the lifetime of a mapping. *)
+
+let create_incr_state () =
+  { bags = Hashtbl.create 8; counts = Hashtbl.create 8 }
 
 let fact_equal a b =
   Array.length a = Array.length b
@@ -1067,9 +1203,10 @@ let remove_once bag m =
 
 let build_agg_bags instance stats (source : Tgd.atom) group_by measure =
   let bags : agg_bags = Tuple.Table.create 64 in
+  let classify = agg_classify source group_by measure in
   Instance.iter_facts instance source.Tgd.rel (fun fact ->
       stats.matches_examined <- stats.matches_examined + 1;
-      match agg_classify source group_by measure fact with
+      match classify fact with
       | None -> ()
       | Some (key, m) -> (
           match Tuple.Table.find_opt bags key with
@@ -1085,9 +1222,11 @@ let build_agg_bags instance stats (source : Tgd.atom) group_by measure =
 let incr_agg_tgd instance stats istats bags ~fresh (source : Tgd.atom) group_by
     aggr measure target ~(delta : fact_delta) =
   let affected : unit Tuple.Table.t = Tuple.Table.create 8 in
-  let classify fact =
-    stats.matches_examined <- stats.matches_examined + 1;
-    agg_classify source group_by measure fact
+  let classify =
+    let classify = agg_classify source group_by measure in
+    fun fact ->
+      stats.matches_examined <- stats.matches_examined + 1;
+      classify fact
   in
   List.iter
     (fun fact ->
@@ -1150,16 +1289,141 @@ let incr_agg_tgd instance stats istats bags ~fresh (source : Tgd.atom) group_by
     affected;
   { added = !added; removed = !removed }
 
+(* ----- signed-delta repair of tuple-level tgds ----- *)
+
+let bump table fact n =
+  Tuple.Table.replace table fact
+    (n + Option.value ~default:0 (Tuple.Table.find_opt table fact))
+
+(* One tuple-level tgd, repaired by derivation counting (Gupta, Mumick
+   & Subrahmanian, SIGMOD 1993).  [counts] maps each target fact to the
+   number of lhs matches deriving it.  With old = new − added + removed
+   per relation, Q(new) − Q(old) telescopes to Σᵢ Q(new<i, Δᵢ, old>i):
+   the pivot atom i ranges over its relation's added facts (+1) and
+   removed facts (−1), the atoms before it over the current state and
+   those after it over the old state.  A target fact is inserted when
+   its count rises from 0 and removed when it falls to 0, so the repair
+   costs what the delta reaches.
+
+   The counts are recounted over the current state instead, and
+   diffed against the old ones, when the pivot plans are estimated
+   dearer than that (a table function upstream rewrote its whole
+   output) and when there are no counts yet — then the target
+   relation itself holds the old facts.  Returns the target's net
+   delta and the new counts. *)
+let incr_signed_tgd instance stats istats counts lhs (rhs : Tgd.atom)
+    ~delta_of ~old_of =
+  let rel = rhs.Tgd.rel in
+  let derive plan sign table =
+    match_plan instance stats plan (fun binding ->
+        Option.iter
+          (fun values -> bump table (Tuple.of_list values) sign)
+          (rhs_fact binding rhs))
+  in
+  let added = ref [] and removed = ref [] in
+  let insert (fact : Tuple.t) =
+    let f = (fact :> Value.t array) in
+    if Instance.insert instance rel f then begin
+      count_new stats rel;
+      istats.facts_rederived <- istats.facts_rederived + 1;
+      added := f :: !added
+    end
+  in
+  let remove f =
+    if Instance.remove instance rel f then removed := f :: !removed
+  in
+  let recount, recount_cost =
+    order_plan instance (List.map (fun a -> (a, Full)) lhs)
+  in
+  let recount_diff ~old_mem ~old_iter =
+    let fresh : counts = Tuple.Table.create 64 in
+    derive recount 1 fresh;
+    let stale = ref [] in
+    old_iter (fun f ->
+        if not (Tuple.Table.mem fresh (Tuple.of_array f)) then
+          stale := f :: !stale);
+    List.iter remove !stale;
+    Tuple.Table.iter
+      (fun fact _ -> if not (old_mem fact) then insert fact)
+      fresh;
+    fresh
+  in
+  (* The pivot plans, planned only while their estimate stays below
+     recounting's. *)
+  let rec pivots budget acc = function
+    | [] -> Some acc
+    | (i, sign, facts) :: rest ->
+        let plan, cost = pivot_plan instance lhs i facts ~old_of in
+        if cost > budget then None
+        else pivots (budget -. cost) ((plan, sign) :: acc) rest
+  in
+  let deltas =
+    List.concat
+      (List.mapi
+         (fun i (a : Tgd.atom) ->
+           let d = delta_of a.Tgd.rel in
+           List.filter
+             (fun (_, _, facts) -> facts <> [])
+             [ (i, 1, d.added); (i, -1, d.removed) ])
+         lhs)
+  in
+  let counts =
+    match counts with
+    | None ->
+        recount_diff
+          ~old_mem:(fun fact ->
+            Instance.mem instance rel (fact :> Value.t array))
+          ~old_iter:(Instance.iter_facts instance rel)
+    | Some counts -> (
+        match
+          pivots
+            (recount_cost +. float_of_int (Tuple.Table.length counts))
+            [] deltas
+        with
+        | None ->
+            recount_diff ~old_mem:(Tuple.Table.mem counts) ~old_iter:(fun k ->
+                Tuple.Table.iter
+                  (fun fact _ -> k (fact :> Value.t array))
+                  counts)
+        | Some plans ->
+            let change : int Tuple.Table.t = Tuple.Table.create 16 in
+            List.iter (fun (plan, sign) -> derive plan sign change) plans;
+            Tuple.Table.iter
+              (fun fact n ->
+                if n <> 0 then begin
+                  let before =
+                    Option.value ~default:0 (Tuple.Table.find_opt counts fact)
+                  in
+                  let after = before + n in
+                  if after < 0 then
+                    raise
+                      (Chase_error ("derivation count below zero in " ^ rel));
+                  if after = 0 then Tuple.Table.remove counts fact
+                  else Tuple.Table.replace counts fact after;
+                  if before = 0 then insert fact
+                  else if after = 0 then remove (fact :> Value.t array)
+                end)
+              change;
+            counts)
+  in
+  ({ added = !added; removed = !removed }, counts)
+
 let incremental ?(check_egds = true) ?(executor = sequential_executor) ?state
     (m : Mappings.Mapping.t) ~solution ~deltas =
   let unknown =
     List.filter (fun (rel, _) -> Instance.schema solution rel = None) deltas
   in
+  let rels = List.map fst deltas in
   match unknown with
   | (rel, _) :: _ ->
       Error
         (Printf.sprintf
            "incremental chase: relation %s is not part of the solution" rel)
+  | [] when List.length (List.sort_uniq String.compare rels) < List.length rels
+    ->
+      (* The signed plans read each relation's old state off its net
+         change, which two deltas applied in turn would not give. *)
+      Error "incremental chase: more than one delta for a relation"
   | [] ->
       let stats = empty_stats () in
       let istats = empty_incr_stats () in
@@ -1200,6 +1464,14 @@ let incremental ?(check_egds = true) ?(executor = sequential_executor) ?state
         | Some d -> d.removed <> []
         | None -> false
       in
+      let producers : (string, int) Hashtbl.t = Hashtbl.create 16 in
+      List.iter
+        (fun tgd ->
+          let rel = Tgd.target_relation tgd in
+          Hashtbl.replace producers rel
+            (1 + Option.value ~default:0 (Hashtbl.find_opt producers rel)))
+        m.Mappings.Mapping.t_tgds;
+      let sole_producer rel = Hashtbl.find_opt producers rel = Some 1 in
       let builds0, lookups0 = Instance.index_stats () in
       let run_stratum_incr i stratum =
         istats.strata_total <- istats.strata_total + 1;
@@ -1210,14 +1482,16 @@ let incremental ?(check_egds = true) ?(executor = sequential_executor) ?state
           Ok []
         end
         else begin
-          (* Per-tgd plan.  Insert-only tuple-level tgds replay
-             seeded delta rounds; aggregations with persistent
-             state re-aggregate affected groups; everything else
-             (tuple-level deletions, blackbox, outer combine, and
-             any tgd in a self-feeding fallback stratum) rederives
-             DRed-style.  A tgd sharing a target with a rederived
-             tgd must rederive too, or the target clear would lose
-             its facts. *)
+          (* Per-tgd plan.  With persistent state, a tuple-level tgd
+             whose target no other tgd produces is repaired by signed
+             delta and an aggregation re-aggregates its affected
+             groups; without state, insert-only tuple-level tgds
+             replay seeded delta rounds.  Everything else (blackbox,
+             outer combine, any tgd in a self-feeding fallback
+             stratum, and without state tuple-level deletions and
+             aggregations) rederives DRed-style.  A tgd sharing a
+             target with a rederived tgd must rederive too, or the
+             target clear would lose its facts. *)
           let stratum_targets =
             List.sort_uniq String.compare
               (List.map Tgd.target_relation stratum)
@@ -1234,6 +1508,10 @@ let incremental ?(check_egds = true) ?(executor = sequential_executor) ?state
             if feeding then `Rederive
             else
               match tgd with
+              | Tgd.Tuple_level _
+                when state <> None && sole_producer (Tgd.target_relation tgd)
+                ->
+                  `Signed
               | Tgd.Tuple_level _
                 when not
                        (List.exists delta_removed
@@ -1268,20 +1546,20 @@ let incremental ?(check_egds = true) ?(executor = sequential_executor) ?state
           in
           let rederive = of_plan `Rederive in
           let aggs = of_plan `Agg in
+          let signed = of_plan `Signed in
           let delta_tl = of_plan `Delta in
-          (* A rederived aggregation's bags go stale (its target is
-             rebuilt outside the bag bookkeeping): drop them so the
-             next touching batch rebuilds from the source. *)
-          (match state with
-          | Some st ->
+          (* A rederived tgd's bags or counts go stale (its target is
+             rebuilt outside their bookkeeping): drop them so the next
+             touching batch rebuilds them from the sources. *)
+          Option.iter
+            (fun st ->
               List.iter
                 (fun tgd ->
-                  match tgd with
-                  | Tgd.Aggregation _ ->
-                      Hashtbl.remove st (Tgd.to_string tgd)
-                  | _ -> ())
-                rederive
-          | None -> ());
+                  let key = Tgd.to_string tgd in
+                  Hashtbl.remove st.bags key;
+                  Hashtbl.remove st.counts key)
+                rederive)
+            state;
           let mode = if rederive <> [] then "rederive" else "delta" in
           if rederive <> [] then
             istats.strata_rederived <- istats.strata_rederived + 1
@@ -1304,48 +1582,64 @@ let incremental ?(check_egds = true) ?(executor = sequential_executor) ?state
                   incr_rederive_stratum ~executor solution stats istats
                     rederive
               in
+              let delta_of rel =
+                Option.value ~default:empty_delta (Hashtbl.find_opt current rel)
+              in
+              let views : (string, old_view) Hashtbl.t = Hashtbl.create 8 in
+              let old_of rel =
+                match Hashtbl.find_opt views rel with
+                | Some v -> v
+                | None ->
+                    let d = delta_of rel in
+                    let v = old_view ~added:d.added ~removed:d.removed in
+                    Hashtbl.replace views rel v;
+                    v
+              in
               let* out2 =
-                if aggs = [] then Ok []
+                if aggs = [] && signed = [] then Ok []
                 else
                   let st = Option.get state in
                   let outs = ref [] in
+                  let out target d =
+                    if d.added <> [] || d.removed <> [] then
+                      outs := (target, d) :: !outs
+                  in
                   Result.map
                     (fun () -> !outs)
                     (wrap_chase (fun () ->
                          List.iter
                            (fun tgd ->
-                             match tgd with
+                             let key = Tgd.to_string tgd in
+                             (match tgd with
                              | Tgd.Aggregation
                                  { source; group_by; aggr; measure; target }
                                ->
-                                 let key = Tgd.to_string tgd in
                                  let bags, fresh =
-                                   match Hashtbl.find_opt st key with
+                                   match Hashtbl.find_opt st.bags key with
                                    | Some bags -> (bags, false)
                                    | None ->
                                        let bags =
                                          build_agg_bags solution stats
                                            source group_by measure
                                        in
-                                       Hashtbl.replace st key bags;
+                                       Hashtbl.replace st.bags key bags;
                                        (bags, true)
                                  in
-                                 let delta =
-                                   Option.value ~default:empty_delta
-                                     (Hashtbl.find_opt current
-                                        source.Tgd.rel)
+                                 out target
+                                   (incr_agg_tgd solution stats istats bags
+                                      ~fresh source group_by aggr measure
+                                      target ~delta:(delta_of source.Tgd.rel))
+                             | Tgd.Tuple_level { lhs; rhs } ->
+                                 let d, counts =
+                                   incr_signed_tgd solution stats istats
+                                     (Hashtbl.find_opt st.counts key)
+                                     lhs rhs ~delta_of ~old_of
                                  in
-                                 let d =
-                                   incr_agg_tgd solution stats istats bags
-                                     ~fresh source group_by aggr measure
-                                     target ~delta
-                                 in
-                                 stats.tgds_applied <-
-                                   stats.tgds_applied + 1;
-                                 if d.added <> [] || d.removed <> [] then
-                                   outs := (target, d) :: !outs
-                             | _ -> assert false)
-                           aggs))
+                                 Hashtbl.replace st.counts key counts;
+                                 out rhs.Tgd.rel d
+                             | _ -> assert false);
+                             stats.tgds_applied <- stats.tgds_applied + 1)
+                           (aggs @ signed)))
               in
               let* out3 =
                 if delta_tl = [] then Ok []
@@ -1400,4 +1694,10 @@ let incremental ?(check_egds = true) ?(executor = sequential_executor) ?state
         Obs.count ~n:(builds1 - builds0) "chase.index_builds";
         Obs.count ~n:(lookups1 - lookups0) "chase.index_lookups"
       end;
-      Result.map (fun () -> (stats, istats)) result
+      Result.map
+        (fun () ->
+          ( stats,
+            istats,
+            Hashtbl.fold (fun rel d acc -> (rel, d) :: acc) current []
+            |> List.sort (fun (a, _) (b, _) -> String.compare a b) ))
+        result

@@ -128,24 +128,34 @@ type incr_stats = {
   mutable strata_skipped : int;
       (** strata no delta reached — not evaluated at all *)
   mutable strata_delta : int;
-      (** insert-only tuple-level strata run via seeded semi-naive
-          delta rounds *)
+      (** strata repaired by deltas alone: signed-delta tuple-level
+          tgds and group-scoped aggregations (with [state]), or seeded
+          semi-naive delta rounds for insert-only tuple-level tgds
+          (without it) *)
   mutable strata_rederived : int;
-      (** strata rebuilt DRed-style (deletions, or aggregation /
-          blackbox / outer tgds) *)
+      (** strata where some tgd was rebuilt DRed-style (blackbox and
+          outer tgds, self-feeding fallback strata, and without [state]
+          tuple-level deletions and aggregations) *)
   mutable facts_rederived : int;
-      (** facts (re)derived during propagation — compare with the
-          solution's total fact count for the work saved *)
+      (** facts (re)derived during propagation: facts a signed delta
+          inserts, groups re-aggregated into a new fact, facts a delta
+          round or a DRed rerun emits — compare with the solution's
+          total fact count for the work saved *)
 }
 
 val empty_incr_stats : unit -> incr_stats
 
 type incr_state
-(** Per-mapping state of the group-scoped aggregation path: for every
+(** Per-mapping state of the incremental path, kept per tgd: for every
     aggregation tgd, the multiset of measures currently contributing
-    to each group.  Opaque and mutable; create one per cached solution
-    and pass it to every {!incremental} call repairing that solution —
-    it must be discarded together with the solution instance. *)
+    to each group; for every tuple-level tgd repaired by signed delta,
+    the number of lhs matches deriving each target fact.  Either is
+    built by one full enumeration the first time a batch touches its
+    tgd, maintained by deltas afterwards, and dropped when the tgd is
+    rederived DRed-style.  Opaque and mutable; create one per cached
+    solution and pass it to every {!incremental} call repairing that
+    solution — it must be discarded together with the solution
+    instance. *)
 
 val create_incr_state : unit -> incr_state
 
@@ -156,31 +166,50 @@ val incremental :
   Mappings.Mapping.t ->
   solution:Instance.t ->
   deltas:(string * fact_delta) list ->
-  (stats * incr_stats, string) result
+  (stats * incr_stats * (string * fact_delta) list, string) result
 (** Incrementally repair a previous full solution after source-fact
     changes, in place.  [solution] is the instance a prior {!run} of
     the same mapping produced (it contains both the Σst source copies
     and every derived relation, plus their persistent indexes);
-    [deltas] are the not-yet-applied changes to source relations.
+    [deltas] are the not-yet-applied changes to source relations, at
+    most one per relation ([Error] otherwise).
 
     The deltas are first applied to [solution] (set semantics: only
     genuinely new/removed facts propagate), then the strata are
-    re-evaluated in stratification order: a stratum no delta reaches is
-    skipped outright; an insert-only tuple-level tgd runs seeded
-    semi-naive delta rounds against the persistent indexes; an
-    aggregation tgd, when [state] is supplied, re-aggregates only the
-    groups its source delta falls in (see {!incr_state}); any other
-    touched tgd (tuple-level deletions, blackbox, outer combine, or
-    aggregation without [state]) is rederived DRed-style — its touched
+    re-evaluated in stratification order; a stratum no delta reaches is
+    skipped outright.  With [state]:
+    - a tuple-level tgd whose target no other tgd produces, in a
+      stratum that does not feed itself, is repaired by {e signed
+      delta}: with old = new − added + removed, the change
+      Σᵢ Q(new₍<i₎, addedᵢ − removedᵢ, old₍>i₎) adds and subtracts
+      derivation counts, and a target fact is removed only when its
+      count reaches 0 and inserted only when it rises from 0 — for
+      insertions and deletions alike.  When that plan is estimated
+      dearer than one enumeration over the current state (or the tgd
+      has no counts yet) the counts are recounted and diffed instead,
+      with the same result;
+    - an aggregation tgd re-aggregates only the groups its source
+      delta falls in.
+    Without [state], an insert-only tuple-level tgd runs seeded
+    semi-naive delta rounds against the persistent indexes.  Every
+    other touched tgd (blackbox, outer combine, any tgd of a
+    self-feeding fallback stratum, and without [state] tuple-level
+    deletions and aggregations) is rederived DRed-style — its touched
     targets are over-deleted and re-run from their updated sources,
     and the old-vs-new diff becomes the (compact) delta for the strata
     above.  Functionality egds are re-checked on every touched target.
-
-    On [Error] the solution may be partially repaired; callers keeping
-    the instance (and [state]) across batches must discard both.
+    Calls without [state] are the oracle the stateful plans are tested
+    against.
 
     On success the repaired [solution] equals what a from-scratch
-    {!run} on the updated sources would produce. *)
+    {!run} on the updated sources would produce, and the result also
+    carries the net change of every relation that changed, sources
+    included (sorted by relation name): applying [removed] then
+    [added] to a relation's previous contents gives its new
+    contents.
+
+    On [Error] the solution may be partially repaired; callers keeping
+    the instance (and [state]) across batches must discard both. *)
 
 val apply_tgd : Instance.t -> Mappings.Tgd.t -> stats -> (unit, string) result
 (** Apply one tgd exhaustively against the instance, with the naive

@@ -24,9 +24,6 @@ type fact = Value.t array
 type relation = {
   schema : Schema.t;
   store : unit Tuple.Table.t;
-  by_dims : Value.t array Tuple.Table.t;
-      (* dimension prefix -> full fact; last writer wins, which under
-         functionality (checked separately) is the only fact *)
   mutable indexes : (int list, fact list Tuple.Table.t) Hashtbl.t;
       (* persistent secondary indexes: sorted position list -> (values
          at those positions -> facts); created lazily by [ensure_index]
@@ -53,7 +50,6 @@ let add_relation t schema =
       {
         schema;
         store = Tuple.Table.create 64;
-        by_dims = Tuple.Table.create 64;
         indexes = Hashtbl.create 4;
         shared_indexes = false;
         pending = None;
@@ -93,11 +89,6 @@ let own_indexes r =
     r.shared_indexes <- false
   end
 
-let store_fact r fact =
-  Tuple.Table.replace r.store (Tuple.of_array fact) ();
-  let dims = Tuple.of_array (Array.sub fact 0 (Schema.arity r.schema)) in
-  Tuple.Table.replace r.by_dims dims fact
-
 (* Turn a pending batch into live row stores.  Indexes cannot exist
    yet for this relation (every index op materializes first), so only
    the primary stores are filled. *)
@@ -106,7 +97,8 @@ let materialize r =
   | None -> ()
   | Some batch ->
       r.pending <- None;
-      Columnar.Batch.iter_rows batch (fun fact -> store_fact r fact)
+      Columnar.Batch.iter_rows batch (fun fact ->
+          Tuple.Table.replace r.store (Tuple.of_array fact) ())
 
 let insert t name fact =
   let r = relation_exn t name in
@@ -121,9 +113,7 @@ let insert t name fact =
   else begin
     own_indexes r;
     r.cache <- None;
-    Tuple.Table.replace r.store key ();
-    let dims = Tuple.of_array (Array.sub fact 0 (Schema.arity r.schema)) in
-    Tuple.Table.replace r.by_dims dims fact;
+    Tuple.Table.add r.store key ();
     Hashtbl.iter
       (fun positions idx ->
         Tuple.Table.add_multi idx (index_key positions fact) fact)
@@ -135,16 +125,12 @@ let remove t name fact =
   let r = relation_exn t name in
   materialize r;
   let key = Tuple.of_array fact in
-  if not (Tuple.Table.mem r.store key) then false
+  let before = Tuple.Table.length r.store in
+  Tuple.Table.remove r.store key;
+  if Tuple.Table.length r.store = before then false
   else begin
     own_indexes r;
     r.cache <- None;
-    Tuple.Table.remove r.store key;
-    let dims = Tuple.of_array (Array.sub fact 0 (Schema.arity r.schema)) in
-    (match Tuple.Table.find_opt r.by_dims dims with
-    | Some current when current == fact || current = fact ->
-        Tuple.Table.remove r.by_dims dims
-    | _ -> ());
     Hashtbl.iter
       (fun positions idx ->
         Tuple.Table.filter_multi idx (index_key positions fact) (fun f ->
@@ -158,14 +144,8 @@ let mem t name fact =
   materialize r;
   Tuple.Table.mem r.store (Tuple.of_array fact)
 
-let find_by_dims t name dims =
-  let r = relation_exn t name in
-  materialize r;
-  Tuple.Table.find_opt r.by_dims (Tuple.of_array dims)
-
 (* Snapshot.  Row stores are copied (they are cheap relative to the
-   secondary indexes and are mutated in place by [by_dims]'s
-   last-writer rule); secondary indexes are shared copy-on-write;
+   secondary indexes); secondary indexes are shared copy-on-write;
    batches, dictionaries and the pool are immutable/append-only and
    shared outright. *)
 let copy t =
@@ -179,7 +159,6 @@ let copy t =
         {
           schema = r.schema;
           store = Tuple.Table.copy r.store;
-          by_dims = Tuple.Table.copy r.by_dims;
           indexes = r.indexes;
           shared_indexes = true;
           pending = r.pending;
@@ -233,7 +212,6 @@ let clear t name =
   r.pending <- None;
   r.cache <- None;
   Tuple.Table.reset r.store;
-  Tuple.Table.reset r.by_dims;
   Hashtbl.iter (fun _ idx -> Tuple.Table.reset idx) r.indexes
 
 let facts_unsorted t name =
@@ -285,7 +263,6 @@ let set_batch t name b =
     invalid_arg ("Instance.set_batch: schema mismatch on " ^ name);
   own_indexes r;
   Tuple.Table.reset r.store;
-  Tuple.Table.reset r.by_dims;
   Hashtbl.iter (fun _ idx -> Tuple.Table.reset idx) r.indexes;
   Array.iteri
     (fun i (d : Schema.dimension) ->

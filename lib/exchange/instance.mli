@@ -29,11 +29,6 @@ val remove : t -> string -> fact -> bool
 (** [true] when the fact was present. *)
 
 val mem : t -> string -> fact -> bool
-val find_by_dims : t -> string -> Value.t array -> fact option
-(** The (unique, by functionality) fact whose dimension prefix equals
-    the given values; built on a per-relation index maintained
-    incrementally. *)
-
 val copy : t -> t
 (** Snapshot.  Row stores are copied; secondary indexes are shared
     copy-on-write (the first side to mutate detaches and rebuilds its

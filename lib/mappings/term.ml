@@ -11,14 +11,9 @@ type t =
   | Coalesce of t * t
 
 let vars t =
-  let seen = Hashtbl.create 8 in
   let out = ref [] in
   let rec go = function
-    | Var v ->
-        if not (Hashtbl.mem seen v) then begin
-          Hashtbl.add seen v ();
-          out := v :: !out
-        end
+    | Var v -> if not (List.mem v !out) then out := v :: !out
     | Const _ -> ()
     | Shifted (t, _) | Dim_fn (_, t) | Scalar_fn (_, _, t) | Neg t -> go t
     | Binapp (_, a, b) | Coalesce (a, b) ->

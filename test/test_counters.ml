@@ -51,7 +51,7 @@ let test_chase_perturbed () =
 
 (* --- incremental apply_updates: facts rederived --- *)
 
-let incr_expected = [ 201; 208; 217 ]
+let incr_expected = [ 42; 56; 73 ]
 
 let rederived (fixture : Rows.incr) n =
   (ok (Engine.Exlengine.apply_updates fixture.Rows.engine (fixture.Rows.batch n)))
@@ -65,6 +65,35 @@ let test_incr () =
     fixture.Rows.batches incr_expected;
   Alcotest.(check bool) "one extra revised key moves the count" true
     (rederived fixture 2 <> List.hd incr_expected)
+
+(* --- incremental apply_updates: derived facts written back --- *)
+
+(* The first batch after [recompute_all] writes every affected cube
+   whole (the dispatcher wrote the store); later batches write back
+   only each cube's changed facts, one per removed or added fact. *)
+let written_expected = [ 379; 84; 112; 146 ]
+
+let written_back (fixture : Rows.incr) n =
+  let c = Obs.create ~spans:false () in
+  ignore
+    (Obs.with_collector c (fun () ->
+         ok (Engine.Exlengine.apply_updates fixture.Rows.engine (fixture.Rows.batch n)))
+      : Engine.Exlengine.update_report);
+  Obs.Metrics.counter_value c.Obs.metrics "incr.facts_written_back"
+
+let test_written () =
+  let fixture = Rows.incr_setup () in
+  List.iter2
+    (fun (label, n) expected ->
+      Alcotest.(check int) label expected (written_back fixture n))
+    (("first batch after recompute_all", 1) :: fixture.Rows.batches)
+    written_expected
+
+let test_written_perturbed () =
+  let fixture = Rows.incr_setup () in
+  ignore (written_back fixture 1 : int);
+  Alcotest.(check bool) "one extra revised key moves the count" true
+    (written_back fixture 2 <> List.nth written_expected 1)
 
 (* --- optimizer: matches, tuples and non-core facts of the optimized
    chase, which must examine fewer matches than the generated mapping
@@ -258,6 +287,8 @@ let suite =
     ("chase: semi-naive matches", `Quick, test_chase);
     ("chase: perturbed input", `Quick, test_chase_perturbed);
     ("incr: facts rederived", `Quick, test_incr);
+    ("incr: facts written back", `Quick, test_written);
+    ("incr: written back, perturbed input", `Quick, test_written_perturbed);
     ("opt: optimized counters", `Quick, test_opt);
     ("opt: perturbed input", `Quick, test_opt_perturbed);
     ("col: row == columnar counters", `Quick, test_col);

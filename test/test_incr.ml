@@ -227,7 +227,7 @@ let test_chase_incremental_insert_only () =
   let deltas =
     [ ("A", { Exchange.Chase.added = [ [| vq 2024 3; vs "n"; vf 4. |] ]; removed = [] }) ]
   in
-  let _, istats =
+  let _, istats, _ =
     ok (Exchange.Chase.incremental mapping ~solution ~deltas)
   in
   Alcotest.(check int) "insert-only fast path" 1
@@ -247,7 +247,7 @@ let test_chase_incremental_removal_rederives () =
   let deltas =
     [ ("A", { Exchange.Chase.added = []; removed = [ [| vq 2024 2; vs "n"; vf 3. |] ] }) ]
   in
-  let _, istats =
+  let _, istats, _ =
     ok (Exchange.Chase.incremental mapping ~solution ~deltas)
   in
   Alcotest.(check int) "DRed rederivation" 1
@@ -274,7 +274,7 @@ let test_chase_incremental_skips_unreached_strata () =
   let deltas =
     [ ("A", { Exchange.Chase.added = [ [| vq 2024 2; vf 7. |] ]; removed = [] }) ]
   in
-  let _, istats =
+  let _, istats, _ =
     ok (Exchange.Chase.incremental mapping ~solution ~deltas)
   in
   Alcotest.(check bool) "some stratum skipped outright" true
@@ -298,7 +298,7 @@ let test_chase_incremental_aggregation_revision () =
         } );
     ]
   in
-  let _, istats =
+  let _, istats, _ =
     ok (Exchange.Chase.incremental mapping ~solution ~deltas)
   in
   Alcotest.(check int) "aggregation stratum rederived" 1
@@ -320,7 +320,7 @@ let test_chase_incremental_aggregation_state () =
   let batch deltas =
     ok (Exchange.Chase.incremental ~state mapping ~solution ~deltas)
   in
-  let _, istats1 =
+  let _, istats1, _ =
     batch
       [
         ( "A",
@@ -336,7 +336,7 @@ let test_chase_incremental_aggregation_state () =
     istats1.Exchange.Chase.strata_delta;
   Cube.set (Registry.find_exn reg "A") (key [ vq 2024 1; vs "n" ]) (vf 9.);
   check_relation_eq "S repaired (first batch)" solution (solve mapping reg) "S";
-  let _, istats2 =
+  let _, istats2, _ =
     batch
       [
         ( "A",
@@ -372,7 +372,7 @@ let test_chase_incremental_blackbox_slice () =
   let deltas =
     [ ("A", { Exchange.Chase.added = rows "a" 1.; removed = rows "a" 0. }) ]
   in
-  let _, istats = ok (Exchange.Chase.incremental mapping ~solution ~deltas) in
+  let _, istats, _ = ok (Exchange.Chase.incremental mapping ~solution ~deltas) in
   Alcotest.(check int) "blackbox stratum rederived" 1
     istats.Exchange.Chase.strata_rederived;
   let scratch = solve mapping (registry 1.) in
@@ -470,7 +470,7 @@ let test_chase_incremental_empty_delta () =
   let solution = solve mapping reg in
   List.iter
     (fun deltas ->
-      let stats, istats =
+      let stats, istats, _ =
         ok (Exchange.Chase.incremental mapping ~solution ~deltas)
       in
       Alcotest.(check int) "no input facts" 0 istats.Exchange.Chase.input_facts;
@@ -488,6 +488,138 @@ let test_chase_incremental_empty_delta () =
         );
       ];
     ]
+
+(* --- signed-delta repair: derivation counts --- *)
+
+let hand_mapping ~source ~target tgds =
+  {
+    Mappings.Mapping.source;
+    target = source @ target;
+    st_tgds = [];
+    t_tgds = ok (Mappings.Parse.tgds_of_string tgds);
+    egds = [];
+  }
+
+let q_schema name ~extra =
+  Schema.make ~name
+    ~dims:(("q", Domain.Period (Some Calendar.Quarter)) :: extra)
+    ()
+
+let source_instance mapping facts =
+  let inst = Exchange.Instance.create () in
+  List.iter (Exchange.Instance.add_relation inst)
+    mapping.Mappings.Mapping.source;
+  List.iter
+    (fun (rel, f) -> ignore (Exchange.Instance.insert inst rel f : bool))
+    facts;
+  inst
+
+let solve_facts mapping facts =
+  fst (ok (Exchange.Chase.run mapping (source_instance mapping facts)))
+
+(* A solution over hand-written source facts, repaired with state batch
+   by batch; each batch is checked against a chase of the revised
+   facts on [rels] and returns its stats and net changes. *)
+let signed_fixture mapping facts ~rels =
+  let facts = ref facts in
+  let solution = solve_facts mapping !facts in
+  let state = Exchange.Chase.create_incr_state () in
+  let batch deltas =
+    let _, istats, changes =
+      ok (Exchange.Chase.incremental ~state mapping ~solution ~deltas)
+    in
+    List.iter
+      (fun (rel, { Exchange.Chase.added; removed }) ->
+        facts :=
+          List.filter (fun (r, f) -> r <> rel || not (List.mem f removed)) !facts
+          @ List.map (fun f -> (rel, f)) added)
+      deltas;
+    List.iter
+      (check_relation_eq "equals scratch" solution (solve_facts mapping !facts))
+      rels;
+    (istats, changes)
+  in
+  (solution, batch)
+
+let removal rel f = (rel, { Exchange.Chase.added = []; removed = [ f ] })
+
+(* A projecting tgd derives P(q, 1) once per A fact of quarter q: the
+   fact must survive losing one of its two derivations and go with the
+   second. *)
+let test_signed_two_derivations () =
+  let mapping =
+    hand_mapping
+      ~source:[ q_schema "A" ~extra:[ ("r", Domain.String) ] ]
+      ~target:[ q_schema "P" ~extra:[] ]
+      "A(q, r, m) → P(q, 1)"
+  in
+  let a q r m = [| vq 2024 q; vs r; vf m |] in
+  let solution, batch =
+    signed_fixture mapping ~rels:[ "P" ]
+      [ ("A", a 1 "n" 2.); ("A", a 1 "s" 3.); ("A", a 2 "n" 4.) ]
+  in
+  let remove f =
+    let istats, changes = batch [ removal "A" f ] in
+    Alcotest.(check (pair int int)) "(delta, rederived) strata" (1, 0)
+      (istats.Exchange.Chase.strata_delta, istats.Exchange.Chase.strata_rederived);
+    List.assoc_opt "P" changes
+  in
+  let has_p1 () = Exchange.Instance.mem solution "P" [| vq 2024 1; vi 1 |] in
+  Alcotest.(check bool) "P(2024Q1) derived twice" true (has_p1 ());
+  let first = remove (a 1 "n" 2.) in
+  Alcotest.(check bool) "survives losing one derivation" true (has_p1 ());
+  Alcotest.(check bool) "no change reported for P" true (first = None);
+  let second = remove (a 1 "s" 3.) in
+  Alcotest.(check bool) "goes with the second" false (has_p1 ());
+  Alcotest.(check int) "one P fact removed" 1
+    (List.length (Option.get second).Exchange.Chase.removed)
+
+(* In the one-stratum fallback (B is read before its tgd), a batch on A
+   makes the stratum feed itself, so every selected tgd rederives and
+   drops its counts — E's projection included.  The next batch on E
+   alone repairs that tgd by signed delta again, which is only right if
+   the counts were rebuilt rather than left stale. *)
+let test_signed_counts_rebuilt_after_rederive () =
+  let one = q_schema ~extra:[] in
+  let mapping =
+    hand_mapping
+      ~source:[ one "A"; q_schema "E" ~extra:[ ("r", Domain.String) ] ]
+      ~target:[ one "B"; one "C"; one "D" ]
+      "B(q, m) → C(q, 2 * m)\nA(q, m) → B(q, m)\nE(q, r, m) → D(q, 1)"
+  in
+  Alcotest.(check int) "one fallback stratum" 1
+    (List.length (Exchange.Chase.strata_of mapping));
+  let a m = [| vq 2024 1; vf m |] and e r = [| vq 2024 1; vs r; vf 1. |] in
+  let solution, batch =
+    signed_fixture mapping ~rels:[ "B"; "C"; "D" ]
+      [ ("A", a 5.); ("E", e "x"); ("E", e "y"); ("E", e "z") ]
+  in
+  let rederived deltas = (fst (batch deltas)).Exchange.Chase.strata_rederived in
+  Alcotest.(check int) "E alone: signed" 0 (rederived [ removal "E" (e "x") ]);
+  Alcotest.(check int) "A feeds B → C: rederived" 1
+    (rederived
+       [
+         ("A", { Exchange.Chase.added = [ a 6. ]; removed = [ a 5. ] });
+         removal "E" (e "y");
+       ]);
+  Alcotest.(check int) "E alone again: signed" 0
+    (rederived [ removal "E" (e "z") ]);
+  Alcotest.(check bool) "D(2024Q1) gone with its last derivation" false
+    (Exchange.Instance.mem solution "D" [| vq 2024 1; vi 1 |])
+
+let test_signed_one_delta_per_relation () =
+  let mapping = mapping_of join_source ~cubes:[ "J" ] in
+  let solution = solve mapping (join_registry ()) in
+  let add q =
+    { Exchange.Chase.added = [ [| vq 2024 q; vs "n"; vf 1. |] ]; removed = [] }
+  in
+  let msg =
+    err "two deltas for A"
+      (Exchange.Chase.incremental mapping ~solution
+         ~deltas:[ ("A", add 3); ("A", add 4) ])
+  in
+  Alcotest.(check bool) ("names the rule: " ^ msg) true
+    (Astring_contains.contains msg "more than one delta")
 
 (* --- the engine facade: apply_updates --- *)
 
@@ -868,41 +1000,6 @@ let prop_incremental_equals_scratch =
         (Engine.Determination.derived_order
            (Engine.Exlengine.determination engine)))
 
-let suite =
-  [
-    ("determination: diamond dirty set from elementary", `Quick, test_dirty_set_elementary);
-    ("determination: changed derived reported distinctly", `Quick, test_dirty_set_derived);
-    ("determination: mixed change set", `Quick, test_dirty_set_mixed);
-    ("update: text format round trip and errors", `Quick, test_update_parse);
-    ("update: compact keeps the last write per key", `Quick, test_compact_last_wins);
-    ("update: compact cancels set against del", `Quick, test_compact_set_del_cancel);
-    ("update: compact is stable and idempotent", `Quick, test_compact_stable_idempotent);
-    ("update: compact identifies value-equal keys", `Quick, test_compact_value_aware_keys);
-    ("update: concat merges queued batches", `Quick, test_concat_across_batches);
-    ("update: concat equals sequential apply", `Quick, test_concat_equals_sequential_apply);
-    ("chase: incremental insert-only fast path", `Quick, test_chase_incremental_insert_only);
-    ("chase: incremental deletion rederives", `Quick, test_chase_incremental_removal_rederives);
-    ("chase: incremental skips unreached strata", `Quick, test_chase_incremental_skips_unreached_strata);
-    ("chase: incremental aggregation revision", `Quick, test_chase_incremental_aggregation_revision);
-    ("chase: group-scoped aggregation state", `Quick, test_chase_incremental_aggregation_state);
-    ("chase: blackbox slice revision", `Quick, test_chase_incremental_blackbox_slice);
-    ("chase: both join sides revised", `Quick, test_chase_incremental_both_join_sides);
-    ("chase: indexes survive a repair", `Quick, test_chase_incremental_keeps_indexes);
-    ("chase: empty delta is a no-op", `Quick, test_chase_incremental_empty_delta);
-    ("facade: apply_updates end to end", `Quick, test_apply_updates_end_to_end);
-    ("facade: empty update batch", `Quick, test_apply_updates_empty_batch);
-    ("facade: no-op batch propagates nothing", `Quick, test_apply_updates_noop_batch);
-    ("facade: update to an unused cube", `Quick, test_apply_updates_unused_cube);
-    ("facade: repeated key compacts to last write", `Quick, test_apply_updates_repeated_key);
-    ("facade: revert within batch is a no-op", `Quick, test_apply_updates_revert_within_batch);
-    ("facade: set then del nets to removal", `Quick, test_apply_updates_set_then_del);
-    ("facade: deletion empties a stratum", `Quick, test_apply_updates_deletion_empties_stratum);
-    ("facade: history versions only affected cubes", `Quick, test_apply_updates_history_versions);
-    ("facade: cache invalidation on load", `Quick, test_apply_updates_cache_invalidation);
-    ("facade: batch validation is atomic", `Quick, test_apply_updates_validation_atomic);
-    QCheck_alcotest.to_alcotest prop_incremental_equals_scratch;
-  ]
-
 (* --- revisions of a whole source, diffed into deltas --- *)
 
 (* The "delta" suite drives [Chase.incremental] the way a batch reload
@@ -944,7 +1041,7 @@ let repair_and_full mapping ~old_reg ~new_reg =
   let solution = solve mapping old_reg in
   let deltas = source_deltas ~old_reg ~new_reg in
   let state = Exchange.Chase.create_incr_state () in
-  let stats, istats =
+  let stats, istats, _ =
     ok (Exchange.Chase.incremental ~state mapping ~solution ~deltas)
   in
   (solution, solve mapping new_reg, stats, istats)
@@ -1058,13 +1155,21 @@ let prop_delta_equals_full =
             (Cube.keys cube))
         (Registry.elementary_names new_reg);
       let solution = chase "base" old_reg in
-      let full = chase "full" new_reg in
-      match
+      let repaired =
         Exchange.Chase.incremental mapping ~solution
           ~deltas:(source_deltas ~old_reg ~new_reg)
+      in
+      (* A dropped tuple can leave a series too short for a table
+         function: then the full chase fails, and the repair must too. *)
+      match
+        (Exchange.Chase.run mapping (Exchange.Instance.of_registry new_reg), repaired)
       with
-      | Error msg -> QCheck.Test.fail_reportf "incremental: %s\n%s" msg src
-      | Ok _ ->
+      | Error _, Error _ -> true
+      | Error msg, Ok _ ->
+          QCheck.Test.fail_reportf "full chase: %s, but the repair succeeded\n%s" msg
+            src
+      | Ok _, Error msg -> QCheck.Test.fail_reportf "incremental: %s\n%s" msg src
+      | Ok (full, _), Ok _ ->
           List.for_all
             (fun (schema : Schema.t) ->
               let name = schema.Schema.name in
@@ -1081,3 +1186,143 @@ let delta_suite =
     ("insertion and deletion", `Quick, test_delta_insertion_and_deletion);
     QCheck_alcotest.to_alcotest prop_delta_equals_full;
   ]
+
+(* --- signed delta == stateless plans == scratch, property-tested ---
+
+   Random programs (generated or optimized mappings, so fused tgds
+   with complex join terms are covered) take three removal-heavy
+   random batches in sequence.  After each, the solution repaired with
+   state (signed deltas, aggregation bags), the one repaired without
+   (the oracle plans) and a full chase of the revised source agree on
+   every target relation. *)
+
+let removal_heavy_revision st reg =
+  let out = Registry.copy reg in
+  List.iter
+    (fun name ->
+      let cube = Registry.find_exn out name in
+      List.iter
+        (fun k ->
+          let roll = Random.State.float st 1.0 in
+          if roll < 0.25 then Cube.remove cube k
+          else if roll < 0.35 then
+            match Cube.find cube k with
+            | Some v -> Cube.set cube k (Value.Float (Value.to_float_exn v +. 0.5))
+            | None -> ())
+        (Cube.keys cube))
+    (Registry.elementary_names out);
+  out
+
+(* Keys the revision removed, put back with a new measure: batches
+   insert as well as delete. *)
+let restore_some st ~from reg =
+  let out = Registry.copy reg in
+  List.iter
+    (fun name ->
+      let cube = Registry.find_exn out name in
+      Cube.iter
+        (fun k v ->
+          if (not (Cube.mem cube k)) && Random.State.bool st then
+            Cube.set cube k
+              (Value.Float (Option.value ~default:0. (Value.to_float v) +. 2.)))
+        (Registry.find_exn from name))
+    (Registry.elementary_names out);
+  out
+
+let prop_signed_equals_oracles =
+  QCheck.Test.make ~count:qcheck_count
+    ~name:"incremental ~state == incremental == scratch chase" arb_seeds
+    (fun (seed, rev_seed) ->
+      let src, reg0 = Gen.program_of_seed seed in
+      let generated =
+        match Mappings.Generate.of_source src with
+        | Ok g -> g.Mappings.Generate.mapping
+        | Error e -> QCheck.Test.fail_reportf "gen: %s" (Exl.Errors.to_string e)
+      in
+      let mapping =
+        if seed mod 2 = 0 then generated
+        else (Analysis.Optimize.run generated).Analysis.Optimize.optimized
+      in
+      let chase reg =
+        Result.map fst
+          (Exchange.Chase.run mapping (Exchange.Instance.of_registry reg))
+      in
+      let st = Random.State.make [| rev_seed; 23 |] in
+      let state = Exchange.Chase.create_incr_state () in
+      (* Batch [n] of 3 on [reg], repairing both cached solutions.  A
+         batch can leave a source the program cannot run on (a series
+         too short for its table function): then all three fail, and
+         the cached solutions are spent. *)
+      let rec batches n reg ~with_state ~without =
+        n > 3
+        ||
+        let next = restore_some st ~from:reg0 (removal_heavy_revision st reg) in
+        let deltas = source_deltas ~old_reg:reg ~new_reg:next in
+        let repair ?state solution =
+          Exchange.Chase.incremental ?state mapping ~solution ~deltas
+        in
+        match (chase next, repair ~state with_state, repair without) with
+        | Error _, Error _, Error _ -> true
+        | Ok full, Ok _, Ok _ ->
+            let agrees what got name =
+              Cube.equal_data ~eps:1e-6
+                (Exchange.Instance.cube_of_relation full name)
+                (Exchange.Instance.cube_of_relation got name)
+              || QCheck.Test.fail_reportf "batch %d: %s %s differs on\n%s" n
+                   name what src
+            in
+            List.for_all
+              (fun (schema : Schema.t) ->
+                agrees "with state" with_state schema.Schema.name
+                && agrees "without state" without schema.Schema.name)
+              mapping.Mappings.Mapping.target
+            && batches (n + 1) next ~with_state ~without
+        | full, a, b ->
+            let status = function Ok _ -> "ok" | Error msg -> msg in
+            QCheck.Test.fail_reportf
+              "batch %d: scratch %s, with state %s, without %s\n%s" n
+              (status full) (status a) (status b) src
+      in
+      match (chase reg0, chase reg0) with
+      | Ok with_state, Ok without -> batches 1 reg0 ~with_state ~without
+      | _ -> true)
+
+let suite =
+  [
+    ("determination: diamond dirty set from elementary", `Quick, test_dirty_set_elementary);
+    ("determination: changed derived reported distinctly", `Quick, test_dirty_set_derived);
+    ("determination: mixed change set", `Quick, test_dirty_set_mixed);
+    ("update: text format round trip and errors", `Quick, test_update_parse);
+    ("update: compact keeps the last write per key", `Quick, test_compact_last_wins);
+    ("update: compact cancels set against del", `Quick, test_compact_set_del_cancel);
+    ("update: compact is stable and idempotent", `Quick, test_compact_stable_idempotent);
+    ("update: compact identifies value-equal keys", `Quick, test_compact_value_aware_keys);
+    ("update: concat merges queued batches", `Quick, test_concat_across_batches);
+    ("update: concat equals sequential apply", `Quick, test_concat_equals_sequential_apply);
+    ("chase: incremental insert-only fast path", `Quick, test_chase_incremental_insert_only);
+    ("chase: incremental deletion rederives", `Quick, test_chase_incremental_removal_rederives);
+    ("chase: incremental skips unreached strata", `Quick, test_chase_incremental_skips_unreached_strata);
+    ("chase: incremental aggregation revision", `Quick, test_chase_incremental_aggregation_revision);
+    ("chase: group-scoped aggregation state", `Quick, test_chase_incremental_aggregation_state);
+    ("chase: blackbox slice revision", `Quick, test_chase_incremental_blackbox_slice);
+    ("chase: both join sides revised", `Quick, test_chase_incremental_both_join_sides);
+    ("chase: indexes survive a repair", `Quick, test_chase_incremental_keeps_indexes);
+    ("chase: empty delta is a no-op", `Quick, test_chase_incremental_empty_delta);
+    ("facade: apply_updates end to end", `Quick, test_apply_updates_end_to_end);
+    ("facade: empty update batch", `Quick, test_apply_updates_empty_batch);
+    ("facade: no-op batch propagates nothing", `Quick, test_apply_updates_noop_batch);
+    ("facade: update to an unused cube", `Quick, test_apply_updates_unused_cube);
+    ("facade: repeated key compacts to last write", `Quick, test_apply_updates_repeated_key);
+    ("facade: revert within batch is a no-op", `Quick, test_apply_updates_revert_within_batch);
+    ("facade: set then del nets to removal", `Quick, test_apply_updates_set_then_del);
+    ("facade: deletion empties a stratum", `Quick, test_apply_updates_deletion_empties_stratum);
+    ("facade: history versions only affected cubes", `Quick, test_apply_updates_history_versions);
+    ("facade: cache invalidation on load", `Quick, test_apply_updates_cache_invalidation);
+    ("facade: batch validation is atomic", `Quick, test_apply_updates_validation_atomic);
+    QCheck_alcotest.to_alcotest prop_incremental_equals_scratch;
+    ("signed: a fact outlives one of two derivations", `Quick, test_signed_two_derivations);
+    ("signed: counts rebuilt after a feeding rederive", `Quick, test_signed_counts_rebuilt_after_rederive);
+    ("signed: one delta per relation", `Quick, test_signed_one_delta_per_relation);
+    QCheck_alcotest.to_alcotest prop_signed_equals_oracles;
+  ]
+
