@@ -212,11 +212,14 @@ type revision = { original : Value.t option; mutable final : Value.t option }
 (* Apply the batch to the store's elementary cubes in order, then
    compact it to net per-key changes: a key revised twice contributes
    one removed/added pair, a revision back to the original value
-   contributes nothing. *)
+   contributes nothing.  Also returns the undo of the whole batch:
+   every revised key back to its original value, and every cube the
+   batch created out of the store. *)
 let apply_to_store t keyed =
   let revisions : (string, revision Tuple.Table.t) Hashtbl.t =
     Hashtbl.create 8
   in
+  let created = ref [] in
   List.iter
     (fun ((u : Update.t), key) ->
       let name = u.Update.cube in
@@ -229,6 +232,7 @@ let apply_to_store t keyed =
               Cube.create (Option.get (Determination.schema t.determination name))
             in
             Registry.add t.store Registry.Elementary c;
+            created := name :: !created;
             c
       in
       let touched =
@@ -256,24 +260,39 @@ let apply_to_store t keyed =
           Cube.remove cube key;
           revision.final <- None)
     keyed;
-  Hashtbl.fold
-    (fun name touched acc ->
-      let added = ref [] and removed = ref [] in
-      Tuple.Table.iter
-        (fun key { original; final } ->
-          match (original, final) with
-          | None, None -> ()
-          | Some o, Some f when Value.equal o f -> ()
-          | o, f ->
-              let fact v = Tuple.append key v in
-              Option.iter (fun v -> removed := fact v :: !removed) o;
-              Option.iter (fun v -> added := fact v :: !added) f)
-        touched;
-      if !added = [] && !removed = [] then acc
-      else
-        (name, { Exchange.Chase.added = !added; removed = !removed }) :: acc)
-    revisions []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  let undo () =
+    Hashtbl.iter
+      (fun name touched ->
+        let cube = Registry.find_exn t.store name in
+        Tuple.Table.iter
+          (fun key { original; _ } ->
+            match original with
+            | Some v -> Cube.set cube key v
+            | None -> Cube.remove cube key)
+          touched)
+      revisions;
+    List.iter (Registry.remove t.store) !created
+  in
+  let deltas =
+    Hashtbl.fold
+      (fun name touched acc ->
+        let added = ref [] and removed = ref [] in
+        Tuple.Table.iter
+          (fun key { original; final } ->
+            match (original, final) with
+            | None, None -> ()
+            | Some o, Some f when Value.equal o f -> ()
+            | o, f ->
+                let fact v = Tuple.append key v in
+                Option.iter (fun v -> removed := fact v :: !removed) o;
+                Option.iter (fun v -> added := fact v :: !added) f)
+          touched;
+        if !added = [] && !removed = [] then acc
+        else
+          (name, { Exchange.Chase.added = !added; removed = !removed }) :: acc)
+      revisions []
+  in
+  (List.sort (fun (a, _) (b, _) -> String.compare a b) deltas, undo)
 
 (* Full rebuild of the solution cache: one semi-naive chase of the
    complete program over the (already updated) store. *)
@@ -367,7 +386,7 @@ let apply_updates ?as_of t (updates : Update.t list) =
     match keyed_updates t updates with
     | Error _ as e -> e
     | Ok keyed -> (
-        let deltas = apply_to_store t keyed in
+        let deltas, undo = apply_to_store t keyed in
         let facts_changed =
           List.fold_left
             (fun acc (_, d) ->
@@ -411,9 +430,9 @@ let apply_updates ?as_of t (updates : Update.t list) =
                      with
                     | Ok _ as ok -> ok
                     | Error _ as e ->
-                        (* The instance (and bags) may be partially
+                        (* The instance (and state) may be partially
                            repaired: drop the cache so the next batch
-                           rebuilds from the store. *)
+                           rebuilds from the restored store. *)
                         invalidate_solution t;
                         e)
               | None ->
@@ -427,7 +446,9 @@ let apply_updates ?as_of t (updates : Update.t list) =
                        (Determination.derived_order t.determination))
             in
             match propagated with
-            | Error _ as e -> e
+            | Error _ as e ->
+                undo ();
+                e
             | Ok (sol, cache_hit, istats, changes) ->
                 (* Transitive invalidation: only the affected cubes get
                    a new dated version; untouched cubes keep their

@@ -109,7 +109,15 @@ val apply_updates :
     cube since; the previous cube is never mutated, so readers holding
     it keep a consistent view.  Affected cubes get a new dated version
     in the history; unaffected cubes keep theirs, so {!cube_as_of}
-    still answers for both.  An empty batch is a no-op. *)
+    still answers for both.  An empty batch is a no-op.
+
+    When propagation fails (the chase returns [Error], e.g. a revision
+    leaves a series too short for a table function), the batch is
+    undone before the [Error] is returned: every revised key gets its
+    pre-batch value back and a cube the batch created leaves the
+    store, derived cubes and history are untouched, and any cached
+    solution is dropped, so the next batch rebuilds it from the
+    restored store. *)
 
 val save_store : t -> dir:string -> (unit, string) result
 (** Persist the central cube store (elementary and derived) to a

@@ -499,11 +499,6 @@ let wrap_chase f =
         (Printf.sprintf "functionality violation in %s at %s" cube
            (Tuple.to_string key))
 
-let apply_tgd instance tgd stats =
-  wrap_chase (fun () ->
-      apply_body_full ~matcher:match_atoms instance stats (fun _ _ -> ()) tgd;
-      stats.tgds_applied <- stats.tgds_applied + 1)
-
 let check_egd instance (egd : Mappings.Egd.t) stats =
   match Instance.schema instance egd.Mappings.Egd.relation with
   | None -> Ok ()
@@ -529,24 +524,22 @@ let check_egd instance (egd : Mappings.Egd.t) stats =
       in
       loop (Instance.facts instance egd.Mappings.Egd.relation)
 
-let check_target_egds ~check_egds (m : Mappings.Mapping.t) instance stats rels =
-  if not check_egds then Ok ()
-  else
-    let rec loop = function
-      | [] -> Ok ()
-      | rel :: rest -> (
-          match
-            List.find_opt
-              (fun (e : Mappings.Egd.t) -> e.Mappings.Egd.relation = rel)
-              m.Mappings.Mapping.egds
-          with
-          | None -> loop rest
-          | Some egd -> (
-              match check_egd instance egd stats with
-              | Ok () -> loop rest
-              | Error msg -> Error ("chase failed: " ^ msg)))
-    in
-    loop (List.sort_uniq String.compare rels)
+let check_target_egds (m : Mappings.Mapping.t) instance stats rels =
+  let rec loop = function
+    | [] -> Ok ()
+    | rel :: rest -> (
+        match
+          List.find_opt
+            (fun (e : Mappings.Egd.t) -> e.Mappings.Egd.relation = rel)
+            m.Mappings.Mapping.egds
+        with
+        | None -> loop rest
+        | Some egd -> (
+            match check_egd instance egd stats with
+            | Ok () -> loop rest
+            | Error msg -> Error ("chase failed: " ^ msg)))
+  in
+  loop (List.sort_uniq String.compare rels)
 
 (* ----- the naive chase (benchmark baseline) ----- *)
 
@@ -559,7 +552,7 @@ let check_target_egds ~check_egds (m : Mappings.Mapping.t) instance stats rels =
    rebuilding its per-application hash indexes every time.  Correct for
    non-monotone operators (aggregation, blackbox) precisely because
    each application starts from a cleared target. *)
-let naive_fixpoint ~check_egds (m : Mappings.Mapping.t) target stats =
+let naive_fixpoint (m : Mappings.Mapping.t) target stats =
   let tgds =
     List.stable_sort
       (fun a b -> String.compare (Tgd.target_relation a) (Tgd.target_relation b))
@@ -630,7 +623,7 @@ let naive_fixpoint ~check_egds (m : Mappings.Mapping.t) target stats =
   in
   match rounds 1 with
   | Error _ as e -> e
-  | Ok () -> check_target_egds ~check_egds m target stats rels
+  | Ok () -> check_target_egds m target stats rels
 
 (* ----- the semi-naive stratified chase ----- *)
 
@@ -757,17 +750,14 @@ let apply_tgd_delta instance tgd stats on_new ~delta_of ~old_of =
             stats.tgds_applied <- stats.tgds_applied + 1
           end)
 
-(* Delta-round fixpoint loop shared by [run_stratum] (rounds >= 2 of a
-   full evaluation) and the incremental entry point (where the seed
-   delta is the caller's change set, not round one's output).  [on_new]
-   additionally observes every fact emitted across all rounds. *)
-let delta_rounds ?(on_new = fun _ _ -> ()) instance stats stratum seed
-    start_round =
+(* The delta rounds of [run_stratum]: round two onwards of a stratum
+   joins only the previous round's output. *)
+let delta_rounds instance stats stratum seed =
   let record tbl rel fact =
     Hashtbl.replace tbl rel
       (fact :: Option.value ~default:[] (Hashtbl.find_opt tbl rel))
   in
-  let max_rounds = start_round + List.length stratum + 8 in
+  let max_rounds = List.length stratum + 10 in
   let rec loop deltas round =
     if Hashtbl.length deltas = 0 then Ok ()
     else if round > max_rounds then
@@ -802,15 +792,12 @@ let delta_rounds ?(on_new = fun _ _ -> ()) instance stats stratum seed
                   Hashtbl.replace views rel v;
                   v
             in
-            let emit rel fact =
-              record next rel fact;
-              on_new rel fact
-            in
             let rec apply_all = function
               | [] -> Ok ()
               | tgd :: rest -> (
                   match
-                    apply_tgd_delta instance tgd stats emit ~delta_of ~old_of
+                    apply_tgd_delta instance tgd stats (record next) ~delta_of
+                      ~old_of
                   with
                   | Error msg ->
                       Error
@@ -825,7 +812,7 @@ let delta_rounds ?(on_new = fun _ _ -> ()) instance stats stratum seed
       match outcome with Error _ as e -> e | Ok next -> loop next (round + 1)
     end
   in
-  loop seed start_round
+  loop seed 2
 
 let run_stratum ~executor ~columnar instance stats stratum =
   (* Pre-build what round one will probe, so the parallel phase only
@@ -914,7 +901,7 @@ let run_stratum ~executor ~columnar instance stats stratum =
          nothing (a stratum's sources live strictly below it), so this
          terminates immediately; for unstratifiable tgd sets it is a
          genuine fixpoint loop. *)
-      delta_rounds instance stats stratum deltas 2
+      delta_rounds instance stats stratum deltas
 
 let strata_of (m : Mappings.Mapping.t) =
   match Mappings.Stratify.check m with
@@ -941,9 +928,10 @@ let run_semi_naive ~check_egds ~executor ~columnar (m : Mappings.Mapping.t)
             (fun () -> run_stratum ~executor ~columnar target stats stratum)
         with
         | Error _ as e -> e
+        | Ok () when not check_egds -> loop (i + 1) rest
         | Ok () -> (
             match
-              check_target_egds ~check_egds m target stats
+              check_target_egds m target stats
                 (List.map Tgd.target_relation stratum)
             with
             | Error _ as e -> e
@@ -1024,9 +1012,9 @@ let run ?(check_egds = true) ?(executor = sequential_executor)
   chase_with ~mode:"semi_naive" ~columnar m source (fun target stats ->
       run_semi_naive ~check_egds ~executor ~columnar m target stats)
 
-let run_naive ?(check_egds = true) m source =
+let run_naive m source =
   chase_with ~mode:"naive" ~columnar:false m source (fun target stats ->
-      naive_fixpoint ~check_egds m target stats)
+      naive_fixpoint m target stats)
 
 (* ----- incremental re-evaluation from fact deltas ----- *)
 
@@ -1087,37 +1075,9 @@ let select_touched stratum ~touched =
   Array.to_list tgds
   |> List.filteri (fun i _ -> selected.(i))
 
-(* Insert-only tuple-level tgds without state: seed the semi-naive
-   delta loop with the input delta facts (already present in the
-   instance) and let the pivot/Full/Old decomposition derive exactly
-   the new consequences. *)
-let incr_delta_stratum instance stats istats selected seed =
-  List.iter
-    (fun tgd ->
-      match tgd with
-      | Tgd.Tuple_level { lhs; _ } ->
-          List.iter
-            (fun (rel, positions) -> Instance.ensure_index instance rel positions)
-            (index_needs lhs)
-      | _ -> ())
-    selected;
-  let out : (string, Instance.fact list) Hashtbl.t = Hashtbl.create 8 in
-  let on_new rel fact =
-    istats.facts_rederived <- istats.facts_rederived + 1;
-    Hashtbl.replace out rel
-      (fact :: Option.value ~default:[] (Hashtbl.find_opt out rel))
-  in
-  match delta_rounds ~on_new instance stats selected seed 1 with
-  | Error _ as e -> e
-  | Ok () ->
-      Ok
-        (Hashtbl.fold
-           (fun rel added acc -> (rel, { added; removed = [] }) :: acc)
-           out [])
-
 (* DRed-style stratum rederivation, for tgds with no delta plan
-   (blackbox, outer combine, self-feeding fallback strata, and without
-   state tuple-level deletions and aggregations): over-delete the
+   (blackbox, outer combine, self-feeding fallback strata, and
+   tuple-level tgds sharing a target): over-delete the
    touched targets entirely, re-run the touched tgds from their
    (already updated) sources, then diff old vs new facts to get a
    compact delta for the strata above. *)
@@ -1408,7 +1368,7 @@ let incr_signed_tgd instance stats istats counts lhs (rhs : Tgd.atom)
   in
   ({ added = !added; removed = !removed }, counts)
 
-let incremental ?(check_egds = true) ?(executor = sequential_executor) ?state
+let incremental ?(executor = sequential_executor) ~state
     (m : Mappings.Mapping.t) ~solution ~deltas =
   let unknown =
     List.filter (fun (rel, _) -> Instance.schema solution rel = None) deltas
@@ -1459,11 +1419,6 @@ let incremental ?(check_egds = true) ?(executor = sequential_executor) ?state
             acc + List.length d.added + List.length d.removed)
           current 0;
       let touched rel = Hashtbl.mem current rel in
-      let delta_removed rel =
-        match Hashtbl.find_opt current rel with
-        | Some d -> d.removed <> []
-        | None -> false
-      in
       let producers : (string, int) Hashtbl.t = Hashtbl.create 16 in
       List.iter
         (fun tgd ->
@@ -1482,14 +1437,12 @@ let incremental ?(check_egds = true) ?(executor = sequential_executor) ?state
           Ok []
         end
         else begin
-          (* Per-tgd plan.  With persistent state, a tuple-level tgd
-             whose target no other tgd produces is repaired by signed
-             delta and an aggregation re-aggregates its affected
-             groups; without state, insert-only tuple-level tgds
-             replay seeded delta rounds.  Everything else (blackbox,
-             outer combine, any tgd in a self-feeding fallback
-             stratum, and without state tuple-level deletions and
-             aggregations) rederives DRed-style.  A tgd sharing a
+          (* Per-tgd plan: a tuple-level tgd whose target no other
+             tgd produces is repaired by signed delta and an
+             aggregation re-aggregates its affected groups.
+             Everything else (blackbox, outer combine, tuple-level
+             tgds sharing a target, any tgd in a self-feeding
+             fallback stratum) rederives DRed-style.  A tgd sharing a
              target with a rederived tgd must rederive too, or the
              target clear would lose its facts. *)
           let stratum_targets =
@@ -1508,16 +1461,10 @@ let incremental ?(check_egds = true) ?(executor = sequential_executor) ?state
             if feeding then `Rederive
             else
               match tgd with
-              | Tgd.Tuple_level _
-                when state <> None && sole_producer (Tgd.target_relation tgd)
+              | Tgd.Tuple_level _ when sole_producer (Tgd.target_relation tgd)
                 ->
                   `Signed
-              | Tgd.Tuple_level _
-                when not
-                       (List.exists delta_removed
-                          (Tgd.source_relations tgd)) ->
-                  `Delta
-              | Tgd.Aggregation _ when state <> None -> `Agg
+              | Tgd.Aggregation _ -> `Agg
               | _ -> `Rederive
           in
           let plans = List.map (fun tgd -> (tgd, plan_of tgd)) selected in
@@ -1547,19 +1494,15 @@ let incremental ?(check_egds = true) ?(executor = sequential_executor) ?state
           let rederive = of_plan `Rederive in
           let aggs = of_plan `Agg in
           let signed = of_plan `Signed in
-          let delta_tl = of_plan `Delta in
           (* A rederived tgd's bags or counts go stale (its target is
              rebuilt outside their bookkeeping): drop them so the next
              touching batch rebuilds them from the sources. *)
-          Option.iter
-            (fun st ->
-              List.iter
-                (fun tgd ->
-                  let key = Tgd.to_string tgd in
-                  Hashtbl.remove st.bags key;
-                  Hashtbl.remove st.counts key)
-                rederive)
-            state;
+          List.iter
+            (fun tgd ->
+              let key = Tgd.to_string tgd in
+              Hashtbl.remove state.bags key;
+              Hashtbl.remove state.counts key)
+            rederive;
           let mode = if rederive <> [] then "rederive" else "delta" in
           if rederive <> [] then
             istats.strata_rederived <- istats.strata_rederived + 1
@@ -1598,7 +1541,6 @@ let incremental ?(check_egds = true) ?(executor = sequential_executor) ?state
               let* out2 =
                 if aggs = [] && signed = [] then Ok []
                 else
-                  let st = Option.get state in
                   let outs = ref [] in
                   let out target d =
                     if d.added <> [] || d.removed <> [] then
@@ -1615,14 +1557,14 @@ let incremental ?(check_egds = true) ?(executor = sequential_executor) ?state
                                  { source; group_by; aggr; measure; target }
                                ->
                                  let bags, fresh =
-                                   match Hashtbl.find_opt st.bags key with
+                                   match Hashtbl.find_opt state.bags key with
                                    | Some bags -> (bags, false)
                                    | None ->
                                        let bags =
                                          build_agg_bags solution stats
                                            source group_by measure
                                        in
-                                       Hashtbl.replace st.bags key bags;
+                                       Hashtbl.replace state.bags key bags;
                                        (bags, true)
                                  in
                                  out target
@@ -1632,33 +1574,20 @@ let incremental ?(check_egds = true) ?(executor = sequential_executor) ?state
                              | Tgd.Tuple_level { lhs; rhs } ->
                                  let d, counts =
                                    incr_signed_tgd solution stats istats
-                                     (Hashtbl.find_opt st.counts key)
+                                     (Hashtbl.find_opt state.counts key)
                                      lhs rhs ~delta_of ~old_of
                                  in
-                                 Hashtbl.replace st.counts key counts;
+                                 Hashtbl.replace state.counts key counts;
                                  out rhs.Tgd.rel d
                              | _ -> assert false);
                              stats.tgds_applied <- stats.tgds_applied + 1)
                            (aggs @ signed)))
               in
-              let* out3 =
-                if delta_tl = [] then Ok []
-                else begin
-                  let seed : (string, Instance.fact list) Hashtbl.t =
-                    Hashtbl.create 8
-                  in
-                  Hashtbl.iter
-                    (fun rel d ->
-                      if d.added <> [] then Hashtbl.replace seed rel d.added)
-                    current;
-                  incr_delta_stratum solution stats istats delta_tl seed
-                end
-              in
               let* () =
-                check_target_egds ~check_egds m solution stats
+                check_target_egds m solution stats
                   (List.map Tgd.target_relation selected)
               in
-              Ok (out1 @ out2 @ out3))
+              Ok (out1 @ out2))
         end
       in
       let rec loop i = function

@@ -68,7 +68,6 @@ val run :
     [Shard.Driver.run]. *)
 
 val run_naive :
-  ?check_egds:bool ->
   Mappings.Mapping.t ->
   Instance.t ->
   (Instance.t * stats, string) result
@@ -105,15 +104,14 @@ val strata_of : Mappings.Mapping.t -> Mappings.Tgd.t list list
     mapping stratifies, otherwise one big stratum in statement order. *)
 
 val check_target_egds :
-  check_egds:bool ->
   Mappings.Mapping.t ->
   Instance.t ->
   stats ->
   string list ->
   (unit, string) result
 (** Run the mapping's functionality egds for the named relations (the
-    post-stratum check {!run} performs); [Ok] when [check_egds] is
-    false.  Exposed for the shard driver's post-merge checks. *)
+    post-stratum check {!run} performs unless [~check_egds:false]).
+    Exposed for the shard driver's post-merge checks. *)
 
 val sequential_executor : (unit -> unit) list -> unit
 (** The default [executor]: run tasks in order on the calling domain. *)
@@ -129,40 +127,38 @@ type incr_stats = {
       (** strata no delta reached — not evaluated at all *)
   mutable strata_delta : int;
       (** strata repaired by deltas alone: signed-delta tuple-level
-          tgds and group-scoped aggregations (with [state]), or seeded
-          semi-naive delta rounds for insert-only tuple-level tgds
-          (without it) *)
+          tgds and group-scoped aggregations *)
   mutable strata_rederived : int;
       (** strata where some tgd was rebuilt DRed-style (blackbox and
-          outer tgds, self-feeding fallback strata, and without [state]
-          tuple-level deletions and aggregations) *)
+          outer tgds, tuple-level tgds sharing a target, self-feeding
+          fallback strata) *)
   mutable facts_rederived : int;
       (** facts (re)derived during propagation: facts a signed delta
-          inserts, groups re-aggregated into a new fact, facts a delta
-          round or a DRed rerun emits — compare with the solution's
-          total fact count for the work saved *)
+          inserts, groups re-aggregated into a new fact, facts a DRed
+          rerun emits — compare with the solution's total fact count
+          for the work saved *)
 }
 
 val empty_incr_stats : unit -> incr_stats
 
 type incr_state
-(** Per-mapping state of the incremental path, kept per tgd: for every
+(** Per-solution state of {!incremental}, kept per tgd: for every
     aggregation tgd, the multiset of measures currently contributing
     to each group; for every tuple-level tgd repaired by signed delta,
     the number of lhs matches deriving each target fact.  Either is
     built by one full enumeration the first time a batch touches its
     tgd, maintained by deltas afterwards, and dropped when the tgd is
-    rederived DRed-style.  Opaque and mutable; create one per cached
-    solution and pass it to every {!incremental} call repairing that
-    solution — it must be discarded together with the solution
+    rederived DRed-style.  Opaque and mutable; create one with the
+    solution ({!create_incr_state}, right after the {!run} that
+    produced it) and pass it to every {!incremental} call repairing
+    that solution — it must be discarded together with the solution
     instance. *)
 
 val create_incr_state : unit -> incr_state
 
 val incremental :
-  ?check_egds:bool ->
   ?executor:((unit -> unit) list -> unit) ->
-  ?state:incr_state ->
+  state:incr_state ->
   Mappings.Mapping.t ->
   solution:Instance.t ->
   deltas:(string * fact_delta) list ->
@@ -177,7 +173,7 @@ val incremental :
     The deltas are first applied to [solution] (set semantics: only
     genuinely new/removed facts propagate), then the strata are
     re-evaluated in stratification order; a stratum no delta reaches is
-    skipped outright.  With [state]:
+    skipped outright.  Each touched tgd's plan follows from its shape:
     - a tuple-level tgd whose target no other tgd produces, in a
       stratum that does not feed itself, is repaired by {e signed
       delta}: with old = new − added + removed, the change
@@ -189,17 +185,16 @@ val incremental :
       has no counts yet) the counts are recounted and diffed instead,
       with the same result;
     - an aggregation tgd re-aggregates only the groups its source
-      delta falls in.
-    Without [state], an insert-only tuple-level tgd runs seeded
-    semi-naive delta rounds against the persistent indexes.  Every
-    other touched tgd (blackbox, outer combine, any tgd of a
-    self-feeding fallback stratum, and without [state] tuple-level
-    deletions and aggregations) is rederived DRed-style — its touched
-    targets are over-deleted and re-run from their updated sources,
-    and the old-vs-new diff becomes the (compact) delta for the strata
-    above.  Functionality egds are re-checked on every touched target.
-    Calls without [state] are the oracle the stateful plans are tested
-    against.
+      delta falls in;
+    - every other touched tgd (blackbox, outer combine, a tuple-level
+      tgd whose target another tgd also produces, any tgd of a
+      self-feeding fallback stratum) is rederived DRed-style — its
+      touched targets are over-deleted and re-run from their updated
+      sources, and the old-vs-new diff becomes the (compact) delta for
+      the strata above.
+    Functionality egds are re-checked on every touched target.  A
+    from-scratch {!run} on the updated sources is the oracle the
+    repair is tested against.
 
     On success the repaired [solution] equals what a from-scratch
     {!run} on the updated sources would produce, and the result also
@@ -211,8 +206,3 @@ val incremental :
     On [Error] the solution may be partially repaired; callers keeping
     the instance (and [state]) across batches must discard both. *)
 
-val apply_tgd : Instance.t -> Mappings.Tgd.t -> stats -> (unit, string) result
-(** Apply one tgd exhaustively against the instance, with the naive
-    per-application caches (exposed for unit tests). *)
-
-val check_egd : Instance.t -> Mappings.Egd.t -> stats -> (unit, string) result

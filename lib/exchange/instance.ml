@@ -271,8 +271,6 @@ let set_batch t name b =
   r.pending <- Some b;
   r.cache <- Some b
 
-let dict_pool t = t.pool
-
 (* Each cube is installed as one column batch, in key order (which is
    [facts] order, keys being distinct): the chase's Σst copy adopts it
    as is, and row stores are built only if something needs them. *)

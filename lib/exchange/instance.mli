@@ -66,10 +66,6 @@ val clear : t -> string -> unit
 val facts : t -> string -> fact list
 (** Sorted lexicographically — deterministic iteration. *)
 
-val facts_unsorted : t -> string -> fact list
-(** No ordering guarantee; avoids the sort where determinism is not
-    needed (set diffs, membership sweeps). *)
-
 val cardinality : t -> string -> int
 val total_facts : t -> int
 
@@ -88,9 +84,6 @@ val set_batch : t -> string -> Columnar.Batch.t -> unit
     pool.  The rows must be duplicate-free and sorted — true of any
     batch from {!batch}.
     @raise Invalid_argument on schema mismatch. *)
-
-val dict_pool : t -> Columnar.Dict.pool
-(** The instance's per-domain dictionary pool (shared with snapshots). *)
 
 val of_registry : Registry.t -> t
 (** Source instance [I] from the elementary cubes of a registry. *)

@@ -36,7 +36,7 @@ let merge (plan : Partition.t) (m : Mapping.t) source (sols : Instance.t list) =
     (local_targets plan);
   merged
 
-let residual_pass ~check_egds ~executor (plan : Partition.t)
+let residual_pass ~executor (plan : Partition.t)
     (m : Mapping.t) merged (stats : Chase.stats) =
   let residual_targets =
     List.sort_uniq String.compare (List.map Tgd.target_relation plan.residual)
@@ -66,7 +66,7 @@ let residual_pass ~check_egds ~executor (plan : Partition.t)
         | Error _ as e -> e
         | Ok () -> (
             match
-              Chase.check_target_egds ~check_egds m merged stats
+              Chase.check_target_egds m merged stats
                 (List.map Tgd.target_relation stratum)
             with
             | Error _ as e -> e
@@ -74,7 +74,7 @@ let residual_pass ~check_egds ~executor (plan : Partition.t)
   in
   loop 0 strata
 
-let run_planned ~check_egds ~executor (plan : Partition.t)
+let run_planned ~executor (plan : Partition.t)
     (m : Mapping.t) source =
   let shards = plan.Partition.shards in
   let stats = Chase.empty_stats () in
@@ -128,13 +128,13 @@ let run_planned ~check_egds ~executor (plan : Partition.t)
       in
       (* Phase D: residual tgds + deferred egd checks, in stratum
          order. *)
-      match residual_pass ~check_egds ~executor plan m merged stats with
+      match residual_pass ~executor plan m merged stats with
       | Error _ as e -> e
       | Ok () -> Ok (merged, stats))
 
-let run ?(check_egds = true) ?(executor = Chase.sequential_executor) ?key
+let run ?(executor = Chase.sequential_executor) ?key
     ?(range = false) ~shards (m : Mapping.t) source =
-  if shards <= 1 then Chase.run ~check_egds ~executor m source
+  if shards <= 1 then Chase.run ~executor m source
   else
     match Partition.make ?key ~range ~shards m with
     | Error _ when key = None ->
@@ -142,14 +142,14 @@ let run ?(check_egds = true) ?(executor = Chase.sequential_executor) ?key
            is nothing to partition on, so sharding degrades to the
            plain chase.  An explicit key that fails still errors
            below. *)
-        Chase.run ~check_egds ~executor m source
+        Chase.run ~executor m source
     | Error msg -> Error ("sharded chase: " ^ msg)
     | Ok plan ->
         if plan.Partition.local = [] then
           (* Nothing is shard-local: partitioning would only add
              overhead, so run the plain chase.  The plan's reasons
              still name every cross-shard atom for diagnostics. *)
-          Chase.run ~check_egds ~executor m source
+          Chase.run ~executor m source
         else
           Obs.with_span "shard.run"
             ~attrs:
@@ -160,4 +160,4 @@ let run ?(check_egds = true) ?(executor = Chase.sequential_executor) ?key
                 ( "residual",
                   string_of_int (List.length plan.Partition.residual) );
               ]
-            (fun () -> run_planned ~check_egds ~executor plan m source)
+            (fun () -> run_planned ~executor plan m source)

@@ -11,7 +11,6 @@ open Mappings
 open Exchange
 
 val run :
-  ?check_egds:bool ->
   ?executor:((unit -> unit) list -> unit) ->
   ?key:string ->
   ?range:bool ->

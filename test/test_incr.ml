@@ -215,6 +215,13 @@ let solve mapping reg =
   let inst, _ = ok (Exchange.Chase.run mapping (Exchange.Instance.of_registry reg)) in
   inst
 
+(* One repair of [solution] with a state of its own, as the first
+   batch after a full run gets. *)
+let incremental mapping ~solution ~deltas =
+  Exchange.Chase.incremental
+    ~state:(Exchange.Chase.create_incr_state ())
+    mapping ~solution ~deltas
+
 let check_relation_eq msg inst1 inst2 rel =
   Alcotest.check cube_eq msg
     (Exchange.Instance.cube_of_relation inst2 rel)
@@ -228,7 +235,7 @@ let test_chase_incremental_insert_only () =
     [ ("A", { Exchange.Chase.added = [ [| vq 2024 3; vs "n"; vf 4. |] ]; removed = [] }) ]
   in
   let _, istats, _ =
-    ok (Exchange.Chase.incremental mapping ~solution ~deltas)
+    ok (incremental mapping ~solution ~deltas)
   in
   Alcotest.(check int) "insert-only fast path" 1
     istats.Exchange.Chase.strata_delta;
@@ -240,7 +247,7 @@ let test_chase_incremental_insert_only () =
   check_relation_eq "J repaired" solution scratch "J";
   check_relation_eq "A source copy repaired" solution scratch "A"
 
-let test_chase_incremental_removal_rederives () =
+let test_chase_incremental_removal () =
   let mapping = mapping_of join_source ~cubes:[ "J" ] in
   let reg = join_registry () in
   let solution = solve mapping reg in
@@ -248,10 +255,10 @@ let test_chase_incremental_removal_rederives () =
     [ ("A", { Exchange.Chase.added = []; removed = [ [| vq 2024 2; vs "n"; vf 3. |] ] }) ]
   in
   let _, istats, _ =
-    ok (Exchange.Chase.incremental mapping ~solution ~deltas)
+    ok (incremental mapping ~solution ~deltas)
   in
-  Alcotest.(check int) "DRed rederivation" 1
-    istats.Exchange.Chase.strata_rederived;
+  Alcotest.(check (pair int int)) "signed delta, no rederivation" (1, 0)
+    (istats.Exchange.Chase.strata_delta, istats.Exchange.Chase.strata_rederived);
   Cube.remove (Registry.find_exn reg "A") (key [ vq 2024 2; vs "n" ]);
   let scratch = solve mapping reg in
   check_relation_eq "J repaired after deletion" solution scratch "J"
@@ -275,7 +282,7 @@ let test_chase_incremental_skips_unreached_strata () =
     [ ("A", { Exchange.Chase.added = [ [| vq 2024 2; vf 7. |] ]; removed = [] }) ]
   in
   let _, istats, _ =
-    ok (Exchange.Chase.incremental mapping ~solution ~deltas)
+    ok (incremental mapping ~solution ~deltas)
   in
   Alcotest.(check bool) "some stratum skipped outright" true
     (istats.Exchange.Chase.strata_skipped >= 1);
@@ -299,10 +306,10 @@ let test_chase_incremental_aggregation_revision () =
     ]
   in
   let _, istats, _ =
-    ok (Exchange.Chase.incremental mapping ~solution ~deltas)
+    ok (incremental mapping ~solution ~deltas)
   in
-  Alcotest.(check int) "aggregation stratum rederived" 1
-    istats.Exchange.Chase.strata_rederived;
+  Alcotest.(check (pair int int)) "group-scoped, no rederivation" (1, 0)
+    (istats.Exchange.Chase.strata_delta, istats.Exchange.Chase.strata_rederived);
   Cube.set (Registry.find_exn reg "A") (key [ vq 2024 1; vs "n" ]) (vf 9.);
   let scratch = solve mapping reg in
   check_relation_eq "S repaired" solution scratch "S"
@@ -372,7 +379,7 @@ let test_chase_incremental_blackbox_slice () =
   let deltas =
     [ ("A", { Exchange.Chase.added = rows "a" 1.; removed = rows "a" 0. }) ]
   in
-  let _, istats, _ = ok (Exchange.Chase.incremental mapping ~solution ~deltas) in
+  let _, istats, _ = ok (incremental mapping ~solution ~deltas) in
   Alcotest.(check int) "blackbox stratum rederived" 1
     istats.Exchange.Chase.strata_rederived;
   let scratch = solve mapping (registry 1.) in
@@ -392,7 +399,7 @@ let test_chase_incremental_both_join_sides () =
   in
   ignore
     (ok
-       (Exchange.Chase.incremental mapping ~solution
+       (incremental mapping ~solution
           ~deltas:[ ("A", revise 2. 3.); ("B", revise 10. 20.) ]));
   Alcotest.check value "3 * 20" (vf 60.)
     (Option.get
@@ -439,7 +446,7 @@ let test_chase_incremental_keeps_indexes () =
         } );
     ]
   in
-  ignore (ok (Exchange.Chase.incremental mapping ~solution ~deltas));
+  ignore (ok (incremental mapping ~solution ~deltas));
   Cube.set (Registry.find_exn reg "RGDPPC") (key k) (vf new_m);
   let scratch = solve mapping reg in
   List.iter
@@ -471,7 +478,7 @@ let test_chase_incremental_empty_delta () =
   List.iter
     (fun deltas ->
       let stats, istats, _ =
-        ok (Exchange.Chase.incremental mapping ~solution ~deltas)
+        ok (incremental mapping ~solution ~deltas)
       in
       Alcotest.(check int) "no input facts" 0 istats.Exchange.Chase.input_facts;
       Alcotest.(check int) "every stratum skipped"
@@ -615,11 +622,35 @@ let test_signed_one_delta_per_relation () =
   in
   let msg =
     err "two deltas for A"
-      (Exchange.Chase.incremental mapping ~solution
-         ~deltas:[ ("A", add 3); ("A", add 4) ])
+      (incremental mapping ~solution ~deltas:[ ("A", add 3); ("A", add 4) ])
   in
   Alcotest.(check bool) ("names the rule: " ^ msg) true
     (Astring_contains.contains msg "more than one delta")
+
+(* Two tuple-level tgds produce U, so neither can keep derivation
+   counts of its own: an insert-only batch and a removal batch each
+   rederive U's stratum DRed-style, and a fact both tgds derive
+   survives losing one of its sources. *)
+let test_shared_target_rederives () =
+  let one = q_schema ~extra:[] in
+  let mapping =
+    hand_mapping ~source:[ one "A"; one "B" ] ~target:[ one "U" ]
+      "A(q, m) → U(q, 1)\nB(q, m) → U(q, 1)"
+  in
+  let f q = [| vq 2024 q; vf 1. |] in
+  let solution, batch =
+    signed_fixture mapping ~rels:[ "U" ] [ ("A", f 1); ("B", f 1); ("B", f 2) ]
+  in
+  let plan deltas =
+    let istats, _ = batch deltas in
+    (istats.Exchange.Chase.strata_delta, istats.Exchange.Chase.strata_rederived)
+  in
+  Alcotest.(check (pair int int)) "insert-only batch: DRed" (0, 1)
+    (plan [ ("A", { Exchange.Chase.added = [ f 3 ]; removed = [] }) ]);
+  Alcotest.(check (pair int int)) "removal batch: DRed" (0, 1)
+    (plan [ removal "A" (f 1) ]);
+  Alcotest.(check bool) "U(2024Q1) kept by B" true
+    (Exchange.Instance.mem solution "U" [| vq 2024 1; vi 1 |])
 
 (* --- the engine facade: apply_updates --- *)
 
@@ -928,6 +959,60 @@ let test_apply_updates_validation_atomic () =
   Alcotest.(check bool) ("mentions cube: " ^ msg) true
     (Astring_contains.contains msg "NOPE")
 
+(* A batch whose propagation fails is undone whole.  Deleting the
+   last quarter of PDR leaves GDP seven quarters, too short for stl_t;
+   the batch also brings the first data of X, a cube no data was
+   loaded for.  It fails on a cold cache (the rebuild chase fails) and
+   on a warm one (the incremental chase fails): both times every cube
+   in the store is as it was, and the next valid batch equals a
+   from-scratch engine. *)
+let test_apply_updates_failed_batch_rolls_back () =
+  let source =
+    Helpers.overview_program
+    ^ "cube X(q: quarter, r: string);\nY := X + RGDPPC;\n"
+  in
+  let data = small_overview () in
+  let engine = make_engine source data in
+  ignore (ok (Engine.Exlengine.recompute engine));
+  let before = Registry.copy (Engine.Exlengine.store engine) in
+  let last_quarter =
+    List.filter_map
+      (fun k ->
+        if Value.compare (List.hd (Tuple.to_list k)) (vd 2021 10 1) >= 0 then
+          Some (Engine.Update.remove ~cube:"PDR" ~key:(Tuple.to_list k))
+        else None)
+      (Cube.keys (Registry.find_exn data "PDR"))
+  in
+  Alcotest.(check int) "a quarter of days, two regions" 184
+    (List.length last_quarter);
+  let failing =
+    Engine.Update.set ~cube:"X" ~key:[ vq 2020 1; vs "north" ] (vf 1.)
+    :: last_quarter
+  in
+  let store_as_before what =
+    let store = Engine.Exlengine.store engine in
+    Alcotest.(check (list string)) (what ^ ": same cubes")
+      (Registry.names before) (Registry.names store);
+    List.iter
+      (fun name ->
+        Alcotest.check cube_eq (what ^ ": " ^ name)
+          (Registry.find_exn before name) (Registry.find_exn store name))
+      (Registry.names before)
+  in
+  let msg = err "cold cache" (Engine.Exlengine.apply_updates engine failing) in
+  Alcotest.(check bool) ("stl_t fails: " ^ msg) true
+    (Astring_contains.contains msg "too short");
+  store_as_before "cold cache";
+  ok (Engine.Exlengine.warm engine);
+  ignore (err "warm cache" (Engine.Exlengine.apply_updates engine failing));
+  store_as_before "warm cache";
+  let valid =
+    [ Engine.Update.set ~cube:"PDR" ~key:[ vd 2021 12 31; vs "south" ] (vf 7.) ]
+  in
+  ignore (ok (Engine.Exlengine.apply_updates engine valid));
+  check_derived_agree "after the rollback" engine
+    (scratch_engine source data [ valid ])
+
 (* --- incremental == from-scratch, property-tested ---
 
    For random programs (test/gen.ml) and random revision batches, two
@@ -1122,81 +1207,26 @@ let test_delta_insertion_and_deletion () =
   Alcotest.check value "new there" (vf 70.)
     (Option.get (Cube.find c (key [ vq 2024 3; vs "x" ])))
 
-let prop_delta_equals_full =
-  QCheck.Test.make ~count:40
-    ~name:"incremental chase == full chase under random revisions" arb_seeds
-    (fun (seed, rev_seed) ->
-      let src, old_reg = Gen.program_of_seed seed in
-      let mapping =
-        match Mappings.Generate.of_source src with
-        | Ok g -> g.Mappings.Generate.mapping
-        | Error e -> QCheck.Test.fail_reportf "gen: %s" (Exl.Errors.to_string e)
-      in
-      let chase what reg =
-        match Exchange.Chase.run mapping (Exchange.Instance.of_registry reg) with
-        | Ok (j, _) -> j
-        | Error msg -> QCheck.Test.fail_reportf "%s chase: %s\n%s" what msg src
-      in
-      (* random revision: scale some measures, drop a few tuples *)
-      let st = Random.State.make [| rev_seed; 77 |] in
-      let new_reg = Registry.copy old_reg in
-      List.iter
-        (fun name ->
-          let cube = Registry.find_exn new_reg name in
-          List.iter
-            (fun k ->
-              let roll = Random.State.float st 1.0 in
-              if roll < 0.05 then Cube.remove cube k
-              else if roll < 0.15 then
-                match Cube.find cube k with
-                | Some v ->
-                    Cube.set cube k (Value.Float (Value.to_float_exn v +. 1.25))
-                | None -> ())
-            (Cube.keys cube))
-        (Registry.elementary_names new_reg);
-      let solution = chase "base" old_reg in
-      let repaired =
-        Exchange.Chase.incremental mapping ~solution
-          ~deltas:(source_deltas ~old_reg ~new_reg)
-      in
-      (* A dropped tuple can leave a series too short for a table
-         function: then the full chase fails, and the repair must too. *)
-      match
-        (Exchange.Chase.run mapping (Exchange.Instance.of_registry new_reg), repaired)
-      with
-      | Error _, Error _ -> true
-      | Error msg, Ok _ ->
-          QCheck.Test.fail_reportf "full chase: %s, but the repair succeeded\n%s" msg
-            src
-      | Ok _, Error msg -> QCheck.Test.fail_reportf "incremental: %s\n%s" msg src
-      | Ok (full, _), Ok _ ->
-          List.for_all
-            (fun (schema : Schema.t) ->
-              let name = schema.Schema.name in
-              Cube.equal_data ~eps:1e-7
-                (Exchange.Instance.cube_of_relation full name)
-                (Exchange.Instance.cube_of_relation solution name)
-              || QCheck.Test.fail_reportf "relation %s differs on\n%s" name src)
-            mapping.Mappings.Mapping.target)
-
 let delta_suite =
   [
     ("single revision on the overview", `Quick, test_delta_single_revision_overview);
     ("unaffected branch untouched", `Quick, test_delta_unaffected_branch);
     ("insertion and deletion", `Quick, test_delta_insertion_and_deletion);
-    QCheck_alcotest.to_alcotest prop_delta_equals_full;
   ]
 
-(* --- signed delta == stateless plans == scratch, property-tested ---
+(* --- incremental ~state == scratch chase, property-tested ---
 
    Random programs (generated or optimized mappings, so fused tgds
-   with complex join terms are covered) take three removal-heavy
-   random batches in sequence.  After each, the solution repaired with
-   state (signed deltas, aggregation bags), the one repaired without
-   (the oracle plans) and a full chase of the revised source agree on
-   every target relation. *)
+   with complex join terms are covered) take three random batches in
+   sequence, each drawn from one of two shapes: a revision that shifts
+   a few measures and drops a few keys, or a removal-heavy one with
+   some removed keys put back.  After each, the solution repaired
+   with state and a full chase of the revised source agree on every
+   target relation. *)
 
-let removal_heavy_revision st reg =
+(* Drop each key with probability [drop], add [by] to the measure of
+   another [shift] share. *)
+let random_revision st reg ~drop ~shift ~by =
   let out = Registry.copy reg in
   List.iter
     (fun name ->
@@ -1204,10 +1234,10 @@ let removal_heavy_revision st reg =
       List.iter
         (fun k ->
           let roll = Random.State.float st 1.0 in
-          if roll < 0.25 then Cube.remove cube k
-          else if roll < 0.35 then
+          if roll < drop then Cube.remove cube k
+          else if roll < drop +. shift then
             match Cube.find cube k with
-            | Some v -> Cube.set cube k (Value.Float (Value.to_float_exn v +. 0.5))
+            | Some v -> Cube.set cube k (Value.Float (Value.to_float_exn v +. by))
             | None -> ())
         (Cube.keys cube))
     (Registry.elementary_names out);
@@ -1229,9 +1259,9 @@ let restore_some st ~from reg =
     (Registry.elementary_names out);
   out
 
-let prop_signed_equals_oracles =
+let prop_signed_equals_scratch =
   QCheck.Test.make ~count:qcheck_count
-    ~name:"incremental ~state == incremental == scratch chase" arb_seeds
+    ~name:"incremental ~state == scratch chase" arb_seeds
     (fun (seed, rev_seed) ->
       let src, reg0 = Gen.program_of_seed seed in
       let generated =
@@ -1249,43 +1279,44 @@ let prop_signed_equals_oracles =
       in
       let st = Random.State.make [| rev_seed; 23 |] in
       let state = Exchange.Chase.create_incr_state () in
-      (* Batch [n] of 3 on [reg], repairing both cached solutions.  A
-         batch can leave a source the program cannot run on (a series
-         too short for its table function): then all three fail, and
-         the cached solutions are spent. *)
-      let rec batches n reg ~with_state ~without =
+      (* Batch [n] of 3 on [reg].  A batch can leave a source the
+         program cannot run on (a series too short for its table
+         function): then the scratch chase fails, the repair must fail
+         too, and the cached solution is spent. *)
+      let rec batches n reg solution =
         n > 3
         ||
-        let next = restore_some st ~from:reg0 (removal_heavy_revision st reg) in
-        let deltas = source_deltas ~old_reg:reg ~new_reg:next in
-        let repair ?state solution =
-          Exchange.Chase.incremental ?state mapping ~solution ~deltas
+        let next =
+          if Random.State.bool st then
+            random_revision st reg ~drop:0.05 ~shift:0.1 ~by:1.25
+          else
+            restore_some st ~from:reg0
+              (random_revision st reg ~drop:0.25 ~shift:0.1 ~by:0.5)
         in
-        match (chase next, repair ~state with_state, repair without) with
-        | Error _, Error _, Error _ -> true
-        | Ok full, Ok _, Ok _ ->
-            let agrees what got name =
-              Cube.equal_data ~eps:1e-6
-                (Exchange.Instance.cube_of_relation full name)
-                (Exchange.Instance.cube_of_relation got name)
-              || QCheck.Test.fail_reportf "batch %d: %s %s differs on\n%s" n
-                   name what src
-            in
+        let deltas = source_deltas ~old_reg:reg ~new_reg:next in
+        match
+          (chase next, Exchange.Chase.incremental ~state mapping ~solution ~deltas)
+        with
+        | Error _, Error _ -> true
+        | Ok full, Ok _ ->
             List.for_all
               (fun (schema : Schema.t) ->
-                agrees "with state" with_state schema.Schema.name
-                && agrees "without state" without schema.Schema.name)
+                let name = schema.Schema.name in
+                Cube.equal_data ~eps:1e-6
+                  (Exchange.Instance.cube_of_relation full name)
+                  (Exchange.Instance.cube_of_relation solution name)
+                || QCheck.Test.fail_reportf "batch %d: %s differs on\n%s" n
+                     name src)
               mapping.Mappings.Mapping.target
-            && batches (n + 1) next ~with_state ~without
-        | full, a, b ->
+            && batches (n + 1) next solution
+        | full, repaired ->
             let status = function Ok _ -> "ok" | Error msg -> msg in
-            QCheck.Test.fail_reportf
-              "batch %d: scratch %s, with state %s, without %s\n%s" n
-              (status full) (status a) (status b) src
+            QCheck.Test.fail_reportf "batch %d: scratch %s, repair %s\n%s" n
+              (status full) (status repaired) src
       in
-      match (chase reg0, chase reg0) with
-      | Ok with_state, Ok without -> batches 1 reg0 ~with_state ~without
-      | _ -> true)
+      match chase reg0 with
+      | Ok solution -> batches 1 reg0 solution
+      | Error msg -> QCheck.Test.fail_reportf "base chase: %s\n%s" msg src)
 
 let suite =
   [
@@ -1300,7 +1331,7 @@ let suite =
     ("update: concat merges queued batches", `Quick, test_concat_across_batches);
     ("update: concat equals sequential apply", `Quick, test_concat_equals_sequential_apply);
     ("chase: incremental insert-only fast path", `Quick, test_chase_incremental_insert_only);
-    ("chase: incremental deletion rederives", `Quick, test_chase_incremental_removal_rederives);
+    ("chase: incremental deletion rederives", `Quick, test_chase_incremental_removal);
     ("chase: incremental skips unreached strata", `Quick, test_chase_incremental_skips_unreached_strata);
     ("chase: incremental aggregation revision", `Quick, test_chase_incremental_aggregation_revision);
     ("chase: group-scoped aggregation state", `Quick, test_chase_incremental_aggregation_state);
@@ -1319,10 +1350,12 @@ let suite =
     ("facade: history versions only affected cubes", `Quick, test_apply_updates_history_versions);
     ("facade: cache invalidation on load", `Quick, test_apply_updates_cache_invalidation);
     ("facade: batch validation is atomic", `Quick, test_apply_updates_validation_atomic);
+    ("facade: a failed batch leaves the store as it was", `Quick, test_apply_updates_failed_batch_rolls_back);
     QCheck_alcotest.to_alcotest prop_incremental_equals_scratch;
     ("signed: a fact outlives one of two derivations", `Quick, test_signed_two_derivations);
     ("signed: counts rebuilt after a feeding rederive", `Quick, test_signed_counts_rebuilt_after_rederive);
     ("signed: one delta per relation", `Quick, test_signed_one_delta_per_relation);
-    QCheck_alcotest.to_alcotest prop_signed_equals_oracles;
+    ("dred: a target two tgds produce", `Quick, test_shared_target_rederives);
+    QCheck_alcotest.to_alcotest prop_signed_equals_scratch;
   ]
 
