@@ -172,12 +172,11 @@ let egd_consistency (m : Mapping.t) =
 (* --- E204: stratification ------------------------------------------- *)
 
 let stratification (m : Mapping.t) =
-  match Stratify.check m with
+  match Result.bind (Stratify.check m) (fun () -> Stratify.levels m) with
   | Error msg -> [ Diagnostic.makef ~code:"E204" "stratification failure: %s" msg ]
-  | Ok () ->
+  | Ok levels ->
       (* cross-validate the level structure: every tgd's sources must
          sit strictly below its target *)
-      let levels = Stratify.levels m in
       let level_of name = Option.value ~default:0 (List.assoc_opt name levels) in
       List.concat_map
         (fun tgd ->

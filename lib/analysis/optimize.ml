@@ -313,35 +313,30 @@ let affected (m : Mapping.t) (next : Mapping.t) =
 (* Decide [equivalent_on_critical base.mapping next] by chasing only the
    affected cone of [next], seeded with the base solution for every
    other relation, then comparing all of [next]'s target relations as
-   the full check does.  Falls back to a full chase of [next] when its
-   tgd order does not stratify (the chase then runs one fixpoint
-   stratum, where the cone argument does not hold) and when the cone
-   chase fails, so that an error carries the full check's message.
-   Also returns [next]'s solution, when one was computed. *)
+   the full check does.  Falls back to a full chase of [next] when the
+   cone chase fails, so that an error carries the full check's
+   message.  Also returns [next]'s solution, when one was computed. *)
 let check_against (base : fusion_base) (next : Mapping.t) =
   match Lazy.force base.solution with
   | Error e -> (original_failed e, None)
   | Ok j1 -> (
-      let full () = chase_and_compare j1 next (Lazy.force base.instance) in
-      if Result.is_error (Mappings.Stratify.check next) then full ()
-      else
-        let affected = affected base.mapping next in
-        let cone =
-          {
-            next with
-            Mapping.source =
-              List.filter
-                (fun (s : Schema.t) -> not (List.mem s.Schema.name affected))
-                next.Mapping.target;
-            t_tgds =
-              List.filter
-                (fun tgd -> List.mem (Tgd.target_relation tgd) affected)
-                next.Mapping.t_tgds;
-          }
-        in
-        match Exchange.Chase.run cone j1 with
-        | Error _ -> full ()
-        | Ok (j2, _) -> (compare_solutions j1 j2 next, Some j2))
+      let affected = affected base.mapping next in
+      let cone =
+        {
+          next with
+          Mapping.source =
+            List.filter
+              (fun (s : Schema.t) -> not (List.mem s.Schema.name affected))
+              next.Mapping.target;
+          t_tgds =
+            List.filter
+              (fun tgd -> List.mem (Tgd.target_relation tgd) affected)
+              next.Mapping.t_tgds;
+        }
+      in
+      match Exchange.Chase.run cone j1 with
+      | Error _ -> chase_and_compare j1 next (Lazy.force base.instance)
+      | Ok (j2, _) -> (compare_solutions j1 j2 next, Some j2))
 
 let check_fusion (base : fusion_base) (next : Mapping.t) =
   match check_against base next with

@@ -163,7 +163,7 @@ let match_atoms instance stats atoms (k : Binding.t -> unit) =
   in
   go [] Binding.empty [] atoms
 
-(* ----- semi-naive enumeration over the persistent indexes ----- *)
+(* ----- plan enumeration over the persistent indexes ----- *)
 
 (* A small fact list probed by position: [bag_lookup] buckets it by
    the probed positions on first use. *)
@@ -203,12 +203,12 @@ let old_view ~added ~removed =
   List.iter (fun f -> Tuple.Table.replace excluded (Tuple.of_array f) ()) added;
   { excluded; restored = bag removed }
 
-(* What an atom may range over in a semi-naive round: the current
-   instance, the state before the change ([Old]), or exactly the
-   delta.  With the pivot drawing from the delta, atoms before it (in
-   the original order) ranging over the full state and atoms after it
-   over the old state, every mixed combination of old and delta facts
-   is derived exactly once — the textbook semi-naive decomposition. *)
+(* What an atom may range over in a plan: the current instance, the
+   state before a change ([Old]), or exactly the delta.  With the pivot
+   drawing from the delta, atoms before it (in the original order)
+   ranging over the full state and atoms after it over the old state,
+   every mixed combination of old and delta facts is derived exactly
+   once — the textbook semi-naive decomposition. *)
 type atom_source = Full | Old of old_view | Delta of fact_bag
 
 (* Enumerate the plan's atoms in list order.  An atom whose positions
@@ -309,12 +309,9 @@ let count_new stats rel =
   if Exl.Normalize.is_temp rel then
     stats.nulls_created <- stats.nulls_created + 1
 
-let emit_fact instance stats on_new rel values =
-  let fact = Array.of_list values in
-  if Instance.insert instance rel fact then begin
-    count_new stats rel;
-    on_new rel fact
-  end
+let emit_fact instance stats rel values =
+  if Instance.insert instance rel (Array.of_list values) then
+    count_new stats rel
 
 (* The rhs values a binding derives; [None] when any term is undefined,
    which leaves a hole in the result cube, matching the
@@ -324,11 +321,9 @@ let rhs_fact binding (rhs : Tgd.atom) =
   if List.for_all Option.is_some values then Some (List.map Option.get values)
   else None
 
-let apply_tuple_level ~matcher ~out instance stats on_new lhs (rhs : Tgd.atom) =
+let apply_tuple_level ~matcher ~out instance stats lhs (rhs : Tgd.atom) =
   matcher instance stats lhs (fun binding ->
-      Option.iter
-        (emit_fact out stats on_new rhs.Tgd.rel)
-        (rhs_fact binding rhs))
+      Option.iter (emit_fact out stats rhs.Tgd.rel) (rhs_fact binding rhs))
 
 (* Bind one source fact of an aggregation tgd to its (group key,
    measure) contribution; [None] when the fact does not match the
@@ -377,7 +372,7 @@ let agg_classify (source : Tgd.atom) group_by measure =
           raise (Chase_error "aggregation source atom must use variables");
         classify (Binding.lookup binding)
 
-let apply_aggregation ~out instance stats on_new (source : Tgd.atom) group_by
+let apply_aggregation ~out instance stats (source : Tgd.atom) group_by
     aggr measure target =
   let groups : float list ref Tuple.Table.t = Tuple.Table.create 64 in
   let order = ref [] in
@@ -399,11 +394,11 @@ let apply_aggregation ~out instance stats on_new (source : Tgd.atom) group_by
       let bag = List.rev !(Tuple.Table.find groups key) in
       let result = Stats.Aggregate.apply aggr bag in
       if not (Float.is_nan result) then
-        emit_fact out stats on_new target
+        emit_fact out stats target
           (Tuple.to_list key @ [ Value.of_float result ]))
     (List.rev !order)
 
-let apply_table_fn ~out instance stats on_new fn params source target =
+let apply_table_fn ~out instance stats fn params source target =
   let cube = Instance.cube_of_relation instance source in
   let op =
     match Ops.Blackbox.find fn with
@@ -416,12 +411,12 @@ let apply_table_fn ~out instance stats on_new fn params source target =
       Cube.iter
         (fun k v ->
           stats.matches_examined <- stats.matches_examined + 1;
-          emit_fact out stats on_new target (Array.to_list (Tuple.append k v)))
+          emit_fact out stats target (Array.to_list (Tuple.append k v)))
         result
 
 (* The default-value vectorial variant: the union of both key sets,
    missing sides contributing the default measure. *)
-let apply_outer_combine ~out instance stats on_new (left : Tgd.atom)
+let apply_outer_combine ~out instance stats (left : Tgd.atom)
     (right : Tgd.atom) op default target =
   let dims_of fact =
     let n = Array.length fact - 1 in
@@ -445,7 +440,7 @@ let apply_outer_combine ~out instance stats on_new (left : Tgd.atom)
     | Some result ->
         if vl = None || vr = None then
           stats.nulls_created <- stats.nulls_created + 1;
-        emit_fact out stats on_new target
+        emit_fact out stats target
           (Tuple.to_list key @ [ Value.of_float result ])
     | None -> ()
   in
@@ -460,8 +455,7 @@ let apply_outer_combine ~out instance stats on_new (left : Tgd.atom)
    [vectorized] routes kernel-able tgds through the columnar engine
    (reads and writes must coincide — the batch is the frozen view);
    shapes the kernels do not handle fall through to the row matcher. *)
-let apply_body_full ~matcher ?(vectorized = false) ?out instance stats on_new
-    tgd =
+let apply_body_full ~matcher ?(vectorized = false) ?out instance stats tgd =
   let out = Option.value ~default:instance out in
   let vectorize () =
     vectorized && out == instance
@@ -470,23 +464,22 @@ let apply_body_full ~matcher ?(vectorized = false) ?out instance stats on_new
            Vchase.read = instance;
            count =
              (fun n -> stats.matches_examined <- stats.matches_examined + n);
-           emit = (fun rel values -> emit_fact out stats on_new rel values);
+           emit = emit_fact out stats;
          }
          tgd
   in
   match tgd with
   | Tgd.Tuple_level { lhs; rhs } ->
       if not (vectorize ()) then
-        apply_tuple_level ~matcher ~out instance stats on_new lhs rhs
+        apply_tuple_level ~matcher ~out instance stats lhs rhs
   | Tgd.Aggregation { source; group_by; aggr; measure; target } ->
       if not (vectorize ()) then
-        apply_aggregation ~out instance stats on_new source group_by aggr
-          measure target
+        apply_aggregation ~out instance stats source group_by aggr measure
+          target
   | Tgd.Table_fn { fn; params; source; target } ->
-      apply_table_fn ~out instance stats on_new fn params source target
+      apply_table_fn ~out instance stats fn params source target
   | Tgd.Outer_combine { left; right; op; default; target } ->
-      apply_outer_combine ~out instance stats on_new left right op default
-        target
+      apply_outer_combine ~out instance stats left right op default target
 
 let wrap_chase f =
   try
@@ -577,7 +570,7 @@ let naive_fixpoint (m : Mappings.Mapping.t) target stats =
           match
             wrap_chase (fun () ->
                 apply_body_full ~matcher:match_atoms ~out:target snapshot stats
-                  (fun _ _ -> ()) tgd;
+                  tgd;
                 stats.tgds_applied <- stats.tgds_applied + 1)
           with
           | Error msg ->
@@ -625,202 +618,26 @@ let naive_fixpoint (m : Mappings.Mapping.t) target stats =
   | Error _ as e -> e
   | Ok () -> check_target_egds m target stats rels
 
-(* ----- the semi-naive stratified chase ----- *)
+(* ----- the stratified chase ----- *)
 
-let apply_full_collect ~vectorized instance tgd =
+(* One tgd against [instance], counting into fresh stats so tgds of a
+   stratum can run on separate domains. *)
+let apply_full ~vectorized instance tgd =
   let local = empty_stats () in
-  let added = ref [] in
-  let on_new rel fact = added := (rel, fact) :: !added in
   let res =
     wrap_chase (fun () ->
-        apply_body_full ~matcher:indexed_matcher ~vectorized instance local
-          on_new tgd;
+        apply_body_full ~matcher:indexed_matcher ~vectorized instance local tgd;
         local.tgds_applied <- local.tgds_applied + 1)
   in
-  (res, local, List.rev !added)
-
-(* The order to enumerate [atoms] in, with its estimated cost: each
-   atom is tried first, followed greedily by the atoms that can be
-   probed, and the cheapest estimate wins — a scan costs the atom's
-   size times the enumerations before it, a probe one per enumeration
-   — ties going to the earliest first atom. *)
-let order_plan instance (atoms : (Tgd.atom * atom_source) list) =
-  let size ((a : Tgd.atom), source) =
-    float_of_int
-      (match source with
-      | Delta b -> List.length b.facts
-      | Full -> Instance.cardinality instance a.Tgd.rel
-      | Old view ->
-          Instance.cardinality instance a.Tgd.rel
-          + List.length view.restored.facts)
-  in
-  let greedy first =
-    let rec go bound acc = function
-      | [] -> List.rev acc
-      | remaining ->
-          let next =
-            match
-              List.find_opt
-                (fun (a, _) -> determined_positions bound a <> [])
-                remaining
-            with
-            | Some e -> e
-            | None -> List.hd remaining
-          in
-          go
-            (extend_bound_vars bound (fst next))
-            (next :: acc)
-            (List.filter (fun e -> e != next) remaining)
-    in
-    go (extend_bound_vars [] (fst first)) [ first ]
-      (List.filter (fun e -> e != first) atoms)
-  in
-  let cost order =
-    let rec go bound outer acc = function
-      | [] -> acc
-      | ((a, _) as e) :: rest ->
-          let bound' = extend_bound_vars bound a in
-          if determined_positions bound a = [] then
-            let n = outer *. size e in
-            go bound' n (acc +. n) rest
-          else go bound' outer (acc +. outer) rest
-    in
-    go [] 1. 0. order
-  in
-  List.fold_left
-    (fun best e ->
-      let order = greedy e in
-      let c = cost order in
-      match best with Some (_, c') when c' <= c -> best | _ -> Some (order, c))
-    None atoms
-  |> Option.get
-
-(* The plan of pivot [i]: atom [i] over the delta [facts], earlier
-   atoms over the current state, later ones over the old state.
-   Enumerating the pivot first is the textbook order, but it leaves the
-   next atom without a probe key when the pivot binds the join
-   variables only under a complex term (the pivot GDPT(q + 1, m) of
-   GDPT(q + 1, m) ∧ GDPT(q, m')): every delta fact would scan the other
-   relation.  [order_plan] then puts the other atom first and probes
-   the pivot through its bucketed delta. *)
-let pivot_plan instance lhs i facts ~old_of =
-  let atoms =
-    List.mapi
-      (fun j (a : Tgd.atom) ->
-        if j = i then (a, Delta (bag facts))
-        else if j < i then (a, Full)
-        else (a, Old (old_of a.Tgd.rel)))
-      lhs
-  in
-  order_plan instance
-    (List.nth atoms i :: List.filteri (fun j _ -> j <> i) atoms)
-
-(* One pivot pass per lhs atom with a non-empty delta (see
-   [pivot_plan]). *)
-let apply_tuple_level_delta instance stats on_new lhs (rhs : Tgd.atom)
-    ~delta_of ~old_of =
-  List.iteri
-    (fun i (pivot_atom : Tgd.atom) ->
-      let d = delta_of pivot_atom.Tgd.rel in
-      if d <> [] then
-        match_plan instance stats
-          (fst (pivot_plan instance lhs i d ~old_of))
-          (fun binding ->
-            Option.iter
-              (emit_fact instance stats on_new rhs.Tgd.rel)
-              (rhs_fact binding rhs)))
-    lhs
-
-let apply_tgd_delta instance tgd stats on_new ~delta_of ~old_of =
-  let touched rels = List.exists (fun r -> delta_of r <> []) rels in
-  wrap_chase (fun () ->
-      match tgd with
-      | Tgd.Tuple_level { lhs; rhs } ->
-          if touched (List.map (fun (a : Tgd.atom) -> a.Tgd.rel) lhs) then begin
-            apply_tuple_level_delta instance stats on_new lhs rhs ~delta_of
-              ~old_of;
-            stats.tgds_applied <- stats.tgds_applied + 1
-          end
-      | _ ->
-          (* aggregation / blackbox / outer tgds are not delta-
-             decomposable; re-evaluate from the full source when it
-             changed, relying on set semantics to dedupe re-derivations *)
-          if touched (Tgd.source_relations tgd) then begin
-            apply_body_full ~matcher:indexed_matcher instance stats on_new tgd;
-            stats.tgds_applied <- stats.tgds_applied + 1
-          end)
-
-(* The delta rounds of [run_stratum]: round two onwards of a stratum
-   joins only the previous round's output. *)
-let delta_rounds instance stats stratum seed =
-  let record tbl rel fact =
-    Hashtbl.replace tbl rel
-      (fact :: Option.value ~default:[] (Hashtbl.find_opt tbl rel))
-  in
-  let max_rounds = List.length stratum + 10 in
-  let rec loop deltas round =
-    if Hashtbl.length deltas = 0 then Ok ()
-    else if round > max_rounds then
-      Error "chase stratum did not reach a fixpoint"
-    else begin
-      stats.rounds <- stats.rounds + 1;
-      let delta_total =
-        Hashtbl.fold (fun _ l acc -> acc + List.length l) deltas 0
-      in
-      Obs.observe ~buckets:Obs.Metrics.size_buckets "chase.delta_facts"
-        (float_of_int delta_total);
-      let outcome =
-        Obs.with_span "chase.round"
-          ~attrs:
-            [
-              ("round", string_of_int round);
-              ("delta_facts", string_of_int delta_total);
-            ]
-          (fun () ->
-            let next : (string, Instance.fact list) Hashtbl.t =
-              Hashtbl.create 8
-            in
-            let delta_of rel =
-              Option.value ~default:[] (Hashtbl.find_opt deltas rel)
-            in
-            let views : (string, old_view) Hashtbl.t = Hashtbl.create 8 in
-            let old_of rel =
-              match Hashtbl.find_opt views rel with
-              | Some v -> v
-              | None ->
-                  let v = old_view ~added:(delta_of rel) ~removed:[] in
-                  Hashtbl.replace views rel v;
-                  v
-            in
-            let rec apply_all = function
-              | [] -> Ok ()
-              | tgd :: rest -> (
-                  match
-                    apply_tgd_delta instance tgd stats (record next) ~delta_of
-                      ~old_of
-                  with
-                  | Error msg ->
-                      Error
-                        (Printf.sprintf "chase failed on tgd [%s]: %s"
-                           (Tgd.to_string tgd) msg)
-                  | Ok () -> apply_all rest)
-            in
-            match apply_all stratum with
-            | Error _ as e -> e
-            | Ok () -> Ok next)
-      in
-      match outcome with Error _ as e -> e | Ok next -> loop next (round + 1)
-    end
-  in
-  loop seed 2
+  (res, local)
 
 let run_stratum ~executor ~columnar instance stats stratum =
-  (* Pre-build what round one will probe, so the parallel phase only
+  (* Pre-build what the stratum will probe, so the parallel phase only
      ever reads the shared relations: source batches (and their
      append-only dictionaries) for kernel-handled tgds, persistent
      indexes for the rest.  [Vchase.handles] depends only on schemas
      and tgd shape, both fixed for the stratum, so a handled tgd is
-     guaranteed to take the batch path in round one. *)
+     guaranteed to take the batch path. *)
   List.iter
     (fun tgd ->
       if columnar && Vchase.handles instance tgd then
@@ -834,25 +651,19 @@ let run_stratum ~executor ~columnar instance stats stratum =
               (index_needs lhs)
         | _ -> ())
     stratum;
-  (* Round one: full evaluation, seeded by the whole instance.  Tgds of
-     a stratum have pairwise distinct targets and read only lower
-     strata, so they are independent; when that is certain they may run
-     on separate domains, each writing only its own target relation. *)
+  (* One full application per tgd: a stratum reads only lower strata,
+     so nothing it derives feeds it.  Tgds with pairwise distinct
+     targets are independent and may run on separate domains, each
+     writing only its own target relation. *)
   stats.rounds <- stats.rounds + 1;
   let parallel_safe =
     let targets = List.map Tgd.target_relation stratum in
     List.length (List.sort_uniq String.compare targets) = List.length targets
-    && List.for_all
-         (fun tgd ->
-           List.for_all
-             (fun s -> not (List.mem s targets))
-             (Tgd.source_relations tgd))
-         stratum
   in
-  let collect tgd =
+  let apply tgd =
     Obs.with_span "chase.tgd"
       ~attrs:[ ("target", Tgd.target_relation tgd) ]
-      (fun () -> apply_full_collect ~vectorized:columnar instance tgd)
+      (fun () -> apply_full ~vectorized:columnar instance tgd)
   in
   let outcomes =
     Obs.with_span "chase.round"
@@ -860,31 +671,25 @@ let run_stratum ~executor ~columnar instance stats stratum =
         [ ("round", "1"); ("parallel", string_of_bool parallel_safe) ]
       (fun () ->
         match stratum with
-        | [ tgd ] -> [ collect tgd ]
-        | _ when not parallel_safe -> List.map collect stratum
+        | [ tgd ] -> [ apply tgd ]
+        | _ when not parallel_safe -> List.map apply stratum
         | _ ->
             let n = List.length stratum in
             let results = Array.make n None in
             let tasks =
-              List.mapi (fun i tgd () -> results.(i) <- Some (collect tgd)) stratum
+              List.mapi (fun i tgd () -> results.(i) <- Some (apply tgd)) stratum
             in
             executor tasks;
             Array.to_list results
             |> List.map (function
                  | Some r -> r
                  | None ->
-                     (Error "parallel chase task did not run", empty_stats (), [])))
-  in
-  let deltas : (string, Instance.fact list) Hashtbl.t = Hashtbl.create 8 in
-  let record tbl rel fact =
-    Hashtbl.replace tbl rel
-      (fact :: Option.value ~default:[] (Hashtbl.find_opt tbl rel))
+                     (Error "parallel chase task did not run", empty_stats ())))
   in
   let first_error = ref None in
   List.iter2
-    (fun tgd (res, local, added) ->
+    (fun tgd (res, local) ->
       merge_stats ~into:stats local;
-      List.iter (fun (rel, fact) -> record deltas rel fact) added;
       match res with
       | Error msg when !first_error = None ->
           first_error :=
@@ -893,28 +698,15 @@ let run_stratum ~executor ~columnar instance stats stratum =
                  msg)
       | _ -> ())
     stratum outcomes;
-  match !first_error with
-  | Some msg -> Error msg
-  | None ->
-      (* Subsequent rounds: join only against the previous round's
-         delta.  For a stratified program the first delta round derives
-         nothing (a stratum's sources live strictly below it), so this
-         terminates immediately; for unstratifiable tgd sets it is a
-         genuine fixpoint loop. *)
-      delta_rounds instance stats stratum deltas
+  match !first_error with Some msg -> Error msg | None -> Ok ()
 
-let strata_of (m : Mappings.Mapping.t) =
-  match Mappings.Stratify.check m with
-  | Ok () -> Mappings.Stratify.strata m
-  | Error _ -> (
-      (* Unstratifiable (or mis-ordered) tgd sets run as one big
-         stratum: round one follows statement order, the delta rounds
-         then compute the actual fixpoint. *)
-      match m.Mappings.Mapping.t_tgds with [] -> [] | tgds -> [ tgds ])
+let strata_of m =
+  Result.map_error
+    (fun msg -> "chase failed: " ^ msg)
+    (Mappings.Stratify.strata m)
 
 let run_semi_naive ~check_egds ~executor ~columnar (m : Mappings.Mapping.t)
     target stats =
-  let strata = strata_of m in
   let rec loop i = function
     | [] -> Ok ()
     | stratum :: rest -> (
@@ -937,7 +729,7 @@ let run_semi_naive ~check_egds ~executor ~columnar (m : Mappings.Mapping.t)
             | Error _ as e -> e
             | Ok () -> loop (i + 1) rest))
   in
-  loop 0 strata
+  Result.bind (strata_of m) (loop 0)
 
 let sequential_executor tasks = List.iter (fun task -> task ()) tasks
 
@@ -1041,43 +833,23 @@ let empty_incr_stats () =
     facts_rederived = 0;
   }
 
-(* The tgds of [stratum] that must re-run: a tgd is selected when a
-   source relation carries a delta, when a source is the target of an
-   already selected tgd (intra-stratum feeding happens only in the
-   unstratifiable single-stratum fallback), or when its target will be
-   cleared by the rederivation of another selected tgd (shared targets
-   must be rebuilt together or facts would be lost). *)
+(* The tgds of [stratum] that must re-run: those a source delta
+   reaches, plus every other producer of their targets — a shared
+   target is rederived, which clears it, so all its producers must
+   rebuild it together. *)
 let select_touched stratum ~touched =
-  let tgds = Array.of_list stratum in
-  let selected = Array.make (Array.length tgds) false in
-  let target_selected rel =
-    Array.exists2
-      (fun s tgd -> s && Tgd.target_relation tgd = rel)
-      selected tgds
+  let targets =
+    List.filter_map
+      (fun tgd ->
+        if List.exists touched (Tgd.source_relations tgd) then
+          Some (Tgd.target_relation tgd)
+        else None)
+      stratum
   in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    Array.iteri
-      (fun i tgd ->
-        if not selected.(i) then
-          let sources = Tgd.source_relations tgd in
-          if
-            List.exists touched sources
-            || List.exists target_selected sources
-            || target_selected (Tgd.target_relation tgd)
-          then begin
-            selected.(i) <- true;
-            changed := true
-          end)
-      tgds
-  done;
-  Array.to_list tgds
-  |> List.filteri (fun i _ -> selected.(i))
+  List.filter (fun tgd -> List.mem (Tgd.target_relation tgd) targets) stratum
 
 (* DRed-style stratum rederivation, for tgds with no delta plan
-   (blackbox, outer combine, self-feeding fallback strata, and
-   tuple-level tgds sharing a target): over-delete the
+   (blackbox, outer combine, and tgds sharing a target): over-delete the
    touched targets entirely, re-run the touched tgds from their
    (already updated) sources, then diff old vs new facts to get a
    compact delta for the strata above. *)
@@ -1255,6 +1027,82 @@ let bump table fact n =
   Tuple.Table.replace table fact
     (n + Option.value ~default:0 (Tuple.Table.find_opt table fact))
 
+(* The order to enumerate [atoms] in, with its estimated cost: each
+   atom is tried first, followed greedily by the atoms that can be
+   probed, and the cheapest estimate wins — a scan costs the atom's
+   size times the enumerations before it, a probe one per enumeration
+   — ties going to the earliest first atom. *)
+let order_plan instance (atoms : (Tgd.atom * atom_source) list) =
+  let size ((a : Tgd.atom), source) =
+    float_of_int
+      (match source with
+      | Delta b -> List.length b.facts
+      | Full -> Instance.cardinality instance a.Tgd.rel
+      | Old view ->
+          Instance.cardinality instance a.Tgd.rel
+          + List.length view.restored.facts)
+  in
+  let greedy first =
+    let rec go bound acc = function
+      | [] -> List.rev acc
+      | remaining ->
+          let next =
+            match
+              List.find_opt
+                (fun (a, _) -> determined_positions bound a <> [])
+                remaining
+            with
+            | Some e -> e
+            | None -> List.hd remaining
+          in
+          go
+            (extend_bound_vars bound (fst next))
+            (next :: acc)
+            (List.filter (fun e -> e != next) remaining)
+    in
+    go (extend_bound_vars [] (fst first)) [ first ]
+      (List.filter (fun e -> e != first) atoms)
+  in
+  let cost order =
+    let rec go bound outer acc = function
+      | [] -> acc
+      | ((a, _) as e) :: rest ->
+          let bound' = extend_bound_vars bound a in
+          if determined_positions bound a = [] then
+            let n = outer *. size e in
+            go bound' n (acc +. n) rest
+          else go bound' outer (acc +. outer) rest
+    in
+    go [] 1. 0. order
+  in
+  List.fold_left
+    (fun best e ->
+      let order = greedy e in
+      let c = cost order in
+      match best with Some (_, c') when c' <= c -> best | _ -> Some (order, c))
+    None atoms
+  |> Option.get
+
+(* The plan of pivot [i]: atom [i] over the delta [facts], earlier
+   atoms over the current state, later ones over the old state.
+   Enumerating the pivot first is the textbook order, but it leaves the
+   next atom without a probe key when the pivot binds the join
+   variables only under a complex term (the pivot GDPT(q + 1, m) of
+   GDPT(q + 1, m) ∧ GDPT(q, m')): every delta fact would scan the other
+   relation.  [order_plan] then puts the other atom first and probes
+   the pivot through its bucketed delta. *)
+let pivot_plan instance lhs i facts ~old_of =
+  let atoms =
+    List.mapi
+      (fun j (a : Tgd.atom) ->
+        if j = i then (a, Delta (bag facts))
+        else if j < i then (a, Full)
+        else (a, Old (old_of a.Tgd.rel)))
+      lhs
+  in
+  order_plan instance
+    (List.nth atoms i :: List.filteri (fun j _ -> j <> i) atoms)
+
 (* One tuple-level tgd, repaired by derivation counting (Gupta, Mumick
    & Subrahmanian, SIGMOD 1993).  [counts] maps each target fact to the
    number of lhs matches deriving it.  With old = new − added + removed
@@ -1374,17 +1222,18 @@ let incremental ?(executor = sequential_executor) ~state
     List.filter (fun (rel, _) -> Instance.schema solution rel = None) deltas
   in
   let rels = List.map fst deltas in
-  match unknown with
-  | (rel, _) :: _ ->
+  match (unknown, strata_of m) with
+  | (rel, _) :: _, _ ->
       Error
         (Printf.sprintf
            "incremental chase: relation %s is not part of the solution" rel)
-  | [] when List.length (List.sort_uniq String.compare rels) < List.length rels
-    ->
+  | [], _
+    when List.length (List.sort_uniq String.compare rels) < List.length rels ->
       (* The signed plans read each relation's old state off its net
          change, which two deltas applied in turn would not give. *)
       Error "incremental chase: more than one delta for a relation"
-  | [] ->
+  | [], (Error _ as e) -> e
+  | [], Ok strata ->
       let stats = empty_stats () in
       let istats = empty_incr_stats () in
       (* Net change map, grown stratum by stratum as deltas
@@ -1437,72 +1286,22 @@ let incremental ?(executor = sequential_executor) ~state
           Ok []
         end
         else begin
-          (* Per-tgd plan: a tuple-level tgd whose target no other
-             tgd produces is repaired by signed delta and an
-             aggregation re-aggregates its affected groups.
-             Everything else (blackbox, outer combine, tuple-level
-             tgds sharing a target, any tgd in a self-feeding
-             fallback stratum) rederives DRed-style.  A tgd sharing a
-             target with a rederived tgd must rederive too, or the
-             target clear would lose its facts. *)
-          let stratum_targets =
-            List.sort_uniq String.compare
-              (List.map Tgd.target_relation stratum)
+          (* Per-tgd plan, fixed by its shape: a tuple-level tgd
+             that is the sole producer of its target is repaired by
+             signed delta, an aggregation that is the sole producer of
+             its target re-aggregates its affected groups, and
+             everything else (blackbox, outer combine, tgds sharing a
+             target) rederives DRed-style.  A tgd that keeps state is
+             therefore never rederived, and every producer of a
+             rederived target is selected with it. *)
+          let keeps_state tgd =
+            sole_producer (Tgd.target_relation tgd)
+            &&
+            match tgd with
+            | Tgd.Tuple_level _ | Tgd.Aggregation _ -> true
+            | Tgd.Table_fn _ | Tgd.Outer_combine _ -> false
           in
-          let feeding =
-            List.exists
-              (fun tgd ->
-                List.exists
-                  (fun s -> List.mem s stratum_targets)
-                  (Tgd.source_relations tgd))
-              selected
-          in
-          let plan_of tgd =
-            if feeding then `Rederive
-            else
-              match tgd with
-              | Tgd.Tuple_level _ when sole_producer (Tgd.target_relation tgd)
-                ->
-                  `Signed
-              | Tgd.Aggregation _ -> `Agg
-              | _ -> `Rederive
-          in
-          let plans = List.map (fun tgd -> (tgd, plan_of tgd)) selected in
-          let rederive_targets = Hashtbl.create 4 in
-          List.iter
-            (fun (tgd, plan) ->
-              if plan = `Rederive then
-                Hashtbl.replace rederive_targets (Tgd.target_relation tgd)
-                  ())
-            plans;
-          (* One pass suffices: demoting a tgd adds no new target. *)
-          let plans =
-            List.map
-              (fun (tgd, plan) ->
-                if
-                  plan <> `Rederive
-                  && Hashtbl.mem rederive_targets (Tgd.target_relation tgd)
-                then (tgd, `Rederive)
-                else (tgd, plan))
-              plans
-          in
-          let of_plan p =
-            List.filter_map
-              (fun (tgd, plan) -> if plan = p then Some tgd else None)
-              plans
-          in
-          let rederive = of_plan `Rederive in
-          let aggs = of_plan `Agg in
-          let signed = of_plan `Signed in
-          (* A rederived tgd's bags or counts go stale (its target is
-             rebuilt outside their bookkeeping): drop them so the next
-             touching batch rebuilds them from the sources. *)
-          List.iter
-            (fun tgd ->
-              let key = Tgd.to_string tgd in
-              Hashtbl.remove state.bags key;
-              Hashtbl.remove state.counts key)
-            rederive;
+          let kept, rederive = List.partition keeps_state selected in
           let mode = if rederive <> [] then "rederive" else "delta" in
           if rederive <> [] then
             istats.strata_rederived <- istats.strata_rederived + 1
@@ -1539,7 +1338,7 @@ let incremental ?(executor = sequential_executor) ~state
                     v
               in
               let* out2 =
-                if aggs = [] && signed = [] then Ok []
+                if kept = [] then Ok []
                 else
                   let outs = ref [] in
                   let out target d =
@@ -1581,7 +1380,7 @@ let incremental ?(executor = sequential_executor) ~state
                                  out rhs.Tgd.rel d
                              | _ -> assert false);
                              stats.tgds_applied <- stats.tgds_applied + 1)
-                           (aggs @ signed)))
+                           kept))
               in
               let* () =
                 check_target_egds m solution stats
@@ -1608,7 +1407,7 @@ let incremental ?(executor = sequential_executor) ~state
               ("strata_skipped", string_of_int istats.strata_skipped);
               ("facts_rederived", string_of_int istats.facts_rederived);
             ])
-          (fun () -> loop 0 (strata_of m))
+          (fun () -> loop 0 strata)
       in
       if Obs.enabled () then begin
         let builds1, lookups1 = Instance.index_stats () in

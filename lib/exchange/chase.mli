@@ -21,7 +21,9 @@ type stats = {
       (** non-core overhead: facts emitted into temporary relations
           (the labelled-null padding of a non-core solution) plus
           defaults substituted for missing outer-combine sides *)
-  mutable rounds : int;  (** evaluation rounds executed by the driver *)
+  mutable rounds : int;
+      (** evaluation rounds executed by the driver: one per stratum for
+          {!run}, one per fixpoint iteration for {!run_naive} *)
 }
 
 val empty_stats : unit -> stats
@@ -37,21 +39,21 @@ val run :
   Mappings.Mapping.t ->
   Instance.t ->
   (Instance.t * stats, string) result
-(** Solve the data exchange problem by stratified semi-naive
-    evaluation: strata run in level order; round one of a stratum
-    evaluates against the full instance through the persistent
-    {!Instance} indexes, later rounds join only the previous round's
-    delta.  [Error] on egd violation (chase failure) or on a tgd that
+(** Solve the data exchange problem by one stratified pass: the
+    strata of {!strata_of} run in dependency order, and each tgd of a
+    stratum is applied once, completely, against the full instance
+    through the persistent {!Instance} indexes — a stratum reads only
+    lower strata, so nothing it derives feeds it again.  [Error] on
+    recursive tgds, on egd violation (chase failure) or on a tgd that
     cannot be evaluated (a variable occurring only under uninvertible
     terms).
 
-    [executor] runs the independent round-one applications of a
-    multi-tgd stratum (pairwise distinct targets reading only lower
-    strata); it defaults to sequential execution, and e.g. a domain
-    pool's [run_all] can be supplied to evaluate them in parallel.  All
-    persistent indexes a stratum needs are built before the executor is
-    invoked, so tasks only read shared relations and write their own
-    target.
+    [executor] runs the independent applications of a multi-tgd
+    stratum whose targets are pairwise distinct; it defaults to
+    sequential execution, and e.g. a domain pool's [run_all] can be
+    supplied to evaluate them in parallel.  All persistent indexes a
+    stratum needs are built before the executor is invoked, so tasks
+    only read shared relations and write their own target.
 
     [columnar] (default [true]) routes kernel-able tgds — all-variable
     selections/projections, two-atom equi-joins, dimension-keyed
@@ -94,14 +96,17 @@ val run_stratum :
   stats ->
   Mappings.Tgd.t list ->
   (unit, string) result
-(** Evaluate one stratum to fixpoint against [instance] (round one
-    full, then delta rounds), exactly as {!run} does internally.
-    Exposed for the shard driver's residual pass; egds are {e not}
-    checked here. *)
+(** Apply each tgd of one stratum once against [instance], exactly as
+    {!run} does internally.  The tgds must read only relations below
+    the stratum (as those of a {!strata_of} stratum do).  Exposed for
+    the shard driver's residual pass; egds are {e not} checked here. *)
 
-val strata_of : Mappings.Mapping.t -> Mappings.Tgd.t list list
-(** The stratification {!run} evaluates: [Stratify.strata] when the
-    mapping stratifies, otherwise one big stratum in statement order. *)
+val strata_of :
+  Mappings.Mapping.t -> (Mappings.Tgd.t list list, string) result
+(** The stratification {!run} evaluates: [Stratify.strata], tgds
+    grouped by the dependency depth of their target whatever their
+    statement order.  [Error "chase failed: relation R depends on
+    itself"] when the tgds are recursive. *)
 
 val check_target_egds :
   Mappings.Mapping.t ->
@@ -130,8 +135,7 @@ type incr_stats = {
           tgds and group-scoped aggregations *)
   mutable strata_rederived : int;
       (** strata where some tgd was rebuilt DRed-style (blackbox and
-          outer tgds, tuple-level tgds sharing a target, self-feeding
-          fallback strata) *)
+          outer tgds, tgds sharing a target) *)
   mutable facts_rederived : int;
       (** facts (re)derived during propagation: facts a signed delta
           inserts, groups re-aggregated into a new fact, facts a DRed
@@ -147,8 +151,8 @@ type incr_state
     to each group; for every tuple-level tgd repaired by signed delta,
     the number of lhs matches deriving each target fact.  Either is
     built by one full enumeration the first time a batch touches its
-    tgd, maintained by deltas afterwards, and dropped when the tgd is
-    rederived DRed-style.  Opaque and mutable; create one with the
+    tgd and maintained by deltas afterwards; a tgd that keeps state is
+    never rederived DRed-style.  Opaque and mutable; create one with the
     solution ({!create_incr_state}, right after the {!run} that
     produced it) and pass it to every {!incremental} call repairing
     that solution — it must be discarded together with the solution
@@ -171,12 +175,12 @@ val incremental :
     most one per relation ([Error] otherwise).
 
     The deltas are first applied to [solution] (set semantics: only
-    genuinely new/removed facts propagate), then the strata are
-    re-evaluated in stratification order; a stratum no delta reaches is
-    skipped outright.  Each touched tgd's plan follows from its shape:
-    - a tuple-level tgd whose target no other tgd produces, in a
-      stratum that does not feed itself, is repaired by {e signed
-      delta}: with old = new − added + removed, the change
+    genuinely new/removed facts propagate), then the strata of
+    {!strata_of} are re-evaluated in order; a stratum no delta reaches
+    is skipped outright.  Each touched tgd's plan follows from its
+    shape alone:
+    - a tuple-level tgd whose target no other tgd produces is repaired
+      by {e signed delta}: with old = new − added + removed, the change
       Σᵢ Q(new₍<i₎, addedᵢ − removedᵢ, old₍>i₎) adds and subtracts
       derivation counts, and a target fact is removed only when its
       count reaches 0 and inserted only when it rises from 0 — for
@@ -184,14 +188,14 @@ val incremental :
       dearer than one enumeration over the current state (or the tgd
       has no counts yet) the counts are recounted and diffed instead,
       with the same result;
-    - an aggregation tgd re-aggregates only the groups its source
-      delta falls in;
-    - every other touched tgd (blackbox, outer combine, a tuple-level
-      tgd whose target another tgd also produces, any tgd of a
-      self-feeding fallback stratum) is rederived DRed-style — its
-      touched targets are over-deleted and re-run from their updated
-      sources, and the old-vs-new diff becomes the (compact) delta for
-      the strata above.
+    - an aggregation tgd whose target no other tgd produces
+      re-aggregates only the groups its source delta falls in;
+    - every other touched tgd (blackbox, outer combine, a tgd whose
+      target another tgd also produces) is rederived DRed-style,
+      together with every other producer of its target — the targets
+      are over-deleted and re-run from their updated sources, and the
+      old-vs-new diff becomes the (compact) delta for the strata
+      above.
     Functionality egds are re-checked on every touched target.  A
     from-scratch {!run} on the updated sources is the oracle the
     repair is tested against.
@@ -203,6 +207,8 @@ val incremental :
     [added] to a relation's previous contents gives its new
     contents.
 
-    On [Error] the solution may be partially repaired; callers keeping
-    the instance (and [state]) across batches must discard both. *)
+    [Error] without touching [solution] when the tgds are recursive.
+    On any other [Error] the solution may be partially repaired;
+    callers keeping the instance (and [state]) across batches must
+    discard both. *)
 

@@ -305,10 +305,8 @@ let try_single ctx (atom : Tgd.atom) (rhs : Tgd.atom) =
 
 (* Shape check for the batch hash join: both atoms all-distinct-vars,
    at least one shared variable, every shared variable on encoded
-   dimensions (not the measure), and the target distinct from both
-   sources — the row matcher probes a live index, so a self-feeding
-   tgd could observe its own emissions, which a frozen batch cannot. *)
-let join_shape instance (a1 : Tgd.atom) (a2 : Tgd.atom) (rhs : Tgd.atom) =
+   dimensions (not the measure). *)
+let join_shape instance (a1 : Tgd.atom) (a2 : Tgd.atom) =
   match (atom_shape instance a1, atom_shape instance a2) with
   | Some vp1, Some vp2 ->
       let nd1 = List.length a1.Tgd.args - 1 in
@@ -322,14 +320,12 @@ let join_shape instance (a1 : Tgd.atom) (a2 : Tgd.atom) (rhs : Tgd.atom) =
       if
         joins <> []
         && List.for_all (fun (p1, p2) -> p1 < nd1 && p2 < nd2) joins
-        && rhs.Tgd.rel <> a1.Tgd.rel
-        && rhs.Tgd.rel <> a2.Tgd.rel
       then Some (vp1, vp2, joins)
       else None
   | _ -> None
 
 let try_join ctx (a1 : Tgd.atom) (a2 : Tgd.atom) (rhs : Tgd.atom) =
-  match join_shape ctx.read a1 a2 rhs with
+  match join_shape ctx.read a1 a2 with
   | None -> false
   | Some (vp1, vp2, joins) ->
       let b1 = Instance.batch ctx.read a1.Tgd.rel in
@@ -448,8 +444,8 @@ let handles instance tgd =
       Option.is_some (agg_shape instance source group_by measure)
   | Tgd.Tuple_level { lhs = [ a ]; rhs = _ } ->
       Option.is_some (atom_shape instance a)
-  | Tgd.Tuple_level { lhs = [ a1; a2 ]; rhs } ->
-      Option.is_some (join_shape instance a1 a2 rhs)
+  | Tgd.Tuple_level { lhs = [ a1; a2 ]; rhs = _ } ->
+      Option.is_some (join_shape instance a1 a2)
   | Tgd.Tuple_level _ | Tgd.Table_fn _ | Tgd.Outer_combine _ -> false
 
 (* Encode (and cache) the batches a vectorizable tgd will read —

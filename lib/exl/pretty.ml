@@ -110,4 +110,3 @@ let program_to_string p =
   String.concat "\n" (List.map item_to_string p) ^ "\n"
 
 let pp_expr ppf e = Format.pp_print_string ppf (expr_to_string e)
-let pp_program ppf p = Format.pp_print_string ppf (program_to_string p)

@@ -17,4 +17,3 @@ val stmt_to_string : Ast.stmt -> string
 val decl_to_string : Ast.decl -> string
 val program_to_string : Ast.program -> string
 val pp_expr : Format.formatter -> Ast.expr -> unit
-val pp_program : Format.formatter -> Ast.program -> unit

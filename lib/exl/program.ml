@@ -4,7 +4,6 @@ let load_all source =
   | Ok ast -> Typecheck.check ast
 
 let load source = Result.map_error Errors.first (load_all source)
-let load_normalized source = Result.bind (load source) Normalize.checked
 
 let run_source source registry =
   Result.bind (load source) (fun checked -> Interp.run checked registry)

@@ -10,9 +10,6 @@ val load_all : string -> (Typecheck.checked, Errors.t list) result
 (** Like [load] but reports {e every} parse or type error found in one
     run, ordered by source position (the lint driver's entry point). *)
 
-val load_normalized : string -> (Typecheck.checked, Errors.t) result
-(** [load] followed by one-operator-per-statement normalization. *)
-
 val run_source : string -> Registry.t -> (Registry.t, Errors.t) result
 (** Parse, check and interpret against the given elementary data. *)
 

@@ -4,12 +4,6 @@ type t = { relation : string; dims : int }
 
 let of_schema s = { relation = s.Schema.name; dims = Schema.arity s }
 
-let violations _t cube =
-  (* A Cube.t is keyed by dimension tuple, so functionality holds by
-     construction; the chase checks egds on raw fact sets instead. *)
-  ignore cube;
-  []
-
 let to_string t =
   let vars = List.init t.dims (fun i -> Printf.sprintf "x%d" (i + 1)) in
   let args y = String.concat ", " (vars @ [ y ]) in

@@ -12,9 +12,5 @@ type t = { relation : string; dims : int }
 
 val of_schema : Schema.t -> t
 
-val violations : t -> Cube.t -> (Tuple.t * Value.t * Value.t) list
-(** Always empty for cubes stored in our keyed representation — kept for
-    the raw-fact instances used by the chase. *)
-
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

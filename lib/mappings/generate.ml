@@ -287,9 +287,6 @@ let tgd_of_stmt_exn env (s : Exl.Ast.stmt) =
       Exl.Errors.fail ~pos:s.Exl.Ast.s_pos
         "statement is not normalized: negation of a non-atom"
 
-let tgd_of_stmt env s =
-  Exl.Errors.protect (fun () -> tgd_of_stmt_exn env s)
-
 let of_checked checked =
   let normalized_result =
     if Exl.Normalize.is_normal checked.Exl.Typecheck.program then Ok checked

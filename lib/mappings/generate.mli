@@ -19,7 +19,3 @@ val of_checked : Exl.Typecheck.checked -> (generated, Exl.Errors.t) result
 val of_source : string -> (generated, Exl.Errors.t) result
 (** Parse, check, normalize, generate. *)
 
-val tgd_of_stmt :
-  Exl.Typecheck.Env.t -> Exl.Ast.stmt -> (Tgd.t, Exl.Errors.t) Stdlib.result
-(** One simple (single-operator) statement to one tgd; exposed for
-    tests. *)

@@ -4,8 +4,9 @@ open Matrix
 
     [S] holds a relation per cube of the EXL program; [T] is a renamed
     copy.  [Σst] copies source relations to the target; [Σt] holds one
-    extended tgd per (normalized) statement, in statement order — which
-    is also the stratification order the chase follows — plus the
+    extended tgd per (normalized) statement, in statement order — for a
+    generated mapping a valid stratification; the chase itself orders
+    the tgds by dependency ({!Stratify.strata}) — plus the
     functionality egds. *)
 
 type t = {

@@ -420,7 +420,6 @@ let wrap f src =
   with Parse_error msg -> Error msg
 
 let tgd_of_string src = wrap parse_tgd_inner src
-let term_of_string src = wrap (fun st -> parse_term st 1) src
 
 (* listing: skip comments, blank lines, numbering, egds *)
 let tgds_of_string src =

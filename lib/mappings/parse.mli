@@ -14,4 +14,3 @@ val tgds_of_string : string -> (Tgd.t list, string) result
 (** Parses a whole listing (e.g. the output of
     {!Mapping.to_string}). *)
 
-val term_of_string : string -> (Term.t, string) result

@@ -26,39 +26,59 @@ let check (m : Mapping.t) =
   in
   loop m.Mapping.t_tgds
 
+exception Cycle of string
+
+(* Depth-first over the producers of each relation; a relation met
+   again while its own depth is still being worked out is on a cycle. *)
 let levels (m : Mapping.t) =
-  let level = Hashtbl.create 32 in
+  let producers = Hashtbl.create 32 in
   List.iter
-    (fun s -> Hashtbl.replace level s.Matrix.Schema.name 0)
-    m.Mapping.source;
-  List.iter
-    (fun tgd ->
-      let sources = Tgd.source_relations tgd in
-      let max_src =
-        List.fold_left
-          (fun acc r ->
-            match Hashtbl.find_opt level r with
-            | Some l -> max acc l
-            | None -> acc)
-          0 sources
-      in
-      Hashtbl.replace level (Tgd.target_relation tgd) (max_src + 1))
+    (fun tgd -> Hashtbl.add producers (Tgd.target_relation tgd) tgd)
     m.Mapping.t_tgds;
-  List.map
-    (fun tgd ->
-      let t = Tgd.target_relation tgd in
-      (t, Hashtbl.find level t))
-    m.Mapping.t_tgds
+  let depth = Hashtbl.create 32 in
+  let rec depth_of rel =
+    match Hashtbl.find_opt depth rel with
+    | Some (Some d) -> d
+    | Some None -> raise (Cycle rel)
+    | None ->
+        let d =
+          match Hashtbl.find_all producers rel with
+          | [] -> 0
+          | tgds ->
+              Hashtbl.replace depth rel None;
+              1
+              + List.fold_left
+                  (fun acc tgd ->
+                    List.fold_left
+                      (fun acc src -> max acc (depth_of src))
+                      acc (Tgd.source_relations tgd))
+                  0 tgds
+        in
+        Hashtbl.replace depth rel (Some d);
+        d
+  in
+  match
+    List.map
+      (fun tgd ->
+        let t = Tgd.target_relation tgd in
+        (t, depth_of t))
+      m.Mapping.t_tgds
+  with
+  | lv -> Ok lv
+  | exception Cycle rel ->
+      Error (Printf.sprintf "relation %s depends on itself" rel)
 
 let strata (m : Mapping.t) =
-  let lv = levels m in
-  let max_level = List.fold_left (fun acc (_, l) -> max acc l) 0 lv in
-  List.filter_map
-    (fun level ->
-      let group =
-        List.filter
-          (fun tgd -> List.assoc (Tgd.target_relation tgd) lv = level)
-          m.Mapping.t_tgds
-      in
-      if group = [] then None else Some group)
-    (List.init max_level (fun i -> i + 1))
+  Result.map
+    (fun lv ->
+      let max_level = List.fold_left (fun acc (_, l) -> max acc l) 0 lv in
+      List.filter_map
+        (fun level ->
+          let group =
+            List.filter
+              (fun tgd -> List.assoc (Tgd.target_relation tgd) lv = level)
+              m.Mapping.t_tgds
+          in
+          if group = [] then None else Some group)
+        (List.init max_level (fun i -> i + 1)))
+    (levels m)

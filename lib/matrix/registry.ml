@@ -50,15 +50,6 @@ let of_sources t schemas =
     schemas;
   out
 
-let restrict_elementary t =
-  let out = create () in
-  Hashtbl.iter
-    (fun k e ->
-      if e.kind = Elementary then
-        Hashtbl.replace out k { e with cube = Cube.copy e.cube })
-    t;
-  out
-
 let equal_data ?eps a b =
   names a = names b
   && List.for_all

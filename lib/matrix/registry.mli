@@ -39,10 +39,6 @@ val of_sources : t -> Schema.t list -> t
     @raise Invalid_argument when a cube's arity differs from its
     schema's. *)
 
-val restrict_elementary : t -> t
-(** A copy containing only the elementary cubes — the source instance
-    [I] of the data exchange problem. *)
-
 val equal_data : ?eps:float -> t -> t -> bool
 (** Same cube names, kinds ignored, with [Cube.equal_data] contents. *)
 

@@ -51,21 +51,12 @@ let dim_index_exn s name =
 let dim_domain s name =
   Option.map (fun i -> s.dims.(i).dim_domain) (dim_index s name)
 
-let has_dim s name = Option.is_some (dim_index s name)
-
 let time_dims s =
   Array.to_list s.dims
   |> List.filter (fun d -> Domain.is_temporal d.dim_domain)
   |> List.map (fun d -> d.dim_name)
 
-let is_time_series s =
-  arity s = 1 && Domain.is_temporal s.dims.(0).dim_domain
-
 let rename s name = { s with name }
-
-let with_dims s dims =
-  make ~measure_name:s.measure_name ~measure_domain:s.measure_domain
-    ~name:s.name ~dims ()
 
 let same_dims a b =
   Array.length a.dims = Array.length b.dims

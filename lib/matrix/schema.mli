@@ -30,16 +30,11 @@ val dim_names : t -> string list
 val dim_index : t -> string -> int option
 val dim_index_exn : t -> string -> int
 val dim_domain : t -> string -> Domain.t option
-val has_dim : t -> string -> bool
 
 val time_dims : t -> string list
 (** Dimensions with a temporal domain, in declaration order. *)
 
-val is_time_series : t -> bool
-(** Exactly one dimension, and it is temporal (paper's definition). *)
-
 val rename : t -> string -> t
-val with_dims : t -> (string * Domain.t) list -> t
 
 val same_dims : t -> t -> bool
 (** Same dimension names with unifiable domains, in the same order

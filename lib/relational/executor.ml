@@ -701,18 +701,6 @@ let run_insert_with_views db lookup views (i : Sql_ast.insert) =
 let run_insert db lookup i =
   wrap (fun () -> run_insert_with_views db lookup no_views i)
 
-let run_script db lookup script =
-  let rec loop total = function
-    | [] -> Ok total
-    | insert :: rest -> (
-        match run_insert db lookup insert with
-        | Ok n -> loop (total + n) rest
-        | Error msg ->
-            Error
-              (Printf.sprintf "in INSERT INTO %s: %s" insert.Sql_ast.table msg))
-  in
-  loop 0 script
-
 let run_statements db lookup statements =
   let views = fresh_views () in
   let rec loop total = function

@@ -23,10 +23,6 @@ val run_insert :
 (** Creates the target table when missing; returns the number of rows
     inserted. *)
 
-val run_script :
-  Database.t -> schema_lookup -> Sql_ast.insert list -> (int, string) result
-(** Runs the INSERTs in order (the tgd total order); total row count. *)
-
 val run_statements :
   Database.t -> schema_lookup -> Sql_ast.statement list -> (int, string) result
 (** Runs a mixed script: CREATE VIEW registers a lazily evaluated

@@ -2,7 +2,7 @@
    residual pass.
 
    Phase A splits the source instance along the plan's shard key.
-   Phase B runs the shard-local tgds to fixpoint on every shard
+   Phase B chases the shard-local tgds on every shard
    independently — one executor task per shard, so a work-stealing
    executor rebalances uneven shards across domains; each task is a
    plain [Chase.run] (semi-naive, columnar, egds deferred) over the
@@ -41,7 +41,6 @@ let residual_pass ~executor (plan : Partition.t)
   let residual_targets =
     List.sort_uniq String.compare (List.map Tgd.target_relation plan.residual)
   in
-  let strata = Chase.strata_of m in
   let rec loop i = function
     | [] -> Ok ()
     | stratum :: rest -> (
@@ -72,7 +71,7 @@ let residual_pass ~executor (plan : Partition.t)
             | Error _ as e -> e
             | Ok () -> loop (i + 1) rest))
   in
-  loop 0 strata
+  Result.bind (Chase.strata_of m) (loop 0)
 
 let run_planned ~executor (plan : Partition.t)
     (m : Mapping.t) source =

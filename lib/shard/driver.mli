@@ -23,7 +23,8 @@ val run :
     Otherwise the source is partitioned on [key] (chosen by
     {!Partition.make} when omitted; [range] switches hash partitioning
     to range cuts) and [executor] receives one task per shard (it also
-    runs the residual pass's round-one parallelism).  Falls back to the
-    plain chase when no key exists or the plan leaves no tgd
+    runs the residual pass's per-stratum parallelism).  Falls back to
+    the plain chase when no key exists or the plan leaves no tgd
     shard-local; an explicit [key] that cannot partition is an
-    [Error].  Every phase is columnar. *)
+    [Error], and so are recursive tgds, as in {!Chase.run}.  Every
+    phase is columnar. *)

@@ -230,6 +230,51 @@ let test_overview_ab () =
 let qcheck_count =
   Helpers.qcheck_count ~var:"EXL_COL_QCHECK_COUNT" ~default:30
 
+(* Both runs of [src] must agree on every target relation, every
+   counter, and (when both fail) the error. *)
+let same_run ~what src mapping r1 r2 =
+  match (r1, r2) with
+  | Ok (j1, s1), Ok (j2, s2) ->
+      List.iter
+        (fun (s : Schema.t) ->
+          let name = s.Schema.name in
+          if
+            not
+              (facts_equal (X.Instance.facts j1 name)
+                 (X.Instance.facts j2 name))
+          then
+            QCheck.Test.fail_reportf "%s: relation %s differs on\n%s" what
+              name src)
+        mapping.M.Mapping.target;
+      if
+        s1.X.Chase.matches_examined <> s2.X.Chase.matches_examined
+        || s1.X.Chase.tuples_generated <> s2.X.Chase.tuples_generated
+        || s1.X.Chase.tgds_applied <> s2.X.Chase.tgds_applied
+        || s1.X.Chase.egd_checks <> s2.X.Chase.egd_checks
+        || s1.X.Chase.nulls_created <> s2.X.Chase.nulls_created
+        || s1.X.Chase.rounds <> s2.X.Chase.rounds
+      then
+        QCheck.Test.fail_reportf
+          "%s: stats diverge (%d/%d/%d/%d/%d/%d vs %d/%d/%d/%d/%d/%d) on\n%s"
+          what s1.X.Chase.matches_examined s1.X.Chase.tuples_generated
+          s1.X.Chase.tgds_applied s1.X.Chase.egd_checks s1.X.Chase.nulls_created
+          s1.X.Chase.rounds s2.X.Chase.matches_examined
+          s2.X.Chase.tuples_generated s2.X.Chase.tgds_applied
+          s2.X.Chase.egd_checks s2.X.Chase.nulls_created s2.X.Chase.rounds src
+  | Error e1, Error e2 ->
+      if e1 <> e2 then
+        QCheck.Test.fail_reportf "%s: error messages diverge (%s vs %s) on\n%s"
+          what e1 e2 src
+  | Ok _, Error e ->
+      QCheck.Test.fail_reportf "%s: second run failed, first passed: %s\n%s"
+        what e src
+  | Error e, Ok _ ->
+      QCheck.Test.fail_reportf "%s: first run failed, second passed: %s\n%s"
+        what e src
+
+(* The columnar leg must reproduce the row engine, and chasing the
+   statement tgds in reverse order must reproduce the columnar leg:
+   the chase orders tgds by dependency, not by statement. *)
 let prop_columnar_matches_row =
   QCheck.Test.make ~count:qcheck_count
     ~name:"chase ~columnar:true == chase ~columnar:false on random programs"
@@ -239,57 +284,23 @@ let prop_columnar_matches_row =
       | Error e ->
           QCheck.Test.fail_reportf "generated program does not check: %s\n%s"
             (Exl.Errors.to_string e) src
-      | Ok checked -> (
+      | Ok checked ->
           let { M.Generate.mapping; _ } =
             check_ok (M.Generate.of_checked checked)
           in
-          match
-            ( X.Chase.run ~columnar:false mapping (X.Instance.of_registry reg),
-              X.Chase.run ~columnar:true mapping (X.Instance.of_registry reg) )
-          with
-          | Ok (j1, s1), Ok (j2, s2) ->
-              List.iter
-                (fun (s : Schema.t) ->
-                  let name = s.Schema.name in
-                  if
-                    not
-                      (facts_equal
-                         (X.Instance.facts j1 name)
-                         (X.Instance.facts j2 name))
-                  then
-                    QCheck.Test.fail_reportf "relation %s differs on\n%s" name
-                      src)
-                mapping.M.Mapping.target;
-              if
-                s1.X.Chase.matches_examined <> s2.X.Chase.matches_examined
-                || s1.X.Chase.tuples_generated <> s2.X.Chase.tuples_generated
-                || s1.X.Chase.tgds_applied <> s2.X.Chase.tgds_applied
-                || s1.X.Chase.egd_checks <> s2.X.Chase.egd_checks
-                || s1.X.Chase.nulls_created <> s2.X.Chase.nulls_created
-                || s1.X.Chase.rounds <> s2.X.Chase.rounds
-              then
-                QCheck.Test.fail_reportf
-                  "stats diverge (row %d/%d/%d/%d/%d/%d vs col \
-                   %d/%d/%d/%d/%d/%d) on\n\
-                   %s"
-                  s1.X.Chase.matches_examined s1.X.Chase.tuples_generated
-                  s1.X.Chase.tgds_applied s1.X.Chase.egd_checks
-                  s1.X.Chase.nulls_created s1.X.Chase.rounds
-                  s2.X.Chase.matches_examined s2.X.Chase.tuples_generated
-                  s2.X.Chase.tgds_applied s2.X.Chase.egd_checks
-                  s2.X.Chase.nulls_created s2.X.Chase.rounds src;
-              true
-          | Error e1, Error e2 ->
-              if e1 <> e2 then
-                QCheck.Test.fail_reportf
-                  "error messages diverge (%s vs %s) on\n%s" e1 e2 src;
-              true
-          | Ok _, Error e ->
-              QCheck.Test.fail_reportf "columnar failed, row passed: %s\n%s" e
-                src
-          | Error e, Ok _ ->
-              QCheck.Test.fail_reportf "row failed, columnar passed: %s\n%s" e
-                src))
+          let run ~columnar m =
+            X.Chase.run ~columnar m (X.Instance.of_registry reg)
+          in
+          let reversed =
+            { mapping with
+              M.Mapping.t_tgds = List.rev mapping.M.Mapping.t_tgds }
+          in
+          let col = run ~columnar:true mapping in
+          same_run ~what:"row vs columnar" src mapping
+            (run ~columnar:false mapping) col;
+          same_run ~what:"statement order vs reversed" src mapping col
+            (run ~columnar:true reversed);
+          true)
 
 let suite =
   [

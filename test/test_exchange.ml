@@ -231,7 +231,7 @@ let test_chase_modes_agree_overview () =
     check_same_solution overview_program (overview_registry ())
   in
   (* the Jacobi baseline needs ~depth+2 rounds; the stratified pass is
-     one productive round per stratum *)
+     one round per stratum *)
   Alcotest.(check bool) "naive iterates" true (naive_stats.X.Chase.rounds > 2);
   Alcotest.(check bool) "match-count win >= 5x" true
     (naive_stats.X.Chase.matches_examined

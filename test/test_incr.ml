@@ -581,12 +581,12 @@ let test_signed_two_derivations () =
   Alcotest.(check int) "one P fact removed" 1
     (List.length (Option.get second).Exchange.Chase.removed)
 
-(* In the one-stratum fallback (B is read before its tgd), a batch on A
-   makes the stratum feed itself, so every selected tgd rederives and
-   drops its counts — E's projection included.  The next batch on E
-   alone repairs that tgd by signed delta again, which is only right if
-   the counts were rebuilt rather than left stale. *)
-let test_signed_counts_rebuilt_after_rederive () =
+(* B is read before its tgd, so the statement order is no valid
+   stratification; the chase orders by dependency instead (A → B and
+   E → D at depth 1, B → C at depth 2).  Every tgd is then the sole
+   producer of its target, and every batch — one whose A delta reaches
+   C through B included — is repaired by signed delta. *)
+let test_misordered_stratifies_by_dependency () =
   let one = q_schema ~extra:[] in
   let mapping =
     hand_mapping
@@ -594,8 +594,8 @@ let test_signed_counts_rebuilt_after_rederive () =
       ~target:[ one "B"; one "C"; one "D" ]
       "B(q, m) → C(q, 2 * m)\nA(q, m) → B(q, m)\nE(q, r, m) → D(q, 1)"
   in
-  Alcotest.(check int) "one fallback stratum" 1
-    (List.length (Exchange.Chase.strata_of mapping));
+  Alcotest.(check int) "two strata" 2
+    (List.length (ok (Exchange.Chase.strata_of mapping)));
   let a m = [| vq 2024 1; vf m |] and e r = [| vq 2024 1; vs r; vf 1. |] in
   let solution, batch =
     signed_fixture mapping ~rels:[ "B"; "C"; "D" ]
@@ -603,7 +603,7 @@ let test_signed_counts_rebuilt_after_rederive () =
   in
   let rederived deltas = (fst (batch deltas)).Exchange.Chase.strata_rederived in
   Alcotest.(check int) "E alone: signed" 0 (rederived [ removal "E" (e "x") ]);
-  Alcotest.(check int) "A feeds B → C: rederived" 1
+  Alcotest.(check int) "A feeds B → C: signed" 0
     (rederived
        [
          ("A", { Exchange.Chase.added = [ a 6. ]; removed = [ a 5. ] });
@@ -613,6 +613,32 @@ let test_signed_counts_rebuilt_after_rederive () =
     (rederived [ removal "E" (e "z") ]);
   Alcotest.(check bool) "D(2024Q1) gone with its last derivation" false
     (Exchange.Instance.mem solution "D" [| vq 2024 1; vi 1 |])
+
+(* B and C feed each other: the full chase, the incremental repair and
+   the sharded chase all refuse the mapping and name the relation. *)
+let test_recursive_mapping_rejected () =
+  let one = q_schema ~extra:[] in
+  let mapping =
+    hand_mapping ~source:[ one "A" ] ~target:[ one "B"; one "C" ]
+      "A(q, m) → B(q, m)\nC(q, m) → B(q, m)\nB(q, m) → C(q, m)"
+  in
+  let source = source_instance mapping [ ("A", [| vq 2024 1; vf 1. |]) ] in
+  let names_b what msg =
+    Alcotest.(check bool)
+      (what ^ ": " ^ msg)
+      true
+      (Astring_contains.contains msg "relation B depends on itself")
+  in
+  names_b "run" (err "run" (Exchange.Chase.run mapping source));
+  let solution = Exchange.Chase.copy_sources ~columnar:false mapping source in
+  let insert = { Exchange.Chase.added = [ [| vq 2024 2; vf 2. |] ]; removed = [] } in
+  names_b "incremental"
+    (err "incremental"
+       (incremental mapping ~solution ~deltas:[ ("A", insert) ]));
+  Alcotest.(check int) "solution untouched" 1
+    (Exchange.Instance.cardinality solution "A");
+  names_b "sharded run"
+    (err "sharded run" (Shard.Driver.run ~shards:2 mapping source))
 
 let test_signed_one_delta_per_relation () =
   let mapping = mapping_of join_source ~cubes:[ "J" ] in
@@ -651,6 +677,29 @@ let test_shared_target_rederives () =
     (plan [ removal "A" (f 1) ]);
   Alcotest.(check bool) "U(2024Q1) kept by B" true
     (Exchange.Instance.mem solution "U" [| vq 2024 1; vi 1 |])
+
+(* Two aggregations produce U: neither may re-aggregate U's groups on
+   its own, or it would delete the facts the other derives at the same
+   group key.  Both rederive, and U(2024Q2) keeps B's sum when A's
+   fact goes. *)
+let test_shared_aggregation_target () =
+  let schema name = q_schema name ~extra:[ ("r", Domain.String) ] in
+  let mapping =
+    hand_mapping
+      ~source:[ schema "A"; schema "B" ]
+      ~target:[ q_schema "U" ~extra:[] ]
+      "A(q, r, m) → U(q, sum(m))\nB(q, r, m) → U(q, sum(m))"
+  in
+  let a = [| vq 2024 2; vs "x"; vf 10. |]
+  and b = [| vq 2024 2; vs "y"; vf 10. |] in
+  let solution, batch =
+    signed_fixture mapping ~rels:[ "U" ] [ ("A", a); ("B", b) ]
+  in
+  let istats, _ = batch [ removal "A" a ] in
+  Alcotest.(check (pair int int)) "(delta, rederived) strata" (0, 1)
+    (istats.Exchange.Chase.strata_delta, istats.Exchange.Chase.strata_rederived);
+  Alcotest.(check bool) "U(2024Q2) = 10 kept by B" true
+    (Exchange.Instance.mem solution "U" [| vq 2024 2; vf 10. |])
 
 (* --- the engine facade: apply_updates --- *)
 
@@ -1353,9 +1402,11 @@ let suite =
     ("facade: a failed batch leaves the store as it was", `Quick, test_apply_updates_failed_batch_rolls_back);
     QCheck_alcotest.to_alcotest prop_incremental_equals_scratch;
     ("signed: a fact outlives one of two derivations", `Quick, test_signed_two_derivations);
-    ("signed: counts rebuilt after a feeding rederive", `Quick, test_signed_counts_rebuilt_after_rederive);
+    ("signed: a mis-ordered mapping stratifies by dependency", `Quick, test_misordered_stratifies_by_dependency);
+    ("chase: a recursive mapping is rejected", `Quick, test_recursive_mapping_rejected);
     ("signed: one delta per relation", `Quick, test_signed_one_delta_per_relation);
     ("dred: a target two tgds produce", `Quick, test_shared_target_rederives);
+    ("dred: two aggregations share a target", `Quick, test_shared_aggregation_target);
     QCheck_alcotest.to_alcotest prop_signed_equals_scratch;
   ]
 

@@ -93,7 +93,7 @@ let test_stratify_ok () =
 
 let test_stratify_levels () =
   let { M.Generate.mapping; _ } = overview_generated () in
-  let levels = M.Stratify.levels mapping in
+  let levels = Result.get_ok (M.Stratify.levels mapping) in
   Alcotest.(check int) "PQR level" 1 (List.assoc "PQR" levels);
   Alcotest.(check int) "RGDP level" 2 (List.assoc "RGDP" levels);
   Alcotest.(check int) "GDP level" 3 (List.assoc "GDP" levels);
@@ -101,7 +101,7 @@ let test_stratify_levels () =
 
 let test_strata_partition () =
   let { M.Generate.mapping; _ } = overview_generated () in
-  let strata = M.Stratify.strata mapping in
+  let strata = Result.get_ok (M.Stratify.strata mapping) in
   let total = List.length (List.concat strata) in
   Alcotest.(check int) "all tgds in strata" (List.length mapping.M.Mapping.t_tgds) total
 
