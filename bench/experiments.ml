@@ -1,4 +1,4 @@
-(* The experiment harness: X1-X14, X9 retired (see DESIGN.md and
+(* The experiment harness: X1-X13, X9 retired (see DESIGN.md and
    EXPERIMENTS.md).
 
    The paper has no quantitative evaluation tables (it is an industrial
@@ -819,110 +819,6 @@ let x13 () =
     \   sides are medians from the same process, so CPU throttling cannot\n\
     \   move the speedup.)"
 
-(* ------------------------------------------------------------------ *)
-(* X14 — the sharded multicore chase (lib/shard): the overview workload
-   at 100x the X13 scale, hash-partitioned on r into 16 shards, driven
-   by 1/2/4/8 domains through the work-stealing pool — exactly the
-   `exlrun --shards 16 --pool-size N-1` path.  The sharded solution is
-   verified identical to the unsharded chase before any timing.
-   Speedups are relative to the 1-domain run of the *same* sharded
-   code path: split and merge costs appear on both sides of the ratio,
-   so the table isolates how the per-shard phase scales with domains.
-   The wall-clock guard holds the 4-domain row to a 2.5x floor on
-   hosts that have 4 cores. *)
-
-type shard_row = {
-  shard_domains : int;  (** participants: pool workers + the submitter *)
-  shard_wall : sample;
-  shard_speedup : float;  (** 1-domain median / this row's median *)
-}
-
-let shard_shard_count = 16
-let shard_domain_counts = [ 1; 2; 4; 8 ]
-
-(* One sharded chase with [pool]'s workers plus the submitting domain:
-   shard tasks go through the stealing executor, as in production. *)
-let shard_chase ~pool mapping source =
-  match
-    Shard.Driver.run ~shards:shard_shard_count ~key:"r"
-      ~executor:(Engine.Pool.stealing_executor pool) mapping source
-  with
-  | Ok (j, _) -> j
-  | Error msg -> failwith ("X14 sharded chase: " ^ msg)
-
-let shard_ab_check mapping data =
-  let unsharded =
-    match Exchange.Chase.run mapping (Exchange.Instance.of_registry data) with
-    | Ok (j, _) -> j
-    | Error msg -> failwith ("X14 unsharded chase: " ^ msg)
-  in
-  let sharded =
-    Engine.Pool.with_pool ~size:3 (fun pool ->
-        shard_chase ~pool mapping (Exchange.Instance.of_registry data))
-  in
-  List.iter
-    (fun (s : Schema.t) ->
-      let name = s.Schema.name in
-      let f_u = Exchange.Instance.facts unsharded name
-      and f_s = Exchange.Instance.facts sharded name in
-      let equal =
-        List.length f_u = List.length f_s
-        && List.for_all2
-             (fun a b ->
-               Array.length a = Array.length b
-               && Array.for_all2 Value.equal a b)
-             f_u f_s
-      in
-      if not equal then
-        failwith
-          (Printf.sprintf "X14: sharded and unsharded solutions differ on %s"
-             name))
-    mapping.Mappings.Mapping.target
-
-let shard_rows () =
-  let mapping = Rows.mapping_of Workload.overview_program in
-  let data = Workload.shard_registry () in
-  shard_ab_check mapping data;
-  (* One shared source across all domain counts, as in [col_row]:
-     source-resident caches persist, and the timed runs differ only in
-     how many domains drain the shard tasks. *)
-  let source = Exchange.Instance.of_registry data in
-  let timed domains =
-    Engine.Pool.with_pool ~size:(domains - 1) (fun pool ->
-        wall_stats (fun () -> ignore (shard_chase ~pool mapping source)))
-  in
-  let samples = List.map (fun d -> (d, timed d)) shard_domain_counts in
-  let base = List.assoc 1 samples in
-  List.map
-    (fun (d, s) ->
-      {
-        shard_domains = d;
-        shard_wall = s;
-        shard_speedup = base.median_seconds /. s.median_seconds;
-      })
-    samples
-
-let print_shard_rows rows =
-  Printf.printf "%8s %20s %9s\n" "domains" "wall ms (spread)" "speedup";
-  List.iter
-    (fun r ->
-      Printf.printf "%8d %13.1f (%3.0f%%) %8.2fx\n%!" r.shard_domains
-        (ms r.shard_wall.median_seconds)
-        r.shard_wall.spread_pct r.shard_speedup)
-    rows
-
-let x14 () =
-  header
-    "X14  Sharded chase: 16 hash shards on r, scaling over domains \
-     [wall-clock medians]";
-  print_shard_rows (shard_rows ());
-  Printf.printf
-    "\n\
-    \  (sharded and unsharded solutions verified identical before timing;\n\
-    \   this host reports %d core(s) — scaling beyond that is not\n\
-    \   physically possible.)\n"
-    (Stdlib.Domain.recommended_domain_count ())
-
 let all () =
   x1 ();
   x2 ();
@@ -935,5 +831,4 @@ let all () =
   x10 ();
   x11 ();
   x12 ();
-  x13 ();
-  x14 ()
+  x13 ()

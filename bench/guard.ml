@@ -23,11 +23,6 @@ let chase_floors =
 let incr_floor = 3.0
 let col_floor = 2.0
 
-(* The sharded chase at [shard_floor_domains] domains against 1; only
-   enforceable where the cores exist. *)
-let shard_floor = 2.5
-let shard_floor_domains = 4
-
 (* Closed-loop requests per second: a loopback in-process daemon that
    cannot answer this many is broken, not slow. *)
 let serve_floor = 200.
@@ -41,9 +36,8 @@ let expect ok fmt =
       Printf.printf "  %s %s\n%!" (if ok then "ok  " else "FAIL") line)
     fmt
 
-(* One table: measure, print, check.  A table that raises (a sharded
-   solution that differs from the unsharded one, a failed chase) fails
-   the guard instead of aborting it. *)
+(* One table: measure, print, check.  A table that raises (a failed
+   chase) fails the guard instead of aborting it. *)
 let table title measure print check =
   Printf.printf "\n### %s\n\n%!" title;
   match measure () with
@@ -74,21 +68,6 @@ let col (r : Experiments.col_row) =
     "%-32s columnar/row %.2fx (floor %.1fx)" r.Experiments.col_label
     r.Experiments.col_speedup col_floor
 
-let shard (r : Experiments.shard_row) =
-  let cores = Domain.recommended_domain_count () in
-  if r.Experiments.shard_domains = shard_floor_domains then
-    if cores >= shard_floor_domains then
-      expect
-        (r.Experiments.shard_speedup >= shard_floor)
-        "%d domains: %.2fx over 1 domain (floor %.1fx)"
-        r.Experiments.shard_domains r.Experiments.shard_speedup shard_floor
-    else
-      Printf.printf
-        "  skip %d domains: %.2fx; the %.1fx floor needs %d cores, this host \
-         has %d\n"
-        r.Experiments.shard_domains r.Experiments.shard_speedup shard_floor
-        shard_floor_domains cores
-
 let serve (r : Serve_load.row) =
   expect (r.Serve_load.errors = 0) "%-30s %d request error(s)"
     r.Serve_load.label r.Serve_load.errors;
@@ -109,8 +88,6 @@ let run () =
     Experiments.incr_rows Experiments.print_incr_rows incr;
   table "columnar vs row chase (X13)" Experiments.col_rows
     Experiments.print_col_rows col;
-  table "sharded chase over domains (X14; solutions verified identical)"
-    Experiments.shard_rows Experiments.print_shard_rows shard;
   table "exlserve closed-loop load" Serve_load.rows Serve_load.print_rows serve;
   if !failures > 0 then begin
     Printf.printf "\n%d guard clause(s) failed.\n" !failures;

@@ -1,6 +1,6 @@
 (* Benchmark entry point.
 
-     dune exec bench/main.exe            -- experiments X1-X14 + micro suite
+     dune exec bench/main.exe            -- experiments X1-X13 + micro suite
      dune exec bench/main.exe -- x3      -- one experiment (X9 retired)
      dune exec bench/main.exe -- micro   -- only the Bechamel micro suite
      dune exec bench/main.exe -- guard   -- the wall-clock guard (guard.ml)
@@ -106,7 +106,6 @@ let () =
   | _ :: "x11" :: _ -> Experiments.x11 ()
   | _ :: "x12" :: _ -> Experiments.x12 ()
   | _ :: "x13" :: _ -> Experiments.x13 ()
-  | _ :: "x14" :: _ -> Experiments.x14 ()
   | _ :: "micro" :: _ -> run_micro ()
   | _ :: "guard" :: _ -> Guard.run ()
   | _ ->

@@ -90,7 +90,7 @@ let write_results out_dir (program : Core.program) result =
    cubes) still writes every cube it computed, prints the failure
    summary, and exits non-zero. *)
 let run_engine ~source ~program ~registry ~out_dir ~overrides ~fault_plan
-    ~max_attempts ~backoff ~timeout ~shards ~pool_size =
+    ~max_attempts ~backoff ~timeout =
   let faults =
     match fault_plan with
     | None -> Ok None
@@ -116,8 +116,6 @@ let run_engine ~source ~program ~registry ~out_dir ~overrides ~fault_plan
               subgraph_timeout = timeout;
             };
           faults;
-          shards;
-          pool_size;
         }
       in
       let engine = Engine.Exlengine.create ~config () in
@@ -152,7 +150,7 @@ let run_engine ~source ~program ~registry ~out_dir ~overrides ~fault_plan
               if Engine.Dispatcher.degraded report then 1 else written))
 
 let run_inner file data_dir out_dir backend verify overrides fault_plan
-    max_attempts backoff timeout shards pool_size =
+    max_attempts backoff timeout =
   let source = read_file file in
   match Exl.Program.load source with
   | Error e ->
@@ -168,7 +166,7 @@ let run_inner file data_dir out_dir backend verify overrides fault_plan
           match backend with
           | Engine_backend ->
               run_engine ~source ~program ~registry ~out_dir ~overrides
-                ~fault_plan ~max_attempts ~backoff ~timeout ~shards ~pool_size
+                ~fault_plan ~max_attempts ~backoff ~timeout
           | Core_backend backend -> (
           let verified =
             if verify then Core.verify_all_backends program registry
@@ -193,21 +191,20 @@ let run_inner file data_dir out_dir backend verify overrides fault_plan
    provenance wall-clock columns so outputs are byte-deterministic —
    what the golden tests diff. *)
 let run file data_dir out_dir backend verify overrides fault_plan max_attempts
-    backoff timeout shards pool_size trace_file metrics_file events_file
-    provenance normalize =
+    backoff timeout trace_file metrics_file events_file provenance normalize =
   let wanted =
     trace_file <> None || metrics_file <> None || events_file <> None
     || provenance
   in
   if not wanted then
     run_inner file data_dir out_dir backend verify overrides fault_plan
-      max_attempts backoff timeout shards pool_size
+      max_attempts backoff timeout
   else begin
     let c = Obs.create () in
     let code =
       Obs.with_collector c (fun () ->
           run_inner file data_dir out_dir backend verify overrides fault_plan
-            max_attempts backoff timeout shards pool_size)
+            max_attempts backoff timeout)
     in
     Option.iter
       (fun path -> write_file path (Obs.Export.chrome_trace ~normalize c.Obs.trace))
@@ -368,24 +365,6 @@ let timeout_arg =
     & info [ "timeout" ] ~docv:"SECONDS"
         ~doc:"Wall-clock budget per subgraph execution ($(b,engine)).")
 
-let shards_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "shards" ] ~docv:"N"
-        ~doc:
-          "Partition every full chase into $(docv) shards and run them on \
-           the domain pool with work stealing ($(b,engine) back end only; \
-           see docs/SHARDING.md).  1 disables sharding.")
-
-let pool_size_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "pool-size" ] ~docv:"N"
-        ~doc:
-          "Worker-domain count for the engine's pool ($(b,engine) back end \
-           only).  Defaults to the machine's recommended domain count.")
-
 let verify_arg =
   Arg.(
     value & flag
@@ -452,8 +431,8 @@ let cmd =
     Term.(
       const run $ file_arg $ data_arg $ out_arg $ backend_arg $ verify_arg
       $ override_arg $ fault_plan_arg $ max_attempts_arg $ backoff_arg
-      $ timeout_arg $ shards_arg $ pool_size_arg $ trace_arg $ metrics_arg
-      $ events_arg $ provenance_arg $ normalize_arg)
+      $ timeout_arg $ trace_arg $ metrics_arg $ events_arg $ provenance_arg
+      $ normalize_arg)
 
 let update_cmd =
   let doc =

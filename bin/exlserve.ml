@@ -63,7 +63,7 @@ let load_csv_data engine data_dir =
   in
   loop (Engine.Determination.cubes det)
 
-let boot ~programs ~data_dir ~store_dir ~fault_plan ~shards ~pool_size =
+let boot ~programs ~data_dir ~store_dir ~fault_plan =
   let faults =
     match fault_plan with
     | None -> Ok None
@@ -75,9 +75,7 @@ let boot ~programs ~data_dir ~store_dir ~fault_plan ~shards ~pool_size =
   match faults with
   | Error _ as e -> e
   | Ok faults -> (
-      let config =
-        { Engine.Exlengine.default_config with faults; shards; pool_size }
-      in
+      let config = { Engine.Exlengine.default_config with faults } in
       let engine = Engine.Exlengine.create ~config () in
       let rec register = function
         | [] -> Ok ()
@@ -124,14 +122,13 @@ let boot ~programs ~data_dir ~store_dir ~fault_plan ~shards ~pool_size =
                       | Ok () -> Ok (engine, report))))))
 
 let run programs data_dir store_dir port host unix_socket max_queue
-    coalesce_window request_timeout commit_timeout fault_plan shards pool_size
-    log_file =
+    coalesce_window request_timeout commit_timeout fault_plan log_file =
   if programs = [] then begin
     prerr_endline "error: at least one --programs file or directory required";
     1
   end
   else
-    match boot ~programs ~data_dir ~store_dir ~fault_plan ~shards ~pool_size with
+    match boot ~programs ~data_dir ~store_dir ~fault_plan with
     | Error msg ->
         prerr_endline ("error: " ^ msg);
         1
@@ -277,24 +274,6 @@ let fault_plan_arg =
           "Inject deterministic failures during the boot recompute (see \
            docs/RELIABILITY.md); quarantined cubes serve 503 diagnostics.")
 
-let shards_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "shards" ] ~docv:"N"
-        ~doc:
-          "Partition full chases (boot recompute, cache rebuilds) into \
-           $(docv) shards run on the domain pool with work stealing (see \
-           docs/SHARDING.md).  1 disables sharding.")
-
-let pool_size_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "pool-size" ] ~docv:"N"
-        ~doc:
-          "Worker-domain count for the engine's pool.  Defaults to the \
-           machine's recommended domain count.")
-
 let log_arg =
   Arg.(
     value
@@ -309,7 +288,6 @@ let cmd =
     Term.(
       const run $ programs_arg $ data_arg $ store_arg $ port_arg $ host_arg
       $ unix_socket_arg $ max_queue_arg $ coalesce_arg $ request_timeout_arg
-      $ commit_timeout_arg $ fault_plan_arg $ shards_arg $ pool_size_arg
-      $ log_arg)
+      $ commit_timeout_arg $ fault_plan_arg $ log_arg)
 
 let () = exit (Cmd.eval' cmd)

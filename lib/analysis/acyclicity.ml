@@ -407,21 +407,6 @@ let verify (c : certificate) : (unit, string) result =
 let cycle_to_string (m : Mapping.t) cycle =
   String.concat " ; " (List.map (edge_to_string m) cycle)
 
-let certificate_to_string (m : Mapping.t) (c : certificate) =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "weakly acyclic: %d positions, %d edges, max rank %d (chase \
-        value-creation depth is bounded by %d)\n"
-       (List.length c.positions) (List.length c.edges) c.max_rank c.max_rank);
-  List.iter
-    (fun (p, r) ->
-      if r > 0 then
-        Buffer.add_string buf
-          (Printf.sprintf "  rank %d: %s\n" r (position_to_string m p)))
-    c.ranks;
-  Buffer.contents buf
-
 let diagnose (m : Mapping.t) : Diagnostic.t list =
   match check m with
   | Ok _ -> []

@@ -45,7 +45,6 @@ val verify : certificate -> (unit, string) result
 val position_to_string : Mappings.Mapping.t -> position -> string
 val edge_to_string : Mappings.Mapping.t -> edge -> string
 val cycle_to_string : Mappings.Mapping.t -> edge list -> string
-val certificate_to_string : Mappings.Mapping.t -> certificate -> string
 
 val diagnose : Mappings.Mapping.t -> Diagnostic.t list
 (** [[]] if weakly acyclic, else a single [E202] diagnostic with the

@@ -117,26 +117,6 @@ let match_atom sub (pattern : Tgd.atom) (target : Tgd.atom) =
       (fun acc p t -> Option.bind acc (fun sub -> match_term sub p t))
       (Some sub) pattern.Tgd.args target.Tgd.args
 
-(* Backtracking search: map every atom of [from_body] onto some atom of
-   [into_body] under one consistent substitution.  [fixed] variables
-   are pre-bound to themselves (endomorphism constraints).  Bodies are
-   tiny (statement tgds have a handful of atoms), so the exponential
-   worst case is irrelevant. *)
-let body_hom ?(fixed = []) ~from_body ~into_body () : homomorphism option =
-  let from_body = List.map normalize_atom from_body in
-  let into_body = List.map normalize_atom into_body in
-  let seed = List.map (fun v -> (v, Term.Var v)) fixed in
-  let rec search sub = function
-    | [] -> Some sub
-    | atom :: rest ->
-        List.find_map
-          (fun candidate ->
-            Option.bind (match_atom sub atom candidate) (fun sub ->
-                search sub rest))
-          into_body
-  in
-  search seed from_body
-
 (* --- tgd subsumption ------------------------------------------------- *)
 
 (* [subsumes ~general ~specific] holds when a homomorphism maps

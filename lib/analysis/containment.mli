@@ -43,15 +43,6 @@ val match_atom :
     pattern variables bind to arbitrary target subterms, everything
     else is structural. *)
 
-val body_hom :
-  ?fixed:string list ->
-  from_body:Mappings.Tgd.atom list ->
-  into_body:Mappings.Tgd.atom list ->
-  unit ->
-  homomorphism option
-(** A homomorphism mapping every atom of [from_body] onto some atom of
-    [into_body]; [fixed] variables must map to themselves. *)
-
 val subsumes :
   general:Mappings.Tgd.t -> specific:Mappings.Tgd.t -> homomorphism option
 (** [subsumes ~general ~specific] returns a witness homomorphism from

@@ -80,31 +80,6 @@ let iter_rows t f =
     f (row t r)
   done
 
-(* Gather the given rows — ascending indices — into a new batch
-   sharing the dictionaries.  A subsequence of a sorted, duplicate-free
-   batch is itself sorted and duplicate-free, so the result satisfies
-   [Instance.set_batch]'s row invariant whenever the input does; the
-   shard partitioner leans on exactly that to split an encoded source
-   relation without re-encoding a single value. *)
-(* Same rows under different dictionaries.  The caller guarantees
-   [dicts.(i)] decodes every code of [dim_codes.(i)] to the same value
-   — e.g. a [Dict.copy] per shard, so shards never append to a shared
-   dictionary concurrently. *)
-let with_dicts t dim_dicts = { t with dim_dicts }
-
-let select t rows =
-  let k = Array.length rows in
-  let ndims = Array.length t.dim_dicts in
-  let dim_codes =
-    Array.init ndims (fun i ->
-        let src = t.dim_codes.(i) in
-        Array.init k (fun j -> src.(rows.(j))))
-  in
-  let meas = Array.init k (fun j -> t.meas.(rows.(j))) in
-  let meas_float = Array.init k (fun j -> t.meas_float.(rows.(j))) in
-  let meas_valid = Bytes.init k (fun j -> Bytes.get t.meas_valid rows.(j)) in
-  { t with nrows = k; dim_codes; meas; meas_float; meas_valid }
-
 (* Decoded facts in row order.  Note the decode is up to [Value.equal]:
    a column holding both [Int 1] and [Float 1.] (equal values, one
    code) decodes every occurrence as whichever was encoded first —

@@ -72,20 +72,6 @@ let encode t v =
       VH.replace t.codes v c;
       c
 
-(* An independent clone issuing identical codes for everything encoded
-   so far.  The shard splitter hands each shard its own clone: the
-   shard's batches keep their codes valid while per-shard chases append
-   new codes without sharing mutable state across domains (pools are
-   deliberately unsynchronized, see below). *)
-let copy t =
-  {
-    values = Array.copy t.values;
-    floats = Array.copy t.floats;
-    valid = Bytes.copy t.valid;
-    size = t.size;
-    codes = VH.copy t.codes;
-  }
-
 (* Find-only: [None] when the value was never encoded (a probe against
    a foreign dictionary that cannot match). *)
 let find t v = VH.find_opt t.codes v

@@ -5,15 +5,9 @@ type config = {
   policy : Dispatcher.assignment_policy;
   record_history : bool;
   parallel_dispatch : bool;
-  pool_size : int option;
-      (* worker-domain count for parallel dispatch; None = the shared
-         pool sized from Domain.recommended_domain_count *)
   retry : Dispatcher.retry_policy;
   faults : Faults.plan option;
       (* injected failures, for drills and tests; None in production *)
-  shards : int;
-      (* partition full chases across this many shards, run on the
-         domain pool with work stealing; 1 = unsharded *)
 }
 
 let default_config =
@@ -22,10 +16,8 @@ let default_config =
     policy = Dispatcher.default_policy;
     record_history = true;
     parallel_dispatch = false;
-    pool_size = None;
     retry = Dispatcher.default_retry;
     faults = None;
-    shards = 1;
   }
 
 (* The solution cache of the incremental path: the chase instance a
@@ -62,15 +54,7 @@ let create ?(config = default_config) () =
     translation = Translation.create ();
     store = Registry.create ();
     history = Historicity.create ();
-    pool =
-      (* sharded chases also need the pool: shard tasks run on it with
-         work stealing *)
-      (if config.parallel_dispatch || config.shards > 1 then
-         Some
-           (match config.pool_size with
-           | Some size -> Pool.create ~size ()
-           | None -> Pool.shared ())
-       else None);
+    pool = (if config.parallel_dispatch then Some (Pool.shared ()) else None);
     dirty = [];
     solution = None;
   }
@@ -306,16 +290,7 @@ let rebuild_solution t covered =
          [store_derived]. *)
       let mapping = (Analysis.Optimize.run generated).Analysis.Optimize.optimized in
       let source = Exchange.Instance.of_registry t.store in
-      let executor =
-        (* shard tasks are coarse and uneven: steal-half rebalancing
-           beats the plain shared-queue executor there *)
-        match t.pool with
-        | Some pool when t.config.shards > 1 -> Pool.stealing_executor pool
-        | _ -> Exchange.Chase.sequential_executor
-      in
-      match
-        Shard.Driver.run ~executor ~shards:t.config.shards mapping source
-      with
+      match Exchange.Chase.run mapping source with
       | Error _ as e -> e
       | Ok (instance, stats) ->
           let sol =

@@ -10,23 +10,13 @@ type config = {
   record_history : bool;
       (** Store a dated version of every recomputed cube. *)
   parallel_dispatch : bool;
-      (** Run independent per-target subgraphs on the domain pool. *)
-  pool_size : int option;
-      (** Worker-domain count for parallel dispatch; [None] uses the
-          process-wide {!Pool.shared} sized from
-          [Domain.recommended_domain_count]. *)
+      (** Run independent per-target subgraphs on the process-wide
+          {!Pool.shared} domain pool. *)
   retry : Dispatcher.retry_policy;
       (** Retry/backoff/timeout policy for dispatch steps. *)
   faults : Faults.plan option;
       (** Deterministic fault injection for drills and tests;
           [None] (production) injects nothing. *)
-  shards : int;
-      (** Partition full chases across this many shards
-          ({!Shard.Driver.run}; the shard key is chosen per mapping),
-          running the per-shard chases on the domain pool with work
-          stealing.  [1] (the default) = unsharded; [> 1] also brings
-          the pool up even without [parallel_dispatch].  Solutions are
-          identical to the unsharded run's. *)
 }
 
 val default_config : config

@@ -111,122 +111,6 @@ let run_all (type a) t (fs : (unit -> a) list) : a list =
 
 let executor t tasks = ignore (run_all t tasks : unit list)
 
-(* ----- work-stealing bursts ----- *)
-
-(* One deque per participant (the [size] workers plus the submitting
-   domain).  The owner pops from the front; an idle participant steals
-   the {e back half} of the first non-empty victim it finds, keeps one
-   task and appends the rest to its own deque.  Shard bursts are coarse
-   — tens of tasks, milliseconds each — so a mutex-protected list beats
-   a lock-free Chase–Lev deque on simplicity at no measurable cost. *)
-type deque = { dmutex : Mutex.t; mutable items : (unit -> unit) list }
-
-let pop_own d =
-  Mutex.lock d.dmutex;
-  let r =
-    match d.items with
-    | [] -> None
-    | x :: rest ->
-        d.items <- rest;
-        Some x
-  in
-  Mutex.unlock d.dmutex;
-  r
-
-(* Take ceil(n/2) tasks from the back of [victim]. *)
-let steal_half victim =
-  Mutex.lock victim.dmutex;
-  let n = List.length victim.items in
-  let taken =
-    if n = 0 then []
-    else begin
-      let keep = n / 2 in
-      let rec split i = function
-        | [] -> ([], [])
-        | x :: rest ->
-            if i < keep then begin
-              let kept, stolen = split (i + 1) rest in
-              (x :: kept, stolen)
-            end
-            else ([], x :: rest)
-      in
-      let kept, stolen = split 0 victim.items in
-      victim.items <- kept;
-      stolen
-    end
-  in
-  Mutex.unlock victim.dmutex;
-  taken
-
-let push_back d tasks =
-  if tasks <> [] then begin
-    Mutex.lock d.dmutex;
-    d.items <- d.items @ tasks;
-    Mutex.unlock d.dmutex
-  end
-
-let run_stealing t (tasks : (unit -> unit) list) : unit =
-  match tasks with
-  | [] -> ()
-  | [ f ] -> f ()
-  | tasks ->
-      let participants = t.size + 1 in
-      let buckets = Array.make participants [] in
-      List.iteri
-        (fun i task ->
-          let j = i mod participants in
-          buckets.(j) <- task :: buckets.(j))
-        tasks;
-      let deques =
-        Array.map
-          (fun items -> { dmutex = Mutex.create (); items = List.rev items })
-          buckets
-      in
-      (* Exceptions never cross domains raw: keep the first one and
-         re-raise it on the submitting domain after the burst — the
-         executor contract the chase relies on. *)
-      let first_error = Atomic.make None in
-      let run_task task =
-        try task ()
-        with e -> ignore (Atomic.compare_and_set first_error None (Some e))
-      in
-      let participant me () =
-        let rec try_steal k =
-          if k >= participants then None
-          else
-            match steal_half deques.((me + k) mod participants) with
-            | [] -> try_steal (k + 1)
-            | stolen :: rest ->
-                Obs.count "pool.steals";
-                Obs.count ~n:(1 + List.length rest) "pool.steal_tasks";
-                push_back deques.(me) rest;
-                Some stolen
-        in
-        let rec loop () =
-          match pop_own deques.(me) with
-          | Some task ->
-              run_task task;
-              loop ()
-          | None -> (
-              (* A participant mid-steal may hold tasks invisible to
-                 this scan; exiting early is safe — [try_all] below
-                 returns only once {e every} participant has drained,
-                 so no task is ever lost, only tail parallelism. *)
-              match try_steal 1 with
-              | Some task ->
-                  run_task task;
-                  loop ()
-              | None -> ())
-        in
-        loop ()
-      in
-      ignore
-        (try_all t (List.init participants (fun i -> ("steal", participant i)))
-          : (unit, string * exn) result list);
-      (match Atomic.get first_error with None -> () | Some e -> raise e)
-
-let stealing_executor t tasks = run_stealing t tasks
-
 let shutdown t =
   Mutex.lock t.mutex;
   let was_closed = t.closed in

@@ -40,22 +40,6 @@ val executor : t -> (unit -> unit) list -> unit
 (** [run_all] specialised to unit tasks — matches the chase's
     [?executor] parameter. *)
 
-val run_stealing : t -> (unit -> unit) list -> unit
-(** Execute the burst with work stealing: the tasks are dealt
-    round-robin onto one deque per participant (the [size] workers
-    plus the caller); each participant pops its own deque from the
-    front and, when empty, steals the {e back half} of the first
-    non-empty victim's deque (keeping one task, queueing the rest
-    locally).  Coarse, unevenly sized tasks — per-shard chases — thus
-    rebalance automatically; [Obs] counts ["pool.steals"] /
-    ["pool.steal_tasks"].  If any task raises, the first exception is
-    re-raised on the calling domain after all tasks have finished —
-    the same contract as {!executor}. *)
-
-val stealing_executor : t -> (unit -> unit) list -> unit
-(** {!run_stealing} partially applied — matches the chase's
-    [?executor] parameter, used for shard tasks. *)
-
 val shutdown : t -> unit
 (** Signal workers to exit and join them; idempotent.  Tasks already
     queued are still drained. *)

@@ -14,27 +14,12 @@ let artifact_kind = function
   | Kettle_xml _ -> "kettle-xml"
   | Tgd_program _ -> "tgd"
 
-let artifact_text = function
-  | Sql_script s | R_script s | Matlab_script s | Kettle_xml s | Tgd_program s
-    ->
-      s
-
 type t = {
   name : string;
   supports : Mappings.Tgd.t -> bool;
   translate : Mappings.Mapping.t -> (artifact, string) result;
   execute : Mappings.Mapping.t -> Registry.t -> (Registry.t, string) result;
 }
-
-(* A backend's cube conversions raise on an egd violation or a schema
-   mismatch; both are ordinary execution errors of the target. *)
-let conversion_errors f =
-  try f () with
-  | Cube.Functionality_violation { cube; key } ->
-      Error
-        (Printf.sprintf "functionality violation in %s at %s" cube
-           (Tuple.to_string key))
-  | Invalid_argument msg -> Error msg
 
 let sql =
   {
@@ -45,10 +30,7 @@ let sql =
         Result.map
           (fun s -> Sql_script s)
           (Relational.Sql_target.script_of_mapping mapping));
-    execute =
-      (fun mapping registry ->
-        conversion_errors (fun () ->
-            Relational.Sql_target.execute mapping registry));
+    execute = (fun mapping registry -> Relational.Sql_target.execute mapping registry);
   }
 
 let vector_supports = function
@@ -66,9 +48,7 @@ let vector =
         Result.map
           (fun s -> R_script s)
           (Vector.Vector_target.r_script_of_mapping mapping));
-    execute =
-      (fun mapping registry ->
-        conversion_errors (fun () -> Vector.Vector_target.execute mapping registry));
+    execute = Vector.Vector_target.execute;
   }
 
 let stl_family = [ "stl_t"; "stl_s"; "stl_r"; "deseason"; "trend_classical" ]
@@ -88,9 +68,7 @@ let make_etl ~name ~with_stl =
         Result.map
           (fun s -> Kettle_xml s)
           (Etl.Etl_target.kettle_catalog_of_mapping mapping));
-    execute =
-      (fun mapping registry ->
-        conversion_errors (fun () -> Etl.Etl_target.execute mapping registry));
+    execute = (fun mapping registry -> Etl.Etl_target.execute mapping registry);
   }
 
 let etl_no_stl = make_etl ~name:"etl" ~with_stl:false
@@ -115,7 +93,7 @@ let chase =
                    mapping.Mappings.Mapping.t_tgds))));
     execute =
       (fun mapping registry ->
-        conversion_errors (fun () ->
+        Cube.guard (fun () ->
             let source =
               Exchange.Instance.of_registry
                 (Registry.of_sources registry mapping.Mappings.Mapping.source)

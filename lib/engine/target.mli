@@ -17,7 +17,6 @@ type artifact =
           the {!chase} target's deployable artifact *)
 
 val artifact_kind : artifact -> string
-val artifact_text : artifact -> string
 
 type t = {
   name : string;
@@ -34,10 +33,10 @@ val sql : t
 (** The DBMS target: supports every tgd shape (black boxes via tabular
     UDFs), including fused multi-atom tgds.  Runs
     {!Relational.Sql_target.execute}, so its result holds the derived
-    relations only.  Every target's [execute] wraps its backend
-    library's mapping-level [execute], turning an egd violation or
-    arity mismatch raised while converting cubes into an [Error]; these
-    are also what [Core.run] runs.  Likewise each [translate] wraps its
+    relations only.  Every target's [execute] is its backend library's
+    mapping-level [execute], which returns an egd violation or arity
+    mismatch met while converting cubes as an [Error]; these are also
+    what [Core.run] runs.  Likewise each [translate] wraps its
     library's mapping-level translator
     ({!Relational.Sql_target.script_of_mapping} here). *)
 

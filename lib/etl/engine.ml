@@ -37,8 +37,9 @@ let rowset_of_cube cube =
     rows = List.map (fun (k, v) -> Tuple.append k v) (Cube.to_alist cube);
   }
 
-let cube_of_rowset schema rowset =
-  let cube = Cube.create schema in
+(* [rowset]'s rows added to [cube] (a fresh one by default). *)
+let cube_of_rowset ?into schema rowset =
+  let cube = match into with Some c -> c | None -> Cube.create schema in
   let index = field_index rowset in
   let positions =
     List.map
@@ -307,7 +308,16 @@ let run_step ~batch_size ~storage ~schema_lookup env stats step =
         | None -> fail "no schema for output cube %s" cube
       in
       stats.rows_written <- stats.rows_written + List.length rs.rows;
-      Registry.add storage Registry.Derived (cube_of_rowset schema rs)
+      (* Like Kettle's TableOutput, a write appends to a cube an earlier
+         flow of the job wrote: two tgds producing one relation union
+         their facts, and two measures for one key are a functionality
+         violation. *)
+      (match Registry.kind_of storage cube with
+      | Some Registry.Derived ->
+          ignore
+            (cube_of_rowset ~into:(Registry.find_exn storage cube) schema rs
+              : Cube.t)
+      | _ -> Registry.add storage Registry.Derived (cube_of_rowset schema rs))
 
 let run_flow ?(batch_size = 1024) ~storage ~schema_lookup flow stats =
   let env : (string, rowset) Hashtbl.t = Hashtbl.create 16 in

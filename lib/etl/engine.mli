@@ -20,7 +20,8 @@ val run_flow :
   stats ->
   (unit, string) result
 (** Executes the steps in order, writing the output cube into
-    [storage] as a derived cube.  [batch_size] (default 1024) is the
+    [storage] as a derived cube, or adding its facts to the derived
+    cube an earlier flow wrote under that name.  [batch_size] (default 1024) is the
     stream granularity — semantics-neutral, it models the paper's
     stream-like architecture and is reported in [stats.batches]. *)
 

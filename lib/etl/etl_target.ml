@@ -1,6 +1,7 @@
 open Matrix
 
 let execute ?batch_size mapping registry =
+  Cube.guard @@ fun () ->
   match Etl_gen.job_of_mapping mapping with
   | Error _ as e -> e
   | Ok job -> (

@@ -13,11 +13,9 @@ val execute :
     when absent), run the mapping's job on it, and return the storage:
     the sources plus every relation the job wrote.  [batch_size] is the
     engine's row batch (semantics-neutral).  Job generation and engine
-    failures are [Error]s.
-    @raise Matrix.Cube.Functionality_violation when a flow writes two
-    measures for one key.
-    @raise Invalid_argument when a registry cube's arity differs from
-    its source schema. *)
+    failures are [Error]s, and so are flows writing two measures for
+    one key and a registry cube whose arity differs from its source
+    schema. *)
 
 val kettle_catalog_of_mapping : Mappings.Mapping.t -> (string, string) result
 (** The Kettle-style XML the translation engine would feed to Pentaho. *)

@@ -1252,21 +1252,25 @@ let incremental ?(executor = sequential_executor) ~state
       in
       (* Apply the input deltas to the previous solution; only
          facts genuinely removed/added (set semantics) propagate. *)
-      List.iter
-        (fun (rel, d) ->
-          let removed =
-            List.filter (fun f -> Instance.remove solution rel f) d.removed
-          in
-          let added =
-            List.filter (fun f -> Instance.insert solution rel f) d.added
-          in
-          merge rel { added; removed })
-        deltas;
-      istats.input_facts <-
-        Hashtbl.fold
-          (fun _ d acc ->
-            acc + List.length d.added + List.length d.removed)
-          current 0;
+      Obs.with_span "chase.incr.input"
+        ~attrs_after:(fun () ->
+          [ ("delta_facts", string_of_int istats.input_facts) ])
+        (fun () ->
+          List.iter
+            (fun (rel, d) ->
+              let removed =
+                List.filter (fun f -> Instance.remove solution rel f) d.removed
+              in
+              let added =
+                List.filter (fun f -> Instance.insert solution rel f) d.added
+              in
+              merge rel { added; removed })
+            deltas;
+          istats.input_facts <-
+            Hashtbl.fold
+              (fun _ d acc ->
+                acc + List.length d.added + List.length d.removed)
+              current 0);
       let touched rel = Hashtbl.mem current rel in
       let producers : (string, int) Hashtbl.t = Hashtbl.create 16 in
       List.iter

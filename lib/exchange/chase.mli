@@ -26,12 +26,6 @@ type stats = {
           {!run}, one per fixpoint iteration for {!run_naive} *)
 }
 
-val empty_stats : unit -> stats
-
-val merge_stats : into:stats -> stats -> unit
-(** Fold per-task counters into an accumulator ([rounds] excluded — it
-    is driver bookkeeping, never task-local). *)
-
 val run :
   ?check_egds:bool ->
   ?executor:((unit -> unit) list -> unit) ->
@@ -40,11 +34,13 @@ val run :
   Instance.t ->
   (Instance.t * stats, string) result
 (** Solve the data exchange problem by one stratified pass: the
-    strata of {!strata_of} run in dependency order, and each tgd of a
-    stratum is applied once, completely, against the full instance
-    through the persistent {!Instance} indexes — a stratum reads only
-    lower strata, so nothing it derives feeds it again.  [Error] on
-    recursive tgds, on egd violation (chase failure) or on a tgd that
+    strata of [Stratify.strata] (tgds grouped by the dependency depth
+    of their target, whatever their statement order) run in dependency
+    order, and each tgd of a stratum is applied once, completely,
+    against the full instance through the persistent {!Instance}
+    indexes — a stratum reads only lower strata, so nothing it derives
+    feeds it again.  [Error "chase failed: relation R depends on
+    itself"] on recursive tgds, on egd violation (chase failure) or on a tgd that
     cannot be evaluated (a variable occurring only under uninvertible
     terms).
 
@@ -64,10 +60,7 @@ val run :
     iteration order, counting, and error rules); only wall-clock time
     and index telemetry differ.  [~columnar:false] is the row-evaluator
     oracle; the row evaluator also runs every tgd the kernels do not
-    handle.
-
-    Sharded execution sits above this function: see
-    [Shard.Driver.run]. *)
+    handle. *)
 
 val run_naive :
   Mappings.Mapping.t ->
@@ -78,48 +71,6 @@ val run_naive :
     canonical (target-name) order — no ordering oracle, no persistent
     indexes, Σst copied row by row — until a round changes nothing.
     Same solution as {!run}. *)
-
-val copy_sources :
-  columnar:bool -> Mappings.Mapping.t -> Instance.t -> Instance.t
-(** The Σst step every chase starts from: a fresh instance over the
-    mapping's target schemas holding a copy of each source relation.
-    With [columnar] a relation whose target schema equals its source
-    schema is installed as the source's shared column batch; otherwise
-    (and always when [columnar] is false) facts are copied row by
-    row.  {!run}, {!run_naive} and the shard driver's merge all
-    install sources through this function. *)
-
-val run_stratum :
-  executor:((unit -> unit) list -> unit) ->
-  columnar:bool ->
-  Instance.t ->
-  stats ->
-  Mappings.Tgd.t list ->
-  (unit, string) result
-(** Apply each tgd of one stratum once against [instance], exactly as
-    {!run} does internally.  The tgds must read only relations below
-    the stratum (as those of a {!strata_of} stratum do).  Exposed for
-    the shard driver's residual pass; egds are {e not} checked here. *)
-
-val strata_of :
-  Mappings.Mapping.t -> (Mappings.Tgd.t list list, string) result
-(** The stratification {!run} evaluates: [Stratify.strata], tgds
-    grouped by the dependency depth of their target whatever their
-    statement order.  [Error "chase failed: relation R depends on
-    itself"] when the tgds are recursive. *)
-
-val check_target_egds :
-  Mappings.Mapping.t ->
-  Instance.t ->
-  stats ->
-  string list ->
-  (unit, string) result
-(** Run the mapping's functionality egds for the named relations (the
-    post-stratum check {!run} performs unless [~check_egds:false]).
-    Exposed for the shard driver's post-merge checks. *)
-
-val sequential_executor : (unit -> unit) list -> unit
-(** The default [executor]: run tasks in order on the calling domain. *)
 
 type fact_delta = { added : Instance.fact list; removed : Instance.fact list }
 (** A change to one relation's fact set.  A revision of a key is its
@@ -175,8 +126,8 @@ val incremental :
     most one per relation ([Error] otherwise).
 
     The deltas are first applied to [solution] (set semantics: only
-    genuinely new/removed facts propagate), then the strata of
-    {!strata_of} are re-evaluated in order; a stratum no delta reaches
+    genuinely new/removed facts propagate), then the strata
+    {!run} evaluates are re-evaluated in order; a stratum no delta reaches
     is skipped outright.  Each touched tgd's plan follows from its
     shape alone:
     - a tuple-level tgd whose target no other tgd produces is repaired

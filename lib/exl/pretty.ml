@@ -108,5 +108,3 @@ let item_to_string = function
 
 let program_to_string p =
   String.concat "\n" (List.map item_to_string p) ^ "\n"
-
-let pp_expr ppf e = Format.pp_print_string ppf (expr_to_string e)

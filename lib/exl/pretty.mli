@@ -16,4 +16,3 @@ val expr_to_string : Ast.expr -> string
 val stmt_to_string : Ast.stmt -> string
 val decl_to_string : Ast.decl -> string
 val program_to_string : Ast.program -> string
-val pp_expr : Format.formatter -> Ast.expr -> unit

@@ -157,29 +157,6 @@ let check_columnar scenario =
       | Ok _, Error e -> Disagree ("columnar path errored, row did not: " ^ e)
       | Error e, Ok _ -> Disagree ("row path errored, columnar did not: " ^ e))
 
-(* --- axis: sharded vs unsharded chase --------------------------------- *)
-
-let check_shards scenario =
-  match Result.bind (compiled scenario) Core.mapping_of with
-  | Error msg -> Disagree ("no mapping: " ^ msg)
-  | Ok mapping -> (
-      let data = scenario.Scenario.data in
-      let sharded mapping data =
-        Shard.Driver.run ~shards:3 mapping
-          (Exchange.Instance.of_registry (Registry.copy data))
-      in
-      match (chase ~columnar:true mapping data, sharded mapping data) with
-      | Ok (j1, _), Ok (j2, _) -> (
-          match facts_diff mapping j1 j2 with
-          | Some d -> Disagree ("sharded vs unsharded: " ^ d)
-          | None -> Agree)
-      | Error _, Error _ ->
-          (* both reject; tgd errors may surface in per-shard order, so
-             message equality is not required — the verdict is *)
-          Agree
-      | Ok _, Error e -> Disagree ("sharded chase errored, unsharded did not: " ^ e)
-      | Error e, Ok _ -> Disagree ("unsharded chase errored, sharded did not: " ^ e))
-
 (* --- axis: optimized mapping ------------------------------------------ *)
 
 (* Chase [baseline] and [variant] over the scenario's data: both
@@ -471,7 +448,6 @@ let check_axis ~fuse scenario axis =
   | Lattice.Fusion -> check_fusion ~fuse scenario
   | Lattice.Incremental -> check_incremental scenario
   | Lattice.Faults -> check_faults scenario
-  | Lattice.Shards -> check_shards scenario
 
 let run ?(axes = Lattice.all) ?(fuse = Lattice.Safe) scenario =
   List.map

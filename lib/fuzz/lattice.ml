@@ -7,7 +7,6 @@ type axis =
   | Fusion
   | Incremental
   | Faults
-  | Shards
 
 let all =
   [
@@ -19,7 +18,6 @@ let all =
     Fusion;
     Incremental;
     Faults;
-    Shards;
   ]
 
 let name = function
@@ -31,7 +29,6 @@ let name = function
   | Fusion -> "fusion"
   | Incremental -> "incremental"
   | Faults -> "faults"
-  | Shards -> "shards"
 
 let axis_of_name s = List.find_opt (fun a -> name a = s) all
 

@@ -15,7 +15,6 @@ type axis =
   | Fusion  (** fused mapping == unfused (mode selects the fuser) *)
   | Incremental  (** apply_updates == from-scratch recomputation *)
   | Faults  (** sql-free faulted run == fault-free run, non-degraded *)
-  | Shards  (** sharded multicore chase == unsharded chase *)
 
 val all : axis list
 (** Every axis, in the order above. *)

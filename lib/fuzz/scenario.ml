@@ -105,10 +105,6 @@ let schemas_of_source source =
              (Exl.Ast.decls prog))
       with Failure msg | Invalid_argument msg -> Error msg)
 
-let schema_of_source source =
-  let* schemas = schemas_of_source source in
-  Ok (fun name -> List.find_opt (fun s -> s.Schema.name = name) schemas)
-
 (* --- repro files ----------------------------------------------------- *)
 
 let data_lines data =

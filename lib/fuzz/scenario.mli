@@ -32,10 +32,6 @@ val generate : ?profile:string -> int -> t
     every run non-degraded and comparable.  [profile] defaults to
     ["quick"]; unknown names fall back to quick. *)
 
-val schema_of_source : string -> ((string -> Schema.t option), string) result
-(** Parse the program's declarations into a schema lookup (for
-    {!Engine.Update.of_string} on the data/update sections). *)
-
 val to_string : t -> string
 (** The repro-file form. *)
 

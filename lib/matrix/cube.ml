@@ -2,6 +2,14 @@ type t = { schema : Schema.t; data : Value.t Tuple.Table.t }
 
 exception Functionality_violation of { cube : string; key : Tuple.t }
 
+let guard f =
+  try f () with
+  | Functionality_violation { cube; key } ->
+      Error
+        (Printf.sprintf "functionality violation in %s at %s" cube
+           (Tuple.to_string key))
+  | Invalid_argument msg -> Error msg
+
 let create schema = { schema; data = Tuple.Table.create 64 }
 let schema c = c.schema
 let name c = c.schema.Schema.name

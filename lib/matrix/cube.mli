@@ -13,6 +13,12 @@ exception Functionality_violation of { cube : string; key : Tuple.t }
 (** Raised by [add_strict] when a key is already present with a
     different measure — the counterpart of an egd failure. *)
 
+val guard : (unit -> ('a, string) result) -> ('a, string) result
+(** [f ()], with a {!Functionality_violation} or an [Invalid_argument]
+    (a cube whose arity differs from its schema) returned as [Error]:
+    the one failure channel of every backend's [execute], whose cube
+    conversions raise both. *)
+
 val create : Schema.t -> t
 (** A fresh empty cube. *)
 

@@ -71,8 +71,6 @@ let with_values s vals =
     invalid_arg "Series.with_values: length mismatch";
   { s with points = Array.mapi (fun i (p, _) -> (p, vals.(i))) s.points }
 
-let map_values f s = with_values s (f (values s))
-
 let make schema pts =
   let points =
     List.sort (fun (a, _) (b, _) -> Calendar.Period.compare a b) pts

@@ -26,11 +26,6 @@ val is_contiguous : t -> bool
 (** Consecutive points are consecutive periods — what seasonal
     decomposition requires. *)
 
-val map_values : (float array -> float array) -> t -> t
-(** Apply a whole-vector transform (a black-box operator): the result
-    keeps the same periods. @raise Invalid_argument if the transform
-    changes the length. *)
-
 val with_values : t -> float array -> t
 val make : Schema.t -> (Calendar.Period.t * float) list -> t
 val pp : Format.formatter -> t -> unit

@@ -698,9 +698,6 @@ let run_insert_with_views db lookup views (i : Sql_ast.insert) =
   List.iter (Table.insert table) rows;
   List.length rows
 
-let run_insert db lookup i =
-  wrap (fun () -> run_insert_with_views db lookup no_views i)
-
 let run_statements db lookup statements =
   let views = fresh_views () in
   let rec loop total = function

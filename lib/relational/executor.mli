@@ -18,11 +18,6 @@ val plan_of_select :
 val rows_of_select :
   Database.t -> schema_lookup -> Sql_ast.select -> (Value.t array list, string) result
 
-val run_insert :
-  Database.t -> schema_lookup -> Sql_ast.insert -> (int, string) result
-(** Creates the target table when missing; returns the number of rows
-    inserted. *)
-
 val run_statements :
   Database.t -> schema_lookup -> Sql_ast.statement list -> (int, string) result
 (** Runs a mixed script: CREATE VIEW registers a lazily evaluated

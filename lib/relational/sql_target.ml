@@ -1,6 +1,7 @@
 open Matrix
 
 let execute ?views mapping registry =
+  Cube.guard @@ fun () ->
   let db = Database.create () in
   List.iter
     (fun schema ->

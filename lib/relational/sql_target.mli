@@ -12,11 +12,9 @@ val execute :
     from [registry] as tables (one pass per cube, no copy), run the
     mapping's script ({!Executor.run_mapping}), and convert back only
     the derived tables — the mapping's target relations minus its
-    sources.  Executor failures are [Error]s.
-    @raise Matrix.Cube.Functionality_violation when a derived table
-    holds two measures for one key.
-    @raise Invalid_argument when a registry cube's arity differs from
-    its source schema. *)
+    sources.  Executor failures are [Error]s, and so are a derived
+    table holding two measures for one key and a registry cube whose
+    arity differs from its source schema. *)
 
 val script_of_mapping :
   ?views:[ `None | `Temporaries ] ->

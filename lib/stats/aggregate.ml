@@ -65,9 +65,4 @@ let apply_slice t a ~off ~len =
 
 let apply t bag = apply_array t (Array.of_list bag)
 
-let is_order_sensitive = function
-  | First | Last -> true
-  | Sum | Avg | Min | Max | Count | Median | Stddev | Variance | Product ->
-      false
-
 let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -38,7 +38,4 @@ val apply_slice : t -> float array -> off:int -> len:int -> float
 (** [apply_array] over a segment of a larger buffer (a group's slice of
     a segmented gather); copies only when the slice is proper. *)
 
-val is_order_sensitive : t -> bool
-(** True for [First]/[Last]: engines must feed the bag in key order. *)
-
 val pp : Format.formatter -> t -> unit

@@ -1,8 +1,3 @@
-let count_missing a =
-  Array.fold_left (fun acc x -> if Float.is_nan x then acc + 1 else acc) 0 a
-
-let fill_constant c a = Array.map (fun x -> if Float.is_nan x then c else x) a
-
 let fill_linear a =
   let n = Array.length a in
   let finite = ref [] in

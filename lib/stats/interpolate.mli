@@ -9,6 +9,3 @@ val fill_linear : float array -> float array
     neighbours; leading/trailing runs are extrapolated from the nearest
     two finite points (or held constant when only one exists).
     An all-NaN input is returned unchanged. *)
-
-val fill_constant : float -> float array -> float array
-val count_missing : float array -> int

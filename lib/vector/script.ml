@@ -16,28 +16,6 @@ type stmt =
     }
   | Apply_fn of { dst : string; src : string; fn : string; params : float list }
   | Const_frame of { dst : string; cols : string list; rows : Value.t list list }
+  | Union of { dst : string; left : string; right : string }
 
 type t = stmt list
-
-let dst_of = function
-  | Copy { dst; _ }
-  | Filter_rows { dst; _ }
-  | Merge { dst; _ }
-  | Merge_outer { dst; _ }
-  | Select_cols { dst; _ }
-  | Group_agg { dst; _ }
-  | Apply_fn { dst; _ }
-  | Const_frame { dst; _ } ->
-      Some dst
-  | Assign_col _ -> None
-
-let defined_frames t =
-  let seen = Hashtbl.create 16 in
-  List.filter_map
-    (fun stmt ->
-      match dst_of stmt with
-      | Some d when not (Hashtbl.mem seen d) ->
-          Hashtbl.add seen d ();
-          Some d
-      | _ -> None)
-    t

@@ -6,11 +6,6 @@ let create_env () = Hashtbl.create 32
 let bind env name frame = Hashtbl.replace env name frame
 let frame env name = Hashtbl.find_opt env name
 
-let frame_exn env name =
-  match frame env name with
-  | Some f -> f
-  | None -> invalid_arg ("Script_interp: no frame " ^ name)
-
 exception Interp_error of string
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Interp_error m)) fmt
@@ -23,6 +18,13 @@ let get env name =
 let run_stmt ~schema_lookup env stmt =
   match stmt with
   | Script.Copy { dst; src } -> bind env dst (get env src)
+  | Script.Union { dst; left; right } ->
+      let f = Frame.append_rows (get env left) (get env right) in
+      let seen = Hashtbl.create (Frame.length f) in
+      bind env dst
+        (Frame.filter_rows f (fun i ->
+             let row = Frame.row f i in
+             (not (Hashtbl.mem seen row)) && (Hashtbl.replace seen row (); true)))
   | Script.Filter_rows { dst; src; conditions } ->
       let f = get env src in
       let checks =

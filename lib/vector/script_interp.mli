@@ -8,7 +8,6 @@ type env
 val create_env : unit -> env
 val bind : env -> string -> Frame.t -> unit
 val frame : env -> string -> Frame.t option
-val frame_exn : env -> string -> Frame.t
 
 val run :
   schema_lookup:(string -> Schema.t option) ->

@@ -1,6 +1,7 @@
 open Matrix
 
 let execute mapping registry =
+  Cube.guard @@ fun () ->
   match Script_gen.script_of_mapping mapping with
   | Error _ as e -> e
   | Ok script -> (

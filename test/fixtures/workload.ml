@@ -247,12 +247,3 @@ let independent_data ~quarters ~regions () =
       Registry.add reg Registry.Elementary cube)
     [ "S1"; "S2"; "S3" ];
   reg
-
-(* --- the sharding workload: the worked example at 100x --- *)
-
-(* 100x the columnar bench's 8-region x 5-year overview cube
-   (region-years: 40 -> 4000).  At this scale the per-region daily
-   aggregation dominates the chase, so partitioning on r hands each
-   shard a heavy, independent slice and the sequential split/merge
-   phases stay small next to the per-shard work. *)
-let shard_registry () = overview_registry ~regions:800 ~years:5 ()

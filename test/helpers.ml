@@ -153,3 +153,38 @@ let prop_backend_matches_interp ~count ~name backend =
               | problems ->
                   QCheck.Test.fail_reportf "mismatch on\n%s\n%s" src
                     (String.concat "\n" problems))))
+
+(* Two tgds write the relation SHARED, from A and from B.  With
+   [clash] they write different measures to one key, and every
+   backend's [execute] must refuse the mapping with an [Error] naming
+   the relation; without it, SHARED holds both tgds' facts. *)
+let shared_target ~clash =
+  let quarter = ("q", Domain.Period (Some Calendar.Quarter)) in
+  let schema name = Schema.make ~name ~dims:[ quarter ] () in
+  let mapping =
+    {
+      Mappings.Mapping.source = [ schema "A"; schema "B" ];
+      target = [ schema "A"; schema "B"; schema "SHARED" ];
+      st_tgds = [];
+      t_tgds =
+        (match
+           Mappings.Parse.tgds_of_string "A(q, m) → SHARED(q, m)\nB(q, m) → SHARED(q, m)"
+         with
+        | Ok tgds -> tgds
+        | Error msg -> Alcotest.failf "tgds: %s" msg);
+      egds = [];
+    }
+  in
+  let registry = Registry.create () in
+  Registry.add registry Registry.Elementary
+    (cube_of "A" [ quarter ] [ [ vq 2024 1; vf 1. ]; [ vq 2024 3; vf 7. ] ]);
+  Registry.add registry Registry.Elementary
+    (cube_of "B" [ quarter ]
+       [ [ vq 2024 (if clash then 1 else 2); vf 5. ]; [ vq 2024 3; vf 7. ] ]);
+  (mapping, registry)
+
+let check_names_shared what = function
+  | Ok _ -> Alcotest.failf "%s: expected an Error" what
+  | Error msg ->
+      Alcotest.(check bool) (what ^ " names SHARED: " ^ msg) true
+        (Astring_contains.contains msg "SHARED")

@@ -12,7 +12,6 @@ let () =
       ("outer", Test_outer.suite);
       ("exchange", Test_exchange.suite);
       ("columnar", Test_columnar.suite);
-      ("shard", Test_shard.suite);
       ("relational", Test_relational.suite);
       ("vector", Test_vector.suite);
       ("etl", Test_etl.suite);

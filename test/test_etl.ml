@@ -118,6 +118,12 @@ let prop_etl_matches_interp =
   prop_backend_matches_interp ~count:60
     ~name:"ETL target == interpreter on random programs" Core.Etl_engine
 
+(* A flow writing two measures for one key is an [Error] of [execute],
+   not an exception. *)
+let test_execute_clash_is_error () =
+  let mapping, registry = shared_target ~clash:true in
+  check_names_shared "Etl_target.execute" (Etl.Etl_target.execute mapping registry)
+
 let suite =
   [
     ("flow: figure 1 shape", `Quick, test_figure1_flow_shape);
@@ -129,5 +135,6 @@ let suite =
     ("kettle: escaping", `Quick, test_kettle_escaping);
     ("end-to-end: overview", `Quick, test_etl_target_overview);
     ("end-to-end: batch size neutral", `Quick, test_batch_size_is_semantics_neutral);
+    ("execute: clashing writes are an Error", `Quick, test_execute_clash_is_error);
     QCheck_alcotest.to_alcotest prop_etl_matches_interp;
   ]

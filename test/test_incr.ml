@@ -496,6 +496,37 @@ let test_chase_incremental_empty_delta () =
       ];
     ]
 
+(* A traced batch puts the application of its input deltas in a
+   [chase.incr.input] span of its own, ahead of the strata, counting
+   the facts that really changed: re-inserting a present fact is no
+   change. *)
+let test_chase_incremental_input_span () =
+  let mapping = mapping_of join_source ~cubes:[ "J" ] in
+  let solution = solve mapping (join_registry ()) in
+  let fact q m = [| vq 2024 q; vs "n"; vf m |] in
+  let deltas =
+    [
+      ("A", { Exchange.Chase.added = [ fact 3 4.; fact 1 2. ]; removed = [ fact 2 3. ] });
+      ("B", { Exchange.Chase.added = [ fact 4 40. ]; removed = [] });
+    ]
+  in
+  let c = Obs.create () in
+  let _, istats, _ =
+    Obs.with_collector c (fun () -> ok (incremental mapping ~solution ~deltas))
+  in
+  Alcotest.(check int) "input facts" 3 istats.Exchange.Chase.input_facts;
+  let spans = Obs.Trace.spans c.Obs.trace in
+  let named n = List.filter (fun s -> s.Obs.Trace.name = n) spans in
+  match (named "chase.incr.input", named "chase.incremental") with
+  | [ input ], [ strata ] ->
+      Alcotest.(check (option string)) "delta_facts" (Some "3")
+        (List.assoc_opt "delta_facts" input.Obs.Trace.attrs);
+      Alcotest.(check bool) "opens before the strata" true
+        (input.Obs.Trace.id < strata.Obs.Trace.id)
+  | inputs, _ ->
+      Alcotest.failf "expected one chase.incr.input span, got %d"
+        (List.length inputs)
+
 (* --- signed-delta repair: derivation counts --- *)
 
 let hand_mapping ~source ~target tgds =
@@ -595,7 +626,7 @@ let test_misordered_stratifies_by_dependency () =
       "B(q, m) → C(q, 2 * m)\nA(q, m) → B(q, m)\nE(q, r, m) → D(q, 1)"
   in
   Alcotest.(check int) "two strata" 2
-    (List.length (ok (Exchange.Chase.strata_of mapping)));
+    (List.length (ok (Mappings.Stratify.strata mapping)));
   let a m = [| vq 2024 1; vf m |] and e r = [| vq 2024 1; vs r; vf 1. |] in
   let solution, batch =
     signed_fixture mapping ~rels:[ "B"; "C"; "D" ]
@@ -614,8 +645,8 @@ let test_misordered_stratifies_by_dependency () =
   Alcotest.(check bool) "D(2024Q1) gone with its last derivation" false
     (Exchange.Instance.mem solution "D" [| vq 2024 1; vi 1 |])
 
-(* B and C feed each other: the full chase, the incremental repair and
-   the sharded chase all refuse the mapping and name the relation. *)
+(* B and C feed each other: the full chase and the incremental repair
+   both refuse the mapping and name the relation. *)
 let test_recursive_mapping_rejected () =
   let one = q_schema ~extra:[] in
   let mapping =
@@ -630,15 +661,12 @@ let test_recursive_mapping_rejected () =
       (Astring_contains.contains msg "relation B depends on itself")
   in
   names_b "run" (err "run" (Exchange.Chase.run mapping source));
-  let solution = Exchange.Chase.copy_sources ~columnar:false mapping source in
   let insert = { Exchange.Chase.added = [ [| vq 2024 2; vf 2. |] ]; removed = [] } in
   names_b "incremental"
     (err "incremental"
-       (incremental mapping ~solution ~deltas:[ ("A", insert) ]));
+       (incremental mapping ~solution:source ~deltas:[ ("A", insert) ]));
   Alcotest.(check int) "solution untouched" 1
-    (Exchange.Instance.cardinality solution "A");
-  names_b "sharded run"
-    (err "sharded run" (Shard.Driver.run ~shards:2 mapping source))
+    (Exchange.Instance.cardinality source "A")
 
 let test_signed_one_delta_per_relation () =
   let mapping = mapping_of join_source ~cubes:[ "J" ] in
@@ -1388,6 +1416,7 @@ let suite =
     ("chase: both join sides revised", `Quick, test_chase_incremental_both_join_sides);
     ("chase: indexes survive a repair", `Quick, test_chase_incremental_keeps_indexes);
     ("chase: empty delta is a no-op", `Quick, test_chase_incremental_empty_delta);
+    ("chase: a traced batch spans its input deltas", `Quick, test_chase_incremental_input_span);
     ("facade: apply_updates end to end", `Quick, test_apply_updates_end_to_end);
     ("facade: empty update batch", `Quick, test_apply_updates_empty_batch);
     ("facade: no-op batch propagates nothing", `Quick, test_apply_updates_noop_batch);

@@ -89,99 +89,9 @@ let test_try_all_ordering_under_skew () =
               Alcotest.failf "task %s raised %s" label (Printexc.to_string exn))
         outcomes)
 
-(* --- work-stealing bursts --- *)
-
-let test_stealing_runs_everything () =
-  Pool.with_pool ~size:3 (fun pool ->
-      let n = 100 in
-      let hits = Array.make n (Atomic.make 0) in
-      Array.iteri (fun i _ -> hits.(i) <- Atomic.make 0) hits;
-      Pool.run_stealing pool
-        (List.init n (fun i () -> Atomic.incr hits.(i)));
-      Array.iteri
-        (fun i a ->
-          Alcotest.(check int)
-            (Printf.sprintf "task %d ran exactly once" i)
-            1 (Atomic.get a))
-        hits)
-
-let test_stealing_size_zero () =
-  Pool.with_pool ~size:0 (fun pool ->
-      let sum = ref 0 in
-      (* single participant: everything runs inline, in deal order *)
-      Pool.run_stealing pool (List.init 10 (fun i () -> sum := !sum + i));
-      Alcotest.(check int) "sum" 45 !sum)
-
-let test_stealing_reraises () =
-  Pool.with_pool ~size:2 (fun pool ->
-      let ran = Atomic.make 0 in
-      (match
-         Pool.run_stealing pool
-           (List.init 8 (fun i () ->
-                if i = 5 then failwith "shard down" else Atomic.incr ran))
-       with
-      | () -> Alcotest.fail "expected run_stealing to re-raise"
-      | exception Failure msg ->
-          Alcotest.(check string) "message" "shard down" msg);
-      (* a crash aborts nothing else: the burst still drains fully *)
-      Alcotest.(check int) "other tasks still ran" 7 (Atomic.get ran);
-      (* and the pool survives for the next burst *)
-      let again = Pool.run_all pool (List.init 4 (fun i () -> i)) in
-      Alcotest.(check (list int)) "pool survives" [ 0; 1; 2; 3 ] again)
-
-(* Steal-half is load-bearing, not an optimization: task t0 (dealt to
-   the submitter's deque, ahead of t2) spins until t2 has run.  Without
-   stealing the submitter would sit in t0 forever with t2 parked behind
-   it in the same deque; a second participant must take t2 from the
-   deque's back half.  A bounded spin turns a broken scheduler into a
-   test failure instead of a hang. *)
-let test_stealing_rebalances () =
-  Pool.with_pool ~size:1 (fun pool ->
-      let flag = Atomic.make false in
-      let spun_out = Atomic.make false in
-      let spin_until_flag () =
-        let deadline = Unix.gettimeofday () +. 10.0 in
-        while (not (Atomic.get flag)) && Unix.gettimeofday () < deadline do
-          Domain.cpu_relax ()
-        done;
-        if not (Atomic.get flag) then Atomic.set spun_out true
-      in
-      (* two participants: deque0 = [t0; t2], deque1 = [t1; t3] *)
-      Pool.run_stealing pool
-        [
-          spin_until_flag;
-          (fun () -> ());
-          (fun () -> Atomic.set flag true);
-          (fun () -> ());
-        ];
-      Alcotest.(check bool) "t2 was stolen and unblocked t0" false
-        (Atomic.get spun_out))
-
-(* Steal events are observable.  Round-robin dealing puts the even
-   (slow) tasks in deque 0 and the odd (instant) ones in deque 1; the
-   second participant drains its own deque in microseconds while the
-   first is asleep inside its first task, so it must steal — and the
-   pool.steals counters must say so. *)
-let test_stealing_counters () =
-  let c = Obs.create () in
-  Obs.with_collector c (fun () ->
-      Pool.with_pool ~size:1 (fun pool ->
-          Pool.run_stealing pool
-            (List.init 16 (fun i () ->
-                 if i mod 2 = 0 then Unix.sleepf 0.01))));
-  Alcotest.(check bool) "steals counted" true
-    (Obs.Metrics.counter_value c.Obs.metrics "pool.steals" > 0);
-  Alcotest.(check bool) "stolen tasks counted" true
-    (Obs.Metrics.counter_value c.Obs.metrics "pool.steal_tasks" > 0)
-
 let suite =
   [
     ("size 0: tasks run on the submitter", `Quick, test_size_zero_runs_inline);
-    ("stealing: every task runs exactly once", `Quick, test_stealing_runs_everything);
-    ("stealing: size-0 pool runs inline", `Quick, test_stealing_size_zero);
-    ("stealing: re-raises after the burst", `Quick, test_stealing_reraises);
-    ("stealing: idle participant steals the back half", `Quick, test_stealing_rebalances);
-    ("stealing: steals hit the Obs counters", `Quick, test_stealing_counters);
     ("size 1: results in submission order", `Quick, test_size_one_ordering);
     ("try_all: crash mid-burst is isolated", `Quick, test_raise_mid_burst);
     ("run_all: re-raises after the burst", `Quick, test_run_all_reraises);

@@ -560,8 +560,16 @@ let prop_sql_matches_interp =
   prop_backend_matches_interp ~count:60
     ~name:"SQL target == interpreter on random programs" Core.Sql
 
+(* A derived table with two measures for one key is an [Error] of
+   [execute], not an exception. *)
+let test_execute_clash_is_error () =
+  let mapping, registry = shared_target ~clash:true in
+  check_names_shared "Sql_target.execute"
+    (Relational.Sql_target.execute mapping registry)
+
 let suite =
   [
+    ("execute: clashing writes are an Error", `Quick, test_execute_clash_is_error);
     ("sql text: join fragment", `Quick, test_sql_join_fragment);
     ("sql text: group by fragment", `Quick, test_sql_group_by_fragment);
     ("sql text: table function fragment", `Quick, test_sql_table_fn_fragment);

@@ -126,8 +126,16 @@ let prop_vector_matches_interp =
   prop_backend_matches_interp ~count:60
     ~name:"vector target == interpreter on random programs" Core.Vector_engine
 
+(* A derived frame with two measures for one key is an [Error] of
+   [execute], not an exception. *)
+let test_execute_clash_is_error () =
+  let mapping, registry = shared_target ~clash:true in
+  check_names_shared "Vector_target.execute"
+    (Vector.Vector_target.execute mapping registry)
+
 let suite =
   [
+    ("execute: clashing writes are an Error", `Quick, test_execute_clash_is_error);
     ("frame: merge", `Quick, test_merge_basic);
     ("frame: null keys never match", `Quick, test_merge_null_keys_never_match);
     ("frame: column arithmetic", `Quick, test_eval_col_arithmetic);
