@@ -66,6 +66,11 @@ let register_program t ~name source =
   if Result.is_ok r then invalidate_solution t;
   r
 
+let measure_error schema name v =
+  Printf.sprintf "measure %s out of domain %s for %s" (Value.to_string v)
+    (Domain.to_string schema.Schema.measure_domain)
+    name
+
 let load_elementary t cube =
   let name = Cube.name cube in
   match Determination.schema t.determination name with
@@ -74,22 +79,26 @@ let load_elementary t cube =
       if Determination.kind t.determination name <> Some Registry.Elementary
       then Error (Printf.sprintf "cube %s is derived, not elementary" name)
       else begin
-        let ok = ref true in
+        let keys_fit = ref true and bad_measure = ref None in
         Cube.iter
-          (fun k _ -> if not (Schema.compatible_tuple schema k) then ok := false)
+          (fun k v ->
+            if not (Schema.compatible_tuple schema k) then keys_fit := false;
+            if not (Domain.member v schema.Schema.measure_domain) then
+              bad_measure := Some v)
           cube;
-        if not !ok then
-          Error (Printf.sprintf "data for %s does not fit schema %s" name
-                   (Schema.to_string schema))
-        else begin
-          Registry.add t.store Registry.Elementary
-            (Cube.with_schema schema cube);
-          if not (List.mem name t.dirty) then t.dirty <- name :: t.dirty;
-          (* A wholesale replacement invalidates the incremental
-             solution cache; the next update batch rebuilds it. *)
-          invalidate_solution t;
-          Ok ()
-        end
+        match !bad_measure with
+        | _ when not !keys_fit ->
+            Error (Printf.sprintf "data for %s does not fit schema %s" name
+                     (Schema.to_string schema))
+        | Some v -> Error (measure_error schema name v)
+        | None ->
+            Registry.add t.store Registry.Elementary
+              (Cube.with_schema schema cube);
+            if not (List.mem name t.dirty) then t.dirty <- name :: t.dirty;
+            (* A wholesale replacement invalidates the incremental
+               solution cache; the next update batch rebuilds it. *)
+            invalidate_solution t;
+            Ok ()
       end
 
 let changed t = List.sort String.compare t.dirty
@@ -170,12 +179,7 @@ let validate_update t (u : Update.t) =
           | Update.Remove -> Ok key
           | Update.Set v ->
               if Domain.member v schema.Schema.measure_domain then Ok key
-              else
-                Error
-                  (Printf.sprintf "measure %s out of domain %s for %s"
-                     (Value.to_string v)
-                     (Domain.to_string schema.Schema.measure_domain)
-                     u.Update.cube)
+              else Error (measure_error schema u.Update.cube v)
 
 (* Every update paired with its key, or the first validation error. *)
 let keyed_updates t updates =
@@ -314,8 +318,8 @@ let warm t =
         (rebuild_solution t (Determination.derived_order t.determination))
 
 (* Write the derived cubes [write_back] from the solution.  A cube
-   whose store copy is the one this solution last wrote becomes a copy
-   of it with the relation's net change from the chase applied;
+   whose store copy is the one this solution last wrote becomes an O(1)
+   copy of it with the relation's net change from the chase applied;
    any other (written by the dispatcher or loaded from disk, or a
    solution's first write) is rebuilt whole from its relation.  The
    store's previous cube is never mutated: published snapshots may

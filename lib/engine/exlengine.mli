@@ -28,8 +28,10 @@ val register_program : t -> name:string -> string -> (unit, string) result
 (** Register EXL source text; its cubes join the global DAG. *)
 
 val load_elementary : t -> Cube.t -> (unit, string) result
-(** Load (or replace) elementary data, validated against the declared
-    schema, and mark the cube as changed. *)
+(** Load (or replace) elementary data, its keys validated against the
+    declared dimension domains and its measures against the measure
+    domain, and mark the cube as changed.  On [Error] the store and
+    {!changed} are untouched. *)
 
 val changed : t -> string list
 (** Cubes marked dirty since the last recomputation. *)
@@ -93,11 +95,12 @@ val apply_updates :
     cached solution of the previous batch, or falls back to one full
     semi-naive chase when no cached solution exists (first batch, or
     after {!load_elementary} / {!register_program} / {!load_store}
-    invalidated it).  Each affected cube is written back as a copy of
-    its previous store cube with the chase's net change applied, or
-    rebuilt whole when the dispatcher or {!load_store} wrote the store
-    cube since; the previous cube is never mutated, so readers holding
-    it keep a consistent view.  Affected cubes get a new dated version
+    invalidated it).  Each affected cube is written back as an O(1)
+    {!Matrix.Cube.copy} of its previous store cube with the chase's net
+    change applied, so a write-back costs the change, or rebuilt whole
+    when the dispatcher or {!load_store} wrote the store cube since; the
+    previous cube is never mutated, so readers holding it keep a
+    consistent view.  Affected cubes get a new dated version
     in the history; unaffected cubes keep theirs, so {!cube_as_of}
     still answers for both.  An empty batch is a no-op.
 

@@ -39,7 +39,4 @@ let latest t name =
   | (_, cube) :: _ -> Some cube
   | [] -> None
 
-let names t =
-  Hashtbl.fold (fun k _ acc -> k :: acc) t [] |> List.sort String.compare
-
 let version_count t name = List.length (versions t name)

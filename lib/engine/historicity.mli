@@ -12,7 +12,9 @@ type t
 val create : unit -> t
 
 val store : t -> valid_from:Calendar.Date.t -> Cube.t -> unit
-(** Storing twice with the same date replaces that version. *)
+(** Keeps an O(1) {!Cube.copy} of the cube, so a version costs the
+    writes made to the cube since the previous one.  Storing twice with
+    the same date replaces that version. *)
 
 val as_of : t -> Calendar.Date.t -> string -> Cube.t option
 (** The version whose validity start is the latest one <= the date. *)
@@ -21,5 +23,4 @@ val latest : t -> string -> Cube.t option
 val versions : t -> string -> (Calendar.Date.t * Cube.t) list
 (** Oldest first. *)
 
-val names : t -> string list
 val version_count : t -> string -> int

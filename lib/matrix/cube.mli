@@ -5,7 +5,21 @@
     nature — at most one measure per dimension tuple — is the invariant
     the paper's egds enforce; here it is structural (the store is keyed
     by dimension tuple), and [add_strict] reports would-be violations the
-    way a failing chase would. *)
+    way a failing chase would.
+
+    A cube is versioned: {!copy} and {!with_schema} cost O(1), and the
+    copy and the original then read and write independently.  Both
+    share the hash table of facts they were taken from, which freezes
+    it, and each writes into its own persistent overlay at O(log n) per
+    write; a cube whose table nobody shares writes into it directly.
+    Once an overlay holds more than one key per eight facts of its
+    table, the cube folds the two into a fresh private table, so a
+    write copies O(1) facts, amortized.
+
+    The rule that makes sharing safe: nobody writes a cube a reader
+    holds.  A writer hands readers a {!copy} and keeps writing its own
+    cube; the reader's copy never changes, and any number of threads
+    may read it at once. *)
 
 type t
 
@@ -35,9 +49,6 @@ val add_strict : t -> Tuple.t -> Value.t -> unit
 (** Like [set] but @raise Functionality_violation when the key is bound
     to a different measure (within [Value.equal]). *)
 
-val validate_tuple : t -> Tuple.t -> unit
-(** @raise Invalid_argument when the tuple does not fit the schema. *)
-
 val find : t -> Tuple.t -> Value.t option
 val find_exn : t -> Tuple.t -> Value.t
 val mem : t -> Tuple.t -> bool
@@ -49,37 +60,28 @@ val keys : t -> Tuple.t list
 val to_alist : t -> (Tuple.t * Value.t) list
 (** Sorted by key — deterministic across runs. *)
 
-val select : ?limit:int -> (Tuple.t -> bool) -> t -> (Tuple.t * Value.t) list
-(** The facts whose key satisfies the predicate, sorted by key, and
-    only the first [limit] of them: equal to
-    [to_alist c |> List.filter (fun (k, _) -> p k)] truncated to
-    [limit] rows.  One pass over the cube; with a limit it sorts only
-    the [limit] smallest matching keys, so a read costs
-    O(cardinality + matches · log limit).  A non-positive [limit]
-    selects nothing. *)
-
-val smallest :
-  ?limit:int ->
-  ?admit:(Tuple.t -> bool) ->
-  bound:int ->
-  ((Tuple.t -> Value.t -> unit) -> unit) ->
-  (Tuple.t * Value.t) list
-(** [smallest ?limit ?admit ~bound produce]: the rows [produce] passes
-    to its callback whose key [admit] accepts, sorted by key, only the
-    first [limit] of them — the bounded heap behind [select], for
-    callers that enumerate their own candidates.  With a limit, [admit]
-    is asked only about rows small enough to enter the heap, so a costly
-    check runs on few of them.  [bound] is an upper bound on the rows
-    produced and caps the heap's allocation.  Keys must be distinct. *)
+val select :
+  ?limit:int -> filters:(int * Value.t) list -> t -> (Tuple.t * Value.t) list
+(** The facts whose key holds value [v] at dimension [i] for every
+    [(i, v)] in [filters], sorted by key, and only the first [limit] of
+    them: equal to [to_alist c] filtered and truncated to [limit] rows.
+    A non-positive [limit] selects nothing.  A filtered read examines
+    the shortest {e posting list} of the filtered values (the facts of
+    the cube's shared table holding that value, built on the first
+    filtered read of that dimension, which freezes the table) plus the
+    overlay, never the whole cube; an unfiltered one examines every
+    fact.  With a limit it sorts only the [limit] smallest matches. *)
 
 val of_alist : Schema.t -> (Tuple.t * Value.t) list -> t
 val of_rows : Schema.t -> Value.t list list -> t
 (** Each row is [dims @ [measure]]. *)
 
 val copy : t -> t
+(** O(1): the copy shares the facts and overlay of its argument; later
+    writes to either one are invisible to the other. *)
+
 val with_schema : Schema.t -> t -> t
-(** A copy of the data under another schema (arity must match); the
-    result shares no table with its argument. *)
+(** A {!copy} under another schema (arity must match). *)
 
 val map_measure : (Value.t -> Value.t) -> t -> t
 (** Pointwise transform; [Null] results are dropped (partiality). *)

@@ -106,8 +106,8 @@ let reply ?(headers = []) ?(content_type = "application/json") status body =
 let error_reply ?headers status reason =
   reply ?headers status (error_body status reason)
 
-let cube_json ?limit ~filters ~seq ~name (entry : Snapshot.entry) view =
-  let rows = Snapshot.select ?limit ~filters view in
+let cube_json ?limit ~filters ~seq ~name (entry : Snapshot.entry) cube =
+  let rows = Cube.select ?limit ~filters cube in
   J.to_string
     (J.Obj
        [
@@ -122,7 +122,7 @@ let cube_json ?limit ~filters ~seq ~name (entry : Snapshot.entry) view =
                     (List.map value_json (Tuple.to_list tuple)
                     @ [ value_json v ]))
                 rows) );
-         ("cardinality", J.Num (float_of_int (Snapshot.cardinality view)));
+         ("cardinality", J.Num (float_of_int (Cube.cardinality cube)));
          ("returned", J.Num (float_of_int (List.length rows)));
          ("seq", J.Num (float_of_int seq));
        ])
@@ -205,10 +205,10 @@ let read_cube t ~as_of name req =
       match parse_filters entry req with
       | Error msg -> error_reply 400 msg
       | Ok (limit, filters) -> (
-          let render view =
+          let render cube =
             reply 200
               (cube_json ?limit ~filters ~seq:(Snapshot.seq snap) ~name entry
-                 view)
+                 cube)
           in
           match as_of with
           | None -> (
@@ -216,7 +216,7 @@ let read_cube t ~as_of name req =
               | Some r -> r
               | None -> (
                   match entry.Snapshot.current with
-                  | Some view -> render view
+                  | Some cube -> render cube
                   | None ->
                       error_reply 404
                         (Printf.sprintf "no data for cube %s" name)))
@@ -225,7 +225,7 @@ let read_cube t ~as_of name req =
                  versions even while the cube is quarantined — old
                  versions survive a failed recomputation. *)
               match Snapshot.as_of entry date with
-              | Some view -> render view
+              | Some cube -> render cube
               | None -> (
                   match degraded_reply name entry with
                   | Some r -> r
@@ -248,16 +248,15 @@ let read_sdmx t ~dsd name req =
         | None -> (
             match entry.Snapshot.current with
             | None -> error_reply 404 (Printf.sprintf "no data for cube %s" name)
-            | Some view -> (
+            | Some cube -> (
                 match parse_filters entry req with
                 | Error msg -> error_reply 400 msg
                 | Ok (_, filters) ->
-                    let cube = Snapshot.to_cube view in
                     let cube =
                       if filters = [] then cube
                       else
                         Cube.of_alist (Cube.schema cube)
-                          (Snapshot.select ~filters view)
+                          (Cube.select ~filters cube)
                     in
                     reply ~content_type:"application/xml" 200
                       (Sdmx.generic_data_of_cube cube))))
@@ -275,7 +274,7 @@ let catalog t =
             ("status", J.Str (status_string entry.Snapshot.status));
             ( "cardinality",
               match entry.Snapshot.current with
-              | Some view -> J.Num (float_of_int (Snapshot.cardinality view))
+              | Some cube -> J.Num (float_of_int (Cube.cardinality cube))
               | None -> J.Null );
             ( "versions",
               J.Num (float_of_int (List.length entry.Snapshot.versions)) );
@@ -625,8 +624,7 @@ let commit_group t (as_of, jobs) =
           r.Engine.Exlengine.updated @ r.Engine.Exlengine.recomputed
         in
         let snap =
-          Snapshot.publish ~prev:(Atomic.get t.snap) ~revised:batch ~touched
-            t.engine
+          Snapshot.publish ~prev:(Atomic.get t.snap) ~touched t.engine
         in
         Atomic.set t.snap snap;
         Obs.count "serve.commits";

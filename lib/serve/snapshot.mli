@@ -9,21 +9,14 @@ open Matrix
     builds the next snapshot only after {!Engine.Exlengine.apply_updates}
     committed, and swaps it in with one atomic store (swap-on-commit).
 
-    Publishing costs O(revised keys), not O(cube).  An elementary cube
-    (which the engine revises in place) is served as an immutable
-    {e base} — the copy {!capture} takes — plus an {e overlay} of the
-    keys revised since, each bound to its value or to its removal.  A
-    commit extends the overlay with the keys its batch revised; once
-    the overlay outgrows one key per eight base facts, it is folded into
-    a fresh base copy, so copying stays amortized O(1) per revised key.
-    Derived cubes and history versions are fresh or copy-on-store
-    objects the engine never mutates again, and are shared; untouched
-    entries are shared with the previous snapshot.
-
-    A dimension filter reads a {e posting list} of the base (the base's
-    facts holding the filtered value), built on the first filtered read
-    of that dimension and shared by every snapshot on the same base; the
-    read examines that list and the overlay, not the whole cube. *)
+    Publishing costs O(1) per touched cube: the snapshot holds a
+    {!Cube.copy} of each engine cube, which shares the engine's facts
+    and overlay and never changes while the engine keeps writing its
+    own cube; history versions are copies the engine never writes
+    again, and are shared; untouched entries are shared with the
+    previous snapshot.  A filtered read of a snapshot's cube is a
+    {!Cube.select}: it reads a posting list and the overlay, not the
+    whole cube. *)
 
 type status =
   | Healthy
@@ -34,26 +27,10 @@ type status =
   | Skipped of unit
       (** Not attempted because an upstream cube is quarantined. *)
 
-type view
-(** One cube's data as of one snapshot.  Immutable. *)
-
-val cardinality : view -> int
-
-val select :
-  ?limit:int -> filters:(int * Value.t) list -> view -> (Tuple.t * Value.t) list
-(** The facts whose key holds value [v] at dimension [i] for every
-    [(i, v)] in [filters], sorted by key, only the first [limit] of
-    them: the rows {!Cube.select} returns on the cube the view stands
-    for. *)
-
-val to_cube : view -> Cube.t
-(** The cube the view stands for, to be read and not mutated: shared
-    when the view has no overlay, otherwise a fresh copy. *)
-
 type entry = {
   kind : Registry.kind;
   schema : Schema.t;
-  current : view option;  (** [None] when no data exists yet *)
+  current : Cube.t option;  (** [None] when no data exists yet *)
   versions : (Calendar.Date.t * Cube.t) list;  (** oldest first *)
   status : status;
 }
@@ -65,26 +42,18 @@ val seq : t -> int
 
 val capture :
   ?report:Engine.Dispatcher.report -> Engine.Exlengine.t -> t
-(** The boot snapshot: every elementary cube copied out of the engine
-    as a base, derived cubes shared, statuses derived from the
-    recompute [report]'s quarantined/skipped sets. *)
+(** The boot snapshot: a copy of every engine cube, statuses derived
+    from the recompute [report]'s quarantined/skipped sets. *)
 
-val publish :
-  prev:t ->
-  revised:Engine.Update.t list ->
-  touched:string list ->
-  Engine.Exlengine.t ->
-  t
+val publish : prev:t -> touched:string list -> Engine.Exlengine.t -> t
 (** The post-commit snapshot: entries named in [touched] are re-read
-    from the engine, everything else is shared with [prev].  An
-    elementary entry re-reads only the keys [revised] names for it (the
-    committed batch), so [revised] must name every key the commit
-    changed.  Derived currents and history versions are shared. *)
+    from the engine as fresh copies, everything else is shared with
+    [prev]. *)
 
 val find : t -> string -> entry option
 
 val names : t -> string list
 (** Sorted. *)
 
-val as_of : entry -> Calendar.Date.t -> view option
+val as_of : entry -> Calendar.Date.t -> Cube.t option
 (** The version whose validity start is the latest one <= the date. *)

@@ -111,6 +111,17 @@ let check_err what = function
   | Ok _ -> Alcotest.failf "%s: expected an error" what
   | Error (e : Exl.Errors.t) -> e.Exl.Errors.msg
 
+(* The rows [Cube.select ?limit ~filters] must return, taken from the
+   key-sorted [alist]. *)
+let select_spec ?limit ~filters alist =
+  List.filter
+    (fun (k, _) -> List.for_all (fun (i, v) -> Value.equal (Tuple.get k i) v) filters)
+    alist
+  |> List.filteri (fun i _ -> Option.fold ~none:true ~some:(( < ) i) limit)
+
+let same_rows a b =
+  List.equal (fun (k, v) (k', v') -> Tuple.equal k k' && Value.equal v v') a b
+
 (* Unified qcheck budget reader (docs/TESTING.md): each property suite
    reads its own variable, every variable falls back to the shared
    EXL_QCHECK_COUNT, then to the suite's default.  Non-numeric and

@@ -229,8 +229,9 @@ let test_sql_perturbed () =
 (* --- serve: facts a commit copies, keys a slice examines --- *)
 
 (* PDR holds 14 608 facts, 1 826 of them in region r003.  A 1-key
-   commit copies none of them, and the r003 slice after it examines
-   r003's posting list plus the overlay's one revised key. *)
+   commit copies none of them, nor any fact of a derived cube or a
+   history version, and the r003 slice after it examines r003's
+   posting list plus the overlay's one revised key. *)
 let r003_facts = 1826
 let serve_expected = (0, r003_facts + 1)
 
@@ -252,12 +253,12 @@ let counted server name req =
   Obs.Metrics.counter_value c.Obs.metrics name
 
 let copied server batch =
-  counted server "serve.snapshot_facts_copied"
+  counted server "cube.facts_copied"
     (request "POST" "/v1/update"
        (String.concat "\n" (List.map Engine.Update.to_string batch)))
 
 let examined server =
-  counted server "serve.slice_keys_examined"
+  counted server "cube.slice_keys_examined"
     (request "GET" "/v1/cube/PDR?r=r003&limit=50" "")
 
 let test_serve () =
@@ -268,9 +269,10 @@ let test_serve () =
   Alcotest.(check (pair int int)) "(facts copied by a 1-key commit, keys examined)"
     serve_expected (one, examined server)
 
-(* A commit revising more than an eighth of PDR folds the overlay into a
-   fresh base: it copies the cube, and the slice is back to the bare
-   posting list. *)
+(* A commit revising more than an eighth of PDR folds the engine cube's
+   overlay into a fresh table: it copies PDR (and no derived cube,
+   which the first commit after boot rebuilds whole from its relation),
+   and the slice is back to the bare posting list. *)
 let test_serve_perturbed () =
   let fixture = Rows.incr_setup () in
   let server = Serve.Server.create fixture.Rows.engine in

@@ -304,6 +304,24 @@ let test_facade_rejects_unknown_elementary () =
       Alcotest.(check bool) "mentions cube" true (Astring_contains.contains msg "Z")
   | Ok () -> Alcotest.fail "expected rejection"
 
+let test_facade_rejects_measure_out_of_domain () =
+  let engine = Engine.Exlengine.create () in
+  ok (Engine.Exlengine.register_program engine ~name:"p" "cube A(x: int);\nB := A + 1;\n");
+  let dims = [ ("x", Domain.Int) ] in
+  ok (Engine.Exlengine.load_elementary engine (cube_of "A" dims [ [ vi 1; vf 1. ] ]));
+  ignore (ok (Engine.Exlengine.recompute engine));
+  let bad = cube_of "A" dims [ [ vi 1; vf 2. ]; [ vi 2; vs "two" ] ] in
+  (match Engine.Exlengine.load_elementary engine bad with
+  | Error msg ->
+      Alcotest.(check bool) ("names the measure: " ^ msg) true
+        (Astring_contains.contains msg "measure two out of domain")
+  | Ok () -> Alcotest.fail "a String measure entered a Float cube");
+  Alcotest.check cube_eq "store untouched"
+    (cube_of "A" dims [ [ vi 1; vf 1. ] ])
+    (Option.get (Engine.Exlengine.cube engine "A"));
+  Alcotest.(check (list string)) "nothing marked changed" []
+    (Engine.Exlengine.changed engine)
+
 let prop_engine_matches_interp =
   QCheck.Test.make ~count:25
     ~name:"EXLEngine facade == interpreter on random programs" Gen.arb_seed
@@ -501,6 +519,7 @@ let suite =
     ("facade: history versions", `Quick, test_facade_history_versions);
     ("facade: store persistence", `Quick, test_facade_store_persistence);
     ("facade: rejects unknown elementary", `Quick, test_facade_rejects_unknown_elementary);
+    ("facade: load rejects a measure out of domain", `Quick, test_facade_rejects_measure_out_of_domain);
     ("pool: run_all preserves order", `Quick, test_pool_run_all_order);
     ("pool: zero-size runs inline", `Quick, test_pool_zero_size);
     ("pool: exceptions propagate", `Quick, test_pool_exception_propagates);

@@ -643,15 +643,15 @@ let prop_cube_select_spec =
         (fun (x, s, v) ->
           Cube.set c (key [ vi x; vs shops.(s) ]) (vf (float_of_int v)))
         rows;
-      let on_x k = Value.equal (Tuple.get k 0) (vi x)
-      and on_shop k = Value.equal (Tuple.get k 1) (vs shops.(y)) in
-      let p =
+      let on_x = (0, vi x) and on_shop = (1, vs shops.(y)) in
+      let filters =
         match mode with
-        | 0 -> fun _ -> true
-        | 1 -> on_x
-        | 2 -> on_shop
-        | _ -> fun k -> on_x k && on_shop k
+        | 0 -> []
+        | 1 -> [ on_x ]
+        | 2 -> [ on_shop ]
+        | _ -> [ on_x; on_shop ]
       in
+      let p k = List.for_all (fun (i, v) -> Value.equal (Tuple.get k i) v) filters in
       let matching = List.filter (fun (k, _) -> p k) (Cube.to_alist c) in
       let m = List.length matching in
       List.for_all
@@ -661,8 +661,167 @@ let prop_cube_select_spec =
             | None -> matching
             | Some n -> List.filteri (fun i _ -> i < n) matching
           in
-          Cube.select ?limit p c = expected)
+          Cube.select ?limit ~filters c = expected)
         [ None; Some 0; Some 1; Some m; Some (m + 1); Some random_limit ])
+
+(* --- versioned cubes: copies against a frozen model --- *)
+
+let vc_regions = [| "a"; "b"; "007"; "7" |]
+let vc_xs = 16
+
+let vc_schema name =
+  Schema.make ~name ~dims:[ ("x", Domain.Int); ("r", Domain.String) ] ()
+
+let vc_reads =
+  List.concat_map
+    (fun filters -> List.map (fun limit -> (filters, limit)) [ None; Some 0; Some 1; Some 3 ])
+    ([ []; [ (1, vs "zz") ]; [ (0, vi 3); (1, vs "007") ]; [ (0, vi 0) ]; [ (0, vi 7) ] ]
+    @ List.map (fun r -> [ (1, vs r) ]) (Array.to_list vc_regions))
+
+let model_alist model =
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) model []
+  |> List.sort (fun (a, _) (b, _) -> Tuple.compare a b)
+
+(* Every way of reading [c] agrees with [model]. *)
+let reads_like c model =
+  let alist = model_alist model in
+  let iterated = ref [] in
+  Cube.iter (fun k v -> iterated := (k, v) :: !iterated) c;
+  let all_keys =
+    List.concat_map
+      (fun x -> List.map (fun r -> key [ vi x; vs r ]) ("zz" :: Array.to_list vc_regions))
+      (List.init (vc_xs + 1) Fun.id)
+  in
+  Cube.cardinality c = Hashtbl.length model
+  && same_rows (Cube.to_alist c) alist
+  && same_rows (List.sort (fun (a, _) (b, _) -> Tuple.compare a b) !iterated) alist
+  && List.for_all
+       (fun k ->
+         let expected = Hashtbl.find_opt model k in
+         Option.equal Value.equal (Cube.find c k) expected
+         && Cube.mem c k = Option.is_some expected)
+       all_keys
+  && List.for_all
+       (fun (filters, limit) ->
+         same_rows (Cube.select ?limit ~filters c) (select_spec ?limit ~filters alist))
+       vc_reads
+
+(* Random set/remove/add_strict batches on a growing set of live
+   cubes, each with its Hashtbl model.  At random points one of them is
+   copied (or re-schemed): the copy either joins the live set, so both
+   sides keep being written, or is retained unwritten beside a frozen
+   copy of the model.  Batches of up to 40 writes over 68 keys fold
+   overlays often.  Every cube, live or retained, must read like its
+   model, checked after every fifth batch. *)
+let prop_versioned_cube =
+  QCheck.Test.make ~count:store_qcheck_count
+    ~name:"versioned cube: every copy reads like its model" Gen.arb_seed (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let rand_key () =
+        key [ vi (Random.State.int st vc_xs); vs vc_regions.(Random.State.int st 4) ]
+      in
+      let rand_value () = vf (float_of_int (Random.State.int st 6)) in
+      let live = ref [ (Cube.create (vc_schema "T"), Hashtbl.create 16) ] in
+      let retained = ref [] in
+      let write (c, model) =
+        let k = rand_key () in
+        match Random.State.int st 6 with
+        | 0 ->
+            Cube.remove c k;
+            Hashtbl.remove model k
+        | 1 -> (
+            let v = rand_value () in
+            match Cube.add_strict c k v with
+            | () ->
+                if Option.fold ~none:false ~some:(fun w -> not (Value.equal v w))
+                     (Hashtbl.find_opt model k)
+                then QCheck.Test.fail_report "add_strict accepted a clash";
+                Hashtbl.replace model k v
+            | exception Cube.Functionality_violation _ ->
+                if Option.fold ~none:true ~some:(Value.equal v) (Hashtbl.find_opt model k)
+                then QCheck.Test.fail_report "add_strict raised without a clash")
+        | 2 ->
+            Cube.set c k Value.Null;
+            Hashtbl.remove model k
+        | _ ->
+            let v = rand_value () in
+            Cube.set c k v;
+            Hashtbl.replace model k v
+      in
+      let check what (c, model) =
+        if not (reads_like c model) then
+          QCheck.Test.fail_reportf "%s cube %s reads wrong" what (Cube.name c)
+      in
+      for step = 1 to 30 do
+        let lives = Array.of_list !live in
+        let size = if Random.State.int st 3 = 0 then 40 else 1 + Random.State.int st 4 in
+        for _ = 1 to size do
+          write lives.(Random.State.int st (Array.length lives))
+        done;
+        if Random.State.int st 2 = 0 then begin
+          let c, model = lives.(Random.State.int st (Array.length lives)) in
+          let copied =
+            if Random.State.bool st then Cube.copy c
+            else Cube.with_schema (vc_schema (Printf.sprintf "T%d" step)) c
+          in
+          let entry = (copied, Hashtbl.copy model) in
+          if Array.length lives < 6 && Random.State.bool st then live := entry :: !live
+          else retained := entry :: !retained
+        end;
+        if step mod 5 = 0 then begin
+          List.iter (check "live") !live;
+          List.iter (check "retained") !retained
+        end
+      done;
+      true)
+
+(* Reader threads slice the copies the writer publishes, building each
+   copy's posting lists, while the writer keeps revising the live cube
+   and folding its overlay into fresh tables. *)
+let test_versioned_cube_threads () =
+  let live = Cube.create (vc_schema "T") and model = Hashtbl.create 512 in
+  for x = 0 to 127 do
+    Array.iter
+      (fun r ->
+        let k = key [ vi x; vs r ] in
+        Cube.set live k (vf (float_of_int x));
+        Hashtbl.replace model k (vf (float_of_int x)))
+      vc_regions
+  done;
+  let published = Atomic.make (Cube.copy live, model_alist model) in
+  let stop = Atomic.make false and wrong = Atomic.make 0 and slices = Atomic.make 0 in
+  let reader () =
+    while not (Atomic.get stop) do
+      let held, alist = Atomic.get published in
+      List.iter
+        (fun (filters, limit) ->
+          if not (same_rows (Cube.select ?limit ~filters held) (select_spec ?limit ~filters alist))
+          then Atomic.incr wrong;
+          Atomic.incr slices;
+          Thread.yield ())
+        [ ([ (1, vs "a") ], None); ([ (0, vi 5) ], Some 3); ([ (1, vs "7"); (0, vi 9) ], None) ]
+    done
+  in
+  let readers = List.init 3 (fun _ -> Thread.create reader ()) in
+  let st = Random.State.make [| 7 |] in
+  for round = 1 to 40 do
+    for _ = 1 to 25 do
+      let k = key [ vi (Random.State.int st 160); vs vc_regions.(Random.State.int st 4) ] in
+      if Random.State.int st 4 = 0 then (Cube.remove live k; Hashtbl.remove model k)
+      else begin
+        let v = vf (float_of_int (round * 1000 + Random.State.int st 1000)) in
+        Cube.set live k v;
+        Hashtbl.replace model k v
+      end;
+      Thread.yield ()
+    done;
+    Atomic.set published (Cube.copy live, model_alist model)
+  done;
+  while Atomic.get slices < 300 do Thread.yield () done;
+  Atomic.set stop true;
+  List.iter Thread.join readers;
+  Alcotest.(check int) "slices that read wrong" 0 (Atomic.get wrong);
+  Alcotest.(check bool) "the live cube reads like its model" true (reads_like live model)
 
 (* --- SDMX export (dissemination) --- *)
 
@@ -835,4 +994,6 @@ let suite =
     ("store: string codes round-trip", `Quick, test_store_string_codes);
     ("store: cube larger than the write buffer", `Quick, test_store_large_cube);
     ("store: full disk is an error", `Quick, test_store_full_disk);
+    QCheck_alcotest.to_alcotest prop_versioned_cube;
+    ("cube: threaded slices of copies during folds", `Quick, test_versioned_cube_threads);
   ]

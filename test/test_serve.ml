@@ -783,13 +783,16 @@ let test_connection_cap () =
 (* --- snapshots against a copy of the engine's cube --- *)
 
 (* Random cubes and publish sequences: value revisions, new keys and
-   removals, with batches big enough to fold the overlay into a fresh
-   base now and then.  Every snapshot must read like [Cube.select] on a
-   copy of the engine's cube taken when it was published — right away,
-   and again after every later publish. *)
+   removals, with batches big enough to fold the engine cube's overlay
+   into a fresh base now and then.  Every snapshot must read like the
+   sorted, filtered facts of a fresh cube rebuilt from the engine's
+   cube when it was published — right away, and again after every
+   later publish. *)
 let prop_snapshot_oracle =
   let xs = 12 and regions = [| "a"; "b"; "007"; "7" |] in
-  QCheck.Test.make ~count:40 ~name:"snapshot reads == select on a copy at its seq"
+  QCheck.Test.make
+    ~count:(Helpers.qcheck_count ~var:"EXL_SERVE_QCHECK_COUNT" ~default:40)
+    ~name:"snapshot reads == select on a copy at its seq"
     Gen.arb_seed (fun seed ->
       let st = Random.State.make [| seed |] in
       let rand_key () =
@@ -807,7 +810,7 @@ let prop_snapshot_oracle =
       ignore (ok (Engine.Exlengine.recompute_all engine));
       let engine_copy () =
         match Engine.Exlengine.cube engine "A" with
-        | Some c -> Cube.copy c
+        | Some c -> Cube.of_alist (Cube.schema c) (Cube.to_alist c)
         | None -> Alcotest.fail "A has no cube"
       in
       let reads =
@@ -818,20 +821,15 @@ let prop_snapshot_oracle =
           @ List.map (fun r -> [ (1, vs r) ]) (Array.to_list regions)
           @ [ [ (0, vi 3); (1, vs "007") ]; [ (1, vs "zz") ] ])
       in
-      let same a b =
-        List.equal (fun (k, v) (k', v') -> Tuple.equal k k' && Value.equal v v') a b
-      in
       let check (snap, expected) =
         match Snapshot.find snap "A" with
-        | Some { Snapshot.current = Some view; _ } ->
-            Snapshot.cardinality view = Cube.cardinality expected
-            && Cube.equal_data (Snapshot.to_cube view) expected
+        | Some { Snapshot.current = Some cube; _ } ->
+            Cube.cardinality cube = Cube.cardinality expected
+            && Cube.equal_data cube expected
             && List.for_all
                  (fun (filters, limit) ->
-                   let p key =
-                     List.for_all (fun (i, v) -> Value.equal (Tuple.get key i) v) filters
-                   in
-                   same (Snapshot.select ?limit ~filters view) (Cube.select ?limit p expected))
+                   same_rows (Cube.select ?limit ~filters cube)
+                     (select_spec ?limit ~filters (Cube.to_alist expected)))
                  reads
         | _ -> Cube.is_empty expected
       in
@@ -847,12 +845,16 @@ let prop_snapshot_oracle =
         let r = ok (Engine.Exlengine.apply_updates engine batch) in
         let prev = fst (List.hd !held) in
         let snap =
-          Snapshot.publish ~prev ~revised:batch
+          Snapshot.publish ~prev
             ~touched:(r.Engine.Exlengine.updated @ r.Engine.Exlengine.recomputed)
             engine
         in
         let entry = (snap, engine_copy ()) in
-        if not (check entry) then QCheck.Test.fail_reportf "seq %d reads wrong right away" (Snapshot.seq snap);
+        (* A slice indexes, and so freezes, the cube's table: reading
+           only some snapshots right away leaves others unread while
+           the engine keeps writing. *)
+        if Random.State.bool st && not (check entry) then
+          QCheck.Test.fail_reportf "seq %d reads wrong right away" (Snapshot.seq snap);
         held := entry :: !held
       done;
       List.iter
