@@ -18,19 +18,21 @@ end)
 module Hashes = Map.Make (Int)
 
 (* A hash table of facts.  It is private to one cube until a copy
-   shares it or a filtered read indexes it; from then on it is frozen
-   and never written again, so any number of cubes and reader threads
-   share it, and its posting lists: one table per dimension, built on
-   the first filtered read of that dimension.  The slots are [Atomic],
-   not [Lazy]: reader threads force them concurrently, and a concurrent
-   [Lazy.force] can raise [Lazy.Undefined].  Two readers racing on an
-   empty slot both build the same table and one of them wins.  A
-   posting list holds the base's facts with one value at one
-   dimension, in no particular order. *)
+   shares it or a read indexes it; from then on it is frozen and never
+   written again, so any number of cubes and reader threads share it
+   and its sorted views: one table of posting lists per dimension,
+   built on the first filtered read of that dimension, and the whole
+   table in key order, built on the first unfiltered read.  The slots
+   are [Atomic], not [Lazy]: reader threads force them concurrently,
+   and a concurrent [Lazy.force] can raise [Lazy.Undefined].  Two
+   readers racing on an empty slot both build the same view and one of
+   them wins.  A posting list holds the base's facts with one value at
+   one dimension, sorted by key. *)
 type base = {
   data : Value.t Tuple.Table.t;
   mutable frozen : bool;
   postings : (Tuple.t * Value.t) array Values.t option Atomic.t array;
+  ordered : (Tuple.t * Value.t) array option Atomic.t;
 }
 
 (* A cube reads as its base with every key of its overlay rebound to
@@ -57,6 +59,7 @@ let private_base schema data =
     data;
     frozen = false;
     postings = Array.init (Schema.arity schema) (fun _ -> Atomic.make None);
+    ordered = Atomic.make None;
   }
 
 (* Only the owner of a private base writes [frozen], so a reader of a
@@ -177,117 +180,77 @@ let validate_tuple c key =
 let by_key (a, _) (b, _) = Tuple.compare a b
 let to_alist c = fold (fun k v acc -> (k, v) :: acc) c [] |> List.sort by_key
 
-(* The rows [produce] passes to its callback whose key [admit] accepts,
-   sorted by key, only the first [limit] of them.  With a limit, a
-   bounded max-heap keyed by [Tuple.compare] keeps the [limit] smallest
-   admitted rows emitted so far; only those get sorted.  Its capacity
-   is capped by [bound], an upper bound on the rows produced, so a huge
-   client-supplied limit allocates no more than the producer can emit.
-   [admit] runs only on rows that would enter the heap.  Keys must be
-   distinct. *)
-let smallest ?limit ?(admit = fun _ -> true) ~bound produce =
-  match limit with
-  | None ->
-      let rows = ref [] in
-      produce (fun k v -> if admit k then rows := (k, v) :: !rows);
-      List.sort by_key !rows
-  | Some n ->
-      let cap = min n bound in
-      if cap <= 0 then []
-      else begin
-        let heap = Array.make cap (Tuple.of_array [||], Value.Null) in
-        let size = ref 0 in
-        let above i j = by_key heap.(i) heap.(j) > 0 in
-        let swap i j =
-          let x = heap.(i) in
-          heap.(i) <- heap.(j);
-          heap.(j) <- x
-        in
-        let rec up i =
-          let parent = (i - 1) / 2 in
-          if i > 0 && above i parent then (swap i parent; up parent)
-        in
-        let rec down i =
-          let l = (2 * i) + 1 in
-          if l < !size then begin
-            let m = if l + 1 < !size && above (l + 1) l then l + 1 else l in
-            if above m i then (swap m i; down m)
-          end
-        in
-        produce (fun k v ->
-            if !size < cap then begin
-              if admit k then begin
-                heap.(!size) <- (k, v);
-                incr size;
-                up (!size - 1)
-              end
-            end
-            else if Tuple.compare k (fst heap.(0)) < 0 && admit k then begin
-              heap.(0) <- (k, v);
-              down 0
-            end);
-        let rows = Array.sub heap 0 !size in
-        Array.sort by_key rows;
-        Array.to_list rows
-      end
+let sorted facts =
+  let rows = Array.of_list facts in
+  Array.stable_sort by_key rows;
+  rows
 
-(* Indexing a base freezes it: its posting lists must never go stale. *)
-let postings base dim =
-  let slot = base.postings.(dim) in
+(* Indexing a base freezes it: its sorted views must never go stale. *)
+let memo slot base build =
   match Atomic.get slot with
-  | Some table -> table
+  | Some view -> view
   | None ->
       freeze base;
+      let view = build base.data in
+      Atomic.set slot (Some view);
+      view
+
+(* Each list is sorted on its own: sorting the whole table first costs
+   more than all the lists together. *)
+let postings base dim =
+  memo base.postings.(dim) base (fun data ->
       let lists = Values.create 16 in
       Tuple.Table.iter
         (fun k v ->
           let x = Tuple.get k dim in
           let facts = Option.value ~default:[] (Values.find_opt lists x) in
           Values.replace lists x ((k, v) :: facts))
-        base.data;
+        data;
       let table = Values.create (Values.length lists) in
-      Values.iter (fun x facts -> Values.replace table x (Array.of_list facts)) lists;
-      Atomic.set slot (Some table);
-      table
+      Values.iter (fun x facts -> Values.replace table x (sorted facts)) lists;
+      table)
+
+let ordered base =
+  memo base.ordered base (fun data ->
+      sorted (Tuple.Table.fold (fun k v acc -> (k, v) :: acc) data []))
 
 let matches filters key =
   List.for_all (fun (i, v) -> Value.equal (Tuple.get key i) v) filters
 
-(* A filtered read takes the shortest posting list among the filtered
-   dimensions and keeps the smallest of its facts that the overlay does
-   not rebind (checked only for facts small enough to make the cut),
-   then merges in the overlay's live matching keys: it examines that
-   list and the overlay, never the whole base. *)
+(* A read walks the shortest posting list among the filtered dimensions
+   (the ordered table when there is no filter) in key order, skipping
+   the keys the overlay rebinds or the other filters reject, and stops
+   after [limit] rows; then it merges in the overlay's live matching
+   keys.  It examines the rows it walks and the overlay, never the
+   whole base. *)
 let select ?limit ~filters c =
-  let shortest =
-    List.fold_left
-      (fun best ((i, v) as filter) ->
-        let facts =
+  let source, others =
+    match filters with
+    | [] -> (ordered c.base, [])
+    | first :: rest ->
+        let facts (i, v) =
           Option.value ~default:[||] (Values.find_opt (postings c.base i) v)
         in
-        match best with
-        | Some (_, b) when Array.length b <= Array.length facts -> best
-        | _ -> Some (filter, facts))
-      None filters
+        let shortest =
+          List.fold_left
+            (fun ((_, best) as kept) filter ->
+              let list = facts filter in
+              if Array.length list < Array.length best then (filter, list) else kept)
+            (first, facts first) rest
+        in
+        (snd shortest, List.filter (fun f -> f != fst shortest) filters)
   in
-  let from_base =
-    match shortest with
-    | Some (_, facts) -> Array.length facts
-    | None -> Tuple.Table.length c.base.data
+  let limit = Option.value ~default:max_int limit in
+  let rec walk i taken rows =
+    if taken >= limit || i >= Array.length source then (i, List.rev rows)
+    else
+      let ((k, _) as row) = source.(i) in
+      if Option.is_some (rebound c.overlay k) || not (matches others k) then
+        walk (i + 1) taken rows
+      else walk (i + 1) (taken + 1) (row :: rows)
   in
-  Obs.count ~n:(from_base + c.revised) "cube.slice_keys_examined";
-  let admit =
-    if Hashes.is_empty c.overlay then None
-    else Some (fun k -> Option.is_none (rebound c.overlay k))
-  in
-  let base_rows =
-    smallest ?limit ?admit ~bound:from_base (fun emit ->
-        match shortest with
-        | Some (filter, facts) ->
-            let others = List.filter (fun f -> f != filter) filters in
-            Array.iter (fun (k, v) -> if matches others k then emit k v) facts
-        | None -> Tuple.Table.iter emit c.base.data)
-  in
+  let walked, base_rows = walk 0 0 [] in
+  Obs.count ~n:(walked + c.revised) "cube.slice_keys_examined";
   if Hashes.is_empty c.overlay then base_rows
   else
     let revised =
@@ -300,12 +263,8 @@ let select ?limit ~filters c =
             acc bucket)
         c.overlay []
     in
-    let emit_all rows emit = List.iter (fun (k, v) -> emit k v) rows in
-    smallest ?limit
-      ~bound:(List.length base_rows + List.length revised)
-      (fun emit ->
-        emit_all base_rows emit;
-        emit_all revised emit)
+    List.merge by_key base_rows (List.sort by_key revised)
+    |> List.filteri (fun i _ -> i < limit)
 
 let of_alist schema alist =
   let c = create schema in
@@ -436,5 +395,3 @@ let pp ppf c =
       Format.fprintf ppf "@,%s -> %s" (Tuple.to_string k) (Value.to_string v))
     (to_alist c);
   Format.fprintf ppf "@]"
-
-let to_string c = Format.asprintf "%a" pp c

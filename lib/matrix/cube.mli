@@ -65,12 +65,17 @@ val select :
 (** The facts whose key holds value [v] at dimension [i] for every
     [(i, v)] in [filters], sorted by key, and only the first [limit] of
     them: equal to [to_alist c] filtered and truncated to [limit] rows.
-    A non-positive [limit] selects nothing.  A filtered read examines
-    the shortest {e posting list} of the filtered values (the facts of
-    the cube's shared table holding that value, built on the first
-    filtered read of that dimension, which freezes the table) plus the
-    overlay, never the whole cube; an unfiltered one examines every
-    fact.  With a limit it sorts only the [limit] smallest matches. *)
+    A non-positive [limit] selects nothing.  A filtered read walks the
+    shortest {e posting list} of the filtered values (the facts of the
+    cube's shared table holding that value, sorted by key), an
+    unfiltered one the whole table sorted by key, and stops after
+    [limit] rows; then it merges in the overlay's live matching keys.
+    A read costs O(limit + overlay), plus the keys of its list that the
+    overlay rebinds or another filter rejects, never O(cube).  The
+    first filtered read of a dimension builds that dimension's posting
+    lists, and the first unfiltered read the ordered table, each in
+    O(m log m) for the table's m facts, once per table; building either
+    freezes the table. *)
 
 val of_alist : Schema.t -> (Tuple.t * Value.t) list -> t
 val of_rows : Schema.t -> Value.t list list -> t
@@ -116,4 +121,3 @@ val diff_data : ?eps:float -> t -> t -> string list
     capped at 20 entries; empty iff [equal_data]. *)
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

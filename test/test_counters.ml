@@ -230,10 +230,12 @@ let test_sql_perturbed () =
 
 (* PDR holds 14 608 facts, 1 826 of them in region r003.  A 1-key
    commit copies none of them, nor any fact of a derived cube or a
-   history version, and the r003 slice after it examines r003's
-   posting list plus the overlay's one revised key. *)
-let r003_facts = 1826
-let serve_expected = (0, r003_facts + 1)
+   history version.  A slice walks its key-ordered source (r003's
+   posting list, or the whole table unfiltered) only up to its limit of
+   50 rows, and counts the overlay's revised keys besides; the revised
+   key is one of PDR's latest, so neither walk meets it. *)
+let slice_limit = 50
+let serve_expected = (0, slice_limit + 1, slice_limit + 1)
 
 let request meth target body =
   let raw =
@@ -257,31 +259,34 @@ let copied server batch =
     (request "POST" "/v1/update"
        (String.concat "\n" (List.map Engine.Update.to_string batch)))
 
-let examined server =
+let examined ?(query = "r=r003&") server =
   counted server "cube.slice_keys_examined"
-    (request "GET" "/v1/cube/PDR?r=r003&limit=50" "")
+    (request "GET" (Printf.sprintf "/v1/cube/PDR?%slimit=%d" query slice_limit) "")
 
 let test_serve () =
   let fixture = Rows.incr_setup () in
   let server = Serve.Server.create fixture.Rows.engine in
   Fun.protect ~finally:(fun () -> Serve.Server.shutdown server) @@ fun () ->
   let one = copied server (fixture.Rows.batch 1) in
-  Alcotest.(check (pair int int)) "(facts copied by a 1-key commit, keys examined)"
-    serve_expected (one, examined server)
+  Alcotest.(check (triple int int int))
+    "(facts copied by a 1-key commit, keys examined by the r003 slice, unfiltered)"
+    serve_expected
+    (one, examined server, examined ~query:"" server)
 
 (* A commit revising more than an eighth of PDR folds the engine cube's
    overlay into a fresh table: it copies PDR (and no derived cube,
    which the first commit after boot rebuilds whole from its relation),
-   and the slice is back to the bare posting list. *)
+   and the slice walks its limit and no overlay. *)
 let test_serve_perturbed () =
   let fixture = Rows.incr_setup () in
   let server = Serve.Server.create fixture.Rows.engine in
   Fun.protect ~finally:(fun () -> Serve.Server.shutdown server) @@ fun () ->
-  Alcotest.(check int) "a boot slice reads the posting list" r003_facts
-    (examined server);
+  Alcotest.(check (pair int int)) "a boot slice walks its limit, filtered or not"
+    (slice_limit, slice_limit)
+    (examined server, examined ~query:"" server);
   Alcotest.(check int) "a 2 000-key commit copies PDR" 14608
     (copied server (fixture.Rows.batch 2000));
-  Alcotest.(check int) "the fold empties the overlay" r003_facts
+  Alcotest.(check int) "the fold empties the overlay" slice_limit
     (examined server)
 
 let suite =

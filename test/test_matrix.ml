@@ -622,27 +622,45 @@ let prop_codec_roundtrip =
       in
       sorted && stored)
 
+let model_alist model =
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) model []
+  |> List.sort (fun (a, _) (b, _) -> Tuple.compare a b)
+
 (* Cube.select against its specification: sort everything, filter,
-   truncate.  Every case checks no limit, 0, 1, exactly the match
-   count, one past it and a random limit; filter values 10 and "zzz"
+   truncate.  A cube is read, copied, and edited: the edits go to its
+   overlay (or fold it, past one key per eight facts).  They revise or
+   remove the smallest matching keys, write random keys, and add keys
+   (x < 0) that sort before every key of the table.  The cube must
+   read like its model, and the copy as before.  Every read checks no limit, 0, 1, exactly the match
+   count, one past it and a random limit; filter values 50 and "zzz"
    match nothing. *)
 let prop_cube_select_spec =
-  QCheck.Test.make ~count:200 ~name:"cube select == to_alist |> filter |> take"
+  QCheck.Test.make
+    ~count:(Helpers.qcheck_count ~var:"EXL_STORE_QCHECK_COUNT" ~default:200)
+    ~name:"cube select == to_alist |> filter |> take"
     QCheck.(
-      triple
-        (list (triple (int_range 0 9) (int_range 0 2) (int_range (-50) 50)))
-        (pair (int_range 0 3) (pair (int_range 0 10) (int_range 0 3)))
-        (int_range 0 40))
-    (fun (rows, (mode, (x, y)), random_limit) ->
+      quad
+        (list_of_size Gen.(int_range 0 120)
+           (triple (int_range 0 49) (int_range 0 2) (int_range (-50) 50)))
+        (pair (int_range 0 3) (pair (int_range (-2) 50) (int_range 0 3)))
+        (int_range 0 40)
+        (pair (int_range 0 4)
+           (list_of_size Gen.(int_range 0 12)
+              (triple (int_range (-3) 49) (int_range 0 2) (int_range (-1) 50)))))
+    (fun (rows, (mode, (x, y)), random_limit, (smallest, edits)) ->
       let shops = [| "a"; "b"; "c"; "zzz" |] in
       let schema =
         Schema.make ~name:"T" ~dims:[ ("x", Domain.Int); ("shop", Domain.String) ] ()
       in
-      let c = Cube.create schema in
-      List.iter
-        (fun (x, s, v) ->
-          Cube.set c (key [ vi x; vs shops.(s) ]) (vf (float_of_int v)))
-        rows;
+      let c = Cube.create schema and model = Hashtbl.create 64 in
+      let write k v =
+        if v < 0 then (Cube.remove c k; Hashtbl.remove model k)
+        else begin
+          Cube.set c k (vf (float_of_int v));
+          Hashtbl.replace model k (vf (float_of_int v))
+        end
+      in
+      List.iter (fun (x, s, v) -> write (key [ vi x; vs shops.(s) ]) (abs v)) rows;
       let on_x = (0, vi x) and on_shop = (1, vs shops.(y)) in
       let filters =
         match mode with
@@ -651,18 +669,21 @@ let prop_cube_select_spec =
         | 2 -> [ on_shop ]
         | _ -> [ on_x; on_shop ]
       in
-      let p k = List.for_all (fun (i, v) -> Value.equal (Tuple.get k i) v) filters in
-      let matching = List.filter (fun (k, _) -> p k) (Cube.to_alist c) in
-      let m = List.length matching in
-      List.for_all
-        (fun limit ->
-          let expected =
-            match limit with
-            | None -> matching
-            | Some n -> List.filteri (fun i _ -> i < n) matching
-          in
-          Cube.select ?limit ~filters c = expected)
-        [ None; Some 0; Some 1; Some m; Some (m + 1); Some random_limit ])
+      let reads_spec c alist =
+        let m = List.length (select_spec ~filters alist) in
+        List.for_all
+          (fun limit ->
+            same_rows (Cube.select ?limit ~filters c) (select_spec ?limit ~filters alist))
+          [ None; Some 0; Some 1; Some m; Some (m + 1); Some random_limit ]
+      in
+      let before = model_alist model in
+      let fresh = reads_spec c before in
+      let held = Cube.copy c in
+      List.iteri
+        (fun i (k, _) -> write k (if i mod 2 = 0 then -1 else 1000 + i))
+        (select_spec ~limit:smallest ~filters before);
+      List.iter (fun (x, s, v) -> write (key [ vi x; vs shops.(s) ]) v) edits;
+      fresh && reads_spec c (model_alist model) && reads_spec held before)
 
 (* --- versioned cubes: copies against a frozen model --- *)
 
@@ -677,10 +698,6 @@ let vc_reads =
     (fun filters -> List.map (fun limit -> (filters, limit)) [ None; Some 0; Some 1; Some 3 ])
     ([ []; [ (1, vs "zz") ]; [ (0, vi 3); (1, vs "007") ]; [ (0, vi 0) ]; [ (0, vi 7) ] ]
     @ List.map (fun r -> [ (1, vs r) ]) (Array.to_list vc_regions))
-
-let model_alist model =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) model []
-  |> List.sort (fun (a, _) (b, _) -> Tuple.compare a b)
 
 (* Every way of reading [c] agrees with [model]. *)
 let reads_like c model =
@@ -775,9 +792,10 @@ let prop_versioned_cube =
       done;
       true)
 
-(* Reader threads slice the copies the writer publishes, building each
-   copy's posting lists, while the writer keeps revising the live cube
-   and folding its overlay into fresh tables. *)
+(* Reader threads slice the copies the writer publishes, racing to
+   build each copy's ordered table and sorted posting lists, while the
+   writer keeps revising the live cube and folding its overlay into
+   fresh tables. *)
 let test_versioned_cube_threads () =
   let live = Cube.create (vc_schema "T") and model = Hashtbl.create 512 in
   for x = 0 to 127 do
@@ -799,7 +817,13 @@ let test_versioned_cube_threads () =
           then Atomic.incr wrong;
           Atomic.incr slices;
           Thread.yield ())
-        [ ([ (1, vs "a") ], None); ([ (0, vi 5) ], Some 3); ([ (1, vs "7"); (0, vi 9) ], None) ]
+        [
+          ([ (1, vs "a") ], None);
+          ([ (0, vi 5) ], Some 3);
+          ([ (1, vs "7"); (0, vi 9) ], None);
+          ([], Some 5);
+          ([ (1, vs "007") ], Some 2);
+        ]
     done
   in
   let readers = List.init 3 (fun _ -> Thread.create reader ()) in
