@@ -14,11 +14,42 @@
 
 open Matrix
 
+(* The dictionary's own hash: it agrees with [Value.equal] exactly as
+   [Value.hash] does (an int hashes like the float it converts to), but
+   allocates nothing.  It never leaves the dictionary, and codes are
+   issued in first-seen order whatever the hash.  Ints are mixed, so a
+   stride of a power of two does not pile them into a few buckets.  A
+   date is one int per calendar day, read off the fields without a
+   division, and a period its own hash, both unmixed: consecutive days
+   and periods fill nearby buckets, which keeps their lookups
+   cache-local. *)
+let mix h =
+  let h = h * 0x1E3779B97F4A7C15 in
+  h lxor (h lsr 32)
+
+(* Integral floats within +-2^53 convert to and from ints exactly, so
+   they hash as the int; -0. hashes as 0 and every NaN alike. *)
+let hash_float f =
+  if Float.is_integer f && Float.abs f <= 0x1p53 then mix (int_of_float f)
+  else Hashtbl.hash f
+
+let hash = function
+  | Value.Null -> 17
+  | Value.Bool b -> if b then 31 else 37
+  | Value.Int i ->
+      if i >= -0x20000000000000 && i <= 0x20000000000000 then mix i
+      else hash_float (float_of_int i)
+  | Value.Float f -> hash_float f
+  | Value.String s -> Hashtbl.hash s
+  | Value.Date { Calendar.Date.year; month; day } ->
+      (((year * 12) + month) * 31) + day
+  | Value.Period p -> 0x9E12 lxor Calendar.Period.hash p
+
 module VH = Hashtbl.Make (struct
   type t = Value.t
 
   let equal = Value.equal
-  let hash = Value.hash
+  let hash = hash
 end)
 
 type t = {

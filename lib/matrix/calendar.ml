@@ -54,6 +54,11 @@ let put_digits b pos width n =
     n := !n / 10
   done
 
+(* The same digits appended to a buffer, most significant first. *)
+let rec add_digits buf width n =
+  if width > 1 then add_digits buf (width - 1) (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
 let four_digit y = y >= 0 && y <= 9999
 
 module Date = struct
@@ -126,6 +131,16 @@ module Date = struct
       Bytes.set b 7 '-';
       put_digits b 8 2 d.day;
       Bytes.unsafe_to_string b
+    end
+
+  let add_to_buffer buf d =
+    if not (four_digit d.year) then Buffer.add_string buf (to_string d)
+    else begin
+      add_digits buf 4 d.year;
+      Buffer.add_char buf '-';
+      add_digits buf 2 d.month;
+      Buffer.add_char buf '-';
+      add_digits buf 2 d.day
     end
 
   let of_string s =

@@ -43,6 +43,9 @@ module Date : sig
 
   val to_string : t -> string  (** ISO-8601 [YYYY-MM-DD]. *)
 
+  val add_to_buffer : Buffer.t -> t -> unit
+  (** The text of [to_string], appended without building a string. *)
+
   val of_string : string -> t option
   val pp : Format.formatter -> t -> unit
 end

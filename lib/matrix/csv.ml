@@ -17,7 +17,7 @@ let add_field buf s =
 let add_value buf = function
   | Value.String "" -> Buffer.add_string buf "\"\""
   | Value.String s -> add_field buf s
-  | v -> Buffer.add_string buf (Value.to_string v)
+  | v -> Value.add_to_buffer buf v
 
 let add_header buf schema =
   Array.iter
@@ -38,21 +38,25 @@ let add_row buf k v =
 
 let sorted_rows c add = List.iter (fun (k, v) -> add k v) (Cube.to_alist c)
 
+(* About ten bytes a cell. *)
+let text_size c =
+  64 + (10 * Cube.cardinality c * (Schema.arity (Cube.schema c) + 1))
+
 let cube_to_string c =
-  let schema = Cube.schema c in
-  (* sized up front at about ten bytes a cell *)
-  let buf = Buffer.create (64 + (10 * Cube.cardinality c * (Schema.arity schema + 1))) in
-  add_header buf schema;
+  let buf = Buffer.create (text_size c) in
+  add_header buf (Cube.schema c);
   sorted_rows c (add_row buf);
   Buffer.contents buf
 
 (* Rows reach the channel through one buffer flushed whenever it holds
    [chunk] bytes, so a cube of any size needs no more memory than that.
-   Its capacity is twice that: the row crossing the mark never grows it. *)
+   It is sized to the cube's text, capped at twice that: a small cube
+   gets a small buffer, and the row crossing the mark never grows a
+   capped one. *)
 let chunk = 65536
 
 let to_channel oc c rows =
-  let buf = Buffer.create (2 * chunk) in
+  let buf = Buffer.create (min (2 * chunk) (text_size c)) in
   add_header buf (Cube.schema c);
   rows (fun k v ->
       add_row buf k v;

@@ -66,11 +66,17 @@ let same_dims a b =
          && Option.is_some (Domain.union da.dim_domain db.dim_domain))
        a.dims b.dims
 
+(* A loop, not [Array.for_all] over an index array: it runs once per
+   fact loaded and allocates nothing. *)
 let compatible_tuple s t =
-  Tuple.arity t = arity s
-  && Array.for_all
-       (fun i -> Domain.member (Tuple.get t i) s.dims.(i).dim_domain)
-       (Array.init (arity s) Fun.id)
+  let n = arity s in
+  Tuple.arity t = n
+  &&
+  let i = ref 0 in
+  while !i < n && Domain.member (Tuple.get t !i) s.dims.(!i).dim_domain do
+    incr i
+  done;
+  !i = n
 
 let equal a b =
   a.name = b.name

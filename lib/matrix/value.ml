@@ -77,12 +77,15 @@ let to_int = function
    interpreting a format at run time. *)
 external format_float : string -> float -> string = "caml_format_float"
 
+(* Floats written as the integer they hold. *)
+let integral f = Float.is_integer f && Float.abs f < 1e15
+
 let to_string = function
   | Null -> ""
   | Bool b -> string_of_bool b
   | Int i -> string_of_int i
   | Float f ->
-      if Float.is_integer f && Float.abs f < 1e15 then
+      if integral f then
         (* the text of [%.0f], which keeps the sign of a negative zero *)
         if Float.sign_bit f && f = 0. then "-0" else string_of_int (int_of_float f)
       else
@@ -92,6 +95,24 @@ let to_string = function
   | String s -> s
   | Date d -> Calendar.Date.to_string d
   | Period p -> Calendar.Period.to_string p
+
+(* The decimal digits of [-m], for [m <= 0]: read off the non-positive
+   side, which holds [min_int] too. *)
+let rec add_neg_digits buf m =
+  if m <= -10 then add_neg_digits buf (m / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 - (m mod 10)))
+
+let add_int buf n =
+  if n < 0 then Buffer.add_char buf '-';
+  add_neg_digits buf (if n > 0 then -n else n)
+
+(* [-0.] is left to [to_string], which writes ["-0"]. *)
+let add_to_buffer buf = function
+  | Int i -> add_int buf i
+  | Float f when integral f && not (f = 0. && Float.sign_bit f) ->
+      add_int buf (int_of_float f)
+  | Date d -> Calendar.Date.add_to_buffer buf d
+  | v -> Buffer.add_string buf (to_string v)
 
 let of_string_guess s =
   if s = "" then Null

@@ -34,6 +34,12 @@ val of_float : float -> t
 
 val to_int : t -> int option
 val to_string : t -> string
+
+val add_to_buffer : Buffer.t -> t -> unit
+(** The text of [to_string], appended to the buffer.  Ints, integral
+    floats and dates with four-digit years are written without building
+    a string. *)
+
 val of_string_guess : string -> t
 (** Best-effort parse used by CSV loading for [Int], [Float] and [Any]
     columns: int, float, date, bool, period, else string; [""] is

@@ -276,31 +276,58 @@ let key_column t { pos; fn } =
       in
       (codes, Columnar.Dict.size out)
 
-(* Per row, the rank of its column-[pos] value among the column's
-   distinct values under [Value.compare], so comparing ranks compares
-   values: distinct codes hold values that are not [Value.equal], and
-   equality is [Value.compare] = 0. *)
+(* Column [pos]'s codes per row, and per code the rank of its value
+   among the column's distinct values under [Value.compare], so
+   comparing ranks compares values: distinct codes hold values that are
+   not [Value.equal], and equality is [Value.compare] = 0.  The
+   dictionary is decoded once and its codes merge-sorted by value. *)
 let column_ranks t pos =
   let dict, codes = Table.column_codes t pos in
-  let by_value = Array.init (Columnar.Dict.size dict) Fun.id in
-  Array.sort
-    (fun a b ->
-      Value.compare (Columnar.Dict.decode dict a) (Columnar.Dict.decode dict b))
-    by_value;
+  let values = Array.init (Columnar.Dict.size dict) (Columnar.Dict.decode dict) in
+  let by_value = Array.init (Array.length values) Fun.id in
+  Array.stable_sort (fun a b -> Value.compare values.(a) values.(b)) by_value;
   let rank = Array.make (Array.length by_value) 0 in
   Array.iteri (fun i c -> rank.(c) <- i) by_value;
-  Array.map (fun c -> rank.(c)) codes
+  (codes, rank)
+
+(* Rows [a] and [b] compared on the ranks of column [pos] and the
+   columns after it. *)
+let rec compare_ranks ranks a b pos =
+  if pos = Array.length ranks then 0
+  else
+    let codes, rank = Lazy.force ranks.(pos) in
+    match Int.compare rank.(codes.(a)) rank.(codes.(b)) with
+    | 0 -> compare_ranks ranks a b (pos + 1)
+    | c -> c
+
+(* [mf.(r) <- f] and [true] where [Value.to_float v] is [Some f];
+   [false] where it is [None].  The aggregate's per-row measure read,
+   with no option allocated. *)
+let read_measure mf r = function
+  | Value.Int i ->
+      mf.(r) <- float_of_int i;
+      true
+  | Value.Float f ->
+      mf.(r) <- f;
+      true
+  | Value.Bool b ->
+      mf.(r) <- (if b then 1. else 0.);
+      true
+  | Value.(Null | String _ | Date _ | Period _) -> false
 
 (* Grouped aggregation over a base table, vectorized: group keys —
-   plain columns or dimension functions of columns — compare by code,
-   groups form in one pass over the rows in load order, and only then
-   is each group put in canonical order.  The result replays the
-   generic path, which sorts the whole table by [Tuple.compare] first:
-   groups in first-seen order over the sorted rows (that is, ordered by
-   their least row), each bag in sorted-row order, equal rows in load
-   order, rows with a null key or non-numeric measure skipped.  Sorting
-   each group instead of the table gives the same bags for less work,
-   and keeps float sums independent of the order rows were loaded in. *)
+   plain columns or dimension functions of columns — compare by code
+   and groups form in one pass over the rows in load order.  The result
+   replays the generic path, which sorts the whole table by
+   [Tuple.compare] first: groups in first-seen order over the sorted
+   rows (that is, ordered by their least row), each bag in sorted-row
+   order, equal rows in load order, rows with a null key or
+   non-numeric measure skipped.  The participating rows are put in
+   that order once: a stable counting sort by column-0 rank, then a
+   comparison sort by the later columns' ranks inside each run that
+   ties on column 0 (a column's ranks are built only when every column
+   before it ties somewhere), then a stable bucket pass by group.  Bag
+   order is canonical, so float sums do not depend on load order. *)
 let vectorized_aggregate lookup t input keys measure aggr =
   let res = resolver_of_layout (layout lookup input) in
   match
@@ -313,86 +340,101 @@ let vectorized_aggregate lookup t input keys measure aggr =
       let rows = Table.rows_array t in
       let n = Array.length rows in
       let key_cols = Array.of_list (List.map (key_column t) sources) in
+      let nkeys = Array.length key_cols in
       (* The participating rows, in load order, and their measures. *)
       let sel = Array.make n 0 and mf = Array.make n 0. in
       let nsel = ref 0 in
       for r = 0 to n - 1 do
-        if Array.for_all (fun (codes, _) -> codes.(r) >= 0) key_cols then
-          match Value.to_float rows.(r).(mpos) with
-          | None -> ()
-          | Some m ->
-              sel.(!nsel) <- r;
-              mf.(r) <- m;
-              incr nsel
+        let k = ref 0 in
+        while !k < nkeys && (fst key_cols.(!k)).(r) >= 0 do incr k done;
+        if !k = nkeys && read_measure mf r rows.(r).(mpos) then begin
+          sel.(!nsel) <- r;
+          incr nsel
+        end
       done;
       let nsel = !nsel in
-      let g =
-        Columnar.Kernels.group
-          (Columnar.Kernels.dense_keys ~nrows:nsel
-             (Array.map
-                (fun (codes, _) -> Array.init nsel (fun j -> codes.(sel.(j))))
-                key_cols)
-             (Array.map snd key_cols))
+      let keys =
+        Columnar.Kernels.dense_keys ~nrows:n (Array.map fst key_cols)
+          (Array.map snd key_cols)
       in
-      let ng = g.Columnar.Kernels.n_groups in
-      (* Each group's rows, contiguous and still in load order. *)
-      let offsets = Array.make (ng + 1) 0 in
-      Array.iter
-        (fun gid -> offsets.(gid + 1) <- offsets.(gid + 1) + 1)
-        g.Columnar.Kernels.gids;
-      for gid = 1 to ng do
-        offsets.(gid) <- offsets.(gid) + offsets.(gid - 1)
-      done;
-      let members = Array.make nsel 0 in
-      let cursor = Array.sub offsets 0 ng in
-      Array.iteri
-        (fun j gid ->
-          members.(cursor.(gid)) <- sel.(j);
-          cursor.(gid) <- cursor.(gid) + 1)
-        g.Columnar.Kernels.gids;
-      (* Canonical order: [Tuple.compare] on whole rows, read off
-         per-column ranks (a column's ranks are built only when every
-         column before it ties), in a stable sort, so equal rows stay
-         in load order as in the generic path's stable sort. *)
+      let { Columnar.Kernels.gids; n_groups = ng; _ } =
+        Columnar.Kernels.group (Array.init nsel (fun j -> keys.(sel.(j))))
+      in
+      (* Canonical order, as positions into [sel].  First a stable
+         counting sort by column-0 rank. *)
       let ranks =
         Array.init (Table.width t) (fun pos -> lazy (column_ranks t pos))
       in
-      let by_row a b =
-        let rec from pos =
-          if pos = Array.length ranks then 0
-          else
-            let r = Lazy.force ranks.(pos) in
-            match Int.compare r.(a) r.(b) with 0 -> from (pos + 1) | c -> c
-        in
-        from 0
+      let codes0, rank0 = Lazy.force ranks.(0) in
+      let d0 = Array.length rank0 in
+      let start = Array.make (d0 + 1) 0 in
+      for j = 0 to nsel - 1 do
+        let k = rank0.(codes0.(sel.(j))) + 1 in
+        start.(k) <- start.(k) + 1
+      done;
+      for k = 1 to d0 do
+        start.(k) <- start.(k) + start.(k - 1)
+      done;
+      let sorted = Array.make nsel 0 in
+      for j = 0 to nsel - 1 do
+        let k = rank0.(codes0.(sel.(j))) in
+        sorted.(start.(k)) <- j;
+        start.(k) <- start.(k) + 1
+      done;
+      (* [start.(k)] now ends rank [k]'s run.  Runs of more than one row
+         are stable-sorted by the later columns, so equal rows stay in
+         load order as in the generic path's stable sort. *)
+      let compares = ref 0 in
+      let by_later a b =
+        incr compares;
+        compare_ranks ranks sel.(a) sel.(b) 1
       in
-      for gid = 0 to ng - 1 do
-        let off = offsets.(gid) and len = offsets.(gid + 1) - offsets.(gid) in
+      for k = 0 to d0 - 1 do
+        let off = if k = 0 then 0 else start.(k - 1) in
+        let len = start.(k) - off in
         if len > 1 then begin
-          let seg = Array.sub members off len in
-          Array.stable_sort by_row seg;
-          Array.blit seg 0 members off len
+          let run = Array.sub sorted off len in
+          Array.stable_sort by_later run;
+          Array.blit run 0 sorted off len
         end
       done;
-      let data = Array.map (fun r -> mf.(r)) members in
-      let order = Array.init ng Fun.id in
-      Array.stable_sort
-        (fun a b -> by_row members.(offsets.(a)) members.(offsets.(b)))
-        order;
+      Obs.count ~n:!compares "executor.order_compares";
+      (* Groups numbered in the order of their least row, which
+         represents the group's key, and each group's measures gathered
+         in sorted order. *)
+      let ord = Array.make ng (-1) and rep = Array.make ng 0 and next = ref 0 in
+      let offsets = Array.make (ng + 1) 0 in
+      Array.iter
+        (fun j ->
+          let g = gids.(j) in
+          if ord.(g) < 0 then begin
+            ord.(g) <- !next;
+            rep.(!next) <- sel.(j);
+            incr next
+          end;
+          offsets.(ord.(g) + 1) <- offsets.(ord.(g) + 1) + 1)
+        sorted;
+      for o = 1 to ng do
+        offsets.(o) <- offsets.(o) + offsets.(o - 1)
+      done;
+      let data = Array.make nsel 0. in
+      let cursor = Array.sub offsets 0 ng in
+      Array.iter
+        (fun j ->
+          let o = ord.(gids.(j)) in
+          data.(cursor.(o)) <- mf.(sel.(j));
+          cursor.(o) <- cursor.(o) + 1)
+        sorted;
       Some
-        (Array.fold_right
-           (fun gid acc ->
-             let off = offsets.(gid) in
+        (List.init ng (fun o ->
+             let off = offsets.(o) in
              let result =
                Stats.Aggregate.apply_slice aggr data ~off
-                 ~len:(offsets.(gid + 1) - off)
+                 ~len:(offsets.(o + 1) - off)
              in
-             let rep = rows.(members.(off)) in
              Array.of_list
-               (List.map (fun k -> key_value k rep) sources
-               @ [ Value.of_float result ])
-             :: acc)
-           order [])
+               (List.map (fun k -> key_value k rows.(rep.(o))) sources
+               @ [ Value.of_float result ])))
 
 let rec execute db lookup (views : view_env) plan : Value.t array list =
   match plan with

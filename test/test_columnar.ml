@@ -8,6 +8,9 @@ module M = Mappings
 module X = Exchange
 module C = Columnar
 
+let qcheck_count =
+  Helpers.qcheck_count ~var:"EXL_COL_QCHECK_COUNT" ~default:30
+
 (* --- dictionaries --- *)
 
 let test_dict_roundtrip () =
@@ -49,6 +52,72 @@ let test_dict_xlate () =
       Alcotest.(check (array int)) "translation" [| 1; -1; 0 |] x);
   Alcotest.(check bool) "same dict needs no translation" true
     (C.Dict.xlate a a = None)
+
+(* The dictionary's own hash is unobservable: over random value lists,
+   [encode] issues the codes a first-seen association list issues under
+   [Value.equal], and [find] agrees with the list on values encoded and
+   not.  Ints stay well inside +-2^53, where [Value.equal] is
+   transitive; [Int 1] meets [Float 1.], [-0.] meets [0.] and [Int 0],
+   and NaN meets itself. *)
+let gen_dict_value =
+  let open QCheck.Gen in
+  let date =
+    map
+      (fun n -> Calendar.Date.add_days (Calendar.Date.make ~year:1999 ~month:12 ~day:25) n)
+      (int_bound 60)
+  in
+  frequency
+    [
+      (3, map (fun i -> Value.Int i) (int_range (-3) 3));
+      ( 3,
+        oneofl
+          [ Value.Float 1.; Value.Float 0.; Value.Float (-0.); Value.Float 2.5;
+            Value.Float (-3.); Value.Float Float.nan; Value.Float Float.infinity ] );
+      (3, map (fun d -> Value.Date d) date);
+      ( 2,
+        map2
+          (fun f d -> Value.Period (Calendar.Period.of_date f d))
+          (oneofl Calendar.[ Year; Quarter; Month; Day ])
+          date );
+      (2, oneofl [ Value.String "a"; Value.String "b"; Value.String ""; Value.String "1" ]);
+      (1, oneofl [ Value.Null; Value.Bool true; Value.Bool false ]);
+    ]
+
+let prop_dict_matches_model =
+  QCheck.Test.make ~count:qcheck_count
+    ~name:"dict codes == first-seen association list under Value.equal"
+    (QCheck.make
+       ~print:(fun (vs, probes) ->
+         String.concat " " (List.map Value.to_string vs)
+         ^ " | " ^ String.concat " " (List.map Value.to_string probes))
+       QCheck.Gen.(pair (list_size (int_bound 200) gen_dict_value)
+                     (list_size (int_bound 20) gen_dict_value)))
+    (fun (values, probes) ->
+      let d = C.Dict.create () in
+      let model = ref [] in
+      let lookup v =
+        List.find_map (fun (w, c) -> if Value.equal w v then Some c else None)
+          (List.rev !model)
+      in
+      List.for_all
+        (fun v ->
+          let expected =
+            match lookup v with
+            | Some c -> c
+            | None ->
+                let c = List.length !model in
+                model := (v, c) :: !model;
+                c
+          in
+          C.Dict.encode d v = expected
+          || QCheck.Test.fail_reportf "encode %s: code %d, model %d"
+               (Value.to_string v) (C.Dict.encode d v) expected)
+        values
+      && C.Dict.size d = List.length !model
+      && List.for_all
+           (fun v -> C.Dict.find d v = lookup v
+             || QCheck.Test.fail_reportf "find %s disagrees" (Value.to_string v))
+           (values @ probes))
 
 (* --- batches --- *)
 
@@ -227,9 +296,6 @@ let test_overview_ab () =
 
 (* --- the property: chase ~columnar:true == chase ~columnar:false --- *)
 
-let qcheck_count =
-  Helpers.qcheck_count ~var:"EXL_COL_QCHECK_COUNT" ~default:30
-
 (* Both runs of [src] must agree on every target relation, every
    counter, and (when both fail) the error. *)
 let same_run ~what src mapping r1 r2 =
@@ -306,6 +372,7 @@ let suite =
   [
     ("dict: encode/decode round-trip", `Quick, test_dict_roundtrip);
     ("dict: cross-dictionary translation", `Quick, test_dict_xlate);
+    QCheck_alcotest.to_alcotest prop_dict_matches_model;
     ("batch: round-trip with null measures", `Quick, test_batch_roundtrip);
     ("kernels: pack/group/segment/join", `Quick, test_kernels);
     ("instance: snapshot isolation (COW indexes)", `Quick, test_snapshot_isolation);

@@ -382,28 +382,59 @@ let gen_date_in gen_year =
         Calendar.Date.make ~year ~month ~day)
       gen_year (int_range 1 12) (int_range 1 31))
 
+(* The text [Value.add_to_buffer] appends. *)
+let buffer_text v =
+  let buf = Buffer.create 16 in
+  Value.add_to_buffer buf v;
+  Buffer.contents buf
+
+(* One row through the CSV writer: its cells parse back to the text of
+   [Value.to_string], strings that need quoting included. *)
+let csv_row_matches d str m =
+  let c = cube_of "C" [ ("d", Domain.Date); ("s", Domain.String) ] [ [ d; vs str; m ] ] in
+  Csv.parse_rows (Csv.cube_to_string c)
+  = [ [ "d"; "s"; "value" ]; [ Value.to_string d; str; Value.to_string m ] ]
+
 let prop_fast_to_string =
   let gen =
     QCheck.Gen.(
-      triple (gen_date_in gen_year) (pair (oneofl frequencies) (gen_date_in gen_year))
+      quad (gen_date_in gen_year) (pair (oneofl frequencies) (gen_date_in gen_year))
         (oneof
            [
-             oneofl [ 0.; -0.; 1e15 -. 1.; -.(1e15 -. 1.); 1e15; -1e15; 0.5; -2.25 ];
+             oneofl
+               [ 0.; -0.; 1e15 -. 1.; -.(1e15 -. 1.); 1e15; -1e15; 0.5; -2.25;
+                 Float.nan; Float.infinity; Float.neg_infinity ];
              map float_of_int (int_range (-1_000_000) 1_000_000);
              map (fun f -> Float.round (f *. 1e15)) (float_range (-1.) 1.);
              float_range (-1e6) 1e6;
-           ]))
+           ])
+        (pair
+           (oneof
+              [
+                oneofl [ min_int; max_int; 0; -1; 9; -10; 1_000_000_007 ];
+                int;
+                small_signed_int;
+              ])
+           (oneof
+              [
+                oneofl [ ""; "a,b"; "say \"hi\""; "two\nlines"; "cr\r"; "\""; "plain" ];
+                string_size ~gen:(oneofl [ 'a'; ','; '"'; '\n'; '\r'; ' '; '1' ]) (int_bound 6);
+              ])))
   in
   QCheck.Test.make ~count:1000 ~name:"fast to_string == Printf text"
     (QCheck.make
-       ~print:(fun (d, (_, pd), f) ->
-         Printf.sprintf "%s / %s / %h" (printf_date d) (printf_date pd) f)
+       ~print:(fun (d, (_, pd), f, (i, str)) ->
+         Printf.sprintf "%s / %s / %h / %d / %S" (printf_date d) (printf_date pd) f i str)
        gen)
-    (fun (d, (freq, pd), f) ->
+    (fun (d, (freq, pd), f, (i, str)) ->
       let p = Calendar.Period.of_date freq pd in
       Calendar.Date.to_string d = printf_date d
       && Calendar.Period.to_string p = printf_period p
-      && Value.to_string (Value.Float f) = printf_float f)
+      && Value.to_string (Value.Float f) = printf_float f
+      && List.for_all
+           (fun v -> buffer_text v = Value.to_string v)
+           Value.[ Date d; Period p; Float f; Int i; Float (float_of_int i); String str; Null ]
+      && csv_row_matches (Value.Date d) str (Value.Float (float_of_int i)))
 
 let test_fast_to_string_edges () =
   let d y = Calendar.Date.make ~year:y ~month:1 ~day:2 in
@@ -423,7 +454,19 @@ let test_fast_to_string_edges () =
       ("999999999999999", Value.to_string (Value.Float (1e15 -. 1.)));
       ("-999999999999999", Value.to_string (Value.Float (-.(1e15 -. 1.))));
       ("1e+15", Value.to_string (Value.Float 1e15));
-    ]
+      ("-4611686018427387904", buffer_text (Value.Int min_int));
+      ("-0", buffer_text (Value.Float (-0.)));
+      ("-999999999999999", buffer_text (Value.Float (-.(1e15 -. 1.))));
+      ("-1e+15", buffer_text (Value.Float (-1e15)));
+      ("-001-01-02", buffer_text (Value.Date (d (-1))));
+      ("0000-01-02", buffer_text (Value.Date (d 0)));
+      ("10000-01-02", buffer_text (Value.Date (d 10000)));
+      ("", buffer_text Value.Null);
+    ];
+  Alcotest.(check bool) "quoted cells read back" true
+    (List.for_all
+       (fun str -> csv_row_matches (Value.Date (d 2020)) str (Value.Float (-0.)))
+       [ ""; "a,\"b\""; "two\nlines"; "cr\r" ])
 
 (* A fresh directory name under the system temp dir. *)
 let temp_dir prefix =

@@ -377,7 +377,11 @@ let test_join_null_probe_key () =
    (dates, periods of every frequency, plus non-temporal values that
    every dimension function maps to Null), [k] mixing Null, [Int 1]
    and [Float 1.], measures of every magnitude plus non-numeric ones.
-   Small domains, so dimension tuples repeat. *)
+   Small domains, so dimension tuples repeat.  One T in five is wide:
+   100 to 400 rows over a handful of dates in two quarters and a few
+   measures, so long runs tie on [d], whole rows repeat (equal rows
+   must stay in load order, and [Int 1] and [Float 1.] rows are equal
+   but print apart) and groups under [QUARTER(d)] are big. *)
 let gen_tables =
   let open QCheck.Gen in
   let freqs =
@@ -418,7 +422,30 @@ let gen_tables =
         (1, oneofl [ Value.String "x"; Value.Bool true ]);
       ]
   in
-  let t_rows = list_size (int_bound 60) (map3 (fun d k m -> [| d; k; m |]) d k measure) in
+  let wide_d =
+    frequency
+      [
+        ( 8,
+          map
+            (fun n ->
+              Value.Date
+                (Calendar.Date.add_days (Calendar.Date.make ~year:2020 ~month:3 ~day:30) n))
+            (int_bound 4) );
+        (1, return Value.Null);
+      ]
+  in
+  let wide_measure =
+    oneofl [ Value.Int 1; Value.Float 1.; Value.Float 2.5; Value.Float (-0.5); Value.Null ]
+  in
+  let t_rows =
+    frequency
+      [
+        (4, list_size (int_bound 60) (map3 (fun d k m -> [| d; k; m |]) d k measure));
+        ( 1,
+          list_size (int_range 100 400)
+            (map3 (fun d k m -> [| d; k; m |]) wide_d k wide_measure) );
+      ]
+  in
   let u_rows = list_size (int_bound 12) (map2 (fun k m -> [| k; m |]) k measure) in
   pair t_rows u_rows
 
