@@ -345,32 +345,38 @@ let check (m : Mapping.t) : (certificate, violation) result =
   let cid p =
     match Hashtbl.find_opt index_of p with Some i -> comp.(i) | None -> -1
   in
+  (* each edge with the components of its endpoints, looked up once *)
+  let comp_edges = List.map (fun e -> (e, cid e.src, cid e.dst)) edges in
   match
     List.find_opt
-      (fun e -> e.kind = Special && cid e.src = cid e.dst && cid e.src >= 0)
-      edges
+      (fun (e, cs, cd) -> e.kind = Special && cs = cd && cs >= 0)
+      comp_edges
   with
-  | Some bad ->
+  | Some (bad, _, _) ->
       (* close the loop: path dst → src inside the SCC, then the
          special edge back *)
       let back = path_within positions edges comp index_of bad.dst bad.src in
       Error { cycle = (bad :: back) }
   | None ->
       (* Rank per SCC: single pass over components in topological
-         order, relaxing outgoing edges.  Within an SCC all edges are
-         ordinary, so one rank per component is consistent. *)
+         order, relaxing each component's outgoing edges, bucketed by
+         source component (in edge order) so every edge is relaxed
+         once.  Within an SCC all edges are ordinary, so one rank per
+         component is consistent. *)
       let ncomp = List.length topo in
+      let outgoing = Array.make (max 1 ncomp) [] in
+      List.iter
+        (fun (e, cs, cd) ->
+          if cs <> cd && cs >= 0 && cd >= 0 then
+            outgoing.(cs) <- (cd, if e.kind = Special then 1 else 0) :: outgoing.(cs))
+        (List.rev comp_edges);
       let crank = Array.make (max 1 ncomp) 0 in
       List.iter
         (fun c ->
           List.iter
-            (fun e ->
-              let cs = cid e.src and cd = cid e.dst in
-              if cs = c && cd <> c && cs >= 0 && cd >= 0 then
-                let w = if e.kind = Special then 1 else 0 in
-                if crank.(cs) + w > crank.(cd) then
-                  crank.(cd) <- crank.(cs) + w)
-            edges)
+            (fun (cd, w) ->
+              if crank.(c) + w > crank.(cd) then crank.(cd) <- crank.(c) + w)
+            outgoing.(c))
         topo;
       let ranks =
         List.map
@@ -383,13 +389,11 @@ let check (m : Mapping.t) : (certificate, violation) result =
       Ok { positions; edges; ranks; max_rank }
 
 let verify (c : certificate) : (unit, string) result =
-  let rank p =
-    match List.assoc_opt p c.ranks with
-    | Some r -> Some r
-    | None -> None
-  in
+  (* the first binding of a position wins, as with [List.assoc] *)
+  let ranks = Hashtbl.create (List.length c.ranks) in
+  List.iter (fun (p, r) -> Hashtbl.replace ranks p r) (List.rev c.ranks);
   let check_edge e =
-    match (rank e.src, rank e.dst) with
+    match (Hashtbl.find_opt ranks e.src, Hashtbl.find_opt ranks e.dst) with
     | Some rs, Some rd ->
         let w = match e.kind with Ordinary -> 0 | Special -> 1 in
         if rd >= rs + w then Ok ()

@@ -213,31 +213,42 @@ let fact_to_string f =
 (* Compare the chased solutions [j1] (of the original mapping) and [j2]
    (of [m2]) on [m2]'s target relations — the original may
    additionally hold temporaries, exactly the non-core facts the
-   optimizer removes.  [Ok facts_compared] or the first difference. *)
-let compare_solutions j1 j2 (m2 : Mapping.t) : (int, string) result =
-  let compared = ref 0 in
+   optimizer removes.  A relation for which [unchanged] holds is known
+   to carry the same facts in both: it counts its cardinality towards
+   [facts_compared] and is not decoded.  [Ok facts_compared] or the
+   first difference.  The "optimize.facts_compared" counter adds the
+   facts actually decoded and compared. *)
+let compare_solutions ?(unchanged = fun _ -> false) j1 j2 (m2 : Mapping.t) :
+    (int, string) result =
+  let compared = ref 0 and decoded = ref 0 in
   let mismatch =
     List.find_map
       (fun (s : Schema.t) ->
         let rel = s.Schema.name in
-        let f1 = Exchange.Instance.facts j1 rel in
-        let f2 = Exchange.Instance.facts j2 rel in
-        compared := !compared + List.length f1;
-        if List.length f1 <> List.length f2 then
-          Some
-            (Printf.sprintf "%s: %d facts before vs %d after" rel
-               (List.length f1) (List.length f2))
+        if unchanged rel then begin
+          compared := !compared + Exchange.Instance.cardinality j1 rel;
+          None
+        end
         else
-          List.find_map
-            (fun (a, b) ->
-              if fact_equal a b then None
-              else
-                Some
-                  (Printf.sprintf "%s: %s vs %s" rel (fact_to_string a)
-                     (fact_to_string b)))
-            (List.combine f1 f2))
+          let f1 = Exchange.Instance.facts j1 rel in
+          let f2 = Exchange.Instance.facts j2 rel in
+          let n1 = List.length f1 and n2 = List.length f2 in
+          compared := !compared + n1;
+          decoded := !decoded + n1;
+          if n1 <> n2 then
+            Some (Printf.sprintf "%s: %d facts before vs %d after" rel n1 n2)
+          else
+            List.find_map
+              (fun (a, b) ->
+                if fact_equal a b then None
+                else
+                  Some
+                    (Printf.sprintf "%s: %s vs %s" rel (fact_to_string a)
+                       (fact_to_string b)))
+              (List.combine f1 f2))
       m2.Mapping.target
   in
+  Obs.count ~n:!decoded "optimize.facts_compared";
   match mismatch with
   | Some msg -> Error ("solutions differ on critical instance: " ^ msg)
   | None -> Ok !compared
@@ -312,10 +323,13 @@ let affected (m : Mapping.t) (next : Mapping.t) =
 
 (* Decide [equivalent_on_critical base.mapping next] by chasing only the
    affected cone of [next], seeded with the base solution for every
-   other relation, then comparing all of [next]'s target relations as
-   the full check does.  Falls back to a full chase of [next] when the
-   cone chase fails, so that an error carries the full check's
-   message.  Also returns [next]'s solution, when one was computed. *)
+   other relation.  The seeded relations hold the base's facts
+   unchanged, so only the affected ones are compared; the others count
+   towards [facts_compared] by cardinality, which gives the full
+   check's verdict, count and message.  Falls back to a full chase of
+   [next] when the cone chase fails, so that an error carries the full
+   check's message.  Also returns [next]'s solution, when one was
+   computed. *)
 let check_against (base : fusion_base) (next : Mapping.t) =
   match Lazy.force base.solution with
   | Error e -> (original_failed e, None)
@@ -336,7 +350,9 @@ let check_against (base : fusion_base) (next : Mapping.t) =
       in
       match Exchange.Chase.run cone j1 with
       | Error _ -> chase_and_compare j1 next (Lazy.force base.instance)
-      | Ok (j2, _) -> (compare_solutions j1 j2 next, Some j2))
+      | Ok (j2, _) ->
+          let unchanged rel = not (List.mem rel affected) in
+          (compare_solutions ~unchanged j1 j2 next, Some j2))
 
 let check_fusion (base : fusion_base) (next : Mapping.t) =
   match check_against base next with

@@ -492,30 +492,49 @@ let wrap_chase f =
         (Printf.sprintf "functionality violation in %s at %s" cube
            (Tuple.to_string key))
 
+(* The functionality egd of a relation: no two of its facts share a key
+   with measures that differ.  Decided in one unsorted pass; on success
+   every fact was checked once.  Only a violating relation is rescanned
+   in key order, which names the first violation in that order and
+   counts the checks up to it. *)
 let check_egd instance (egd : Mappings.Egd.t) stats =
-  match Instance.schema instance egd.Mappings.Egd.relation with
+  let rel = egd.Mappings.Egd.relation in
+  let first_conflict facts_iter =
+    let seen : Value.t Tuple.Table.t = Tuple.Table.create 64 in
+    let checked = ref 0 in
+    let conflict = ref None in
+    (try
+       facts_iter (fun fact ->
+           let n = Array.length fact - 1 in
+           let key = Tuple.of_array (Array.sub fact 0 n) in
+           let measure = fact.(n) in
+           incr checked;
+           match Tuple.Table.find_opt seen key with
+           | Some other when not (Value.equal other measure) ->
+               conflict := Some (key, other, measure);
+               raise_notrace Exit
+           | _ -> Tuple.Table.replace seen key measure)
+     with Exit -> ());
+    (!checked, !conflict)
+  in
+  let verdict (checked, conflict) =
+    stats.egd_checks <- stats.egd_checks + checked;
+    match conflict with
+    | None -> Ok ()
+    | Some (key, other, measure) ->
+        Error
+          (Printf.sprintf "egd violation: %s has two measures (%s, %s) for %s"
+             rel (Value.to_string other) (Value.to_string measure)
+             (Tuple.to_string key))
+  in
+  match Instance.schema instance rel with
   | None -> Ok ()
-  | Some _ ->
-      let seen : Value.t Tuple.Table.t = Tuple.Table.create 64 in
-      let rec loop = function
-        | [] -> Ok ()
-        | fact :: rest ->
-            let n = Array.length fact - 1 in
-            let key = Tuple.of_array (Array.sub fact 0 n) in
-            let measure = fact.(n) in
-            stats.egd_checks <- stats.egd_checks + 1;
-            (match Tuple.Table.find_opt seen key with
-            | Some other when not (Value.equal other measure) ->
-                Error
-                  (Printf.sprintf
-                     "egd violation: %s has two measures (%s, %s) for %s"
-                     egd.Mappings.Egd.relation (Value.to_string other)
-                     (Value.to_string measure) (Tuple.to_string key))
-            | _ ->
-                Tuple.Table.replace seen key measure;
-                loop rest)
-      in
-      loop (Instance.facts instance egd.Mappings.Egd.relation)
+  | Some _ -> (
+      match first_conflict (Instance.iter_facts instance rel) with
+      | _, None as ok -> verdict ok
+      | _, Some _ ->
+          verdict
+            (first_conflict (fun f -> List.iter f (Instance.facts instance rel))))
 
 let check_target_egds (m : Mappings.Mapping.t) instance stats rels =
   let rec loop = function

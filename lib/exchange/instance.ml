@@ -214,15 +214,14 @@ let clear t name =
   Tuple.Table.reset r.store;
   Hashtbl.iter (fun _ idx -> Tuple.Table.reset idx) r.indexes
 
-let facts_unsorted t name =
+(* A pending batch is already in sorted order ([set_batch]'s contract). *)
+let facts t name =
   let r = relation_exn t name in
   match r.pending with
   | Some batch -> Columnar.Batch.to_facts batch
-  | None -> Tuple.Table.fold (fun k () acc -> Tuple.to_array k :: acc) r.store []
-
-let facts t name =
-  facts_unsorted t name
-  |> List.sort (fun a b -> Tuple.compare (Tuple.of_array a) (Tuple.of_array b))
+  | None ->
+      Tuple.Table.fold (fun k () acc -> Tuple.to_array k :: acc) r.store []
+      |> List.sort (fun a b -> Tuple.compare (Tuple.of_array a) (Tuple.of_array b))
 
 let cardinality t name =
   let r = relation_exn t name in

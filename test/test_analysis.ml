@@ -261,6 +261,34 @@ let test_certificate_verification_catches_tampering () =
       Alcotest.(check bool) "zeroed ranks rejected" true
         (A.Acyclicity.verify tampered <> Ok ())
 
+(* A chain of [k] value-creating shifts R0 -> R1 -> ... -> Rk ranks
+   Ri's period position at i, so the certificate's bound is k. *)
+let shift_chain k =
+  let rel i = Printf.sprintf "R%d" i in
+  let schemas = List.init (k + 1) (fun i -> schema (rel i) [ ("t", quarter) ]) in
+  let shift i =
+    M.Tgd.Tuple_level
+      {
+        lhs = [ M.Tgd.atom (rel i) [ tv "t"; tv "m" ] ];
+        rhs = M.Tgd.atom (rel (i + 1)) [ M.Term.Shifted (tv "t", 1); tv "m" ];
+      }
+  in
+  mapping ~source:[ List.hd schemas ] ~target:schemas (List.init k shift)
+
+let test_shift_chain_ranks () =
+  List.iter
+    (fun k ->
+      match A.Acyclicity.check (shift_chain k) with
+      | Error _ -> Alcotest.failf "a chain of %d shifts is acyclic" k
+      | Ok cert ->
+          Alcotest.(check (result unit string))
+            (Printf.sprintf "chain of %d verifies" k)
+            (Ok ()) (A.Acyclicity.verify cert);
+          Alcotest.(check int)
+            (Printf.sprintf "chain of %d: max_rank" k)
+            k cert.A.Acyclicity.max_rank)
+    [ 0; 1; 2; 5; 12 ]
+
 let test_egd_consistency () =
   let a = schema "A" [ ("x", Domain.Int); ("y", Domain.Int) ] in
   let b = schema "B" [ ("x", Domain.Int) ] in
@@ -377,9 +405,41 @@ let test_examples_certified () =
         ("Test_incr.join_source", Test_incr.join_source);
       ])
 
+(* The rank bound of each shipped example's generated and optimized
+   mapping, pinned: the rank pass is exact, so any change is a change
+   in the dependency graph or in how it is ranked. *)
+let example_max_ranks =
+  [
+    ("../examples/quickstart.exl", (7, 5));
+    ("../examples/monetary_aggregates.exl", (6, 5));
+    ("../examples/seasonal_tourism.exl", (6, 5));
+    ("../examples/sdmx_dissemination.exl", (4, 3));
+    ("../examples/multi_target_dispatch.exl", (7, 5));
+  ]
+
+let test_example_ranks () =
+  let max_rank what m =
+    match A.Acyclicity.check m with
+    | Ok cert -> cert.A.Acyclicity.max_rank
+    | Error _ -> Alcotest.failf "%s is not weakly acyclic" what
+  in
+  Alcotest.(check (list (pair string (pair int int))))
+    "max_rank (generated, optimized)" example_max_ranks
+    (List.map
+       (fun (path, _) ->
+         match (A.Lint.source_diagnostics (read_file path)).A.Lint.mapping with
+         | None -> Alcotest.failf "%s: no mapping generated" path
+         | Some m ->
+             ( path,
+               ( max_rank path m,
+                 max_rank path (A.Optimize.run m).A.Optimize.optimized ) ))
+       example_max_ranks)
+
 let test_random_programs_certified =
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:60 ~name:"random programs are weakly acyclic + safe"
+    (QCheck.Test.make
+       ~count:(Helpers.qcheck_count ~var:"EXL_ANALYSIS_QCHECK_COUNT" ~default:60)
+       ~name:"random programs are weakly acyclic + safe"
        Gen.arb_seed (fun seed ->
          let src, _ = Gen.program_of_seed seed in
          certify src = Ok ()))
@@ -397,9 +457,11 @@ let suite =
       ("weak acyclicity: cyclic shift rejected", `Quick, test_weak_acyclicity_rejects_cycle);
       ("weak acyclicity: ordinary cycle accepted", `Quick, test_ordinary_cycle_is_fine);
       ("certificate verification", `Quick, test_certificate_verification_catches_tampering);
+      ("weak acyclicity: rank of a shift chain", `Quick, test_shift_chain_ranks);
       ("egd consistency", `Quick, test_egd_consistency);
       ("stratification failure", `Quick, test_stratification_failure);
       ("unproduced target", `Quick, test_unproduced_target);
       ("example mappings certified", `Quick, test_examples_certified);
+      ("example mappings: pinned max_rank", `Quick, test_example_ranks);
       test_random_programs_certified;
     ]

@@ -256,6 +256,45 @@ let test_set_batch_lazy () =
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "schema mismatch accepted"
 
+(* [Instance.facts] serves a pending batch in its row order without
+   re-sorting: the rows of any batch from [Instance.batch] are sorted,
+   so that order is the sorted decode.  Values include the ones the
+   dictionaries conflate ([Int 1] and [Float 1.], [0.] and [-0.]). *)
+let prop_pending_facts_sorted =
+  let fact =
+    QCheck.Gen.(
+      map (fun (a, b, m) -> [| a; b; m |])
+        (triple gen_dict_value gen_dict_value gen_dict_value))
+  in
+  QCheck.Test.make ~count:qcheck_count
+    ~name:"facts of a pending batch == its sorted decode"
+    (QCheck.make
+       ~print:(fun facts ->
+         String.concat "; "
+           (List.map
+              (fun f ->
+                String.concat ", " (Array.to_list (Array.map Value.to_string f)))
+              facts))
+       QCheck.Gen.(list_size (int_bound 60) fact))
+    (fun facts ->
+      let schema =
+        Schema.make ~name:"S" ~dims:[ ("a", Domain.String); ("b", Domain.Int) ] ()
+      in
+      let src = X.Instance.create () in
+      X.Instance.add_relation src schema;
+      List.iter (fun f -> ignore (X.Instance.insert src "S" f : bool)) facts;
+      let b = X.Instance.batch src "S" in
+      let tgt = X.Instance.create () in
+      X.Instance.add_relation tgt schema;
+      X.Instance.set_batch tgt "S" b;
+      let sorted =
+        List.stable_sort
+          (fun x y -> Tuple.compare (Tuple.of_array x) (Tuple.of_array y))
+          (C.Batch.to_facts b)
+      in
+      List.equal (fun x y -> compare x y = 0) (X.Instance.facts tgt "S") sorted
+      || QCheck.Test.fail_report "facts differ from the sorted decode")
+
 (* --- deterministic A/B on the worked example --- *)
 
 let facts_equal f1 f2 =
@@ -377,6 +416,7 @@ let suite =
     ("kernels: pack/group/segment/join", `Quick, test_kernels);
     ("instance: snapshot isolation (COW indexes)", `Quick, test_snapshot_isolation);
     ("instance: set_batch lazy row views", `Quick, test_set_batch_lazy);
+    QCheck_alcotest.to_alcotest prop_pending_facts_sorted;
     ("chase: columnar A/B on the overview", `Quick, test_overview_ab);
     QCheck_alcotest.to_alcotest prop_columnar_matches_row;
   ]

@@ -128,6 +128,38 @@ let test_opt_perturbed () =
   Alcotest.(check bool) "one extra PDR key moves the counts" true
     (fst (opt_counters (with_extra_pdr_key Rows.micro)) <> List.hd opt_expected)
 
+(* --- optimizer: facts its fusion checks decode and compare, against
+   the certificates' [facts_compared] sum.  The cone check compares
+   only the relations a candidate can change, so the counter stays
+   below the certificates' figure, which counts every target relation
+   as the full re-chase would. --- *)
+
+let fusion_expected = [ (66, 426); (66, 426); (165, 309) ]
+
+(* (optimize.facts_compared, sum of the I304 certificates' facts_compared)
+   of one [Optimize.run] *)
+let fusion_counts (r : Rows.row) =
+  let c = Obs.create ~spans:false () in
+  let report =
+    Obs.with_collector c (fun () ->
+        Analysis.Optimize.run (Rows.mapping_of r.Rows.program))
+  in
+  let certified =
+    List.fold_left
+      (fun acc (a : Analysis.Optimize.action) ->
+        match a.Analysis.Optimize.certificate with
+        | Analysis.Optimize.Fusion_equivalence { facts_compared; _ } ->
+            acc + facts_compared
+        | _ -> acc)
+      0 report.Analysis.Optimize.actions
+  in
+  (Obs.Metrics.counter_value c.Obs.metrics "optimize.facts_compared", certified)
+
+let test_fusion_compared () =
+  Alcotest.(check (list (pair int int)))
+    "(facts compared, certified facts_compared) per row" fusion_expected
+    (List.map fusion_counts Rows.opt)
+
 (* --- columnar vs row chase: identical counters, pinned --- *)
 
 let col_expected = [ 15224; 40000 ]
@@ -309,6 +341,7 @@ let suite =
     ("incr: written back, perturbed input", `Quick, test_written_perturbed);
     ("opt: optimized counters", `Quick, test_opt);
     ("opt: perturbed input", `Quick, test_opt_perturbed);
+    ("opt: fusion check facts compared", `Quick, test_fusion_compared);
     ("col: row == columnar counters", `Quick, test_col);
     ("col: perturbed input", `Quick, test_col_perturbed);
     ("sql: vectorized plan nodes", `Quick, test_sql);

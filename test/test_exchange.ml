@@ -150,6 +150,49 @@ let test_chase_egd_detects_violation () =
         (String.length msg > 0)
   | Ok _ -> Alcotest.fail "expected egd violation"
 
+(* Two violations in one relation, its source inserted in reverse key
+   order: the chase reports the first violation in key order and counts
+   the checks up to it, on the row and the columnar path alike. *)
+let test_chase_egd_first_violation () =
+  let schema_a = Schema.make ~name:"A" ~dims:[ ("x", Domain.Int); ("y", Domain.Int) ] () in
+  let schema_b = Schema.make ~name:"B" ~dims:[ ("x", Domain.Int) ] () in
+  let project =
+    M.Tgd.Tuple_level
+      {
+        lhs = [ M.Tgd.atom "A" [ M.Term.Var "x"; M.Term.Var "y"; M.Term.Var "m" ] ];
+        rhs = M.Tgd.atom "B" [ M.Term.Var "x"; M.Term.Var "m" ];
+      }
+  in
+  let mapping =
+    {
+      M.Mapping.source = [ schema_a ];
+      target = [ schema_a; schema_b ];
+      st_tgds = [];
+      t_tgds = [ project ];
+      egds = [ M.Egd.of_schema schema_b ];
+    }
+  in
+  let inst = X.Instance.create () in
+  X.Instance.add_relation inst schema_a;
+  List.iter
+    (fun (x, y, m) -> ignore (X.Instance.insert inst "A" [| vi x; vi y; vf m |]))
+    [ (4, 1, 7.); (3, 2, 40.); (3, 1, 30.); (2, 1, 5.); (1, 2, 20.); (1, 1, 10.) ];
+  List.iter
+    (fun columnar ->
+      let c = Obs.create ~spans:false () in
+      let result =
+        Obs.with_collector c (fun () -> X.Chase.run ~columnar mapping inst)
+      in
+      let what = if columnar then "columnar" else "row" in
+      (match result with
+      | Error msg ->
+          Alcotest.(check string) (what ^ ": message")
+            "chase failed: egd violation: B has two measures (10, 20) for (1)" msg
+      | Ok _ -> Alcotest.failf "%s: expected an egd violation" what);
+      Alcotest.(check int) (what ^ ": egd_checks") 2
+        (Obs.Metrics.counter_value c.Obs.metrics "chase.egd_checks"))
+    [ true; false ]
+
 let test_chase_empty_source () =
   let reg = Registry.create () in
   let j, _ = run_chase "cube A(x: int);\nB := A + 1;\nC := sum(B, group by x);\n" reg in
@@ -287,6 +330,7 @@ let suite =
     ("chase: table function tgd", `Quick, test_chase_table_fn_tgd);
     ("chase: division hole", `Quick, test_chase_division_hole);
     ("chase: egd violation detected", `Quick, test_chase_egd_detects_violation);
+    ("chase: first egd violation in key order", `Quick, test_chase_egd_first_violation);
     ("chase: empty source", `Quick, test_chase_empty_source);
     ("instance: incremental indexes", `Quick, test_instance_incremental_indexes);
     ("chase: modes agree on overview", `Quick, test_chase_modes_agree_overview);
