@@ -131,7 +131,7 @@ let merge_into store (result : Registry.t) cubes =
   List.iter
     (fun cube ->
       match Registry.find result cube with
-      | Some c -> Registry.add store Registry.Derived (Cube.copy c)
+      | Some c -> Registry.add store Registry.Derived c
       | None -> ())
     cubes
 

@@ -71,35 +71,40 @@ let measure_error schema name v =
     (Domain.to_string schema.Schema.measure_domain)
     name
 
-let load_elementary t cube =
-  let name = Cube.name cube in
+(* The declared schema of [name], which must be an elementary cube. *)
+let elementary_schema t name =
   match Determination.schema t.determination name with
   | None -> Error (Printf.sprintf "no program declares cube %s" name)
   | Some schema ->
       if Determination.kind t.determination name <> Some Registry.Elementary
       then Error (Printf.sprintf "cube %s is derived, not elementary" name)
-      else begin
-        let keys_fit = ref true and bad_measure = ref None in
-        Cube.iter
-          (fun k v ->
-            if not (Schema.compatible_tuple schema k) then keys_fit := false;
-            if not (Domain.member v schema.Schema.measure_domain) then
-              bad_measure := Some v)
-          cube;
-        match !bad_measure with
-        | _ when not !keys_fit ->
-            Error (Printf.sprintf "data for %s does not fit schema %s" name
-                     (Schema.to_string schema))
-        | Some v -> Error (measure_error schema name v)
-        | None ->
-            Registry.add t.store Registry.Elementary
-              (Cube.with_schema schema cube);
-            if not (List.mem name t.dirty) then t.dirty <- name :: t.dirty;
-            (* A wholesale replacement invalidates the incremental
-               solution cache; the next update batch rebuilds it. *)
-            invalidate_solution t;
-            Ok ()
-      end
+      else Ok schema
+
+let load_elementary t cube =
+  let name = Cube.name cube in
+  match elementary_schema t name with
+  | Error _ as e -> e
+  | Ok schema -> (
+      let keys_fit = ref true and bad_measure = ref None in
+      Cube.iter
+        (fun k v ->
+          if not (Schema.compatible_tuple schema k) then keys_fit := false;
+          if not (Domain.member v schema.Schema.measure_domain) then
+            bad_measure := Some v)
+        cube;
+      match !bad_measure with
+      | _ when not !keys_fit ->
+          Error (Printf.sprintf "data for %s does not fit schema %s" name
+                   (Schema.to_string schema))
+      | Some v -> Error (measure_error schema name v)
+      | None ->
+          (* A copy: the caller may go on writing its own cube. *)
+          Registry.add t.store Registry.Elementary (Cube.with_schema schema cube);
+          if not (List.mem name t.dirty) then t.dirty <- name :: t.dirty;
+          (* A wholesale replacement invalidates the incremental
+             solution cache; the next update batch rebuilds it. *)
+          invalidate_solution t;
+          Ok ())
 
 let changed t = List.sort String.compare t.dirty
 
@@ -161,25 +166,20 @@ let empty_update_report =
 
 (* The update's key, once it passed validation. *)
 let validate_update t (u : Update.t) =
-  match Determination.schema t.determination u.Update.cube with
-  | None -> Error (Printf.sprintf "no program declares cube %s" u.Update.cube)
-  | Some schema ->
-      if Determination.kind t.determination u.Update.cube <> Some Registry.Elementary
-      then
+  match elementary_schema t u.Update.cube with
+  | Error _ as e -> e
+  | Ok schema -> (
+      let key = Tuple.of_list u.Update.key in
+      if not (Schema.compatible_tuple schema key) then
         Error
-          (Printf.sprintf "cube %s is derived, not elementary" u.Update.cube)
+          (Printf.sprintf "update key %s does not fit schema %s"
+             (Tuple.to_string key) (Schema.to_string schema))
       else
-        let key = Tuple.of_list u.Update.key in
-        if not (Schema.compatible_tuple schema key) then
-          Error
-            (Printf.sprintf "update key %s does not fit schema %s"
-               (Tuple.to_string key) (Schema.to_string schema))
-        else
-          match u.Update.action with
-          | Update.Remove -> Ok key
-          | Update.Set v ->
-              if Domain.member v schema.Schema.measure_domain then Ok key
-              else Error (measure_error schema u.Update.cube v)
+        match u.Update.action with
+        | Update.Remove -> Ok key
+        | Update.Set v ->
+            if Domain.member v schema.Schema.measure_domain then Ok key
+            else Error (measure_error schema u.Update.cube v))
 
 (* Every update paired with its key, or the first validation error. *)
 let keyed_updates t updates =
@@ -194,93 +194,72 @@ let keyed_updates t updates =
 
 let validate_updates t updates = Result.map ignore (keyed_updates t updates)
 
-(* A key's value before the batch and after the updates so far. *)
-type revision = { original : Value.t option; mutable final : Value.t option }
-
-(* Apply the batch to the store's elementary cubes in order, then
-   compact it to net per-key changes: a key revised twice contributes
-   one removed/added pair, a revision back to the original value
-   contributes nothing.  Also returns the undo of the whole batch:
-   every revised key back to its original value, and every cube the
-   batch created out of the store. *)
+(* The engine never writes a cube it has installed: the batch writes
+   an O(1) copy of each elementary cube it names (a fresh cube for a
+   cube's first data) and installs the copies.  It is compacted to net
+   per-key changes, each key's value before its first update against
+   its value in the copy: a key revised twice contributes one
+   removed/added pair, a revision back to the original value nothing.
+   Also returns, per cube, the cube its copy replaced ([None] for a
+   cube the batch created), to reinstall should the propagation
+   fail. *)
 let apply_to_store t keyed =
-  let revisions : (string, revision Tuple.Table.t) Hashtbl.t =
-    Hashtbl.create 8
-  in
-  let created = ref [] in
+  let versions = Hashtbl.create 8 in
   List.iter
     (fun ((u : Update.t), key) ->
       let name = u.Update.cube in
-      let cube =
-        match Registry.find t.store name with
-        | Some c -> c
+      let _, cube, originals =
+        match Hashtbl.find_opt versions name with
+        | Some version -> version
         | None ->
-            (* First data for this cube arrives as an update batch. *)
-            let c =
-              Cube.create (Option.get (Determination.schema t.determination name))
+            let previous = Registry.find t.store name in
+            let cube =
+              match previous with
+              | Some c -> Cube.copy c
+              | None ->
+                  Cube.create
+                    (Option.get (Determination.schema t.determination name))
             in
-            Registry.add t.store Registry.Elementary c;
-            created := name :: !created;
-            c
+            let version = (previous, cube, Tuple.Table.create 16) in
+            Hashtbl.replace versions name version;
+            version
       in
-      let touched =
-        match Hashtbl.find_opt revisions name with
-        | Some tbl -> tbl
-        | None ->
-            let tbl = Tuple.Table.create 16 in
-            Hashtbl.replace revisions name tbl;
-            tbl
-      in
-      let revision =
-        match Tuple.Table.find_opt touched key with
-        | Some r -> r
-        | None ->
-            let original = Cube.find cube key in
-            let r = { original; final = original } in
-            Tuple.Table.replace touched key r;
-            r
-      in
+      if not (Tuple.Table.mem originals key) then
+        Tuple.Table.replace originals key (Cube.find cube key);
       match u.Update.action with
-      | Update.Set v ->
-          Cube.set cube key v;
-          revision.final <- (if Value.is_null v then None else Some v)
-      | Update.Remove ->
-          Cube.remove cube key;
-          revision.final <- None)
+      | Update.Set v -> Cube.set cube key v
+      | Update.Remove -> Cube.remove cube key)
     keyed;
-  let undo () =
-    Hashtbl.iter
-      (fun name touched ->
-        let cube = Registry.find_exn t.store name in
-        Tuple.Table.iter
-          (fun key { original; _ } ->
-            match original with
-            | Some v -> Cube.set cube key v
-            | None -> Cube.remove cube key)
-          touched)
-      revisions;
-    List.iter (Registry.remove t.store) !created
-  in
   let deltas =
     Hashtbl.fold
-      (fun name touched acc ->
+      (fun name (_, cube, originals) acc ->
+        Registry.add t.store Registry.Elementary cube;
         let added = ref [] and removed = ref [] in
         Tuple.Table.iter
-          (fun key { original; final } ->
-            match (original, final) with
+          (fun key original ->
+            match (original, Cube.find cube key) with
             | None, None -> ()
             | Some o, Some f when Value.equal o f -> ()
             | o, f ->
                 let fact v = Tuple.append key v in
                 Option.iter (fun v -> removed := fact v :: !removed) o;
                 Option.iter (fun v -> added := fact v :: !added) f)
-          touched;
+          originals;
         if !added = [] && !removed = [] then acc
         else
           (name, { Exchange.Chase.added = !added; removed = !removed }) :: acc)
-      revisions []
+      versions []
   in
-  (List.sort (fun (a, _) (b, _) -> String.compare a b) deltas, undo)
+  (List.sort (fun (a, _) (b, _) -> String.compare a b) deltas, versions)
+
+(* Undo [apply_to_store]: the cubes its copies replaced go back. *)
+let reinstall t versions =
+  Hashtbl.iter
+    (fun name (previous, _, _) ->
+      match previous with
+      | Some c -> Registry.add t.store Registry.Elementary c
+      | None -> Registry.remove t.store name)
+    versions
 
 (* Full rebuild of the solution cache: one semi-naive chase of the
    complete program over the (already updated) store. *)
@@ -321,9 +300,9 @@ let warm t =
    whose store copy is the one this solution last wrote becomes an O(1)
    copy of it with the relation's net change from the chase applied;
    any other (written by the dispatcher or loaded from disk, or a
-   solution's first write) is rebuilt whole from its relation.  The
-   store's previous cube is never mutated: published snapshots may
-   still be serving it.  Returns the facts written. *)
+   solution's first write) is rebuilt whole from its relation.  Like
+   every installed cube, the previous one is never written: snapshots
+   and history versions may still hold it.  Returns the facts written. *)
 let store_derived ?(as_of = default_as_of) t sol ~changes ~write_back
     ~versioned =
   List.fold_left
@@ -365,7 +344,7 @@ let apply_updates ?as_of t (updates : Update.t list) =
     match keyed_updates t updates with
     | Error _ as e -> e
     | Ok keyed -> (
-        let deltas, undo = apply_to_store t keyed in
+        let deltas, versions = apply_to_store t keyed in
         let facts_changed =
           List.fold_left
             (fun acc (_, d) ->
@@ -426,7 +405,7 @@ let apply_updates ?as_of t (updates : Update.t list) =
             in
             match propagated with
             | Error _ as e ->
-                undo ();
+                reinstall t versions;
                 e
             | Ok (sol, cache_hit, istats, changes) ->
                 (* Transitive invalidation: only the affected cubes get

@@ -88,8 +88,12 @@ val apply_updates :
 
     The whole batch is validated first (unknown cube, derived cube,
     key/measure domain mismatch ⇒ [Error], store untouched), then
-    applied to the store and compacted to net per-key fact deltas
-    (updates that cancel out propagate nothing).  The dirty derived set
+    applied to an O(1) {!Matrix.Cube.copy} of each elementary cube it
+    names (a fresh cube for a cube's first data), which replaces that
+    cube in the store, and compacted to net per-key fact deltas
+    (updates that cancel out propagate nothing).  The engine never
+    writes a cube it has installed, so a cube read from {!cube},
+    {!store} or the history before the batch keeps its facts.  The dirty derived set
     comes from {!Determination.dirty_set}; propagation seeds
     {!Exchange.Chase.incremental} with the fact deltas against the
     cached solution of the previous batch, or falls back to one full
@@ -98,19 +102,17 @@ val apply_updates :
     invalidated it).  Each affected cube is written back as an O(1)
     {!Matrix.Cube.copy} of its previous store cube with the chase's net
     change applied, so a write-back costs the change, or rebuilt whole
-    when the dispatcher or {!load_store} wrote the store cube since; the
-    previous cube is never mutated, so readers holding it keep a
-    consistent view.  Affected cubes get a new dated version
+    when the dispatcher or {!load_store} wrote the store cube since.
+    Affected cubes get a new dated version
     in the history; unaffected cubes keep theirs, so {!cube_as_of}
     still answers for both.  An empty batch is a no-op.
 
     When propagation fails (the chase returns [Error], e.g. a revision
     leaves a series too short for a table function), the batch is
-    undone before the [Error] is returned: every revised key gets its
-    pre-batch value back and a cube the batch created leaves the
-    store, derived cubes and history are untouched, and any cached
-    solution is dropped, so the next batch rebuilds it from the
-    restored store. *)
+    undone before the [Error] is returned: the store gets back the very
+    cubes the batch replaced and loses any cube it created, derived
+    cubes and history are untouched, and any cached solution is
+    dropped, so the next batch rebuilds it from the restored store. *)
 
 val save_store : t -> dir:string -> (unit, string) result
 (** Persist the central cube store (elementary and derived) to a

@@ -21,7 +21,7 @@ let store t ~valid_from cube =
   versions :=
     List.sort
       (fun (a, _) (b, _) -> Calendar.Date.compare a b)
-      ((valid_from, Cube.copy cube) :: without)
+      ((valid_from, cube) :: without)
 
 let versions t name =
   match Hashtbl.find_opt t name with Some v -> !v | None -> []

@@ -12,9 +12,9 @@ type t
 val create : unit -> t
 
 val store : t -> valid_from:Calendar.Date.t -> Cube.t -> unit
-(** Keeps an O(1) {!Cube.copy} of the cube, so a version costs the
-    writes made to the cube since the previous one.  Storing twice with
-    the same date replaces that version. *)
+(** Keeps the cube itself: the engine never writes a cube it has
+    installed, so a version costs nothing beyond the cube.  Storing
+    twice with the same date replaces that version. *)
 
 val as_of : t -> Calendar.Date.t -> string -> Cube.t option
 (** The version whose validity start is the latest one <= the date. *)

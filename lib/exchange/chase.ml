@@ -724,7 +724,7 @@ let strata_of m =
     (fun msg -> "chase failed: " ^ msg)
     (Mappings.Stratify.strata m)
 
-let run_semi_naive ~check_egds ~executor ~columnar (m : Mappings.Mapping.t)
+let run_semi_naive ~executor ~columnar (m : Mappings.Mapping.t)
     target stats =
   let rec loop i = function
     | [] -> Ok ()
@@ -739,7 +739,6 @@ let run_semi_naive ~check_egds ~executor ~columnar (m : Mappings.Mapping.t)
             (fun () -> run_stratum ~executor ~columnar target stats stratum)
         with
         | Error _ as e -> e
-        | Ok () when not check_egds -> loop (i + 1) rest
         | Ok () -> (
             match
               check_target_egds m target stats
@@ -818,10 +817,9 @@ let chase_with ~mode ~columnar (m : Mappings.Mapping.t) source evaluate =
   end;
   Result.map (fun () -> (target, stats)) result
 
-let run ?(check_egds = true) ?(executor = sequential_executor)
-    ?(columnar = true) m source =
+let run ?(executor = sequential_executor) ?(columnar = true) m source =
   chase_with ~mode:"semi_naive" ~columnar m source (fun target stats ->
-      run_semi_naive ~check_egds ~executor ~columnar m target stats)
+      run_semi_naive ~executor ~columnar m target stats)
 
 let run_naive m source =
   chase_with ~mode:"naive" ~columnar:false m source (fun target stats ->

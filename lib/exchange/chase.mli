@@ -27,7 +27,6 @@ type stats = {
 }
 
 val run :
-  ?check_egds:bool ->
   ?executor:((unit -> unit) list -> unit) ->
   ?columnar:bool ->
   Mappings.Mapping.t ->

@@ -62,8 +62,10 @@ let private_base schema data =
     ordered = Atomic.make None;
   }
 
-(* Only the owner of a private base writes [frozen], so a reader of a
-   frozen base never races with the write. *)
+(* [frozen] only ever goes from false to true, and nobody writes a
+   published cube's table, so threads that freeze one table at once
+   (readers indexing it, a writer copying its cube) all store the same
+   value. *)
 let freeze base = if not base.frozen then base.frozen <- true
 
 let create schema =

@@ -16,10 +16,11 @@
     table, the cube folds the two into a fresh private table, so a
     write copies O(1) facts, amortized.
 
-    The rule that makes sharing safe: nobody writes a cube a reader
-    holds.  A writer hands readers a {!copy} and keeps writing its own
-    cube; the reader's copy never changes, and any number of threads
-    may read it at once. *)
+    The rule that makes sharing safe: nobody writes a cube once it is
+    published.  A writer writes a {!copy} of the published cube and
+    publishes the copy in its place; the published cube never changes,
+    so any number of threads may read it at once, and a reader keeps
+    it as long as it likes without copying it. *)
 
 type t
 

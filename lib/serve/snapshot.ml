@@ -31,15 +31,14 @@ let as_of entry date =
   in
   match List.rev applicable with (_, cube) :: _ -> Some cube | [] -> None
 
-(* The engine keeps writing its store cubes, so the snapshot holds an
-   O(1) copy of each; history versions are copies the engine never
-   writes again, and are shared. *)
+(* The engine never writes a cube it has installed, so the entry holds
+   the engine's current cube and history versions themselves. *)
 let read_entry engine ~status name =
   let det = Engine.Exlengine.determination engine in
   match (Engine.Determination.schema det name, Engine.Determination.kind det name)
   with
   | Some schema, Some kind ->
-      let current = Option.map Cube.copy (Engine.Exlengine.cube engine name) in
+      let current = Engine.Exlengine.cube engine name in
       let versions =
         Engine.Historicity.versions (Engine.Exlengine.history engine) name
       in

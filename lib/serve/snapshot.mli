@@ -9,14 +9,12 @@ open Matrix
     builds the next snapshot only after {!Engine.Exlengine.apply_updates}
     committed, and swaps it in with one atomic store (swap-on-commit).
 
-    Publishing costs O(1) per touched cube: the snapshot holds a
-    {!Cube.copy} of each engine cube, which shares the engine's facts
-    and overlay and never changes while the engine keeps writing its
-    own cube; history versions are copies the engine never writes
-    again, and are shared; untouched entries are shared with the
-    previous snapshot.  A filtered read of a snapshot's cube is a
-    {!Cube.select}: it reads a posting list and the overlay, not the
-    whole cube. *)
+    Publishing costs O(1) per touched cube: the snapshot keeps the
+    engine's current cube and history versions themselves, which never
+    change because the engine never writes a cube it has installed;
+    untouched entries are shared with the previous snapshot.  A
+    filtered read of a snapshot's cube is a {!Cube.select}: it reads a
+    posting list and the overlay, not the whole cube. *)
 
 type status =
   | Healthy
@@ -42,13 +40,12 @@ val seq : t -> int
 
 val capture :
   ?report:Engine.Dispatcher.report -> Engine.Exlengine.t -> t
-(** The boot snapshot: a copy of every engine cube, statuses derived
-    from the recompute [report]'s quarantined/skipped sets. *)
+(** The boot snapshot: every engine cube, statuses derived from the
+    recompute [report]'s quarantined/skipped sets. *)
 
 val publish : prev:t -> touched:string list -> Engine.Exlengine.t -> t
 (** The post-commit snapshot: entries named in [touched] are re-read
-    from the engine as fresh copies, everything else is shared with
-    [prev]. *)
+    from the engine, everything else is shared with [prev]. *)
 
 val find : t -> string -> entry option
 

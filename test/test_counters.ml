@@ -73,13 +73,16 @@ let test_incr () =
    only each cube's changed facts, one per removed or added fact. *)
 let written_expected = [ 379; 84; 112; 146 ]
 
-let written_back (fixture : Rows.incr) n =
+(* The counter [name] moved by one batch revising [n] keys. *)
+let batch_counter name (fixture : Rows.incr) n =
   let c = Obs.create ~spans:false () in
   ignore
     (Obs.with_collector c (fun () ->
          ok (Engine.Exlengine.apply_updates fixture.Rows.engine (fixture.Rows.batch n)))
       : Engine.Exlengine.update_report);
-  Obs.Metrics.counter_value c.Obs.metrics "incr.facts_written_back"
+  Obs.Metrics.counter_value c.Obs.metrics name
+
+let written_back = batch_counter "incr.facts_written_back"
 
 let test_written () =
   let fixture = Rows.incr_setup () in
@@ -94,6 +97,23 @@ let test_written_perturbed () =
   ignore (written_back fixture 1 : int);
   Alcotest.(check bool) "one extra revised key moves the count" true
     (written_back fixture 2 <> List.nth written_expected 1)
+
+(* --- incremental apply_updates: facts copied --- *)
+
+(* A batch revises O(1) copies of the store cubes, so it copies no
+   facts until a copy's overlay outgrows its table and the two fold
+   into a fresh one.  The 1 % and 10 % batches revise more than an
+   eighth of the small derived cubes GDPT and PCHNG, and copy their
+   17 + 16 facts; PDR's overlay stays small. *)
+let copied_expected = [ 0; 33; 33 ]
+
+let test_copied () =
+  let fixture = Rows.incr_setup () in
+  List.iter2
+    (fun (label, n) expected ->
+      Alcotest.(check int) label expected
+        (batch_counter "cube.facts_copied" fixture n))
+    fixture.Rows.batches copied_expected
 
 (* --- optimizer: matches, tuples and non-core facts of the optimized
    chase, which must examine fewer matches than the generated mapping
@@ -339,6 +359,7 @@ let suite =
     ("incr: facts rederived", `Quick, test_incr);
     ("incr: facts written back", `Quick, test_written);
     ("incr: written back, perturbed input", `Quick, test_written_perturbed);
+    ("incr: facts copied", `Quick, test_copied);
     ("opt: optimized counters", `Quick, test_opt);
     ("opt: perturbed input", `Quick, test_opt_perturbed);
     ("opt: fusion check facts compared", `Quick, test_fusion_compared);

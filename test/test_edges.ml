@@ -162,30 +162,6 @@ let test_historicity_same_date_replaces () =
     (Option.get
        (Cube.find (Option.get (Engine.Historicity.latest h "X")) (key [ vi 1 ])))
 
-(* --- chase without egd checks --- *)
-
-let test_chase_check_egds_flag () =
-  let { M.Generate.mapping; _ } =
-    check_ok (M.Generate.of_source Helpers.overview_program)
-  in
-  let reg = overview_registry () in
-  let source = Exchange.Instance.of_registry reg in
-  let j1, s1 =
-    match Exchange.Chase.run ~check_egds:false mapping source with
-    | Ok r -> r
-    | Error m -> Alcotest.fail m
-  in
-  let j2, s2 =
-    match Exchange.Chase.run ~check_egds:true mapping source with
-    | Ok r -> r
-    | Error m -> Alcotest.fail m
-  in
-  Alcotest.(check int) "no egd comparisons" 0 s1.Exchange.Chase.egd_checks;
-  Alcotest.(check bool) "egd comparisons done" true (s2.Exchange.Chase.egd_checks > 0);
-  Alcotest.check cube_eq "same result"
-    (Exchange.Instance.cube_of_relation j1 "PCHNG")
-    (Exchange.Instance.cube_of_relation j2 "PCHNG")
-
 (* --- frame utilities --- *)
 
 let test_frame_sort_append_filter () =
@@ -214,6 +190,5 @@ let suite =
     ("fuse: rejects non tuple-level", `Quick, test_fuse_step_rejects_non_tuple_level);
     ("stratify: forward reference", `Quick, test_stratify_detects_forward_reference);
     ("historicity: same date replaces", `Quick, test_historicity_same_date_replaces);
-    ("chase: check_egds flag", `Quick, test_chase_check_egds_flag);
     ("frame: sort/append/filter", `Quick, test_frame_sort_append_filter);
   ]

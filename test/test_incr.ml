@@ -741,8 +741,9 @@ let make_engine ?config source data =
   engine
 
 (* A from-scratch engine over the same final data: apply the batches
-   directly to a copy of the registry, then recompute everything. *)
-let scratch_engine source data batches =
+   directly to a copy of the registry, then recompute everything.
+   Returns the engine and its recompute report. *)
+let scratch_run source data batches =
   let data = Registry.copy data in
   List.iter
     (fun (u : Engine.Update.t) ->
@@ -753,8 +754,9 @@ let scratch_engine source data batches =
       | Engine.Update.Remove -> Cube.remove cube k)
     (List.concat batches);
   let engine = make_engine source data in
-  ignore (ok (Engine.Exlengine.recompute_all engine));
-  engine
+  (engine, ok (Engine.Exlengine.recompute_all engine))
+
+let scratch_engine source data batches = fst (scratch_run source data batches)
 
 let check_derived_agree what a b =
   List.iter
@@ -1036,22 +1038,15 @@ let test_apply_updates_validation_atomic () =
   Alcotest.(check bool) ("mentions cube: " ^ msg) true
     (Astring_contains.contains msg "NOPE")
 
-(* A batch whose propagation fails is undone whole.  Deleting the
-   last quarter of PDR leaves GDP seven quarters, too short for stl_t;
-   the batch also brings the first data of X, a cube no data was
-   loaded for.  It fails on a cold cache (the rebuild chase fails) and
-   on a warm one (the incremental chase fails): both times every cube
-   in the store is as it was, and the next valid batch equals a
-   from-scratch engine. *)
-let test_apply_updates_failed_batch_rolls_back () =
-  let source =
-    Helpers.overview_program
-    ^ "cube X(q: quarter, r: string);\nY := X + RGDPPC;\n"
-  in
-  let data = small_overview () in
-  let engine = make_engine source data in
-  ignore (ok (Engine.Exlengine.recompute engine));
-  let before = Registry.copy (Engine.Exlengine.store engine) in
+(* The overview program plus a cube X no data was loaded for. *)
+let rollback_source =
+  Helpers.overview_program
+  ^ "cube X(q: quarter, r: string);\nY := X + RGDPPC;\n"
+
+(* A batch whose propagation fails: deleting the last quarter of PDR
+   leaves GDP seven quarters, too short for stl_t, and the batch also
+   brings the first data of X. *)
+let failing_batch data =
   let last_quarter =
     List.filter_map
       (fun k ->
@@ -1062,10 +1057,19 @@ let test_apply_updates_failed_batch_rolls_back () =
   in
   Alcotest.(check int) "a quarter of days, two regions" 184
     (List.length last_quarter);
-  let failing =
-    Engine.Update.set ~cube:"X" ~key:[ vq 2020 1; vs "north" ] (vf 1.)
-    :: last_quarter
-  in
+  Engine.Update.set ~cube:"X" ~key:[ vq 2020 1; vs "north" ] (vf 1.)
+  :: last_quarter
+
+(* A batch whose propagation fails is undone whole.  It fails on a cold
+   cache (the rebuild chase fails) and on a warm one (the incremental
+   chase fails): both times every cube in the store is as it was, and
+   the next valid batch equals a from-scratch engine. *)
+let test_apply_updates_failed_batch_rolls_back () =
+  let data = small_overview () in
+  let engine = make_engine rollback_source data in
+  ignore (ok (Engine.Exlengine.recompute engine));
+  let before = Registry.copy (Engine.Exlengine.store engine) in
+  let failing = failing_batch data in
   let store_as_before what =
     let store = Engine.Exlengine.store engine in
     Alcotest.(check (list string)) (what ^ ": same cubes")
@@ -1088,14 +1092,63 @@ let test_apply_updates_failed_batch_rolls_back () =
   in
   ignore (ok (Engine.Exlengine.apply_updates engine valid));
   check_derived_agree "after the rollback" engine
-    (scratch_engine source data [ valid ])
+    (scratch_engine rollback_source data [ valid ])
+
+(* The engine never writes a cube it has installed.  A cube held
+   across a successful batch and a failing one keeps its pre-batch
+   facts, and the failing batch reinstalls the very cubes it
+   replaced. *)
+let test_apply_updates_held_cubes_keep_facts () =
+  let data = small_overview () in
+  let engine = make_engine rollback_source data in
+  ignore (ok (Engine.Exlengine.recompute engine));
+  let hold name =
+    let cube = Option.get (Engine.Exlengine.cube engine name) in
+    (name, cube, Cube.of_alist (Cube.schema cube) (Cube.to_alist cube))
+  in
+  let check_held what held =
+    List.iter
+      (fun (name, cube, facts) ->
+        Alcotest.check cube_eq
+          (Printf.sprintf "%s: the %s held before keeps its facts" what name)
+          facts cube)
+      held
+  in
+  let held = [ hold "PDR"; hold "GDP" ] in
+  let k = [ vd 2020 1 1; vs "north" ] in
+  ignore
+    (ok
+       (Engine.Exlengine.apply_updates engine
+          [ Engine.Update.set ~cube:"PDR" ~key:k (vf 1234.) ]));
+  Alcotest.check value "the store reads the revision" (vf 1234.)
+    (Option.get
+       (Cube.find (Option.get (Engine.Exlengine.cube engine "PDR")) (key k)));
+  check_held "successful batch" held;
+  let store = Engine.Exlengine.store engine in
+  let installed =
+    List.map (fun name -> (name, Registry.find_exn store name)) (Registry.names store)
+  in
+  let held = held @ [ hold "PDR"; hold "GDP" ] in
+  ignore (err "failing batch" (Engine.Exlengine.apply_updates engine (failing_batch data)));
+  check_held "failed batch" held;
+  Alcotest.(check (list string)) "X leaves the store" (List.map fst installed)
+    (Registry.names store);
+  List.iter
+    (fun (name, cube) ->
+      Alcotest.(check bool) (name ^ " is its pre-batch cube") true
+        (Registry.find_exn store name == cube))
+    installed
 
 (* --- incremental == from-scratch, property-tested ---
 
-   For random programs (test/gen.ml) and random revision batches, two
-   apply_updates calls (the first builds the cache, the second runs the
-   delta-seeded chase against it) must leave every derived cube equal
-   to a from-scratch recompute_all over the final data. *)
+   For random programs (test/gen.ml) and random uncompacted revision
+   batches, two apply_updates calls (the first builds the cache, the
+   second runs the delta-seeded chase against it) must leave every
+   derived cube equal to a from-scratch recompute_all over the final
+   data, and report as [facts_changed] the facts each batch added to or
+   removed from the elementary cubes.  A batch whose removals break a
+   table function's precondition must fail from scratch too, and leave
+   the store as it was. *)
 
 let qcheck_count =
   Helpers.qcheck_count ~var:"EXL_INCR_QCHECK_COUNT" ~default:30
@@ -1104,22 +1157,54 @@ let arb_seeds =
   QCheck.pair Gen.arb_seed
     (QCheck.make ~print:string_of_int QCheck.Gen.(0 -- 1_000_000))
 
-let random_batch st data ~factor =
+(* A key of the cube's schema that no generated cube holds. *)
+let absent_key k =
+  Tuple.of_list
+    (match Tuple.to_list k with
+    | Value.Period _ :: rest -> vq 2040 1 :: rest
+    | _ :: rest -> vs "absent" :: rest
+    | [] -> [])
+
+(* About one key in ten of each elementary cube, as the engine holds
+   it now, gets one of the edits compaction must net out: a set, a key
+   set twice, a removal, set-then-del, del-then-set, a set back to the
+   current value, or a del of a key the cube does not hold. *)
+let random_batch st engine names ~factor =
   List.concat_map
     (fun name ->
-      let cube = Registry.find_exn data name in
-      let ups = ref [] in
-      Cube.iter
-        (fun k v ->
-          if Random.State.float st 1.0 < 0.1 then
+      let set k v = Engine.Update.set ~cube:name ~key:(Tuple.to_list k) v in
+      let del k = Engine.Update.remove ~cube:name ~key:(Tuple.to_list k) in
+      Cube.fold
+        (fun k v ups ->
+          if Random.State.float st 1.0 >= 0.1 then ups
+          else
             let f = Option.value ~default:1. (Value.to_float v) in
-            ups :=
-              Engine.Update.set ~cube:name ~key:(Tuple.to_list k)
-                (vf ((f *. factor) +. 1.))
-              :: !ups)
-        cube;
-      !ups)
-    (Registry.elementary_names data)
+            let revised = vf ((f *. factor) +. 1.) in
+            let edit =
+              match Random.State.int st 7 with
+              | 0 -> [ set k revised ]
+              | 1 -> [ set k (vf (f +. 2.)); set k revised ]
+              | 2 -> [ del k ]
+              | 3 -> [ set k revised; del k ]
+              | 4 -> [ del k; set k revised ]
+              | 5 -> [ set k v ]
+              | _ -> [ del (absent_key k) ]
+            in
+            List.rev_append edit ups)
+        (Option.get (Engine.Exlengine.cube engine name))
+        []
+      |> List.rev)
+    names
+
+(* Facts (key and measure) held by one cube and not the other. *)
+let facts_diff a b =
+  let one_sided a b =
+    Cube.fold
+      (fun k v n ->
+        match Cube.find b k with Some w when Value.equal v w -> n | _ -> n + 1)
+      a 0
+  in
+  one_sided a b + one_sided b a
 
 let prop_incremental_equals_scratch =
   QCheck.Test.make ~count:qcheck_count
@@ -1131,23 +1216,67 @@ let prop_incremental_equals_scratch =
       (match Engine.Exlengine.recompute_all engine with
       | Ok _ -> ()
       | Error msg -> QCheck.Test.fail_reportf "recompute_all: %s\n%s" msg src);
-      let batch1 = random_batch st data ~factor:1.5 in
-      let batch2 = random_batch st data ~factor:0.5 in
-      let apply what batch =
-        match Engine.Exlengine.apply_updates engine batch with
-        | Ok r -> r
-        | Error msg -> QCheck.Test.fail_reportf "%s: %s\n%s" what msg src
+      let names = Registry.elementary_names data in
+      let facts name =
+        let c = Option.get (Engine.Exlengine.cube engine name) in
+        Cube.of_alist (Cube.schema c) (Cube.to_alist c)
       in
-      let r1 = apply "batch1" batch1 in
-      let r2 = apply "batch2" batch2 in
+      (* Apply one more batch after the [applied] ones: the batches
+         applied now, and the report or [None] when the batch failed. *)
+      let apply applied what ~factor =
+        let batch = random_batch st engine names ~factor in
+        let installed =
+          List.map
+            (fun name -> (name, Engine.Exlengine.cube engine name))
+            (Registry.names (Engine.Exlengine.store engine))
+        in
+        let before = List.map facts names in
+        match Engine.Exlengine.apply_updates engine batch with
+        | Error msg ->
+            (* A removal broke a table function's precondition: the
+               batch fails from scratch too, and every cube it replaced
+               is back in the store. *)
+            let _, report = scratch_run src data (applied @ [ batch ]) in
+            if not (Engine.Dispatcher.degraded report) then
+              QCheck.Test.fail_reportf "%s fails only incrementally: %s\n%s"
+                what msg src;
+            if
+              Registry.names (Engine.Exlengine.store engine)
+              <> List.map fst installed
+              || not
+                   (List.for_all
+                      (fun (name, cube) ->
+                        Option.equal ( == ) cube (Engine.Exlengine.cube engine name))
+                      installed)
+            then
+              QCheck.Test.fail_reportf "%s: a failure left new cubes: %s\n%s"
+                what msg src;
+            (applied, None)
+        | Ok r ->
+            let changed =
+              List.fold_left2
+                (fun n name old -> n + facts_diff old (facts name))
+                0 names before
+            in
+            if r.Engine.Exlengine.facts_changed <> changed then
+              QCheck.Test.fail_reportf
+                "%s: facts_changed %d, elementary cubes changed by %d\n%s" what
+                r.Engine.Exlengine.facts_changed changed src;
+            (applied @ [ batch ], Some r)
+      in
+      let applied, r1 = apply [] "batch1" ~factor:1.5 in
+      let applied, r2 = apply applied "batch2" ~factor:0.5 in
       (* the second propagating batch must run against the cache the
          first one built (batches that propagate nothing build none) *)
-      (r1.Engine.Exlengine.recomputed = []
-      || r2.Engine.Exlengine.recomputed = []
-      || r2.Engine.Exlengine.cache_hit
-      || QCheck.Test.fail_reportf "second batch missed the cache\n%s" src)
+      (match (r1, r2) with
+      | Some r1, Some r2 ->
+          r1.Engine.Exlengine.recomputed = []
+          || r2.Engine.Exlengine.recomputed = []
+          || r2.Engine.Exlengine.cache_hit
+          || QCheck.Test.fail_reportf "second batch missed the cache\n%s" src
+      | _ -> true)
       &&
-      let scratch = scratch_engine src data [ batch1; batch2 ] in
+      let scratch = scratch_engine src data applied in
       List.for_all
         (fun name ->
           match
@@ -1429,6 +1558,7 @@ let suite =
     ("facade: cache invalidation on load", `Quick, test_apply_updates_cache_invalidation);
     ("facade: batch validation is atomic", `Quick, test_apply_updates_validation_atomic);
     ("facade: a failed batch leaves the store as it was", `Quick, test_apply_updates_failed_batch_rolls_back);
+    ("facade: a cube held before a batch keeps its pre-batch facts", `Quick, test_apply_updates_held_cubes_keep_facts);
     QCheck_alcotest.to_alcotest prop_incremental_equals_scratch;
     ("signed: a fact outlives one of two derivations", `Quick, test_signed_two_derivations);
     ("signed: a mis-ordered mapping stratifies by dependency", `Quick, test_misordered_stratifies_by_dependency);
