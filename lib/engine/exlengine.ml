@@ -368,7 +368,6 @@ let apply_updates ?as_of t (updates : Update.t list) =
               match t.solution with
               | Some sol ->
                   Obs.count "incr.cache_hits";
-                  let executor = Option.map Pool.executor t.pool in
                   (* A cube nothing reads has no relation in the cached
                      solution; its store update is already done and its
                      delta propagates nowhere. *)
@@ -382,9 +381,8 @@ let apply_updates ?as_of t (updates : Update.t list) =
                     (fun (_stats, istats, changes) ->
                       (sol, true, istats, changes))
                     (match
-                       Exchange.Chase.incremental ?executor
-                         ~state:sol.sol_state sol.sol_mapping
-                         ~solution:sol.sol_instance ~deltas
+                       Exchange.Chase.incremental ~state:sol.sol_state
+                         sol.sol_mapping ~solution:sol.sol_instance ~deltas
                      with
                     | Ok _ as ok -> ok
                     | Error _ as e ->

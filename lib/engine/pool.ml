@@ -109,8 +109,6 @@ let run_all (type a) t (fs : (unit -> a) list) : a list =
      of the exceptions after all tasks have finished *)
   List.map (function Ok v -> v | Error (_, e) -> raise e) outcomes
 
-let executor t tasks = ignore (run_all t tasks : unit list)
-
 let shutdown t =
   Mutex.lock t.mutex;
   let was_closed = t.closed in
@@ -126,9 +124,8 @@ let with_pool ?size f =
   let t = create ?size () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
-(* One lazily created process-wide pool, shared by the dispatcher and
-   the parallel chase so repeated waves reuse warm domains instead of
-   spawning fresh ones. *)
+(* One lazily created process-wide pool, so the dispatcher's repeated
+   waves reuse warm domains instead of spawning fresh ones. *)
 let shared_lock = Mutex.create ()
 let shared_pool = ref None
 

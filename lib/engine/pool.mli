@@ -1,11 +1,11 @@
 (** A reusable domain pool.
 
-    The dispatcher's wave parallelism and the chase's within-stratum
-    parallelism both need short bursts of independent work; spawning
-    and joining fresh domains per burst costs hundreds of microseconds
-    each.  A pool keeps [size] worker domains alive across bursts, and
-    the submitting domain helps drain the queue, so a burst never waits
-    on a fully occupied (or zero-sized) pool. *)
+    The dispatcher runs the independent subgraphs of a wave as one
+    short burst of work; spawning and joining fresh domains per burst
+    costs hundreds of microseconds each.  A pool keeps [size] worker
+    domains alive across bursts, and the submitting domain helps drain
+    the queue, so a burst never waits on a fully occupied (or
+    zero-sized) pool. *)
 
 type t
 
@@ -35,10 +35,6 @@ val run_all : t -> (unit -> 'a) list -> 'a list
     their results in order.  If any task raises, one of the exceptions
     is re-raised after all tasks have finished.  Safe to call from
     several domains at once. *)
-
-val executor : t -> (unit -> unit) list -> unit
-(** [run_all] specialised to unit tasks — matches the chase's
-    [?executor] parameter. *)
 
 val shutdown : t -> unit
 (** Signal workers to exit and join them; idempotent.  Tasks already

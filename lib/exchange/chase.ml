@@ -21,15 +21,6 @@ let empty_stats () =
     rounds = 0;
   }
 
-(* Fold one (per-domain) stats record into another; [rounds] is global
-   bookkeeping of the driver loop, never task-local. *)
-let merge_stats ~into (s : stats) =
-  into.matches_examined <- into.matches_examined + s.matches_examined;
-  into.tuples_generated <- into.tuples_generated + s.tuples_generated;
-  into.tgds_applied <- into.tgds_applied + s.tgds_applied;
-  into.egd_checks <- into.egd_checks + s.egd_checks;
-  into.nulls_created <- into.nulls_created + s.nulls_created
-
 exception Chase_error of string
 
 (* Try to extend [binding] so that [args] (terms) match [fact] (values),
@@ -283,21 +274,6 @@ let match_plan instance stats (plan : (Tgd.atom * atom_source) list)
 let indexed_matcher instance stats atoms k =
   match_plan instance stats (List.map (fun a -> (a, Full)) atoms) k
 
-(* The (relation, positions) pairs a tuple-level lhs probes, computed
-   statically by replaying the binding order — so a stratum can build
-   all its persistent indexes before its tgds run in parallel. *)
-let index_needs lhs =
-  let rec loop bound_vars acc = function
-    | [] -> List.rev acc
-    | (atom : Tgd.atom) :: rest ->
-        let determined = determined_positions bound_vars atom in
-        let acc =
-          if determined = [] then acc else (atom.Tgd.rel, determined) :: acc
-        in
-        loop (extend_bound_vars bound_vars atom) acc rest
-  in
-  loop [] [] lhs
-
 (* ----- tgd application ----- *)
 
 (* [nulls_created] is the non-core overhead counter: facts landing in
@@ -492,6 +468,22 @@ let wrap_chase f =
         (Printf.sprintf "functionality violation in %s at %s" cube
            (Tuple.to_string key))
 
+(* Apply [tgds] in order through [apply], counting each application;
+   stops at the first tgd that fails. *)
+let rec apply_each stats apply = function
+  | [] -> Ok ()
+  | tgd :: rest -> (
+      match
+        wrap_chase (fun () ->
+            apply tgd;
+            stats.tgds_applied <- stats.tgds_applied + 1)
+      with
+      | Error msg ->
+          Error
+            (Printf.sprintf "chase failed on tgd [%s]: %s" (Tgd.to_string tgd)
+               msg)
+      | Ok () -> apply_each stats apply rest)
+
 (* The functionality egd of a relation: no two of its facts share a key
    with measures that differ.  Decided in one unsorted pass; on success
    every fact was checked once.  Only a violating relation is rescanned
@@ -583,22 +575,11 @@ let naive_fixpoint (m : Mappings.Mapping.t) target stats =
   let round () =
     let snapshot = Instance.copy target in
     List.iter (fun rel -> Instance.clear target rel) rels;
-    let rec pass = function
-      | [] -> Ok ()
-      | tgd :: rest -> (
-          match
-            wrap_chase (fun () ->
-                apply_body_full ~matcher:match_atoms ~out:target snapshot stats
-                  tgd;
-                stats.tgds_applied <- stats.tgds_applied + 1)
-          with
-          | Error msg ->
-              Error
-                (Printf.sprintf "chase failed on tgd [%s]: %s"
-                   (Tgd.to_string tgd) msg)
-          | Ok () -> pass rest)
-    in
-    match pass tgds with
+    match
+      apply_each stats
+        (apply_body_full ~matcher:match_atoms ~out:target snapshot stats)
+        tgds
+    with
     | Error _ as e -> e
     | Ok () ->
         (* fixpoint test: same fact set as the snapshot, per relation *)
@@ -639,93 +620,26 @@ let naive_fixpoint (m : Mappings.Mapping.t) target stats =
 
 (* ----- the stratified chase ----- *)
 
-(* One tgd against [instance], counting into fresh stats so tgds of a
-   stratum can run on separate domains. *)
-let apply_full ~vectorized instance tgd =
-  let local = empty_stats () in
-  let res =
-    wrap_chase (fun () ->
-        apply_body_full ~matcher:indexed_matcher ~vectorized instance local tgd;
-        local.tgds_applied <- local.tgds_applied + 1)
-  in
-  (res, local)
-
-let run_stratum ~executor ~columnar instance stats stratum =
-  (* Pre-build what the stratum will probe, so the parallel phase only
-     ever reads the shared relations: source batches (and their
-     append-only dictionaries) for kernel-handled tgds, persistent
-     indexes for the rest.  [Vchase.handles] depends only on schemas
-     and tgd shape, both fixed for the stratum, so a handled tgd is
-     guaranteed to take the batch path. *)
-  List.iter
-    (fun tgd ->
-      if columnar && Vchase.handles instance tgd then
-        Vchase.prewarm instance tgd
-      else
-        match tgd with
-        | Tgd.Tuple_level { lhs; _ } ->
-            List.iter
-              (fun (rel, positions) ->
-                Instance.ensure_index instance rel positions)
-              (index_needs lhs)
-        | _ -> ())
-    stratum;
-  (* One full application per tgd: a stratum reads only lower strata,
-     so nothing it derives feeds it.  Tgds with pairwise distinct
-     targets are independent and may run on separate domains, each
-     writing only its own target relation. *)
+(* One full application per tgd, in stratum order: a stratum reads
+   only lower strata, so nothing it derives feeds it. *)
+let run_stratum ~columnar instance stats stratum =
   stats.rounds <- stats.rounds + 1;
-  let parallel_safe =
-    let targets = List.map Tgd.target_relation stratum in
-    List.length (List.sort_uniq String.compare targets) = List.length targets
-  in
-  let apply tgd =
-    Obs.with_span "chase.tgd"
-      ~attrs:[ ("target", Tgd.target_relation tgd) ]
-      (fun () -> apply_full ~vectorized:columnar instance tgd)
-  in
-  let outcomes =
-    Obs.with_span "chase.round"
-      ~attrs:
-        [ ("round", "1"); ("parallel", string_of_bool parallel_safe) ]
-      (fun () ->
-        match stratum with
-        | [ tgd ] -> [ apply tgd ]
-        | _ when not parallel_safe -> List.map apply stratum
-        | _ ->
-            let n = List.length stratum in
-            let results = Array.make n None in
-            let tasks =
-              List.mapi (fun i tgd () -> results.(i) <- Some (apply tgd)) stratum
-            in
-            executor tasks;
-            Array.to_list results
-            |> List.map (function
-                 | Some r -> r
-                 | None ->
-                     (Error "parallel chase task did not run", empty_stats ())))
-  in
-  let first_error = ref None in
-  List.iter2
-    (fun tgd (res, local) ->
-      merge_stats ~into:stats local;
-      match res with
-      | Error msg when !first_error = None ->
-          first_error :=
-            Some
-              (Printf.sprintf "chase failed on tgd [%s]: %s" (Tgd.to_string tgd)
-                 msg)
-      | _ -> ())
-    stratum outcomes;
-  match !first_error with Some msg -> Error msg | None -> Ok ()
+  Obs.with_span "chase.round" ~attrs:[ ("round", "1") ] (fun () ->
+      apply_each stats
+        (fun tgd ->
+          Obs.with_span "chase.tgd"
+            ~attrs:[ ("target", Tgd.target_relation tgd) ]
+            (fun () ->
+              apply_body_full ~matcher:indexed_matcher ~vectorized:columnar
+                instance stats tgd))
+        stratum)
 
 let strata_of m =
   Result.map_error
     (fun msg -> "chase failed: " ^ msg)
     (Mappings.Stratify.strata m)
 
-let run_semi_naive ~executor ~columnar (m : Mappings.Mapping.t)
-    target stats =
+let run_semi_naive ~columnar (m : Mappings.Mapping.t) target stats =
   let rec loop i = function
     | [] -> Ok ()
     | stratum :: rest -> (
@@ -736,7 +650,7 @@ let run_semi_naive ~executor ~columnar (m : Mappings.Mapping.t)
                 ("stratum", string_of_int i);
                 ("tgds", string_of_int (List.length stratum));
               ]
-            (fun () -> run_stratum ~executor ~columnar target stats stratum)
+            (fun () -> run_stratum ~columnar target stats stratum)
         with
         | Error _ as e -> e
         | Ok () -> (
@@ -748,8 +662,6 @@ let run_semi_naive ~executor ~columnar (m : Mappings.Mapping.t)
             | Ok () -> loop (i + 1) rest))
   in
   Result.bind (strata_of m) (loop 0)
-
-let sequential_executor tasks = List.iter (fun task -> task ()) tasks
 
 (* Σst: copy the source relations into a fresh instance over the target
    schemas (the paper keeps the same symbols for a relation and its
@@ -786,7 +698,7 @@ let copy_sources ~columnar (m : Mappings.Mapping.t) source =
 let chase_with ~mode ~columnar (m : Mappings.Mapping.t) source evaluate =
   let stats = empty_stats () in
   let target = copy_sources ~columnar m source in
-  let builds0, lookups0 = Instance.index_stats () in
+  let builds0, lookups0 = Instance.index_stats target in
   let result =
     Obs.with_span "chase.run"
       ~attrs:
@@ -804,7 +716,7 @@ let chase_with ~mode ~columnar (m : Mappings.Mapping.t) source evaluate =
   (* Aggregated flush: the hot match loops touch only the local
      [stats] record; the metrics registry sees one update per run. *)
   if Obs.enabled () then begin
-    let builds1, lookups1 = Instance.index_stats () in
+    let builds1, lookups1 = Instance.index_stats target in
     Obs.count "chase.runs";
     Obs.count ~n:stats.rounds "chase.rounds";
     Obs.count ~n:stats.matches_examined "chase.matches_examined";
@@ -817,9 +729,9 @@ let chase_with ~mode ~columnar (m : Mappings.Mapping.t) source evaluate =
   end;
   Result.map (fun () -> (target, stats)) result
 
-let run ?(executor = sequential_executor) ?(columnar = true) m source =
+let run ?(columnar = true) m source =
   chase_with ~mode:"semi_naive" ~columnar m source (fun target stats ->
-      run_semi_naive ~executor ~columnar m target stats)
+      run_semi_naive ~columnar m target stats)
 
 let run_naive m source =
   chase_with ~mode:"naive" ~columnar:false m source (fun target stats ->
@@ -870,7 +782,7 @@ let select_touched stratum ~touched =
    touched targets entirely, re-run the touched tgds from their
    (already updated) sources, then diff old vs new facts to get a
    compact delta for the strata above. *)
-let incr_rederive_stratum ~executor instance stats istats selected =
+let incr_rederive_stratum instance stats istats selected =
   let targets =
     List.sort_uniq String.compare (List.map Tgd.target_relation selected)
   in
@@ -889,7 +801,7 @@ let incr_rederive_stratum ~executor instance stats istats selected =
   (* Vectorized like a full run: the cached solution this repairs was
      produced by the (columnar-default) [run], and the incremental
      speedup floor is measured against that same baseline. *)
-  match run_stratum ~executor ~columnar:true instance stats selected with
+  match run_stratum ~columnar:true instance stats selected with
   | Error _ as e -> e
   | Ok () ->
       Ok
@@ -1233,8 +1145,7 @@ let incr_signed_tgd instance stats istats counts lhs (rhs : Tgd.atom)
   in
   ({ added = !added; removed = !removed }, counts)
 
-let incremental ?(executor = sequential_executor) ~state
-    (m : Mappings.Mapping.t) ~solution ~deltas =
+let incremental ~state (m : Mappings.Mapping.t) ~solution ~deltas =
   let unknown =
     List.filter (fun (rel, _) -> Instance.schema solution rel = None) deltas
   in
@@ -1297,7 +1208,7 @@ let incremental ?(executor = sequential_executor) ~state
             (1 + Option.value ~default:0 (Hashtbl.find_opt producers rel)))
         m.Mappings.Mapping.t_tgds;
       let sole_producer rel = Hashtbl.find_opt producers rel = Some 1 in
-      let builds0, lookups0 = Instance.index_stats () in
+      let builds0, lookups0 = Instance.index_stats solution in
       let run_stratum_incr i stratum =
         istats.strata_total <- istats.strata_total + 1;
         let selected = select_touched stratum ~touched in
@@ -1342,8 +1253,7 @@ let incremental ?(executor = sequential_executor) ~state
               let* out1 =
                 if rederive = [] then Ok []
                 else
-                  incr_rederive_stratum ~executor solution stats istats
-                    rederive
+                  incr_rederive_stratum solution stats istats rederive
               in
               let delta_of rel =
                 Option.value ~default:empty_delta (Hashtbl.find_opt current rel)
@@ -1431,7 +1341,7 @@ let incremental ?(executor = sequential_executor) ~state
           (fun () -> loop 0 strata)
       in
       if Obs.enabled () then begin
-        let builds1, lookups1 = Instance.index_stats () in
+        let builds1, lookups1 = Instance.index_stats solution in
         Obs.count "chase.incr.runs";
         Obs.count ~n:istats.input_facts "chase.incr.input_facts";
         Obs.count ~n:istats.facts_rederived "chase.incr.facts_rederived";

@@ -27,7 +27,6 @@ type stats = {
 }
 
 val run :
-  ?executor:((unit -> unit) list -> unit) ->
   ?columnar:bool ->
   Mappings.Mapping.t ->
   Instance.t ->
@@ -42,13 +41,6 @@ val run :
     itself"] on recursive tgds, on egd violation (chase failure) or on a tgd that
     cannot be evaluated (a variable occurring only under uninvertible
     terms).
-
-    [executor] runs the independent applications of a multi-tgd
-    stratum whose targets are pairwise distinct; it defaults to
-    sequential execution, and e.g. a domain pool's [run_all] can be
-    supplied to evaluate them in parallel.  All persistent indexes a
-    stratum needs are built before the executor is invoked, so tasks
-    only read shared relations and write their own target.
 
     [columnar] (default [true]) routes kernel-able tgds — all-variable
     selections/projections, two-atom equi-joins, dimension-keyed
@@ -111,7 +103,6 @@ type incr_state
 val create_incr_state : unit -> incr_state
 
 val incremental :
-  ?executor:((unit -> unit) list -> unit) ->
   state:incr_state ->
   Mappings.Mapping.t ->
   solution:Instance.t ->

@@ -16,19 +16,15 @@ type fact = Value.t array
    [cache] memoizes the columnar view of the current contents (it
    equals [pending] while that is set); any mutation drops it.
 
-   Snapshots ([copy]) share the secondary-index table copy-on-write:
-   both sides keep the pointer and a [shared_indexes] flag, and the
-   first side to mutate detaches onto a fresh empty table, rebuilding
-   lazily via [ensure_index].  Batches and dictionaries are immutable
-   /append-only and are always shared. *)
+   An instance is touched by one domain at a time: nothing in it is
+   synchronized. *)
 type relation = {
   schema : Schema.t;
   store : unit Tuple.Table.t;
-  mutable indexes : (int list, fact list Tuple.Table.t) Hashtbl.t;
+  indexes : (int list, fact list Tuple.Table.t) Hashtbl.t;
       (* persistent secondary indexes: sorted position list -> (values
          at those positions -> facts); created lazily by [ensure_index]
          and maintained by every later insert/remove *)
-  mutable shared_indexes : bool;
   mutable pending : Columnar.Batch.t option;
   mutable cache : Columnar.Batch.t option;
 }
@@ -39,9 +35,17 @@ type t = {
       (* per-instance dictionaries, one per domain: every batch encoded
          for this instance shares codes per domain, so same-domain
          columns join by int comparison *)
+  mutable builds : int;  (* index telemetry, see [index_stats] *)
+  mutable lookups : int;
 }
 
-let create () = { rels = Hashtbl.create 32; pool = Columnar.Dict.create_pool () }
+let create () =
+  {
+    rels = Hashtbl.create 32;
+    pool = Columnar.Dict.create_pool ();
+    builds = 0;
+    lookups = 0;
+  }
 
 let add_relation t schema =
   let name = schema.Schema.name in
@@ -51,7 +55,6 @@ let add_relation t schema =
         schema;
         store = Tuple.Table.create 64;
         indexes = Hashtbl.create 4;
-        shared_indexes = false;
         pending = None;
         cache = None;
       }
@@ -71,23 +74,10 @@ let relation_exn t name =
   | Some r -> r
   | None -> invalid_arg ("Instance: unknown relation " ^ name)
 
-(* Process-global index telemetry; readers snapshot before/after a
-   chase run and report the delta (see Chase).  Atomics: indexes are
-   built from pool worker domains. *)
-let index_builds = Atomic.make 0
-let index_lookups = Atomic.make 0
-let index_stats () = (Atomic.get index_builds, Atomic.get index_lookups)
+let index_stats t = (t.builds, t.lookups)
 
 let index_key positions (fact : fact) =
   Tuple.of_list (List.map (fun p -> fact.(p)) positions)
-
-(* First mutation after a snapshot: detach from the shared index table
-   so the sibling keeps its view; our indexes rebuild on demand. *)
-let own_indexes r =
-  if r.shared_indexes then begin
-    r.indexes <- Hashtbl.create 4;
-    r.shared_indexes <- false
-  end
 
 (* Turn a pending batch into live row stores.  Indexes cannot exist
    yet for this relation (every index op materializes first), so only
@@ -111,7 +101,6 @@ let insert t name fact =
   let key = Tuple.of_array fact in
   if Tuple.Table.mem r.store key then false
   else begin
-    own_indexes r;
     r.cache <- None;
     Tuple.Table.add r.store key ();
     Hashtbl.iter
@@ -129,7 +118,6 @@ let remove t name fact =
   Tuple.Table.remove r.store key;
   if Tuple.Table.length r.store = before then false
   else begin
-    own_indexes r;
     r.cache <- None;
     Hashtbl.iter
       (fun positions idx ->
@@ -144,23 +132,25 @@ let mem t name fact =
   materialize r;
   Tuple.Table.mem r.store (Tuple.of_array fact)
 
-(* Snapshot.  Row stores are copied (they are cheap relative to the
-   secondary indexes); secondary indexes are shared copy-on-write;
-   batches, dictionaries and the pool are immutable/append-only and
-   shared outright. *)
+(* Snapshot.  Row stores are copied and secondary indexes start empty,
+   rebuilding lazily; batches, dictionaries and the pool are
+   immutable/append-only and shared outright. *)
 let copy t =
   let out =
-    { rels = Hashtbl.create (Hashtbl.length t.rels); pool = t.pool }
+    {
+      rels = Hashtbl.create (Hashtbl.length t.rels);
+      pool = t.pool;
+      builds = 0;
+      lookups = 0;
+    }
   in
   Hashtbl.iter
     (fun name r ->
-      r.shared_indexes <- true;
       Hashtbl.replace out.rels name
         {
           schema = r.schema;
           store = Tuple.Table.copy r.store;
-          indexes = r.indexes;
-          shared_indexes = true;
+          indexes = Hashtbl.create 4;
           pending = r.pending;
           cache = r.cache;
         })
@@ -181,20 +171,18 @@ let ensure_index t name positions =
   let r = relation_exn t name in
   materialize r;
   if not (Hashtbl.mem r.indexes positions) then begin
-    Atomic.incr index_builds;
+    t.builds <- t.builds + 1;
     let idx = Tuple.Table.create (max 64 (Tuple.Table.length r.store)) in
     Tuple.Table.iter
       (fun k () ->
         let fact = (k : Tuple.t :> Value.t array) in
         Tuple.Table.add_multi idx (index_key positions fact) fact)
       r.store;
-    (* Adding to a shared table is sound: sharing implies neither side
-       has mutated since the snapshot, so the index is valid for both. *)
     Hashtbl.replace r.indexes positions idx
   end
 
 let lookup_index t name positions values =
-  Atomic.incr index_lookups;
+  t.lookups <- t.lookups + 1;
   ensure_index t name positions;
   let r = relation_exn t name in
   Tuple.Table.find_multi
@@ -208,7 +196,6 @@ let indexed_positions t name =
 
 let clear t name =
   let r = relation_exn t name in
-  own_indexes r;
   r.pending <- None;
   r.cache <- None;
   Tuple.Table.reset r.store;
@@ -260,7 +247,6 @@ let set_batch t name b =
   let r = relation_exn t name in
   if not (Schema.equal r.schema (Columnar.Batch.schema b)) then
     invalid_arg ("Instance.set_batch: schema mismatch on " ^ name);
-  own_indexes r;
   Tuple.Table.reset r.store;
   Hashtbl.iter (fun _ idx -> Tuple.Table.reset idx) r.indexes;
   Array.iteri

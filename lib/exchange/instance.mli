@@ -6,7 +6,10 @@ open Matrix
     {!Matrix.Cube} store — precisely so that egd violations {e can}
     materialize and be detected, mirroring the paper's setting where
     functionality is a constraint to check, not a data-structure
-    invariant. *)
+    invariant.
+
+    Nothing in an instance is synchronized: one domain at a time may
+    touch it. *)
 
 type fact = Value.t array
 (** Dimension values followed by the measure. *)
@@ -30,11 +33,11 @@ val remove : t -> string -> fact -> bool
 
 val mem : t -> string -> fact -> bool
 val copy : t -> t
-(** Snapshot.  Row stores are copied; secondary indexes are shared
-    copy-on-write (the first side to mutate detaches and rebuilds its
-    indexes lazily), and columnar batches/dictionaries are shared
-    outright — they are immutable/append-only.  Snapshots are fully
-    isolated: mutating either side never shows through the other. *)
+(** Snapshot.  Row stores are copied; the copy starts with no secondary
+    index (each rebuilds on its first use) and with zeroed
+    {!index_stats}; columnar batches/dictionaries are shared outright —
+    they are immutable/append-only.  Snapshots are fully isolated:
+    mutating either side never shows through the other. *)
 
 val ensure_index : t -> string -> int list -> unit
 (** Build the persistent secondary index of a relation on the given
@@ -50,10 +53,11 @@ val indexed_positions : t -> string -> int list list
 (** Position lists currently indexed on a relation (sorted; for tests
     and diagnostics). *)
 
-val index_stats : unit -> int * int
-(** Process-global [(builds, lookups)] totals across all instances;
-    telemetry readers snapshot before/after a run and report the
-    delta. *)
+val index_stats : t -> int * int
+(** [(builds, lookups)] of this instance's persistent indexes so far:
+    {!ensure_index} calls that built an index, and {!lookup_index}
+    calls.  Telemetry readers take it before and after a run and
+    report the difference. *)
 
 val iter_facts : t -> string -> (fact -> unit) -> unit
 (** Zero-copy iteration over a relation's facts, in no particular

@@ -8,11 +8,10 @@
    row-at-a-time matcher, only without per-row [Tuple]/[Binding]
    allocation in the loops.
 
-   [handles] is the static gate: when it says yes, [apply] commits (no
-   runtime fallback — wide keys go through a composite-key table, not
-   back to rows), which is what lets the chase skip row-index
-   pre-builds for vectorizable tgds and keep Σst-installed relations
-   purely columnar. *)
+   When [apply] accepts a tgd's shape it commits (no runtime fallback
+   — wide keys go through a composite-key table, not back to rows), so
+   Σst-installed relations a vectorizable tgd reads stay purely
+   columnar. *)
 
 open Matrix
 module Tgd = Mappings.Tgd
@@ -437,28 +436,6 @@ let try_join ctx (a1 : Tgd.atom) (a2 : Tgd.atom) (rhs : Tgd.atom) =
           | None -> ());
       ctx.count !matched;
       true
-
-let handles instance tgd =
-  match tgd with
-  | Tgd.Aggregation { source; group_by; measure; _ } ->
-      Option.is_some (agg_shape instance source group_by measure)
-  | Tgd.Tuple_level { lhs = [ a ]; rhs = _ } ->
-      Option.is_some (atom_shape instance a)
-  | Tgd.Tuple_level { lhs = [ a1; a2 ]; rhs = _ } ->
-      Option.is_some (join_shape instance a1 a2)
-  | Tgd.Tuple_level _ | Tgd.Table_fn _ | Tgd.Outer_combine _ -> false
-
-(* Encode (and cache) the batches a vectorizable tgd will read —
-   called sequentially before a stratum's parallel phase so worker
-   domains only ever read warmed caches and append-only dictionaries. *)
-let prewarm instance tgd =
-  if handles instance tgd then
-    List.iter
-      (fun rel ->
-        match Instance.schema instance rel with
-        | Some _ -> ignore (Instance.batch instance rel)
-        | None -> ())
-      (Tgd.source_relations tgd)
 
 let apply ctx tgd =
   match tgd with

@@ -1,8 +1,8 @@
 (** The metrics registry: counters, gauges, and fixed-bucket histograms.
 
     A registry is a plain mutable value owned by one collector; all
-    operations are thread-safe (the chase strata and dispatcher
-    subgraphs record from pool domains).  Metric names are dotted
+    operations are thread-safe (dispatcher subgraphs record from pool
+    domains).  Metric names are dotted
     (["chase.rounds"]); the Prometheus exporter sanitizes them. *)
 
 type histogram = {

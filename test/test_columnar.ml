@@ -1,5 +1,5 @@
 (* Columnar batches and the vectorized chase: dictionary round-trips,
-   kernel semantics, copy-on-write snapshot isolation, and the A/B
+   kernel semantics, snapshot isolation, and the A/B
    property that the columnar path reproduces the row engine exactly —
    same solution, same counters. *)
 open Matrix
@@ -192,7 +192,7 @@ let test_kernels () =
     "pairs" [ (0, 2); (0, 0); (3, 1) ]
     (List.rev !pairs)
 
-(* --- snapshot isolation (copy-on-write indexes) --- *)
+(* --- snapshot isolation (a snapshot rebuilds its own indexes) --- *)
 
 let test_snapshot_isolation () =
   let inst = X.Instance.create () in
@@ -203,8 +203,8 @@ let test_snapshot_isolation () =
   done;
   X.Instance.ensure_index inst "A" [ 0 ];
   let snap = X.Instance.copy inst in
-  (* mutate the original: the snapshot shares the index table
-     copy-on-write and must keep the pre-mutation view *)
+  (* mutate the original: the snapshot's indexes, rebuilt from its own
+     rows, must keep the pre-mutation view *)
   ignore (X.Instance.insert inst "A" [| vi 9; vf 9. |]);
   ignore (X.Instance.remove inst "A" [| vi 1; vf 1. |]);
   Alcotest.(check int) "orig cardinality" 5 (X.Instance.cardinality inst "A");

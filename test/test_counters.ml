@@ -18,19 +18,21 @@ let stats ?columnar mapping source =
   | Ok (_, stats) -> stats
   | Error msg -> Alcotest.fail msg
 
-(* The same row with one more PDR observation, in a quarter no other
-   fact reaches. *)
-let with_extra_pdr_key (r : Rows.row) =
+(* The same row with one more fact in [cube]. *)
+let with_extra_key cube k (r : Rows.row) =
   {
     r with
     Rows.data =
       (fun () ->
         let reg = r.Rows.data () in
-        Cube.set (Registry.find_exn reg "PDR")
-          (key [ vd 2030 1 1; vs (Workload.region_name 0) ])
-          (vf 1.);
+        Cube.set (Registry.find_exn reg cube) (key k) (vf 1.);
         reg);
   }
+
+(* The same row with one more PDR observation, in a quarter no other
+   fact reaches. *)
+let with_extra_pdr_key =
+  with_extra_key "PDR" [ vd 2030 1 1; vs (Workload.region_name 0) ]
 
 (* --- semi-naive chase: matches examined --- *)
 
@@ -73,14 +75,16 @@ let test_incr () =
    only each cube's changed facts, one per removed or added fact. *)
 let written_expected = [ 379; 84; 112; 146 ]
 
-(* The counter [name] moved by one batch revising [n] keys. *)
-let batch_counter name (fixture : Rows.incr) n =
+(* The counters moved by one batch revising [n] keys, read by name. *)
+let batch_counters (fixture : Rows.incr) n =
   let c = Obs.create ~spans:false () in
   ignore
     (Obs.with_collector c (fun () ->
          ok (Engine.Exlengine.apply_updates fixture.Rows.engine (fixture.Rows.batch n)))
       : Engine.Exlengine.update_report);
-  Obs.Metrics.counter_value c.Obs.metrics name
+  Obs.Metrics.counter_value c.Obs.metrics
+
+let batch_counter name fixture n = batch_counters fixture n name
 
 let written_back = batch_counter "incr.facts_written_back"
 
@@ -206,6 +210,52 @@ let test_col () =
 let test_col_perturbed () =
   Alcotest.(check bool) "one extra PDR key moves the count" true
     (col_matches (with_extra_pdr_key (List.hd Rows.col)) <> List.hd col_expected)
+
+(* --- chase: persistent index builds and lookups --- *)
+
+(* Only the row matcher probes a persistent index, and it builds one
+   on its first probe of a (relation, positions) pair: the 16k-row
+   join probes once per fact of one side, and the chain's single-atom
+   tgds scan and probe nothing.  The kernels read column batches and
+   build none.  An update batch's repair probes the cached solution,
+   whose indexes outlive the batch, so later batches build fewer. *)
+let index_expected = [ (3, 31); (3, 199); (1, 16_000); (0, 0) ]
+let col_index_expected = [ (0, 0); (0, 0) ]
+let incr_index_expected = [ (2, 182); (1, 45); (0, 70) ]
+
+let index_counts counter = (counter "chase.index_builds", counter "chase.index_lookups")
+
+(* (builds, lookups) of one chase of [r] *)
+let chase_index_counts ~columnar (r : Rows.row) =
+  let mapping = Rows.mapping_of r.Rows.program in
+  let source = source r in
+  let c = Obs.create ~spans:false () in
+  ignore (Obs.with_collector c (fun () -> stats ~columnar mapping source) : Exchange.Chase.stats);
+  index_counts (Obs.Metrics.counter_value c.Obs.metrics)
+
+let test_index () =
+  let check ~columnar rows expected =
+    List.iter2
+      (fun (r : Rows.row) n ->
+        Alcotest.(check (pair int int)) r.Rows.label n (chase_index_counts ~columnar r))
+      rows expected
+  in
+  check ~columnar:false Rows.chase index_expected;
+  check ~columnar:true Rows.col col_index_expected;
+  let fixture = Rows.incr_setup () in
+  List.iter2
+    (fun (label, n) expected ->
+      Alcotest.(check (pair int int)) label expected (index_counts (batch_counters fixture n)))
+    fixture.Rows.batches incr_index_expected
+
+let test_index_perturbed () =
+  let join = List.nth Rows.chase 2 in
+  Alcotest.(check bool) "one extra A key moves the join's lookups" true
+    (chase_index_counts ~columnar:false (with_extra_key "A" [ vq 2099 1; vs "extra" ] join)
+    <> List.nth index_expected 2);
+  let fixture = Rows.incr_setup () in
+  Alcotest.(check bool) "one extra revised key moves the counts" true
+    (index_counts (batch_counters fixture 2) <> List.hd incr_index_expected)
 
 (* --- SQL executor: plan nodes on the vectorized paths --- *)
 
@@ -369,4 +419,6 @@ let suite =
     ("sql: perturbed input", `Quick, test_sql_perturbed);
     ("serve: commit copies and slice keys", `Quick, test_serve);
     ("serve: perturbed input", `Quick, test_serve_perturbed);
+    ("chase: index builds and lookups", `Quick, test_index);
+    ("chase: index counts, perturbed input", `Quick, test_index_perturbed);
   ]

@@ -393,59 +393,6 @@ let test_pool_shutdown_idempotent () =
   Engine.Pool.shutdown pool;
   Engine.Pool.shutdown pool
 
-(* --- parallel chase strata --- *)
-
-let test_chase_parallel_stratum_matches_sequential () =
-  (* six independent tgds off the same source: one stratum, pairwise
-     distinct targets — eligible for the pool executor *)
-  let src =
-    "cube A(q: quarter, r: string);\n\
-     B1 := A + 1;\n\
-     B2 := 2 * A;\n\
-     B3 := abs(A);\n\
-     B4 := A - 3;\n\
-     B5 := A * 4;\n\
-     B6 := sum(A, group by q);\n"
-  in
-  let mapping =
-    (check_ok (Mappings.Generate.of_source src)).Mappings.Generate.mapping
-  in
-  let reg = Registry.create () in
-  Registry.add reg Registry.Elementary
-    (cube_of "A"
-       [ ("q", Domain.Period (Some Calendar.Quarter)); ("r", Domain.String) ]
-       (List.concat_map
-          (fun r ->
-            List.init 12 (fun i ->
-                [ vq (2020 + (i / 4)) ((i mod 4) + 1); vs r; vf (float_of_int (i + 1)) ]))
-          [ "x"; "y" ]));
-  let source = Exchange.Instance.of_registry reg in
-  let sequential =
-    match Exchange.Chase.run mapping source with
-    | Ok r -> r
-    | Error msg -> Alcotest.failf "sequential chase: %s" msg
-  in
-  Engine.Pool.with_pool ~size:3 (fun pool ->
-      match
-        Exchange.Chase.run ~executor:(Engine.Pool.executor pool) mapping source
-      with
-      | Error msg -> Alcotest.failf "parallel chase: %s" msg
-      | Ok (parallel_j, parallel_stats) ->
-          let sequential_j, sequential_stats = sequential in
-          List.iter
-            (fun name ->
-              Alcotest.check cube_eq ("cube " ^ name)
-                (Exchange.Instance.cube_of_relation sequential_j name)
-                (Exchange.Instance.cube_of_relation parallel_j name))
-            [ "B1"; "B2"; "B3"; "B4"; "B5"; "B6" ];
-          (* deterministic merge: identical work counters either way *)
-          Alcotest.(check int) "tuples"
-            sequential_stats.Exchange.Chase.tuples_generated
-            parallel_stats.Exchange.Chase.tuples_generated;
-          Alcotest.(check int) "matches"
-            sequential_stats.Exchange.Chase.matches_examined
-            parallel_stats.Exchange.Chase.matches_examined)
-
 (* --- dispatcher wave reports --- *)
 
 let test_dispatcher_wave_report () =
@@ -524,7 +471,6 @@ let suite =
     ("pool: zero-size runs inline", `Quick, test_pool_zero_size);
     ("pool: exceptions propagate", `Quick, test_pool_exception_propagates);
     ("pool: shutdown idempotent", `Quick, test_pool_shutdown_idempotent);
-    ("chase: parallel stratum == sequential", `Quick, test_chase_parallel_stratum_matches_sequential);
     ("dispatcher: wave report", `Quick, test_dispatcher_wave_report);
     QCheck_alcotest.to_alcotest prop_engine_matches_interp;
   ]

@@ -51,10 +51,9 @@ let test_run_all_reraises () =
       | _ -> Alcotest.fail "expected run_all to re-raise"
       | exception Failure msg -> Alcotest.(check string) "message" "kaput" msg)
 
-(* A task may itself submit a burst to the same pool (the dispatcher's
-   wave tasks drive the parallel chase this way).  The submitter helps
-   drain the queue, so this must complete even on a size-1 pool whose
-   only worker is the one doing the nested submit. *)
+(* A task may itself submit a burst to the same pool.  The submitter
+   helps drain the queue, so this must complete even on a size-1 pool
+   whose only worker is the one doing the nested submit. *)
 let test_submit_from_worker_reentrant () =
   Pool.with_pool ~size:1 (fun pool ->
       let results =
