@@ -80,31 +80,55 @@ let elementary_schema t name =
       then Error (Printf.sprintf "cube %s is derived, not elementary" name)
       else Ok schema
 
+(* The installed version's column view is built here, and the check
+   reads it: each key column's domain is checked once per distinct
+   value and once per row whose own key differs from its code's first
+   value in representation, and each measure once. *)
 let load_elementary t cube =
   let name = Cube.name cube in
   match elementary_schema t name with
   | Error _ as e -> e
   | Ok schema -> (
-      let keys_fit = ref true and bad_measure = ref None in
-      Cube.iter
-        (fun k v ->
-          if not (Schema.compatible_tuple schema k) then keys_fit := false;
-          if not (Domain.member v schema.Schema.measure_domain) then
-            bad_measure := Some v)
-        cube;
-      match !bad_measure with
-      | _ when not !keys_fit ->
-          Error (Printf.sprintf "data for %s does not fit schema %s" name
-                   (Schema.to_string schema))
-      | Some v -> Error (measure_error schema name v)
-      | None ->
-          (* A copy: the caller may go on writing its own cube. *)
-          Registry.add t.store Registry.Elementary (Cube.with_schema schema cube);
-          if not (List.mem name t.dirty) then t.dirty <- name :: t.dirty;
-          (* A wholesale replacement invalidates the incremental
-             solution cache; the next update batch rebuilds it. *)
-          invalidate_solution t;
-          Ok ())
+      (* A copy: the caller may go on writing its own cube.  Raises
+         when the cube's arity, or a key's, is not the schema's. *)
+      let installed () =
+        let c = Cube.with_schema schema cube in
+        (c, Cube.view c)
+      in
+      let misfit () =
+        Error
+          (Printf.sprintf "data for %s does not fit schema %s" name
+             (Schema.to_string schema))
+      in
+      match installed () with
+      | exception Invalid_argument _ -> misfit ()
+      | installed, view -> (
+          let member dom x = Domain.member x dom in
+          let column_fits i dim =
+            let dict = view.Cube.dicts.(i) and dom = dim.Schema.dim_domain in
+            let rec from c =
+              c = Dict.size dict || (member dom (Dict.decode dict c) && from (c + 1))
+            in
+            from 0 && Array.for_all (fun (_, x) -> member dom x) view.Cube.exceptions.(i)
+          in
+          let keys_fit =
+            Array.for_all Fun.id (Array.mapi column_fits schema.Schema.dims)
+          in
+          let bad_measure =
+            Array.fold_left
+              (fun bad v -> if member schema.Schema.measure_domain v then bad else Some v)
+              None view.Cube.measures
+          in
+          match bad_measure with
+          | _ when not keys_fit -> misfit ()
+          | Some v -> Error (measure_error schema name v)
+          | None ->
+              Registry.add t.store Registry.Elementary installed;
+              if not (List.mem name t.dirty) then t.dirty <- name :: t.dirty;
+              (* A wholesale replacement invalidates the incremental
+                 solution cache; the next update batch rebuilds it. *)
+              invalidate_solution t;
+              Ok ()))
 
 let changed t = List.sort String.compare t.dirty
 

@@ -31,7 +31,7 @@ type relation = {
 
 type t = {
   rels : (string, relation) Hashtbl.t;
-  pool : Columnar.Dict.pool;
+  pool : Dict.pool;
       (* per-instance dictionaries, one per domain: every batch encoded
          for this instance shares codes per domain, so same-domain
          columns join by int comparison *)
@@ -42,7 +42,7 @@ type t = {
 let create () =
   {
     rels = Hashtbl.create 32;
-    pool = Columnar.Dict.create_pool ();
+    pool = Dict.create_pool ();
     builds = 0;
     lookups = 0;
   }
@@ -251,7 +251,7 @@ let set_batch t name b =
   Hashtbl.iter (fun _ idx -> Tuple.Table.reset idx) r.indexes;
   Array.iteri
     (fun i (d : Schema.dimension) ->
-      Columnar.Dict.adopt t.pool d.Schema.dim_domain (Columnar.Batch.dim_dict b i))
+      Dict.adopt t.pool d.Schema.dim_domain (Columnar.Batch.dim_dict b i))
     r.schema.Schema.dims;
   r.pending <- Some b;
   r.cache <- Some b

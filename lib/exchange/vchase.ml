@@ -16,7 +16,6 @@
 open Matrix
 module Tgd = Mappings.Tgd
 module Term = Mappings.Term
-module Dict = Columnar.Dict
 module Batch = Columnar.Batch
 module Kernels = Columnar.Kernels
 

@@ -28,24 +28,62 @@ let add_header buf schema =
   add_field buf schema.Schema.measure_name;
   Buffer.add_char buf '\n'
 
-let add_row buf k v =
-  for i = 0 to Tuple.arity k - 1 do
-    add_value buf (Tuple.get k i);
+(* Each distinct key value of a column rendered once, per code. *)
+let cells dict =
+  let buf = Buffer.create 16 in
+  Array.init (Dict.size dict) (fun c ->
+      Buffer.clear buf;
+      add_value buf (Dict.decode dict c);
+      Buffer.contents buf)
+
+(* Row [r] of the view: its key cells, from [cells] unless the row's
+   own key is an exception, then its measure. *)
+let add_row buf (v : Cube.view) cells r =
+  for i = 0 to Array.length cells - 1 do
+    (match Cube.exception_at v i r with
+    | Some x -> add_value buf x
+    | None -> Buffer.add_string buf cells.(i).(Cube.code v i r));
     Buffer.add_char buf ','
   done;
-  add_value buf v;
+  add_value buf v.Cube.measures.(r);
   Buffer.add_char buf '\n'
 
-let sorted_rows c add = List.iter (fun (k, v) -> add k v) (Cube.to_alist c)
+(* Rows [a] and [b] in [Tuple.compare] order of their own keys.  Equal
+   codes hold equal values when the column has no exception. *)
+let compare_rows (v : Cube.view) a b =
+  let n = Array.length v.Cube.codes in
+  let rec loop i =
+    if i = n then 0
+    else if Cube.code v i a = Cube.code v i b && Array.length v.Cube.exceptions.(i) = 0
+    then loop (i + 1)
+    else
+      match Value.compare (Cube.key_value v i a) (Cube.key_value v i b) with
+      | 0 -> loop (i + 1)
+      | c -> c
+  in
+  loop 0
+
+(* Row indices in key order: the list [Cube.to_alist] sorts (the rows
+   reversed), sorted by the same comparison. *)
+let sorted_rows v add =
+  List.iter add
+    (List.sort (compare_rows v) (List.init v.Cube.size (fun r -> v.Cube.size - 1 - r)))
+
+let in_order v add =
+  for r = 0 to v.Cube.size - 1 do
+    add r
+  done
 
 (* About ten bytes a cell. *)
 let text_size c =
   64 + (10 * Cube.cardinality c * (Schema.arity (Cube.schema c) + 1))
 
 let cube_to_string c =
+  let v = Cube.view c in
   let buf = Buffer.create (text_size c) in
+  let cells = Array.map cells v.Cube.dicts in
   add_header buf (Cube.schema c);
-  sorted_rows c (add_row buf);
+  sorted_rows v (add_row buf v cells);
   Buffer.contents buf
 
 (* Rows reach the channel through one buffer flushed whenever it holds
@@ -56,18 +94,20 @@ let cube_to_string c =
 let chunk = 65536
 
 let to_channel oc c rows =
+  let v = Cube.view c in
   let buf = Buffer.create (min (2 * chunk) (text_size c)) in
+  let cells = Array.map cells v.Cube.dicts in
   add_header buf (Cube.schema c);
-  rows (fun k v ->
-      add_row buf k v;
+  rows v (fun r ->
+      add_row buf v cells r;
       if Buffer.length buf >= chunk then begin
         Buffer.output_buffer oc buf;
         Buffer.clear buf
       end);
   Buffer.output_buffer oc buf
 
-let cube_to_channel oc c = to_channel oc c (sorted_rows c)
-let cube_to_channel_unsorted oc c = to_channel oc c (fun add -> Cube.iter add c)
+let cube_to_channel oc c = to_channel oc c sorted_rows
+let cube_to_channel_unsorted oc c = to_channel oc c in_order
 
 (* A cursor over CSV text.  [field] reads the field at [pos] and leaves
    [pos] on its terminator (',' or '\n') or at the end of the text.

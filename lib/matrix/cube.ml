@@ -35,17 +35,29 @@ type base = {
   ordered : (Tuple.t * Value.t) array option Atomic.t;
 }
 
+type view = {
+  size : int;
+  dicts : Dict.t array;
+  codes : Bytes.t array;
+  widths : int array;
+  measures : Value.t array;
+  exceptions : (int * Value.t) array array;
+}
+
 (* A cube reads as its base with every key of its overlay rebound to
    the overlay's value ([Null] when removed).  The overlay is a
    persistent map keyed by [Tuple.hash], so a write costs O(log n) and
    a copy shares it.  A private base takes writes directly and its
-   overlay stays empty. *)
+   overlay stays empty.  [view] memoizes this version's columns: it
+   belongs to this record, never to the base another version shares,
+   and every write empties it. *)
 type t = {
   schema : Schema.t;
   mutable base : base;
   mutable overlay : (Tuple.t * Value.t) list Hashes.t;
   mutable revised : int;  (* keys in [overlay] *)
   mutable net : int;  (* cardinality minus the base's *)
+  view : view option Atomic.t;
 }
 
 (* The overlay is folded into a fresh private base once it holds more
@@ -75,6 +87,7 @@ let create schema =
     overlay = Hashes.empty;
     revised = 0;
     net = 0;
+    view = Atomic.make None;
   }
 
 let schema c = c.schema
@@ -140,6 +153,7 @@ let fold_overlay c =
   c.net <- 0
 
 let set c key v =
+  if Option.is_some (Atomic.get c.view) then Atomic.set c.view None;
   let base = c.base in
   if not base.frozen then
     if Value.is_null v then Tuple.Table.remove base.data key
@@ -292,13 +306,103 @@ let of_rows schema rows =
 
 let copy c =
   freeze c.base;
-  { c with schema = c.schema }
+  { c with view = Atomic.make None }
 
 let with_schema schema c =
   if Schema.arity schema <> Schema.arity c.schema then
     invalid_arg "Cube.with_schema: arity mismatch";
   freeze c.base;
-  { c with schema }
+  { c with schema; view = Atomic.make None }
+
+(* [Value.equal] values that are different values: an [Int] beside a
+   [Float], or two floats apart in their bits ([0.] beside [-0.]).  Two
+   equal values of any other constructor are the same value. *)
+let same_value a b =
+  match (a, b) with
+  | Value.Float x, Value.Float y ->
+      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Value.Int _, Value.Int _ -> true
+  | Value.(Int _ | Float _), _ | _, Value.(Int _ | Float _) -> false
+  | _ -> true
+
+(* A column's row codes in as few bytes a code as its dictionary
+   needs: the view outlives the readers of its cube version, so its
+   codes stay small. *)
+let pack ncodes codes =
+  let width = if ncodes <= 0x100 then 1 else if ncodes <= 0x10000 then 2 else 4 in
+  let bytes = Bytes.create (width * Array.length codes) in
+  (match width with
+  | 1 -> Array.iteri (Bytes.set_uint8 bytes) codes
+  | 2 -> Array.iteri (fun r c -> Bytes.set_uint16_le bytes (2 * r) c) codes
+  | _ -> Array.iteri (fun r c -> Bytes.set_int32_le bytes (4 * r) (Int32.of_int c)) codes);
+  (bytes, width)
+
+let code v i r =
+  let bytes = v.codes.(i) in
+  match v.widths.(i) with
+  | 1 -> Bytes.get_uint8 bytes r
+  | 2 -> Bytes.get_uint16_le bytes (2 * r)
+  | _ -> Int32.to_int (Bytes.get_int32_le bytes (4 * r))
+
+(* One pass in [iter] order.  A key that is not the same value as its
+   code's first one goes on its column's exception list, rows
+   ascending. *)
+let build_view c =
+  let n = Schema.arity c.schema and size = cardinality c in
+  let dicts = Array.init n (fun _ -> Dict.create ()) in
+  let codes = Array.init n (fun _ -> Array.make size 0) in
+  let measures = Array.make size Value.Null in
+  let exceptions = Array.make n [] in
+  let row = ref 0 in
+  iter
+    (fun k v ->
+      if Tuple.arity k <> n then validate_tuple c k;
+      let r = !row in
+      for i = 0 to n - 1 do
+        let x = Tuple.get k i in
+        let code = Dict.encode dicts.(i) x in
+        codes.(i).(r) <- code;
+        let first = Dict.decode dicts.(i) code in
+        if first != x && not (same_value first x) then
+          exceptions.(i) <- (r, x) :: exceptions.(i)
+      done;
+      measures.(r) <- v;
+      row := r + 1)
+    c;
+  Obs.count "cube.views_built";
+  let packed = Array.mapi (fun i d -> pack (Dict.size d) codes.(i)) dicts in
+  {
+    size;
+    dicts;
+    codes = Array.map fst packed;
+    widths = Array.map snd packed;
+    measures;
+    exceptions = Array.map (fun rows -> Array.of_list (List.rev rows)) exceptions;
+  }
+
+let view c =
+  match Atomic.get c.view with
+  | Some v -> v
+  | None ->
+      let v = build_view c in
+      Atomic.set c.view (Some v);
+      v
+
+let exception_at v i r =
+  let rows = v.exceptions.(i) in
+  let rec search lo hi =
+    if lo >= hi then None
+    else
+      let mid = (lo + hi) / 2 in
+      let r', x = rows.(mid) in
+      if r' = r then Some x else if r' < r then search (mid + 1) hi else search lo mid
+  in
+  search 0 (Array.length rows)
+
+let key_value v i r =
+  match exception_at v i r with
+  | Some x -> x
+  | None -> Dict.decode v.dicts.(i) (code v i r)
 
 let map_measure f c =
   let out = create c.schema in

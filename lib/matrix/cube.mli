@@ -89,6 +89,48 @@ val copy : t -> t
 val with_schema : Schema.t -> t -> t
 (** A {!copy} under another schema (arity must match). *)
 
+(** {1 Column view}
+
+    One encoding of a cube version that every reader shares: the load
+    check, the SQL tables and the CSV writer read it instead of walking
+    the boxed facts each on its own. *)
+
+type view = private {
+  size : int;  (** rows, in {!iter} order *)
+  dicts : Dict.t array;
+      (** per key column, its distinct values ([Value.equal]), coded in
+          first-seen order *)
+  codes : Bytes.t array;
+      (** per key column, each row's code in [widths.(i)] bytes (1, 2
+          or 4: as few as the column's dictionary needs); read them
+          with {!code} *)
+  widths : int array;
+  measures : Value.t array;  (** [measures.(r)]: row [r]'s measure *)
+  exceptions : (int * Value.t) array array;
+      (** per key column, rows ascending: [(r, x)] where row [r]'s own
+          key [x] is [Value.equal] to its code's first value but not the
+          same value ([Int 1] beside [Float 1.], [-0.] beside [0]) *)
+}
+
+val view : t -> view
+(** This version's column view, built in one {!iter} pass on first use
+    and kept until the next write to this cube.  It is memoized on the
+    [t] itself, never on the facts a {!copy} shares, so a copy (or a
+    cube installed with {!with_schema}) builds its own.  Readers must
+    not write a view's arrays or dictionaries: threads share it.
+    @raise Invalid_argument on a key whose arity differs from the
+    schema's. *)
+
+val code : view -> int -> int -> int
+(** [code v i r]: row [r]'s code in column [i]. *)
+
+val key_value : view -> int -> int -> Value.t
+(** [key_value v i r]: row [r]'s own key value in column [i]. *)
+
+val exception_at : view -> int -> int -> Value.t option
+(** [exception_at v i r]: row [r]'s key in column [i] when it is on the
+    column's exception list. *)
+
 val map_measure : (Value.t -> Value.t) -> t -> t
 (** Pointwise transform; [Null] results are dropped (partiality). *)
 

@@ -178,12 +178,12 @@ let col_positions lookup scan t keys =
    code rather than once per row. *)
 let recode t pos f =
   let dict, codes = Table.column_codes t pos in
-  let x = Array.init (Columnar.Dict.size dict) (f dict) in
+  let x = Array.init (Dict.size dict) (f dict) in
   Array.map (fun c -> x.(c)) codes
 
 (* SQL null keys never join or group: their code becomes -1, decided in
    the column's own dictionary before any translation. *)
-let unless_null f dict c = if Columnar.Dict.is_null dict c then -1 else f dict c
+let unless_null f dict c = if Dict.is_null dict c then -1 else f dict c
 
 (* Dictionary-encoded int-key hash join between two base tables: key
    columns compare by code (probe codes translated into the build
@@ -207,14 +207,14 @@ let vectorized_hash_join lookup tb tp build probe build_keys probe_keys =
             (* codes in the build dictionary's space, -1 where it
                lacks the value *)
             let in_build t pos =
-              let x = Columnar.Dict.xlate (fst (Table.column_codes t pos)) db in
+              let x = Dict.xlate (fst (Table.column_codes t pos)) db in
               recode t pos
                 (unless_null (fun _ c ->
                      match x with Some x -> x.(c) | None -> c))
             in
             ( in_build tb bp :: bs,
               in_build tp pp :: ps,
-              Columnar.Dict.size db :: rs ))
+              Dict.size db :: rs ))
           bpos ppos ([], [], [])
       in
       let build_keys, probe_keys =
@@ -254,10 +254,11 @@ let key_source res t = function
       | _ -> None)
   | e -> Option.map (fun pos -> { pos; fn = None }) (column_of res t e)
 
-let key_value { pos; fn } row =
+let key_value t r { pos; fn } =
+  let x = Table.value t r pos in
   match fn with
-  | None -> row.(pos)
-  | Some fn -> Option.value ~default:Value.Null (Ops.Dim_fn.apply fn row.(pos))
+  | None -> x
+  | Some fn -> Option.value ~default:Value.Null (Ops.Dim_fn.apply fn x)
 
 (* Per row, the key's code in a space of its own (-1: a [Null] key),
    and that space's radix. *)
@@ -265,16 +266,16 @@ let key_column t { pos; fn } =
   match fn with
   | None ->
       ( recode t pos (unless_null (fun _ c -> c)),
-        Columnar.Dict.size (fst (Table.column_codes t pos)) )
+        Dict.size (fst (Table.column_codes t pos)) )
   | Some fn ->
-      let out = Columnar.Dict.create () in
+      let out = Dict.create () in
       let codes =
         recode t pos (fun dict c ->
-            match Ops.Dim_fn.apply fn (Columnar.Dict.decode dict c) with
-            | Some v -> Columnar.Dict.encode out v
+            match Ops.Dim_fn.apply fn (Dict.decode dict c) with
+            | Some v -> Dict.encode out v
             | None -> -1)
       in
-      (codes, Columnar.Dict.size out)
+      (codes, Dict.size out)
 
 (* Column [pos]'s codes per row, and per code the rank of its value
    among the column's distinct values under [Value.compare], so
@@ -283,7 +284,7 @@ let key_column t { pos; fn } =
    dictionary is decoded once and its codes merge-sorted by value. *)
 let column_ranks t pos =
   let dict, codes = Table.column_codes t pos in
-  let values = Array.init (Columnar.Dict.size dict) (Columnar.Dict.decode dict) in
+  let values = Array.init (Dict.size dict) (Dict.decode dict) in
   let by_value = Array.init (Array.length values) Fun.id in
   Array.stable_sort (fun a b -> Value.compare values.(a) values.(b)) by_value;
   let rank = Array.make (Array.length by_value) 0 in
@@ -337,8 +338,7 @@ let vectorized_aggregate lookup t input keys measure aggr =
   | None, _ | _, None -> None
   | Some sources, Some mpos ->
       Obs.count "executor.vectorized_aggregates";
-      let rows = Table.rows_array t in
-      let n = Array.length rows in
+      let n = Table.row_count t in
       let key_cols = Array.of_list (List.map (key_column t) sources) in
       let nkeys = Array.length key_cols in
       (* The participating rows, in load order, and their measures. *)
@@ -347,7 +347,7 @@ let vectorized_aggregate lookup t input keys measure aggr =
       for r = 0 to n - 1 do
         let k = ref 0 in
         while !k < nkeys && (fst key_cols.(!k)).(r) >= 0 do incr k done;
-        if !k = nkeys && read_measure mf r rows.(r).(mpos) then begin
+        if !k = nkeys && read_measure mf r (Table.value t r mpos) then begin
           sel.(!nsel) <- r;
           incr nsel
         end
@@ -433,7 +433,7 @@ let vectorized_aggregate lookup t input keys measure aggr =
                  ~len:(offsets.(o + 1) - off)
              in
              Array.of_list
-               (List.map (fun k -> key_value k rows.(rep.(o))) sources
+               (List.map (key_value t rep.(o)) sources
                @ [ Value.of_float result ])))
 
 let rec execute db lookup (views : view_env) plan : Value.t array list =

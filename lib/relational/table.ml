@@ -1,16 +1,20 @@
 open Matrix
 
 (* Rows live in a growable array: [rows.(0 .. count-1)] in insertion
-   order.  [cols] caches the per-column dictionary encodings the
-   executor's vectorized paths read; it is dropped on any mutation and
-   rebuilt lazily. *)
+   order.  A table loaded from a cube holds the cube's column view
+   instead, and decodes its rows into [rows] only when a reader asks
+   for whole rows.  [cols] caches the per-column dictionary encodings
+   the executor's vectorized paths read (for a loaded table's key
+   columns, the view's dictionaries and codes); it is dropped on any
+   mutation and rebuilt lazily. *)
 type t = {
   name : string;
   columns : string list;
   width : int;
   mutable rows : Value.t array array;
   mutable count : int;
-  cols : (int, Columnar.Dict.t * int array) Hashtbl.t;
+  mutable view : Cube.view option;
+  cols : (int, Dict.t * int array) Hashtbl.t;
 }
 
 let create ~name ~columns =
@@ -20,6 +24,7 @@ let create ~name ~columns =
     width = List.length columns;
     rows = [||];
     count = 0;
+    view = None;
     cols = Hashtbl.create 4;
   }
 
@@ -28,12 +33,35 @@ let columns t = t.columns
 let width t = t.width
 let row_count t = t.count
 
+let value t r i =
+  match t.view with
+  | Some v when i < Array.length v.Cube.dicts -> Cube.key_value v i r
+  | Some v -> v.Cube.measures.(r)
+  | None -> t.rows.(r).(i)
+
+(* A loaded table's rows, decoded on first demand.  Otherwise trimmed
+   to [count], so the array handed out is exactly the rows; the next
+   insert grows it again. *)
+let rows_array t =
+  (match t.view with
+  | Some _ when Array.length t.rows < t.count ->
+      t.rows <- Array.init t.count (fun r -> Array.init t.width (value t r));
+      Obs.count ~n:t.count "table.rows_decoded"
+  | _ -> if Array.length t.rows <> t.count then t.rows <- Array.sub t.rows 0 t.count);
+  t.rows
+
+let rows t = Array.to_list (rows_array t)
+
 let insert t row =
   if Array.length row <> t.width then
     invalid_arg
       (Printf.sprintf "Table.insert: row of width %d into %s(%s)"
          (Array.length row) t.name
          (String.concat ", " t.columns));
+  if Option.is_some t.view then begin
+    ignore (rows_array t : Value.t array array);
+    t.view <- None
+  end;
   if t.count = Array.length t.rows then begin
     let rows = Array.make (max 16 (2 * t.count)) [||] in
     Array.blit t.rows 0 rows 0 t.count;
@@ -43,25 +71,20 @@ let insert t row =
   t.count <- t.count + 1;
   Hashtbl.reset t.cols
 
-(* Trimmed to [count] on demand, so the array handed out is exactly the
-   rows; the next insert grows it again. *)
-let rows_array t =
-  if Array.length t.rows <> t.count then t.rows <- Array.sub t.rows 0 t.count;
-  t.rows
-
-let rows t = Array.to_list (rows_array t)
-
 let column_codes t i =
   match Hashtbl.find_opt t.cols i with
   | Some c -> c
   | None ->
-      let a = rows_array t in
-      let dict = Columnar.Dict.create () in
-      let codes =
-        Array.map (fun row -> Columnar.Dict.encode dict row.(i)) a
+      let c =
+        match t.view with
+        | Some v when i < Array.length v.Cube.dicts ->
+            (v.Cube.dicts.(i), Array.init t.count (Cube.code v i))
+        | _ ->
+            let dict = Dict.create () in
+            (dict, Array.init t.count (fun r -> Dict.encode dict (value t r i)))
       in
-      Hashtbl.replace t.cols i (dict, codes);
-      (dict, codes)
+      Hashtbl.replace t.cols i c;
+      c
 
 let of_cube ?schema cube =
   let schema = Option.value schema ~default:(Cube.schema cube) in
@@ -75,33 +98,26 @@ let of_cube ?schema cube =
     create ~name:schema.Schema.name
       ~columns:(Schema.dim_names schema @ [ schema.Schema.measure_name ])
   in
-  let rows = Array.make (Cube.cardinality cube) [||] in
-  let i = ref 0 in
-  Cube.iter
-    (fun k v ->
-      rows.(!i) <- Tuple.append k v;
-      incr i)
-    cube;
-  t.rows <- rows;
-  t.count <- !i;
+  let v = Cube.view cube in
+  t.view <- Some v;
+  t.count <- v.Cube.size;
   t
 
 let to_cube schema t =
   let n = Schema.arity schema in
   let cube = Cube.create schema in
-  for r = 0 to t.count - 1 do
-    let row = t.rows.(r) in
-    Cube.add_strict cube (Tuple.of_array (Array.sub row 0 n)) row.(n)
-  done;
+  Array.iter
+    (fun row -> Cube.add_strict cube (Tuple.of_array (Array.sub row 0 n)) row.(n))
+    (rows_array t);
   cube
 
 let pp ppf t =
   Format.fprintf ppf "@[<v2>%s(%s) [%d rows]" t.name
     (String.concat ", " t.columns)
     t.count;
-  for r = 0 to t.count - 1 do
-    Format.fprintf ppf "@,%s"
-      (String.concat " | "
-         (List.map Value.to_string (Array.to_list t.rows.(r))))
-  done;
+  Array.iter
+    (fun row ->
+      Format.fprintf ppf "@,%s"
+        (String.concat " | " (List.map Value.to_string (Array.to_list row))))
+    (rows_array t);
   Format.fprintf ppf "@]"

@@ -199,3 +199,9 @@ let check_names_shared what = function
   | Error msg ->
       Alcotest.(check bool) (what ^ " names SHARED: " ^ msg) true
         (Astring_contains.contains msg "SHARED")
+
+(* A fresh directory name under the system temp dir. *)
+let temp_dir prefix =
+  let dir = Filename.temp_file prefix "" in
+  Sys.remove dir;
+  dir

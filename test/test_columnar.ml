@@ -14,44 +14,44 @@ let qcheck_count =
 (* --- dictionaries --- *)
 
 let test_dict_roundtrip () =
-  let d = C.Dict.create () in
+  let d = Dict.create () in
   let values =
     [ vi 5; vf 5.; vs "a"; Value.Null; Value.Bool true; vf 2.5; vq 2020 1 ]
   in
-  let codes = List.map (C.Dict.encode d) values in
+  let codes = List.map (Dict.encode d) values in
   (* Int 5 and Float 5. are Value.equal: one code, like the row stores'
      set semantics. *)
   Alcotest.(check int) "int/float conflate" (List.nth codes 0) (List.nth codes 1);
-  Alcotest.(check int) "distinct values, distinct codes" 6 (C.Dict.size d);
+  Alcotest.(check int) "distinct values, distinct codes" 6 (Dict.size d);
   List.iteri
     (fun i c ->
       Alcotest.check value "decode round-trips" (List.nth values i)
-        (C.Dict.decode d c))
+        (Dict.decode d c))
     codes;
   let c5 = List.nth codes 0 in
-  Alcotest.(check bool) "numeric float view" true (C.Dict.float_defined d c5);
-  Alcotest.(check (float 0.)) "float view value" 5. (C.Dict.float_of_code d c5);
+  Alcotest.(check bool) "numeric float view" true (Dict.float_defined d c5);
+  Alcotest.(check (float 0.)) "float view value" 5. (Dict.float_of_code d c5);
   Alcotest.(check bool)
     "string has no float view" false
-    (C.Dict.float_defined d (List.nth codes 2));
-  Alcotest.(check bool) "null code" true (C.Dict.is_null d (List.nth codes 3));
-  Alcotest.(check bool) "find hit" true (C.Dict.find d (vs "a") <> None);
-  Alcotest.(check bool) "find never adds" true (C.Dict.find d (vs "zz") = None);
-  Alcotest.(check int) "size unchanged by find" 6 (C.Dict.size d);
+    (Dict.float_defined d (List.nth codes 2));
+  Alcotest.(check bool) "null code" true (Dict.is_null d (List.nth codes 3));
+  Alcotest.(check bool) "find hit" true (Dict.find d (vs "a") <> None);
+  Alcotest.(check bool) "find never adds" true (Dict.find d (vs "zz") = None);
+  Alcotest.(check int) "size unchanged by find" 6 (Dict.size d);
   (* encode is idempotent *)
-  Alcotest.(check int) "re-encode" (List.nth codes 2) (C.Dict.encode d (vs "a"))
+  Alcotest.(check int) "re-encode" (List.nth codes 2) (Dict.encode d (vs "a"))
 
 let test_dict_xlate () =
-  let a = C.Dict.create () and b = C.Dict.create () in
-  List.iter (fun v -> ignore (C.Dict.encode a v)) [ vs "x"; vs "y"; vs "z" ];
-  List.iter (fun v -> ignore (C.Dict.encode b v)) [ vs "z"; vs "x" ];
-  (match C.Dict.xlate a b with
+  let a = Dict.create () and b = Dict.create () in
+  List.iter (fun v -> ignore (Dict.encode a v)) [ vs "x"; vs "y"; vs "z" ];
+  List.iter (fun v -> ignore (Dict.encode b v)) [ vs "z"; vs "x" ];
+  (match Dict.xlate a b with
   | None -> Alcotest.fail "distinct dicts must translate"
   | Some x ->
       (* x -> b's 1, y -> missing, z -> b's 0 *)
       Alcotest.(check (array int)) "translation" [| 1; -1; 0 |] x);
   Alcotest.(check bool) "same dict needs no translation" true
-    (C.Dict.xlate a a = None)
+    (Dict.xlate a a = None)
 
 (* The dictionary's own hash is unobservable: over random value lists,
    [encode] issues the codes a first-seen association list issues under
@@ -93,7 +93,7 @@ let prop_dict_matches_model =
        QCheck.Gen.(pair (list_size (int_bound 200) gen_dict_value)
                      (list_size (int_bound 20) gen_dict_value)))
     (fun (values, probes) ->
-      let d = C.Dict.create () in
+      let d = Dict.create () in
       let model = ref [] in
       let lookup v =
         List.find_map (fun (w, c) -> if Value.equal w v then Some c else None)
@@ -109,13 +109,13 @@ let prop_dict_matches_model =
                 model := (v, c) :: !model;
                 c
           in
-          C.Dict.encode d v = expected
+          Dict.encode d v = expected
           || QCheck.Test.fail_reportf "encode %s: code %d, model %d"
-               (Value.to_string v) (C.Dict.encode d v) expected)
+               (Value.to_string v) (Dict.encode d v) expected)
         values
-      && C.Dict.size d = List.length !model
+      && Dict.size d = List.length !model
       && List.for_all
-           (fun v -> C.Dict.find d v = lookup v
+           (fun v -> Dict.find d v = lookup v
              || QCheck.Test.fail_reportf "find %s disagrees" (Value.to_string v))
            (values @ probes))
 
@@ -125,7 +125,7 @@ let test_batch_roundtrip () =
   let schema =
     Schema.make ~name:"B" ~dims:[ ("r", Domain.String); ("x", Domain.Int) ] ()
   in
-  let pool = C.Dict.create_pool () in
+  let pool = Dict.create_pool () in
   let facts =
     [
       [| vs "n"; vi 1; vf 2.5 |];

@@ -263,7 +263,8 @@ module S = Relational.Sql_ast
 
 (* Executes [script] the way the SQL target does over [r]'s data and
    returns ((vectorized aggregates, vectorized joins), the comparator
-   calls of the aggregates' canonical order, PQR's rows). *)
+   calls of the aggregates' canonical order, the table rows decoded,
+   PQR's rows). *)
 let sql_counters (r : Rows.row) rewrite =
   let mapping = Rows.mapping_of r.Rows.program in
   let script =
@@ -288,6 +289,7 @@ let sql_counters (r : Rows.row) rewrite =
   let counter = Obs.Metrics.counter_value c.Obs.metrics in
   ( (counter "executor.vectorized_aggregates", counter "executor.vectorized_joins"),
     counter "executor.order_compares",
+    counter "table.rows_decoded",
     Relational.Table.to_cube
       (Mappings.Mapping.target_schema_exn mapping "PQR")
       (Relational.Database.find_exn db "PQR") )
@@ -302,11 +304,18 @@ let sql_expected = (2, 3)
    would cost Σ nᵍ log nᵍ over PQR's 16 groups of ~91 rows. *)
 let order_expected = 739
 
+(* A loaded table reads its cube's column view and decodes whole rows
+   only for a plan that needs them: RGDP's hash join emits whole rows,
+   so RGDPPC's 16 are decoded; PQR's and GDP's aggregates read codes
+   and measures, so none of PDR's 1 462 are. *)
+let decoded_expected = 16
+
 let test_sql () =
-  let plan_nodes, compares, _ = sql_counters Rows.micro Fun.id in
+  let plan_nodes, compares, decoded, _ = sql_counters Rows.micro Fun.id in
   Alcotest.(check (pair int int)) "vectorized (aggregates, joins)" sql_expected
     plan_nodes;
-  Alcotest.(check int) "canonical-order comparisons" order_expected compares
+  Alcotest.(check int) "canonical-order comparisons" order_expected compares;
+  Alcotest.(check int) "rows decoded" decoded_expected decoded
 
 (* PQR grouped by QUARTER(D + 0): the same groups, but the key is no
    longer a dimension function of a column, so that aggregate leaves
@@ -330,13 +339,15 @@ let test_sql_perturbed () =
           }
     | st -> st
   in
-  let plan_nodes, compares, pqr = sql_counters Rows.micro rewrite in
-  let _, _, reference = sql_counters Rows.micro Fun.id in
+  let plan_nodes, compares, decoded, pqr = sql_counters Rows.micro rewrite in
+  let _, _, _, reference = sql_counters Rows.micro Fun.id in
   Alcotest.(check (pair int int)) "one aggregate fewer"
     (fst sql_expected - 1, snd sql_expected)
     plan_nodes;
   Alcotest.(check bool) "PQR's comparisons leave the count" true
     (compares < order_expected);
+  Alcotest.(check int) "the generic aggregate decodes PDR's 1 462 rows"
+    (decoded_expected + 1462) decoded;
   Alcotest.check cube_eq "same PQR" reference pqr
 
 (* --- serve: facts a commit copies, keys a slice examines --- *)
@@ -402,6 +413,42 @@ let test_serve_perturbed () =
   Alcotest.(check int) "the fold empties the overlay" slice_limit
     (examined server)
 
+(* --- column views: one per cube version --- *)
+
+(* One production cycle over [Rows.micro]'s data on the default
+   targets: load the elementary cubes ([PDR] [extra] more times: the
+   same cube object again), recompute, save the store.  Returns the
+   views built and the table rows decoded. *)
+let cycle_counters ?(extra = 0) () =
+  let engine = Engine.Exlengine.create () in
+  ok (Engine.Exlengine.register_program engine ~name:"overview" Workload.overview_program);
+  let data = Rows.micro.Rows.data () in
+  let load name = ok (Engine.Exlengine.load_elementary engine (Registry.find_exn data name)) in
+  let c = Obs.create ~spans:false () in
+  Obs.with_collector c (fun () ->
+      List.iter load ([ "PDR"; "RGDPPC" ] @ List.init extra (fun _ -> "PDR"));
+      ignore (ok (Engine.Exlengine.recompute engine) : Engine.Dispatcher.report);
+      ok (Engine.Exlengine.save_store engine ~dir:(temp_dir "exl_views")));
+  let counter = Obs.Metrics.counter_value c.Obs.metrics in
+  (counter "cube.views_built", counter "table.rows_decoded")
+
+(* One view per cube version: the two elementary cubes' (built by the
+   load check, read again by the SQL tables and the save) and one per
+   derived cube (built by the save, or by a SQL table reading it, and
+   read again by the save).  Rows decoded as in [decoded_expected]. *)
+let views_expected = (7, decoded_expected)
+
+let test_views () =
+  Alcotest.(check (pair int int)) "(views built, rows decoded)" views_expected
+    (cycle_counters ())
+
+(* Reloading the same cube object installs a new version, which builds
+   its own view: nothing is memoized on the caller's cube. *)
+let test_views_perturbed () =
+  Alcotest.(check (pair int int)) "a reload builds one more view"
+    (fst views_expected + 1, snd views_expected)
+    (cycle_counters ~extra:1 ())
+
 let suite =
   [
     ("chase: semi-naive matches", `Quick, test_chase);
@@ -421,4 +468,6 @@ let suite =
     ("serve: perturbed input", `Quick, test_serve_perturbed);
     ("chase: index builds and lookups", `Quick, test_index);
     ("chase: index counts, perturbed input", `Quick, test_index_perturbed);
+    ("views: one per cube version", `Quick, test_views);
+    ("views: perturbed input", `Quick, test_views_perturbed);
   ]

@@ -322,6 +322,43 @@ let test_facade_rejects_measure_out_of_domain () =
   Alcotest.(check (list string)) "nothing marked changed" []
     (Engine.Exlengine.changed engine)
 
+(* A key outside its domain fails the load with the same message,
+   whether the key's value is its column's first of its code or a row
+   whose key differs from that first value only in representation
+   ([Float 1.] beside [Int 1] in an int column). *)
+let test_facade_rejects_key_out_of_domain () =
+  let engine = Engine.Exlengine.create () in
+  ok
+    (Engine.Exlengine.register_program engine ~name:"p"
+       "cube A(x: int, s: string);\nB := A + 1;\n");
+  (* Delivered under a looser schema, checked against the declared one. *)
+  let dims = [ ("x", Domain.Any); ("s", Domain.String) ] in
+  let declared =
+    Engine.Determination.schema (Engine.Exlengine.determination engine) "A"
+  in
+  let expected =
+    "data for A does not fit schema " ^ Schema.to_string (Option.get declared)
+  in
+  let rejected what cube =
+    match Engine.Exlengine.load_elementary engine cube with
+    | Error msg -> Alcotest.(check string) what expected msg
+    | Ok () -> Alcotest.failf "%s: loaded" what
+  in
+  rejected "a float key" (cube_of "A" dims [ [ vf 1.5; vs "a"; vf 1. ] ]);
+  (* The float row must come second in iteration order, so that its
+     key is an exception of the code [Int 1] opened. *)
+  let mixed =
+    List.find
+      (fun c ->
+        let v = Cube.view c in
+        Cube.key_value v 0 0 = vi 1 && Array.length v.Cube.exceptions.(0) = 1)
+      (List.init 64 (fun i ->
+           cube_of "A" dims [ [ vi 1; vs "a"; vf 1. ]; [ vf 1.; vs (string_of_int i); vf 2. ] ]))
+  in
+  rejected "a float key equal to an int key" mixed;
+  Alcotest.(check (option reject)) "store untouched" None
+    (Option.map ignore (Engine.Exlengine.cube engine "A"))
+
 let prop_engine_matches_interp =
   QCheck.Test.make ~count:25
     ~name:"EXLEngine facade == interpreter on random programs" Gen.arb_seed
@@ -473,4 +510,5 @@ let suite =
     ("pool: shutdown idempotent", `Quick, test_pool_shutdown_idempotent);
     ("dispatcher: wave report", `Quick, test_dispatcher_wave_report);
     QCheck_alcotest.to_alcotest prop_engine_matches_interp;
+    ("facade: load rejects a key out of domain", `Quick, test_facade_rejects_key_out_of_domain);
   ]

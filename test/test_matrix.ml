@@ -468,12 +468,6 @@ let test_fast_to_string_edges () =
        (fun str -> csv_row_matches (Value.Date (d 2020)) str (Value.Float (-0.)))
        [ ""; "a,\"b\""; "two\nlines"; "cr\r" ])
 
-(* A fresh directory name under the system temp dir. *)
-let temp_dir prefix =
-  let dir = Filename.temp_file prefix "" in
-  Sys.remove dir;
-  dir
-
 let store_roundtrip ~dir cube =
   let reg = Registry.create () in
   Registry.add reg Registry.Elementary cube;
@@ -1007,6 +1001,187 @@ let test_manifest_parse_errors () =
         (Astring_contains.contains msg "unknown domain")
   | Ok _ -> Alcotest.fail "expected error"
 
+(* --- the column view and the CSV writer --- *)
+
+(* The CSV writer of cubes without a column view: each row rendered
+   cell by cell from its boxed key and measure.  Kept as the oracle of
+   the view-based writer. *)
+module Oracle_csv = struct
+  let needs_quote s =
+    String.exists (fun c -> c = ',' || c = '"' || c = '\n' || c = '\r') s
+
+  let add_field buf s =
+    if needs_quote s then begin
+      Buffer.add_char buf '"';
+      String.iter
+        (fun c -> if c = '"' then Buffer.add_string buf "\"\"" else Buffer.add_char buf c)
+        s;
+      Buffer.add_char buf '"'
+    end
+    else Buffer.add_string buf s
+
+  let add_value buf = function
+    | Value.String "" -> Buffer.add_string buf "\"\""
+    | Value.String s -> add_field buf s
+    | v -> Value.add_to_buffer buf v
+
+  let text c rows =
+    let buf = Buffer.create 256 and schema = Cube.schema c in
+    Array.iter
+      (fun d ->
+        add_field buf d.Schema.dim_name;
+        Buffer.add_char buf ',')
+      schema.Schema.dims;
+    add_field buf schema.Schema.measure_name;
+    Buffer.add_char buf '\n';
+    rows (fun k v ->
+        Array.iter
+          (fun x ->
+            add_value buf x;
+            Buffer.add_char buf ',')
+          (Tuple.to_array k);
+        add_value buf v;
+        Buffer.add_char buf '\n');
+    Buffer.contents buf
+
+  let sorted c = text c (fun add -> List.iter (fun (k, v) -> add k v) (Cube.to_alist c))
+  let unsorted c = text c (fun add -> Cube.iter add c)
+end
+
+(* The same value: constructor, payload and, for floats, every bit. *)
+let identical a b =
+  match (a, b) with
+  | Value.Float x, Value.Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> a = b
+
+(* Key values that are [Value.equal] across representations, strings
+   the writer must quote, the empty string, and dates outside the years
+   0-9999 (written through their slow path). *)
+let view_numbers =
+  [| vi 1; vf 1.; vi 0; vf 0.; vf (-0.); vi 1_000_000_000_000_000; vf 1e15; vi (-3); vf 2.5 |]
+
+let view_strings = [| ""; "a,b"; "say \"hi\""; "cr\rlf\n"; "plain"; "\"" |]
+
+let view_dates =
+  Array.map
+    (fun (year, month, day) -> Value.Date (Calendar.Date.make ~year ~month ~day))
+    [| (-20, 3, 1); (0, 1, 1); (2024, 2, 29); (9999, 12, 31); (10000, 1, 1); (123456, 7, 8) |]
+
+let view_measures =
+  Array.concat
+    [ view_numbers; Array.map vs view_strings; view_dates; [| Value.Bool true; vf Float.nan |] ]
+
+let view_schema =
+  Schema.make ~name:"V" ~measure_domain:Domain.Any
+    ~dims:[ ("n", Domain.Any); ("s", Domain.String); ("d", Domain.Date) ]
+    ()
+
+let view_key (n, s, d) =
+  key [ view_numbers.(n); vs view_strings.(s); view_dates.(d) ]
+
+(* Codes a first-seen dictionary issues to [values], in order, and the
+   first value of each code. *)
+let first_seen values =
+  let seen = ref [] in
+  let codes =
+    List.map
+      (fun x ->
+        match List.find_opt (fun (y, _) -> Value.equal x y) !seen with
+        | Some (_, c) -> c
+        | None ->
+            let c = List.length !seen in
+            seen := (x, c) :: !seen;
+            c)
+      values
+  in
+  (codes, Array.of_list (List.rev_map fst !seen))
+
+let channel_text write =
+  let path = Filename.temp_file "exl_view" ".csv" in
+  let oc = open_out_bin path in
+  write oc;
+  close_out oc;
+  let ic = open_in_bin path in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove path;
+  text
+
+(* One cube's view read back against its [iter] rows, and its CSV
+   against the oracle's. *)
+let view_agrees c =
+  let v = Cube.view c in
+  let rows = List.rev (Cube.fold (fun k x acc -> (k, x) :: acc) c []) in
+  let arity = Schema.arity (Cube.schema c) in
+  let column i = List.map (fun (k, _) -> Tuple.get k i) rows in
+  let own_values =
+    List.for_all Fun.id
+      (List.mapi
+         (fun r (k, x) ->
+           identical v.Cube.measures.(r) x
+           && List.for_all
+                (fun i -> identical (Cube.key_value v i r) (Tuple.get k i))
+                (List.init arity Fun.id))
+         rows)
+  in
+  let coded i =
+    let codes, firsts = first_seen (column i) in
+    List.mapi (fun r _ -> Cube.code v i r) rows = codes
+    && Dict.size v.Cube.dicts.(i) = Array.length firsts
+    && Array.for_all Fun.id
+         (Array.mapi (fun c x -> identical (Dict.decode v.Cube.dicts.(i) c) x) firsts)
+    && Array.to_list v.Cube.exceptions.(i)
+       = List.filteri
+           (fun r (_, x) -> not (identical firsts.(List.nth codes r) x))
+           (List.mapi (fun r x -> (r, x)) (column i))
+  in
+  v.Cube.size = List.length rows
+  && own_values
+  && List.for_all coded (List.init arity Fun.id)
+  && Csv.cube_to_string c = Oracle_csv.sorted c
+  && channel_text (fun oc -> Csv.cube_to_channel oc c) = Oracle_csv.sorted c
+  && channel_text (fun oc -> Csv.cube_to_channel_unsorted oc c) = Oracle_csv.unsorted c
+
+(* Random cubes over those values, and a copy revised through its
+   overlay (writes and removals; past one key per eight facts it folds
+   into a private table).  Each version's view holds its rows' own
+   values and first-seen codes, and its CSV is the oracle's, byte for
+   byte.  A copy and a written cube get a view of their own. *)
+let prop_view_and_writer =
+  let index n = QCheck.Gen.int_range 0 (n - 1) in
+  let gen_key =
+    QCheck.Gen.triple
+      (index (Array.length view_numbers))
+      (index (Array.length view_strings))
+      (index (Array.length view_dates))
+  in
+  QCheck.Test.make ~count:store_qcheck_count
+    ~name:"cube view decodes own values and writes the oracle's CSV"
+    (QCheck.make
+       ~print:(fun (rows, edits) ->
+         Printf.sprintf "%d rows, %d edits" (List.length rows) (List.length edits))
+       QCheck.Gen.(
+         pair
+           (list_size (int_range 0 60) (pair gen_key (index (Array.length view_measures))))
+           (list_size (int_range 0 30)
+              (pair gen_key (int_range (-1) (Array.length view_measures - 1))))))
+    (fun (rows, edits) ->
+      let c = Cube.create view_schema in
+      List.iter (fun (k, m) -> Cube.set c (view_key k) view_measures.(m)) rows;
+      let before = view_agrees c in
+      let v = Cube.view c in
+      let copy = Cube.copy c in
+      List.iter
+        (fun (k, m) ->
+          if m < 0 then Cube.remove copy (view_key k)
+          else Cube.set copy (view_key k) view_measures.(m))
+        edits;
+      let copied = view_agrees copy && Cube.view copy != v in
+      let kept = Cube.view c == v && view_agrees c in
+      let w = Cube.view copy in
+      Cube.set copy (view_key (0, 0, 0)) (vf 7.);
+      before && copied && kept && Cube.view copy != w && view_agrees copy)
+
 let suite =
   [
     ("date: rata die roundtrip", `Quick, test_date_rata_die_roundtrip);
@@ -1063,4 +1238,5 @@ let suite =
     ("store: full disk is an error", `Quick, test_store_full_disk);
     QCheck_alcotest.to_alcotest prop_versioned_cube;
     ("cube: threaded slices of copies during folds", `Quick, test_versioned_cube_threads);
+    QCheck_alcotest.to_alcotest prop_view_and_writer;
   ]

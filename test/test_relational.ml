@@ -181,7 +181,7 @@ let test_parser_roundtrip_overview () =
         core_ok
           (Relational.Sql_target.script_of_mapping ~views (overview_mapping ()))
       in
-      match Relational.Sql_parser.parse_script text with
+      match Sql_parser.parse_script text with
       | Error msg -> Alcotest.failf "parse failed: %s\n%s" msg text
       | Ok statements ->
           Alcotest.(check string) "printer fixpoint" text
@@ -190,7 +190,7 @@ let test_parser_roundtrip_overview () =
 
 let test_parser_expressions () =
   let roundtrip src =
-    match Relational.Sql_parser.parse_expr src with
+    match Sql_parser.parse_expr src with
     | Ok e -> Relational.Sql_print.expr_to_string e
     | Error msg -> Alcotest.failf "parse %s: %s" src msg
   in
@@ -212,7 +212,7 @@ let test_parser_expressions () =
 let test_parser_rejects_garbage () =
   List.iter
     (fun src ->
-      match Relational.Sql_parser.parse_statement src with
+      match Sql_parser.parse_statement src with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "expected parse error for %s" src)
     [
@@ -234,7 +234,7 @@ let test_parsed_script_executes_equivalently () =
             (Relational.Sql_gen.statements_of_mapping mapping)))
   in
   let statements =
-    check_ok (Result.map_error Exl.Errors.make (Relational.Sql_parser.parse_script text))
+    check_ok (Result.map_error Exl.Errors.make (Sql_parser.parse_script text))
   in
   let db = Relational.Database.create () in
   List.iter
@@ -262,7 +262,7 @@ let prop_parser_fixpoint =
       match Core.sql_of (Exl.Program.load_exn src) with
       | Error msg -> QCheck.Test.fail_reportf "gen: %s" msg
       | Ok text -> (
-          match Relational.Sql_parser.parse_script text with
+          match Sql_parser.parse_script text with
           | Error msg -> QCheck.Test.fail_reportf "parse: %s\n%s" msg text
           | Ok statements ->
               let printed = Relational.Sql_print.statements_to_string statements in
