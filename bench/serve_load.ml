@@ -8,12 +8,12 @@
    Scenarios:
    - read-only: every client GETs cube slices;
    - mixed: readers as above plus writers POSTing small update
-     batches, which exercises the coalescing single-writer loop and
+     batches, which exercises group commit on the posting threads and
      snapshot publication under read pressure.
 
    Reports per-scenario throughput and latency quantiles, plus the
    server-side commit count scraped from /metrics — the
-   updates-per-commit ratio is the coalescer at work. *)
+   updates-per-commit ratio is group commit at work. *)
 
 open Matrix
 
@@ -25,7 +25,7 @@ type row = {
   p50_ms : float;
   p99_ms : float;
   updates : int;  (** update batches POSTed (mixed scenario) *)
-  commits : int;  (** server-side commits those batches coalesced into *)
+  commits : int;  (** server-side commits those batches were merged into *)
 }
 
 (* --- fixture: three years of sales across ten shops --- *)

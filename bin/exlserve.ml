@@ -122,7 +122,7 @@ let boot ~programs ~data_dir ~store_dir ~fault_plan =
                       | Ok () -> Ok (engine, report))))))
 
 let run programs data_dir store_dir port host unix_socket max_queue
-    coalesce_window request_timeout commit_timeout fault_plan log_file =
+    request_timeout commit_timeout fault_plan log_file =
   if programs = [] then begin
     prerr_endline "error: at least one --programs file or directory required";
     1
@@ -155,7 +155,6 @@ let run programs data_dir store_dir port host unix_socket max_queue
           {
             Serve.Server.default_config with
             max_queue;
-            coalesce_window;
             request_timeout;
             commit_timeout;
             log;
@@ -245,14 +244,6 @@ let max_queue_arg =
           "Queued update batches before admission control answers 429 with \
            Retry-After.")
 
-let coalesce_arg =
-  Arg.(
-    value & opt float 0.002
-    & info [ "coalesce-window" ] ~docv:"SECONDS"
-        ~doc:
-          "How long the writer waits after the first queued batch to merge \
-           followers into one compacted commit.")
-
 let request_timeout_arg =
   Arg.(
     value & opt float 10.
@@ -282,12 +273,12 @@ let log_arg =
         ~doc:"Write a JSONL request trace (one JSON object per request).")
 
 let cmd =
-  let doc = "serve EXL cubes over HTTP with coalesced incremental updates" in
+  let doc = "serve EXL cubes over HTTP with group-committed incremental updates" in
   Cmd.v
     (Cmd.info "exlserve" ~version:"1.0" ~doc)
     Term.(
       const run $ programs_arg $ data_arg $ store_arg $ port_arg $ host_arg
-      $ unix_socket_arg $ max_queue_arg $ coalesce_arg $ request_timeout_arg
+      $ unix_socket_arg $ max_queue_arg $ request_timeout_arg
       $ commit_timeout_arg $ fault_plan_arg $ log_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -35,8 +35,8 @@ val compact : t list -> t list
 
 val concat : t list list -> t list
 (** Merge several pending batches into one equivalent batch:
-    [compact] of their concatenation in order.  This is what the
-    server's coalescer feeds to a single
+    [compact] of their concatenation in order.  This is what a
+    server commit round feeds to a single
     {!Exlengine.apply_updates} call — compaction works across batch
     boundaries, so opposing updates queued by different clients
     cancel before validation instead of being replayed one by one. *)

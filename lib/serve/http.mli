@@ -3,7 +3,7 @@
     The toolchain has no HTTP library; the daemon needs exactly one
     thing from this module: a total request parser over raw bytes.
     [parse] never raises — malformed input maps to a structured
-    {!error} (the fuzz hook {!Http_fuzz} enforces this), oversized
+    {!error} (the test suite's fuzz campaign checks this), oversized
     input maps to 413/431 so the accept loop can bound memory before a
     request is even complete, and a short read maps to [Incomplete] so
     the connection loop knows to keep reading. *)

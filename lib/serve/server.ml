@@ -3,7 +3,6 @@ module J = Obs.Json
 
 type config = {
   max_queue : int;
-  coalesce_window : float;
   request_timeout : float;
   commit_timeout : float;
   max_connections : int;
@@ -14,7 +13,6 @@ type config = {
 let default_config =
   {
     max_queue = 64;
-    coalesce_window = 0.002;
     request_timeout = 10.;
     commit_timeout = 30.;
     max_connections = 256;
@@ -22,27 +20,31 @@ let default_config =
     log = None;
   }
 
-(* One queued update batch.  The writer publishes the outcome (and the
-   sequence number of the snapshot that includes it) through the
-   atomic; the posting thread polls it with a deadline. *)
+(* One queued update batch.  Whichever thread commits it writes the
+   outcome (the report and the sequence number of the snapshot that
+   includes it) under [qmutex]. *)
 type job = {
   job_updates : Engine.Update.t list;
   job_as_of : Calendar.Date.t;
-  job_outcome :
-    ((Engine.Exlengine.update_report, string) result * int) option Atomic.t;
+  mutable job_outcome :
+    (Engine.Exlengine.update_report * int, string) result option;
 }
 
 type t = {
   engine : Engine.Exlengine.t;
   config : config;
   snap : Snapshot.t Atomic.t;
-  queue : job Queue.t;
   qmutex : Mutex.t;
-  qcond : Condition.t;
+  (* [queue], [committing], [paused], [waiters] and every queued job's
+     outcome are guarded by [qmutex]. *)
+  queue : job Queue.t;
+  mutable committing : bool;
+      (* the commit lock: a thread is committing the queue *)
+  mutable paused : bool;
+  mutable waiters : Unix.file_descr list;
+      (* the write ends of the pipes that blocked POSTs sleep on *)
   stop : bool Atomic.t;
   drain_claimed : bool Atomic.t;
-  paused : bool Atomic.t;
-  writer_done : bool Atomic.t;
   inflight : int Atomic.t;
   conns : (int, Unix.file_descr) Hashtbl.t;
   cmutex : Mutex.t;
@@ -50,16 +52,38 @@ type t = {
 }
 
 let snapshot t = Atomic.get t.snap
-
-let queue_depth t =
-  Mutex.lock t.qmutex;
-  let n = Queue.length t.queue in
-  Mutex.unlock t.qmutex;
-  n
-
+let queue_depth t = Mutex.protect t.qmutex (fun () -> Queue.length t.queue)
 let draining t = Atomic.get t.stop
-let pause_writer t = Atomic.set t.paused true
-let resume_writer t = Atomic.set t.paused false
+
+(* Wake every POST blocked in [wait_for_commit]; [qmutex] held. *)
+let wake_all t =
+  List.iter (fun w -> ignore (Unix.write_substring w "!" 0 1)) t.waiters;
+  t.waiters <- []
+
+(* Sleep until [wake_all] runs or [deadline] passes; [qmutex] held on
+   entry and on return.  [Condition.wait] has no timeout, so each
+   sleeper waits on a pipe of its own. *)
+let wait_for_commit t ~deadline =
+  let r, w = Unix.pipe ~cloexec:true () in
+  t.waiters <- w :: t.waiters;
+  Mutex.unlock t.qmutex;
+  let timeout =
+    if deadline = infinity then -1.
+    else Float.max 0. (deadline -. Unix.gettimeofday ())
+  in
+  (try ignore (Unix.select [ r ] [] [] timeout)
+   with Unix.Unix_error (Unix.EINTR, _, _) -> ());
+  Mutex.lock t.qmutex;
+  t.waiters <- List.filter (( <> ) w) t.waiters;
+  Unix.close r;
+  Unix.close w
+
+let pause_writer t = Mutex.protect t.qmutex (fun () -> t.paused <- true)
+
+let resume_writer t =
+  Mutex.protect t.qmutex (fun () ->
+      t.paused <- false;
+      wake_all t)
 
 (* ----- JSON rendering ----- *)
 
@@ -465,7 +489,6 @@ let enqueue t job =
   else begin
     Queue.push job t.queue;
     Obs.gauge "serve.queue_depth" (float_of_int (Queue.length t.queue));
-    Condition.signal t.qcond;
     Mutex.unlock t.qmutex;
     `Queued
   end
@@ -490,8 +513,104 @@ let update_report_json (r : Engine.Exlengine.update_report) seq =
            J.Num (float_of_int r.Engine.Exlengine.strata_rederived) );
        ])
 
-let retry_after t =
-  [ ("retry-after", string_of_int (max 1 (int_of_float (ceil t.config.coalesce_window)))) ]
+let retry_after = [ ("retry-after", "1") ]
+
+(* ----- group commit ----- *)
+
+(* Consecutive jobs with the same as-of date commit as one compacted
+   batch; a date change splits the run so history versions land under
+   the dates their clients asked for, in arrival order. *)
+let rec group_by_as_of = function
+  | [] -> []
+  | j :: rest ->
+      let rec span acc = function
+        | k :: more when Calendar.Date.equal k.job_as_of j.job_as_of ->
+            span (k :: acc) more
+        | more -> (List.rev acc, more)
+      in
+      let same, others = span [ j ] rest in
+      (j.job_as_of, same) :: group_by_as_of others
+
+let publish t (r : Engine.Exlengine.update_report) =
+  let touched = r.Engine.Exlengine.updated @ r.Engine.Exlengine.recomputed in
+  let snap = Snapshot.publish ~prev:(Atomic.get t.snap) ~touched t.engine in
+  Atomic.set t.snap snap;
+  Obs.count "serve.commits";
+  Obs.gauge "serve.snapshot_seq" (float_of_int (Snapshot.seq snap));
+  Snapshot.seq snap
+
+(* Total: every job of the group gets an outcome, so no POST waits on a
+   job that left the queue without one. *)
+let commit_group t (as_of, jobs) =
+  let batch =
+    Engine.Update.concat (List.map (fun j -> j.job_updates) jobs)
+  in
+  Obs.observe ~buckets:Obs.Metrics.size_buckets "serve.coalesced_batch"
+    (float_of_int (List.length batch));
+  Obs.count ~n:(List.length jobs) "serve.coalesced_jobs";
+  let outcome =
+    try
+      Result.map
+        (fun r -> (r, publish t r))
+        (Engine.Exlengine.apply_updates ~as_of t.engine batch)
+    with exn -> Error (Printexc.to_string exn)
+  in
+  if Result.is_error outcome then Obs.count "serve.commit_errors";
+  Mutex.protect t.qmutex (fun () ->
+      List.iter (fun j -> j.job_outcome <- Some outcome) jobs;
+      wake_all t)
+
+(* Held by [pause_writer] until the drain starts. *)
+let commits_held t = t.paused && not (Atomic.get t.stop)
+
+(* Commit every queued job, round after round, until the queue is empty
+   or commits are held: jobs that queue during a round ride the next. *)
+let rec commit_queued t =
+  let jobs =
+    Mutex.protect t.qmutex (fun () ->
+        if commits_held t then []
+        else begin
+          let jobs = List.of_seq (Queue.to_seq t.queue) in
+          Queue.clear t.queue;
+          jobs
+        end)
+  in
+  if jobs <> [] then begin
+    Obs.gauge "serve.queue_depth" 0.;
+    List.iter (commit_group t) (group_by_as_of jobs);
+    commit_queued t
+  end
+
+(* Take the commit lock and commit the queue; [qmutex] held on entry
+   and on return.  [commit_queued] cannot raise: [commit_group] is
+   total. *)
+let hold_commit_lock t =
+  t.committing <- true;
+  Mutex.unlock t.qmutex;
+  commit_queued t;
+  Mutex.lock t.qmutex;
+  t.committing <- false;
+  wake_all t
+
+(* A POST whose job is still queued and finds the commit lock free
+   commits the queue itself.  Otherwise it sleeps until a commit wakes
+   it and gives up at the deadline ([None]); its job stays queued for
+   the commit in progress, the next POST or the drain. *)
+let await_commit t job =
+  let deadline = Unix.gettimeofday () +. t.config.commit_timeout in
+  Mutex.protect t.qmutex (fun () ->
+      let rec loop () =
+        match job.job_outcome with
+        | Some _ as outcome -> outcome
+        | None when not (t.committing || commits_held t) ->
+            hold_commit_lock t;
+            loop ()
+        | None when Unix.gettimeofday () >= deadline -> None
+        | None ->
+            wait_for_commit t ~deadline;
+            loop ()
+      in
+      loop ())
 
 let handle_update t (req : Http.request) =
   if draining t then error_reply 503 "draining"
@@ -518,32 +637,22 @@ let handle_update t (req : Http.request) =
                 {
                   job_updates = updates;
                   job_as_of = Option.value ~default:(today ()) as_of;
-                  job_outcome = Atomic.make None;
+                  job_outcome = None;
                 }
               in
               (match enqueue t job with
               | `Draining -> error_reply 503 "draining"
               | `Full ->
-                  error_reply ~headers:(retry_after t) 429
+                  error_reply ~headers:retry_after 429
                     "update queue full, retry later"
               | `Queued -> (
-                  let deadline =
-                    Unix.gettimeofday () +. t.config.commit_timeout
-                  in
-                  let rec wait () =
-                    match Atomic.get job.job_outcome with
-                    | Some (Ok r, seq) -> reply 200 (update_report_json r seq)
-                    | Some (Error msg, _) -> error_reply 500 msg
-                    | None ->
-                        if Unix.gettimeofday () > deadline then
-                          error_reply 504
-                            "commit timed out (the batch may still apply)"
-                        else begin
-                          Thread.delay 0.001;
-                          wait ()
-                        end
-                  in
-                  wait ())))
+                  match await_commit t job with
+                  | Some (Ok (r, seq)) -> reply 200 (update_report_json r seq)
+                  | Some (Error msg) -> error_reply 500 msg
+                  | None ->
+                      error_reply 504
+                        "commit timed out (the batch stays queued and \
+                         still applies)")))
 
 (* ----- router ----- *)
 
@@ -593,104 +702,23 @@ let handle_request t req =
               ])));
   r
 
-(* ----- the writer loop ----- *)
-
-(* Consecutive jobs with the same as-of date commit as one compacted
-   batch; a date change splits the run so history versions land under
-   the dates their clients asked for, in arrival order. *)
-let rec group_by_as_of = function
-  | [] -> []
-  | j :: rest ->
-      let rec span acc = function
-        | k :: more when Calendar.Date.equal k.job_as_of j.job_as_of ->
-            span (k :: acc) more
-        | more -> (List.rev acc, more)
-      in
-      let same, others = span [ j ] rest in
-      (j.job_as_of, same) :: group_by_as_of others
-
-let commit_group t (as_of, jobs) =
-  let batch =
-    Engine.Update.concat (List.map (fun j -> j.job_updates) jobs)
-  in
-  Obs.observe ~buckets:Obs.Metrics.size_buckets "serve.coalesced_batch"
-    (float_of_int (List.length batch));
-  Obs.count ~n:(List.length jobs) "serve.coalesced_jobs";
-  let result = Engine.Exlengine.apply_updates ~as_of t.engine batch in
-  let seq =
-    match result with
-    | Ok r ->
-        let touched =
-          r.Engine.Exlengine.updated @ r.Engine.Exlengine.recomputed
-        in
-        let snap =
-          Snapshot.publish ~prev:(Atomic.get t.snap) ~touched t.engine
-        in
-        Atomic.set t.snap snap;
-        Obs.count "serve.commits";
-        Obs.gauge "serve.snapshot_seq" (float_of_int (Snapshot.seq snap));
-        Snapshot.seq snap
-    | Error _ ->
-        Obs.count "serve.commit_errors";
-        Snapshot.seq (Atomic.get t.snap)
-  in
-  List.iter (fun j -> Atomic.set j.job_outcome (Some (result, seq))) jobs
-
-let writer_loop t =
-  let running = ref true in
-  while !running do
-    Mutex.lock t.qmutex;
-    while Queue.is_empty t.queue && not (Atomic.get t.stop) do
-      Condition.wait t.qcond t.qmutex
-    done;
-    if Queue.is_empty t.queue then begin
-      (* stop requested and nothing left to drain *)
-      Mutex.unlock t.qmutex;
-      running := false
-    end
-    else begin
-      Mutex.unlock t.qmutex;
-      (* Coalescing window: let followers of the first job queue up so
-         they ride the same apply_updates call.  Skipped when
-         draining — latency no longer matters, finish fast. *)
-      if t.config.coalesce_window > 0. && not (Atomic.get t.stop) then
-        Thread.delay t.config.coalesce_window;
-      while Atomic.get t.paused && not (Atomic.get t.stop) do
-        Thread.delay 0.001
-      done;
-      Mutex.lock t.qmutex;
-      let jobs = ref [] in
-      while not (Queue.is_empty t.queue) do
-        jobs := Queue.pop t.queue :: !jobs
-      done;
-      Obs.gauge "serve.queue_depth" 0.;
-      Mutex.unlock t.qmutex;
-      List.iter (commit_group t) (group_by_as_of (List.rev !jobs))
-    end
-  done;
-  Atomic.set t.writer_done true
-
 let create ?(config = default_config) ?report engine =
-  let t =
-    {
-      engine;
-      config;
-      snap = Atomic.make (Snapshot.capture ?report engine);
-      queue = Queue.create ();
-      qmutex = Mutex.create ();
-      qcond = Condition.create ();
-      stop = Atomic.make false;
-      drain_claimed = Atomic.make false;
-      paused = Atomic.make false;
-      writer_done = Atomic.make false;
-      inflight = Atomic.make 0;
-      conns = Hashtbl.create 32;
-      cmutex = Mutex.create ();
-      conn_id = 0;
-    }
-  in
-  ignore (Thread.create writer_loop t);
-  t
+  {
+    engine;
+    config;
+    snap = Atomic.make (Snapshot.capture ?report engine);
+    qmutex = Mutex.create ();
+    queue = Queue.create ();
+    committing = false;
+    paused = false;
+    waiters = [];
+    stop = Atomic.make false;
+    drain_claimed = Atomic.make false;
+    inflight = Atomic.make 0;
+    conns = Hashtbl.create 32;
+    cmutex = Mutex.create ();
+    conn_id = 0;
+  }
 
 (* ----- sockets ----- *)
 
@@ -797,12 +825,12 @@ let connection t fd =
 (* Over the connection cap: answer 503 on the accepting thread and
    close.  The reply is one small write into an empty socket buffer, so
    it does not block the accept loop. *)
-let refuse_busy t fd =
+let refuse_busy fd =
   Obs.count "serve.connections_refused";
   (try
      write_all fd
        (Http.response
-          ~headers:(("connection", "close") :: retry_after t)
+          ~headers:(("connection", "close") :: retry_after)
           ~status:503
           (error_body 503 "too many connections, retry later"))
    with Unix.Unix_error _ -> ());
@@ -818,14 +846,17 @@ let rec wait_until ~deadline cond =
   end
 
 let drain t =
-  (* Let the writer finish the queue, give in-flight requests a grace
-     period, then shut lingering connections down hard (wakes any
-     thread blocked in read) and wait for the threads to exit. *)
-  Mutex.lock t.qmutex;
-  Condition.broadcast t.qcond;
-  Mutex.unlock t.qmutex;
+  (* Commit the queue on this thread once the commit in progress, if
+     any, has finished ([stop] is set: nothing queues any more, and
+     held commits go ahead).  Then give in-flight requests a grace
+     period, shut lingering connections down hard (wakes any thread
+     blocked in read) and wait for the threads to exit. *)
+  Mutex.protect t.qmutex (fun () ->
+      while t.committing do
+        wait_for_commit t ~deadline:infinity
+      done;
+      hold_commit_lock t);
   let deadline = Unix.gettimeofday () +. t.config.request_timeout +. 1. in
-  ignore (wait_until ~deadline (fun () -> Atomic.get t.writer_done));
   let grace = Unix.gettimeofday () +. 0.5 in
   ignore (wait_until ~deadline:grace (fun () -> Atomic.get t.inflight = 0));
   Mutex.lock t.cmutex;
@@ -843,9 +874,7 @@ let shutdown t =
   Atomic.set t.stop true;
   if not (Atomic.exchange t.drain_claimed true) then drain t
 
-let request_shutdown t =
-  Atomic.set t.stop true;
-  Condition.broadcast t.qcond
+let request_shutdown t = Atomic.set t.stop true
 
 let serve t fd =
   (* A dead client must surface as EPIPE on write, not kill the
@@ -858,7 +887,7 @@ let serve t fd =
        | _ -> (
            match Unix.accept ~cloexec:true fd with
            | client, _ when Atomic.get t.inflight >= t.config.max_connections ->
-               refuse_busy t client
+               refuse_busy client
            | client, _ ->
                Atomic.incr t.inflight;
                ignore (Thread.create (connection t) client)

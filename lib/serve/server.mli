@@ -3,12 +3,16 @@
 
     Threading model (docs/SERVING.md):
 
-    - {e One writer.}  A dedicated thread owns the engine.  POSTed
-      update batches are queued; the writer drains the queue after a
-      short coalescing window, merges everything into one compacted
-      batch ({!Engine.Update.concat}) and commits it with a single
-      {!Engine.Exlengine.apply_updates} call, then publishes a fresh
-      {!Snapshot.t} with one atomic store.
+    - {e Group commit on the posting threads.}  A POSTed update
+      batch is queued; the posting thread then takes the commit lock,
+      unless another thread holds it, and commits every queued job,
+      round after round, until the queue is empty.  Each round groups its jobs by as-of date and merges each
+      group into one compacted batch ({!Engine.Update.concat}), which
+      costs one {!Engine.Exlengine.apply_updates} call and one
+      {!Snapshot.t} published with one atomic store.  Jobs that queue
+      while a round runs ride the next one, with no timer.  A POST
+      whose job another thread committed answers as soon as that
+      commit wakes it.
     - {e Lock-free reads.}  Every GET resolves against the snapshot
       published by the last commit — readers never take a lock and
       never observe a half-applied batch (snapshot isolation); a
@@ -24,19 +28,18 @@
       diagnostic while healthy cubes keep serving; point-in-time
       reads of a quarantined cube still answer from surviving
       history versions.
-    - {e Clean drain.}  {!shutdown} stops accepting, lets in-flight
-      requests and queued commits finish, then returns. *)
+    - {e Clean drain.}  {!shutdown} stops accepting, commits what is
+      queued, lets in-flight requests finish, then returns. *)
 
 type config = {
   max_queue : int;  (** queued update jobs before 429 (default 64) *)
-  coalesce_window : float;
-      (** seconds the writer waits after the first queued job to
-          merge followers into the same commit (default 2ms) *)
   request_timeout : float;
       (** socket read/write budget per request, seconds (default 10) *)
   commit_timeout : float;
-      (** max seconds a POST waits for its commit before answering
-          504 (the commit itself still completes; default 30) *)
+      (** max seconds a POST waits behind another thread's commit
+          before answering 504; its batch stays queued and the commit
+          in progress, the next POST or the drain commits it.  A POST
+          that commits answers when its commit ends (default 30) *)
   max_connections : int;
       (** open connections beyond which an accepted one is answered
           503 with [Retry-After] and closed, without a thread
@@ -56,10 +59,11 @@ val create :
   Engine.Exlengine.t ->
   t
 (** Wrap a booted engine (programs registered, data loaded,
-    recomputed, ideally {!Engine.Exlengine.warm}ed).  Publishes the
+    recomputed, ideally {!Engine.Exlengine.warm}ed) and publish the
     boot snapshot — [report] (from the boot recompute) seeds the
-    quarantine statuses — and starts the writer thread.  The engine
-    must not be touched by the caller afterwards. *)
+    quarantine statuses.  No thread is started: commits run on the
+    threads that POST.  The engine must not be touched by the caller
+    afterwards. *)
 
 val snapshot : t -> Snapshot.t
 (** The currently published snapshot (what readers see). *)
@@ -79,8 +83,8 @@ type reply = {
 
 val handle_request : t -> Http.request -> reply
 (** Route and answer one parsed request.  POST [/v1/update] blocks
-    until the write commits (or times out); GETs never block on the
-    writer. *)
+    until the write commits (or times out), committing the queue itself
+    when no other thread is; GETs never block on a commit. *)
 
 (** {2 Sockets} *)
 
@@ -101,22 +105,24 @@ val serve : t -> Unix.file_descr -> unit
 val serve_background : t -> Unix.file_descr -> Thread.t
 
 val shutdown : t -> unit
-(** Drain: stop accepting, reject new updates with 503, finish queued
-    commits and in-flight requests, stop the writer.  Idempotent;
-    safe to call from a signal handler's deferred path. *)
+(** Drain: stop accepting, reject new updates with 503, commit what
+    is queued (a paused commit goes ahead), finish in-flight requests.
+    Idempotent; safe to call from a signal handler's deferred path. *)
 
 val request_shutdown : t -> unit
-(** Flip the stop flag and wake the writer, nothing else — the tiny,
-    non-blocking half of {!shutdown} a SIGTERM handler can run; the
-    {!serve} loop notices within its poll interval and performs the
-    actual drain. *)
+(** Flip the stop flag, nothing else — the tiny, non-blocking half of
+    {!shutdown} a SIGTERM handler can run; the {!serve} loop notices
+    within its poll interval and performs the actual drain. *)
 
 (** {2 Test hooks} *)
 
 val pause_writer : t -> unit
-(** Hold the writer before its next commit — queued updates
-    accumulate (this is how the tests force 429 and observe snapshot
-    isolation deterministically). *)
+(** Hold commits: no thread starts a commit round until
+    {!resume_writer} or the drain, so queued updates accumulate and
+    their POSTs wait (this is how the tests force 429, 504 and one
+    merged commit, and observe snapshot isolation deterministically). *)
 
 val resume_writer : t -> unit
+(** Release held commits and wake the waiting POSTs; one of them
+    commits the queue. *)
 

@@ -1,7 +1,8 @@
-(* exlserve: HTTP parser totality, routing, the single-writer commit
-   loop, snapshot isolation and its oracle, admission control (queue
-   and connections), domain-typed filters and keys, degraded serving, and
-   concurrent point-in-time reads (docs/SERVING.md). *)
+(* exlserve: HTTP parser totality, routing, group commit on the
+   posting threads, snapshot isolation and its oracle, admission control
+   (queue and connections), commit timeouts, domain-typed filters and
+   keys, degraded serving, and concurrent point-in-time reads
+   (docs/SERVING.md). *)
 open Matrix
 open Helpers
 module Http = Serve.Http
@@ -36,7 +37,7 @@ let sales_cube () =
       [ vm 2024 2; vs "rome"; vf 13. ];
     ]
 
-let boot_server ?faults ?(config = Server.default_config) () =
+let boot_engine ?faults () =
   let econfig = { Engine.Exlengine.default_config with faults } in
   let engine = Engine.Exlengine.create ~config:econfig () in
   ok (Engine.Exlengine.register_program engine ~name:"p" sales_program);
@@ -44,6 +45,10 @@ let boot_server ?faults ?(config = Server.default_config) () =
   let report = ok (Engine.Exlengine.recompute_all engine) in
   (* a quarantined boot cannot warm the full cache; that is fine *)
   (match Engine.Exlengine.warm engine with Ok () | Error _ -> ());
+  (engine, report)
+
+let boot_server ?faults ?(config = Server.default_config) () =
+  let engine, report = boot_engine ?faults () in
   Server.create ~config ~report engine
 
 (* Build a parsed request the way the connection loop would. *)
@@ -138,11 +143,11 @@ let test_parse_fails_closed () =
     (status (String.make (Http.default_limits.Http.max_request_line + 1) 'A'))
 
 let test_fuzz_campaign () =
-  match Serve.Http_fuzz.run ~seed:1234 ~count:400 () with
+  match Http_fuzz.run ~seed:1234 ~count:400 () with
   | None -> ()
   | Some v ->
       Alcotest.failf "parser totality violated (%s) on %S"
-        v.Serve.Http_fuzz.reason v.Serve.Http_fuzz.input
+        v.Http_fuzz.reason v.Http_fuzz.input
 
 (* --- routing (transport-independent) --- *)
 
@@ -266,7 +271,7 @@ let test_route_quarantined () =
   check_contains "catalog shows degradation" catalog.Server.body "quarantined";
   Server.shutdown t
 
-(* --- the single-writer loop --- *)
+(* --- group commit --- *)
 
 let test_snapshot_isolation_and_429 () =
   let config = { Server.default_config with max_queue = 1 } in
@@ -321,9 +326,7 @@ let test_snapshot_isolation_and_429 () =
 let test_coalescing_merges_batches () =
   (* With the writer held, several queued batches — including opposing
      updates — commit as ONE compacted batch and one snapshot flip. *)
-  let config =
-    { Server.default_config with max_queue = 16; coalesce_window = 0.001 }
-  in
+  let config = { Server.default_config with max_queue = 16 } in
   let t = boot_server ~config () in
   let seq0 = Snapshot.seq (Server.snapshot t) in
   Server.pause_writer t;
@@ -384,6 +387,126 @@ let test_drain_rejects_updates () =
   let g = Server.handle_request t (request "GET" "/v1/cube/TOTAL") in
   Alcotest.(check int) "reads still answer during drain" 200 g.Server.status;
   Server.shutdown t
+
+(* A POST that waits out [commit_timeout] answers 504 and leaves its
+   batch queued: the next POST's commit applies it, and so does the
+   drain, even with commits still held. *)
+let test_commit_timeout () =
+  let config = { Server.default_config with commit_timeout = 0.05 } in
+  let post t body =
+    Server.handle_request t (request "POST" "/v1/update" ~body)
+  in
+  let rome_jan engine =
+    match Engine.Exlengine.cube engine "SALES" with
+    | None -> Alcotest.fail "SALES vanished"
+    | Some cube -> Cube.find cube (key [ vm 2024 1; vs "rome" ])
+  in
+  let timed_out () =
+    let engine, report = boot_engine () in
+    let t = Server.create ~config ~report engine in
+    let seq0 = Snapshot.seq (Server.snapshot t) in
+    Server.pause_writer t;
+    let r = post t "set SALES 2024M01 rome 100\n" in
+    Alcotest.(check int) "held commit answers 504" 504 r.Server.status;
+    Alcotest.(check int) "timed-out batch stays queued" 1
+      (Server.queue_depth t);
+    Alcotest.(check (option value)) "engine not yet revised" (Some (vf 10.))
+      (rome_jan engine);
+    (t, engine, seq0)
+  in
+  let applied what t engine =
+    Alcotest.(check (option value))
+      (what ^ ": engine holds the timed-out value")
+      (Some (vf 100.)) (rome_jan engine);
+    let total = Server.handle_request t (request "GET" "/v1/cube/TOTAL") in
+    check_contains (what ^ ": snapshot serves it") total.Server.body
+      "[\"2024M01\",120]"
+  in
+  let t, engine, seq0 = timed_out () in
+  Server.resume_writer t;
+  let r = post t "set SALES 2024M02 rome 7\n" in
+  Alcotest.(check int) "the next POST commits" 200 r.Server.status;
+  Alcotest.(check int) "both batches in one commit" (seq0 + 1)
+    (Snapshot.seq (Server.snapshot t));
+  applied "after resume and a POST" t engine;
+  Server.shutdown t;
+  let t, engine, seq0 = timed_out () in
+  Server.shutdown t;
+  Alcotest.(check int) "the drain commits" (seq0 + 1)
+    (Snapshot.seq (Server.snapshot t));
+  Alcotest.(check int) "queue drained" 0 (Server.queue_depth t);
+  applied "after shutdown" t engine
+
+(* One sample of the Prometheus exposition. *)
+let scrape t name =
+  let body =
+    (Server.handle_request t (request "GET" "/metrics")).Server.body
+  in
+  let prefix = name ^ " " in
+  let n = String.length prefix in
+  match
+    List.find_opt
+      (fun line -> String.length line > n && String.sub line 0 n = prefix)
+      (String.split_on_char '\n' body)
+  with
+  | Some line ->
+      float_of_string (String.sub line n (String.length line - n))
+  | None -> Alcotest.failf "metric %s not exposed" name
+
+(* Group commit with nothing held: concurrent POSTs on disjoint keys
+   each commit exactly once, by their own thread or a neighbour's, and
+   each client reads its own write right after its POST. *)
+let test_concurrent_group_commit () =
+  let c = Obs.create ~spans:false () in
+  Obs.with_collector c (fun () ->
+      let t = boot_server () in
+      let seq0 = Snapshot.seq (Server.snapshot t) in
+      let threads = 8 and posts = 25 in
+      let failures = Atomic.make [] in
+      let rec fail msg =
+        let seen = Atomic.get failures in
+        if not (Atomic.compare_and_set failures seen (msg :: seen)) then
+          fail msg
+      in
+      let row i v = Printf.sprintf "[\"2024M01\",\"w%d\",%d]" i v in
+      let worker i =
+        for j = 1 to posts do
+          let v = (100 * i) + j in
+          let r =
+            Server.handle_request t
+              (request "POST" "/v1/update"
+                 ~body:(Printf.sprintf "set SALES 2024M01 w%d %d\n" i v))
+          in
+          if r.Server.status <> 200 then
+            fail (Printf.sprintf "w%d post %d: status %d" i j r.Server.status)
+          else
+            let g =
+              Server.handle_request t
+                (request "GET" (Printf.sprintf "/v1/cube/SALES?shop=w%d" i))
+            in
+            if not (contains g.Server.body (row i v)) then
+              fail (Printf.sprintf "w%d post %d: own write not read" i j)
+        done
+      in
+      List.iter Thread.join (List.init threads (Thread.create worker));
+      (match Atomic.get failures with
+      | [] -> ()
+      | msg :: _ -> Alcotest.fail msg);
+      let sales = Server.handle_request t (request "GET" "/v1/cube/SALES") in
+      for i = 0 to threads - 1 do
+        check_contains "last acknowledged value" sales.Server.body
+          (row i ((100 * i) + posts))
+      done;
+      let commits = scrape t "exl_serve_commits" in
+      Alcotest.(check (float 0.)) "every job committed once"
+        (float_of_int (threads * posts))
+        (scrape t "exl_serve_coalesced_jobs");
+      Alcotest.(check bool) "commits <= jobs" true
+        (commits <= float_of_int (threads * posts));
+      Alcotest.(check (float 0.)) "one snapshot flip per commit"
+        (float_of_int (Snapshot.seq (Server.snapshot t) - seq0))
+        commits;
+      Server.shutdown t)
 
 (* --- metrics --- *)
 
@@ -878,6 +1001,8 @@ let suite =
     ("writer: snapshot isolation and 429 overflow", `Quick, test_snapshot_isolation_and_429);
     ("writer: queued batches coalesce into one commit", `Quick, test_coalescing_merges_batches);
     ("writer: drain refuses updates, keeps reads", `Quick, test_drain_rejects_updates);
+    ("writer: a timed-out batch commits later", `Quick, test_commit_timeout);
+    ("writer: concurrent posters group-commit", `Quick, test_concurrent_group_commit);
     ("metrics: prometheus exposition parses", `Quick, test_metrics_exposition);
     ("metrics: span-free collector", `Quick, test_metrics_without_spans);
     ("socket: concurrent clients end to end", `Quick, test_socket_end_to_end);
