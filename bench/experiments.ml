@@ -575,10 +575,14 @@ let x10 () =
 
 (* ------------------------------------------------------------------ *)
 (* X11 — batched updates through the facade: [apply_updates] against a
-   warm solution cache vs a from-scratch [recompute_all] (warm
-   translation cache), on the 10x overview workload ([Rows.incr_setup]).
-   test_counters.ml pins [facts_rederived]; the wall-clock guard holds
-   the speedup to its floor. *)
+   warm solution cache vs a from-scratch recompute (warm translation
+   cache), on the 10x overview workload ([Rows.incr_setup]).  The
+   scratch side pays what a delivery pays: each repeat loads a fresh
+   PDR version ([load_elementary], which builds its column view) and
+   then runs [recompute_all]; recomputing an unchanged version would
+   reuse the view its first repeat built.  test_counters.ml pins
+   [facts_rederived]; the wall-clock guard holds the speedup to its
+   floor. *)
 
 type incr_row = {
   label : string;
@@ -604,11 +608,16 @@ let incr_rows () =
     let incr_seconds =
       wall_avg (fun () -> ignore (apply () : Engine.Exlengine.update_report))
     in
+    let pdr = Registry.find_exn (Engine.Exlengine.store engine) "PDR" in
     let scratch_seconds =
       wall_avg (fun () ->
+          check (Engine.Exlengine.load_elementary engine pdr);
           ignore (check (Engine.Exlengine.recompute_all engine)
                   : Engine.Dispatcher.report))
     in
+    (* A load drops the solution cache; the next row's batches run
+       against a warm one, as before. *)
+    check (Engine.Exlengine.warm engine);
     {
       label;
       batch = n;

@@ -7,40 +7,9 @@
    copying, and a cube version's column view shareable by its
    readers. *)
 
-(* The dictionary's own hash: it agrees with [Value.equal] exactly as
-   [Value.hash] does (an int hashes like the float it converts to), but
-   allocates nothing.  It never leaves the dictionary, and codes are
-   issued in first-seen order whatever the hash.  Ints are mixed, so a
-   stride of a power of two does not pile them into a few slots.  A
-   date is one int per calendar day, read off the fields without a
-   division, and a period its own hash, both unmixed: consecutive days
-   and periods fill nearby slots, which keeps their lookups
-   cache-local. *)
-let mix h =
-  let h = h * 0x1E3779B97F4A7C15 in
-  h lxor (h lsr 32)
-
-(* Integral floats within +-2^53 convert to and from ints exactly, so
-   they hash as the int; -0. hashes as 0 and every NaN alike. *)
-let hash_float f =
-  if Float.is_integer f && Float.abs f <= 0x1p53 then mix (int_of_float f)
-  else Hashtbl.hash f
-
-let hash = function
-  | Value.Null -> 17
-  | Value.Bool b -> if b then 31 else 37
-  | Value.Int i ->
-      if i >= -0x20000000000000 && i <= 0x20000000000000 then mix i
-      else hash_float (float_of_int i)
-  | Value.Float f -> hash_float f
-  | Value.String s -> Hashtbl.hash s
-  | Value.Date { Calendar.Date.year; month; day } ->
-      (((year * 12) + month) * 31) + day
-  | Value.Period p -> 0x9E12 lxor Calendar.Period.hash p
-
 (* Codes are found by open addressing: [slots] holds [code + 1] per
-   slot ([0]: empty), at most half full, probed linearly from the
-   value's hash.  A lookup allocates nothing and divides nothing. *)
+   slot ([0]: empty), at most half full, probed linearly from
+   [Value.hash].  A lookup allocates nothing and divides nothing. *)
 type t = {
   mutable values : Value.t array;  (* code -> first value encoded *)
   mutable size : int;
@@ -62,7 +31,7 @@ let probe t v =
       let x = t.values.(s - 1) in
       if x == v || Value.equal x v then s - 1 else go ((i + 1) land mask)
   in
-  go (hash v land mask)
+  go (Value.hash v land mask)
 
 let rehash t =
   let slots = Array.make (2 * Array.length t.slots) 0 in
@@ -71,7 +40,7 @@ let rehash t =
     let rec place i =
       if slots.(i) = 0 then slots.(i) <- c + 1 else place ((i + 1) land mask)
     in
-    place (hash t.values.(c) land mask)
+    place (Value.hash t.values.(c) land mask)
   done;
   t.slots <- slots
 

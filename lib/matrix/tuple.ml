@@ -20,7 +20,11 @@ let compare a b =
 let equal a b = compare a b = 0
 
 let hash t =
-  Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) (Array.length t) t
+  let h = ref (Array.length t) in
+  for i = 0 to Array.length t - 1 do
+    h := (!h * 31) + Value.hash t.(i)
+  done;
+  !h
 
 let project t idxs = Array.map (fun i -> t.(i)) idxs
 

@@ -18,7 +18,14 @@ val arity : t -> int
 val get : t -> int -> Value.t
 val compare : t -> t -> int
 val equal : t -> t -> bool
+
 val hash : t -> int
+(** Agrees with {!equal}, combining {!Value.hash} of each component;
+    allocates nothing when the components' hashes do not.  Keys that
+    differ in one date or period component hash in that component's
+    calendar order; the iteration order of a {!Table} is still
+    unspecified. *)
+
 
 val project : t -> int array -> t
 (** [project t idxs] keeps the components at [idxs], in that order. *)

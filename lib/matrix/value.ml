@@ -33,13 +33,32 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
+(* Ints are mixed, so a stride of a power of two does not pile them
+   into a few slots of a table.  A date is one int per calendar day,
+   read off its fields without a division, and a period its own hash,
+   both unmixed: consecutive days and periods fill nearby slots, so a
+   table keyed on them iterates in near-calendar order and its lookups
+   stay cache-local.  A mixed date hash loses that locality and, with
+   it, the gain on gdp_cycle (docs/PERFORMANCE.md). *)
+let mix h =
+  let h = h * 0x1E3779B97F4A7C15 in
+  h lxor (h lsr 32)
+
+(* Integral floats within +-2^53 convert to and from ints exactly, so
+   they hash as the int; -0. hashes as 0 and every NaN alike. *)
+let hash_float f =
+  if Float.is_integer f && Float.abs f <= 0x1p53 then mix (int_of_float f)
+  else Hashtbl.hash f
+
 let hash = function
   | Null -> 17
   | Bool b -> if b then 31 else 37
-  | Int i -> Hashtbl.hash (float_of_int i)
-  | Float f -> Hashtbl.hash f
+  | Int i ->
+      if i >= -0x20000000000000 && i <= 0x20000000000000 then mix i
+      else hash_float (float_of_int i)
+  | Float f -> hash_float f
   | String s -> Hashtbl.hash s
-  | Date d -> Hashtbl.hash (0xDA7E, Calendar.Date.to_rata_die d)
+  | Date { Calendar.Date.year; month; day } -> (((year * 12) + month) * 31) + day
   | Period p -> 0x9E12 lxor Calendar.Period.hash p
 
 let is_null = function Null -> true | _ -> false

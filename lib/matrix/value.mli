@@ -19,7 +19,17 @@ val compare : t -> t -> int
     values compare cross-type by magnitude so that [Int 2 = Float 2.]. *)
 
 val equal : t -> t -> bool
+
 val hash : t -> int
+(** Agrees with {!equal}: equal values hash alike, so [Int 1] and
+    [Float 1.], [0.] and [-0.], and any two NaNs share a hash.  It
+    allocates nothing, except for an int beyond +-2^53 (hashed as the
+    float it converts to).  Dates and periods hash in calendar order,
+    unmixed: a later day hashes higher, and a period hashes as its
+    index within its frequency xor a constant, so neighbouring days
+    and periods get neighbouring hashes.  The iteration order of a
+    table keyed on values is still unspecified. *)
+
 val is_null : t -> bool
 
 val to_float : t -> float option

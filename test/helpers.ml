@@ -28,6 +28,35 @@ let vm y m = Value.Period (Calendar.Period.month y m)
 let vd y m d = Value.Date (Calendar.Date.make ~year:y ~month:m ~day:d)
 let key vs = Tuple.of_list vs
 
+(* Values that [Value.equal] conflates across constructors: [Int 1]
+   meets [Float 1.], [-0.] meets [0.] and [Int 0], and NaN meets
+   itself.  Ints stay well inside +-2^53, where [Value.equal] is
+   transitive, so that sorting them is well defined.  Dates span a
+   year end, and periods of four frequencies cover them. *)
+let gen_dict_value =
+  let open QCheck.Gen in
+  let date =
+    map
+      (fun n -> Calendar.Date.add_days (Calendar.Date.make ~year:1999 ~month:12 ~day:25) n)
+      (int_bound 60)
+  in
+  frequency
+    [
+      (3, map (fun i -> Value.Int i) (int_range (-3) 3));
+      ( 3,
+        oneofl
+          [ Value.Float 1.; Value.Float 0.; Value.Float (-0.); Value.Float 2.5;
+            Value.Float (-3.); Value.Float Float.nan; Value.Float Float.infinity ] );
+      (3, map (fun d -> Value.Date d) date);
+      ( 2,
+        map2
+          (fun f d -> Value.Period (Calendar.Period.of_date f d))
+          (oneofl Calendar.[ Year; Quarter; Month; Day ])
+          date );
+      (2, oneofl [ Value.String "a"; Value.String "b"; Value.String ""; Value.String "1" ]);
+      (1, oneofl [ Value.Null; Value.Bool true; Value.Bool false ]);
+    ]
+
 let cube_of name dims rows =
   let schema = Schema.make ~name ~dims () in
   Cube.of_rows schema rows

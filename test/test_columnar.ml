@@ -53,36 +53,10 @@ let test_dict_xlate () =
   Alcotest.(check bool) "same dict needs no translation" true
     (Dict.xlate a a = None)
 
-(* The dictionary's own hash is unobservable: over random value lists,
-   [encode] issues the codes a first-seen association list issues under
-   [Value.equal], and [find] agrees with the list on values encoded and
-   not.  Ints stay well inside +-2^53, where [Value.equal] is
-   transitive; [Int 1] meets [Float 1.], [-0.] meets [0.] and [Int 0],
-   and NaN meets itself. *)
-let gen_dict_value =
-  let open QCheck.Gen in
-  let date =
-    map
-      (fun n -> Calendar.Date.add_days (Calendar.Date.make ~year:1999 ~month:12 ~day:25) n)
-      (int_bound 60)
-  in
-  frequency
-    [
-      (3, map (fun i -> Value.Int i) (int_range (-3) 3));
-      ( 3,
-        oneofl
-          [ Value.Float 1.; Value.Float 0.; Value.Float (-0.); Value.Float 2.5;
-            Value.Float (-3.); Value.Float Float.nan; Value.Float Float.infinity ] );
-      (3, map (fun d -> Value.Date d) date);
-      ( 2,
-        map2
-          (fun f d -> Value.Period (Calendar.Period.of_date f d))
-          (oneofl Calendar.[ Year; Quarter; Month; Day ])
-          date );
-      (2, oneofl [ Value.String "a"; Value.String "b"; Value.String ""; Value.String "1" ]);
-      (1, oneofl [ Value.Null; Value.Bool true; Value.Bool false ]);
-    ]
-
+(* The dictionary's probe is unobservable: over random value lists
+   ([Helpers.gen_dict_value]), [encode] issues the codes a first-seen
+   association list issues under [Value.equal], and [find] agrees with
+   the list on values encoded and not. *)
 let prop_dict_matches_model =
   QCheck.Test.make ~count:qcheck_count
     ~name:"dict codes == first-seen association list under Value.equal"

@@ -200,11 +200,55 @@ let test_tuple_ordering () =
   Alcotest.(check bool) "project" true
     (Tuple.equal (Tuple.project b [| 1 |]) (key [ vs "b" ]))
 
+(* A value [Value.equal] to [v], in another representation where one
+   exists: the other numeric constructor, another NaN, a fresh date. *)
+let twin = function
+  | Value.Int i -> vf (float_of_int i)
+  | Value.Float f when Float.is_integer f && Float.abs f < 0x1p62 -> vi (int_of_float f)
+  | Value.Float f when Float.is_nan f -> vf (-.f)
+  | Value.Date { Calendar.Date.year; month; day } -> vd year month day
+  | v -> v
+
+(* [gen_dict_value] and ints at and beyond +-2^53 with the floats they
+   round to, where [Value.equal] is not transitive: [Int (2^53 + 1)]
+   and [Int 2^53] both equal [Float 2^53]. *)
+let gen_hash_value =
+  let p53 = 0x20000000000000 in
+  QCheck.Gen.(
+    frequency
+      [
+        (8, gen_dict_value);
+        ( 1,
+          oneofl
+            [ vi p53; vi (p53 + 1); vi (-p53 - 1); vi max_int; vi min_int; vf 0x1p53;
+              vf (-0x1p53); vf 0x1p62 ] );
+      ])
+
+(* A value and, half the time, its twin; else an unrelated value. *)
+let gen_value_pair =
+  QCheck.Gen.(
+    gen_hash_value >>= fun a ->
+    map (fun b -> (a, b)) (frequency [ (1, return (twin a)); (1, gen_hash_value) ]))
+
+let show_value v = Value.type_name v ^ " " ^ Value.to_string v
+let show_pair (a, b) = show_value a ^ " | " ^ show_value b
+
+(* The contract every value-keyed table rests on (value.mli). *)
+let prop_value_hash_consistent =
+  QCheck.Test.make
+    ~count:(Helpers.qcheck_count ~var:"EXL_STORE_QCHECK_COUNT" ~default:200)
+    ~name:"value equal implies equal hash"
+    (QCheck.make
+       ~print:show_pair gen_value_pair)
+    (fun (a, b) -> (not (Value.equal a b)) || Value.hash a = Value.hash b)
+
 let prop_tuple_hash_consistent =
   QCheck.Test.make ~count:200 ~name:"tuple equal implies equal hash"
-    QCheck.(pair (list (int_range 0 5)) (list (int_range 0 5)))
-    (fun (xs, ys) ->
-      let t1 = key (List.map vi xs) and t2 = key (List.map vi ys) in
+    (QCheck.make
+       ~print:(fun pairs -> String.concat "; " (List.map show_pair pairs))
+       QCheck.Gen.(list_size (int_bound 4) gen_value_pair))
+    (fun pairs ->
+      let t1 = key (List.map fst pairs) and t2 = key (List.map snd pairs) in
       (not (Tuple.equal t1 t2)) || Tuple.hash t1 = Tuple.hash t2)
 
 (* --- cubes --- *)
@@ -1206,6 +1250,7 @@ let suite =
     ("domain: membership", `Quick, test_domain_membership);
     ("domain: union", `Quick, test_domain_union);
     ("tuple: ordering and projection", `Quick, test_tuple_ordering);
+    QCheck_alcotest.to_alcotest prop_value_hash_consistent;
     QCheck_alcotest.to_alcotest prop_tuple_hash_consistent;
     ("cube: functionality", `Quick, test_cube_functionality);
     ("cube: null measures dropped", `Quick, test_cube_null_measure_dropped);
