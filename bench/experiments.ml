@@ -725,7 +725,7 @@ let x12 () =
 
 (* ------------------------------------------------------------------ *)
 (* X13 — columnar batches: the chase through the vectorized kernels
-   (dictionary-encoded batches, int-keyed hash join, grouped
+   (dictionary-encoded column views, int-keyed hash join, grouped
    aggregation over float arrays) vs the row-at-a-time engine on the
    same mapping and source.  Both paths produce identical solutions
    and identical deterministic counters — asserted here before any

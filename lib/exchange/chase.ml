@@ -429,7 +429,7 @@ let apply_outer_combine ~out instance stats (left : Tgd.atom)
    coincide everywhere except the naive driver, whose Jacobi rounds
    read a frozen snapshot while writing the live instance.
    [vectorized] routes kernel-able tgds through the columnar engine
-   (reads and writes must coincide — the batch is the frozen view);
+   (reads and writes must coincide — the column view is frozen);
    shapes the kernels do not handle fall through to the row matcher. *)
 let apply_body_full ~matcher ?(vectorized = false) ?out instance stats tgd =
   let out = Option.value ~default:instance out in
@@ -666,10 +666,11 @@ let run_semi_naive ~columnar (m : Mappings.Mapping.t) target stats =
 (* Σst: copy the source relations into a fresh instance over the target
    schemas (the paper keeps the same symbols for a relation and its
    copy; so do we).  With [columnar] a source relation whose target
-   schema matches is installed as a shared column batch — O(columns),
-   with the encode memoized on the source across runs — and its target
-   rows rebuild lazily only if something needs tuple-level access;
-   otherwise facts are copied row by row. *)
+   schema matches is installed as the source's column view — O(1),
+   the view memoized on the source (on its cube version, for an
+   instance [of_registry]) — and its target rows rebuild lazily only if
+   something needs tuple-level access; otherwise facts are copied row
+   by row. *)
 let copy_sources ~columnar (m : Mappings.Mapping.t) source =
   let target = Instance.create () in
   List.iter (Instance.add_relation target) m.Mappings.Mapping.target;
@@ -679,14 +680,14 @@ let copy_sources ~columnar (m : Mappings.Mapping.t) source =
       match Instance.schema source name with
       | None -> ()
       | Some src_schema ->
-          let batched =
+          let shared =
             columnar
             &&
             match Instance.schema target name with
             | Some tgt_schema -> Schema.equal tgt_schema src_schema
             | None -> false
           in
-          if batched then Instance.set_batch target name (Instance.batch source name)
+          if shared then Instance.set_view target src_schema (Instance.view source name)
           else
             Instance.iter_facts source name (fun fact ->
                 ignore (Instance.insert target name (Array.copy fact) : bool)))

@@ -44,9 +44,10 @@ val run :
 
     [columnar] (default [true]) routes kernel-able tgds — all-variable
     selections/projections, two-atom equi-joins, dimension-keyed
-    aggregations — through vectorized kernels over dictionary-encoded
-    column batches, and installs Σst source copies as shared batches
-    instead of row-by-row.  The solution, the result, and every [stats]
+    aggregations — through vectorized kernels over each relation's
+    dictionary-encoded column view ({!Instance.view}), and installs
+    Σst source copies as the sources' shared views instead of
+    row-by-row.  The solution, the result, and every [stats]
     counter are identical to the row path's (the kernels replay its
     iteration order, counting, and error rules); only wall-clock time
     and index telemetry differ.  [~columnar:false] is the row-evaluator

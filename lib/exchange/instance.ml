@@ -4,17 +4,18 @@ type fact = Value.t array
 
 (* A relation's contents live in exactly one of two states:
 
-   - [pending = Some batch], row stores empty: the relation was
-     installed wholesale as a column batch ([set_batch], the chase's
-     Σst source copy) and no tuple-level access has happened yet.
-     Whole-relation reads ([facts], [iter_facts], [cardinality]) are
-     served straight from the batch; the first row-level operation
-     ([mem], [insert], [remove], index access) materializes the rows.
+   - [pending = Some view], row stores empty: the relation was
+     installed wholesale as a column view ([set_view]: a source cube
+     version's view, or the chase's Σst copy of one) and no tuple-level
+     access has happened yet.  Whole-relation reads ([facts],
+     [iter_facts], [cardinality]) are served straight from the view;
+     the first row-level operation ([mem], [insert], [remove], index
+     access) materializes the rows.
 
    - [pending = None]: the classic hashed row stores are live.
 
-   [cache] memoizes the columnar view of the current contents (it
-   equals [pending] while that is set); any mutation drops it.
+   [cache] memoizes the view of the current contents (it equals
+   [pending] while that is set); any mutation drops it.
 
    An instance is touched by one domain at a time: nothing in it is
    synchronized. *)
@@ -25,27 +26,17 @@ type relation = {
       (* persistent secondary indexes: sorted position list -> (values
          at those positions -> facts); created lazily by [ensure_index]
          and maintained by every later insert/remove *)
-  mutable pending : Columnar.Batch.t option;
-  mutable cache : Columnar.Batch.t option;
+  mutable pending : Cube.view option;
+  mutable cache : Cube.view option;
 }
 
 type t = {
   rels : (string, relation) Hashtbl.t;
-  pool : Dict.pool;
-      (* per-instance dictionaries, one per domain: every batch encoded
-         for this instance shares codes per domain, so same-domain
-         columns join by int comparison *)
   mutable builds : int;  (* index telemetry, see [index_stats] *)
   mutable lookups : int;
 }
 
-let create () =
-  {
-    rels = Hashtbl.create 32;
-    pool = Dict.create_pool ();
-    builds = 0;
-    lookups = 0;
-  }
+let create () = { rels = Hashtbl.create 32; builds = 0; lookups = 0 }
 
 let add_relation t schema =
   let name = schema.Schema.name in
@@ -79,16 +70,21 @@ let index_stats t = (t.builds, t.lookups)
 let index_key positions (fact : fact) =
   Tuple.of_list (List.map (fun p -> fact.(p)) positions)
 
-(* Turn a pending batch into live row stores.  Indexes cannot exist
+(* Each row of a view, decoded into a fresh fact. *)
+let iter_rows v f =
+  for r = 0 to v.Cube.size - 1 do
+    f (Cube.row v r)
+  done
+
+(* Turn a pending view into live row stores.  Indexes cannot exist
    yet for this relation (every index op materializes first), so only
    the primary stores are filled. *)
 let materialize r =
   match r.pending with
   | None -> ()
-  | Some batch ->
+  | Some v ->
       r.pending <- None;
-      Columnar.Batch.iter_rows batch (fun fact ->
-          Tuple.Table.replace r.store (Tuple.of_array fact) ())
+      iter_rows v (fun fact -> Tuple.Table.replace r.store (Tuple.of_array fact) ())
 
 let insert t name fact =
   let r = relation_exn t name in
@@ -133,17 +129,9 @@ let mem t name fact =
   Tuple.Table.mem r.store (Tuple.of_array fact)
 
 (* Snapshot.  Row stores are copied and secondary indexes start empty,
-   rebuilding lazily; batches, dictionaries and the pool are
-   immutable/append-only and shared outright. *)
+   rebuilding lazily; views are immutable and shared outright. *)
 let copy t =
-  let out =
-    {
-      rels = Hashtbl.create (Hashtbl.length t.rels);
-      pool = t.pool;
-      builds = 0;
-      lookups = 0;
-    }
-  in
+  let out = { rels = Hashtbl.create (Hashtbl.length t.rels); builds = 0; lookups = 0 } in
   Hashtbl.iter
     (fun name r ->
       Hashtbl.replace out.rels name
@@ -159,12 +147,12 @@ let copy t =
 
 (* The table key IS the stored fact array ([Tuple.of_array] is an
    ownership transfer, not a copy), so iteration can expose it without
-   copying — callers must not mutate the arrays.  A pending batch is
+   copying — callers must not mutate the arrays.  A pending view is
    iterated directly (fresh arrays per row) without materializing. *)
 let iter_facts t name f =
   let r = relation_exn t name in
   match r.pending with
-  | Some batch -> Columnar.Batch.iter_rows batch f
+  | Some v -> iter_rows v f
   | None -> Tuple.Table.iter (fun k () -> f (k : Tuple.t :> Value.t array)) r.store
 
 let ensure_index t name positions =
@@ -201,11 +189,11 @@ let clear t name =
   Tuple.Table.reset r.store;
   Hashtbl.iter (fun _ idx -> Tuple.Table.reset idx) r.indexes
 
-(* A pending batch is already in sorted order ([set_batch]'s contract). *)
+(* A pending view is decoded in its key order. *)
 let facts t name =
   let r = relation_exn t name in
   match r.pending with
-  | Some batch -> Columnar.Batch.to_facts batch
+  | Some v -> Array.to_list (Array.map (Cube.row v) (Cube.key_order v))
   | None ->
       Tuple.Table.fold (fun k () acc -> Tuple.to_array k :: acc) r.store []
       |> List.sort (fun a b -> Tuple.compare (Tuple.of_array a) (Tuple.of_array b))
@@ -213,51 +201,43 @@ let facts t name =
 let cardinality t name =
   let r = relation_exn t name in
   match r.pending with
-  | Some batch -> Columnar.Batch.nrows batch
+  | Some v -> v.Cube.size
   | None -> Tuple.Table.length r.store
 
 let total_facts t =
   Hashtbl.fold (fun name _ acc -> acc + cardinality t name) t.rels 0
 
-(* ----- columnar views ----- *)
+(* ----- column views ----- *)
 
-(* The columnar view of a relation's current contents, encoded under
-   this instance's dictionary pool and memoized until the next
-   mutation.  Rows are in [facts] (sorted) order — the order the
-   vectorized kernels rely on to replay the row engine exactly. *)
-let batch t name =
+(* The view of a relation's current contents, memoized until the next
+   mutation.  Row stores are encoded from [facts], sorted, so the
+   view's key order is the identity. *)
+let view t name =
   let r = relation_exn t name in
-  match r.pending with
-  | Some b -> b
-  | None -> (
-      match r.cache with
-      | Some b -> b
-      | None ->
-          let b = Columnar.Batch.of_facts ~pool:t.pool r.schema (facts t name) in
-          r.cache <- Some b;
-          b)
+  match r.cache with
+  | Some v -> v
+  | None ->
+      let v = Cube.view_of_sorted (Schema.arity r.schema) (facts t name) in
+      r.cache <- Some v;
+      v
 
-(* Replace a relation's contents with a batch, O(columns): row stores
-   are emptied and rebuilt only if tuple-level access happens later.
-   The batch's dictionaries are adopted into this instance's pool
-   (per dimension domain), so subsequent encodes share their codes.
-   The caller promises the batch's rows are duplicate-free and in
-   sorted order — true of any batch obtained from {!batch}. *)
-let set_batch t name b =
+(* Replace a relation's contents with a view, O(1): row stores are
+   emptied and rebuilt only if tuple-level access happens later.  The
+   caller promises the view's rows are distinct facts and its key order
+   is their sorted order — true of a cube version's view and of any
+   view from [view]. *)
+let set_view t schema v =
+  let name = schema.Schema.name in
   let r = relation_exn t name in
-  if not (Schema.equal r.schema (Columnar.Batch.schema b)) then
-    invalid_arg ("Instance.set_batch: schema mismatch on " ^ name);
+  if not (Schema.equal r.schema schema && Array.length v.Cube.dicts = Schema.arity schema)
+  then invalid_arg ("Instance.set_view: schema mismatch on " ^ name);
   Tuple.Table.reset r.store;
   Hashtbl.iter (fun _ idx -> Tuple.Table.reset idx) r.indexes;
-  Array.iteri
-    (fun i (d : Schema.dimension) ->
-      Dict.adopt t.pool d.Schema.dim_domain (Columnar.Batch.dim_dict b i))
-    r.schema.Schema.dims;
-  r.pending <- Some b;
-  r.cache <- Some b
+  r.pending <- Some v;
+  r.cache <- Some v
 
-(* Each cube is installed as one column batch, in key order (which is
-   [facts] order, keys being distinct): the chase's Σst copy adopts it
+(* Each elementary cube is installed as its version's view, shared with
+   every other reader of that version: the chase's Σst copy installs it
    as is, and row stores are built only if something needs them. *)
 let of_registry reg =
   let t = create () in
@@ -266,9 +246,7 @@ let of_registry reg =
       let cube = Registry.find_exn reg name in
       let schema = Cube.schema cube in
       add_relation t schema;
-      set_batch t name
-        (Columnar.Batch.of_facts ~pool:t.pool schema
-           (List.map (fun (k, v) -> Tuple.append k v) (Cube.to_alist cube))))
+      set_view t schema (Cube.view cube))
     (Registry.elementary_names reg);
   t
 

@@ -35,9 +35,9 @@ val mem : t -> string -> fact -> bool
 val copy : t -> t
 (** Snapshot.  Row stores are copied; the copy starts with no secondary
     index (each rebuilds on its first use) and with zeroed
-    {!index_stats}; columnar batches/dictionaries are shared outright —
-    they are immutable/append-only.  Snapshots are fully isolated:
-    mutating either side never shows through the other. *)
+    {!index_stats}; column views are shared outright — they are
+    immutable.  Snapshots are fully isolated: mutating either side
+    never shows through the other. *)
 
 val ensure_index : t -> string -> int list -> unit
 (** Build the persistent secondary index of a relation on the given
@@ -73,24 +73,31 @@ val facts : t -> string -> fact list
 val cardinality : t -> string -> int
 val total_facts : t -> int
 
-val batch : t -> string -> Columnar.Batch.t
-(** The columnar view of a relation's current contents, encoded under
-    this instance's per-domain dictionary pool with rows in {!facts}
-    (sorted) order; memoized until the next mutation.  Kernels rely on
-    the row order to replay the row engine's iteration exactly. *)
+val view : t -> string -> Cube.view
+(** The column view of a relation's current contents, the encoding a
+    cube version has ({!Cube.view}): the view installed by {!set_view},
+    or one built from {!facts} (sorted, so its {!Cube.key_order} is the
+    identity) and memoized until the next mutation.  Kernels walk its
+    rows in key order, which is {!facts} order, to replay the row
+    engine's iteration exactly. *)
 
-val set_batch : t -> string -> Columnar.Batch.t -> unit
-(** Replace a relation's contents with a batch in O(columns): the row
-    stores empty out and rebuild lazily on the first tuple-level
-    access ([mem]/[insert]/[remove]/index ops), while whole-relation
-    reads ([facts], [iter_facts], [cardinality]) serve straight from
-    the batch.  Adopts the batch's dictionaries into this instance's
-    pool.  The rows must be duplicate-free and sorted — true of any
-    batch from {!batch}.
-    @raise Invalid_argument on schema mismatch. *)
+val set_view : t -> Schema.t -> Cube.view -> unit
+(** [set_view t schema v] replaces the contents of relation
+    [schema.name] with [v] in O(1): the row stores empty out and
+    rebuild lazily on the first tuple-level access
+    ([mem]/[insert]/[remove]/index ops), while whole-relation reads
+    ([facts] in key order, [iter_facts], [cardinality]) serve straight
+    from the view.  The rows must be distinct facts whose key order is
+    their sorted order — true of a cube version's view and of any view
+    from {!view}.
+    @raise Invalid_argument when [schema] is not the relation's, or
+    the view's arity differs from it. *)
 
 val of_registry : Registry.t -> t
-(** Source instance [I] from the elementary cubes of a registry. *)
+(** Source instance [I] from the elementary cubes of a registry: each
+    relation is its cube version's {!Cube.view} (built on first use),
+    installed with {!set_view}; no fact list is built and nothing is
+    sorted. *)
 
 val cube_of_relation : t -> string -> Cube.t
 (** Converts a relation's facts to a cube.

@@ -1,7 +1,7 @@
-(* Vectorized tgd application over column batches — the chase's hot
+(* Vectorized tgd application over column views — the chase's hot
    path.  Each [try_*] below replays the row engine's semantics
-   exactly: rows are processed in [Instance.facts] (sorted) order, the
-   same candidates are counted into [matches_examined], undefined
+   exactly: rows are processed in key order ([Instance.facts] order),
+   the same candidates are counted into [matches_examined], undefined
    terms skip or raise under the same rules, and group bags accumulate
    in the same order — so a successful vectorized run produces the
    same solution, the same counters, and bit-identical floats as the
@@ -16,15 +16,13 @@
 open Matrix
 module Tgd = Mappings.Tgd
 module Term = Mappings.Term
-module Batch = Columnar.Batch
-module Kernels = Columnar.Kernels
 
 exception Error of string
 (* Converted to [Chase_error]'s [Error msg] result by the chase's
    [wrap_chase]; messages match the row path's. *)
 
 type ctx = {
-  read : Instance.t;  (* batches come from here *)
+  read : Instance.t;  (* views come from here *)
   count : int -> unit;  (* matches_examined accumulator *)
   emit : string -> Value.t list -> unit;  (* set-semantics fact sink *)
 }
@@ -53,6 +51,50 @@ let atom_shape instance (atom : Tgd.atom) =
       match Instance.schema instance atom.Tgd.rel with
       | Some s when Schema.arity s + 1 = List.length atom.Tgd.args -> Some vpos
       | _ -> None)
+
+(* A relation as the kernels read it: its view, whose rows they walk
+   in key order — position [i] is row [order.(i)] — as the row engine
+   walks sorted facts. *)
+type rel = { view : Cube.view; order : int array; ndims : int }
+
+let relation ctx name =
+  let view = Instance.view ctx.read name in
+  { view; order = Cube.key_order view; ndims = Array.length view.Cube.dicts }
+
+let size rel = rel.view.Cube.size
+
+(* Dimension [p]'s codes by position, unpacked for the kernels. *)
+let codes rel p = Array.map (Cube.code rel.view p) rel.order
+
+(* The value at argument position [p] by position, exactly as the row
+   engine reads it: the measure, or the row's own key value. *)
+let reader rel p =
+  let v = rel.view and order = rel.order in
+  if p = rel.ndims then fun i -> v.Cube.measures.(order.(i))
+  else fun i -> Cube.key_value v p order.(i)
+
+(* Dimension [p] for a term evaluated once per code: a code per
+   position, and the value each code stands for.  A row whose own key
+   is not its code's first value (an exception: [Int 1] beside
+   [Float 1.]) gets a code of its own past the dictionary's, so the
+   term sees every row's own value, as the row engine does. *)
+let value_codes rel p =
+  let v = rel.view in
+  let d = v.Cube.dicts.(p) and exceptions = v.Cube.exceptions.(p) in
+  let base = Dict.size d in
+  let values =
+    Array.init (base + Array.length exceptions) (fun c ->
+        if c < base then Dict.decode d c else snd exceptions.(c - base))
+  in
+  let code =
+    if exceptions = [||] then Cube.code v p
+    else begin
+      let own = Array.make v.Cube.size (-1) in
+      Array.iteri (fun k (r, _) -> own.(r) <- base + k) exceptions;
+      fun r -> if own.(r) >= 0 then own.(r) else Cube.code v p r
+    end
+  in
+  (Array.map code rel.order, values)
 
 (* ----- aggregation ----- *)
 
@@ -88,7 +130,7 @@ type gcol =
   | Gconst of Value.t option * Term.t
   | Gcol of {
       term : Term.t;
-      src_codes : int array;  (* the dimension's code column *)
+      src_codes : int array;  (* the dimension's codes ([value_codes]) *)
       enc : int array;  (* input code -> local key code, -1 undefined *)
       vals : Value.t option array;  (* input code -> term value *)
       radix : int;
@@ -98,23 +140,20 @@ let try_aggregation ctx (source : Tgd.atom) group_by aggr measure target =
   match agg_shape ctx.read source group_by measure with
   | None -> false
   | Some (vpos, mpos) ->
-      let b = Instance.batch ctx.read source.Tgd.rel in
-      let nrows = Batch.nrows b in
-      let ndims = List.length source.Tgd.args - 1 in
+      let rel = relation ctx source.Tgd.rel in
+      let nrows = size rel in
       let prep term =
         match Term.vars term with
         | [] -> Gconst (Binding.term_value Binding.empty term, term)
         | [ v ] ->
-            let p = List.assoc v vpos in
-            let d = Batch.dim_dict b p in
+            let src_codes, values = value_codes rel (List.assoc v vpos) in
             let vals =
-              Array.init (Dict.size d) (fun c ->
+              Array.map
+                (fun x ->
                   match term with
-                  | Term.Var _ -> Some (Dict.decode d c)
-                  | _ ->
-                      Binding.term_value
-                        (Binding.bind Binding.empty v (Dict.decode d c))
-                        term)
+                  | Term.Var _ -> Some x
+                  | _ -> Binding.term_value (Binding.bind Binding.empty v x) term)
+                values
             in
             let local = Dict.create () in
             let enc =
@@ -125,7 +164,7 @@ let try_aggregation ctx (source : Tgd.atom) group_by aggr measure target =
             Gcol
               {
                 term;
-                src_codes = Batch.dim_codes b p;
+                src_codes;
                 enc;
                 vals;
                 radix = max 1 (Dict.size local);
@@ -144,15 +183,7 @@ let try_aggregation ctx (source : Tgd.atom) group_by aggr measure target =
              (Printf.sprintf "group-by term %s undefined on a source tuple"
                 (Term.to_string t)))
       in
-      let mvalid, mval =
-        if mpos = ndims then
-          ((fun r -> Batch.measure_valid b r), fun r -> (Batch.measure_floats b).(r))
-        else
-          let d = Batch.dim_dict b mpos in
-          let codes = Batch.dim_codes b mpos in
-          ( (fun r -> Dict.float_defined d codes.(r)),
-            fun r -> Dict.float_of_code d codes.(r) )
-      in
+      let measure_at = reader rel mpos in
       let mf = Array.make (max 1 nrows) 0. in
       for r = 0 to nrows - 1 do
         List.iter
@@ -161,9 +192,8 @@ let try_aggregation ctx (source : Tgd.atom) group_by aggr measure target =
             | Gconst (Some _, _) -> ()
             | Gcol p -> if p.enc.(p.src_codes.(r)) < 0 then undefined p.term)
           preps;
-        if not (mvalid r) then
-          raise (Error "aggregation measure is not numeric");
-        mf.(r) <- mval r
+        if not (Kernels.read_float mf r (measure_at r)) then
+          raise (Error "aggregation measure is not numeric")
       done;
       let cols, radices =
         List.filter_map
@@ -199,21 +229,6 @@ let try_aggregation ctx (source : Tgd.atom) group_by aggr measure target =
       done;
       true
 
-(* ----- value access shared by the tuple-level kernels ----- *)
-
-(* Per-position row readers over a batch: dimensions read through the
-   dictionary (the decoded representative — equal to the original
-   value under [Value.equal], which every evaluation path treats
-   identically), the measure column reads its exact values. *)
-let position_reader b ndims p =
-  if p = ndims then
-    let meas = Batch.measures b in
-    fun r -> meas.(r)
-  else
-    let d = Batch.dim_dict b p in
-    let codes = Batch.dim_codes b p in
-    fun r -> Dict.decode d codes.(r)
-
 (* A compiled rhs term: how to produce its value for one matched row.
    [Rgeneral] rebuilds a binding — only complex multi-var terms pay
    that cost. *)
@@ -235,12 +250,11 @@ let compile_rhs_term ~reader_of ~dim_of term =
           | None -> Rconst None (* unbound var: undefined on every row *))
       | _ -> (
           match dim_of v with
-          | Some (d, codes) ->
+          | Some (codes, values) ->
               let vals =
-                Array.init (Dict.size d) (fun c ->
-                    Binding.term_value
-                      (Binding.bind Binding.empty v (Dict.decode d c))
-                      term)
+                Array.map
+                  (fun x -> Binding.term_value (Binding.bind Binding.empty v x) term)
+                  values
               in
               Rcode { codes; vals }
           | None -> if Option.is_none (reader_of v) then Rconst None else Rgeneral term))
@@ -252,15 +266,12 @@ let try_single ctx (atom : Tgd.atom) (rhs : Tgd.atom) =
   match atom_shape ctx.read atom with
   | None -> false
   | Some vpos ->
-      let b = Instance.batch ctx.read atom.Tgd.rel in
-      let nrows = Batch.nrows b in
-      let ndims = List.length atom.Tgd.args - 1 in
-      let reader p = position_reader b ndims p in
-      let reader_of v = Option.map reader (List.assoc_opt v vpos) in
+      let rel = relation ctx atom.Tgd.rel in
+      let nrows = size rel in
+      let reader_of v = Option.map (reader rel) (List.assoc_opt v vpos) in
       let dim_of v =
         match List.assoc_opt v vpos with
-        | Some p when p < ndims ->
-            Some (Batch.dim_dict b p, Batch.dim_codes b p)
+        | Some p when p < rel.ndims -> Some (value_codes rel p)
         | _ -> None
       in
       let rterms =
@@ -269,7 +280,7 @@ let try_single ctx (atom : Tgd.atom) (rhs : Tgd.atom) =
       let needs_binding =
         List.exists (function Rgeneral _ -> true | _ -> false) rterms
       in
-      let readers = List.map (fun (v, p) -> (v, reader p)) vpos in
+      let readers = List.map (fun (v, p) -> (v, reader rel p)) vpos in
       ctx.count nrows;
       for r = 0 to nrows - 1 do
         let binding =
@@ -301,7 +312,7 @@ let try_single ctx (atom : Tgd.atom) (rhs : Tgd.atom) =
 
 (* ----- two-atom equi-join ----- *)
 
-(* Shape check for the batch hash join: both atoms all-distinct-vars,
+(* Shape check for the view hash join: both atoms all-distinct-vars,
    at least one shared variable, every shared variable on encoded
    dimensions (not the measure). *)
 let join_shape instance (a1 : Tgd.atom) (a2 : Tgd.atom) =
@@ -326,37 +337,34 @@ let try_join ctx (a1 : Tgd.atom) (a2 : Tgd.atom) (rhs : Tgd.atom) =
   match join_shape ctx.read a1 a2 with
   | None -> false
   | Some (vp1, vp2, joins) ->
-      let b1 = Instance.batch ctx.read a1.Tgd.rel in
-      let b2 = Instance.batch ctx.read a2.Tgd.rel in
-      let nd1 = List.length a1.Tgd.args - 1 in
-      let nd2 = List.length a2.Tgd.args - 1 in
-      (* Key columns in a1's code space: a2 columns whose dictionary
-         differs are translated once (misses -> -1, matching nothing),
-         mirroring an index lookup that finds no bucket. *)
+      let r1 = relation ctx a1.Tgd.rel and r2 = relation ctx a2.Tgd.rel in
+      (* Key columns in a1's code space: a2's codes are translated once
+         (misses -> -1, matching nothing), mirroring an index lookup
+         that finds no bucket. *)
       let probe_cols, build_cols, radices =
         List.fold_right
           (fun (p1, p2) (ps, bs, rs) ->
-            let d1 = Batch.dim_dict b1 p1 and d2 = Batch.dim_dict b2 p2 in
+            let d1 = r1.view.Cube.dicts.(p1) and d2 = r2.view.Cube.dicts.(p2) in
+            let c2 = codes r2 p2 in
             let c2 =
               match Dict.xlate d2 d1 with
-              | None -> Batch.dim_codes b2 p2
-              | Some x -> Array.map (fun c -> x.(c)) (Batch.dim_codes b2 p2)
+              | None -> c2
+              | Some x -> Array.map (fun c -> x.(c)) c2
             in
-            (Batch.dim_codes b1 p1 :: ps, c2 :: bs, Dict.size d1 :: rs))
+            (codes r1 p1 :: ps, c2 :: bs, Dict.size d1 :: rs))
           joins ([], [], [])
       in
       let build_keys, probe_keys =
         Kernels.joined_keys
           ~build_cols:(Array.of_list build_cols)
           ~probe_cols:(Array.of_list probe_cols)
-          ~nbuild:(Batch.nrows b2) ~nprobe:(Batch.nrows b1)
+          ~nbuild:(size r2) ~nprobe:(size r1)
           (Array.of_list radices)
       in
       (* Like the row plan: every a1 fact is an examined candidate,
          then every index-bucket entry per probe. *)
-      ctx.count (Batch.nrows b1);
-      let read1 p = position_reader b1 nd1 p in
-      let read2 p = position_reader b2 nd2 p in
+      ctx.count (size r1);
+      let read1 = reader r1 and read2 = reader r2 in
       (* Shared vars resolve to the probe (a1) side, exactly where the
          row matcher binds them. *)
       let vp2_fresh =
@@ -408,7 +416,7 @@ let try_join ctx (a1 : Tgd.atom) (a2 : Tgd.atom) (rhs : Tgd.atom) =
       in
       let matched = ref 0 in
       Kernels.hash_join ~build_keys ~probe_keys
-        ~on_probe:(fun _ size -> matched := !matched + size)
+        ~on_probe:(fun _ bucket -> matched := !matched + bucket)
         (fun pr br ->
           let binding =
             if needs_binding then

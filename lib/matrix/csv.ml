@@ -48,26 +48,8 @@ let add_row buf (v : Cube.view) cells r =
   add_value buf v.Cube.measures.(r);
   Buffer.add_char buf '\n'
 
-(* Rows [a] and [b] in [Tuple.compare] order of their own keys.  Equal
-   codes hold equal values when the column has no exception. *)
-let compare_rows (v : Cube.view) a b =
-  let n = Array.length v.Cube.codes in
-  let rec loop i =
-    if i = n then 0
-    else if Cube.code v i a = Cube.code v i b && Array.length v.Cube.exceptions.(i) = 0
-    then loop (i + 1)
-    else
-      match Value.compare (Cube.key_value v i a) (Cube.key_value v i b) with
-      | 0 -> loop (i + 1)
-      | c -> c
-  in
-  loop 0
-
-(* Row indices in key order: the list [Cube.to_alist] sorts (the rows
-   reversed), sorted by the same comparison. *)
-let sorted_rows v add =
-  List.iter add
-    (List.sort (compare_rows v) (List.init v.Cube.size (fun r -> v.Cube.size - 1 - r)))
+(* Row indices in key order: the order [Cube.to_alist] sorts in. *)
+let sorted_rows v add = Array.iter add (Cube.key_order v)
 
 let in_order v add =
   for r = 0 to v.Cube.size - 1 do

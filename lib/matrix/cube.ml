@@ -42,6 +42,7 @@ type view = {
   widths : int array;
   measures : Value.t array;
   exceptions : (int * Value.t) array array;
+  order : int array option Atomic.t;
 }
 
 (* A cube reads as its base with every key of its overlay rebound to
@@ -344,22 +345,20 @@ let code v i r =
   | 2 -> Bytes.get_uint16_le bytes (2 * r)
   | _ -> Int32.to_int (Bytes.get_int32_le bytes (4 * r))
 
-(* One pass in [iter] order.  A key that is not the same value as its
+(* One pass over [size] rows, each a key (its first [n] values) and a
+   measure, in [iter] order.  A key that is not the same value as its
    code's first one goes on its column's exception list, rows
    ascending. *)
-let build_view c =
-  let n = Schema.arity c.schema and size = cardinality c in
+let build_view ?order n size iter =
   let dicts = Array.init n (fun _ -> Dict.create ()) in
   let codes = Array.init n (fun _ -> Array.make size 0) in
   let measures = Array.make size Value.Null in
   let exceptions = Array.make n [] in
   let row = ref 0 in
-  iter
-    (fun k v ->
-      if Tuple.arity k <> n then validate_tuple c k;
+  iter (fun (key : Value.t array) v ->
       let r = !row in
       for i = 0 to n - 1 do
-        let x = Tuple.get k i in
+        let x = key.(i) in
         let code = Dict.encode dicts.(i) x in
         codes.(i).(r) <- code;
         let first = Dict.decode dicts.(i) code in
@@ -367,9 +366,7 @@ let build_view c =
           exceptions.(i) <- (r, x) :: exceptions.(i)
       done;
       measures.(r) <- v;
-      row := r + 1)
-    c;
-  Obs.count "cube.views_built";
+      row := r + 1);
   let packed = Array.mapi (fun i d -> pack (Dict.size d) codes.(i)) dicts in
   {
     size;
@@ -378,31 +375,75 @@ let build_view c =
     widths = Array.map snd packed;
     measures;
     exceptions = Array.map (fun rows -> Array.of_list (List.rev rows)) exceptions;
+    order = Atomic.make order;
   }
 
 let view c =
   match Atomic.get c.view with
   | Some v -> v
   | None ->
-      let v = build_view c in
+      let n = Schema.arity c.schema in
+      let v =
+        build_view n (cardinality c) (fun f ->
+            iter
+              (fun k x ->
+                if Tuple.arity k <> n then validate_tuple c k;
+                f (k :> Value.t array) x)
+              c)
+      in
+      Obs.count "cube.views_built";
       Atomic.set c.view (Some v);
       v
 
+let view_of_sorted n facts =
+  let size = List.length facts in
+  build_view ~order:(Array.init size Fun.id) n size (fun f ->
+      List.iter (fun fact -> f fact fact.(n)) facts)
+
+(* Binary search of [rows.(lo .. hi-1)] for row [r]; it takes every
+   value it reads as an argument, so a lookup allocates no closure. *)
+let rec search rows r lo hi =
+  if lo >= hi then None
+  else
+    let mid = (lo + hi) / 2 in
+    let r', x = rows.(mid) in
+    if r' = r then Some x
+    else if r' < r then search rows r (mid + 1) hi
+    else search rows r lo mid
+
 let exception_at v i r =
   let rows = v.exceptions.(i) in
-  let rec search lo hi =
-    if lo >= hi then None
-    else
-      let mid = (lo + hi) / 2 in
-      let r', x = rows.(mid) in
-      if r' = r then Some x else if r' < r then search (mid + 1) hi else search lo mid
-  in
-  search 0 (Array.length rows)
+  search rows r 0 (Array.length rows)
 
 let key_value v i r =
-  match exception_at v i r with
+  let rows = v.exceptions.(i) in
+  match if Array.length rows = 0 then None else search rows r 0 (Array.length rows) with
   | Some x -> x
   | None -> Dict.decode v.dicts.(i) (code v i r)
+
+let row v r =
+  let n = Array.length v.dicts in
+  let fact = Array.make (n + 1) v.measures.(r) in
+  for i = 0 to n - 1 do
+    fact.(i) <- key_value v i r
+  done;
+  fact
+
+(* Ranks per column, each built when the sort first needs it, over the
+   column's codes unpacked. *)
+let key_order v =
+  match Atomic.get v.order with
+  | Some order -> order
+  | None ->
+      let columns =
+        Array.mapi
+          (fun i dict -> lazy (Array.init v.size (code v i), Kernels.ranks dict))
+          v.dicts
+      in
+      let order, _ = Kernels.sort_rows columns (Array.init v.size Fun.id) in
+      Obs.count "cube.key_orders_built";
+      Atomic.set v.order (Some order);
+      order
 
 let map_measure f c =
   let out = create c.schema in

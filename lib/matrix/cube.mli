@@ -92,8 +92,8 @@ val with_schema : Schema.t -> t -> t
 (** {1 Column view}
 
     One encoding of a cube version that every reader shares: the load
-    check, the SQL tables and the CSV writer read it instead of walking
-    the boxed facts each on its own. *)
+    check, the SQL tables, the CSV writer and the chase read it instead
+    of walking the boxed facts each on its own. *)
 
 type view = private {
   size : int;  (** rows, in {!iter} order *)
@@ -110,6 +110,7 @@ type view = private {
       (** per key column, rows ascending: [(r, x)] where row [r]'s own
           key [x] is [Value.equal] to its code's first value but not the
           same value ([Int 1] beside [Float 1.], [-0.] beside [0]) *)
+  order : int array option Atomic.t;  (** memo of {!key_order} *)
 }
 
 val view : t -> view
@@ -130,6 +131,26 @@ val key_value : view -> int -> int -> Value.t
 val exception_at : view -> int -> int -> Value.t option
 (** [exception_at v i r]: row [r]'s key in column [i] when it is on the
     column's exception list. *)
+
+val row : view -> int -> Value.t array
+(** [row v r]: row [r]'s own key values followed by its measure, in a
+    fresh array. *)
+
+val key_order : view -> int array
+(** The view's rows in ascending key order ({!Tuple.compare} of their
+    own keys, which is {!to_alist}'s order), rows with equal keys in
+    row order.  Built on first use from per-column ranks of the codes
+    (a counting sort by the first column, comparisons only inside its
+    ties) and kept with the view, like the view with its version;
+    counted as [cube.key_orders_built]. *)
+
+val view_of_sorted : int -> Value.t array list -> view
+(** [view_of_sorted n facts]: the view of facts that are each [n] key
+    values followed by a measure, rows in list order.  The facts must be
+    sorted by {!Tuple.compare}: the view's {!key_order} is the
+    identity.  This is how a relation of facts that is no cube version
+    (a chase's derived relation, a critical instance) gets the same
+    encoding as a cube. *)
 
 val map_measure : (Value.t -> Value.t) -> t -> t
 (** Pointwise transform; [Null] results are dropped (partiality). *)

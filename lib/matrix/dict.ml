@@ -1,11 +1,9 @@
-(* Dictionary encoding for column batches: a dense int code per
+(* Dictionary encoding for column views: a dense int code per
    distinct value (distinctness is [Value.equal], so [Int 1] and
    [Float 1.] share a code exactly as they share a slot in the row
    stores).  Dictionaries are append-only — codes, once issued, stay
-   valid for the lifetime of every batch that references them — which
-   is what makes batches shareable across instance snapshots without
-   copying, and a cube version's column view shareable by its
-   readers. *)
+   valid for as long as any reader holds them — which is what makes a
+   cube version's column view shareable by its readers. *)
 
 (* Codes are found by open addressing: [slots] holds [code + 1] per
    slot ([0]: empty), at most half full, probed linearly from
@@ -72,43 +70,13 @@ let decode t c =
   if c < 0 || c >= t.size then invalid_arg "Dict.decode: code out of range";
   t.values.(c)
 
-let float_of_code t c = Option.value ~default:Float.nan (Value.to_float t.values.(c))
-let float_defined t c = Option.is_some (Value.to_float t.values.(c))
 let is_null t c = Value.is_null t.values.(c)
-
-(* ----- per-domain dictionary pools ----- *)
-
-(* One dictionary per {!Domain.t} within a pool: two columns of
-   the same domain (e.g. the quarter key of every relation in an
-   instance) share codes, so equi-joins compare ints with no
-   translation.  Pools are per-instance, not process-global: the
-   append path is unsynchronized, and sharing across OCaml 5 domains
-   would need locking on the hot path. *)
-type pool = (Domain.t, t) Hashtbl.t
-
-let create_pool () : pool = Hashtbl.create 8
-
-let for_domain (pool : pool) dom =
-  match Hashtbl.find_opt pool dom with
-  | Some d -> d
-  | None ->
-      let d = create () in
-      Hashtbl.replace pool dom d;
-      d
-
-(* Adopt a foreign dictionary (from a batch encoded under another
-   pool) as this pool's dictionary for [dom], unless one exists
-   already.  Installing a source instance's batches into a chase
-   target adopts the source dictionaries, so every batch later encoded
-   in the target shares their codes. *)
-let adopt (pool : pool) dom d =
-  if not (Hashtbl.mem pool dom) then Hashtbl.replace pool dom d
 
 (* Code translation between dictionaries: [xlate a b].(c) is [b]'s
    code for [a]'s value [c], or -1 when [b] never saw that value.
-   Used by join kernels when the two sides' columns ended up in
-   different dictionaries; O(|a|) once instead of a hash probe per
-   row. *)
+   Every view encodes its columns in dictionaries of its own, so a
+   join translates one side's codes into the other's space: O(|a|)
+   once instead of a hash probe per row. *)
 let xlate a b =
   if a == b then None
   else

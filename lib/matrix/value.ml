@@ -16,14 +16,29 @@ let rank = function
   | Date _ -> 4
   | Period _ -> 5
 
+(* An int against a float, exactly: [float_of_int] rounds ints beyond
+   +-2^53, which would make two distinct ints equal to one float.  The
+   float's integral part is an int whenever it lies in [-2^62, 2^62),
+   and beyond that range every int is on one side of it.  NaN is below
+   every int, as [Float.compare] puts it below every float. *)
+let compare_int_float x y =
+  if Float.is_nan y then 1
+  else if y >= 0x1p62 then -1
+  else if y < -0x1p62 then 1
+  else
+    let t = Float.trunc y in
+    match Int.compare x (int_of_float t) with
+    | 0 -> Float.compare t y
+    | c -> c
+
 let compare a b =
   match (a, b) with
   | Null, Null -> 0
   | Bool x, Bool y -> Bool.compare x y
   | Int x, Int y -> Int.compare x y
   | Float x, Float y -> Float.compare x y
-  | Int x, Float y -> Float.compare (float_of_int x) y
-  | Float x, Int y -> Float.compare x (float_of_int y)
+  | Int x, Float y -> compare_int_float x y
+  | Float x, Int y -> - compare_int_float y x
   | String x, String y -> String.compare x y
   | Date x, Date y -> Calendar.Date.compare x y
   | Period x, Period y -> Calendar.Period.compare x y
@@ -44,18 +59,16 @@ let mix h =
   let h = h * 0x1E3779B97F4A7C15 in
   h lxor (h lsr 32)
 
-(* Integral floats within +-2^53 convert to and from ints exactly, so
-   they hash as the int; -0. hashes as 0 and every NaN alike. *)
+(* A float equal to an int is integral and within [-2^62, 2^62), so it
+   hashes as that int; -0. hashes as 0 and every NaN alike. *)
 let hash_float f =
-  if Float.is_integer f && Float.abs f <= 0x1p53 then mix (int_of_float f)
+  if Float.is_integer f && f >= -0x1p62 && f < 0x1p62 then mix (int_of_float f)
   else Hashtbl.hash f
 
 let hash = function
   | Null -> 17
   | Bool b -> if b then 31 else 37
-  | Int i ->
-      if i >= -0x20000000000000 && i <= 0x20000000000000 then mix i
-      else hash_float (float_of_int i)
+  | Int i -> mix i
   | Float f -> hash_float f
   | String s -> Hashtbl.hash s
   | Date { Calendar.Date.year; month; day } -> (((year * 12) + month) * 31) + day

@@ -15,16 +15,18 @@ type t =
   | Period of Calendar.Period.t
 
 val compare : t -> t -> int
-(** Total order across constructors (constructor rank first). Numeric
-    values compare cross-type by magnitude so that [Int 2 = Float 2.]. *)
+(** Total order across constructors (constructor rank first).  Numeric
+    values compare cross-type by exact magnitude, so that
+    [Int 2 = Float 2.] while [Int (2^53 + 1)] stays above [Float 2^53];
+    NaN is below every other number. *)
 
 val equal : t -> t -> bool
 
 val hash : t -> int
 (** Agrees with {!equal}: equal values hash alike, so [Int 1] and
     [Float 1.], [0.] and [-0.], and any two NaNs share a hash.  It
-    allocates nothing, except for an int beyond +-2^53 (hashed as the
-    float it converts to).  Dates and periods hash in calendar order,
+    allocates nothing for an int, an integral float, a date or a
+    period.  Dates and periods hash in calendar order,
     unmixed: a later day hashes higher, and a period hashes as its
     index within its frequency xor a constant, so neighbouring days
     and periods get neighbouring hashes.  The iteration order of a

@@ -218,7 +218,7 @@ let vectorized_hash_join lookup tb tp build probe build_keys probe_keys =
           bpos ppos ([], [], [])
       in
       let build_keys, probe_keys =
-        Columnar.Kernels.joined_keys
+        Kernels.joined_keys
           ~build_cols:(Array.of_list build_cols)
           ~probe_cols:(Array.of_list probe_cols)
           ~nbuild ~nprobe (Array.of_list radices)
@@ -277,45 +277,6 @@ let key_column t { pos; fn } =
       in
       (codes, Dict.size out)
 
-(* Column [pos]'s codes per row, and per code the rank of its value
-   among the column's distinct values under [Value.compare], so
-   comparing ranks compares values: distinct codes hold values that are
-   not [Value.equal], and equality is [Value.compare] = 0.  The
-   dictionary is decoded once and its codes merge-sorted by value. *)
-let column_ranks t pos =
-  let dict, codes = Table.column_codes t pos in
-  let values = Array.init (Dict.size dict) (Dict.decode dict) in
-  let by_value = Array.init (Array.length values) Fun.id in
-  Array.stable_sort (fun a b -> Value.compare values.(a) values.(b)) by_value;
-  let rank = Array.make (Array.length by_value) 0 in
-  Array.iteri (fun i c -> rank.(c) <- i) by_value;
-  (codes, rank)
-
-(* Rows [a] and [b] compared on the ranks of column [pos] and the
-   columns after it. *)
-let rec compare_ranks ranks a b pos =
-  if pos = Array.length ranks then 0
-  else
-    let codes, rank = Lazy.force ranks.(pos) in
-    match Int.compare rank.(codes.(a)) rank.(codes.(b)) with
-    | 0 -> compare_ranks ranks a b (pos + 1)
-    | c -> c
-
-(* [mf.(r) <- f] and [true] where [Value.to_float v] is [Some f];
-   [false] where it is [None].  The aggregate's per-row measure read,
-   with no option allocated. *)
-let read_measure mf r = function
-  | Value.Int i ->
-      mf.(r) <- float_of_int i;
-      true
-  | Value.Float f ->
-      mf.(r) <- f;
-      true
-  | Value.Bool b ->
-      mf.(r) <- (if b then 1. else 0.);
-      true
-  | Value.(Null | String _ | Date _ | Period _) -> false
-
 (* Grouped aggregation over a base table, vectorized: group keys —
    plain columns or dimension functions of columns — compare by code
    and groups form in one pass over the rows in load order.  The result
@@ -347,58 +308,30 @@ let vectorized_aggregate lookup t input keys measure aggr =
       for r = 0 to n - 1 do
         let k = ref 0 in
         while !k < nkeys && (fst key_cols.(!k)).(r) >= 0 do incr k done;
-        if !k = nkeys && read_measure mf r (Table.value t r mpos) then begin
+        if !k = nkeys && Kernels.read_float mf r (Table.value t r mpos) then begin
           sel.(!nsel) <- r;
           incr nsel
         end
       done;
       let nsel = !nsel in
       let keys =
-        Columnar.Kernels.dense_keys ~nrows:n (Array.map fst key_cols)
+        Kernels.dense_keys ~nrows:n (Array.map fst key_cols)
           (Array.map snd key_cols)
       in
-      let { Columnar.Kernels.gids; n_groups = ng; _ } =
-        Columnar.Kernels.group (Array.init nsel (fun j -> keys.(sel.(j))))
+      let { Kernels.gids; n_groups = ng; _ } =
+        Kernels.group (Array.init nsel (fun j -> keys.(sel.(j))))
       in
-      (* Canonical order, as positions into [sel].  First a stable
-         counting sort by column-0 rank. *)
+      (* Canonical order, as positions into [sel]: a column's ranks
+         are built only when some run of ties needs them, so the
+         measure column is rarely encoded. *)
       let ranks =
-        Array.init (Table.width t) (fun pos -> lazy (column_ranks t pos))
+        Array.init (Table.width t) (fun pos ->
+            lazy
+              (let dict, codes = Table.column_codes t pos in
+               (codes, Kernels.ranks dict)))
       in
-      let codes0, rank0 = Lazy.force ranks.(0) in
-      let d0 = Array.length rank0 in
-      let start = Array.make (d0 + 1) 0 in
-      for j = 0 to nsel - 1 do
-        let k = rank0.(codes0.(sel.(j))) + 1 in
-        start.(k) <- start.(k) + 1
-      done;
-      for k = 1 to d0 do
-        start.(k) <- start.(k) + start.(k - 1)
-      done;
-      let sorted = Array.make nsel 0 in
-      for j = 0 to nsel - 1 do
-        let k = rank0.(codes0.(sel.(j))) in
-        sorted.(start.(k)) <- j;
-        start.(k) <- start.(k) + 1
-      done;
-      (* [start.(k)] now ends rank [k]'s run.  Runs of more than one row
-         are stable-sorted by the later columns, so equal rows stay in
-         load order as in the generic path's stable sort. *)
-      let compares = ref 0 in
-      let by_later a b =
-        incr compares;
-        compare_ranks ranks sel.(a) sel.(b) 1
-      in
-      for k = 0 to d0 - 1 do
-        let off = if k = 0 then 0 else start.(k - 1) in
-        let len = start.(k) - off in
-        if len > 1 then begin
-          let run = Array.sub sorted off len in
-          Array.stable_sort by_later run;
-          Array.blit run 0 sorted off len
-        end
-      done;
-      Obs.count ~n:!compares "executor.order_compares";
+      let sorted, compares = Kernels.sort_rows ranks (Array.sub sel 0 nsel) in
+      Obs.count ~n:compares "executor.order_compares";
       (* Groups numbered in the order of their least row, which
          represents the group's key, and each group's measures gathered
          in sorted order. *)

@@ -44,8 +44,8 @@ let value t r i =
    insert grows it again. *)
 let rows_array t =
   (match t.view with
-  | Some _ when Array.length t.rows < t.count ->
-      t.rows <- Array.init t.count (fun r -> Array.init t.width (value t r));
+  | Some v when Array.length t.rows < t.count ->
+      t.rows <- Array.init t.count (Cube.row v);
       Obs.count ~n:t.count "table.rows_decoded"
   | _ -> if Array.length t.rows <> t.count then t.rows <- Array.sub t.rows 0 t.count);
   t.rows

@@ -30,9 +30,10 @@ let key vs = Tuple.of_list vs
 
 (* Values that [Value.equal] conflates across constructors: [Int 1]
    meets [Float 1.], [-0.] meets [0.] and [Int 0], and NaN meets
-   itself.  Ints stay well inside +-2^53, where [Value.equal] is
-   transitive, so that sorting them is well defined.  Dates span a
-   year end, and periods of four frequencies cover them. *)
+   itself; and ints at and beyond +-2^53 beside the floats they round
+   to, which [Value.compare] must keep apart: [Int (2^53 + 1)] is above
+   [Float 2^53], which equals [Int 2^53].  Dates span a year end, and
+   periods of four frequencies cover them. *)
 let gen_dict_value =
   let open QCheck.Gen in
   let date =
@@ -55,7 +56,19 @@ let gen_dict_value =
           date );
       (2, oneofl [ Value.String "a"; Value.String "b"; Value.String ""; Value.String "1" ]);
       (1, oneofl [ Value.Null; Value.Bool true; Value.Bool false ]);
+      ( 1,
+        let p53 = 0x20000000000000 in
+        oneofl
+          [ Value.Int p53; Value.Int (p53 + 1); Value.Int (-p53 - 1); Value.Int max_int;
+            Value.Int min_int; Value.Float 0x1p53; Value.Float (-0x1p53);
+            Value.Float 0x1p62 ] );
     ]
+
+(* The same value: constructor, payload and, for floats, every bit. *)
+let identical a b =
+  match (a, b) with
+  | Value.Float x, Value.Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> a = b
 
 let cube_of name dims rows =
   let schema = Schema.make ~name ~dims () in

@@ -1,12 +1,11 @@
-(* Columnar batches and the vectorized chase: dictionary round-trips,
-   kernel semantics, snapshot isolation, and the A/B
-   property that the columnar path reproduces the row engine exactly —
-   same solution, same counters. *)
+(* Column views and the vectorized chase: dictionary round-trips,
+   the total value order and the key order, kernel semantics, snapshot
+   isolation, and the A/B property that the columnar path reproduces
+   the row engine exactly — same solution, same counters. *)
 open Matrix
 open Helpers
 module M = Mappings
 module X = Exchange
-module C = Columnar
 
 let qcheck_count =
   Helpers.qcheck_count ~var:"EXL_COL_QCHECK_COUNT" ~default:30
@@ -28,12 +27,6 @@ let test_dict_roundtrip () =
       Alcotest.check value "decode round-trips" (List.nth values i)
         (Dict.decode d c))
     codes;
-  let c5 = List.nth codes 0 in
-  Alcotest.(check bool) "numeric float view" true (Dict.float_defined d c5);
-  Alcotest.(check (float 0.)) "float view value" 5. (Dict.float_of_code d c5);
-  Alcotest.(check bool)
-    "string has no float view" false
-    (Dict.float_defined d (List.nth codes 2));
   Alcotest.(check bool) "null code" true (Dict.is_null d (List.nth codes 3));
   Alcotest.(check bool) "find hit" true (Dict.find d (vs "a") <> None);
   Alcotest.(check bool) "find never adds" true (Dict.find d (vs "zz") = None);
@@ -93,70 +86,124 @@ let prop_dict_matches_model =
              || QCheck.Test.fail_reportf "find %s disagrees" (Value.to_string v))
            (values @ probes))
 
-(* --- batches --- *)
+(* --- the total value order --- *)
 
-let test_batch_roundtrip () =
+let sign c = Int.compare c 0
+
+(* [Value.compare] is a total order over mixed values, big ints and
+   the floats they round to included, and [equal] and [hash] agree
+   with it: the key order ranks dictionary values with it. *)
+let prop_value_order_total =
+  QCheck.Test.make ~count:(10 * qcheck_count)
+    ~name:"Value.compare is a total order, agreeing with equal and hash"
+    (QCheck.make
+       ~print:(fun (a, b, c) ->
+         String.concat " | "
+           (List.map (fun v -> Value.type_name v ^ " " ^ Value.to_string v) [ a; b; c ]))
+       QCheck.Gen.(triple gen_dict_value gen_dict_value gen_dict_value))
+    (fun (a, b, c) ->
+      let le x y = Value.compare x y <= 0 in
+      (sign (Value.compare a b) = - sign (Value.compare b a)
+      || QCheck.Test.fail_report "not antisymmetric")
+      && ((not (le a b && le b c)) || le a c
+         || QCheck.Test.fail_report "not transitive")
+      && (Value.equal a b = (Value.compare a b = 0)
+         || QCheck.Test.fail_report "equal disagrees with compare")
+      && ((not (Value.equal a b)) || Value.hash a = Value.hash b
+         || QCheck.Test.fail_report "equal values hash apart"))
+
+let test_value_order_exact () =
+  let p53 = 0x20000000000000 in
+  Alcotest.(check int) "2^53 + 1 above its float" 1
+    (Value.compare (vi (p53 + 1)) (vf 0x1p53));
+  Alcotest.(check int) "2^53 equals its float" 0 (Value.compare (vi p53) (vf 0x1p53));
+  Alcotest.(check int) "-2^53 - 1 below its float" (-1)
+    (Value.compare (vi (-p53 - 1)) (vf (-0x1p53)));
+  Alcotest.(check int) "max_int below 2^62" (-1) (Value.compare (vi max_int) (vf 0x1p62));
+  Alcotest.(check int) "min_int equals -2^62" 0 (Value.compare (vi min_int) (vf (-0x1p62)));
+  Alcotest.(check int) "fraction above" (-1) (Value.compare (vi 1) (vf 1.5));
+  Alcotest.(check int) "negative fraction below" 1 (Value.compare (vi (-1)) (vf (-1.5)));
+  Alcotest.(check int) "nan below ints" 1 (Value.compare (vi min_int) (vf Float.nan));
+  Alcotest.(check int) "-0. equals 0" 0 (Value.compare (vf (-0.)) (vi 0))
+
+(* --- views of relations --- *)
+
+(* A relation's facts, inserted in any order, come back from its view
+   in sorted order, each value the same one inserted; measures that
+   are [Null] or not numeric are kept, and read as no float. *)
+let test_view_roundtrip () =
   let schema =
     Schema.make ~name:"B" ~dims:[ ("r", Domain.String); ("x", Domain.Int) ] ()
   in
-  let pool = Dict.create_pool () in
   let facts =
     [
       [| vs "n"; vi 1; vf 2.5 |];
       [| vs "s"; vi 2; Value.Null |];
       [| vs "n"; vi 2; vs "oops" |];
-      [| vs "s"; vi 1; vf Float.nan |];
+      [| vs "s"; vf 1.; vf Float.nan |];
     ]
   in
-  let b = C.Batch.of_facts ~pool schema facts in
-  Alcotest.(check int) "rows" 4 (C.Batch.nrows b);
-  List.iter2
-    (fun f g ->
+  let inst = X.Instance.create () in
+  X.Instance.add_relation inst schema;
+  List.iter (fun f -> ignore (X.Instance.insert inst "B" f : bool)) facts;
+  let v = X.Instance.view inst "B" in
+  Alcotest.(check int) "rows" 4 v.Cube.size;
+  Alcotest.(check (array int)) "sorted facts: identity key order" [| 0; 1; 2; 3 |]
+    (Cube.key_order v);
+  let sorted =
+    List.sort (fun a b -> Tuple.compare (Tuple.of_array a) (Tuple.of_array b)) facts
+  in
+  List.iteri
+    (fun r f ->
+      let g = Cube.row v r in
       Alcotest.(check int) "width" (Array.length f) (Array.length g);
       Array.iteri
-        (fun i v -> Alcotest.check value "round-trips" v g.(i))
+        (fun i x ->
+          Alcotest.(check bool) "round-trips, the same value" true
+            (Value.type_name x = Value.type_name g.(i) && Value.equal x g.(i)))
         f)
-    facts (C.Batch.to_facts b);
-  Alcotest.(check bool) "numeric measure valid" true (C.Batch.measure_valid b 0);
-  Alcotest.(check bool) "null measure invalid" false (C.Batch.measure_valid b 1);
-  Alcotest.(check bool) "string measure invalid" false (C.Batch.measure_valid b 2);
+    sorted;
+  let floats = Array.make 4 0. in
+  let defined r = Kernels.read_float floats r v.Cube.measures.(r) in
+  Alcotest.(check (list bool)) "numeric measures read as floats"
+    [ true; false; true; false ]
+    (List.init 4 defined);
   (* NaN is a float: a defined measure, like Value.to_float says *)
-  Alcotest.(check bool) "nan measure valid" true (C.Batch.measure_valid b 3);
-  Alcotest.(check bool) "nan gathered" true
-    (Float.is_nan (C.Batch.measure_floats b).(3));
-  (* batches of one pool share per-domain dictionaries *)
-  let b2 = C.Batch.of_facts ~pool schema [ [| vs "n"; vi 9; vf 0. |] ] in
-  Alcotest.(check bool) "shared dicts" true
-    (C.Batch.dim_dict b 0 == C.Batch.dim_dict b2 0)
+  Alcotest.(check bool) "nan gathered" true (Float.is_nan floats.(2));
+  (* every view has dictionaries of its own; a join translates codes *)
+  let w = Cube.view_of_sorted 2 [ [| vs "s"; vi 9; vf 0. |] ] in
+  Alcotest.(check bool) "dictionaries of its own" true (w.Cube.dicts.(0) != v.Cube.dicts.(0));
+  Alcotest.(check (option (array int))) "translated" (Some [| 1 |])
+    (Dict.xlate w.Cube.dicts.(0) v.Cube.dicts.(0))
 
 (* --- kernels --- *)
 
 let test_kernels () =
   (* mixed-radix packing is exact *)
-  (match C.Kernels.pack ~nrows:3 [| [| 0; 1; 2 |]; [| 1; 0; 1 |] |] [| 3; 2 |] with
+  (match Kernels.pack ~nrows:3 [| [| 0; 1; 2 |]; [| 1; 0; 1 |] |] [| 3; 2 |] with
   | None -> Alcotest.fail "pack in range"
   | Some keys -> Alcotest.(check (array int)) "packed" [| 3; 1; 5 |] keys);
   (* a negative code poisons its row's key *)
-  (match C.Kernels.pack ~nrows:2 [| [| 0; -1 |] |] [| 4 |] with
+  (match Kernels.pack ~nrows:2 [| [| 0; -1 |] |] [| 4 |] with
   | None -> Alcotest.fail "pack"
   | Some keys -> Alcotest.(check (array int)) "poisoned" [| 0; -1 |] keys);
   (* overflow falls to the wide renumbering path, same partition *)
   let col = [| 0; 1; 0; 2 |] in
   Alcotest.(check (array int))
     "wide keys" [| 0; 1; 0; 2 |]
-    (C.Kernels.dense_keys ~nrows:4 [| col; col |] [| max_int; max_int |]);
+    (Kernels.dense_keys ~nrows:4 [| col; col |] [| max_int; max_int |]);
   (* group: first-seen ids and representative rows *)
-  let g = C.Kernels.group [| 7; 3; 7; 9; 3 |] in
-  Alcotest.(check (array int)) "gids" [| 0; 1; 0; 2; 1 |] g.C.Kernels.gids;
-  Alcotest.(check int) "n_groups" 3 g.C.Kernels.n_groups;
-  Alcotest.(check (array int)) "rep rows" [| 0; 1; 3 |] g.C.Kernels.rep_rows;
+  let g = Kernels.group [| 7; 3; 7; 9; 3 |] in
+  Alcotest.(check (array int)) "gids" [| 0; 1; 0; 2; 1 |] g.Kernels.gids;
+  Alcotest.(check int) "n_groups" 3 g.Kernels.n_groups;
+  Alcotest.(check (array int)) "rep rows" [| 0; 1; 3 |] g.Kernels.rep_rows;
   (* segment: stable within each group *)
-  let offsets, data = C.Kernels.segment g [| 1.; 2.; 3.; 4.; 5. |] in
+  let offsets, data = Kernels.segment g [| 1.; 2.; 3.; 4.; 5. |] in
   Alcotest.(check (array int)) "offsets" [| 0; 2; 4; 5 |] offsets;
   Alcotest.check float_array "segmented" [| 1.; 3.; 2.; 5.; 4. |] data;
   (* hash join: probe order, per-probe bucket sizes, poisoned keys *)
   let pairs = ref [] and probes = ref [] in
-  C.Kernels.hash_join ~build_keys:[| 1; 2; 1; -1 |] ~probe_keys:[| 1; -1; 5; 2 |]
+  Kernels.hash_join ~build_keys:[| 1; 2; 1; -1 |] ~probe_keys:[| 1; -1; 5; 2 |]
     ~on_probe:(fun pr size -> probes := (pr, size) :: !probes)
     (fun pr br -> pairs := (pr, br) :: !pairs);
   Alcotest.(check (list (pair int int)))
@@ -164,7 +211,20 @@ let test_kernels () =
     (List.rev !probes);
   Alcotest.(check (list (pair int int)))
     "pairs" [ (0, 2); (0, 0); (3, 1) ]
-    (List.rev !pairs)
+    (List.rev !pairs);
+  (* ranks: a dictionary's codes by value *)
+  let d = Dict.create () in
+  List.iter (fun v -> ignore (Dict.encode d v : int)) [ vs "b"; vi 3; vs "a"; vf 1.5 ];
+  let rank = Kernels.ranks d in
+  Alcotest.(check (array int)) "ranks" [| 3; 1; 2; 0 |] rank;
+  (* sort_rows: counting sort by column 0, column 1 inside its ties,
+     rows that tie on both in [sel] order *)
+  let col0 = lazy ([| 0; 1; 0; 2; 0 |], rank) in
+  let col1 = lazy ([| 1; 0; 1; 0; 0 |], [| 1; 0 |]) in
+  let order, compares = Kernels.sort_rows [| col0; col1 |] [| 4; 0; 1; 2; 3 |] in
+  Alcotest.(check (array int)) "positions in key order" [| 2; 4; 1; 3; 0 |] order;
+  Alcotest.(check bool) "comparisons only inside column 0's one tie" true
+    (compares >= 2 && compares <= 3)
 
 (* --- snapshot isolation (a snapshot rebuilds its own indexes) --- *)
 
@@ -198,27 +258,30 @@ let test_snapshot_isolation () =
   Alcotest.(check int) "snap sees its fact" 1
     (List.length (X.Instance.lookup_index snap "A" [ 0 ] [ vi 7 ]))
 
-let test_set_batch_lazy () =
+let test_set_view_lazy () =
   let schema = Schema.make ~name:"S" ~dims:[ ("x", Domain.Int) ] () in
   let src = X.Instance.create () in
   X.Instance.add_relation src schema;
   for i = 1 to 4 do
     ignore (X.Instance.insert src "S" [| vi i; vf (float_of_int i) |])
   done;
-  let b = X.Instance.batch src "S" in
+  let v = X.Instance.view src "S" in
   let tgt = X.Instance.create () in
   X.Instance.add_relation tgt schema;
-  X.Instance.set_batch tgt "S" b;
-  (* whole-relation reads serve straight from the pending batch *)
-  Alcotest.(check int) "cardinality from batch" 4 (X.Instance.cardinality tgt "S");
-  Alcotest.(check int) "facts from batch" 4
+  X.Instance.set_view tgt schema v;
+  (* whole-relation reads serve straight from the pending view *)
+  Alcotest.(check int) "cardinality from view" 4 (X.Instance.cardinality tgt "S");
+  Alcotest.(check int) "facts from view" 4
     (List.length (X.Instance.facts tgt "S"));
+  Alcotest.(check bool) "the installed view is served, not re-encoded" true
+    (X.Instance.view tgt "S" == v);
   (* snapshot while pending, then materialize and mutate one side *)
   let snap = X.Instance.copy tgt in
   Alcotest.(check bool) "mem materializes" true
     (X.Instance.mem tgt "S" [| vi 2; vf 2. |]);
   ignore (X.Instance.remove tgt "S" [| vi 2; vf 2. |]);
   Alcotest.(check int) "mutated side" 3 (X.Instance.cardinality tgt "S");
+  Alcotest.(check bool) "a mutation drops the view" true (X.Instance.view tgt "S" != v);
   Alcotest.(check int) "snapshot untouched" 4 (X.Instance.cardinality snap "S");
   Alcotest.(check bool) "snapshot keeps the fact" true
     (X.Instance.mem snap "S" [| vi 2; vf 2. |]);
@@ -226,48 +289,45 @@ let test_set_batch_lazy () =
   let t2 = X.Instance.create () in
   X.Instance.add_relation t2
     (Schema.make ~name:"S" ~dims:[ ("x", Domain.String) ] ());
-  match X.Instance.set_batch t2 "S" b with
+  match X.Instance.set_view t2 schema v with
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "schema mismatch accepted"
 
-(* [Instance.facts] serves a pending batch in its row order without
-   re-sorting: the rows of any batch from [Instance.batch] are sorted,
-   so that order is the sorted decode.  Values include the ones the
-   dictionaries conflate ([Int 1] and [Float 1.], [0.] and [-0.]). *)
-let prop_pending_facts_sorted =
+(* A cube version's key order is [Cube.to_alist]'s order, and an
+   instance [of_registry] serves the cube's facts in it, each key the
+   very value stored.  Keys mix the values the dictionaries conflate
+   ([Int 1] and [Float 1.], [0.] and [-0.]), NaN, ints beyond +-2^53,
+   dates, periods and [Null]. *)
+let prop_key_order =
   let fact =
     QCheck.Gen.(
-      map (fun (a, b, m) -> [| a; b; m |])
+      map (fun (a, b, m) -> (key [ a; b ], m))
         (triple gen_dict_value gen_dict_value gen_dict_value))
   in
   QCheck.Test.make ~count:qcheck_count
-    ~name:"facts of a pending batch == its sorted decode"
+    ~name:"a view's key order == Cube.to_alist order"
     (QCheck.make
        ~print:(fun facts ->
          String.concat "; "
            (List.map
-              (fun f ->
-                String.concat ", " (Array.to_list (Array.map Value.to_string f)))
+              (fun (k, m) -> Tuple.to_string k ^ " -> " ^ Value.to_string m)
               facts))
        QCheck.Gen.(list_size (int_bound 60) fact))
     (fun facts ->
       let schema =
-        Schema.make ~name:"S" ~dims:[ ("a", Domain.String); ("b", Domain.Int) ] ()
+        Schema.make ~name:"S" ~dims:[ ("a", Domain.Any); ("b", Domain.Any) ] ()
       in
-      let src = X.Instance.create () in
-      X.Instance.add_relation src schema;
-      List.iter (fun f -> ignore (X.Instance.insert src "S" f : bool)) facts;
-      let b = X.Instance.batch src "S" in
-      let tgt = X.Instance.create () in
-      X.Instance.add_relation tgt schema;
-      X.Instance.set_batch tgt "S" b;
-      let sorted =
-        List.stable_sort
-          (fun x y -> Tuple.compare (Tuple.of_array x) (Tuple.of_array y))
-          (C.Batch.to_facts b)
-      in
-      List.equal (fun x y -> compare x y = 0) (X.Instance.facts tgt "S") sorted
-      || QCheck.Test.fail_report "facts differ from the sorted decode")
+      let c = Cube.create schema in
+      List.iter (fun (k, m) -> Cube.set c k m) facts;
+      let reg = Registry.create () in
+      Registry.add reg Registry.Elementary c;
+      let expected = List.map (fun (k, m) -> Tuple.append k m) (Cube.to_alist c) in
+      let same = List.equal (Array.for_all2 identical) in
+      let v = Cube.view c in
+      same (List.map (Cube.row v) (Array.to_list (Cube.key_order v))) expected
+      || QCheck.Test.fail_report "key order differs from to_alist"
+      && (same (X.Instance.facts (X.Instance.of_registry reg) "S") expected
+         || QCheck.Test.fail_report "instance facts differ from to_alist"))
 
 (* --- deterministic A/B on the worked example --- *)
 
@@ -386,11 +446,13 @@ let suite =
     ("dict: encode/decode round-trip", `Quick, test_dict_roundtrip);
     ("dict: cross-dictionary translation", `Quick, test_dict_xlate);
     QCheck_alcotest.to_alcotest prop_dict_matches_model;
-    ("batch: round-trip with null measures", `Quick, test_batch_roundtrip);
+    ("value: exact int/float order", `Quick, test_value_order_exact);
+    QCheck_alcotest.to_alcotest prop_value_order_total;
+    ("view: round-trip with null measures", `Quick, test_view_roundtrip);
     ("kernels: pack/group/segment/join", `Quick, test_kernels);
     ("instance: snapshot isolation (COW indexes)", `Quick, test_snapshot_isolation);
-    ("instance: set_batch lazy row views", `Quick, test_set_batch_lazy);
-    QCheck_alcotest.to_alcotest prop_pending_facts_sorted;
+    ("instance: set_view lazy row views", `Quick, test_set_view_lazy);
+    QCheck_alcotest.to_alcotest prop_key_order;
     ("chase: columnar A/B on the overview", `Quick, test_overview_ab);
     QCheck_alcotest.to_alcotest prop_columnar_matches_row;
   ]

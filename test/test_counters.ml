@@ -216,7 +216,7 @@ let test_col_perturbed () =
 (* Only the row matcher probes a persistent index, and it builds one
    on its first probe of a (relation, positions) pair: the 16k-row
    join probes once per fact of one side, and the chain's single-atom
-   tgds scan and probe nothing.  The kernels read column batches and
+   tgds scan and probe nothing.  The kernels read column views and
    build none.  An update batch's repair probes the cached solution,
    whose indexes outlive the batch, so later batches build fewer. *)
 let index_expected = [ (3, 31); (3, 199); (1, 16_000); (0, 0) ]
@@ -449,6 +449,33 @@ let test_views_perturbed () =
     (fst views_expected + 1, snd views_expected)
     (cycle_counters ~extra:1 ())
 
+(* --- key orders: one per cube version the chase reads --- *)
+
+(* [cube.key_orders_built] during one chase of [reg]. *)
+let key_orders mapping reg =
+  let c = Obs.create ~spans:false () in
+  ignore
+    (Obs.with_collector c (fun () -> stats mapping (Exchange.Instance.of_registry reg))
+      : Exchange.Chase.stats);
+  Obs.Metrics.counter_value c.Obs.metrics "cube.key_orders_built"
+
+(* The chase reads PDR and RGDPPC in key order, built from their
+   versions' views and kept with them: a second chase over the same
+   versions builds none, and a new version of PDR (a copy, as a reload
+   installs) builds its own.  A derived relation's view is encoded from
+   sorted facts, so its key order is given, not built. *)
+let key_orders_expected = (2, 0, 1)
+
+let test_key_orders () =
+  let mapping = Rows.mapping_of Rows.scaled.Rows.program in
+  let reg = Rows.scaled.Rows.data () in
+  let first = key_orders mapping reg in
+  let second = key_orders mapping reg in
+  Registry.add reg Registry.Elementary (Cube.copy (Registry.find_exn reg "PDR"));
+  Alcotest.(check (triple int int int))
+    "(first chase, second chase, after a reload)" key_orders_expected
+    (first, second, key_orders mapping reg)
+
 (* --- allocation: words on the minor heap --- *)
 
 (* Words allocated on the minor heap while [f] runs; [f] itself is
@@ -504,6 +531,25 @@ let test_batch_words () =
         true (words <= bound))
     (List.tl fixture.Rows.batches) batch_words_bound
 
+(* The source instance over the X11 store, once its cubes' views
+   exist, installs each view as it is: a few hundred words for its two
+   relations, whatever their size.  Sorting and re-encoding each cube
+   into a fact list read ~2.38 M words here. *)
+let of_registry_words_bound = 1_000.
+
+let test_of_registry_words () =
+  let fixture = Rows.incr_setup () in
+  let store = Engine.Exlengine.store fixture.Rows.engine in
+  ignore (Exchange.Instance.of_registry store : Exchange.Instance.t);
+  let words =
+    minor_words (fun () ->
+        ignore (Sys.opaque_identity (Exchange.Instance.of_registry store)))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words <= %.0f" words of_registry_words_bound)
+    true
+    (words <= of_registry_words_bound)
+
 let suite =
   [
     ("chase: semi-naive matches", `Quick, test_chase);
@@ -527,4 +573,6 @@ let suite =
     ("views: perturbed input", `Quick, test_views_perturbed);
     ("alloc: hashing keys", `Quick, test_hash_words);
     ("alloc: X11 batch words", `Quick, test_batch_words);
+    ("views: key orders built", `Quick, test_key_orders);
+    ("alloc: of_registry words", `Quick, test_of_registry_words);
   ]
