@@ -32,19 +32,12 @@ type certificate = {
 
 type violation = { cycle : edge list }
 
-val tgd_edges : Mappings.Mapping.t -> Mappings.Tgd.t -> edge list
-val all_edges : Mappings.Mapping.t -> edge list
-
 val check : Mappings.Mapping.t -> (certificate, violation) result
 
 val verify : certificate -> (unit, string) result
 (** Independently re-checks the ranking: every edge must satisfy
     [rank dst >= rank src + w].  A certificate that passes is a proof
     of weak acyclicity regardless of how it was computed. *)
-
-val position_to_string : Mappings.Mapping.t -> position -> string
-val edge_to_string : Mappings.Mapping.t -> edge -> string
-val cycle_to_string : Mappings.Mapping.t -> edge list -> string
 
 val diagnose : Mappings.Mapping.t -> Diagnostic.t list
 (** [[]] if weakly acyclic, else a single [E202] diagnostic with the

@@ -17,12 +17,10 @@ val hom_to_string : homomorphism -> string
 
 val apply_hom : homomorphism -> Mappings.Term.t -> Mappings.Term.t
 
-val simplify : Mappings.Term.t -> Mappings.Term.t
-(** Remove neutral elements ([m + 0], [m * 1], [m / 1], double
-    negation, [shift _ 0], trivial coalesce), bottom-up. *)
-
 val normalize_term : Mappings.Term.t -> Mappings.Term.t
-(** {!Mappings.Term.normalize_shift} followed by {!simplify}. *)
+(** {!Mappings.Term.normalize_shift}, then removal of neutral elements
+    ([m + 0], [m * 1], [m / 1], double negation, [shift _ 0], trivial
+    coalesce), bottom-up. *)
 
 val normalize_atom : Mappings.Tgd.atom -> Mappings.Tgd.atom
 

@@ -145,5 +145,3 @@ let list_to_json ds =
     {|{"diagnostics":[%s],"summary":{"errors":%d,"warnings":%d,"infos":%d}}|}
     (String.concat "," (List.map to_json ds))
     errors warnings infos
-
-let pp ppf d = Format.pp_print_string ppf (to_string d)

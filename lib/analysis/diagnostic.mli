@@ -32,15 +32,8 @@ val of_error : ?default_code:string -> Exl.Errors.t -> t
 val is_error : t -> bool
 val is_warning : t -> bool
 val is_info : t -> bool
-val severity_to_string : severity -> string
-
-val compare : t -> t -> int
-(** By source position (missing positions last), then code. *)
 
 val sort : t list -> t list
-
-val catalogue : (string * string) list
-(** Every known code with its one-line description. *)
 
 val description : string -> string option
 val known_codes : string list
@@ -51,8 +44,5 @@ val to_string : t -> string
 val to_string_with_source : source:string -> t -> string
 (** {!to_string} plus the offending source line and a caret. *)
 
-val to_json : t -> string
 val list_to_json : t list -> string
 (** [{"diagnostics":[...],"summary":{"errors":n,"warnings":m,"infos":k}}] *)
-
-val pp : Format.formatter -> t -> unit

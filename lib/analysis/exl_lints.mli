@@ -11,11 +11,5 @@
     - [W105] shift by zero or by a distance exceeding the representable
       calendar range. *)
 
-val unused_elementary : Exl.Typecheck.checked -> Diagnostic.t list
-val unreached_derived : Exl.Typecheck.checked -> Diagnostic.t list
-val noop_aggregation : Exl.Typecheck.checked -> Diagnostic.t list
-val blackbox_period : Exl.Typecheck.checked -> Diagnostic.t list
-val shift_range : Exl.Typecheck.checked -> Diagnostic.t list
-
 val run : Exl.Typecheck.checked -> Diagnostic.t list
 (** All passes, sorted by source position. *)

@@ -9,10 +9,5 @@
       independent cross-validation of [Stratify.levels];
     - [W205] target relation never produced by any tgd. *)
 
-val safety : Mappings.Mapping.t -> Diagnostic.t list
-val egd_consistency : Mappings.Mapping.t -> Diagnostic.t list
-val stratification : Mappings.Mapping.t -> Diagnostic.t list
-val unproduced_targets : Mappings.Mapping.t -> Diagnostic.t list
-
 val run : Mappings.Mapping.t -> Diagnostic.t list
-(** All of the above plus {!Acyclicity.diagnose}, sorted. *)
+(** Every check above, E202 through {!Acyclicity.diagnose}, sorted. *)

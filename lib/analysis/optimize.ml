@@ -79,6 +79,9 @@ let cost_env ?(cards = []) (m : Mapping.t) =
     m.Mapping.t_tgds;
   env
 
+(* Estimated chase cost (matches examined plus tuples generated):
+   default cardinality 64 per source relation, joins on shared
+   variables probe an index. *)
 let estimate ?cards (m : Mapping.t) =
   let env = cost_env ?cards m in
   List.fold_left
@@ -157,6 +160,10 @@ let mapping_consts (m : Mapping.t) =
   List.sort_uniq Value.compare
     (List.concat_map tgd_consts (m.Mapping.st_tgds @ m.Mapping.t_tgds))
 
+(* The synthetic source instance equivalence checks chase over: the
+   cartesian product of small per-domain dimension sets (four
+   consecutive periods, dates straddling a quarter boundary, two values
+   per categorical domain) with pairwise-distinct measures. *)
 let critical_instance (m : Mapping.t) =
   let inst = Exchange.Instance.create () in
   let consts = mapping_consts m in

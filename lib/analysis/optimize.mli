@@ -46,7 +46,10 @@ type report = {
   original : Mappings.Mapping.t;
   optimized : Mappings.Mapping.t;
   actions : action list;  (** In application order. *)
-  est_before : int;  (** {!estimate} of the original mapping. *)
+  est_before : int;
+      (** The optimizer's cost estimate of the original mapping: chase
+          matches examined plus tuples generated, at cardinality 64 per
+          source relation unless [cards] overrides it. *)
   est_after : int;
   fused : bool;  (** Whether the fusion pass was enabled. *)
 }
@@ -62,17 +65,6 @@ val verify : report -> (unit, string) result
     re-applied, merges and fusions replayed, determination chains
     re-chased) and re-chase [original] vs [optimized] on the critical
     instance.  [Error] pinpoints the first failing certificate. *)
-
-val estimate : ?cards:(string * int) list -> Mappings.Mapping.t -> int
-(** Estimated chase cost (matches examined plus tuples generated) under
-    the optimizer's cost model: default cardinality 64 per source
-    relation, joins on shared variables probe an index. *)
-
-val critical_instance : Mappings.Mapping.t -> Exchange.Instance.t
-(** The synthetic source instance equivalence checks chase over: the
-    cartesian product of small per-domain dimension sets (four
-    consecutive periods, dates straddling a quarter boundary, two
-    values per categorical domain) with pairwise-distinct measures. *)
 
 val equivalent_on_critical :
   Mappings.Mapping.t -> Mappings.Mapping.t -> (int, string) result

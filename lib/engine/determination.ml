@@ -24,6 +24,10 @@ let group_by_sources (s : Exl.Ast.stmt) =
      already excludes them, as well as shift's dimension argument. *)
   Exl.Ast.cube_refs s.Exl.Ast.rhs
 
+(* Programs share elementary cubes (schemas must agree) but no derived
+   cube may be defined twice across programs.  [synthetic] names
+   declarations that only satisfied the standalone type check and must
+   not join the graph (used by [register_source]). *)
 let register_program ?(synthetic = []) t ~name
     (checked : Exl.Typecheck.checked) =
   let env = checked.Exl.Typecheck.env in

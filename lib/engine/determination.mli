@@ -11,17 +11,6 @@ type t
 
 val create : unit -> t
 
-val register_program :
-  ?synthetic:string list ->
-  t ->
-  name:string ->
-  Exl.Typecheck.checked ->
-  (unit, string) result
-(** Programs share elementary cubes (schemas must agree) but no derived
-    cube may be defined twice across programs.  [synthetic] names
-    declarations that only satisfied the standalone type check and must
-    not join the graph (used by [register_source]). *)
-
 val register_source : t -> name:string -> string -> (unit, string) result
 (** Parse, check and register EXL source text.  References to cubes
     already in the global graph — including derived cubes of other

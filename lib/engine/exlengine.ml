@@ -42,7 +42,6 @@ type t = {
   translation : Translation.t;
   store : Registry.t;
   history : Historicity.t;
-  pool : Pool.t option;
   mutable dirty : string list;
   mutable solution : solution option;
 }
@@ -54,7 +53,6 @@ let create ?(config = default_config) () =
     translation = Translation.create ();
     store = Registry.create ();
     history = Historicity.create ();
-    pool = (if config.parallel_dispatch then Some (Pool.shared ()) else None);
     dirty = [];
     solution = None;
   }
@@ -139,7 +137,7 @@ let run_affected ?(as_of = default_as_of) t affected =
     ~attrs:[ ("affected", string_of_int (List.length affected)) ]
   @@ fun () ->
   match
-    Dispatcher.run ~parallel:t.config.parallel_dispatch ?pool:t.pool
+    Dispatcher.run ~parallel:t.config.parallel_dispatch
       ~retry:t.config.retry ?faults:t.config.faults ~targets:t.config.targets
       ~policy:t.config.policy ~translation:t.translation
       ~determination:t.determination ~store:t.store ~affected ()

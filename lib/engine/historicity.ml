@@ -34,9 +34,4 @@ let as_of t date name =
   | (_, cube) :: _ -> Some cube
   | [] -> None
 
-let latest t name =
-  match List.rev (versions t name) with
-  | (_, cube) :: _ -> Some cube
-  | [] -> None
-
 let version_count t name = List.length (versions t name)

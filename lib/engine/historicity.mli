@@ -19,7 +19,6 @@ val store : t -> valid_from:Calendar.Date.t -> Cube.t -> unit
 val as_of : t -> Calendar.Date.t -> string -> Cube.t option
 (** The version whose validity start is the latest one <= the date. *)
 
-val latest : t -> string -> Cube.t option
 val versions : t -> string -> (Calendar.Date.t * Cube.t) list
 (** Oldest first. *)
 

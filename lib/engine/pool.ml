@@ -5,7 +5,6 @@ type t = {
   tasks : (unit -> unit) Queue.t;
   mutable closed : bool;
   mutable workers : unit Domain.t list;
-  size : int;
 }
 
 let rec worker_loop t =
@@ -37,13 +36,10 @@ let create ?size () =
       tasks = Queue.create ();
       closed = false;
       workers = [];
-      size;
     }
   in
   t.workers <- List.init size (fun _ -> Domain.spawn (fun () -> worker_loop t));
   t
-
-let size t = t.size
 
 exception Missing_result of string
 
@@ -103,12 +99,6 @@ let try_all (type a) t (fs : (string * (unit -> a)) list) :
               Error (label, Missing_result label))
         fs
 
-let run_all (type a) t (fs : (unit -> a) list) : a list =
-  let outcomes = try_all t (List.map (fun f -> ("task", f)) fs) in
-  (* preserve the historical contract: if any task raised, re-raise one
-     of the exceptions after all tasks have finished *)
-  List.map (function Ok v -> v | Error (_, e) -> raise e) outcomes
-
 let shutdown t =
   Mutex.lock t.mutex;
   let was_closed = t.closed in
@@ -119,10 +109,6 @@ let shutdown t =
     List.iter Domain.join t.workers;
     t.workers <- []
   end
-
-let with_pool ?size f =
-  let t = create ?size () in
-  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
 (* One lazily created process-wide pool, so the dispatcher's repeated
    waves reuse warm domains instead of spawning fresh ones. *)

@@ -15,8 +15,6 @@ val create : ?size:int -> unit -> t
     recommended parallelism.  [size = 0] is legal — every task then
     runs on the submitting domain. *)
 
-val size : t -> int
-
 exception Missing_result of string
 (** Internal invariant breach: a task finished without recording an
     outcome.  Only ever delivered through {!try_all}'s [Error] case —
@@ -30,18 +28,9 @@ val try_all : t -> (string * (unit -> 'a)) list -> ('a, string * exn) result lis
     can surface as structured [Worker_crash] reports.  Never raises.
     Safe to call from several domains at once. *)
 
-val run_all : t -> (unit -> 'a) list -> 'a list
-(** Execute all thunks (on workers and the calling domain) and return
-    their results in order.  If any task raises, one of the exceptions
-    is re-raised after all tasks have finished.  Safe to call from
-    several domains at once. *)
-
 val shutdown : t -> unit
 (** Signal workers to exit and join them; idempotent.  Tasks already
     queued are still drained. *)
-
-val with_pool : ?size:int -> (t -> 'a) -> 'a
-(** Create, run, and always shut down. *)
 
 val shared : unit -> t
 (** The lazily created process-wide pool (default size), shut down at

@@ -26,16 +26,13 @@ type t = { cube : string; key : Value.t list; action : action }
 val set : cube:string -> key:Value.t list -> Value.t -> t
 val remove : cube:string -> key:Value.t list -> t
 
-val compact : t list -> t list
-(** The net effect of applying the batch in order: at most one update
-    per (cube, key), the last action winning — a [set] followed by a
-    [del] of the same key nets out to the [del], a [del] followed by a
-    [set] to the [set].  Keys keep their first-appearance order, so
-    compaction is stable and idempotent. *)
-
 val concat : t list list -> t list
-(** Merge several pending batches into one equivalent batch:
-    [compact] of their concatenation in order.  This is what a
+(** Merge several pending batches into one equivalent batch: the net
+    effect of applying their concatenation in order.  At most one
+    update per (cube, key) survives, the last action winning — a [set]
+    followed by a [del] of the same key nets out to the [del], a [del]
+    followed by a [set] to the [set].  Keys keep their first-appearance
+    order, so the merge is stable and idempotent.  This is what a
     server commit round feeds to a single
     {!Exlengine.apply_updates} call — compaction works across batch
     boundaries, so opposing updates queued by different clients

@@ -319,6 +319,11 @@ let run_step ~batch_size ~storage ~schema_lookup env stats step =
               : Cube.t)
       | _ -> Registry.add storage Registry.Derived (cube_of_rowset schema rs))
 
+(* Executes the steps in order, writing the output cube into [storage]
+   as a derived cube, or adding its facts to the derived cube an earlier
+   flow wrote under that name.  [batch_size] is the stream granularity:
+   semantics-neutral, it models the paper's stream-like architecture and
+   is reported in [stats.batches]. *)
 let run_flow ?(batch_size = 1024) ~storage ~schema_lookup flow stats =
   let env : (string, rowset) Hashtbl.t = Hashtbl.create 16 in
   try

@@ -7,9 +7,6 @@
     output step writing back.  Like the vector target, consumes unfused
     mappings (at most two atoms). *)
 
-val flow_of_tgd :
-  Mappings.Mapping.t -> Mappings.Tgd.t -> (Flow.t, string) result
-
 val job_of_mapping : Mappings.Mapping.t -> (Job.t, string) result
 (** One flow per statement tgd, "tailored into a more comprising job
     according to tgds total order". *)

@@ -61,17 +61,3 @@ let input_cubes t =
   List.filter_map
     (function Step.Table_input { cube; _ } -> Some cube | _ -> None)
     t.steps
-
-let to_string t =
-  let lines =
-    List.map
-      (fun step ->
-        let arrows =
-          match Step.inputs step with
-          | [] -> ""
-          | ins -> String.concat " + " ins ^ " -> "
-        in
-        Printf.sprintf "  %s%s" arrows (Step.to_string step))
-      t.steps
-  in
-  Printf.sprintf "flow %s:\n%s" t.name (String.concat "\n" lines)

@@ -12,6 +12,3 @@ val output_cube : t -> string
 
 val input_cubes : t -> string list
 (** Cubes read by the flow's [Table_input] steps. *)
-
-val to_string : t -> string
-(** One line per step with arrows, a textual Figure 1. *)

@@ -1,7 +1,3 @@
 type t = { name : string; flows : Flow.t list }
 
 let make ~name flows = { name; flows }
-
-let to_string t =
-  Printf.sprintf "job %s (%d flows):\n%s" t.name (List.length t.flows)
-    (String.concat "\n" (List.map Flow.to_string t.flows))

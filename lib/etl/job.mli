@@ -3,4 +3,3 @@
 type t = { name : string; flows : Flow.t list }
 
 val make : name:string -> Flow.t list -> t
-val to_string : t -> string

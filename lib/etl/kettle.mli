@@ -6,5 +6,4 @@
     consumes, which is what the engineered system would hand over. *)
 
 val escape : string -> string
-val flow_to_xml : Flow.t -> string
 val job_to_xml : Job.t -> string

@@ -60,39 +60,3 @@ let kind = function
   | Table_function _ -> "UserDefined"
   | Select_fields _ -> "SelectValues"
   | Table_output _ -> "TableOutput"
-
-let to_string t =
-  let detail =
-    match t with
-    | Table_input { cube; _ } -> cube
-    | Generate_rows { rows; _ } -> Printf.sprintf "%d rows" (List.length rows)
-    | Filter_rows { conditions; _ } ->
-        String.concat " and "
-          (List.map
-             (fun (f, v) -> Printf.sprintf "%s = %s" f (Value.to_string v))
-             conditions)
-    | Merge_join { keys; join; _ } ->
-        (match join with `Inner -> "on " | `Full -> "full outer on ")
-        ^ String.concat ", " keys
-    | Sort _ -> ""
-    | Calculator { outputs; _ } ->
-        String.concat "; "
-          (List.map
-             (fun (f, term) ->
-               Printf.sprintf "%s = %s" f (Mappings.Term.to_string term))
-             outputs)
-    | Group_by { keys; aggr; measure; _ } ->
-        Printf.sprintf "%s(%s) by %s"
-          (Stats.Aggregate.to_string aggr)
-          (Mappings.Term.to_string measure)
-          (String.concat ", " (List.map fst keys))
-    | Table_function { fn; _ } -> fn
-    | Select_fields { fields; _ } ->
-        String.concat ", "
-          (List.map
-             (fun (s, d) -> if s = d then s else s ^ " -> " ^ d)
-             fields)
-    | Table_output { cube; _ } -> cube
-  in
-  if detail = "" then Printf.sprintf "[%s %s]" (kind t) (name t)
-  else Printf.sprintf "[%s %s: %s]" (kind t) (name t) detail

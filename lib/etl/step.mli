@@ -59,5 +59,3 @@ val inputs : t -> string list
 
 val kind : t -> string
 (** Short label for rendering: "TableInput", "MergeJoin", ... *)
-
-val to_string : t -> string

@@ -28,14 +28,3 @@ let rec term_fully_bound b = function
       term_fully_bound b t
   | Term.Binapp (_, t, u) | Term.Coalesce (t, u) ->
       term_fully_bound b t && term_fully_bound b u
-
-let merge (a : t) (b : t) : t option =
-  List.fold_left
-    (fun acc (v, value) ->
-      match acc with
-      | None -> None
-      | Some bnd -> (
-          match lookup bnd v with
-          | Some bound -> if Value.equal bound value then Some bnd else None
-          | None -> Some (bind bnd v value)))
-    (Some a) b

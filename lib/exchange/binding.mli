@@ -17,6 +17,3 @@ val term_value : t -> Mappings.Term.t -> Value.t option
     semantics). *)
 
 val term_fully_bound : t -> Mappings.Term.t -> bool
-
-val merge : t -> t -> t option
-(** Union of two bindings; [None] on conflicting values. *)

@@ -52,11 +52,6 @@ let add_relation t schema =
 
 let schema t name = Option.map (fun r -> r.schema) (Hashtbl.find_opt t.rels name)
 
-let schema_exn t name =
-  match schema t name with
-  | Some s -> s
-  | None -> invalid_arg ("Instance.schema_exn: unknown relation " ^ name)
-
 let relations t =
   Hashtbl.fold (fun k _ acc -> k :: acc) t.rels [] |> List.sort String.compare
 
@@ -272,11 +267,3 @@ let to_registry t ~elementary =
       Registry.add reg kind (cube_of_relation t name))
     (relations t);
   reg
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  List.iter
-    (fun name ->
-      Format.fprintf ppf "%s: %d facts@," name (cardinality t name))
-    (relations t);
-  Format.fprintf ppf "@]"

@@ -21,8 +21,6 @@ val add_relation : t -> Schema.t -> unit
 (** Declares an empty relation; replaces nothing if it already exists. *)
 
 val schema : t -> string -> Schema.t option
-val schema_exn : t -> string -> Schema.t
-val relations : t -> string list  (** Sorted. *)
 
 val insert : t -> string -> fact -> bool
 (** [true] when the fact was new; set semantics.
@@ -105,4 +103,3 @@ val cube_of_relation : t -> string -> Cube.t
     violation). *)
 
 val to_registry : t -> elementary:string list -> Registry.t
-val pp : Format.formatter -> t -> unit

@@ -1,14 +1,11 @@
 type t = { pos : Ast.pos option; msg : string; code : string option }
 
 let make ?pos ?code msg = { pos; msg; code }
-let makef ?pos ?code fmt = Format.kasprintf (fun msg -> make ?pos ?code msg) fmt
 
 let to_string e =
   match e.pos with
   | Some p -> Format.asprintf "%a: %s" Ast.pp_pos p e.msg
   | None -> e.msg
-
-let pp ppf e = Format.pp_print_string ppf (to_string e)
 
 let to_string_with_source ~source e =
   match e.pos with

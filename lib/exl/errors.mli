@@ -9,8 +9,6 @@ type t = {
           otherwise.  See [docs/DIAGNOSTICS.md] for the catalogue. *)
 }
 
-val make : ?pos:Ast.pos -> ?code:string -> string -> t
-val makef : ?pos:Ast.pos -> ?code:string -> ('a, Format.formatter, unit, t) format4 -> 'a
 val to_string : t -> string
 
 val to_string_with_source : source:string -> t -> string
@@ -21,8 +19,6 @@ val to_string_with_source : source:string -> t -> string
            ^
     v} *)
 
-val pp : Format.formatter -> t -> unit
-
 exception Exl_error of t
 (** Internal escape hatch; public APIs catch it and return [result]. *)
 
@@ -32,11 +28,9 @@ val protect : (unit -> 'a) -> ('a, t) result
 (** Runs the thunk, catching [Exl_error] (and [Invalid_argument], which
     substrate code raises on misuse) into [Error]. *)
 
-val compare_pos : t -> t -> int
-(** Orders by source position; errors without a position sort last. *)
-
 val sort : t list -> t list
-(** Stable sort by {!compare_pos}. *)
+(** Stable sort by source position; errors without a position sort
+    last. *)
 
 val first : t list -> t
 (** Head of an accumulated error list (a generic placeholder on []). *)

@@ -2,6 +2,12 @@ open Matrix
 
 type value = V_scalar of float | V_cube of Cube.t
 
+(* The time-shift on one dimension value: periods shift by index, dates
+   by days; [None] on non-temporal values.  Every target engine
+   implements the same convention: positive amounts lag, i.e.
+   [shift(e, s)] holds at time [t] the value of [e] at [t - s] (the
+   paper's statements (5a)-(5d) and tgd (5) compare a quarter with its
+   predecessor). *)
 let shift_key_value amount v =
   match v with
   | Value.Period p -> Some (Value.Period (Calendar.Period.shift p amount))
@@ -283,8 +289,6 @@ and eval_blackbox env reg (c : Ast.call) b =
           match Ops.Blackbox.apply_cube b ~params cube with
           | Ok out -> V_cube out
           | Error msg -> Errors.fail ~pos:c.pos msg))
-
-let eval_expr env reg e = Errors.protect (fun () -> eval env reg e)
 
 let store env reg (s : Ast.stmt) result =
   let schema = Typecheck.Env.schema_exn env s.lhs in

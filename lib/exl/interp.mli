@@ -10,28 +10,8 @@ open Matrix
 
 type value = V_scalar of float | V_cube of Cube.t
 
-val eval_expr :
-  Typecheck.Env.t -> Registry.t -> Ast.expr -> (value, Errors.t) result
-(** Evaluate one expression against the cubes currently in the
-    registry. *)
-
-val run_stmt :
-  Typecheck.Env.t -> Registry.t -> Ast.stmt -> (unit, Errors.t) result
-(** Evaluate a statement and store the resulting derived cube. *)
-
 val run : Typecheck.checked -> Registry.t -> (Registry.t, Errors.t) result
 (** Run a whole checked program.  The input registry provides the
     elementary cubes (missing ones are treated as empty, matching the
     partial-function reading); the result is a fresh registry holding
     elementary and derived cubes.  The input registry is not mutated. *)
-
-val shift_key_value : int -> Value.t -> Value.t option
-(** The time-shift on one dimension value: periods shift by index,
-    dates by days; [None] on non-temporal values.  Exposed because every
-    target engine must implement the same convention: positive amounts
-    lag, i.e. [shift(e, s)] holds at time [t] the value of [e] at
-    [t - s] (this matches the paper's statements (5a)-(5d) and tgd (5),
-    which compare a quarter with its predecessor). *)
-
-val align_dims : (string * Domain.t) list -> Cube.t -> Cube.t
-(** Reorder a cube's dimensions (by name) to the given order. *)

@@ -10,10 +10,6 @@
     pass of the mapping layer can later recombine chains into complex
     tgds like the paper's tgd (5). *)
 
-val is_atom : Ast.expr -> bool
-val is_simple : Ast.expr -> bool
-(** Atom, or one operator whose operands are atoms. *)
-
 val is_normal : Ast.program -> bool
 
 val program : Ast.program -> Ast.program
@@ -22,17 +18,6 @@ val program : Ast.program -> Ast.program
     with any identifier in the program.  Declarations are preserved.
     The output re-parses and re-checks; temporaries inherit schemas by
     inference. *)
-
-val fold_constants : Ast.expr -> Ast.expr
-(** Constant folding on numeric subexpressions (applied by [program]
-    before flattening); undefined constant operations are left alone so
-    the runtime error surfaces unchanged. *)
-
-val cse : Ast.program -> Ast.program
-(** Common-subexpression elimination on a normalized program: auxiliary
-    statements with identical right-hand sides are merged (e.g.
-    [100 * (C - shift(C, 1)) / shift(C, 1)] needs one shift temp, not
-    two). Only temporaries are folded. *)
 
 val checked : Typecheck.checked -> (Typecheck.checked, Errors.t) result
 (** [program] followed by [cse] and re-typechecking. *)

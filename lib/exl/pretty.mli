@@ -13,6 +13,4 @@ val literal_to_string : Matrix.Value.t -> string
     [n], [t]). *)
 
 val expr_to_string : Ast.expr -> string
-val stmt_to_string : Ast.stmt -> string
-val decl_to_string : Ast.decl -> string
 val program_to_string : Ast.program -> string

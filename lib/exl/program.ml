@@ -12,8 +12,3 @@ let load_exn source =
   match load source with
   | Ok c -> c
   | Error e -> invalid_arg ("EXL: " ^ Errors.to_string e)
-
-let run_exn checked registry =
-  match Interp.run checked registry with
-  | Ok reg -> reg
-  | Error e -> invalid_arg ("EXL: " ^ Errors.to_string e)

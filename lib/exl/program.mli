@@ -16,5 +16,3 @@ val run_source : string -> Registry.t -> (Registry.t, Errors.t) result
 val load_exn : string -> Typecheck.checked
 (** @raise Invalid_argument with the rendered error. Convenience for
     examples and benches. *)
-
-val run_exn : Typecheck.checked -> Registry.t -> Registry.t

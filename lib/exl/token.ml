@@ -43,5 +43,3 @@ let to_string = function
   | KW_BY -> "by"
   | KW_AS -> "as"
   | EOF -> "<eof>"
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -25,4 +25,3 @@ type t =
 type located = { token : t; pos : Ast.pos }
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

@@ -14,23 +14,16 @@ type ty = Scalar_ty | Cube_ty of (string * Domain.t) list
 (** The type of an expression: a scalar constant or a cube with the
     given ordered dimensions (the measure is always numeric). *)
 
-val ty_to_string : ty -> string
-
 module Env : sig
   (** Cube schema environment built while checking. *)
 
   type t
 
-  val empty : unit -> t
   val schema : t -> string -> Schema.t option
   val schema_exn : t -> string -> Schema.t
   val kind : t -> string -> Registry.kind option
-  val mem : t -> string -> bool
   val names : t -> string list  (** In declaration/definition order. *)
 
-  val add : t -> Registry.kind -> Schema.t -> unit
-  (** Exposed so later pipeline stages (normalization) can extend the
-      environment with temporary cubes. *)
 end
 
 type checked = {
@@ -47,10 +40,6 @@ val check : Ast.program -> (checked, Errors.t list) result
 val infer_expr : Env.t -> Ast.expr -> (ty, Errors.t) result
 (** Type of one expression under an environment (exposed for tests and
     for the normalizer). *)
-
-val schema_of_ty : name:string -> ty -> Schema.t
-(** The schema a statement assigning this type would create ([Scalar_ty]
-    gives a zero-dimensional cube). *)
 
 val warnings : checked -> string list
 (** Non-fatal findings: declared elementary cubes that no statement

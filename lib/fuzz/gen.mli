@@ -41,10 +41,6 @@ type profile = {
   keep : float;  (** data density: probability a slice/key is present *)
 }
 
-val compat : profile
-(** The historical [test/gen.ml] distribution (single-operator
-    statements only); the in-tree qcheck properties run on it. *)
-
 val quick : profile
 (** Small data, compound statements on: the default fuzz profile. *)
 
@@ -60,8 +56,9 @@ val pick : Random.State.t -> 'a list -> 'a
 val rand_program_and_data :
   ?profile:profile -> Random.State.t -> string * Registry.t
 (** One random program (concrete EXL source) plus a registry of its
-    elementary cubes filled with matching data.  Default profile:
-    {!compat}. *)
+    elementary cubes filled with matching data.  The default profile
+    is the historical [test/gen.ml] distribution (single-operator
+    statements only), which the in-tree qcheck properties run on. *)
 
 val program_of_seed : ?profile:profile -> int -> string * Registry.t
 (** Derive program and data deterministically from a seed, so failures

@@ -464,9 +464,6 @@ let replay scenario =
     (fun (axis, fuse) -> { axis; fuse; outcome = check_axis ~fuse scenario axis })
     specs
 
-let disagreements checks =
-  List.filter (fun c -> match c.outcome with Disagree _ -> true | _ -> false) checks
-
 (* --- shrinking -------------------------------------------------------- *)
 
 let stmt_count scenario =

@@ -35,8 +35,6 @@ val replay : Scenario.t -> check list
     files store the axis that disagreed, including its fuse mode); all
     axes when the field is empty. *)
 
-val disagreements : check list -> check list
-
 val stmt_count : Scenario.t -> int
 (** Statements in the scenario's program (repro size metric). *)
 

@@ -19,18 +19,12 @@ type axis =
 val all : axis list
 (** Every axis, in the order above. *)
 
-val name : axis -> string
-val axis_of_name : string -> axis option
-
 (** How the {!Fusion} axis builds its fused mapping. [Safe] is the
     verified fuser ({!Core.fused_mapping_of}); [Unsafe] deliberately
     reintroduces the historical naive aggregation fusion that fails to
     rewrite group-by keys through the unifier — the harness must catch
     it (fault-injection for the fuzzer itself); [Off] skips the axis. *)
 type fuse_mode = Safe | Unsafe | Off
-
-val fuse_mode_name : fuse_mode -> string
-val fuse_mode_of_name : string -> fuse_mode option
 
 val of_spec : string -> (axis * fuse_mode) option
 (** Parse an axis spec as written in repro files and [--axes]:

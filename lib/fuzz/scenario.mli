@@ -19,8 +19,8 @@ type t = {
   updates : Engine.Update.t list list;  (** update batches, in order *)
   faults : Engine.Faults.plan option;
   axes : string list;
-      (** lattice axes to replay ([[]] means every axis); axis names
-          are interpreted by {!Lattice.axis_of_name} *)
+      (** lattice axes to replay ([[]] means every axis), by the names
+          [Lattice] prints *)
 }
 
 val generate : ?profile:string -> int -> t

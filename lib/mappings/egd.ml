@@ -9,5 +9,3 @@ let to_string t =
   let args y = String.concat ", " (vars @ [ y ]) in
   Printf.sprintf "%s(%s) ∧ %s(%s) → (y1 = y2)" t.relation (args "y1")
     t.relation (args "y2")
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -13,4 +13,3 @@ type t = { relation : string; dims : int }
 val of_schema : Schema.t -> t
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

@@ -42,5 +42,3 @@ let to_string t =
     (fun egd -> Buffer.add_string buf ("    " ^ Egd.to_string egd ^ "\n"))
     t.egds;
   Buffer.contents buf
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

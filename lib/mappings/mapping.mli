@@ -32,5 +32,3 @@ val tgd_for : t -> string -> Tgd.t option
 val to_string : t -> string
 (** The full mapping in logic notation — what the paper prints as
     tgds (1)-(5). *)
-
-val pp : Format.formatter -> t -> unit

@@ -131,7 +131,6 @@ let rec to_str ctx t =
   if prec t < ctx then "(" ^ s ^ ")" else s
 
 let to_string t = to_str 0 t
-let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 let rec normalize_shift = function
   | Var _ as t -> t

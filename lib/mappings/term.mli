@@ -48,5 +48,3 @@ val equal : t -> t -> bool
 val to_string : t -> string
 (** Paper-style notation: [q - 1], [quarter(t)], [y1 * y2],
     [(y1 - y2) * 100 / y1]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -108,8 +108,6 @@ let to_string = function
       in
       Printf.sprintf "%s → %s(%s(%s%s))" source target fn source params_str
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-
 let equal_atom (a : atom) (b : atom) =
   a.rel = b.rel && List.equal Term.equal a.args b.args
 

@@ -68,5 +68,3 @@ val equal : t -> t -> bool
 val to_string : t -> string
 (** Paper-style logic notation, e.g.
     ["PQR(q, r, p) ∧ RGDPPC(q, r, g) → RGDP(q, r, p * g)"]. *)
-
-val pp : Format.formatter -> t -> unit

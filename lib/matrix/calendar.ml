@@ -151,8 +151,6 @@ module Date = struct
         | Some year, Some month, Some day -> make_opt ~year ~month ~day
         | _ -> None)
     | _ -> None
-
-  let pp ppf d = Format.pp_print_string ppf (to_string d)
 end
 
 module Period = struct
@@ -220,11 +218,6 @@ module Period = struct
 
   let shift p s = { p with index = p.index + s }
 
-  let diff a b =
-    if a.freq <> b.freq then
-      invalid_arg "Calendar.Period.diff: frequency mismatch";
-    a.index - b.index
-
   let end_date p =
     Date.add_days (start_date (shift p 1)) (-1)
 
@@ -260,7 +253,6 @@ module Period = struct
     | 0 -> Int.compare a.index b.index
     | c -> c
 
-  let equal a b = compare a b = 0
   let hash p = (frequency_rank p.freq * 1000003) lxor p.index
 
   let convert target p =
@@ -329,6 +321,4 @@ module Period = struct
                   match tagged 'W' week with
                   | Some _ as r -> r
                   | None -> Option.map year (int_of_string_opt s))))
-
-  let pp ppf p = Format.pp_print_string ppf (to_string p)
 end

@@ -47,7 +47,6 @@ module Date : sig
   (** The text of [to_string], appended without building a string. *)
 
   val of_string : string -> t option
-  val pp : Format.formatter -> t -> unit
 end
 
 module Period : sig
@@ -84,15 +83,10 @@ module Period : sig
   (** [shift p s] is the period [s] steps later ([s] may be negative).
       This is the paper's time-shift operator on dimension values. *)
 
-  val diff : t -> t -> int
-  (** [diff a b = index a - index b]; requires equal frequencies.
-      @raise Invalid_argument on frequency mismatch. *)
-
   val compare : t -> t -> int
   (** Orders first by frequency, then by index, so mixed-frequency keys
       still sort deterministically. *)
 
-  val equal : t -> t -> bool
   val hash : t -> int
 
   val start_date : t -> Date.t
@@ -116,5 +110,4 @@ module Period : sig
       ["2023-07-14"]. *)
 
   val of_string : string -> t option
-  val pp : Format.formatter -> t -> unit
 end

@@ -94,7 +94,6 @@ let create schema =
 let schema c = c.schema
 let name c = c.schema.Schema.name
 let cardinality c = Tuple.Table.length c.base.data + c.net
-let is_empty c = cardinality c = 0
 
 let rec lookup key = function
   | [] -> None
@@ -111,14 +110,6 @@ let find c key =
     match rebound c.overlay key with
     | Some v -> if Value.is_null v then None else Some v
     | None -> Tuple.Table.find_opt c.base.data key
-
-let find_exn c key =
-  match find c key with
-  | Some v -> v
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Cube.find_exn: %s undefined on %s" (name c)
-           (Tuple.to_string key))
 
 let mem c key = Option.is_some (find c key)
 
@@ -533,12 +524,3 @@ let diff_data ?(eps = 1e-9) a b =
   if !count > 20 then
     msgs @ [ Printf.sprintf "... and %d more" (!count - 20) ]
   else msgs
-
-let pp ppf c =
-  Format.fprintf ppf "@[<v2>%s [%d tuples]" (Schema.to_string c.schema)
-    (cardinality c);
-  List.iter
-    (fun (k, v) ->
-      Format.fprintf ppf "@,%s -> %s" (Tuple.to_string k) (Value.to_string v))
-    (to_alist c);
-  Format.fprintf ppf "@]"

@@ -40,7 +40,6 @@ val create : Schema.t -> t
 val schema : t -> Schema.t
 val name : t -> string
 val cardinality : t -> int
-val is_empty : t -> bool
 
 val set : t -> Tuple.t -> Value.t -> unit
 (** Insert or replace. [Null] measures are dropped (the function is
@@ -51,8 +50,6 @@ val add_strict : t -> Tuple.t -> Value.t -> unit
     to a different measure (within [Value.equal]). *)
 
 val find : t -> Tuple.t -> Value.t option
-val find_exn : t -> Tuple.t -> Value.t
-val mem : t -> Tuple.t -> bool
 val remove : t -> Tuple.t -> unit
 val iter : (Tuple.t -> Value.t -> unit) -> t -> unit
 val fold : (Tuple.t -> Value.t -> 'a -> 'a) -> t -> 'a -> 'a
@@ -183,5 +180,3 @@ val equal_data : ?eps:float -> t -> t -> bool
 val diff_data : ?eps:float -> t -> t -> string list
 (** Human-readable discrepancies (missing / extra / differing keys),
     capped at 20 entries; empty iff [equal_data]. *)
-
-val pp : Format.formatter -> t -> unit

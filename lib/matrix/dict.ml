@@ -1,10 +1,3 @@
-(* Dictionary encoding for column views: a dense int code per
-   distinct value (distinctness is [Value.equal], so [Int 1] and
-   [Float 1.] share a code exactly as they share a slot in the row
-   stores).  Dictionaries are append-only — codes, once issued, stay
-   valid for as long as any reader holds them — which is what makes a
-   cube version's column view shareable by its readers. *)
-
 (* Codes are found by open addressing: [slots] holds [code + 1] per
    slot ([0]: empty), at most half full, probed linearly from
    [Value.hash].  A lookup allocates nothing and divides nothing. *)
@@ -42,7 +35,6 @@ let rehash t =
   done;
   t.slots <- slots
 
-(* Find-or-add: the code of [v], issuing a fresh one on first sight. *)
 let encode t v =
   let i = probe t v in
   if i >= 0 then i
@@ -72,11 +64,6 @@ let decode t c =
 
 let is_null t c = Value.is_null t.values.(c)
 
-(* Code translation between dictionaries: [xlate a b].(c) is [b]'s
-   code for [a]'s value [c], or -1 when [b] never saw that value.
-   Every view encodes its columns in dictionaries of its own, so a
-   join translates one side's codes into the other's space: O(|a|)
-   once instead of a hash probe per row. *)
 let xlate a b =
   if a == b then None
   else

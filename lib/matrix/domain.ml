@@ -83,5 +83,3 @@ let of_string s =
       | Some Calendar.Day -> Some Date
       | Some f -> Some (Period (Some f))
       | None -> None)
-
-let pp ppf d = Format.pp_print_string ppf (to_string d)

@@ -45,5 +45,3 @@ val of_string : string -> t option
 (** Parses the surface syntax used in EXL cube declarations:
     ["int"], ["float"], ["string"], ["bool"], ["date"], ["period"],
     ["quarter"], ["month"], ["year"], ["week"], ["day"], ["semester"]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,19 +1,9 @@
-(* Vectorized kernels over encoded columns: key packing, grouping,
-   segmented gather, int-keyed hash join and key order.  Everything
-   here works on plain int/float arrays — no [Value.t] or [Tuple.t]
-   allocation per row — and leaves semantics (term evaluation, error
-   precedence, emission) to the caller, which replays the row engine's
-   rules.  The chase and the SQL executor share them. *)
-
 (* ----- mixed-radix key packing ----- *)
 
 (* Combine per-column codes into one int key per row:
    key = c0 + r0*(c1 + r1*(c2 + ...)), exact (no collisions) because
    each code is < its radix.  [None] when the combined key space would
-   overflow 62-bit ints — callers fall back to the row path.  A
-   negative input code (a probe value absent from the build-side
-   dictionary) poisons its row's key to -1, which every consumer
-   treats as "matches nothing". *)
+   overflow 62-bit ints. *)
 let pack ~nrows (cols : int array array) (radices : int array) =
   let ncols = Array.length cols in
   if ncols = 0 then None
@@ -45,9 +35,6 @@ let pack ~nrows (cols : int array array) (radices : int array) =
       Some keys
     end
 
-(* Dense int keys for one row set: packed when the key space fits,
-   otherwise renumbered through a composite-key table — so callers
-   never fall back to row-at-a-time processing on wide keys. *)
 let dense_keys ~nrows (cols : int array array) (radices : int array) =
   if Array.length cols = 0 then Array.make nrows 0
   else
@@ -69,9 +56,6 @@ let dense_keys ~nrows (cols : int array array) (radices : int array) =
                   Hashtbl.replace tbl key id;
                   id)
 
-(* Dense keys for a build/probe pair sharing one key space: probe-side
-   composites never seen on the build side map to -1 (match nothing),
-   mirroring a hash-index miss. *)
 let joined_keys ~(build_cols : int array array) ~(probe_cols : int array array)
     ~nbuild ~nprobe (radices : int array) =
   match (pack ~nrows:nbuild build_cols radices, pack ~nrows:nprobe probe_cols radices)
@@ -104,11 +88,7 @@ let joined_keys ~(build_cols : int array array) ~(probe_cols : int array array)
 
 (* ----- grouping ----- *)
 
-type groups = {
-  gids : int array;  (* row -> group id, ids issued in first-seen row order *)
-  n_groups : int;
-  rep_rows : int array;  (* group id -> first row carrying it *)
-}
+type groups = { gids : int array; n_groups : int; rep_rows : int array }
 
 let group (keys : int array) =
   let nrows = Array.length keys in
@@ -132,10 +112,6 @@ let group (keys : int array) =
   List.iter (fun r -> rep_rows.(gids.(r)) <- r) !reps;
   { gids; n_groups; rep_rows }
 
-(* Stable segmented gather: bucket [values] by group id, preserving
-   row order within each group (so per-group accumulation replays the
-   row engine's bag order exactly).  Returns [(offsets, data)] with
-   group [g]'s values in [data.(offsets.(g)) .. data.(offsets.(g+1))-1]. *)
 let segment { gids; n_groups; _ } (values : float array) =
   let nrows = Array.length gids in
   let counts = Array.make (n_groups + 1) 0 in
@@ -158,13 +134,6 @@ let segment { gids; n_groups; _ } (values : float array) =
 
 (* ----- int-keyed hash join ----- *)
 
-(* Build a multimap over [build_keys], then probe with [probe_keys] in
-   row order, calling [f probe_row build_row] per matching pair.
-   Negative keys never match (build rows are skipped, probe rows find
-   nothing).  [on_probe probe_row bucket_size] fires once per
-   non-poisoned probe row before its pairs — the hook the chase uses
-   to count examined candidates exactly like the row path's indexed
-   lookups. *)
 let hash_join ~(build_keys : int array) ~(probe_keys : int array)
     ?(on_probe = fun _ _ -> ()) f =
   let nbuild = Array.length build_keys in
@@ -187,11 +156,7 @@ let hash_join ~(build_keys : int array) ~(probe_keys : int array)
 
 (* ----- key order ----- *)
 
-(* Per code of [dict], the rank of its value among the dictionary's
-   values under [Value.compare], so comparing ranks compares values:
-   distinct codes hold values that are not [Value.equal], and equality
-   is [Value.compare] = 0.  The values are decoded once and their codes
-   merge-sorted by value. *)
+(* The values are decoded once and their codes merge-sorted by value. *)
 let ranks dict =
   let values = Array.init (Dict.size dict) (Dict.decode dict) in
   let by_value = Array.init (Array.length values) Fun.id in
@@ -200,13 +165,8 @@ let ranks dict =
   Array.iteri (fun i c -> rank.(c) <- i) by_value;
   rank
 
-(* The positions [0 .. n-1] of the rows [sel] in ascending order of
-   their columns' ranks, column by column, rows that tie in [sel]
-   order; and the comparisons that took.  [columns.(i)] is column [i]'s
-   code per row and rank per code.  A stable counting sort by column-0
-   rank, then a stable comparison sort by the later columns inside each
-   run that ties on column 0: a later column is forced only when every
-   column before it ties somewhere. *)
+(* A stable counting sort by column-0 rank, then a stable comparison
+   sort by the later columns inside each run that ties on column 0. *)
 let sort_rows (columns : (int array * int array) Lazy.t array) (sel : int array) =
   let n = Array.length sel in
   if Array.length columns = 0 then (Array.init n Fun.id, 0)
@@ -253,9 +213,6 @@ let sort_rows (columns : (int array * int array) Lazy.t array) (sel : int array)
     (sorted, !compares)
   end
 
-(* [floats.(r) <- f] and [true] where [Value.to_float v] is [Some f];
-   [false] where it is [None].  A measure read per row, with no option
-   allocated. *)
 let read_float floats r = function
   | Value.Int i ->
       floats.(r) <- float_of_int i;

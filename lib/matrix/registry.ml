@@ -18,7 +18,6 @@ let find_exn t name =
   | None -> invalid_arg (Printf.sprintf "Registry.find_exn: no cube %S" name)
 
 let kind_of t name = Option.map (fun e -> e.kind) (Hashtbl.find_opt t name)
-let mem t name = Hashtbl.mem t name
 let remove t name = Hashtbl.remove t name
 
 let names t =
@@ -30,7 +29,6 @@ let names_of_kind t kind =
 
 let elementary_names t = names_of_kind t Elementary
 let derived_names t = names_of_kind t Derived
-let schemas t = List.map (fun n -> Cube.schema (find_exn t n)) (names t)
 
 let copy t =
   let out = create () in
@@ -70,14 +68,3 @@ let diff ?eps ~names expected got =
               (Printf.sprintf "cube %s differs: %s" name
                  (String.concat "; " (Cube.diff_data ?eps e g))))
     names
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  List.iter
-    (fun n ->
-      let e = Hashtbl.find t n in
-      Format.fprintf ppf "%s %s [%d tuples]@," (kind_to_string e.kind)
-        (Schema.to_string (Cube.schema e.cube))
-        (Cube.cardinality e.cube))
-    (names t);
-  Format.fprintf ppf "@]"

@@ -21,13 +21,11 @@ val declare : t -> kind -> Schema.t -> unit
 val find : t -> string -> Cube.t option
 val find_exn : t -> string -> Cube.t
 val kind_of : t -> string -> kind option
-val mem : t -> string -> bool
 val remove : t -> string -> unit
 val names : t -> string list  (** Sorted. *)
 
 val elementary_names : t -> string list
 val derived_names : t -> string list
-val schemas : t -> Schema.t list
 val copy : t -> t
 (** Deep copy: cubes are copied too. *)
 
@@ -48,5 +46,3 @@ val diff : ?eps:float -> names:string list -> t -> t -> string list
     or holds other data ([cube N differs: ...], {!Cube.diff_data});
     empty when every named cube agrees.  A name in neither registry
     agrees. *)
-
-val pp : Format.formatter -> t -> unit

@@ -56,16 +56,6 @@ let time_dims s =
   |> List.filter (fun d -> Domain.is_temporal d.dim_domain)
   |> List.map (fun d -> d.dim_name)
 
-let rename s name = { s with name }
-
-let same_dims a b =
-  Array.length a.dims = Array.length b.dims
-  && Array.for_all2
-       (fun da db ->
-         da.dim_name = db.dim_name
-         && Option.is_some (Domain.union da.dim_domain db.dim_domain))
-       a.dims b.dims
-
 (* A loop, not [Array.for_all] over an index array: it runs once per
    fact loaded and allocates nothing. *)
 let compatible_tuple s t =
@@ -97,5 +87,3 @@ let to_string s =
                Printf.sprintf "%s: %s" d.dim_name (Domain.to_string d.dim_domain))
              s.dims)))
     (Domain.to_string s.measure_domain)
-
-let pp ppf s = Format.pp_print_string ppf (to_string s)

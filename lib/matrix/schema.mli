@@ -34,16 +34,8 @@ val dim_domain : t -> string -> Domain.t option
 val time_dims : t -> string list
 (** Dimensions with a temporal domain, in declaration order. *)
 
-val rename : t -> string -> t
-
-val same_dims : t -> t -> bool
-(** Same dimension names with unifiable domains, in the same order
-    (order is a normalization choice; EXL programs reference dimensions
-    by name). *)
-
 val compatible_tuple : t -> Tuple.t -> bool
 (** Arity matches and each component is in its dimension's domain. *)
 
 val equal : t -> t -> bool
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

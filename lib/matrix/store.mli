@@ -17,9 +17,5 @@ val load : dir:string -> (Registry.t, string) result
     string code such as ["040"] or ["2020Q1"] reloads as the string it
     was.  A key repeated with another measure fails the load. *)
 
-val manifest_of_registry : Registry.t -> string
-(** The manifest text (one line per cube:
-    [name|kind|dim:domain,...|measure:domain]). *)
-
 val registry_schemas_of_manifest :
   string -> ((Schema.t * Registry.kind) list, string) result

@@ -37,8 +37,6 @@ let append t y =
 let to_string t =
   "(" ^ String.concat ", " (List.map Value.to_string (Array.to_list t)) ^ ")"
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-
 module Key = struct
   type nonrec t = t
 

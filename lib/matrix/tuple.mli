@@ -34,7 +34,6 @@ val append : t -> Value.t -> Value.t array
 (** The full cube tuple [(x1, ..., xn, y)] as a fresh array. *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 
 module Table : sig
   include Hashtbl.S with type key = t

@@ -167,5 +167,3 @@ let of_string_guess s =
                     | Some p when Calendar.Period.freq p <> Calendar.Year ->
                         Period p
                     | _ -> String s))))
-
-let pp ppf v = Format.pp_print_string ppf (to_string v)

@@ -57,7 +57,5 @@ val of_string_guess : string -> t
     columns: int, float, date, bool, period, else string; [""] is
     [Null]. *)
 
-val pp : Format.formatter -> t -> unit
-
 val type_name : t -> string
 (** Constructor name for error messages: ["int"], ["float"], ... *)

@@ -229,5 +229,3 @@ let member key = function
   | _ -> None
 
 let number = function Num f -> Some f | _ -> None
-let string_value = function Str s -> Some s | _ -> None
-let elements = function List items -> items | _ -> []

@@ -13,9 +13,6 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-val escape : string -> string
-(** Body of a JSON string literal (without the quotes). *)
-
 val to_string : t -> string
 (** Compact rendering.  Integral floats print without a fraction;
     non-finite numbers print as [null]. *)
@@ -28,6 +25,3 @@ val member : string -> t -> t option
 (** Field of an object; [None] on missing field or non-object. *)
 
 val number : t -> float option
-val string_value : t -> string option
-val elements : t -> t list
-(** List elements; [[]] for non-lists. *)

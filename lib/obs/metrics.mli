@@ -24,11 +24,8 @@ val gauge : t -> string -> float -> unit
 
 val observe : ?buckets:float array -> t -> string -> float -> unit
 (** Record one observation into a histogram.  [buckets] is consulted
-    only when the histogram does not exist yet (default
-    {!duration_buckets}). *)
-
-val duration_buckets : float array
-(** Upper bounds in seconds, from 10us to 10s. *)
+    only when the histogram does not exist yet (default: duration
+    buckets from 10us to 10s). *)
 
 val size_buckets : float array
 (** Upper bounds for cardinalities (facts, rows): 1 to 1e6. *)

@@ -2,22 +2,12 @@ open Matrix
 
 type t = Add | Sub | Mul | Div | Pow
 
-let all = [ Add; Sub; Mul; Div; Pow ]
-
 let to_string = function
   | Add -> "+"
   | Sub -> "-"
   | Mul -> "*"
   | Div -> "/"
   | Pow -> "^"
-
-let of_string = function
-  | "+" -> Some Add
-  | "-" -> Some Sub
-  | "*" -> Some Mul
-  | "/" -> Some Div
-  | "^" -> Some Pow
-  | _ -> None
 
 let eval t x y =
   let r =
@@ -38,4 +28,3 @@ let eval_value t a b =
 
 let precedence = function Add | Sub -> 1 | Mul | Div -> 2 | Pow -> 3
 let is_right_assoc = function Pow -> true | Add | Sub | Mul | Div -> false
-let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -8,10 +8,7 @@ open Matrix
 
 type t = Add | Sub | Mul | Div | Pow
 
-val all : t list
 val to_string : t -> string  (** "+", "-", "*", "/", "^" *)
-
-val of_string : string -> t option
 
 val eval : t -> float -> float -> float option
 (** [None] where undefined: x/0, 0^negative, NaN results. *)
@@ -24,5 +21,3 @@ val precedence : t -> int
 (** 1 for +/-, 2 for * and /, 3 for ^. *)
 
 val is_right_assoc : t -> bool  (** Only [Pow]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -74,11 +74,6 @@ let () =
 
 let find name = Hashtbl.find_opt catalogue (String.lowercase_ascii name)
 
-let find_exn name =
-  match find name with
-  | Some t -> t
-  | None -> invalid_arg ("Blackbox.find_exn: unknown operator " ^ name)
-
 let exists name = Option.is_some (find name)
 
 let names () =

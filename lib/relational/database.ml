@@ -12,16 +12,6 @@ let create_table t ~name ~columns =
 let add_table t table = Hashtbl.replace t (Table.name table) table
 let find t name = Hashtbl.find_opt t name
 
-let find_exn t name =
-  match find t name with
-  | Some table -> table
-  | None -> invalid_arg ("Database.find_exn: no table " ^ name)
-
-let mem t name = Hashtbl.mem t name
-
-let names t =
-  Hashtbl.fold (fun k _ acc -> k :: acc) t [] |> List.sort String.compare
-
 let load_cube ?schema t cube = add_table t (Table.of_cube ?schema cube)
 
 let to_registry t ~schemas ~elementary =
@@ -41,14 +31,3 @@ let to_registry t ~schemas ~elementary =
       Registry.add reg kind cube)
     schemas;
   reg
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  List.iter
-    (fun n ->
-      let table = Hashtbl.find t n in
-      Format.fprintf ppf "%s(%s): %d rows@," n
-        (String.concat ", " (Table.columns table))
-        (Table.row_count table))
-    (names t);
-  Format.fprintf ppf "@]"

@@ -8,11 +8,7 @@ val create : unit -> t
 val create_table : t -> name:string -> columns:string list -> Table.t
 (** Creates (or replaces) an empty table. *)
 
-val add_table : t -> Table.t -> unit
 val find : t -> string -> Table.t option
-val find_exn : t -> string -> Table.t
-val mem : t -> string -> bool
-val names : t -> string list  (** Sorted. *)
 
 val load_cube : ?schema:Schema.t -> t -> Cube.t -> unit
 (** Adds the cube as a table ({!Table.of_cube}), replacing any table
@@ -21,5 +17,3 @@ val load_cube : ?schema:Schema.t -> t -> Cube.t -> unit
 val to_registry : t -> schemas:Schema.t list -> elementary:string list -> Registry.t
 (** Reads the tables named by [schemas] back into cubes (applying the
     functionality check). *)
-
-val pp : Format.formatter -> t -> unit

@@ -9,10 +9,6 @@
 val insert_of_tgd :
   Mappings.Mapping.t -> Mappings.Tgd.t -> (Sql_ast.insert, string) result
 
-val script_of_mapping :
-  Mappings.Mapping.t -> (Sql_ast.insert list, string) result
-(** One INSERT per statement tgd, in stratification order. *)
-
 val statements_of_mapping :
   ?views:[ `None | `Temporaries ] ->
   Mappings.Mapping.t ->

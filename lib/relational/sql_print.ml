@@ -113,9 +113,6 @@ let insert_to_string (i : Sql_ast.insert) =
     (String.concat ", " (List.map ident i.Sql_ast.columns))
     (select_to_string i.Sql_ast.select)
 
-let script_to_string inserts =
-  String.concat ";\n\n" (List.map insert_to_string inserts) ^ ";\n"
-
 let statement_to_string = function
   | Sql_ast.Insert i -> insert_to_string i
   | Sql_ast.Create_view { name; columns; select } ->

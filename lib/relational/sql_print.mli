@@ -10,8 +10,5 @@
 val expr_to_string : Sql_ast.expr -> string
 val select_to_string : Sql_ast.select -> string
 val insert_to_string : Sql_ast.insert -> string
-val statement_to_string : Sql_ast.statement -> string
-val script_to_string : Sql_ast.insert list -> string
-(** Statements separated by [;] — a full runnable script per program. *)
 
 val statements_to_string : Sql_ast.statement list -> string

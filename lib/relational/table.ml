@@ -29,7 +29,6 @@ let create ~name ~columns =
   }
 
 let name t = t.name
-let columns t = t.columns
 let width t = t.width
 let row_count t = t.count
 
@@ -110,14 +109,3 @@ let to_cube schema t =
     (fun row -> Cube.add_strict cube (Tuple.of_array (Array.sub row 0 n)) row.(n))
     (rows_array t);
   cube
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v2>%s(%s) [%d rows]" t.name
-    (String.concat ", " t.columns)
-    t.count;
-  Array.iter
-    (fun row ->
-      Format.fprintf ppf "@,%s"
-        (String.concat " | " (List.map Value.to_string (Array.to_list row))))
-    (rows_array t);
-  Format.fprintf ppf "@]"

@@ -11,7 +11,6 @@ type t
 
 val create : name:string -> columns:string list -> t
 val name : t -> string
-val columns : t -> string list
 val width : t -> int
 val row_count : t -> int
 val insert : t -> Value.t array -> unit
@@ -51,5 +50,3 @@ val of_cube : ?schema:Schema.t -> Cube.t -> t
 
 val to_cube : Schema.t -> t -> Cube.t
 (** @raise Cube.Functionality_violation when rows conflict. *)
-
-val pp : Format.formatter -> t -> unit

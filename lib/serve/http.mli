@@ -52,9 +52,6 @@ val query_param : request -> string -> string option
 val wants_close : request -> bool
 (** [Connection: close], or an HTTP/1.0 client without keep-alive. *)
 
-val status_text : int -> string
-(** Canonical reason phrase; ["Status"] for unknown codes. *)
-
 val response :
   ?headers:(string * string) list ->
   ?content_type:string ->

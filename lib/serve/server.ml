@@ -78,9 +78,9 @@ let wait_for_commit t ~deadline =
   Unix.close r;
   Unix.close w
 
-let pause_writer t = Mutex.protect t.qmutex (fun () -> t.paused <- true)
+let pause_commits t = Mutex.protect t.qmutex (fun () -> t.paused <- true)
 
-let resume_writer t =
+let resume_commits t =
   Mutex.protect t.qmutex (fun () ->
       t.paused <- false;
       wake_all t)
@@ -560,7 +560,8 @@ let commit_group t (as_of, jobs) =
       List.iter (fun j -> j.job_outcome <- Some outcome) jobs;
       wake_all t)
 
-(* Held by [pause_writer] until the drain starts. *)
+(* Commits are held from [pause_commits] until [resume_commits] or the
+   drain starts. *)
 let commits_held t = t.paused && not (Atomic.get t.stop)
 
 (* Commit every queued job, round after round, until the queue is empty

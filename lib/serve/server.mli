@@ -116,13 +116,13 @@ val request_shutdown : t -> unit
 
 (** {2 Test hooks} *)
 
-val pause_writer : t -> unit
+val pause_commits : t -> unit
 (** Hold commits: no thread starts a commit round until
-    {!resume_writer} or the drain, so queued updates accumulate and
+    {!resume_commits} or the drain, so queued updates accumulate and
     their POSTs wait (this is how the tests force 429, 504 and one
     merged commit, and observe snapshot isolation deterministically). *)
 
-val resume_writer : t -> unit
+val resume_commits : t -> unit
 (** Release held commits and wake the waiting POSTs; one of them
     commits the queue. *)
 

@@ -42,6 +42,10 @@ let of_string s =
   | "last" -> Some Last
   | _ -> None
 
+(* [apply] over an array bag in array order: [apply t bag] is
+   [apply_array t (Array.of_list bag)], so the same values in the same
+   order give bit-identical results on either entry point.  The
+   vectorized engines accumulate group bags as arrays and call this. *)
 let apply_array t a =
   match Array.length a with
   | 0 -> invalid_arg "Aggregate.apply: empty bag"
@@ -64,5 +68,3 @@ let apply_slice t a ~off ~len =
   else apply_array t (Array.sub a off len)
 
 let apply t bag = apply_array t (Array.of_list bag)
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

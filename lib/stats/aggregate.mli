@@ -27,15 +27,6 @@ val apply : t -> float list -> float
     list order the caller accumulated (deterministic in our engines:
     sorted key order). *)
 
-val apply_array : t -> float array -> float
-(** [apply] over an array bag in array order — [apply t bag] is
-    definitionally [apply_array t (Array.of_list bag)], so feeding the
-    same values in the same order yields bit-identical results on
-    either entry point. The vectorized engines accumulate group bags
-    directly as arrays and call this. @raise Invalid_argument on [||]. *)
-
 val apply_slice : t -> float array -> off:int -> len:int -> float
 (** [apply_array] over a segment of a larger buffer (a group's slice of
     a segmented gather); copies only when the slice is proper. *)
-
-val pp : Format.formatter -> t -> unit

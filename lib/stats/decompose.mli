@@ -12,22 +12,10 @@
     Both satisfy [trend + seasonal + remainder = input] pointwise and the
     seasonal component sums to ~0 over each full period. *)
 
-type components = {
-  trend : float array;
-  seasonal : float array;
-  remainder : float array;
-}
-
 type method_ = Classical | Stl
-
-val decompose :
-  ?method_:method_ -> period:int -> float array -> components
-(** @raise Invalid_argument when [period < 2] or the series is shorter
-    than two periods. Default method is [Stl]. *)
-
-val classical : period:int -> float array -> components
-val stl :
-  ?inner_iterations:int -> ?trend_span:int -> period:int -> float array -> components
+(** The default method is [Stl].  Every function below raises
+    [Invalid_argument] when [period < 2] or the series is shorter than
+    two periods. *)
 
 val trend : ?method_:method_ -> period:int -> float array -> float array
 (** The paper's [stl_T]. *)

@@ -14,13 +14,6 @@ let variance a =
   Array.fold_left (fun acc x -> acc +. ((x -. m) ** 2.)) 0. a
   /. float_of_int (Array.length a)
 
-let sample_variance a =
-  if Array.length a < 2 then
-    invalid_arg "Descriptive.sample_variance: need at least two elements";
-  let m = mean a in
-  Array.fold_left (fun acc x -> acc +. ((x -. m) ** 2.)) 0. a
-  /. float_of_int (Array.length a - 1)
-
 let stddev a = sqrt (variance a)
 
 let min a =

@@ -12,20 +12,13 @@ val mean : float array -> float
 val variance : float array -> float
 (** Population variance (divide by n). *)
 
-val sample_variance : float array -> float
-(** Sample variance (divide by n-1); requires at least two elements. *)
-
 val stddev : float array -> float
 val min : float array -> float
 val max : float array -> float
 val median : float array -> float
 (** Average of the two middle order statistics for even lengths. *)
 
-val quantile : float -> float array -> float
-(** Linear-interpolation quantile, [q] in [0, 1]. *)
-
 val autocorrelation : lag:int -> float array -> float
 (** Sample autocorrelation at the given lag; 0 on degenerate input. *)
 
-val covariance : float array -> float array -> float
 val correlation : float array -> float array -> float

@@ -2,37 +2,6 @@ let tricube u =
   let au = Float.abs u in
   if au >= 1. then 0. else (1. -. (au ** 3.)) ** 3.
 
-let smooth_at ~span ~xs ~ys x0 =
-  let n = Array.length xs in
-  if n = 0 then invalid_arg "Loess.smooth_at: empty input";
-  if n <> Array.length ys then invalid_arg "Loess.smooth_at: length mismatch";
-  let span = Stdlib.max 2 (Stdlib.min span n) in
-  (* Indices of the [span] nearest points to x0. *)
-  let order = Array.init n Fun.id in
-  Array.sort
-    (fun i j ->
-      Float.compare (Float.abs (xs.(i) -. x0)) (Float.abs (xs.(j) -. x0)))
-    order;
-  let chosen = Array.sub order 0 span in
-  let dmax =
-    Array.fold_left
-      (fun acc i -> Float.max acc (Float.abs (xs.(i) -. x0)))
-      0. chosen
-  in
-  let lx = Array.map (fun i -> xs.(i)) chosen in
-  let ly = Array.map (fun i -> ys.(i)) chosen in
-  let weights =
-    if dmax = 0. then Array.make span 1.
-    else Array.map (fun x -> tricube ((x -. x0) /. dmax)) lx
-  in
-  (* All-zero weights can happen when every neighbour sits exactly at
-     distance dmax; fall back to uniform weights. *)
-  let weights =
-    if Array.for_all (fun w -> w = 0.) weights then Array.make span 1.
-    else weights
-  in
-  Regression.predict (Regression.wls ~weights lx ly) x0
-
 (* For equally spaced positions the [span] nearest neighbours of [i]
    form a contiguous window, so the whole smooth runs in O(n * span)
    instead of sorting distances per point. *)

@@ -4,12 +4,6 @@
     module uses it for the trend and cycle-subseries smoothing of the
     STL-style variant of the paper's [stl] operator. *)
 
-val smooth_at :
-  span:int -> xs:float array -> ys:float array -> float -> float
-(** Fitted value at an arbitrary point: the [span] nearest observations
-    are fit by tricube-weighted linear regression.
-    [span] is clamped to [2 .. length xs]. *)
-
 val smooth : span:int -> float array -> float array
 (** Smooth a series indexed by position (xs = 0, 1, 2, ...). *)
 

@@ -27,74 +27,7 @@ let wls ~weights x y =
 let ols x y = wls ~weights:(Array.make (Array.length x) 1.) x y
 let predict f x = (f.slope *. x) +. f.intercept
 
-let r_squared f x y =
-  let my = Descriptive.mean y in
-  let ss_tot = ref 0. and ss_res = ref 0. in
-  Array.iteri
-    (fun i yi ->
-      ss_tot := !ss_tot +. ((yi -. my) ** 2.);
-      ss_res := !ss_res +. ((yi -. predict f x.(i)) ** 2.))
-    y;
-  if !ss_tot = 0. then if !ss_res = 0. then 1. else 0.
-  else 1. -. (!ss_res /. !ss_tot)
-
 let fitted_line values =
   let x = Array.init (Array.length values) float_of_int in
   let f = ols x values in
   Array.map (predict f) x
-
-let solve_normal_equations a b =
-  let n = Array.length b in
-  let m = Array.map Array.copy a and v = Array.copy b in
-  for col = 0 to n - 1 do
-    (* Partial pivoting. *)
-    let pivot = ref col in
-    for row = col + 1 to n - 1 do
-      if Float.abs m.(row).(col) > Float.abs m.(!pivot).(col) then pivot := row
-    done;
-    if Float.abs m.(!pivot).(col) < 1e-12 then
-      invalid_arg "Regression.solve_normal_equations: singular system";
-    if !pivot <> col then begin
-      let tmp = m.(col) in
-      m.(col) <- m.(!pivot);
-      m.(!pivot) <- tmp;
-      let t = v.(col) in
-      v.(col) <- v.(!pivot);
-      v.(!pivot) <- t
-    end;
-    for row = col + 1 to n - 1 do
-      let factor = m.(row).(col) /. m.(col).(col) in
-      for k = col to n - 1 do
-        m.(row).(k) <- m.(row).(k) -. (factor *. m.(col).(k))
-      done;
-      v.(row) <- v.(row) -. (factor *. v.(col))
-    done
-  done;
-  let x = Array.make n 0. in
-  for row = n - 1 downto 0 do
-    let acc = ref v.(row) in
-    for k = row + 1 to n - 1 do
-      acc := !acc -. (m.(row).(k) *. x.(k))
-    done;
-    x.(row) <- !acc /. m.(row).(row)
-  done;
-  x
-
-let ols_multi rows y =
-  let n = Array.length rows in
-  if n = 0 then invalid_arg "Regression.ols_multi: empty input";
-  let k = Array.length rows.(0) in
-  let p = k + 1 in
-  (* Build X^T X and X^T y where X has a leading intercept column. *)
-  let xtx = Array.make_matrix p p 0. and xty = Array.make p 0. in
-  let feature row j = if j = 0 then 1. else row.(j - 1) in
-  Array.iteri
-    (fun i row ->
-      for a = 0 to p - 1 do
-        xty.(a) <- xty.(a) +. (feature row a *. y.(i));
-        for b = 0 to p - 1 do
-          xtx.(a).(b) <- xtx.(a).(b) +. (feature row a *. feature row b)
-        done
-      done)
-    rows;
-  solve_normal_equations xtx xty

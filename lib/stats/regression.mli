@@ -6,29 +6,12 @@
 
 type fit = { slope : float; intercept : float }
 
-val ols : float array -> float array -> fit
-(** Simple OLS of y on x. A degenerate x (zero variance) yields slope 0
-    and intercept mean(y). *)
-
 val wls : weights:float array -> float array -> float array -> fit
 (** Weighted least squares; weights must be non-negative and not all
     zero, else falls back to the mean. *)
 
 val predict : fit -> float -> float
-val r_squared : fit -> float array -> float array -> float
-(** Coefficient of determination of [fit] on the data; 1 for a perfect
-    fit, 0 when no better than the mean. *)
 
 val fitted_line : float array -> float array
 (** OLS regression of the values on their index — the linear trend of a
     series, exposed as the EXL black-box operator [lintrend]. *)
-
-val solve_normal_equations : float array array -> float array -> float array
-(** [solve_normal_equations a b] solves the linear system [a x = b] by
-    Gaussian elimination with partial pivoting (used for multiple
-    regression). @raise Invalid_argument on singular systems. *)
-
-val ols_multi : float array array -> float array -> float array
-(** Multiple regression: rows of the first argument are observations
-    (without intercept column); returns coefficients
-    [[| intercept; b1; ...; bk |]]. *)

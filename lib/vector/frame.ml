@@ -19,7 +19,6 @@ let create pairs =
     pairs;
   { names = List.map fst pairs; cols; len }
 
-let empty names = create (List.map (fun n -> (n, [||])) names)
 let columns t = t.names
 let length t = t.len
 
@@ -99,15 +98,3 @@ let append_rows a b =
   if a.names <> b.names then invalid_arg "Frame.append_rows: column mismatch";
   create
     (List.map (fun n -> (n, Array.append (column a n) (column b n))) a.names)
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v2>frame(%s) [%d rows]"
-    (String.concat ", " t.names)
-    t.len;
-  for i = 0 to min (t.len - 1) 19 do
-    Format.fprintf ppf "@,%s"
-      (String.concat " | "
-         (List.map Value.to_string (Array.to_list (row t i))))
-  done;
-  if t.len > 20 then Format.fprintf ppf "@,...";
-  Format.fprintf ppf "@]"

@@ -8,7 +8,6 @@ type t
 val create : (string * Value.t array) list -> t
 (** @raise Invalid_argument on duplicate names or ragged columns. *)
 
-val empty : string list -> t
 val columns : t -> string list
 val length : t -> int  (** number of rows *)
 
@@ -43,5 +42,3 @@ val sort_rows : t -> t
 
 val append_rows : t -> t -> t
 (** Same columns required. *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,7 +1,3 @@
 (** R surface syntax for script IR (paper, Section 5.2). *)
 
-val stmt_to_string : Script.stmt -> string list
-(** One IR statement can render to several R lines (e.g. the stl
-    fragment of the paper). *)
-
 val script_to_string : Script.t -> string

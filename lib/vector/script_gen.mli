@@ -5,8 +5,5 @@
     block per tgd); tuple-level tgds with more than two atoms are
     rejected. *)
 
-val stmts_of_tgd :
-  Mappings.Mapping.t -> Mappings.Tgd.t -> (Script.stmt list, string) result
-
 val script_of_mapping :
   Mappings.Mapping.t -> (Script.t, string) result

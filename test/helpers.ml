@@ -1,12 +1,27 @@
 (* Shared helpers for the test suites. *)
 open Matrix
 
-let value = Alcotest.testable Value.pp Value.equal
-let date = Alcotest.testable Calendar.Date.pp Calendar.Date.equal
-let period = Alcotest.testable Calendar.Period.pp Calendar.Period.equal
+let value = Alcotest.testable (Fmt.of_to_string Value.to_string) Value.equal
+
+let date =
+  Alcotest.testable (Fmt.of_to_string Calendar.Date.to_string)
+    Calendar.Date.equal
+
+let period =
+  Alcotest.testable (Fmt.of_to_string Calendar.Period.to_string) (fun a b ->
+      Calendar.Period.compare a b = 0)
+
+let pp_cube ppf c =
+  Format.fprintf ppf "@[<v2>%s [%d tuples]" (Schema.to_string (Cube.schema c))
+    (Cube.cardinality c);
+  List.iter
+    (fun (k, v) ->
+      Format.fprintf ppf "@,%s -> %s" (Tuple.to_string k) (Value.to_string v))
+    (Cube.to_alist c);
+  Format.fprintf ppf "@]"
 
 let cube_eq =
-  Alcotest.testable Cube.pp (fun a b -> Cube.equal_data ~eps:1e-7 a b)
+  Alcotest.testable pp_cube (fun a b -> Cube.equal_data ~eps:1e-7 a b)
 
 let floats = Alcotest.float 1e-7
 
@@ -247,3 +262,19 @@ let temp_dir prefix =
   let dir = Filename.temp_file prefix "" in
   Sys.remove dir;
   dir
+
+(* The domain pool's bursts as the tests drive them: a pool that is
+   always shut down, and [Pool.try_all] over unlabelled thunks with the
+   first failure re-raised once every task has finished. *)
+let with_pool ?size f =
+  let pool = Engine.Pool.create ?size () in
+  Fun.protect ~finally:(fun () -> Engine.Pool.shutdown pool) (fun () -> f pool)
+
+let run_all pool fs =
+  Engine.Pool.try_all pool (List.map (fun f -> ("task", f)) fs)
+  |> List.map (function Ok v -> v | Error (_, e) -> raise e)
+
+(* A cube's newest dated version. *)
+let latest_version history name =
+  Option.map snd
+    (List.nth_opt (List.rev (Engine.Historicity.versions history name)) 0)

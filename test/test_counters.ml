@@ -292,7 +292,7 @@ let sql_counters (r : Rows.row) rewrite =
     counter "table.rows_decoded",
     Relational.Table.to_cube
       (Mappings.Mapping.target_schema_exn mapping "PQR")
-      (Relational.Database.find_exn db "PQR") )
+      (Option.get (Relational.Database.find db "PQR")) )
 
 (* PQR's aggregate and GDP's; RGDP's join and the PCHNG temporaries'. *)
 let sql_expected = (2, 3)

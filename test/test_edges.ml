@@ -160,7 +160,7 @@ let test_historicity_same_date_replaces () =
   Alcotest.(check int) "one version" 1 (Engine.Historicity.version_count h "X");
   Alcotest.check value "latest wins" (vf 2.)
     (Option.get
-       (Cube.find (Option.get (Engine.Historicity.latest h "X")) (key [ vi 1 ])))
+       (Cube.find (Option.get (Helpers.latest_version h "X")) (key [ vi 1 ])))
 
 (* --- frame utilities --- *)
 

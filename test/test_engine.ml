@@ -141,7 +141,7 @@ let test_historicity_as_of () =
   let v_jan = Option.get (Engine.Historicity.as_of h (date 2026 1 15) "GDP") in
   Alcotest.check value "january view" (vf 100.)
     (Option.get (Cube.find v_jan (key [ vq 2020 1 ])));
-  let v_now = Option.get (Engine.Historicity.latest h "GDP") in
+  let v_now = Option.get (Helpers.latest_version h "GDP") in
   Alcotest.check value "latest view" (vf 105.)
     (Option.get (Cube.find v_now (key [ vq 2020 1 ])));
   Alcotest.(check (option Helpers.cube_eq |> fun _ -> Alcotest.bool))
@@ -393,40 +393,39 @@ let prop_engine_matches_interp =
 (* --- the domain pool --- *)
 
 let test_pool_run_all_order () =
-  Engine.Pool.with_pool ~size:3 (fun pool ->
-      Alcotest.(check int) "size" 3 (Engine.Pool.size pool);
-      Alcotest.(check (list int)) "empty" [] (Engine.Pool.run_all pool []);
+  with_pool ~size:3 (fun pool ->
+      Alcotest.(check (list int)) "empty" [] (run_all pool []);
       Alcotest.(check (list int)) "single" [ 42 ]
-        (Engine.Pool.run_all pool [ (fun () -> 42) ]);
+        (run_all pool [ (fun () -> 42) ]);
       (* results come back in submission order, not completion order *)
       let thunks = List.init 20 (fun i () -> i * i) in
       Alcotest.(check (list int)) "ordered"
         (List.init 20 (fun i -> i * i))
-        (Engine.Pool.run_all pool thunks);
+        (run_all pool thunks);
       (* the pool is reusable across bursts *)
       Alcotest.(check (list int)) "second burst" [ 1; 2; 3 ]
-        (Engine.Pool.run_all pool [ (fun () -> 1); (fun () -> 2); (fun () -> 3) ]))
+        (run_all pool [ (fun () -> 1); (fun () -> 2); (fun () -> 3) ]))
 
 let test_pool_zero_size () =
   (* every task runs on the submitting domain; must not deadlock *)
-  Engine.Pool.with_pool ~size:0 (fun pool ->
+  with_pool ~size:0 (fun pool ->
       Alcotest.(check (list int)) "inline" [ 10; 20 ]
-        (Engine.Pool.run_all pool [ (fun () -> 10); (fun () -> 20) ]))
+        (run_all pool [ (fun () -> 10); (fun () -> 20) ]))
 
 let test_pool_exception_propagates () =
-  Engine.Pool.with_pool ~size:2 (fun pool ->
+  with_pool ~size:2 (fun pool ->
       Alcotest.check_raises "re-raised" (Failure "boom") (fun () ->
           ignore
-            (Engine.Pool.run_all pool
+            (run_all pool
                [ (fun () -> 1); (fun () -> failwith "boom"); (fun () -> 3) ]
               : int list));
       (* the failed burst must not poison the pool *)
       Alcotest.(check (list int)) "still alive" [ 7 ]
-        (Engine.Pool.run_all pool [ (fun () -> 7) ]))
+        (run_all pool [ (fun () -> 7) ]))
 
 let test_pool_shutdown_idempotent () =
   let pool = Engine.Pool.create ~size:2 () in
-  Alcotest.(check (list int)) "works" [ 1 ] (Engine.Pool.run_all pool [ (fun () -> 1) ]);
+  Alcotest.(check (list int)) "works" [ 1 ] (run_all pool [ (fun () -> 1) ]);
   Engine.Pool.shutdown pool;
   Engine.Pool.shutdown pool
 

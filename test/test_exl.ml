@@ -399,7 +399,7 @@ let test_interp_overview_end_to_end () =
   let pchng = Registry.find_exn out "PCHNG" in
   (* PCHNG is undefined on the first quarter (no predecessor). *)
   Alcotest.(check bool) "first quarter missing" false
-    (Cube.mem pchng (key [ vq 2020 1 ]));
+    (Cube.find pchng (key [ vq 2020 1 ]) <> None);
   Alcotest.(check int) "7 changes" 7 (Cube.cardinality pchng)
 
 let test_interp_blackbox_per_slice () =

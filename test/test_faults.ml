@@ -372,7 +372,7 @@ let test_parallel_dispatch_with_faults () =
         Engine.Faults.trigger ~cube:"Y" ~times:1 Execute exec_error;
       ]
   in
-  Engine.Pool.with_pool ~size:2 (fun pool ->
+  with_pool ~size:2 (fun pool ->
       let ctx = mk () in
       let report =
         ok
@@ -391,7 +391,7 @@ let test_parallel_dispatch_with_faults () =
 (* --- the pool's per-task outcomes --- *)
 
 let test_pool_try_all_labels_crashes () =
-  Engine.Pool.with_pool ~size:2 (fun pool ->
+  with_pool ~size:2 (fun pool ->
       let outcomes =
         Engine.Pool.try_all pool
           [
@@ -405,7 +405,7 @@ let test_pool_try_all_labels_crashes () =
       | _ -> Alcotest.fail "per-task outcomes lost or out of order")
 
 let test_pool_try_all_never_raises () =
-  Engine.Pool.with_pool ~size:2 (fun pool ->
+  with_pool ~size:2 (fun pool ->
       let outcomes =
         Engine.Pool.try_all pool
           [
@@ -420,7 +420,7 @@ let test_pool_try_all_never_raises () =
            (List.filter (function Error _ -> true | Ok _ -> false) outcomes));
       (* and the pool survives for the next burst *)
       Alcotest.(check (list int)) "alive" [ 9 ]
-        (Engine.Pool.run_all pool [ (fun () -> 9) ]))
+        (run_all pool [ (fun () -> 9) ]))
 
 (* --- fault plans --- *)
 

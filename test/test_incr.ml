@@ -100,7 +100,7 @@ let test_compact_last_wins () =
   Alcotest.(check (list update_line))
     "three writes net to the last one"
     [ "set A 2024Q1 3" ]
-    (lines (Engine.Update.compact [ u 1.; u 2.; u 3. ]))
+    (lines (Engine.Update.concat [ [ u 1.; u 2.; u 3. ] ]))
 
 let test_compact_set_del_cancel () =
   let k = [ vq 2024 1 ] in
@@ -108,15 +108,15 @@ let test_compact_set_del_cancel () =
   let del = Engine.Update.remove ~cube:"A" ~key:k in
   Alcotest.(check (list update_line))
     "set then del nets to the del" [ "del A 2024Q1" ]
-    (lines (Engine.Update.compact [ set 1.; del ]));
+    (lines (Engine.Update.concat [ [ set 1.; del ] ]));
   Alcotest.(check (list update_line))
     "del then set nets to the set" [ "set A 2024Q1 2" ]
-    (lines (Engine.Update.compact [ del; set 2. ]))
+    (lines (Engine.Update.concat [ [ del; set 2. ] ]))
 
 let test_compact_stable_idempotent () =
   let u cube q v = Engine.Update.set ~cube ~key:[ vq 2024 q ] (vf v) in
   let batch = [ u "B" 2 1.; u "A" 1 1.; u "B" 2 9.; u "A" 3 5.; u "A" 1 7. ] in
-  let once = Engine.Update.compact batch in
+  let once = Engine.Update.concat [ batch ] in
   (* first-appearance order of the surviving keys, last value each *)
   Alcotest.(check (list update_line))
     "stable order, last value"
@@ -124,14 +124,14 @@ let test_compact_stable_idempotent () =
     (lines once);
   Alcotest.(check (list update_line))
     "idempotent" (lines once)
-    (lines (Engine.Update.compact once))
+    (lines (Engine.Update.concat [ once ]))
 
 let test_compact_value_aware_keys () =
   (* Int 2 and Float 2. address the same store key; compaction must
      identify them or interleaved writes replay in the wrong order. *)
   let a = Engine.Update.set ~cube:"A" ~key:[ vi 2 ] (vf 1.) in
   let b = Engine.Update.set ~cube:"A" ~key:[ vf 2. ] (vf 9.) in
-  match Engine.Update.compact [ a; b ] with
+  match Engine.Update.concat [ [ a; b ] ] with
   | [ { Engine.Update.action = Set v; _ } ] ->
       Alcotest.check value "last write survives" (vf 9.) v
   | us -> Alcotest.failf "expected one update, got %d" (List.length us)
@@ -1409,7 +1409,7 @@ let test_delta_insertion_and_deletion () =
   targets_agree mapping full repaired;
   (* sanity: the deleted join result is gone, the new one present *)
   let c = Exchange.Instance.cube_of_relation repaired "C" in
-  Alcotest.(check bool) "old gone" false (Cube.mem c (key [ vq 2024 1; vs "x" ]));
+  Alcotest.(check bool) "old gone" false (Cube.find c (key [ vq 2024 1; vs "x" ]) <> None);
   Alcotest.check value "new there" (vf 70.)
     (Option.get (Cube.find c (key [ vq 2024 3; vs "x" ])))
 
@@ -1458,7 +1458,7 @@ let restore_some st ~from reg =
       let cube = Registry.find_exn out name in
       Cube.iter
         (fun k v ->
-          if (not (Cube.mem cube k)) && Random.State.bool st then
+          if Cube.find cube k = None && Random.State.bool st then
             Cube.set cube k
               (Value.Float (Option.value ~default:0. (Value.to_float v) +. 2.)))
         (Registry.find_exn from name))

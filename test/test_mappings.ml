@@ -89,7 +89,7 @@ let test_constant_statement () =
 
 let test_stratify_ok () =
   let { M.Generate.mapping; _ } = overview_generated () in
-  check_ok (Result.map_error (fun m -> Exl.Errors.make m) (M.Stratify.check mapping))
+  core_ok (M.Stratify.check mapping)
 
 let test_stratify_levels () =
   let { M.Generate.mapping; _ } = overview_generated () in
@@ -140,8 +140,8 @@ let test_fuse_preserves_chase_semantics () =
   let fused = M.Fuse.mapping mapping in
   let reg = overview_registry () in
   let source = Exchange.Instance.of_registry reg in
-  let j1, _ = check_ok (Result.map_error Exl.Errors.make (Exchange.Chase.run mapping source)) in
-  let j2, _ = check_ok (Result.map_error Exl.Errors.make (Exchange.Chase.run fused source)) in
+  let j1, _ = core_ok (Exchange.Chase.run mapping source) in
+  let j2, _ = core_ok (Exchange.Chase.run fused source) in
   List.iter
     (fun name ->
       Alcotest.check cube_eq ("cube " ^ name)
@@ -206,17 +206,20 @@ let test_parse_ascii_connectives () =
 let test_parse_handwritten_tgd_executes () =
   (* author a mapping by hand, run it through the chase *)
   let tgds =
-    check_ok
-      (Result.map_error Exl.Errors.make
-         (M.Parse.tgds_of_string
-            "A(q, m) -> DOUBLE(q, 2 * m)\nDOUBLE(q, m) -> TOTAL(sum(m))\n"))
+    core_ok
+      (M.Parse.tgds_of_string
+            "A(q, m) -> DOUBLE(q, 2 * m)\nDOUBLE(q, m) -> TOTAL(sum(m))\n")
   in
   let schema_a =
     Matrix.Schema.make ~name:"A"
       ~dims:[ ("q", Matrix.Domain.Period (Some Matrix.Calendar.Quarter)) ]
       ()
   in
-  let schema_double = Matrix.Schema.rename schema_a "DOUBLE" in
+  let schema_double =
+    Matrix.Schema.make ~name:"DOUBLE"
+      ~dims:[ ("q", Matrix.Domain.Period (Some Matrix.Calendar.Quarter)) ]
+      ()
+  in
   let schema_total = Matrix.Schema.make ~name:"TOTAL" ~dims:[] () in
   let mapping =
     {

@@ -131,8 +131,9 @@ let prop_period_shift_inverse =
     QCheck.(pair (int_range (-5000) 5000) (int_range (-500) 500))
     (fun (index, s) ->
       let p = Calendar.Period.make Calendar.Month index in
-      Calendar.Period.equal p
-        (Calendar.Period.shift (Calendar.Period.shift p s) (-s)))
+      Calendar.Period.compare p
+        (Calendar.Period.shift (Calendar.Period.shift p s) (-s))
+      = 0)
 
 let prop_date_rata_die_bijective =
   QCheck.Test.make ~count:200 ~name:"rata die is bijective"
@@ -285,34 +286,6 @@ let test_cube_of_rows_validates () =
   Alcotest.check_raises "bad arity"
     (Invalid_argument "Cube.of_rows: row of width 3 for schema C(x: int): float")
     (fun () -> ignore (Cube.of_rows schema [ [ vi 1; vi 2; vf 3. ] ]))
-
-(* --- series --- *)
-
-let test_series_sorted_and_contiguous () =
-  let c =
-    cube_of "S"
-      [ ("q", Domain.Period (Some Calendar.Quarter)) ]
-      [ [ vq 2020 3; vf 3. ]; [ vq 2020 1; vf 1. ]; [ vq 2020 2; vf 2. ] ]
-  in
-  let s = Series.of_cube c in
-  Alcotest.(check bool) "sorted" true
-    (Series.values s = [| 1.; 2.; 3. |]);
-  Alcotest.(check bool) "contiguous" true (Series.is_contiguous s);
-  let gap =
-    cube_of "S"
-      [ ("q", Domain.Period (Some Calendar.Quarter)) ]
-      [ [ vq 2020 1; vf 1. ]; [ vq 2020 4; vf 4. ] ]
-  in
-  Alcotest.(check bool) "gap detected" false
-    (Series.is_contiguous (Series.of_cube gap))
-
-let test_series_roundtrip_preserves_date_dims () =
-  let c =
-    cube_of "S" [ ("d", Domain.Date) ]
-      [ [ vd 2020 1 1; vf 1. ]; [ vd 2020 1 2; vf 2. ] ]
-  in
-  let back = Series.to_cube (Series.of_cube c) in
-  Alcotest.check cube_eq "dates preserved" c back
 
 (* --- registry --- *)
 
@@ -782,7 +755,7 @@ let reads_like c model =
        (fun k ->
          let expected = Hashtbl.find_opt model k in
          Option.equal Value.equal (Cube.find c k) expected
-         && Cube.mem c k = Option.is_some expected)
+         && Option.is_some (Cube.find c k) = Option.is_some expected)
        all_keys
   && List.for_all
        (fun (filters, limit) ->
@@ -1237,8 +1210,6 @@ let suite =
     ("cube: merge join operand order", `Quick, test_cube_merge_join_operand_order);
     ("cube: diff data", `Quick, test_cube_diff_data);
     ("cube: of_rows validates", `Quick, test_cube_of_rows_validates);
-    ("series: sorted and contiguous", `Quick, test_series_sorted_and_contiguous);
-    ("series: date dims preserved", `Quick, test_series_roundtrip_preserves_date_dims);
     ("registry: kinds and deep copy", `Quick, test_registry_kinds_and_copy);
     ("csv: roundtrip with quoting", `Quick, test_csv_roundtrip);
     ("csv: rejects bad header", `Quick, test_csv_rejects_bad_header);

@@ -128,14 +128,14 @@ let test_chrome_trace_parses () =
   | Ok json ->
       let events =
         match Obs.Json.member "traceEvents" json with
-        | Some ev -> Obs.Json.elements ev
-        | None -> Alcotest.fail "no traceEvents"
+        | Some (Obs.Json.List ev) -> ev
+        | _ -> Alcotest.fail "no traceEvents"
       in
       let span_names =
         List.filter_map
           (fun e ->
             match Obs.Json.(member "ph" e, member "name" e) with
-            | Some (Obs.Json.Str "X"), Some name -> Obs.Json.string_value name
+            | Some (Obs.Json.Str "X"), Some (Obs.Json.Str name) -> Some name
             | _ -> None)
           events
       in

@@ -93,7 +93,7 @@ let test_blackbox_default_period () =
     (Ops.Blackbox.default_period Calendar.Year)
 
 let test_blackbox_param_validation () =
-  let ma = Ops.Blackbox.find_exn "ma" in
+  let ma = Option.get (Ops.Blackbox.find "ma") in
   match Ops.Blackbox.apply_vector ma ~params:[] ~freq:None [| 1.; 2. |] with
   | Error msg ->
       Alcotest.(check bool) "explains" true
@@ -101,7 +101,7 @@ let test_blackbox_param_validation () =
   | Ok _ -> Alcotest.fail "expected parameter error"
 
 let test_blackbox_period_inference_failure () =
-  let stl = Ops.Blackbox.find_exn "stl_t" in
+  let stl = Option.get (Ops.Blackbox.find "stl_t") in
   match
     Ops.Blackbox.apply_vector stl ~params:[] ~freq:(Some Calendar.Year)
       (Array.init 20 float_of_int)
@@ -112,7 +112,7 @@ let test_blackbox_period_inference_failure () =
   | Ok _ -> Alcotest.fail "expected period inference failure"
 
 let test_blackbox_explicit_period_param () =
-  let stl = Ops.Blackbox.find_exn "stl_t" in
+  let stl = Option.get (Ops.Blackbox.find "stl_t") in
   let xs = Array.init 20 (fun i -> float_of_int (i mod 5)) in
   match Ops.Blackbox.apply_vector stl ~params:[ 5. ] ~freq:None xs with
   | Ok out -> Alcotest.(check int) "same length" 20 (Array.length out)
@@ -131,7 +131,7 @@ let test_blackbox_apply_cube_slices () =
                [ vq (2020 + (i / 4)) ((i mod 4) + 1); vs "b"; vf (float_of_int (2 * i)) ]);
          ])
   in
-  let cumsum = Ops.Blackbox.find_exn "cumsum" in
+  let cumsum = Option.get (Ops.Blackbox.find "cumsum") in
   match Ops.Blackbox.apply_cube cumsum ~params:[] c with
   | Error msg -> Alcotest.fail msg
   | Ok out ->
@@ -149,7 +149,7 @@ let test_blackbox_rejects_two_time_dims () =
       ]
       [ [ vq 2020 1; vd 2020 1 1; vf 1. ] ]
   in
-  let cumsum = Ops.Blackbox.find_exn "cumsum" in
+  let cumsum = Option.get (Ops.Blackbox.find "cumsum") in
   match Ops.Blackbox.apply_cube cumsum ~params:[] c with
   | Error msg ->
       Alcotest.(check bool) "explains" true
@@ -163,13 +163,13 @@ let test_blackbox_nan_outputs_dropped () =
       (List.init 6 (fun i ->
            [ vq (2020 + (i / 4)) ((i mod 4) + 1); vf (float_of_int i) ]))
   in
-  let diff = Ops.Blackbox.find_exn "diff" in
+  let diff = Option.get (Ops.Blackbox.find "diff") in
   match Ops.Blackbox.apply_cube diff ~params:[] c with
   | Error msg -> Alcotest.fail msg
   | Ok out ->
       (* first point of the series has no predecessor: NaN, dropped *)
       Alcotest.(check int) "one dropped" 5 (Cube.cardinality out);
-      Alcotest.(check bool) "first missing" false (Cube.mem out (key [ vq 2020 1 ]))
+      Alcotest.(check bool) "first missing" false (Cube.find out (key [ vq 2020 1 ]) <> None)
 
 let test_blackbox_registration_end_to_end () =
   Ops.Blackbox.register ~name:"test_reverse" (fun ~params:_ ~period:_ a ->

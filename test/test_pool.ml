@@ -5,15 +5,14 @@
 open Engine
 
 let test_size_zero_runs_inline () =
-  Pool.with_pool ~size:0 (fun pool ->
-      Alcotest.(check int) "size" 0 (Pool.size pool);
-      let results = Pool.run_all pool (List.init 5 (fun i () -> i * i)) in
+  Helpers.with_pool ~size:0 (fun pool ->
+      let results = Helpers.run_all pool (List.init 5 (fun i () -> i * i)) in
       Alcotest.(check (list int)) "results" [ 0; 1; 4; 9; 16 ] results)
 
 let test_size_one_ordering () =
-  Pool.with_pool ~size:1 (fun pool ->
+  Helpers.with_pool ~size:1 (fun pool ->
       let results =
-        Pool.run_all pool
+        Helpers.run_all pool
           (List.init 32 (fun i () ->
                Domain.cpu_relax ();
                i))
@@ -21,7 +20,7 @@ let test_size_one_ordering () =
       Alcotest.(check (list int)) "order" (List.init 32 Fun.id) results)
 
 let test_raise_mid_burst () =
-  Pool.with_pool ~size:2 (fun pool ->
+  Helpers.with_pool ~size:2 (fun pool ->
       let tasks =
         List.init 8 (fun i ->
             (Printf.sprintf "t%d" i, fun () -> if i = 3 then failwith "boom" else i))
@@ -42,12 +41,12 @@ let test_raise_mid_burst () =
                 label)
         outcomes;
       (* the crash must not poison the pool for the next burst *)
-      let again = Pool.run_all pool (List.init 4 (fun i () -> i + 10)) in
+      let again = Helpers.run_all pool (List.init 4 (fun i () -> i + 10)) in
       Alcotest.(check (list int)) "pool survives" [ 10; 11; 12; 13 ] again)
 
 let test_run_all_reraises () =
-  Pool.with_pool ~size:2 (fun pool ->
-      match Pool.run_all pool [ (fun () -> 1); (fun () -> failwith "kaput") ] with
+  Helpers.with_pool ~size:2 (fun pool ->
+      match Helpers.run_all pool [ (fun () -> 1); (fun () -> failwith "kaput") ] with
       | _ -> Alcotest.fail "expected run_all to re-raise"
       | exception Failure msg -> Alcotest.(check string) "message" "kaput" msg)
 
@@ -55,20 +54,20 @@ let test_run_all_reraises () =
    helps drain the queue, so this must complete even on a size-1 pool
    whose only worker is the one doing the nested submit. *)
 let test_submit_from_worker_reentrant () =
-  Pool.with_pool ~size:1 (fun pool ->
+  Helpers.with_pool ~size:1 (fun pool ->
       let results =
-        Pool.run_all pool
+        Helpers.run_all pool
           [
             (fun () ->
               List.fold_left ( + ) 0
-                (Pool.run_all pool (List.init 4 (fun i () -> i + 1))));
+                (Helpers.run_all pool (List.init 4 (fun i () -> i + 1))));
             (fun () -> 100);
           ]
       in
       Alcotest.(check (list int)) "nested burst" [ 10; 100 ] results)
 
 let test_try_all_ordering_under_skew () =
-  Pool.with_pool ~size:3 (fun pool ->
+  Helpers.with_pool ~size:3 (fun pool ->
       (* early tasks sleep longest, so completion order is roughly the
          reverse of submission order — results must still line up *)
       let n = 12 in

@@ -72,11 +72,10 @@ let test_plan_explain_shapes () =
   let mapping = overview_mapping () in
   let insert = insert_for mapping "RGDP" in
   let plan =
-    check_ok
-      (Result.map_error Exl.Errors.make
-         (Relational.Executor.plan_of_select
-            (M.Mapping.target_schema mapping)
-            insert.Relational.Sql_ast.select))
+    core_ok
+      (Relational.Executor.plan_of_select
+         (M.Mapping.target_schema mapping)
+            insert.Relational.Sql_ast.select)
   in
   let text = Relational.Plan.explain plan in
   Alcotest.(check bool) "hash join in plan" true
@@ -114,7 +113,7 @@ let test_sql_target_overview_fused () =
   (* Fusion removes the temp tables entirely. *)
   List.iter
     (fun name ->
-      Alcotest.(check bool) (name ^ " absent") false (Registry.mem via_sql name))
+      Alcotest.(check bool) (name ^ " absent") false (Registry.find via_sql name <> None))
     [ "PCHNG__1"; "PCHNG__2"; "PCHNG__3" ]
 
 let test_sql_views_script () =
@@ -229,12 +228,11 @@ let test_parsed_script_executes_equivalently () =
   let { M.Generate.mapping; _ } = check_ok (M.Generate.of_checked checked) in
   let text =
     Relational.Sql_print.statements_to_string
-      (check_ok
-         (Result.map_error Exl.Errors.make
-            (Relational.Sql_gen.statements_of_mapping mapping)))
+      (core_ok
+         (Relational.Sql_gen.statements_of_mapping mapping))
   in
   let statements =
-    check_ok (Result.map_error Exl.Errors.make (Sql_parser.parse_script text))
+    core_ok (Sql_parser.parse_script text)
   in
   let db = Relational.Database.create () in
   List.iter
@@ -341,7 +339,7 @@ let show_rows rows =
               (Array.map
                  (function
                    | Value.Float f -> Printf.sprintf "%h" f
-                   | v -> Format.asprintf "%a" Value.pp v)
+                   | v -> Value.to_string v)
                  r)))
        rows)
 
