@@ -23,13 +23,16 @@ type sample = {
   spread_pct : float;  (** (p90 - p10) / median, as a percentage *)
 }
 
+(* The nearest-rank [p]-quantile of [durations], sorted. *)
+let quantile sorted p =
+  let n = Array.length sorted in
+  sorted.(min (n - 1) (int_of_float (p *. float_of_int (n - 1) +. 0.5)))
+
 let sample_stats durations =
   let sorted = Array.copy durations in
   Array.sort compare sorted;
   let n = Array.length sorted in
-  let at p =
-    sorted.(min (n - 1) (int_of_float (p *. float_of_int (n - 1) +. 0.5)))
-  in
+  let at = quantile sorted in
   let median =
     if n mod 2 = 1 then sorted.(n / 2)
     else (sorted.((n / 2) - 1) +. sorted.(n / 2)) /. 2.
@@ -39,6 +42,12 @@ let sample_stats durations =
     spread_pct =
       (if median > 0. then (at 0.9 -. at 0.1) /. median *. 100. else 0.);
   }
+
+(* First quartile, median and third quartile of [durations]. *)
+let quartiles durations =
+  let sorted = Array.copy durations in
+  Array.sort compare sorted;
+  (quantile sorted 0.25, (sample_stats durations).median_seconds, quantile sorted 0.75)
 
 let samples_of elapsed f =
   ignore (f ());
@@ -379,8 +388,9 @@ let x6 () =
 (* ------------------------------------------------------------------ *)
 (* X7 — ablation: materialization strategy on the SQL target.
    Per-tgd INSERTs (the paper's base architecture), CREATE VIEW for
-   temporaries (the Section 6 reformulation), and tgd fusion (the
-   complex-tgd simplification). *)
+   temporaries (the Section 6 reformulation), and the optimizer's
+   mapping, whose certified fusions give the complex-tgd
+   simplification. *)
 
 let x7 () =
   header "X7  Ablation: materialization strategy on the SQL target [ms]";
@@ -398,32 +408,18 @@ let x7 () =
     (fun (label, source, data_fn) ->
       let checked = compile_exn source in
       let data = data_fn () in
-      let run ?(fused = false) ?views () =
-        let mapping =
-          if fused then Core.fused_mapping_of checked else Core.mapping_of checked
-        in
-        match
-          Result.bind mapping (fun m -> Relational.Sql_target.execute ?views m data)
-        with
-        | Ok _ -> ()
-        | Error msg -> failwith msg
-      in
-      let t_insert = ms (time_avg (fun () -> run ())) in
-      let t_views = ms (time_avg (fun () -> run ~views:`Temporaries ())) in
-      let t_fused = ms (time_avg (fun () -> run ~fused:true ())) in
+      let ok = function Ok x -> x | Error msg -> failwith msg in
+      (* mappings made once: the columns time the SQL target alone *)
+      let unfused = ok (Core.mapping_of checked) in
+      let fused = ok (Core.fused_mapping_of checked) in
+      let run ?views m () = ignore (ok (Relational.Sql_target.execute ?views m data)) in
+      let t_insert = ms (time_avg (run unfused)) in
+      let t_views = ms (time_avg (run ~views:`Temporaries unfused)) in
+      let t_fused = ms (time_avg (run fused)) in
       let tgds =
-        match Mappings.Generate.of_checked checked with
-        | Ok g ->
-            let unfused =
-              List.length g.Mappings.Generate.mapping.Mappings.Mapping.t_tgds
-            in
-            let fused =
-              List.length
-                (Mappings.Fuse.mapping g.Mappings.Generate.mapping)
-                  .Mappings.Mapping.t_tgds
-            in
-            Printf.sprintf "%d->%d" unfused fused
-        | Error _ -> "?"
+        Printf.sprintf "%d->%d"
+          (List.length unfused.Mappings.Mapping.t_tgds)
+          (List.length fused.Mappings.Mapping.t_tgds)
       in
       Printf.printf "%-24s %12.1f %12.1f %12.1f %10s\n%!" label t_insert t_views
         t_fused tgds)
@@ -475,12 +471,15 @@ let x8 () =
       [ "S1"; "S2"; "S3" ];
     (engine, data)
   in
-  let timed ~parallel =
-    let engine, data = setup ~parallel in
-    (* warm the translation cache, then time a full recomputation *)
-    (match Engine.Exlengine.recompute engine with
+  let recompute engine =
+    match Engine.Exlengine.recompute engine with
     | Ok _ -> ()
-    | Error msg -> failwith msg);
+    | Error msg -> failwith msg
+  in
+  (* Each repeat reloads the sources (a new version, as a delivery
+     installs) and times one full recomputation; the two engines take
+     turns going first, so drift in the host's load hits both sides. *)
+  let time_once (engine, data) =
     List.iter
       (fun name ->
         match
@@ -489,22 +488,31 @@ let x8 () =
         | Ok () -> ()
         | Error msg -> failwith msg)
       [ "S1"; "S2"; "S3" ];
-    let _, seconds =
-      wall_time_once (fun () ->
-          match Engine.Exlengine.recompute engine with
-          | Ok r -> r
-          | Error msg -> failwith msg)
-    in
-    seconds
+    snd (wall_time_once (fun () -> recompute engine))
   in
+  let seq_side = setup ~parallel:false and par_side = setup ~parallel:true in
+  (* warm the translation caches *)
+  recompute (fst seq_side);
+  recompute (fst par_side);
+  let repeats = 9 in
+  let seq = Array.make repeats 0. and par = Array.make repeats 0. in
+  for i = 0 to repeats - 1 do
+    if i mod 2 = 0 then (
+      seq.(i) <- time_once seq_side;
+      par.(i) <- time_once par_side)
+    else (
+      par.(i) <- time_once par_side;
+      seq.(i) <- time_once seq_side)
+  done;
   let cores = Stdlib.Domain.recommended_domain_count () in
-  let seq = timed ~parallel:false in
-  let par = timed ~parallel:true in
-  Printf.printf "%-42s %10.1f ms\n" "sequential dispatch (3 subgraphs)" (ms seq);
-  Printf.printf "%-42s %10.1f ms  (%d core%s available)\n"
-    "parallel dispatch (3 domains)" (ms par) cores
+  let q1, seq_med, q3 = quartiles seq and p1, par_med, p3 = quartiles par in
+  Printf.printf "median of %d alternating repeats, [quartiles]\n" repeats;
+  Printf.printf "%-42s %10.1f ms  [%.1f-%.1f]\n" "sequential dispatch (3 subgraphs)"
+    (ms seq_med) (ms q1) (ms q3);
+  Printf.printf "%-42s %10.1f ms  [%.1f-%.1f]  (%d core%s available)\n"
+    "parallel dispatch (3 domains)" (ms par_med) (ms p1) (ms p3) cores
     (if cores = 1 then "" else "s");
-  Printf.printf "speedup: %.2fx\n" (seq /. par);
+  Printf.printf "speedup: %.2fx (of the medians)\n" (seq_med /. par_med);
   if cores < 2 then
     print_endline
       "note: single-core environment — domain coordination overhead makes\n\

@@ -241,9 +241,7 @@ let lint_cmd =
 
 (* --- optimize subcommand -------------------------------------------- *)
 
-type fuse_mode = Fuse_safe | Fuse_unsafe | Fuse_off
-
-let optimize file format fuse_mode no_fuse verify =
+let optimize file format fuse verify =
   with_source file @@ fun source ->
   let report = Analysis.Lint.source_diagnostics source in
   match report.Analysis.Lint.mapping with
@@ -251,20 +249,11 @@ let optimize file format fuse_mode no_fuse verify =
       prerr_endline (Analysis.Lint.render_text ~source report);
       1
   | Some mapping -> (
-      let fuse_mode = if no_fuse then Fuse_off else fuse_mode in
       let opt =
-        match fuse_mode with
-        | Fuse_safe -> (
-            (* lint already ran the default (fusing) optimizer *)
-            match report.Analysis.Lint.optimizer with
-            | Some opt -> opt
-            | None -> Analysis.Optimize.run ~fuse:true mapping)
-        | Fuse_off -> Analysis.Optimize.run ~fuse:false mapping
-        | Fuse_unsafe ->
-            (* the historical purely syntactic fusion, kept as an A/B
-               baseline: inline first without any cross-check, then run
-               the certificate-carrying passes on the result *)
-            Analysis.Optimize.run ~fuse:false (Mappings.Fuse.mapping mapping)
+        (* lint already ran the default (fusing) optimizer *)
+        match report.Analysis.Lint.optimizer with
+        | Some opt when fuse -> opt
+        | _ -> Analysis.Optimize.run ~fuse mapping
       in
       (match format with
       | Json -> print_endline (Analysis.Optimize.report_to_json opt)
@@ -289,23 +278,14 @@ let optimize file format fuse_mode no_fuse verify =
             prerr_endline ("certificate verification failed: " ^ msg);
             1)
 
-let fuse_mode_arg =
+let fuse_arg =
   Arg.(
     value
-    & opt
-        (enum
-           [ ("safe", Fuse_safe); ("unsafe", Fuse_unsafe); ("off", Fuse_off) ])
-        Fuse_safe
+    & opt (enum [ ("safe", true); ("off", false) ]) true
     & info [ "fuse" ] ~docv:"MODE"
         ~doc:
           "Fusion mode: $(b,safe) (default; cost-gated, every step checked \
-           on the critical instance), $(b,unsafe) (historical syntactic \
-           fusion, no cross-check — baseline only), or $(b,off).")
-
-let no_fuse_arg =
-  Arg.(
-    value & flag
-    & info [ "no-fuse" ] ~doc:"Disable the fusion pass (same as --fuse off).")
+           on the critical instance) or $(b,off).")
 
 let verify_arg =
   Arg.(
@@ -333,8 +313,7 @@ let optimize_cmd =
   Cmd.v
     (Cmd.info "optimize" ~doc)
     Term.(
-      const optimize $ file_arg $ report_arg $ fuse_mode_arg $ no_fuse_arg
-      $ verify_arg)
+      const optimize $ file_arg $ report_arg $ fuse_arg $ verify_arg)
 
 (* --- fuzz subcommand ------------------------------------------------- *)
 

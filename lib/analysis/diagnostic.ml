@@ -109,39 +109,34 @@ let to_string_with_source ~source d =
         let caret = String.make (max 0 (p.Exl.Ast.col - 1)) ' ' ^ "^" in
         Printf.sprintf "%s\n  %s\n  %s" (to_string d) line caret
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json d =
-  let pos_fields =
+  let open Obs.Json in
+  let pos =
     match d.pos with
     | Some p ->
-        Printf.sprintf {|"line":%d,"col":%d,|} p.Exl.Ast.line p.Exl.Ast.col
-    | None -> ""
+        [
+          ("line", Num (float_of_int p.Exl.Ast.line));
+          ("col", Num (float_of_int p.Exl.Ast.col));
+        ]
+    | None -> []
   in
-  Printf.sprintf {|{"code":"%s","severity":"%s",%s"message":"%s"}|}
-    (json_escape d.code)
-    (severity_to_string d.severity)
-    pos_fields (json_escape d.message)
+  Obj
+    ([ ("code", Str d.code); ("severity", Str (severity_to_string d.severity)) ]
+    @ pos
+    @ [ ("message", Str d.message) ])
 
 let list_to_json ds =
-  let errors = List.length (List.filter is_error ds) in
-  let warnings = List.length (List.filter is_warning ds) in
-  let infos = List.length (List.filter is_info ds) in
-  Printf.sprintf
-    {|{"diagnostics":[%s],"summary":{"errors":%d,"warnings":%d,"infos":%d}}|}
-    (String.concat "," (List.map to_json ds))
-    errors warnings infos
+  let open Obs.Json in
+  let count p = Num (float_of_int (List.length (List.filter p ds))) in
+  to_string
+    (Obj
+       [
+         ("diagnostics", List (List.map to_json ds));
+         ( "summary",
+           Obj
+             [
+               ("errors", count is_error);
+               ("warnings", count is_warning);
+               ("infos", count is_info);
+             ] );
+       ])

@@ -1135,70 +1135,56 @@ let verify (r : report) : (unit, string) result =
 let diagnostics (r : report) =
   List.map (fun a -> Diagnostic.make ~code:a.code a.detail) r.actions
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let json_int n = Obs.Json.Num (float_of_int n)
 
-let certificate_to_json = function
+let certificate_to_json c =
+  let open Obs.Json in
+  let obj kind fields = Obj (("kind", Str kind) :: fields) in
+  match c with
   | Subsumption_witness { by; hom } ->
-      Printf.sprintf {|{"kind":"subsumption","by":"%s","witness":"%s"}|}
-        (json_escape (Tgd.to_string by))
-        (json_escape (Containment.hom_to_string hom))
+      obj "subsumption"
+        [ ("by", Str (Tgd.to_string by)); ("witness", Str (Containment.hom_to_string hom)) ]
   | Fold_witness { dropped; onto; hom } ->
-      Printf.sprintf
-        {|{"kind":"fold","dropped":"%s","onto":"%s","witness":"%s"}|}
-        (json_escape (Tgd.atom_to_string dropped))
-        (json_escape (Tgd.atom_to_string onto))
-        (json_escape (Containment.hom_to_string hom))
+      obj "fold"
+        [
+          ("dropped", Str (Tgd.atom_to_string dropped));
+          ("onto", Str (Tgd.atom_to_string onto));
+          ("witness", Str (Containment.hom_to_string hom));
+        ]
   | Egd_merge { relation; dropped_var; kept_var } ->
-      Printf.sprintf
-        {|{"kind":"egd_merge","relation":"%s","dropped":"%s","kept":"%s"}|}
-        (json_escape relation) (json_escape dropped_var) (json_escape kept_var)
+      obj "egd_merge"
+        [ ("relation", Str relation); ("dropped", Str dropped_var); ("kept", Str kept_var) ]
   | Fusion_equivalence { producer; facts_compared } ->
-      Printf.sprintf
-        {|{"kind":"fusion_equivalence","producer":"%s","facts_compared":%d}|}
-        (json_escape (Tgd.to_string producer))
-        facts_compared
-  | Grid_equality { relation } ->
-      Printf.sprintf {|{"kind":"grid_equality","relation":"%s"}|}
-        (json_escape relation)
+      obj "fusion_equivalence"
+        [ ("producer", Str (Tgd.to_string producer)); ("facts_compared", json_int facts_compared) ]
+  | Grid_equality { relation } -> obj "grid_equality" [ ("relation", Str relation) ]
   | Determination { chain } ->
-      Printf.sprintf {|{"kind":"determination","chain":[%s]}|}
-        (String.concat ","
-           (List.map (fun v -> "\"" ^ json_escape v ^ "\"") chain))
+      obj "determination" [ ("chain", List (List.map (fun v -> Str v) chain)) ]
 
 let action_to_json (a : action) =
+  let open Obs.Json in
   let opt_tgd name = function
-    | None -> ""
-    | Some t ->
-        Printf.sprintf {|"%s":"%s",|} name (json_escape (Tgd.to_string t))
+    | None -> []
+    | Some t -> [ (name, Str (Tgd.to_string t)) ]
   in
-  Printf.sprintf {|{"code":"%s","target":"%s",%s%s"detail":"%s","certificate":%s}|}
-    (json_escape a.code) (json_escape a.target)
-    (opt_tgd "before" a.before)
-    (opt_tgd "after" a.after)
-    (json_escape a.detail)
-    (certificate_to_json a.certificate)
+  Obj
+    ([ ("code", Str a.code); ("target", Str a.target) ]
+    @ opt_tgd "before" a.before
+    @ opt_tgd "after" a.after
+    @ [ ("detail", Str a.detail); ("certificate", certificate_to_json a.certificate) ])
 
 let report_to_json (r : report) =
-  Printf.sprintf
-    {|{"fuse":%b,"tgds_before":%d,"tgds_after":%d,"egds_before":%d,"egds_after":%d,"est_matches_before":%d,"est_matches_after":%d,"actions":[%s]}|}
-    r.fused
-    (List.length r.original.Mapping.t_tgds)
-    (List.length r.optimized.Mapping.t_tgds)
-    (List.length r.original.Mapping.egds)
-    (List.length r.optimized.Mapping.egds)
-    r.est_before r.est_after
-    (String.concat "," (List.map action_to_json r.actions))
+  let open Obs.Json in
+  let count l = json_int (List.length l) in
+  to_string
+    (Obj
+       [
+         ("fuse", Bool r.fused);
+         ("tgds_before", count r.original.Mapping.t_tgds);
+         ("tgds_after", count r.optimized.Mapping.t_tgds);
+         ("egds_before", count r.original.Mapping.egds);
+         ("egds_after", count r.optimized.Mapping.egds);
+         ("est_matches_before", json_int r.est_before);
+         ("est_matches_after", json_int r.est_after);
+         ("actions", List (List.map action_to_json r.actions));
+       ])

@@ -13,7 +13,9 @@ let mapping_of program =
   | Error e -> Error (err e)
 
 let fused_mapping_of program =
-  Result.map Mappings.Fuse.mapping (mapping_of program)
+  Result.map
+    (fun m -> (Analysis.Optimize.run m).Analysis.Optimize.optimized)
+    (mapping_of program)
 
 type backend = Reference | Chase | Sql | Vector_engine | Etl_engine
 

@@ -28,8 +28,9 @@ val mapping_of : program -> (Mappings.Mapping.t, string) result
     statement, plus functionality egds). *)
 
 val fused_mapping_of : program -> (Mappings.Mapping.t, string) result
-(** Mapping with normalizer temporaries inlined (the paper's complex
-    tgd (5) form). *)
+(** The optimizer's mapping ({!Analysis.Optimize.run}): normalizer
+    temporaries fused into their consumers where the cost model gains
+    (the paper's complex tgd (5) form), every rewrite certified. *)
 
 (** Execution back ends. [Reference] is the direct interpreter; the
     others run the generated mapping on the dispatcher's own targets
@@ -67,6 +68,8 @@ val verify_all_backends :
 (** Deployable artifacts per target system. *)
 
 val sql_of : ?fused:bool -> program -> (string, string) result
+(** With [fused], the SQL of {!fused_mapping_of}. *)
+
 val ddl_of : program -> (string, string) result
 val r_of : program -> (string, string) result
 val matlab_of : program -> (string, string) result

@@ -30,11 +30,13 @@ let row_env index row field =
 let columns_of_schema schema =
   Schema.dim_names schema @ [ schema.Schema.measure_name ]
 
+(* Rows in key order ({!Cube.to_alist}'s), read off the version's
+   column view. *)
 let rowset_of_cube cube =
-  let schema = Cube.schema cube in
+  let v = Cube.view cube in
   {
-    fields = columns_of_schema schema;
-    rows = List.map (fun (k, v) -> Tuple.append k v) (Cube.to_alist cube);
+    fields = columns_of_schema (Cube.schema cube);
+    rows = Array.to_list (Array.map (Cube.row v) (Cube.key_order v));
   }
 
 (* [rowset]'s rows added to [cube] (a fresh one by default). *)

@@ -12,7 +12,7 @@ type axis =
   | Backends  (** interpreter == chase == sql == vector == etl *)
   | Columnar  (** row chase == columnar chase, counters included *)
   | Optimize  (** optimized mapping == original on the scenario data *)
-  | Fusion  (** fused mapping == unfused (mode selects the fuser) *)
+  | Fusion  (** fused SQL == unfused chase (mode selects the fuser) *)
   | Incremental  (** apply_updates == from-scratch recomputation *)
   | Faults  (** sql-free faulted run == fault-free run, non-degraded *)
 
@@ -20,7 +20,8 @@ val all : axis list
 (** Every axis, in the order above. *)
 
 (** How the {!Fusion} axis builds its fused mapping. [Safe] is the
-    verified fuser ({!Core.fused_mapping_of}); [Unsafe] deliberately
+    optimizer's certified fusion ({!Core.fused_mapping_of}), run on the
+    SQL target as [exlc --emit sql-fused] ships it; [Unsafe] deliberately
     reintroduces the historical naive aggregation fusion that fails to
     rewrite group-by keys through the unifier — the harness must catch
     it (fault-injection for the fuzzer itself); [Off] skips the axis. *)

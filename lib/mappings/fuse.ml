@@ -134,53 +134,3 @@ let fuse_step_agg ~producer ~consumer =
                    })
           | _ -> None))
   | _ -> None
-
-let usages (m : Mapping.t) name =
-  List.filter
-    (fun tgd -> List.mem name (Tgd.source_relations tgd))
-    m.Mapping.t_tgds
-
-let mapping ?verify (m : Mapping.t) =
-  let rec step (m : Mapping.t) rejected =
-    let candidate =
-      List.find_map
-        (fun producer ->
-          let target = Tgd.target_relation producer in
-          if (not (Exl.Normalize.is_temp target)) || List.mem target rejected
-          then None
-          else
-            match (producer, usages m target) with
-            | Tgd.Tuple_level _, [ (Tgd.Tuple_level _ as consumer) ] ->
-                Option.map
-                  (fun fused -> (producer, consumer, fused))
-                  (fuse_step ~producer ~consumer)
-            | _ -> None)
-        m.Mapping.t_tgds
-    in
-    match candidate with
-    | None -> m
-    | Some (producer, consumer, fused) ->
-        let temp = Tgd.target_relation producer in
-        let t_tgds =
-          List.filter_map
-            (fun tgd ->
-              if tgd == producer then None
-              else if tgd == consumer then Some fused
-              else Some tgd)
-            m.Mapping.t_tgds
-        in
-        let target =
-          List.filter (fun s -> s.Matrix.Schema.name <> temp) m.Mapping.target
-        in
-        let egds =
-          List.filter (fun (e : Egd.t) -> e.Egd.relation <> temp) m.Mapping.egds
-        in
-        let next = { m with Mapping.t_tgds; target; egds } in
-        let accepted =
-          match verify with None -> true | Some f -> f ~before:m ~after:next
-        in
-        (* A step the cross-check rejects is rolled back; the temp is
-           excluded from further candidates so the loop terminates. *)
-        if accepted then step next rejected else step m (temp :: rejected)
-  in
-  step m []

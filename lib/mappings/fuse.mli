@@ -1,36 +1,21 @@
-(** Tgd fusion: recombining single-operator tgds into complex ones.
+(** Tgd fusion steps: inlining one tgd into the tgd that reads its
+    target.
 
     The paper notes that "in practice, our tool is able to simplify
     them" — statement (5)'s four operators yield one tgd,
     [GDPT(q, r1) ∧ GDPT(q-1, r2) → PCHNG(q, (r1 - r2) * 100 / r1)],
-    instead of the four tgds of statements (5a)-(5d).  This pass
-    performs that simplification at the mapping level: a tuple-level tgd
-    defining a normalizer temporary used by exactly one other
-    tuple-level tgd is inlined into its consumer.
-
-    Fusion changes neither the final relations (machine-checked in
-    tests) nor the source instance; it removes the temporary relations
-    from the target schema.  The chase runs on the unfused mapping (the
-    stratified correctness argument of Section 4.2 speaks about simple
-    tgds); fusion feeds code generation, where fewer intermediate
-    tables mean fewer materialized INSERTs. *)
-
-val mapping :
-  ?verify:(before:Mapping.t -> after:Mapping.t -> bool) ->
-  Mapping.t ->
-  Mapping.t
-(** Inline all fusable temporaries (to fixpoint).  Without [verify]
-    the pass is purely syntactic (the historical behaviour, kept as
-    the [--fuse=unsafe] bench baseline); with [verify] every inlining
-    step is cross-checked and rolled back when the checker rejects it.
-    The analysis library injects its critical-instance equivalence
-    check here — [Fuse] itself cannot depend on it. *)
+    instead of the four tgds of statements (5a)-(5d).  These are the
+    syntactic steps of that simplification.  Neither decides whether a
+    step is worth taking or preserves the mapping's solution: the
+    optimizer ([Analysis.Optimize]) picks the candidates under its cost
+    model and certifies each fusion it keeps by chasing both mappings
+    on the critical instance. *)
 
 val fuse_step :
   producer:Tgd.t -> consumer:Tgd.t -> Tgd.t option
 (** One inlining step: [None] when the pair is not fusable (non
     tuple-level, or the argument terms on both sides of some position
-    are complex). Exposed for tests. *)
+    are complex). *)
 
 val fuse_step_agg :
   producer:Tgd.t -> consumer:Tgd.t -> Tgd.t option

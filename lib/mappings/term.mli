@@ -36,8 +36,8 @@ val rename : prefix:string -> t -> t
     before composing it with another). *)
 
 val normalize_shift : t -> t
-(** Rewrite [Shifted] into the plain arithmetic a parsed-back term
-    carries ([t + 1] / [t - 1]); [eval] treats both identically. *)
+(** Rewrite [Shifted] into plain arithmetic ([t + 1] / [t - 1]);
+    [eval] treats both identically. *)
 
 val eval : (string -> Value.t option) -> t -> Value.t option
 (** Evaluate under a variable assignment; [None] when a variable is

@@ -63,7 +63,7 @@ val atom_vars : atom -> string list
 val equal_atom : atom -> atom -> bool
 val atom_to_string : atom -> string
 val equal : t -> t -> bool
-(** Structural equality (used by the logic-notation round-trip tests). *)
+(** Structural equality. *)
 
 val to_string : t -> string
 (** Paper-style logic notation, e.g.

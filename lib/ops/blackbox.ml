@@ -74,8 +74,6 @@ let () =
 
 let find name = Hashtbl.find_opt catalogue (String.lowercase_ascii name)
 
-let exists name = Option.is_some (find name)
-
 let names () =
   Hashtbl.fold (fun k _ acc -> k :: acc) catalogue []
   |> List.sort String.compare

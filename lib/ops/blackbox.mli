@@ -27,7 +27,6 @@ type t = private {
 val find : string -> t option
 (** Case-insensitive: the paper writes [stl_T], we store [stl_t]. *)
 
-val exists : string -> bool
 val names : unit -> string list
 
 val default_period : Calendar.frequency -> int option

@@ -19,7 +19,6 @@ let find_exn name =
   | Some t -> t
   | None -> invalid_arg ("Dim_fn.find_exn: unknown dimension function " ^ name)
 
-let exists name = Option.is_some (find name)
 let names () = List.map (fun t -> t.name) all
 
 let apply t v =

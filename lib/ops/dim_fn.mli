@@ -11,7 +11,6 @@ type t = private { name : string; target : Calendar.frequency }
 
 val find : string -> t option
 val find_exn : string -> t
-val exists : string -> bool
 val names : unit -> string list
 
 val apply : t -> Value.t -> Value.t option

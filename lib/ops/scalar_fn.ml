@@ -43,8 +43,6 @@ let find_exn name =
   | Some f -> f
   | None -> invalid_arg ("Scalar_fn.find_exn: unknown function " ^ name)
 
-let exists name = Hashtbl.mem catalogue name
-
 let names () =
   Hashtbl.fold (fun k _ acc -> k :: acc) catalogue []
   |> List.sort String.compare

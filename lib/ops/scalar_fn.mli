@@ -21,7 +21,6 @@ type t = private {
 
 val find : string -> t option
 val find_exn : string -> t
-val exists : string -> bool
 val names : unit -> string list
 
 val apply : t -> params:float list -> float -> float option

@@ -23,5 +23,6 @@ val script_of_mapping :
 (** The SQL text that {!execute} runs (what EXLEngine would ship to an
     external DBMS).  With [views:`Temporaries] normalizer temporaries
     become CREATE VIEW instead of materialized tables (the paper's
-    Section 6 reformulation); for no intermediate tables at all, pass
-    a fused mapping ({!Mappings.Fuse.mapping}). *)
+    Section 6 reformulation); for fewer intermediate tables, pass the
+    optimizer's mapping, whose fusions inline temporaries
+    ([Analysis.Optimize.run]). *)

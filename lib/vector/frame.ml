@@ -34,21 +34,18 @@ let has_column t name = Hashtbl.mem t.cols name
 
 let row t i = Array.of_list (List.map (fun n -> (column t n).(i)) t.names)
 
+(* Rows in key order ({!Cube.to_alist}'s), read off the version's
+   column view. *)
 let of_cube cube =
   let schema = Cube.schema cube in
-  let alist = Cube.to_alist cube in
-  let n = List.length alist in
-  let dims = Schema.dim_names schema in
+  let v = Cube.view cube in
+  let order = Cube.key_order v in
   let cols =
     List.mapi
-      (fun di name ->
-        let col = Array.make n Value.Null in
-        List.iteri (fun ri (k, _) -> col.(ri) <- Tuple.get k di) alist;
-        (name, col))
-      dims
+      (fun di name -> (name, Array.map (fun r -> Cube.key_value v di r) order))
+      (Schema.dim_names schema)
   in
-  let measure = Array.make n Value.Null in
-  List.iteri (fun ri (_, v) -> measure.(ri) <- v) alist;
+  let measure = Array.map (fun r -> v.Cube.measures.(r)) order in
   create (cols @ [ (schema.Schema.measure_name, measure) ])
 
 let to_cube schema t =

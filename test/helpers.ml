@@ -222,6 +222,19 @@ let prop_backend_matches_interp ~count ~name backend =
                   QCheck.Test.fail_reportf "mismatch on\n%s\n%s" src
                     (String.concat "\n" problems))))
 
+(* Hand-written tgds, built from their constructors:
+   [tl [ atom "A" [ var "q"; var "m" ] ] (atom "B" [ var "q"; var "m" ])]
+   is A(q, m) → B(q, m). *)
+let var x = Mappings.Term.Var x
+let num f = Mappings.Term.Const (Value.Float f)
+let atom rel args = Mappings.Tgd.atom rel args
+let tl lhs rhs = Mappings.Tgd.Tuple_level { lhs; rhs }
+
+(* [source] → [target(group_by, sum(measure))]. *)
+let sum_tgd source ~group_by ~measure target =
+  Mappings.Tgd.Aggregation
+    { source; group_by; aggr = Stats.Aggregate.Sum; measure; target }
+
 (* Two tgds write the relation SHARED, from A and from B.  With
    [clash] they write different measures to one key, and every
    backend's [execute] must refuse the mapping with an [Error] naming
@@ -235,11 +248,10 @@ let shared_target ~clash =
       target = [ schema "A"; schema "B"; schema "SHARED" ];
       st_tgds = [];
       t_tgds =
-        (match
-           Mappings.Parse.tgds_of_string "A(q, m) → SHARED(q, m)\nB(q, m) → SHARED(q, m)"
-         with
-        | Ok tgds -> tgds
-        | Error msg -> Alcotest.failf "tgds: %s" msg);
+        List.map
+          (fun rel ->
+            tl [ atom rel [ var "q"; var "m" ] ] (atom "SHARED" [ var "q"; var "m" ]))
+          [ "A"; "B" ];
       egds = [];
     }
   in

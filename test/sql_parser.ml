@@ -165,7 +165,7 @@ let classify_call fn args =
         | [ a ] -> Sql_ast.Agg_call (aggr, a)
         | _ -> fail "%s expects one argument" fn)
     | None ->
-        if Ops.Dim_fn.exists lfn then
+        if Option.is_some (Ops.Dim_fn.find lfn) then
           match args with
           | [ a ] -> Sql_ast.Dim_call (lfn, a)
           | _ -> fail "%s expects one argument" fn

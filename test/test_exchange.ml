@@ -308,9 +308,9 @@ let check_overview_chase mapping =
 
 let test_equivalence_overview () = check_overview_chase (overview_mapping ())
 
-(* The fused mapping produces the same final relations. *)
+(* The optimizer's fused mapping produces the same final relations. *)
 let test_equivalence_overview_fused () =
-  check_overview_chase (M.Fuse.mapping (overview_mapping ()))
+  check_overview_chase (core_ok (Core.fused_mapping_of (load_overview ())))
 
 (* The dispatcher's Chase target == the interpreter on random
    programs (helpers.ml). *)

@@ -529,14 +529,18 @@ let test_chase_incremental_input_span () =
 
 (* --- signed-delta repair: derivation counts --- *)
 
-let hand_mapping ~source ~target tgds =
+let hand_mapping ~source ~target t_tgds =
   {
     Mappings.Mapping.source;
     target = source @ target;
     st_tgds = [];
-    t_tgds = ok (Mappings.Parse.tgds_of_string tgds);
+    t_tgds;
     egds = [];
   }
+
+(* The atoms R(q, m) and R(q, r, m). *)
+let qm rel = atom rel [ var "q"; var "m" ]
+let qrm rel = atom rel [ var "q"; var "r"; var "m" ]
 
 let q_schema name ~extra =
   Schema.make ~name
@@ -589,7 +593,7 @@ let test_signed_two_derivations () =
     hand_mapping
       ~source:[ q_schema "A" ~extra:[ ("r", Domain.String) ] ]
       ~target:[ q_schema "P" ~extra:[] ]
-      "A(q, r, m) → P(q, 1)"
+      [ tl [ qrm "A" ] (atom "P" [ var "q"; num 1. ]) ]
   in
   let a q r m = [| vq 2024 q; vs r; vf m |] in
   let solution, batch =
@@ -623,7 +627,12 @@ let test_misordered_stratifies_by_dependency () =
     hand_mapping
       ~source:[ one "A"; q_schema "E" ~extra:[ ("r", Domain.String) ] ]
       ~target:[ one "B"; one "C"; one "D" ]
-      "B(q, m) → C(q, 2 * m)\nA(q, m) → B(q, m)\nE(q, r, m) → D(q, 1)"
+      [
+        tl [ qm "B" ]
+          (atom "C" [ var "q"; Mappings.Term.Binapp (Ops.Binop.Mul, num 2., var "m") ]);
+        tl [ qm "A" ] (qm "B");
+        tl [ qrm "E" ] (atom "D" [ var "q"; num 1. ]);
+      ]
   in
   Alcotest.(check int) "two strata" 2
     (List.length (ok (Mappings.Stratify.strata mapping)));
@@ -651,7 +660,7 @@ let test_recursive_mapping_rejected () =
   let one = q_schema ~extra:[] in
   let mapping =
     hand_mapping ~source:[ one "A" ] ~target:[ one "B"; one "C" ]
-      "A(q, m) → B(q, m)\nC(q, m) → B(q, m)\nB(q, m) → C(q, m)"
+      [ tl [ qm "A" ] (qm "B"); tl [ qm "C" ] (qm "B"); tl [ qm "B" ] (qm "C") ]
   in
   let source = source_instance mapping [ ("A", [| vq 2024 1; vf 1. |]) ] in
   let names_b what msg =
@@ -689,7 +698,7 @@ let test_shared_target_rederives () =
   let one = q_schema ~extra:[] in
   let mapping =
     hand_mapping ~source:[ one "A"; one "B" ] ~target:[ one "U" ]
-      "A(q, m) → U(q, 1)\nB(q, m) → U(q, 1)"
+      (List.map (fun rel -> tl [ qm rel ] (atom "U" [ var "q"; num 1. ])) [ "A"; "B" ])
   in
   let f q = [| vq 2024 q; vf 1. |] in
   let solution, batch =
@@ -716,7 +725,9 @@ let test_shared_aggregation_target () =
     hand_mapping
       ~source:[ schema "A"; schema "B" ]
       ~target:[ q_schema "U" ~extra:[] ]
-      "A(q, r, m) → U(q, sum(m))\nB(q, r, m) → U(q, sum(m))"
+      (List.map
+         (fun rel -> sum_tgd (qrm rel) ~group_by:[ var "q" ] ~measure:"m" "U")
+         [ "A"; "B" ])
   in
   let a = [| vq 2024 2; vs "x"; vf 10. |]
   and b = [| vq 2024 2; vs "y"; vf 10. |] in

@@ -81,8 +81,8 @@ let test_dim_fn_applicability () =
 (* --- black boxes --- *)
 
 let test_blackbox_case_insensitive_lookup () =
-  Alcotest.(check bool) "stl_T found" true (Ops.Blackbox.exists "stl_T");
-  Alcotest.(check bool) "STL_T found" true (Ops.Blackbox.exists "STL_T")
+  Alcotest.(check bool) "stl_T found" true (Option.is_some (Ops.Blackbox.find "stl_T"));
+  Alcotest.(check bool) "STL_T found" true (Option.is_some (Ops.Blackbox.find "STL_T"))
 
 let test_blackbox_default_period () =
   Alcotest.(check (option int)) "quarter" (Some 4)

@@ -11,9 +11,6 @@ module Term = M.Term
 module Tgd = M.Tgd
 open Helpers
 
-let var x = Term.Var x
-let atom rel args = Tgd.atom rel args
-let tl lhs rhs = Tgd.Tuple_level { lhs; rhs }
 let quarter = Domain.Period (Some Calendar.Quarter)
 
 let ok_s = function
@@ -268,15 +265,7 @@ let test_naive_agg_fusion_changes_semantics () =
   let fused_facts = run (replace_pair m ~producer ~consumer correct) in
   let naive_facts = run (replace_pair m ~producer ~consumer naive) in
   Alcotest.(check bool) "correct fusion preserves S" true (reference = fused_facts);
-  Alcotest.(check bool) "naive fusion changes S" true (reference <> naive_facts);
-  (* and the verified fusion driver keeps only rewrites the
-     equivalence checker accepts *)
-  let verify ~before ~after =
-    match O.equivalent_on_critical before after with Ok _ -> true | Error _ -> false
-  in
-  let safe = M.Fuse.mapping ~verify m in
-  Alcotest.(check bool) "safe fusion ran to completion" true
-    (List.length safe.M.Mapping.t_tgds <= List.length m.M.Mapping.t_tgds)
+  Alcotest.(check bool) "naive fusion changes S" true (reference <> naive_facts)
 
 (* --- the overview pipeline end to end -------------------------------- *)
 

@@ -96,8 +96,29 @@ let test_matlab_script_fragments () =
         (Astring_contains.contains m fragment))
     [ "join(RGDPPC, [1 2], PQR, [1 2])"; ".*"; "isolateTrend(GDP)" ]
 
+(* PCHNG from a three-atom tgd, the shape a fusion can leave behind:
+   GDPT(q, m1) ∧ GDPT(q - 1, m2) ∧ GDPT(q, m3) → PCHNG(q, m1). *)
 let test_script_gen_rejects_fused () =
-  let fused = M.Fuse.mapping (overview_mapping ()) in
+  let m = overview_mapping () in
+  let q = var "q" in
+  let pchng =
+    tl
+      [
+        atom "GDPT" [ q; var "m1" ];
+        atom "GDPT" [ M.Term.Shifted (q, -1); var "m2" ];
+        atom "GDPT" [ q; var "m3" ];
+      ]
+      (atom "PCHNG" [ q; var "m1" ])
+  in
+  let fused =
+    {
+      m with
+      M.Mapping.t_tgds =
+        List.map
+          (fun t -> if M.Tgd.target_relation t = "PCHNG" then pchng else t)
+          m.M.Mapping.t_tgds;
+    }
+  in
   match Vector.Script_gen.script_of_mapping fused with
   | Error msg ->
       Alcotest.(check bool) "mentions atoms" true
