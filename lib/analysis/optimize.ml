@@ -163,7 +163,9 @@ let mapping_consts (m : Mapping.t) =
 (* The synthetic source instance equivalence checks chase over: the
    cartesian product of small per-domain dimension sets (four
    consecutive periods, dates straddling a quarter boundary, two values
-   per categorical domain) with pairwise-distinct measures. *)
+   per categorical domain) with pairwise-distinct measures.  Each
+   relation is written straight into a column view, so every chase
+   over the instance installs it as is. *)
 let critical_instance (m : Mapping.t) =
   let inst = Exchange.Instance.create () in
   let consts = mapping_consts m in
@@ -171,6 +173,7 @@ let critical_instance (m : Mapping.t) =
   List.iter
     (fun (s : Schema.t) ->
       Exchange.Instance.add_relation inst s;
+      let facts = Cube.builder (Schema.arity s) in
       let dims = Array.to_list s.Schema.dims in
       let rec keys = function
         | [] -> [ [] ]
@@ -192,11 +195,10 @@ let critical_instance (m : Mapping.t) =
       List.iter
         (fun key ->
           incr counter;
-          let measure = Value.Float (2.0 +. (1.37 *. float_of_int !counter)) in
-          ignore
-            (Exchange.Instance.insert inst s.Schema.name
-               (Array.of_list (key @ [ measure ]))))
-        (keys dims))
+          Cube.add facts
+            (Array.of_list (key @ [ Value.Float (2.0 +. (1.37 *. float_of_int !counter)) ])))
+        (keys dims);
+      Exchange.Instance.set_view inst s (Cube.seal facts))
     m.Mapping.source;
   inst
 
@@ -208,9 +210,16 @@ let value_close a b =
       Float.abs (x -. y) <= 1e-9 *. (1. +. Float.max (Float.abs x) (Float.abs y))
   | _ -> false
 
-let fact_equal f1 f2 =
-  Array.length f1 = Array.length f2
-  && Array.for_all2 value_close f1 f2
+(* Row [r1] of [v1] and row [r2] of [v2] hold the same fact, up to
+   [value_close], read off the views without decoding either row. *)
+let row_close (v1 : Cube.view) r1 (v2 : Cube.view) r2 =
+  let n = Array.length v1.Cube.dicts in
+  let rec keys i =
+    i = n || (value_close (Cube.key_value v1 i r1) (Cube.key_value v2 i r2) && keys (i + 1))
+  in
+  n = Array.length v2.Cube.dicts
+  && keys 0
+  && value_close v1.Cube.measures.(r1) v2.Cube.measures.(r2)
 
 let fact_to_string f =
   "("
@@ -220,14 +229,16 @@ let fact_to_string f =
 (* Compare the chased solutions [j1] (of the original mapping) and [j2]
    (of [m2]) on [m2]'s target relations — the original may
    additionally hold temporaries, exactly the non-core facts the
-   optimizer removes.  A relation for which [unchanged] holds is known
-   to carry the same facts in both: it counts its cardinality towards
-   [facts_compared] and is not decoded.  [Ok facts_compared] or the
-   first difference.  The "optimize.facts_compared" counter adds the
-   facts actually decoded and compared. *)
+   optimizer removes.  Each relation's two views are walked side by
+   side in key order, which is sorted fact order.  A relation for
+   which [unchanged] holds is known to carry the same facts in both:
+   it counts its cardinality towards [facts_compared] and is not read.
+   [Ok facts_compared] or the first difference.  The
+   "optimize.facts_compared" counter adds the facts actually
+   compared. *)
 let compare_solutions ?(unchanged = fun _ -> false) j1 j2 (m2 : Mapping.t) :
     (int, string) result =
-  let compared = ref 0 and decoded = ref 0 in
+  let compared = ref 0 and read = ref 0 in
   let mismatch =
     List.find_map
       (fun (s : Schema.t) ->
@@ -237,25 +248,27 @@ let compare_solutions ?(unchanged = fun _ -> false) j1 j2 (m2 : Mapping.t) :
           None
         end
         else
-          let f1 = Exchange.Instance.facts j1 rel in
-          let f2 = Exchange.Instance.facts j2 rel in
-          let n1 = List.length f1 and n2 = List.length f2 in
+          let v1 = Exchange.Instance.view j1 rel and v2 = Exchange.Instance.view j2 rel in
+          let n1 = v1.Cube.size and n2 = v2.Cube.size in
           compared := !compared + n1;
-          decoded := !decoded + n1;
+          read := !read + n1;
           if n1 <> n2 then
             Some (Printf.sprintf "%s: %d facts before vs %d after" rel n1 n2)
           else
-            List.find_map
-              (fun (a, b) ->
-                if fact_equal a b then None
-                else
-                  Some
-                    (Printf.sprintf "%s: %s vs %s" rel (fact_to_string a)
-                       (fact_to_string b)))
-              (List.combine f1 f2))
+            let o1 = Cube.key_order v1 and o2 = Cube.key_order v2 in
+            let rec first j =
+              if j = n1 then None
+              else if row_close v1 o1.(j) v2 o2.(j) then first (j + 1)
+              else
+                Some
+                  (Printf.sprintf "%s: %s vs %s" rel
+                     (fact_to_string (Cube.row v1 o1.(j)))
+                     (fact_to_string (Cube.row v2 o2.(j))))
+            in
+            first 0)
       m2.Mapping.target
   in
-  Obs.count ~n:!decoded "optimize.facts_compared";
+  Obs.count ~n:!read "optimize.facts_compared";
   match mismatch with
   | Some msg -> Error ("solutions differ on critical instance: " ^ msg)
   | None -> Ok !compared

@@ -280,21 +280,23 @@ let indexed_matcher instance stats atoms k =
    temporary relations are the labelled-null padding of a non-core
    solution (a core solution holds no temporaries), and outer combines
    additionally count every default substituted for a missing side. *)
-let count_new stats rel =
-  stats.tuples_generated <- stats.tuples_generated + 1;
+let count_generated stats rel n =
+  stats.tuples_generated <- stats.tuples_generated + n;
   if Exl.Normalize.is_temp rel then
-    stats.nulls_created <- stats.nulls_created + 1
+    stats.nulls_created <- stats.nulls_created + n
 
-let emit_fact instance stats rel values =
-  if Instance.insert instance rel (Array.of_list values) then
-    count_new stats rel
+let count_new stats rel = count_generated stats rel 1
+
+let emit_fact instance stats rel fact =
+  if Instance.insert instance rel fact then count_new stats rel
 
 (* The rhs values a binding derives; [None] when any term is undefined,
    which leaves a hole in the result cube, matching the
    partial-function semantics of EXL operators. *)
 let rhs_fact binding (rhs : Tgd.atom) =
   let values = List.map (Binding.term_value binding) rhs.Tgd.args in
-  if List.for_all Option.is_some values then Some (List.map Option.get values)
+  if List.for_all Option.is_some values then
+    Some (Array.of_list (List.map Option.get values))
   else None
 
 let apply_tuple_level ~matcher ~out instance stats lhs (rhs : Tgd.atom) =
@@ -370,8 +372,7 @@ let apply_aggregation ~out instance stats (source : Tgd.atom) group_by
       let bag = List.rev !(Tuple.Table.find groups key) in
       let result = Stats.Aggregate.apply aggr bag in
       if not (Float.is_nan result) then
-        emit_fact out stats target
-          (Tuple.to_list key @ [ Value.of_float result ]))
+        emit_fact out stats target (Tuple.append key (Value.of_float result)))
     (List.rev !order)
 
 let apply_table_fn ~out instance stats fn params source target =
@@ -387,7 +388,7 @@ let apply_table_fn ~out instance stats fn params source target =
       Cube.iter
         (fun k v ->
           stats.matches_examined <- stats.matches_examined + 1;
-          emit_fact out stats target (Array.to_list (Tuple.append k v)))
+          emit_fact out stats target (Tuple.append k v))
         result
 
 (* The default-value vectorial variant: the union of both key sets,
@@ -416,8 +417,7 @@ let apply_outer_combine ~out instance stats (left : Tgd.atom)
     | Some result ->
         if vl = None || vr = None then
           stats.nulls_created <- stats.nulls_created + 1;
-        emit_fact out stats target
-          (Tuple.to_list key @ [ Value.of_float result ])
+        emit_fact out stats target (Tuple.append key (Value.of_float result))
     | None -> ()
   in
   Tuple.Table.iter (fun key vl -> emit key (Some vl) (Tuple.Table.find_opt r key)) l;
@@ -430,19 +430,38 @@ let apply_outer_combine ~out instance stats (left : Tgd.atom)
    read a frozen snapshot while writing the live instance.
    [vectorized] routes kernel-able tgds through the columnar engine
    (reads and writes must coincide — the column view is frozen);
-   shapes the kernels do not handle fall through to the row matcher. *)
-let apply_body_full ~matcher ?(vectorized = false) ?out instance stats tgd =
+   shapes the kernels do not handle fall through to the row matcher.
+   With [seal], a kernel whose target holds no facts yet writes the
+   target's column view: its facts are encoded as they come, sorted
+   and deduplicated once ([Cube.seal]) and installed whole, and only
+   the facts kept are counted.  Into a target that already holds facts
+   they are inserted one by one. *)
+let apply_body_full ~matcher ?(vectorized = false) ?(seal = false) ?out instance
+    stats tgd =
   let out = Option.value ~default:instance out in
   let vectorize () =
     vectorized && out == instance
-    && Vchase.apply
-         {
-           Vchase.read = instance;
-           count =
-             (fun n -> stats.matches_examined <- stats.matches_examined + n);
-           emit = emit_fact out stats;
-         }
-         tgd
+    &&
+    let target = Tgd.target_relation tgd in
+    let run emit =
+      Vchase.apply
+        {
+          Vchase.read = instance;
+          count = (fun n -> stats.matches_examined <- stats.matches_examined + n);
+          emit;
+        }
+        tgd
+    in
+    match Instance.schema instance target with
+    | Some schema when seal && Instance.cardinality instance target = 0 ->
+        let b = Cube.builder (Schema.arity schema) in
+        run (Cube.add b)
+        &&
+        let v = Cube.seal b in
+        Instance.set_view instance schema v;
+        count_generated stats target v.Cube.size;
+        true
+    | _ -> run (emit_fact out stats target)
   in
   match tgd with
   | Tgd.Tuple_level { lhs; rhs } ->
@@ -485,29 +504,42 @@ let rec apply_each stats apply = function
       | Ok () -> apply_each stats apply rest)
 
 (* The functionality egd of a relation: no two of its facts share a key
-   with measures that differ.  Decided in one unsorted pass; on success
-   every fact was checked once.  Only a violating relation is rescanned
-   in key order, which names the first violation in that order and
-   counts the checks up to it. *)
+   with measures that differ.  It names the first violation in key
+   order and counts the checks up to it, or every fact.  A relation
+   with a view at hand is scanned in the view's key order, comparing
+   each row's key codes with the row before it.  Any other is decided
+   in one unsorted hashed pass, and only a violating relation is
+   sealed into a view and scanned. *)
 let check_egd instance (egd : Mappings.Egd.t) stats =
   let rel = egd.Mappings.Egd.relation in
-  let first_conflict facts_iter =
+  let violated () =
     let seen : Value.t Tuple.Table.t = Tuple.Table.create 64 in
-    let checked = ref 0 in
-    let conflict = ref None in
-    (try
-       facts_iter (fun fact ->
-           let n = Array.length fact - 1 in
-           let key = Tuple.of_array (Array.sub fact 0 n) in
-           let measure = fact.(n) in
-           incr checked;
-           match Tuple.Table.find_opt seen key with
-           | Some other when not (Value.equal other measure) ->
-               conflict := Some (key, other, measure);
-               raise_notrace Exit
-           | _ -> Tuple.Table.replace seen key measure)
-     with Exit -> ());
-    (!checked, !conflict)
+    try
+      Instance.iter_facts instance rel (fun fact ->
+          let n = Array.length fact - 1 in
+          let key = Tuple.of_array (Array.sub fact 0 n) in
+          match Tuple.Table.find_opt seen key with
+          | Some other when not (Value.equal other fact.(n)) -> raise_notrace Exit
+          | _ -> Tuple.Table.replace seen key fact.(n));
+      false
+    with Exit -> true
+  in
+  let first_conflict (v : Cube.view) =
+    let order = Cube.key_order v and n = Array.length v.Cube.dicts in
+    let rec same_key r p i =
+      i = n || (Cube.code v i r = Cube.code v i p && same_key r p (i + 1))
+    in
+    let rec scan j =
+      if j >= v.Cube.size then (v.Cube.size, None)
+      else
+        let r = order.(j) and p = order.(j - 1) in
+        let other = v.Cube.measures.(p) and measure = v.Cube.measures.(r) in
+        if same_key r p 0 && not (Value.equal other measure) then
+          let key = Tuple.of_array (Array.init n (fun i -> Cube.key_value v i r)) in
+          (j + 1, Some (key, other, measure))
+        else scan (j + 1)
+    in
+    scan 1
   in
   let verdict (checked, conflict) =
     stats.egd_checks <- stats.egd_checks + checked;
@@ -522,11 +554,11 @@ let check_egd instance (egd : Mappings.Egd.t) stats =
   match Instance.schema instance rel with
   | None -> Ok ()
   | Some _ -> (
-      match first_conflict (Instance.iter_facts instance rel) with
-      | _, None as ok -> verdict ok
-      | _, Some _ ->
-          verdict
-            (first_conflict (fun f -> List.iter f (Instance.facts instance rel))))
+      match Instance.cached_view instance rel with
+      | Some v -> verdict (first_conflict v)
+      | None ->
+          if violated () then verdict (first_conflict (Instance.view instance rel))
+          else verdict (Instance.cardinality instance rel, None))
 
 let check_target_egds (m : Mappings.Mapping.t) instance stats rels =
   let rec loop = function
@@ -622,7 +654,7 @@ let naive_fixpoint (m : Mappings.Mapping.t) target stats =
 
 (* One full application per tgd, in stratum order: a stratum reads
    only lower strata, so nothing it derives feeds it. *)
-let run_stratum ~columnar instance stats stratum =
+let run_stratum ~columnar ~seal instance stats stratum =
   stats.rounds <- stats.rounds + 1;
   Obs.with_span "chase.round" ~attrs:[ ("round", "1") ] (fun () ->
       apply_each stats
@@ -630,7 +662,7 @@ let run_stratum ~columnar instance stats stratum =
           Obs.with_span "chase.tgd"
             ~attrs:[ ("target", Tgd.target_relation tgd) ]
             (fun () ->
-              apply_body_full ~matcher:indexed_matcher ~vectorized:columnar
+              apply_body_full ~matcher:indexed_matcher ~vectorized:columnar ~seal
                 instance stats tgd))
         stratum)
 
@@ -650,7 +682,7 @@ let run_semi_naive ~columnar (m : Mappings.Mapping.t) target stats =
                 ("stratum", string_of_int i);
                 ("tgds", string_of_int (List.length stratum));
               ]
-            (fun () -> run_stratum ~columnar target stats stratum)
+            (fun () -> run_stratum ~columnar ~seal:columnar target stats stratum)
         with
         | Error _ as e -> e
         | Ok () -> (
@@ -801,8 +833,9 @@ let incr_rederive_stratum instance stats istats selected =
   List.iter (fun rel -> Instance.clear instance rel) targets;
   (* Vectorized like a full run: the cached solution this repairs was
      produced by the (columnar-default) [run], and the incremental
-     speedup floor is measured against that same baseline. *)
-  match run_stratum ~columnar:true instance stats selected with
+     speedup floor is measured against that same baseline.  Unsealed:
+     the diff below and every later batch read the targets row by row. *)
+  match run_stratum ~columnar:true ~seal:false instance stats selected with
   | Error _ as e -> e
   | Ok () ->
       Ok
@@ -1055,7 +1088,7 @@ let incr_signed_tgd instance stats istats counts lhs (rhs : Tgd.atom)
   let derive plan sign table =
     match_plan instance stats plan (fun binding ->
         Option.iter
-          (fun values -> bump table (Tuple.of_list values) sign)
+          (fun fact -> bump table (Tuple.of_array fact) sign)
           (rhs_fact binding rhs))
   in
   let added = ref [] and removed = ref [] in

@@ -38,14 +38,16 @@ type t = {
 
 let create () = { rels = Hashtbl.create 32; builds = 0; lookups = 0 }
 
+(* A relation starts with small tables: one the chase seals or installs
+   as a view never fills them. *)
 let add_relation t schema =
   let name = schema.Schema.name in
   if not (Hashtbl.mem t.rels name) then
     Hashtbl.replace t.rels name
       {
         schema;
-        store = Tuple.Table.create 64;
-        indexes = Hashtbl.create 4;
+        store = Tuple.Table.create 8;
+        indexes = Hashtbl.create 1;
         pending = None;
         cache = None;
       }
@@ -133,7 +135,7 @@ let copy t =
         {
           schema = r.schema;
           store = Tuple.Table.copy r.store;
-          indexes = Hashtbl.create 4;
+          indexes = Hashtbl.create 1;
           pending = r.pending;
           cache = r.cache;
         })
@@ -205,22 +207,26 @@ let total_facts t =
 (* ----- column views ----- *)
 
 (* The view of a relation's current contents, memoized until the next
-   mutation.  Row stores are encoded from [facts], sorted, so the
-   view's key order is the identity. *)
+   mutation.  Row stores are encoded and sealed, so the view's key
+   order is the identity. *)
 let view t name =
   let r = relation_exn t name in
   match r.cache with
   | Some v -> v
   | None ->
-      let v = Cube.view_of_sorted (Schema.arity r.schema) (facts t name) in
+      let b = Cube.builder ~size:(cardinality t name) (Schema.arity r.schema) in
+      iter_facts t name (Cube.add b);
+      let v = Cube.seal b in
       r.cache <- Some v;
       v
+
+let cached_view t name = (relation_exn t name).cache
 
 (* Replace a relation's contents with a view, O(1): row stores are
    emptied and rebuilt only if tuple-level access happens later.  The
    caller promises the view's rows are distinct facts and its key order
-   is their sorted order — true of a cube version's view and of any
-   view from [view]. *)
+   is their sorted order — true of a cube version's view, of a sealed
+   one ([Cube.seal]) and of any view from [view]. *)
 let set_view t schema v =
   let name = schema.Schema.name in
   let r = relation_exn t name in

@@ -74,10 +74,16 @@ val total_facts : t -> int
 val view : t -> string -> Cube.view
 (** The column view of a relation's current contents, the encoding a
     cube version has ({!Cube.view}): the view installed by {!set_view},
-    or one built from {!facts} (sorted, so its {!Cube.key_order} is the
-    identity) and memoized until the next mutation.  Kernels walk its
+    or the row store's facts sealed into one ({!Cube.seal}: sorted, so
+    its {!Cube.key_order} is the identity) and memoized until the next
+    mutation.  Kernels walk its
     rows in key order, which is {!facts} order, to replay the row
     engine's iteration exactly. *)
+
+val cached_view : t -> string -> Cube.view option
+(** The view of a relation's current contents when one is at hand —
+    installed by {!set_view}, or memoized by {!view} since the last
+    mutation — without building one. *)
 
 val set_view : t -> Schema.t -> Cube.view -> unit
 (** [set_view t schema v] replaces the contents of relation
@@ -86,8 +92,8 @@ val set_view : t -> Schema.t -> Cube.view -> unit
     ([mem]/[insert]/[remove]/index ops), while whole-relation reads
     ([facts] in key order, [iter_facts], [cardinality]) serve straight
     from the view.  The rows must be distinct facts whose key order is
-    their sorted order — true of a cube version's view and of any view
-    from {!view}.
+    their sorted order — true of a cube version's view, of a sealed one
+    ({!Cube.seal}) and of any view from {!view}.
     @raise Invalid_argument when [schema] is not the relation's, or
     the view's arity differs from it. *)
 

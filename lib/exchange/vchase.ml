@@ -24,7 +24,7 @@ exception Error of string
 type ctx = {
   read : Instance.t;  (* views come from here *)
   count : int -> unit;  (* matches_examined accumulator *)
-  emit : string -> Value.t list -> unit;  (* set-semantics fact sink *)
+  emit : Value.t array -> unit;  (* sink of the tgd's target facts *)
 }
 
 (* [(var, position)] for an atom whose args are pairwise-distinct
@@ -136,7 +136,7 @@ type gcol =
       radix : int;
     }
 
-let try_aggregation ctx (source : Tgd.atom) group_by aggr measure target =
+let try_aggregation ctx (source : Tgd.atom) group_by aggr measure =
   match agg_shape ctx.read source group_by measure with
   | None -> false
   | Some (vpos, mpos) ->
@@ -216,15 +216,16 @@ let try_aggregation ctx (source : Tgd.atom) group_by aggr measure target =
         let result = Stats.Aggregate.apply_slice aggr data ~off ~len in
         if not (Float.is_nan result) then begin
           let rep = g.Kernels.rep_rows.(gid) in
-          let key_values =
-            List.map
-              (function
+          let fact = Array.make (List.length preps + 1) (Value.of_float result) in
+          List.iteri
+            (fun i prep ->
+              fact.(i) <-
+                (match prep with
                 | Gconst (Some v, _) -> v
                 | Gconst (None, _) -> assert false (* raised above *)
-                | Gcol p -> Option.get p.vals.(p.src_codes.(rep)))
-              preps
-          in
-          ctx.emit target (key_values @ [ Value.of_float result ])
+                | Gcol p -> Option.get p.vals.(p.src_codes.(rep))))
+            preps;
+          ctx.emit fact
         end
       done;
       true
@@ -281,6 +282,7 @@ let try_single ctx (atom : Tgd.atom) (rhs : Tgd.atom) =
         List.exists (function Rgeneral _ -> true | _ -> false) rterms
       in
       let readers = List.map (fun (v, p) -> (v, reader rel p)) vpos in
+      let width = List.length rterms in
       ctx.count nrows;
       for r = 0 to nrows - 1 do
         let binding =
@@ -290,8 +292,9 @@ let try_single ctx (atom : Tgd.atom) (rhs : Tgd.atom) =
               Binding.empty readers
           else Binding.empty
         in
-        let rec eval_all acc = function
-          | [] -> Some (List.rev acc)
+        let fact = Array.make width Value.Null in
+        let rec fill i = function
+          | [] -> ctx.emit fact
           | rt :: rest -> (
               let value =
                 match rt with
@@ -301,12 +304,12 @@ let try_single ctx (atom : Tgd.atom) (rhs : Tgd.atom) =
                 | Rgeneral term -> Binding.term_value binding term
               in
               match value with
-              | Some v -> eval_all (v :: acc) rest
-              | None -> None (* undefined term: skip the row, no error *))
+              | Some v ->
+                  fact.(i) <- v;
+                  fill (i + 1) rest
+              | None -> () (* undefined term: skip the row, no error *))
         in
-        match eval_all [] rterms with
-        | Some values -> ctx.emit rhs.Tgd.rel values
-        | None -> ()
+        fill 0 rterms
       done;
       true
 
@@ -414,6 +417,7 @@ let try_join ctx (a1 : Tgd.atom) (a2 : Tgd.atom) (rhs : Tgd.atom) =
               (v, fun _ br -> read br))
             vp2_fresh
       in
+      let width = List.length jterms in
       let matched = ref 0 in
       Kernels.hash_join ~build_keys ~probe_keys
         ~on_probe:(fun _ bucket -> matched := !matched + bucket)
@@ -425,8 +429,9 @@ let try_join ctx (a1 : Tgd.atom) (a2 : Tgd.atom) (rhs : Tgd.atom) =
                 Binding.empty binding_readers
             else Binding.empty
           in
-          let rec eval_all acc = function
-            | [] -> Some (List.rev acc)
+          let fact = Array.make width Value.Null in
+          let rec fill i = function
+            | [] -> ctx.emit fact
             | jt :: rest -> (
                 let value =
                   match jt with
@@ -435,19 +440,19 @@ let try_join ctx (a1 : Tgd.atom) (a2 : Tgd.atom) (rhs : Tgd.atom) =
                   | `General term -> Binding.term_value binding term
                 in
                 match value with
-                | Some v -> eval_all (v :: acc) rest
-                | None -> None (* undefined term: skip the pair *))
+                | Some v ->
+                    fact.(i) <- v;
+                    fill (i + 1) rest
+                | None -> () (* undefined term: skip the pair *))
           in
-          match eval_all [] jterms with
-          | Some values -> ctx.emit rhs.Tgd.rel values
-          | None -> ());
+          fill 0 jterms);
       ctx.count !matched;
       true
 
 let apply ctx tgd =
   match tgd with
-  | Tgd.Aggregation { source; group_by; aggr; measure; target } ->
-      try_aggregation ctx source group_by aggr measure target
+  | Tgd.Aggregation { source; group_by; aggr; measure; _ } ->
+      try_aggregation ctx source group_by aggr measure
   | Tgd.Tuple_level { lhs = [ a ]; rhs } -> try_single ctx a rhs
   | Tgd.Tuple_level { lhs = [ a1; a2 ]; rhs } -> try_join ctx a1 a2 rhs
   | Tgd.Tuple_level _ | Tgd.Table_fn _ | Tgd.Outer_combine _ -> false

@@ -9,7 +9,9 @@ exception Error of string
 type ctx = {
   read : Instance.t;  (** views come from here *)
   count : int -> unit;  (** matches_examined accumulator *)
-  emit : string -> Matrix.Value.t list -> unit;  (** set-semantics fact sink *)
+  emit : Matrix.Value.t array -> unit;
+      (** sink of the facts of the tgd's target, each a fresh array, in
+          emission order, with repeats *)
 }
 
 val apply : ctx -> Mappings.Tgd.t -> bool

@@ -72,13 +72,11 @@ let strata (m : Mapping.t) =
   Result.map
     (fun lv ->
       let max_level = List.fold_left (fun acc (_, l) -> max acc l) 0 lv in
+      let groups = Array.make (max_level + 1) [] in
+      List.iter2
+        (fun tgd (_, level) -> groups.(level) <- tgd :: groups.(level))
+        m.Mapping.t_tgds lv;
       List.filter_map
-        (fun level ->
-          let group =
-            List.filter
-              (fun tgd -> List.assoc (Tgd.target_relation tgd) lv = level)
-              m.Mapping.t_tgds
-          in
-          if group = [] then None else Some group)
-        (List.init max_level (fun i -> i + 1)))
+        (function [] -> None | group -> Some (List.rev group))
+        (Array.to_list groups))
     (levels m)

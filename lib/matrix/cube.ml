@@ -319,14 +319,23 @@ let same_value a b =
 
 (* A column's row codes in as few bytes a code as its dictionary
    needs: the view outlives the readers of its cube version, so its
-   codes stay small. *)
-let pack ncodes codes =
+   codes stay small.  [code_at j] is row [j]'s code. *)
+let pack ncodes size code_at =
   let width = if ncodes <= 0x100 then 1 else if ncodes <= 0x10000 then 2 else 4 in
-  let bytes = Bytes.create (width * Array.length codes) in
+  let bytes = Bytes.create (width * size) in
   (match width with
-  | 1 -> Array.iteri (Bytes.set_uint8 bytes) codes
-  | 2 -> Array.iteri (fun r c -> Bytes.set_uint16_le bytes (2 * r) c) codes
-  | _ -> Array.iteri (fun r c -> Bytes.set_int32_le bytes (4 * r) (Int32.of_int c)) codes);
+  | 1 ->
+      for j = 0 to size - 1 do
+        Bytes.set_uint8 bytes j (code_at j)
+      done
+  | 2 ->
+      for j = 0 to size - 1 do
+        Bytes.set_uint16_le bytes (2 * j) (code_at j)
+      done
+  | _ ->
+      for j = 0 to size - 1 do
+        Bytes.set_int32_le bytes (4 * j) (Int32.of_int (code_at j))
+      done);
   (bytes, width)
 
 let code v i r =
@@ -336,60 +345,166 @@ let code v i r =
   | 2 -> Bytes.get_uint16_le bytes (2 * r)
   | _ -> Int32.to_int (Bytes.get_int32_le bytes (4 * r))
 
-(* One pass over [size] rows, each a key (its first [n] values) and a
-   measure, in [iter] order.  A key that is not the same value as its
-   code's first one goes on its column's exception list, rows
-   ascending. *)
-let build_view ?order n size iter =
-  let dicts = Array.init n (fun _ -> Dict.create ()) in
-  let codes = Array.init n (fun _ -> Array.make size 0) in
-  let measures = Array.make size Value.Null in
-  let exceptions = Array.make n [] in
-  let row = ref 0 in
-  iter (fun (key : Value.t array) v ->
-      let r = !row in
-      for i = 0 to n - 1 do
-        let x = key.(i) in
-        let code = Dict.encode dicts.(i) x in
-        codes.(i).(r) <- code;
-        let first = Dict.decode dicts.(i) code in
-        if first != x && not (same_value first x) then
-          exceptions.(i) <- (r, x) :: exceptions.(i)
-      done;
-      measures.(r) <- v;
-      row := r + 1);
-  let packed = Array.mapi (fun i d -> pack (Dict.size d) codes.(i)) dicts in
+(* A view being written: rows appended one at a time, each key value
+   encoded as it arrives, the code arrays and measures grown by
+   doubling.  A key that is not the same value as its code's first one
+   goes on its column's exception list, rows descending. *)
+type builder = {
+  bdicts : Dict.t array;
+  mutable bcodes : int array array;
+  mutable bmeasures : Value.t array;
+  mutable rows : int;
+  bexceptions : (int * Value.t) list array;
+}
+
+let builder ?(size = 16) n =
+  let cap = max 1 size in
+  {
+    bdicts = Array.init n (fun _ -> Dict.create ());
+    bcodes = Array.init n (fun _ -> Array.make cap 0);
+    bmeasures = Array.make cap Value.Null;
+    rows = 0;
+    bexceptions = Array.make n [];
+  }
+
+let reserve b =
+  let cap = Array.length b.bmeasures in
+  if b.rows = cap then begin
+    let grown a fill =
+      let a' = Array.make (2 * cap) fill in
+      Array.blit a 0 a' 0 cap;
+      a'
+    in
+    b.bcodes <- Array.map (fun a -> grown a 0) b.bcodes;
+    b.bmeasures <- grown b.bmeasures Value.Null
+  end
+
+let encode b i x =
+  let d = b.bdicts.(i) in
+  let code = Dict.encode d x in
+  b.bcodes.(i).(b.rows) <- code;
+  let first = Dict.decode d code in
+  if first != x && not (same_value first x) then
+    b.bexceptions.(i) <- (b.rows, x) :: b.bexceptions.(i)
+
+let add_row b (key : Value.t array) measure =
+  reserve b;
+  for i = 0 to Array.length b.bdicts - 1 do
+    encode b i key.(i)
+  done;
+  b.bmeasures.(b.rows) <- measure;
+  b.rows <- b.rows + 1
+
+let add b (fact : Value.t array) =
+  let n = Array.length b.bdicts in
+  if Array.length fact <> n + 1 then
+    invalid_arg
+      (Printf.sprintf "Cube.add: a fact of width %d for %d key columns"
+         (Array.length fact) n);
+  add_row b fact fact.(n)
+
+(* The view of the builder's rows [sel.(0)], [sel.(1)], ...  in that
+   order ([None]: every row as added). *)
+let freeze ?order ?sel b =
+  let size = match sel with Some s -> Array.length s | None -> b.rows in
+  let at = match sel with Some s -> Array.get s | None -> Fun.id in
+  let packed =
+    Array.mapi
+      (fun i d ->
+        let codes = b.bcodes.(i) in
+        pack (Dict.size d) size (fun j -> codes.(at j)))
+      b.bdicts
+  in
+  let exceptions =
+    match sel with
+    | None -> Array.map (fun rows -> Array.of_list (List.rev rows)) b.bexceptions
+    | Some s ->
+        (* each row's position in [s], -1 for a row left out *)
+        let pos =
+          lazy
+            (let pos = Array.make b.rows (-1) in
+             Array.iteri (fun j r -> pos.(r) <- j) s;
+             pos)
+        in
+        Array.map
+          (fun rows ->
+            if rows = [] then [||]
+            else
+              let pos = Lazy.force pos in
+              List.filter_map
+                (fun (r, x) -> if pos.(r) >= 0 then Some (pos.(r), x) else None)
+                rows
+              |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+              |> Array.of_list)
+          b.bexceptions
+  in
   {
     size;
-    dicts;
+    dicts = b.bdicts;
     codes = Array.map fst packed;
     widths = Array.map snd packed;
-    measures;
-    exceptions = Array.map (fun rows -> Array.of_list (List.rev rows)) exceptions;
+    measures =
+      (if Option.is_none sel && size = Array.length b.bmeasures then b.bmeasures
+       else Array.init size (fun j -> b.bmeasures.(at j)));
+    exceptions;
     order = Atomic.make order;
   }
 
+(* The rows sorted by their key columns' ranks and then by measure,
+   which is {!Tuple.compare} of whole facts.  Rows added in strictly
+   ascending order, as a kernel walking its source in key order often
+   adds them, are taken as they are.  Otherwise a counting sort by the
+   first column and comparisons only inside its ties order them (the
+   measures are ranked only when two keys tie), and a fact that ties
+   with the one before it on every column repeats it and is dropped;
+   the sort is stable, so the first one added stays. *)
+let seal b =
+  let n = Array.length b.bdicts and rows = b.rows in
+  let keys = Array.mapi (fun i d -> lazy (b.bcodes.(i), Kernels.ranks d)) b.bdicts in
+  let measures =
+    lazy
+      (let d = Dict.create () in
+       let codes = Array.init rows (fun r -> Dict.encode d b.bmeasures.(r)) in
+       (codes, Kernels.ranks d))
+  in
+  let columns = Array.append keys [| measures |] in
+  let rec compare_from i r r' =
+    let codes, rank = Lazy.force columns.(i) in
+    match Int.compare rank.(codes.(r)) rank.(codes.(r')) with
+    | 0 -> if i = n then 0 else compare_from (i + 1) r r'
+    | c -> c
+  in
+  let rec ascending r = r >= rows || (compare_from 0 (r - 1) r < 0 && ascending (r + 1)) in
+  if ascending 1 then freeze ~order:(Array.init rows Fun.id) b
+  else begin
+    let sorted, _ = Kernels.sort_rows columns (Array.init rows Fun.id) in
+    let kept = ref 0 in
+    Array.iter
+      (fun r ->
+        if !kept = 0 || compare_from 0 sorted.(!kept - 1) r <> 0 then begin
+          sorted.(!kept) <- r;
+          incr kept
+        end)
+      sorted;
+    freeze ~order:(Array.init !kept Fun.id) ~sel:(Array.sub sorted 0 !kept) b
+  end
+
+(* One pass over the cube's facts in [iter] order. *)
 let view c =
   match Atomic.get c.view with
   | Some v -> v
   | None ->
       let n = Schema.arity c.schema in
-      let v =
-        build_view n (cardinality c) (fun f ->
-            iter
-              (fun k x ->
-                if Tuple.arity k <> n then validate_tuple c k;
-                f (k :> Value.t array) x)
-              c)
-      in
+      let b = builder ~size:(cardinality c) n in
+      iter
+        (fun k x ->
+          if Tuple.arity k <> n then validate_tuple c k;
+          add_row b (k :> Value.t array) x)
+        c;
+      let v = freeze b in
       Obs.count "cube.views_built";
       Atomic.set c.view (Some v);
       v
-
-let view_of_sorted n facts =
-  let size = List.length facts in
-  build_view ~order:(Array.init size Fun.id) n size (fun f ->
-      List.iter (fun fact -> f fact fact.(n)) facts)
 
 (* Binary search of [rows.(lo .. hi-1)] for row [r]; it takes every
    value it reads as an argument, so a lookup allocates no closure. *)

@@ -141,13 +141,32 @@ val key_order : view -> int array
     ties) and kept with the view, like the view with its version;
     counted as [cube.key_orders_built]. *)
 
-val view_of_sorted : int -> Value.t array list -> view
-(** [view_of_sorted n facts]: the view of facts that are each [n] key
-    values followed by a measure, rows in list order.  The facts must be
-    sorted by {!Tuple.compare}: the view's {!key_order} is the
-    identity.  This is how a relation of facts that is no cube version
-    (a chase's derived relation, a critical instance) gets the same
-    encoding as a cube. *)
+type builder
+(** A view being written a fact at a time: each key value is
+    dictionary-encoded as it arrives, so the facts are never held as
+    boxed tuples. *)
+
+val builder : ?size:int -> int -> builder
+(** [builder n]: an empty builder of facts with [n] key values each;
+    [size] is the rows expected (the arrays grow past it). *)
+
+val add : builder -> Value.t array -> unit
+(** Appends a fact: its [n] key values, then its measure.  The values
+    are kept, the array is not.
+    @raise Invalid_argument on a fact of another width. *)
+
+val seal : builder -> view
+(** The view of the facts added, in {!Tuple.compare} order of whole
+    facts (keys, then measure), so its {!key_order} is the identity.
+    Facts that repeat one added before them ([Value.equal] at every
+    position) are dropped, and the first one added stays, each value
+    the very one added: the set a {!Tuple.Table} keeps.  Sorted from
+    codes, like {!key_order}: facts added in strictly ascending order
+    are taken as they are, others by a counting sort by the first key
+    column and comparisons only inside its ties; the measures are
+    compared only where two keys tie.  This is how a relation of facts that is no cube
+    version (a chase's derived relation, a critical instance) gets the
+    same encoding as a cube.  The builder must not be used again. *)
 
 val map_measure : (Value.t -> Value.t) -> t -> t
 (** Pointwise transform; [Null] results are dropped (partiality). *)

@@ -43,6 +43,7 @@ let of_sources t schemas =
     (fun schema ->
       add out Elementary
         (match find t schema.Schema.name with
+        | Some c when Schema.equal (Cube.schema c) schema -> c
         | Some c -> Cube.with_schema schema c
         | None -> Cube.create schema))
     schemas;

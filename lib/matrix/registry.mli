@@ -31,9 +31,12 @@ val copy : t -> t
 
 val of_sources : t -> Schema.t list -> t
 (** A fresh registry of elementary cubes, one per schema: the cube of
-    that name in [t] copied under the schema ({!Cube.with_schema}), or
-    an empty cube when [t] has none.  This is how the interpreter and
-    the chase, vector and ETL targets read their source relations.
+    that name in [t] itself when its schema is that one ({!Schema.equal}),
+    else copied under the schema ({!Cube.with_schema}), or an empty cube
+    when [t] has none.  This is how the interpreter and the chase,
+    vector and ETL targets read their source relations: none of them
+    writes a source cube, so they share its version, and the view that
+    version memoizes, with every other reader.
     @raise Invalid_argument when a cube's arity differs from its
     schema's. *)
 

@@ -178,10 +178,17 @@ let test_view_roundtrip () =
   (* NaN is a float: a defined measure, like Value.to_float says *)
   Alcotest.(check bool) "nan gathered" true (Float.is_nan floats.(2));
   (* every view has dictionaries of its own; a join translates codes *)
-  let w = Cube.view_of_sorted 2 [ [| vs "s"; vi 9; vf 0. |] ] in
+  let w =
+    let b = Cube.builder 2 in
+    Cube.add b [| vs "s"; vi 9; vf 0. |];
+    Cube.seal b
+  in
   Alcotest.(check bool) "dictionaries of its own" true (w.Cube.dicts.(0) != v.Cube.dicts.(0));
-  Alcotest.(check (option (array int))) "translated" (Some [| 1 |])
-    (Dict.xlate w.Cube.dicts.(0) v.Cube.dicts.(0))
+  Alcotest.(check (option (array int))) "translated to its code in the other"
+    (Some [| probe v.Cube.dicts.(0) (vs "s") |])
+    (Dict.xlate w.Cube.dicts.(0) v.Cube.dicts.(0));
+  Alcotest.(check bool) "a code of a value the other holds" true
+    (probe v.Cube.dicts.(0) (vs "s") >= 0)
 
 (* --- kernels --- *)
 
@@ -448,6 +455,190 @@ let prop_columnar_matches_row =
             (run ~columnar:true reversed);
           true)
 
+(* --- sealed relations: a kernel's output written as a column view --- *)
+
+let quarter = ("q", Domain.Period (Some Calendar.Quarter))
+let region = ("r", Domain.String)
+let schema name dims = Schema.make ~name ~dims ()
+
+(* A mapping that copies [sources] and derives [derived] by [tgds],
+   each derived relation under its functionality egd. *)
+let hand_mapping ~sources ~derived tgds =
+  {
+    M.Mapping.source = sources;
+    target = sources @ derived;
+    st_tgds = [];
+    t_tgds = tgds;
+    egds = List.map M.Egd.of_schema derived;
+  }
+
+let registry cubes =
+  let reg = Registry.create () in
+  List.iter (Registry.add reg Registry.Elementary) cubes;
+  reg
+
+(* One chase leg over [reg], with the egd checks it flushed, which a
+   failed chase reports only there. *)
+let counted_run ~columnar mapping reg =
+  let c = Obs.create ~spans:false () in
+  let r =
+    Obs.with_collector c (fun () ->
+        X.Chase.run ~columnar mapping (X.Instance.of_registry reg))
+  in
+  (r, Obs.Metrics.counter_value c.Obs.metrics "chase.egd_checks")
+
+(* The columnar leg, after checking it against the row leg: the same
+   solution, counters and error text ([same_run]) and the same egd
+   checks. *)
+let sealed_same_run ~what mapping reg =
+  let row, row_checks = counted_run ~columnar:false mapping reg in
+  let col, col_checks = counted_run ~columnar:true mapping reg in
+  same_run ~what "" mapping row col;
+  Alcotest.(check int) (what ^ ": egd checks") row_checks col_checks;
+  col
+
+let solution what = function
+  | Ok (j, stats) -> (j, stats)
+  | Error e -> Alcotest.failf "%s: chase failed: %s" what e
+
+let project_out_region = tl [ atom "A" [ var "q"; var "r"; var "m" ] ] (atom "P" [ var "q"; var "m" ])
+let a_schema = schema "A" [ quarter; region ]
+let p_schema = schema "P" [ quarter ]
+
+(* Dropping the region repeats each quarter's fact: the sealed view
+   keeps one of each, and only the facts kept are counted. *)
+let test_sealed_duplicates () =
+  let reg =
+    registry
+      [
+        cube_of "A" [ quarter; region ]
+          [
+            [ vq 2024 1; vs "n"; vf 1. ];
+            [ vq 2024 1; vs "s"; vf 1. ];
+            [ vq 2024 2; vs "n"; vf 2. ];
+            [ vq 2024 2; vs "s"; vf 2. ];
+          ];
+      ]
+  in
+  let mapping = hand_mapping ~sources:[ a_schema ] ~derived:[ p_schema ] [ project_out_region ] in
+  let j, stats = solution "duplicates" (sealed_same_run ~what:"duplicates" mapping reg) in
+  Alcotest.(check int) "facts kept" 2 (X.Instance.cardinality j "P");
+  Alcotest.(check int) "tuples generated" 2 stats.X.Chase.tuples_generated;
+  Alcotest.(check bool) "P is a sealed view" true (X.Instance.cached_view j "P" <> None)
+
+(* [Int 1] and [Float 1.] are one key value: of the two facts they
+   project to, the one emitted first stays, as in a row store.  The
+   kernel walks A in key order, so the one in region "a" comes first. *)
+let test_sealed_int_float () =
+  let x = ("x", Domain.Any) in
+  let mapping =
+    hand_mapping ~sources:[ schema "A" [ x; region ] ] ~derived:[ schema "P" [ x ] ]
+      [ tl [ atom "A" [ var "x"; var "r"; var "m" ] ] (atom "P" [ var "x"; var "m" ]) ]
+  in
+  List.iter
+    (fun (first, second) ->
+      let reg =
+        registry
+          [ cube_of "A" [ x; region ] [ [ first; vs "a"; vf 5. ]; [ second; vs "b"; vf 5. ] ] ]
+      in
+      let what = Value.type_name first ^ " emitted first" in
+      let j, _ = solution what (sealed_same_run ~what mapping reg) in
+      match X.Instance.facts j "P" with
+      | [ [| k; _ |] ] -> Alcotest.(check bool) (what ^ ": it stays") true (identical k first)
+      | facts -> Alcotest.failf "%s: %d facts" what (List.length facts))
+    [ (vi 1, vf 1.); (vf 1., vi 1) ]
+
+(* Two measures for Q2 in P: both legs fail with the same message,
+   after the same checks (up to the violation, in key order). *)
+let test_sealed_egd_violation () =
+  let reg =
+    registry
+      [
+        cube_of "A" [ quarter; region ]
+          [
+            [ vq 2024 1; vs "n"; vf 1. ];
+            [ vq 2024 2; vs "n"; vf 2. ];
+            [ vq 2024 2; vs "s"; vf 3. ];
+            [ vq 2024 3; vs "n"; vf 4. ];
+          ];
+      ]
+  in
+  let mapping = hand_mapping ~sources:[ a_schema ] ~derived:[ p_schema ] [ project_out_region ] in
+  match sealed_same_run ~what:"egd violation" mapping reg with
+  | Ok _ -> Alcotest.fail "the violation passed"
+  | Error msg ->
+      Alcotest.(check string) "message"
+        "chase failed: egd violation: P has two measures (2, 3) for (2024Q2)" msg;
+      Alcotest.(check int) "checks up to the violation" 3
+        (snd (counted_run ~columnar:true mapping reg))
+
+(* An empty source seals empty relations, through a projection and an
+   aggregation alike. *)
+let test_sealed_empty () =
+  let reg = registry [ Cube.create a_schema ] in
+  let mapping =
+    hand_mapping ~sources:[ a_schema ]
+      ~derived:[ p_schema; schema "S" [ region ] ]
+      [
+        project_out_region;
+        sum_tgd (atom "A" [ var "q"; var "r"; var "m" ]) ~group_by:[ var "r" ] ~measure:"m" "S";
+      ]
+  in
+  let j, stats = solution "empty" (sealed_same_run ~what:"empty source" mapping reg) in
+  Alcotest.(check (pair int int)) "no facts" (0, 0)
+    (X.Instance.cardinality j "P", X.Instance.cardinality j "S");
+  Alcotest.(check int) "none generated" 0 stats.X.Chase.tuples_generated
+
+(* Two tgds write SHARED: the first seals it, the second finds it
+   holding facts and inserts its own one by one.  With the clash, the
+   union breaks SHARED's egd in both legs alike. *)
+let test_sealed_shared_target () =
+  List.iter
+    (fun clash ->
+      let mapping, reg = shared_target ~clash in
+      let mapping =
+        { mapping with M.Mapping.egds = List.map M.Egd.of_schema mapping.M.Mapping.target }
+      in
+      let what = if clash then "shared target, clashing" else "shared target" in
+      match (sealed_same_run ~what mapping reg, clash) with
+      | Ok (j, _), false ->
+          Alcotest.(check int) "both tgds' facts" 3 (X.Instance.cardinality j "SHARED");
+          Alcotest.(check bool) "rows after the insert fallback" true
+            (X.Instance.cached_view j "SHARED" = None)
+      | Error msg, true -> check_names_shared what (Error msg)
+      | Ok _, true -> Alcotest.fail "the clash passed"
+      | Error e, false -> Alcotest.failf "%s: %s" what e)
+    [ false; true ]
+
+(* A sealed relation read by the row matcher: a three-atom tgd joins P
+   with two sources, and materializes P's rows to probe it. *)
+let test_sealed_row_reader () =
+  let rows name =
+    cube_of name [ quarter; region ]
+      (List.concat_map
+         (fun q -> [ [ vq 2024 q; vs "n"; vf (float_of_int q) ]; [ vq 2024 q; vs "s"; vf 10. ] ])
+         [ 1; 2; 3 ])
+  in
+  let reg = registry [ rows "A"; rows "B"; rows "C" ] in
+  let qr = [ quarter; region ] in
+  let mapping =
+    hand_mapping
+      ~sources:[ a_schema; schema "B" qr; schema "C" qr ]
+      ~derived:[ schema "P" qr; schema "T" qr ]
+      [
+        tl [ atom "A" [ var "q"; var "r"; var "m" ] ] (atom "P" [ var "q"; var "r"; var "m" ]);
+        tl
+          [
+            atom "P" [ var "q"; var "r"; var "x" ];
+            atom "B" [ var "q"; var "r"; var "y" ];
+            atom "C" [ var "q"; var "r"; var "z" ];
+          ]
+          (atom "T" [ var "q"; var "r"; var "x" ]);
+      ]
+  in
+  let j, _ = solution "row reader" (sealed_same_run ~what:"three-atom reader" mapping reg) in
+  Alcotest.(check int) "T joins every P fact" 6 (X.Instance.cardinality j "T")
+
 let suite =
   [
     ("dict: encode/decode round-trip", `Quick, test_dict_roundtrip);
@@ -462,4 +653,10 @@ let suite =
     QCheck_alcotest.to_alcotest prop_key_order;
     ("chase: columnar A/B on the overview", `Quick, test_overview_ab);
     QCheck_alcotest.to_alcotest prop_columnar_matches_row;
+    ("sealed: duplicate facts", `Quick, test_sealed_duplicates);
+    ("sealed: Int 1 beside Float 1.", `Quick, test_sealed_int_float);
+    ("sealed: egd violation", `Quick, test_sealed_egd_violation);
+    ("sealed: empty source", `Quick, test_sealed_empty);
+    ("sealed: two tgds into one target", `Quick, test_sealed_shared_target);
+    ("sealed: read by a three-atom tgd", `Quick, test_sealed_row_reader);
   ]

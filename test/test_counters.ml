@@ -449,6 +449,40 @@ let test_views_perturbed () =
     (fst views_expected + 1, snd views_expected)
     (cycle_counters ~extra:1 ())
 
+(* The views one recompute of [Rows.micro] builds on [target], with
+   the SQL target for the cubes [target] cannot compute (GDPT's STL
+   trend and what reads it), the elementary cubes loaded (and their
+   versions' views built by the load check) beforehand. *)
+let recompute_views (target : Engine.Target.t) =
+  let config =
+    {
+      Engine.Exlengine.default_config with
+      Engine.Exlengine.targets = [ target; Engine.Target.sql ];
+      policy = { Engine.Dispatcher.priority = [ target.Engine.Target.name; "sql" ]; overrides = [] };
+    }
+  in
+  let engine = Engine.Exlengine.create ~config () in
+  ok (Engine.Exlengine.register_program engine ~name:"overview" Workload.overview_program);
+  let data = Rows.micro.Rows.data () in
+  List.iter
+    (fun name -> ok (Engine.Exlengine.load_elementary engine (Registry.find_exn data name)))
+    [ "PDR"; "RGDPPC" ];
+  let c = Obs.create ~spans:false () in
+  Obs.with_collector c (fun () ->
+      ignore (ok (Engine.Exlengine.recompute engine) : Engine.Dispatcher.report));
+  Obs.Metrics.counter_value c.Obs.metrics "cube.views_built"
+
+(* The vector and ETL targets read PDR's and RGDPPC's own versions,
+   whose views the load check built, and build views only of cubes the
+   recompute derives.  A copy of each source under its schema, which
+   memoized a view of its own, read (3, 9). *)
+let recompute_views_expected = (1, 7)
+
+let test_recompute_views () =
+  Alcotest.(check (pair int int)) "(vector, etl) views built by a recompute"
+    recompute_views_expected
+    (recompute_views Engine.Target.vector, recompute_views Engine.Target.etl_no_stl)
+
 (* --- key orders: one per cube version the chase reads --- *)
 
 (* [cube.key_orders_built] during one chase of [reg]. *)
@@ -550,6 +584,24 @@ let test_of_registry_words () =
     true
     (words <= of_registry_words_bound)
 
+(* One [Optimize.run] plus [Optimize.verify] of the overview mapping:
+   every fusion check and certificate chases over a critical instance
+   and compares solutions.  On OCaml 5.1 it reads 153 866 words; the
+   bound leaves ~2 % for the other compilers CI builds on.  Inserting
+   each derived fact into a hashed row store, re-encoding it for the
+   next reader and decoding both solutions to compare them read
+   192 921. *)
+let optimize_words_bound = 157_000.
+
+let test_optimize_words () =
+  let mapping = Rows.mapping_of Rows.micro.Rows.program in
+  let run () = ok (Analysis.Optimize.verify (Analysis.Optimize.run mapping)) in
+  run ();
+  let words = minor_words run in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words <= %.0f" words optimize_words_bound)
+    true (words <= optimize_words_bound)
+
 let suite =
   [
     ("chase: semi-naive matches", `Quick, test_chase);
@@ -571,8 +623,10 @@ let suite =
     ("chase: index counts, perturbed input", `Quick, test_index_perturbed);
     ("views: one per cube version", `Quick, test_views);
     ("views: perturbed input", `Quick, test_views_perturbed);
+    ("views: a recompute on the vector and ETL targets", `Quick, test_recompute_views);
     ("alloc: hashing keys", `Quick, test_hash_words);
     ("alloc: X11 batch words", `Quick, test_batch_words);
     ("views: key orders built", `Quick, test_key_orders);
     ("alloc: of_registry words", `Quick, test_of_registry_words);
+    ("alloc: optimize+verify words", `Quick, test_optimize_words);
   ]
