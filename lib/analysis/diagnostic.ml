@@ -78,7 +78,8 @@ let catalogue =
     ("I303", "optimizer merged duplicate functional body atoms (justified \
               by the relation's egd)");
     ("I304", "optimizer fused a temporary into its consumer(s) (cost model \
-              win, equivalence checked on the critical instance)");
+              win; proved by unfolding into tuple-level consumers, \
+              checked on the critical instance otherwise)");
     ("I305", "optimizer specialized an outer combine with provably equal \
               grids to a tuple-level tgd");
     ("I306", "optimizer discharged a functionality egd implied by the \

@@ -8,8 +8,9 @@
    - I302  drop a redundant body atom (core folding witness);
    - I303  merge duplicate functional body atoms (egd justification);
    - I304  fuse a temporary into its consumer(s), gated by a cost
-           model and checked by chasing both mappings on a critical
-           instance;
+           model; proved by unfolding when every consumer is
+           tuple-level, otherwise checked by chasing both mappings on
+           a critical instance;
    - I305  specialize an outer combine whose sides share one relation
            (equal grids, so the default is dead) to a tuple-level tgd;
    - I306  discharge a functionality egd implied by its defining tgd
@@ -116,8 +117,10 @@ let dim_values (d : Domain.t) =
          distances and — when the cycle is short enough — for blackbox
          seasonal decompositions, which need two full cycles.  Capped
          at 30 values: weekly/daily decompositions stay unchaseable on
-         the critical instance, which conservatively disables fusion
-         there instead of blowing up the instance. *)
+         the critical instance instead of blowing up the instance.
+         There the fusions that need a chase (into aggregations, table
+         functions and outer combines) are rejected; tuple-level
+         fusions are still proved by unfolding. *)
       let freq = Option.value ~default:Calendar.Quarter f in
       let count =
         match Calendar.periods_per_year freq with
@@ -291,106 +294,6 @@ let equivalent_on_critical (m1 : Mapping.t) (m2 : Mapping.t) :
   | Error e -> original_failed e
   | Ok (j1, _) -> fst (chase_and_compare j1 m2 inst)
 
-(* --- fusion checks against one base solution ------------------------- *)
-
-(* [fuse_all] checks each candidate [next] against the current mapping
-   [m] it was derived from.  The critical instance and [m]'s solution
-   over it are the same for every candidate, so the base keeps both,
-   chased once (lazily: a run with no candidate chases nothing).  A
-   committed candidate's solution becomes the next base, unless the
-   commit changed the mapping's constants, which the critical instance
-   is built from: then the next base is chased afresh. *)
-type fusion_base = {
-  mapping : Mapping.t;
-  consts : Value.t list;
-  instance : Exchange.Instance.t Lazy.t;
-  solution : (Exchange.Instance.t, string) result Lazy.t;
-}
-
-let fusion_base (m : Mapping.t) =
-  let instance = lazy (critical_instance m) in
-  let solution =
-    lazy (Result.map fst (Exchange.Chase.run m (Lazy.force instance)))
-  in
-  { mapping = m; consts = mapping_consts m; instance; solution }
-
-(* The relations [next] may derive differently from [m]: the targets of
-   tgds in one mapping but not (physically) in the other and,
-   transitively, the target of every tgd of [next] reading one of them.
-   Every other relation has the same tgds over the same inputs in both,
-   hence the same facts — given that [next] differs from [m] only in its
-   tgds and by dropping the relations (and egds) of tgds it dropped,
-   which is what a fusion does. *)
-let affected (m : Mapping.t) (next : Mapping.t) =
-  let only_in a b = List.filter (fun t -> not (List.memq t b)) a in
-  let rec close affected =
-    let grown =
-      List.filter
-        (fun tgd ->
-          (not (List.mem (Tgd.target_relation tgd) affected))
-          && List.exists
-               (fun r -> List.mem r affected)
-               (Tgd.source_relations tgd))
-        next.Mapping.t_tgds
-    in
-    if grown = [] then affected
-    else close (List.map Tgd.target_relation grown @ affected)
-  in
-  close
-    (List.map Tgd.target_relation
-       (only_in m.Mapping.t_tgds next.Mapping.t_tgds
-       @ only_in next.Mapping.t_tgds m.Mapping.t_tgds))
-
-(* Decide [equivalent_on_critical base.mapping next] by chasing only the
-   affected cone of [next], seeded with the base solution for every
-   other relation.  The seeded relations hold the base's facts
-   unchanged, so only the affected ones are compared; the others count
-   towards [facts_compared] by cardinality, which gives the full
-   check's verdict, count and message.  Falls back to a full chase of
-   [next] when the cone chase fails, so that an error carries the full
-   check's message.  Also returns [next]'s solution, when one was
-   computed. *)
-let check_against (base : fusion_base) (next : Mapping.t) =
-  match Lazy.force base.solution with
-  | Error e -> (original_failed e, None)
-  | Ok j1 -> (
-      let affected = affected base.mapping next in
-      let cone =
-        {
-          next with
-          Mapping.source =
-            List.filter
-              (fun (s : Schema.t) -> not (List.mem s.Schema.name affected))
-              next.Mapping.target;
-          t_tgds =
-            List.filter
-              (fun tgd -> List.mem (Tgd.target_relation tgd) affected)
-              next.Mapping.t_tgds;
-        }
-      in
-      match Exchange.Chase.run cone j1 with
-      | Error _ -> chase_and_compare j1 next (Lazy.force base.instance)
-      | Ok (j2, _) ->
-          let unchanged rel = not (List.mem rel affected) in
-          (compare_solutions ~unchanged j1 j2 next, Some j2))
-
-let check_fusion (base : fusion_base) (next : Mapping.t) =
-  match check_against base next with
-  | (Ok _ as verdict), Some j2 ->
-      let consts = mapping_consts next in
-      let committed =
-        if List.equal Value.equal consts base.consts then
-          {
-            mapping = next;
-            consts;
-            instance = base.instance;
-            solution = Lazy.from_val (Ok j2);
-          }
-        else fusion_base next
-      in
-      (verdict, committed)
-  | verdict, _ -> (verdict, base)
-
 (* --- certificates and actions ---------------------------------------- *)
 
 type certificate =
@@ -402,6 +305,11 @@ type certificate =
     }
   | Egd_merge of { relation : string; dropped_var : string; kept_var : string }
   | Fusion_equivalence of { producer : Tgd.t; facts_compared : int }
+  | Unfolding of {
+      producer : Tgd.t;
+      unifier : Containment.homomorphism;
+      chain : string list;
+    }
   | Grid_equality of { relation : string }
   | Determination of { chain : string list }
 
@@ -566,6 +474,266 @@ let minimize_all push ~original (m : Mapping.t) =
     Mapping.t_tgds = List.map (minimize_tgd push ~original) m.Mapping.t_tgds;
   }
 
+(* --- fusion checks against one base solution ------------------------- *)
+
+(* [fuse_all] checks each candidate [next] against the current mapping
+   [m] it was derived from.  A tuple-level fusion is proved by
+   unfolding, with no chase; the other candidates are checked on the
+   critical instance.  The critical instance and [m]'s solution over it
+   are the same for every candidate, so the base keeps both, chased
+   once and lazily: a run whose candidates are all unfoldings chases
+   nothing.  A committed candidate becomes the next base with the
+   solution at hand — the one the cone check just computed, or, after
+   an unfolding, the still-lazy solution of [m], which agrees with
+   [next] on every relation of [next] — unless the commit changed the
+   mapping's constants, which the critical instance is built from: then
+   the next base is a fresh lazy one. *)
+type fusion_base = {
+  mapping : Mapping.t;
+  consts : Value.t list;
+  instance : Exchange.Instance.t Lazy.t;
+  solution : (Exchange.Instance.t, string) result Lazy.t;
+}
+
+let fusion_base (m : Mapping.t) =
+  let instance = lazy (critical_instance m) in
+  let solution =
+    lazy (Result.map fst (Exchange.Chase.run m (Lazy.force instance)))
+  in
+  { mapping = m; consts = mapping_consts m; instance; solution }
+
+let commit (base : fusion_base) (next : Mapping.t) solution =
+  let consts = mapping_consts next in
+  if List.equal Value.equal consts base.consts then
+    { mapping = next; consts; instance = base.instance; solution }
+  else fusion_base next
+
+let only_in a b = List.filter (fun t -> not (List.memq t b)) a
+
+(* The relations [next] may derive differently from [m]: the targets of
+   tgds in one mapping but not (physically) in the other and,
+   transitively, the target of every tgd of [next] reading one of them.
+   Every other relation has the same tgds over the same inputs in both,
+   hence the same facts — given that [next] differs from [m] only in its
+   tgds and by dropping the relations (and egds) of tgds it dropped,
+   which is what a fusion does. *)
+let affected (m : Mapping.t) (next : Mapping.t) =
+  let rec close affected =
+    let grown =
+      List.filter
+        (fun tgd ->
+          (not (List.mem (Tgd.target_relation tgd) affected))
+          && List.exists
+               (fun r -> List.mem r affected)
+               (Tgd.source_relations tgd))
+        next.Mapping.t_tgds
+    in
+    if grown = [] then affected
+    else close (List.map Tgd.target_relation grown @ affected)
+  in
+  close
+    (List.map Tgd.target_relation
+       (only_in m.Mapping.t_tgds next.Mapping.t_tgds
+       @ only_in next.Mapping.t_tgds m.Mapping.t_tgds))
+
+(* Decide [equivalent_on_critical base.mapping next] by chasing only the
+   affected cone of [next], seeded with the base solution for every
+   other relation.  The seeded relations hold the base's facts
+   unchanged, so only the affected ones are compared; the others count
+   towards [facts_compared] by cardinality, which gives the full
+   check's verdict, count and message.  Falls back to a full chase of
+   [next] when the cone chase fails, so that an error carries the full
+   check's message.  Also returns [next]'s solution, when one was
+   computed. *)
+let check_against (base : fusion_base) (next : Mapping.t) =
+  match Lazy.force base.solution with
+  | Error e -> (original_failed e, None)
+  | Ok j1 -> (
+      let affected = affected base.mapping next in
+      let cone =
+        {
+          next with
+          Mapping.source =
+            List.filter
+              (fun (s : Schema.t) -> not (List.mem s.Schema.name affected))
+              next.Mapping.target;
+          t_tgds =
+            List.filter
+              (fun tgd -> List.mem (Tgd.target_relation tgd) affected)
+              next.Mapping.t_tgds;
+        }
+      in
+      match Exchange.Chase.run cone j1 with
+      | Error _ -> chase_and_compare j1 next (Lazy.force base.instance)
+      | Ok (j2, _) ->
+          let unchanged rel = not (List.mem rel affected) in
+          (compare_solutions ~unchanged j1 j2 next, Some j2))
+
+(* --- unfolding: tuple-level fusions proved without a chase ------------ *)
+
+(* Inlining a tuple-level producer [L → T(s)] into a tuple-level
+   consumer [T(u) ∧ B → H] is view unfolding: [Fuse.fuse_step] computes
+   the most general unifier σ of [u] and the renamed-apart [s], and
+   the fused tgd [σ(B ∧ L) → σ(H)] derives exactly the facts the pair
+   derives through [T] (Calì & Torlone, conjunctive queries), given
+   four side conditions the chase's semantics add:
+
+   - [T] is functional: the producer's body determines its head measure
+     from its head dimensions, so [T]'s egd, which the fused mapping
+     drops, can never fail;
+   - undefinedness is preserved: a producer head term that can be
+     undefined (anything but a variable or a constant) leaves a hole in
+     [T], so its image must still be evaluated by the fused tgd,
+     outside every [Coalesce], which absorbs an undefined operand;
+   - both the producer and the fused tgd run: every variable of a
+     complex body term or of the head occurs as a plain argument of a
+     body atom (the chase refuses the first, derives nothing for the
+     second);
+   - no other tgd reads or writes [T] once the consumers are fused.
+
+   [unfolding] checks the first three for one consumer, whose fused tgd
+   must be the replayed fusion ([replays]).  It returns σ on the
+   consumer's variables, read off the replay, and the determination
+   chain of [T]'s measure.  The fourth holds for every candidate, which
+   fuses all of [T]'s readers, and [T] never has a second writer
+   ([fusion_of]); [verify] checks it on the optimized mapping. *)
+
+(* [t] is evaluated whenever [term] is: it occurs in [term] outside
+   every [Coalesce]. *)
+let rec forces t (term : Term.t) =
+  Term.equal t term
+  ||
+  match term with
+  | Term.Var _ | Term.Const _ | Term.Coalesce _ -> false
+  | Term.Shifted (a, _) | Term.Dim_fn (_, a) | Term.Scalar_fn (_, _, a)
+  | Term.Neg a ->
+      forces t a
+  | Term.Binapp (_, a, b) -> forces t a || forces t b
+
+let runs (lhs : Tgd.atom list) (rhs : Tgd.atom) =
+  let plain =
+    List.concat_map
+      (fun (a : Tgd.atom) ->
+        List.filter_map (function Term.Var v -> Some v | _ -> None) a.Tgd.args)
+      lhs
+  in
+  let complex (a : Tgd.atom) =
+    List.concat_map (function Term.Var _ -> [] | t -> Term.vars t) a.Tgd.args
+  in
+  List.for_all
+    (fun v -> List.mem v plain)
+    (Tgd.atom_vars rhs @ List.concat_map complex lhs)
+
+let match_atoms patterns targets =
+  if List.compare_lengths patterns targets <> 0 then None
+  else
+    List.fold_left2
+      (fun acc p t -> Option.bind acc (fun sub -> Containment.match_atom sub p t))
+      (Some []) patterns targets
+
+(* [fused] is the fusion [raw] a replay computed, as committed: after
+   body minimization (its action log discarded), when that changed it.
+   Fresh variable names depend only on the two tgds, so the replay
+   reproduces the recorded tgd exactly. *)
+let replays ~original raw fused =
+  Tgd.equal raw fused || Tgd.equal (minimize_tgd (fun _ -> ()) ~original raw) fused
+
+let unfolding ~original ~producer ~consumer ~fused =
+  match (producer, consumer, Fuse.fuse_step ~producer ~consumer) with
+  | ( Tgd.Tuple_level { lhs = p_lhs; rhs = p_rhs },
+      Tgd.Tuple_level { lhs = c_lhs; rhs = c_rhs },
+      Some (Tgd.Tuple_level { lhs; rhs } as raw) )
+    when runs p_lhs p_rhs && runs lhs rhs && replays ~original raw fused -> (
+      (* the replay lists the consumer's other atoms, then the
+         producer's body: match each side onto its part *)
+      let temp_atom, others =
+        List.partition (fun (a : Tgd.atom) -> a.Tgd.rel = p_rhs.Tgd.rel) c_lhs
+      in
+      let n = List.length others in
+      let raw_others = List.filteri (fun i _ -> i < n) lhs in
+      let raw_producer = List.filteri (fun i _ -> i >= n) lhs in
+      let image =
+        Option.map
+          (fun tau ->
+            { p_rhs with Tgd.args = List.map (Containment.apply_hom tau) p_rhs.Tgd.args })
+          (match_atoms p_lhs raw_producer)
+      in
+      let unifier =
+        Option.bind image (fun image ->
+            match_atoms ((c_rhs :: others) @ temp_atom) ((rhs :: raw_others) @ [ image ]))
+      in
+      let defined (image : Tgd.atom) =
+        List.for_all2
+          (fun s t ->
+            match (s : Term.t) with
+            | Term.Var _ | Term.Const _ -> true
+            | _ ->
+                List.exists
+                  (fun (a : Tgd.atom) -> List.exists (forces t) a.Tgd.args)
+                  (rhs :: lhs))
+          p_rhs.Tgd.args image.Tgd.args
+      in
+      let functional_body =
+        List.filter (fun (a : Tgd.atom) -> functional_rel original a.Tgd.rel) p_lhs
+      in
+      match (image, unifier) with
+      | Some image, Some unifier when defined image ->
+          (* identity bindings say nothing: a homomorphism leaves
+             unnamed variables alone *)
+          let moved =
+            List.filter (fun (v, t) -> not (Term.equal t (Term.Var v))) unifier
+          in
+          Option.map
+            (fun chain -> (List.rev moved, chain))
+            (Containment.fd_determines ~body:functional_body ~head:p_rhs)
+      | _ -> None)
+  | _ -> None
+
+(* When [next] is one fusion of [m]: the producer, and each consumer
+   paired with the tgd of [next] that replaced it.  [m]'s tgds missing
+   from [next] are the producer — the one whose target [next] drops —
+   and its consumers, which [next]'s new tgds replace in order. *)
+let fusion_diff (m : Mapping.t) (next : Mapping.t) =
+  let dropped tgd =
+    not
+      (List.exists
+         (fun (s : Schema.t) -> s.Schema.name = Tgd.target_relation tgd)
+         next.Mapping.target)
+  in
+  let added = only_in next.Mapping.t_tgds m.Mapping.t_tgds in
+  match List.partition dropped (only_in m.Mapping.t_tgds next.Mapping.t_tgds) with
+  | [ producer ], consumers when List.compare_lengths consumers added = 0 ->
+      Some (producer, List.combine consumers added)
+  | _ -> None
+
+(* The unifier and determination chain of each fused consumer, in
+   [next]'s order, when [next] is a fusion of [base.mapping] that every
+   side condition proves. *)
+let unfoldings (base : fusion_base) (next : Mapping.t) =
+  match fusion_diff base.mapping next with
+  | Some (producer, pairs) ->
+      let proofs =
+        List.map
+          (fun (consumer, fused) ->
+            unfolding ~original:base.mapping ~producer ~consumer ~fused)
+          pairs
+      in
+      if List.for_all Option.is_some proofs then Some (List.filter_map Fun.id proofs)
+      else None
+  | _ -> None
+
+type fusion_proof =
+  | Unfolded of (Containment.homomorphism * string list) list
+  | Chased of int
+
+let check_fusion ?(unfold = true) (base : fusion_base) (next : Mapping.t) =
+  match if unfold then unfoldings base next else None with
+  | Some proofs -> (Ok (Unfolded proofs), commit base next base.solution)
+  | None -> (
+      match check_against base next with
+      | Ok n, Some j2 -> (Ok (Chased n), commit base next (Lazy.from_val (Ok j2)))
+      | verdict, _ -> (Result.map (fun n -> Chased n) verdict, base))
+
 (* --- pass 3: cost-gated, certified fusion (I304) ----------------------- *)
 
 let usages (m : Mapping.t) name =
@@ -639,7 +807,13 @@ let fusion_of ~original ?cards (m : Mapping.t) producer =
   match producer with
   | Tgd.Tuple_level _ -> (
       let temp = Tgd.target_relation producer in
-      if not (Exl.Normalize.is_temp temp) then None
+      (* a second writer of [temp] would be left writing a relation the
+         candidate drops *)
+      if (not (Exl.Normalize.is_temp temp))
+         || List.exists
+              (fun t -> t != producer && Tgd.target_relation t = temp)
+              m.Mapping.t_tgds
+      then None
       else
         match usages m temp with
         | [] -> None
@@ -711,28 +885,44 @@ let fuse_all push ~original ?cards (m : Mapping.t) =
     | Some f -> (
         match check_fusion base f.next with
         | Error _, _ -> loop base m (f.temp :: rejected)
-        | Ok facts_compared, committed ->
+        | Ok proof, committed ->
+            let certified =
+              match proof with
+              | Unfolded proofs ->
+                  List.map2
+                    (fun pair (unifier, chain) ->
+                      ( pair,
+                        Unfolding { producer = f.producer; unifier; chain },
+                        Printf.sprintf "unfolded with σ = %s, %s functional via %s"
+                          (Containment.hom_to_string unifier)
+                          f.temp (String.concat " → " chain) ))
+                    f.fused proofs
+              | Chased facts_compared ->
+                  List.map
+                    (fun pair ->
+                      ( pair,
+                        Fusion_equivalence { producer = f.producer; facts_compared },
+                        Printf.sprintf
+                          "equivalence checked on the critical instance (%d facts)"
+                          facts_compared ))
+                    f.fused
+            in
             List.iter
-              (fun (consumer, fused) ->
+              (fun ((consumer, fused), certificate, evidence) ->
+                let target = Tgd.target_relation consumer in
                 push
                   {
                     code = "I304";
-                    target = Tgd.target_relation consumer;
+                    target;
                     detail =
                       Printf.sprintf
-                        "fused temporary %s into %s (est. matches %d → %d); \
-                         equivalence checked on the critical instance (%d \
-                         facts)"
-                        f.temp
-                        (Tgd.target_relation consumer)
-                        f.unfused f.fused_cost facts_compared;
+                        "fused temporary %s into %s (est. matches %d → %d); %s"
+                        f.temp target f.unfused f.fused_cost evidence;
                     before = Some consumer;
                     after = Some fused;
-                    certificate =
-                      Fusion_equivalence
-                        { producer = f.producer; facts_compared };
+                    certificate;
                   })
-              f.fused;
+              certified;
             List.iter push f.minimizing;
             loop committed f.next rejected)
   in
@@ -1099,6 +1289,30 @@ let verify_action (r : report) (a : action) : (unit, string) result =
           Ok ()
       | Some _ -> fail "replayed fusion for %s differs from the recorded tgd" a.target
       | None -> fail "recorded fusion for %s does not replay" a.target)
+  | Unfolding { producer; unifier; chain }, Some consumer, Some fused -> (
+      (* no chase: replay the fusion and re-derive its unifier and
+         chain, which holds only if every side condition does *)
+      let temp = Tgd.target_relation producer in
+      match unfolding ~original:r.original ~producer ~consumer ~fused with
+      | None ->
+          fail "unfolding of %s into %s does not replay or fails a side condition"
+            temp a.target
+      | Some (u, c) ->
+          let same_hom =
+            List.equal (fun (v, t) (w, s) -> v = w && Term.equal t s) unifier u
+          in
+          if not (same_hom && c = chain) then
+            fail "unifier or determination chain of the unfolding into %s does not \
+                  replay" a.target
+          else if
+            List.exists
+              (fun tgd ->
+                Tgd.target_relation tgd = temp
+                || List.mem temp (Tgd.source_relations tgd))
+              r.optimized.Mapping.t_tgds
+          then
+            fail "temporary %s is still read or written after unfolding" temp
+          else Ok ())
   | Grid_equality { relation }, Some before, Some after -> (
       match specialize_outer before with
       | Some replay when Tgd.equal replay after -> (
@@ -1131,8 +1345,9 @@ let verify (r : report) : (unit, string) result =
            on the critical instance, independent of any single step.
            A mapping whose blackbox operators reject the synthetic
            instance outright cannot be re-chased — then the per-action
-           certificates (none of which can be fusion, which needs the
-           same evidence) are all the verification there is. *)
+           certificates are all the verification there is: the
+           syntactic ones, unfoldings among them, since a chased fusion
+           needs the same instance. *)
         let inst = critical_instance r.original in
         match Exchange.Chase.run r.original inst with
         | Error _ -> Ok ()
@@ -1170,6 +1385,13 @@ let certificate_to_json c =
   | Fusion_equivalence { producer; facts_compared } ->
       obj "fusion_equivalence"
         [ ("producer", Str (Tgd.to_string producer)); ("facts_compared", json_int facts_compared) ]
+  | Unfolding { producer; unifier; chain } ->
+      obj "unfolding"
+        [
+          ("producer", Str (Tgd.to_string producer));
+          ("unifier", Str (Containment.hom_to_string unifier));
+          ("chain", List (List.map (fun v -> Str v) chain));
+        ]
   | Grid_equality { relation } -> obj "grid_equality" [ ("relation", Str relation) ]
   | Determination { chain } ->
       obj "determination" [ ("chain", List (List.map (fun v -> Str v) chain)) ]

@@ -23,8 +23,21 @@ type certificate =
       (** I303: the relation whose functionality egd forces the merged
           measures equal. *)
   | Fusion_equivalence of { producer : Mappings.Tgd.t; facts_compared : int }
-      (** I304: the inlined producer; equivalence was established by
+      (** I304 into an aggregation, table-function or outer-combine
+          consumer: the inlined producer; equivalence was established by
           chasing both mappings on the critical instance. *)
+  | Unfolding of {
+      producer : Mappings.Tgd.t;
+      unifier : Containment.homomorphism;
+      chain : string list;
+    }
+      (** I304 into a tuple-level consumer, proved without a chase: the
+          inlined producer, the unifier of the consumer's temporary atom
+          with the producer's head (consumer variable ↦ term of the
+          fused tgd), and the determination chain showing the
+          temporary is functional.  Also checked: every partial
+          producer head term is still evaluated by the fused tgd, and
+          the chase can run both the producer and the fused tgd. *)
   | Grid_equality of { relation : string }
       (** I305: both outer-combine sides read this relation on the same
           dimension terms, so the coalescing default is dead. *)
@@ -62,7 +75,8 @@ val run :
 
 val verify : report -> (unit, string) result
 (** Independently re-check every action's certificate (witnesses are
-    re-applied, merges and fusions replayed, determination chains
+    re-applied, merges and fusions replayed, an unfolding's unifier,
+    chain and side conditions re-derived, determination chains
     re-chased) and re-chase [original] vs [optimized] on the critical
     instance.  [Error] pinpoints the first failing certificate. *)
 
@@ -76,9 +90,11 @@ val equivalent_on_critical :
 (** {1 Fusion checks}
 
     The optimizer certifies each fusion candidate against the current
-    mapping without re-chasing it: the mapping's solution on its
-    critical instance is chased once and shared by every candidate, and
-    each candidate chases only the relations its rewrite can change. *)
+    mapping.  A candidate whose consumers are all tuple-level is proved
+    by unfolding, with no chase.  Any other is checked on the critical
+    instance without re-chasing the current mapping: its solution is
+    chased once, on first use, and shared by every candidate, and each
+    candidate chases only the relations its rewrite can change. *)
 
 type fusion_base
 (** A mapping with its critical instance and its solution over it,
@@ -86,9 +102,23 @@ type fusion_base
 
 val fusion_base : Mappings.Mapping.t -> fusion_base
 
+(** How {!check_fusion} certified a candidate. *)
+type fusion_proof =
+  | Unfolded of (Containment.homomorphism * string list) list
+      (** The unifier and determination chain of each fused consumer,
+          in the candidate's order: an {!Unfolding} each. *)
+  | Chased of int
+      (** The facts compared on the critical instance: a
+          {!Fusion_equivalence}. *)
+
 val check_fusion :
-  fusion_base -> Mappings.Mapping.t -> (int, string) result * fusion_base
-(** [check_fusion (fusion_base m) next] returns what
+  ?unfold:bool ->
+  fusion_base ->
+  Mappings.Mapping.t ->
+  (fusion_proof, string) result * fusion_base
+(** [check_fusion (fusion_base m) next], for [next] the fusion of one
+    temporary of [m], first tries the unfolding proof (unless
+    [~unfold:false]).  Otherwise it returns what
     [equivalent_on_critical m next] returns — verdict, facts compared,
     message — by chasing only the cone of [next]: the targets of tgds
     not physically shared with [m] and everything reading them, seeded
@@ -96,9 +126,10 @@ val check_fusion :
     from [m] only in its tgds and by dropping the relations and egds of
     tgds it dropped, as a fusion candidate does.  The second component
     is the base to check the next candidate against once [next] is
-    committed: [next] with the solution just computed, or — when
-    [next]'s constants, and so its critical instance, differ from
-    [m]'s — a fresh base.  On [Error] it is the given base. *)
+    committed: [next] with the solution just computed, or [m]'s
+    still-lazy one after an unfolding, or — when [next]'s constants,
+    and so its critical instance, differ from [m]'s — a fresh base.  On
+    [Error] it is the given base. *)
 
 val fusion_candidates :
   ?cards:(string * int) list -> Mappings.Mapping.t -> Mappings.Mapping.t list

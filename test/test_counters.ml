@@ -153,20 +153,32 @@ let test_opt_perturbed () =
     (fst (opt_counters (with_extra_pdr_key Rows.micro)) <> List.hd opt_expected)
 
 (* --- optimizer: facts its fusion checks decode and compare, against
-   the certificates' [facts_compared] sum.  The cone check compares
-   only the relations a candidate can change, so the counter stays
-   below the certificates' figure, which counts every target relation
-   as the full re-chase would. --- *)
+   the certificates' [facts_compared] sum.  Every fusion of the
+   benchmark rows is tuple-level and proved by unfolding, with nothing
+   compared.  The mixed program below shares a shifted temporary
+   between an aggregation and a growth rate, so its first fusion is
+   checked on the critical instance: the cone check compares only the
+   relations the candidate can change, so the counter stays below the
+   certificates' figure, which counts every target relation as the full
+   re-chase would.  Checking every fusion that way read (66, 426) on
+   each overview row and (165, 309) on the outer growth row. --- *)
 
-let fusion_expected = [ (66, 426); (66, 426); (165, 309) ]
+let mixed_fusion_program =
+  {|
+cube A(q: quarter, r: string);
+S := sum(shift(A, 1), group by q);
+G := 100 * (A - shift(A, 1)) / A;
+|}
+
+let fusion_expected = [ (0, 0); (0, 0); (0, 0) ]
+let mixed_fusion_expected = (78, 204)
 
 (* (optimize.facts_compared, sum of the I304 certificates' facts_compared)
    of one [Optimize.run] *)
-let fusion_counts (r : Rows.row) =
+let fusion_counts program =
   let c = Obs.create ~spans:false () in
   let report =
-    Obs.with_collector c (fun () ->
-        Analysis.Optimize.run (Rows.mapping_of r.Rows.program))
+    Obs.with_collector c (fun () -> Analysis.Optimize.run (Rows.mapping_of program))
   in
   let certified =
     List.fold_left
@@ -182,7 +194,33 @@ let fusion_counts (r : Rows.row) =
 let test_fusion_compared () =
   Alcotest.(check (list (pair int int)))
     "(facts compared, certified facts_compared) per row" fusion_expected
-    (List.map fusion_counts Rows.opt)
+    (List.map (fun (r : Rows.row) -> fusion_counts r.Rows.program) Rows.opt);
+  Alcotest.(check (pair int int))
+    "(facts compared, certified facts_compared), mixed program" mixed_fusion_expected
+    (fusion_counts mixed_fusion_program)
+
+(* --- optimizer: chases of one [Optimize.run] plus [verify].  An
+   unfolding chases nothing, so a run whose fusions are all
+   tuple-level chases only in verify's global re-chase of the original
+   and the optimized mapping; the mixed program adds the base and cone
+   chases of its aggregation fusion.  Checking every fusion on the
+   critical instance read 6 on each row and on the mixed program. --- *)
+
+let chases_expected = [ 2; 2; 2 ]
+let mixed_chases_expected = 4
+
+let chases program =
+  let c = Obs.create ~spans:false () in
+  Obs.with_collector c (fun () ->
+      let mapping = Rows.mapping_of program in
+      ok (Analysis.Optimize.verify (Analysis.Optimize.run mapping)));
+  Obs.Metrics.counter_value c.Obs.metrics "chase.runs"
+
+let test_opt_chases () =
+  Alcotest.(check (list int)) "chase.runs per row" chases_expected
+    (List.map (fun (r : Rows.row) -> chases r.Rows.program) Rows.opt);
+  Alcotest.(check int) "chase.runs, mixed program" mixed_chases_expected
+    (chases mixed_fusion_program)
 
 (* --- columnar vs row chase: identical counters, pinned --- *)
 
@@ -585,13 +623,14 @@ let test_of_registry_words () =
     (words <= of_registry_words_bound)
 
 (* One [Optimize.run] plus [Optimize.verify] of the overview mapping:
-   every fusion check and certificate chases over a critical instance
-   and compares solutions.  On OCaml 5.1 it reads 153 866 words; the
-   bound leaves ~2 % for the other compilers CI builds on.  Inserting
-   each derived fact into a hashed row store, re-encoding it for the
-   next reader and decoding both solutions to compare them read
-   192 921. *)
-let optimize_words_bound = 157_000.
+   its fusions are proved by unfolding, so only verify's global
+   re-chase chases over the critical instance and compares solutions.
+   On OCaml 5.1 it reads ~89 300 words; the bound leaves ~2 % for the
+   other compilers CI builds on.  Checking every fusion on the critical
+   instance as well read ~153 900, and inserting each derived fact
+   into a hashed row store, re-encoding it for the next reader and
+   decoding both solutions to compare them read 192 921. *)
+let optimize_words_bound = 91_000.
 
 let test_optimize_words () =
   let mapping = Rows.mapping_of Rows.micro.Rows.program in
@@ -613,6 +652,7 @@ let suite =
     ("opt: optimized counters", `Quick, test_opt);
     ("opt: perturbed input", `Quick, test_opt_perturbed);
     ("opt: fusion check facts compared", `Quick, test_fusion_compared);
+    ("opt: chases per run", `Quick, test_opt_chases);
     ("col: row == columnar counters", `Quick, test_col);
     ("col: perturbed input", `Quick, test_col_perturbed);
     ("sql: vectorized plan nodes", `Quick, test_sql);

@@ -323,14 +323,69 @@ let test_tampered_certificate_rejected () =
     }
   in
   Alcotest.(check bool) "bogus determination chain rejected" true
-    (Result.is_error (O.verify tampered))
+    (Result.is_error (O.verify tampered));
+  (* the overview's fusions are unfoldings: a wrong unifier or chain in
+     any of them fails verify *)
+  let tamper_unfoldings f =
+    {
+      report with
+      O.actions =
+        List.map
+          (fun (a : O.action) ->
+            match a.O.certificate with
+            | O.Unfolding { producer; unifier; chain } ->
+                let producer, unifier, chain = f (producer, unifier, chain) in
+                { a with O.certificate = O.Unfolding { producer; unifier; chain } }
+            | _ -> a)
+          report.O.actions;
+    }
+  in
+  Alcotest.(check bool) "the report carries unfoldings" true
+    (List.exists
+       (fun (a : O.action) -> match a.O.certificate with O.Unfolding _ -> true | _ -> false)
+       report.O.actions);
+  Alcotest.(check bool) "wrong unifier rejected" true
+    (Result.is_error
+       (O.verify
+          (tamper_unfoldings (fun (producer, unifier, chain) ->
+               (producer, ("q", Term.Var "q0") :: unifier, chain)))));
+  Alcotest.(check bool) "wrong chain rejected" true
+    (Result.is_error
+       (O.verify
+          (tamper_unfoldings (fun (producer, unifier, chain) ->
+               (producer, unifier, List.rev chain)))));
+  (* and so does a producer left writing its temporary *)
+  let producer =
+    List.find_map
+      (fun (a : O.action) ->
+        match a.O.certificate with O.Unfolding { producer; _ } -> Some producer | _ -> None)
+      report.O.actions
+  in
+  let optimized = report.O.optimized in
+  Alcotest.(check bool) "temporary still written rejected" true
+    (Result.is_error
+       (O.verify
+          {
+            report with
+            O.optimized =
+              {
+                optimized with
+                M.Mapping.t_tgds = Option.get producer :: optimized.M.Mapping.t_tgds;
+              };
+          }))
 
 let test_optimizer_report_json () =
   let report = O.run (overview_mapping ()) in
   let json = O.report_to_json report in
   List.iter
     (fun needle -> Alcotest.(check bool) needle true (contains json needle))
-    [ {|"actions":[|}; {|"kind":"fusion_equivalence"|}; {|"est_matches_before"|}; {|"tgds_after"|} ]
+    [
+      {|"actions":[|};
+      {|"kind":"unfolding"|};
+      {|"unifier":"{q ↦ f1_q + 1}"|};
+      {|"est_matches_before"|};
+      {|"tgds_after"|};
+    ]
 
 (* Fusion names depend only on the mapping: a second run in the same
    process prints the same report. *)
@@ -382,63 +437,126 @@ let perturb (m : M.Mapping.t) (next : M.Mapping.t) =
   in
   { next with M.Mapping.t_tgds = List.map wrong next.M.Mapping.t_tgds }
 
+let verdict_to_string = function
+  | Ok n -> Printf.sprintf "Ok %d" n
+  | Error e -> "Error " ^ e
+
+let proof_to_string = function
+  | Ok (O.Unfolded _) -> "Ok unfolded"
+  | Ok (O.Chased n) -> Printf.sprintf "Ok %d" n
+  | Error e -> "Error " ^ e
+
+(* The cone check alone, as [equivalent_on_critical] reports it. *)
+let cone_check base next =
+  match O.check_fusion ~unfold:false base next with
+  | Ok (O.Chased n), committed -> (Ok n, committed)
+  | Ok (O.Unfolded _), _ -> Alcotest.fail "an unfolding without ~unfold"
+  | (Error _ as e), committed -> (e, committed)
+
+let unfolded = function Ok (O.Unfolded _) -> true | _ -> false
+
 (* Walk the fusion pass from [m]: check every fusion candidate of the
-   current mapping, and a perturbed variant of it, with the cone check
-   and with the full two-sided re-chase; then commit the first accepted
-   candidate (continuing from the base the commit hands back) and
-   repeat.  Returns the number of candidates checked, or the first
-   candidate the two checks disagree on. *)
+   current mapping, and a perturbed variant of it, as the pass does
+   (unfolding first), with the cone check alone and with the full
+   two-sided re-chase; then commit the first accepted candidate
+   (continuing from the base the commit hands back) and repeat.  The
+   cone and full checks must agree; an unfolding must be a candidate
+   both accept, and never a perturbed variant; a candidate not unfolded
+   gets the cone check's verdict.  Returns the number of candidates
+   checked, or the first one that breaks a rule. *)
 let walk_fusions (m : M.Mapping.t) =
   let rec walk base m checked =
     let outcomes =
       List.concat_map
         (fun next ->
           List.map
-            (fun next ->
-              let cone, committed = O.check_fusion base next in
-              (next, cone, committed, O.equivalent_on_critical m next))
-            [ next; perturb m next ])
+            (fun (next, perturbed) ->
+              let proof, committed = O.check_fusion base next in
+              let cone = fst (cone_check base next) in
+              (next, perturbed, proof, committed, cone, O.equivalent_on_critical m next))
+            [ (next, false); (perturb m next, true) ])
         (O.fusion_candidates m)
     in
     let checked = checked + List.length outcomes in
-    match List.find_opt (fun (_, cone, _, full) -> cone <> full) outcomes with
-    | Some (next, cone, _, full) -> Error (next, cone, full)
+    let broken (_, perturbed, proof, _, cone, full) =
+      cone <> full
+      ||
+      if unfolded proof then perturbed || Result.is_error cone || Result.is_error full
+      else proof_to_string proof <> verdict_to_string cone
+    in
+    match List.find_opt broken outcomes with
+    | Some (next, _, proof, _, cone, full) -> Error (next, proof, cone, full)
     | None -> (
-        match List.find_opt (fun (_, cone, _, _) -> Result.is_ok cone) outcomes with
-        | Some (next, _, committed, _) -> walk committed next checked
+        match List.find_opt (fun (_, _, proof, _, _, _) -> Result.is_ok proof) outcomes with
+        | Some (next, _, _, committed, _, _) -> walk committed next checked
         | None -> Ok checked)
   in
   walk (O.fusion_base m) m 0
 
-let verdict_to_string = function
-  | Ok n -> Printf.sprintf "Ok %d" n
-  | Error e -> "Error " ^ e
-
 let walk_or_fail what m =
   match walk_fusions m with
   | Ok checked -> checked
-  | Error (next, cone, full) ->
-      Alcotest.failf "%s: cone check %s, full check %s on\n%s" what
-        (verdict_to_string cone) (verdict_to_string full)
+  | Error (next, proof, cone, full) ->
+      Alcotest.failf "%s: fusion check %s, cone check %s, full check %s on\n%s" what
+        (proof_to_string proof) (verdict_to_string cone) (verdict_to_string full)
         (M.Mapping.to_string next)
+
+(* A fused join of a relation with its own shift, the shape of the
+   overview's PCHNG and the sample's GROWTH: two body atoms over one
+   relation. *)
+let shift_join = function
+  | Tgd.Tuple_level { lhs; _ } ->
+      List.exists
+        (fun (a : Tgd.atom) ->
+          List.exists (fun (b : Tgd.atom) -> a != b && a.Tgd.rel = b.Tgd.rel) lhs)
+        lhs
+  | _ -> false
+
+(* The I304 actions of one optimizer run that fuse into a shift join,
+   after checking that each is proved by unfolding. *)
+let shift_join_unfoldings what m =
+  List.filter
+    (fun (a : O.action) ->
+      a.O.code = "I304"
+      && Option.fold ~none:false ~some:shift_join a.O.after
+      &&
+      match a.O.certificate with
+      | O.Unfolding _ -> true
+      | _ -> Alcotest.failf "%s: the shift join into %s is not unfolded" what a.O.target)
+    (O.run m).O.actions
+  |> List.length
 
 let test_cone_check_on_examples () =
   let dir = List.find Sys.file_exists [ "../examples"; "examples" ] in
-  let checked =
-    List.fold_left
-      (fun acc file ->
-        if not (Filename.check_suffix file ".exl") then acc
-        else
-          let path = Filename.concat dir file in
-          let program =
-            Exl.Program.load_exn (In_channel.with_open_bin path In_channel.input_all)
-          in
-          let { M.Generate.mapping; _ } = check_ok (M.Generate.of_checked program) in
-          acc + walk_or_fail path mapping)
-      (walk_or_fail "overview" (overview_mapping ()))
-      (Array.to_list (Sys.readdir dir))
+  let programs =
+    ("overview", overview_mapping ())
+    :: List.filter_map
+         (fun file ->
+           if not (Filename.check_suffix file ".exl") then None
+           else
+             let path = Filename.concat dir file in
+             let program =
+               Exl.Program.load_exn (In_channel.with_open_bin path In_channel.input_all)
+             in
+             let { M.Generate.mapping; _ } = check_ok (M.Generate.of_checked program) in
+             Some (path, mapping))
+         (List.sort compare (Array.to_list (Sys.readdir dir)))
   in
-  Alcotest.(check bool) "candidates were checked" true (checked >= 16)
+  let checked =
+    List.fold_left (fun acc (what, m) -> acc + walk_or_fail what m) 0 programs
+  in
+  Alcotest.(check bool) "candidates were checked" true (checked >= 16);
+  Alcotest.(check (list (pair string int)))
+    "shift joins proved by unfolding, per program"
+    [
+      ("overview", 3);
+      ("monetary_aggregates.exl", 2);
+      ("multi_target_dispatch.exl", 3);
+      ("quickstart.exl", 3);
+      ("sdmx_dissemination.exl", 2);
+      ("seasonal_tourism.exl", 2);
+    ]
+    (List.map (fun (what, m) -> (Filename.basename what, shift_join_unfoldings what m)) programs)
 
 (* The [tgds] attribute of every chase.run span [f] opens. *)
 let chased_tgd_counts f =
@@ -497,16 +615,16 @@ let test_cone_rejects_wrong_fusions () =
       Alcotest.(check bool) "full check reports differing solutions" true
         (contains msg "solutions differ")
   | Ok _ -> Alcotest.fail "the full check accepts a wrong fusion");
-  let (cone, _), chased = chased_tgd_counts (fun () -> O.check_fusion (O.fusion_base m) bad) in
-  Alcotest.(check string) "same rejection as the full check"
-    (verdict_to_string full) (verdict_to_string cone);
+  let (proof, _), chased = chased_tgd_counts (fun () -> O.check_fusion (O.fusion_base m) bad) in
+  Alcotest.(check string) "not unfolded, same rejection as the full check"
+    (verdict_to_string full) (proof_to_string proof);
   (* the base chases all four tgds; the candidate only the fused
      consumer and its downstream reader, not the unaffected V *)
   Alcotest.(check (list int)) "base chase, then the cone" [ 4; 2 ] chased;
   let good = next (fused 1) in
   Alcotest.(check string) "the correct fusion is accepted, same facts compared"
     (verdict_to_string (O.equivalent_on_critical m good))
-    (verdict_to_string (fst (O.check_fusion (O.fusion_base m) good)));
+    (verdict_to_string (fst (cone_check (O.fusion_base m) good)));
   (* a fused body the chase cannot run: q occurs only under a shift *)
   let stuck =
     next
@@ -517,8 +635,9 @@ let test_cone_rejects_wrong_fusions () =
   let full = O.equivalent_on_critical m stuck in
   Alcotest.(check bool) "full check reports the chase failure" true
     (contains (verdict_to_string full) "optimized mapping failed");
-  Alcotest.(check string) "same chase failure from the cone check" (verdict_to_string full)
-    (verdict_to_string (fst (O.check_fusion (O.fusion_base m) stuck)))
+  Alcotest.(check string) "not unfolded, same chase failure from the cone check"
+    (verdict_to_string full)
+    (proof_to_string (fst (O.check_fusion (O.fusion_base m) stuck)))
 
 let test_commit_refreshes_base_on_new_constants () =
   let m, fused, next, reader = cone_fixture () in
@@ -527,11 +646,11 @@ let test_commit_refreshes_base_on_new_constants () =
   (* same constants: the committed solution is the next base *)
   let fused1 = fused 1 in
   let next1 = next fused1 in
-  let v1, committed = O.check_fusion (O.fusion_base m) next1 in
+  let v1, committed = cone_check (O.fusion_base m) next1 in
   Alcotest.(check string) "commit accepted" (verdict_to_string (O.equivalent_on_critical m next1))
     (verdict_to_string v1);
   let next2 = next ~d:(reader ()) fused1 in
-  let (v2, _), chased = chased_tgd_counts (fun () -> O.check_fusion committed next2) in
+  let (v2, _), chased = chased_tgd_counts (fun () -> cone_check committed next2) in
   Alcotest.(check (list int)) "no base re-chase, only the cone" [ 1 ] chased;
   Alcotest.(check string) "same verdict as the full check"
     (verdict_to_string (O.equivalent_on_critical next1 next2)) (verdict_to_string v2);
@@ -540,17 +659,115 @@ let test_commit_refreshes_base_on_new_constants () =
      a fresh base over it *)
   let fused1 = fused ~r:(Term.Coalesce (var "r", Term.Const (Value.String "zz"))) 1 in
   let next1 = next fused1 in
-  let v1, committed = O.check_fusion (O.fusion_base m) next1 in
+  let v1, committed = cone_check (O.fusion_base m) next1 in
   Alcotest.(check string) "constant-changing commit accepted"
     (verdict_to_string (O.equivalent_on_critical m next1)) (verdict_to_string v1);
   let next2 = next ~d:(reader ()) fused1 in
-  let (v2, _), chased = chased_tgd_counts (fun () -> O.check_fusion committed next2) in
+  let (v2, _), chased = chased_tgd_counts (fun () -> cone_check committed next2) in
   Alcotest.(check (list int)) "fresh base chase, then the cone" [ 3; 1 ] chased;
   let full = O.equivalent_on_critical next1 next2 in
   Alcotest.(check string) "same facts compared as the full check" (verdict_to_string full)
     (verdict_to_string v2);
   Alcotest.(check bool) "a stale base would have compared fewer facts" true
     (full <> O.equivalent_on_critical m next2)
+
+(* --- unfolding: the side conditions ------------------------------------ *)
+
+(* The one fusion candidate of a producer [p] of the temporary T__1 and
+   its one consumer [c], writing S; T__1 and S have dimensions [dims]. *)
+let unfolding_fixture ~dims p c =
+  let m = hand_mapping ~t_tgds:[ p; c ] ~targets:[ schema "T__1" dims; schema "S" dims ] in
+  match O.fusion_candidates m with
+  | [ next ] -> (m, next)
+  | l -> Alcotest.failf "expected one fusion candidate, got %d" (List.length l)
+
+(* Each fixture fails one side condition of the unfolding proof and is a
+   wrong fusion: the pass must decline to unfold it and the cone check
+   reject it as the full check does. *)
+let test_unfolding_side_conditions () =
+  let qr = [ ("q", quarter); ("r", Domain.String) ] in
+  let a = atom "A" and t = atom "T__1" and s = atom "S" in
+  let div x y = Term.Binapp (Ops.Binop.Div, x, y) in
+  let sub x y = Term.Binapp (Ops.Binop.Sub, x, y) in
+  List.iter
+    (fun (what, dims, p, c, message) ->
+      let m, next = unfolding_fixture ~dims p c in
+      let full = O.equivalent_on_critical m next in
+      Alcotest.(check bool) (what ^ ": " ^ message) true
+        (contains (verdict_to_string full) message);
+      Alcotest.(check string) (what ^ ": cone check") (verdict_to_string full)
+        (verdict_to_string (fst (cone_check (O.fusion_base m) next)));
+      Alcotest.(check string) (what ^ ": not unfolded") (verdict_to_string full)
+        (proof_to_string (fst (O.check_fusion (O.fusion_base m) next)));
+      Alcotest.(check bool) (what ^ ": no fusion in the run") false
+        (List.exists (fun (x : O.action) -> x.O.code = "I304") (O.run m).O.actions))
+    [
+      (* T__1 holds no facts (m / 0 is undefined), yet the unfolding
+         would derive S(q, r, 0) *)
+      ( "partial producer term under coalesce",
+        qr,
+        tl
+          [ a [ var "q"; var "r"; var "m" ] ]
+          (t [ var "q"; var "r"; div (var "m") (sub (var "m") (var "m")) ]),
+        tl
+          [ t [ var "q"; var "r"; var "x" ] ]
+          (s [ var "q"; var "r"; Term.Coalesce (var "x", num 0.) ]),
+        "solutions differ" );
+      (* T__1(q, m) drops r, so its egd fails where the unfolding has none *)
+      ( "temporary not determined by the producer body",
+        [ ("q", quarter) ],
+        tl [ a [ var "q"; var "r"; var "m" ] ] (t [ var "q"; var "m" ]),
+        tl [ t [ var "q"; var "x" ] ] (s [ var "q"; var "x" ]),
+        "egd violation" );
+      (* q occurs only under a shift: neither the producer nor the
+         unfolding can run *)
+      ( "shift-only producer body",
+        qr,
+        tl
+          [ a [ Term.Shifted (var "q", 1); var "r"; var "m" ] ]
+          (t [ var "q"; var "r"; var "m" ]),
+        tl [ t [ var "q"; var "r"; var "x" ] ] (s [ var "q"; var "r"; var "x" ]),
+        "not executable" );
+    ]
+
+(* Two tgds write T__1, for regions "a" and "b": fusing either would
+   leave the other writing a relation the fused mapping drops, so
+   neither is a candidate, and a run leaves both. *)
+let test_two_producers_not_fused () =
+  let str x = Term.Const (Value.String x) in
+  let writer r =
+    tl [ atom "A" [ var "q"; str r; var "m" ] ] (atom "T__1" [ var "q"; str r; var "m" ])
+  in
+  let reader =
+    tl [ atom "T__1" [ var "q"; var "r"; var "x" ] ] (atom "S" [ var "q"; var "r"; var "x" ])
+  in
+  let dims = [ ("q", quarter); ("r", Domain.String) ] in
+  let m =
+    hand_mapping ~t_tgds:[ writer "a"; writer "b"; reader ]
+      ~targets:[ schema "T__1" dims; schema "S" dims ]
+  in
+  Alcotest.(check int) "no candidate" 0 (List.length (O.fusion_candidates m));
+  let report = O.run m in
+  Alcotest.(check int) "every tgd kept" 3 (List.length report.O.optimized.M.Mapping.t_tgds);
+  Alcotest.(check (result unit string)) "verifies" (Ok ()) (O.verify report)
+
+(* A weekly series cannot be seasonally decomposed on the critical
+   instance, which holds twelve weeks: the original mapping cannot be
+   chased there, so only the unfolding proof can certify its fusions. *)
+let test_unfolding_without_critical_chase () =
+  let src = "cube W(w: week);\nT := stl_t(W);\nG := 100 * (W - shift(W, 1)) / W;\n" in
+  let { M.Generate.mapping; _ } = check_ok (M.Generate.of_checked (Exl.Program.load_exn src)) in
+  Alcotest.(check bool) "the original fails on the critical instance" true
+    (contains (verdict_to_string (O.equivalent_on_critical mapping mapping)) "original mapping failed");
+  let report = O.run mapping in
+  let fusions = List.filter (fun (a : O.action) -> a.O.code = "I304") report.O.actions in
+  Alcotest.(check bool) "G's temporaries are fused" true (fusions <> []);
+  List.iter
+    (fun (a : O.action) ->
+      Alcotest.(check bool) (a.O.target ^ ": proved by unfolding") true
+        (match a.O.certificate with O.Unfolding _ -> true | _ -> false))
+    fusions;
+  Alcotest.(check (result unit string)) "all certificates verify" (Ok ()) (O.verify report)
 
 (* --- engine wiring ---------------------------------------------------- *)
 
@@ -664,9 +881,10 @@ let prop_cone_check_matches_full =
           let { M.Generate.mapping; _ } = check_ok (M.Generate.of_checked checked) in
           match walk_fusions mapping with
           | Ok _ -> true
-          | Error (next, cone, full) ->
-              QCheck.Test.fail_reportf "cone check %s, full check %s on\n%s\nfrom\n%s"
-                (verdict_to_string cone) (verdict_to_string full)
+          | Error (next, proof, cone, full) ->
+              QCheck.Test.fail_reportf
+                "fusion check %s, cone check %s, full check %s on\n%s\nfrom\n%s"
+                (proof_to_string proof) (verdict_to_string cone) (verdict_to_string full)
                 (M.Mapping.to_string next) src))
 
 let suite =
@@ -690,6 +908,9 @@ let suite =
     ("fusion check: cone == full on the examples", `Quick, test_cone_check_on_examples);
     ("fusion check: cone rejects like the full check", `Quick, test_cone_rejects_wrong_fusions);
     ("fusion check: new constants refresh the base", `Quick, test_commit_refreshes_base_on_new_constants);
+    ("unfolding: each side condition declines", `Quick, test_unfolding_side_conditions);
+    ("fusion: a temporary with two producers is kept", `Quick, test_two_producers_not_fused);
+    ("unfolding: weekly decomposition, no critical chase", `Quick, test_unfolding_without_critical_chase);
     ("docs: diagnostics catalogue drift", `Quick, test_diagnostics_docs_drift);
     QCheck_alcotest.to_alcotest prop_optimize_preserves_chase;
     QCheck_alcotest.to_alcotest prop_cone_check_matches_full;
