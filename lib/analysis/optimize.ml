@@ -595,8 +595,10 @@ let check_against (base : fusion_base) (next : Mapping.t) =
    must be the replayed fusion ([replays]).  It returns σ on the
    consumer's variables, read off the replay, and the determination
    chain of [T]'s measure.  The fourth holds for every candidate, which
-   fuses all of [T]'s readers, and [T] never has a second writer
-   ([fusion_of]); [verify] checks it on the optimized mapping. *)
+   fuses all of [T]'s readers, and [T] has no second writer: one writer
+   per relation is a rule of [Stratify] (E204), which the chase of
+   every mapping enforces; [verify] checks it on the optimized
+   mapping. *)
 
 (* [t] is evaluated whenever [term] is: it occurs in [term] outside
    every [Coalesce]. *)
@@ -807,13 +809,7 @@ let fusion_of ~original ?cards (m : Mapping.t) producer =
   match producer with
   | Tgd.Tuple_level _ -> (
       let temp = Tgd.target_relation producer in
-      (* a second writer of [temp] would be left writing a relation the
-         candidate drops *)
-      if (not (Exl.Normalize.is_temp temp))
-         || List.exists
-              (fun t -> t != producer && Tgd.target_relation t = temp)
-              m.Mapping.t_tgds
-      then None
+      if not (Exl.Normalize.is_temp temp) then None
       else
         match usages m temp with
         | [] -> None

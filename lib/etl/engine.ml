@@ -39,9 +39,9 @@ let rowset_of_cube cube =
     rows = Array.to_list (Array.map (Cube.row v) (Cube.key_order v));
   }
 
-(* [rowset]'s rows added to [cube] (a fresh one by default). *)
-let cube_of_rowset ?into schema rowset =
-  let cube = match into with Some c -> c | None -> Cube.create schema in
+(* [rowset]'s rows as a fresh cube of [schema]. *)
+let cube_of_rowset schema rowset =
+  let cube = Cube.create schema in
   let index = field_index rowset in
   let positions =
     List.map
@@ -310,20 +310,10 @@ let run_step ~batch_size ~storage ~schema_lookup env stats step =
         | None -> fail "no schema for output cube %s" cube
       in
       stats.rows_written <- stats.rows_written + List.length rs.rows;
-      (* Like Kettle's TableOutput, a write appends to a cube an earlier
-         flow of the job wrote: two tgds producing one relation union
-         their facts, and two measures for one key are a functionality
-         violation. *)
-      (match Registry.kind_of storage cube with
-      | Some Registry.Derived ->
-          ignore
-            (cube_of_rowset ~into:(Registry.find_exn storage cube) schema rs
-              : Cube.t)
-      | _ -> Registry.add storage Registry.Derived (cube_of_rowset schema rs))
+      Registry.add storage Registry.Derived (cube_of_rowset schema rs)
 
 (* Executes the steps in order, writing the output cube into [storage]
-   as a derived cube, or adding its facts to the derived cube an earlier
-   flow wrote under that name.  [batch_size] is the stream granularity:
+   as a fresh derived cube.  [batch_size] is the stream granularity:
    semantics-neutral, it models the paper's stream-like architecture and
    is reported in [stats.batches]. *)
 let run_flow ?(batch_size = 1024) ~storage ~schema_lookup flow stats =

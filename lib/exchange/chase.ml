@@ -434,8 +434,8 @@ let apply_outer_combine ~out instance stats (left : Tgd.atom)
    With [seal], a kernel whose target holds no facts yet writes the
    target's column view: its facts are encoded as they come, sorted
    and deduplicated once ([Cube.seal]) and installed whole, and only
-   the facts kept are counted.  Into a target that already holds facts
-   they are inserted one by one. *)
+   the facts kept are counted.  Otherwise (without [seal], or should
+   the target already hold facts) they are inserted one by one. *)
 let apply_body_full ~matcher ?(vectorized = false) ?(seal = false) ?out instance
     stats tgd =
   let out = Option.value ~default:instance out in
@@ -594,9 +594,7 @@ let naive_fixpoint (m : Mappings.Mapping.t) target stats =
       (fun a b -> String.compare (Tgd.target_relation a) (Tgd.target_relation b))
       m.Mappings.Mapping.t_tgds
   in
-  let rels =
-    List.sort_uniq String.compare (List.map Tgd.target_relation tgds)
-  in
+  let rels = List.map Tgd.target_relation tgds in
   (* Textbook (Jacobi) naive iteration: J_{k+1} = T(J_k).  Every round
      clears the target relations and re-derives them against a frozen
      snapshot of the previous round — no ordering oracle, no
@@ -768,7 +766,7 @@ let run ?(columnar = true) m source =
 
 let run_naive m source =
   chase_with ~mode:"naive" ~columnar:false m source (fun target stats ->
-      naive_fixpoint m target stats)
+      Result.bind (strata_of m) (fun _ -> naive_fixpoint m target stats))
 
 (* ----- incremental re-evaluation from fact deltas ----- *)
 
@@ -795,30 +793,18 @@ let empty_incr_stats () =
     facts_rederived = 0;
   }
 
-(* The tgds of [stratum] that must re-run: those a source delta
-   reaches, plus every other producer of their targets — a shared
-   target is rederived, which clears it, so all its producers must
-   rebuild it together. *)
+(* The tgds of [stratum] that must re-run: those a delta reaches. *)
 let select_touched stratum ~touched =
-  let targets =
-    List.filter_map
-      (fun tgd ->
-        if List.exists touched (Tgd.source_relations tgd) then
-          Some (Tgd.target_relation tgd)
-        else None)
-      stratum
-  in
-  List.filter (fun tgd -> List.mem (Tgd.target_relation tgd) targets) stratum
+  List.filter
+    (fun tgd -> List.exists touched (Tgd.source_relations tgd))
+    stratum
 
 (* DRed-style stratum rederivation, for tgds with no delta plan
-   (blackbox, outer combine, and tgds sharing a target): over-delete the
-   touched targets entirely, re-run the touched tgds from their
-   (already updated) sources, then diff old vs new facts to get a
-   compact delta for the strata above. *)
+   (blackbox and outer combine): over-delete their targets entirely,
+   re-run them from their (already updated) sources, then diff old vs
+   new facts to get a compact delta for the strata above. *)
 let incr_rederive_stratum instance stats istats selected =
-  let targets =
-    List.sort_uniq String.compare (List.map Tgd.target_relation selected)
-  in
+  let targets = List.map Tgd.target_relation selected in
   let old =
     List.map
       (fun rel ->
@@ -1234,14 +1220,6 @@ let incremental ~state (m : Mappings.Mapping.t) ~solution ~deltas =
                 acc + List.length d.added + List.length d.removed)
               current 0);
       let touched rel = Hashtbl.mem current rel in
-      let producers : (string, int) Hashtbl.t = Hashtbl.create 16 in
-      List.iter
-        (fun tgd ->
-          let rel = Tgd.target_relation tgd in
-          Hashtbl.replace producers rel
-            (1 + Option.value ~default:0 (Hashtbl.find_opt producers rel)))
-        m.Mappings.Mapping.t_tgds;
-      let sole_producer rel = Hashtbl.find_opt producers rel = Some 1 in
       let builds0, lookups0 = Instance.index_stats solution in
       let run_stratum_incr i stratum =
         istats.strata_total <- istats.strata_total + 1;
@@ -1252,18 +1230,12 @@ let incremental ~state (m : Mappings.Mapping.t) ~solution ~deltas =
           Ok []
         end
         else begin
-          (* Per-tgd plan, fixed by its shape: a tuple-level tgd
-             that is the sole producer of its target is repaired by
-             signed delta, an aggregation that is the sole producer of
-             its target re-aggregates its affected groups, and
-             everything else (blackbox, outer combine, tgds sharing a
-             target) rederives DRed-style.  A tgd that keeps state is
-             therefore never rederived, and every producer of a
-             rederived target is selected with it. *)
-          let keeps_state tgd =
-            sole_producer (Tgd.target_relation tgd)
-            &&
-            match tgd with
+          (* Per-tgd plan, fixed by its shape: a tuple-level tgd is
+             repaired by signed delta, an aggregation re-aggregates
+             its affected groups, and a blackbox or outer combine
+             rederives DRed-style.  A tgd that keeps state is
+             therefore never rederived. *)
+          let keeps_state = function
             | Tgd.Tuple_level _ | Tgd.Aggregation _ -> true
             | Tgd.Table_fn _ | Tgd.Outer_combine _ -> false
           in

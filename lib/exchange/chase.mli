@@ -37,10 +37,12 @@ val run :
     order, and each tgd of a stratum is applied once, completely,
     against the full instance through the persistent {!Instance}
     indexes — a stratum reads only lower strata, so nothing it derives
-    feeds it again.  [Error "chase failed: relation R depends on
-    itself"] on recursive tgds, on egd violation (chase failure) or on a tgd that
-    cannot be evaluated (a variable occurring only under uninvertible
-    terms).
+    feeds it again.  [Error "chase failed: ..."] naming the relation
+    when two tgds write one relation (one writer per relation, E204),
+    when a tgd writes a relation the mapping does not declare, or when
+    the tgds are recursive ("relation R depends on itself"); [Error]
+    also on egd violation (chase failure) or on a tgd that cannot be
+    evaluated (a variable occurring only under uninvertible terms).
 
     [columnar] (default [true]) routes kernel-able tgds — all-variable
     selections/projections, two-atom equi-joins, dimension-keyed
@@ -62,7 +64,8 @@ val run_naive :
     baseline: every round clears and fully re-derives each target in
     canonical (target-name) order — no ordering oracle, no persistent
     indexes, Σst copied row by row — until a round changes nothing.
-    Same solution as {!run}. *)
+    Same solution as {!run}, and it refuses the mappings {!run}
+    refuses, with the same message. *)
 
 type fact_delta = { added : Instance.fact list; removed : Instance.fact list }
 (** A change to one relation's fact set.  A revision of a key is its
@@ -78,7 +81,7 @@ type incr_stats = {
           tgds and group-scoped aggregations *)
   mutable strata_rederived : int;
       (** strata where some tgd was rebuilt DRed-style (blackbox and
-          outer tgds, tgds sharing a target) *)
+          outer tgds) *)
   mutable facts_rederived : int;
       (** facts (re)derived during propagation: facts a signed delta
           inserts, groups re-aggregated into a new fact, facts a DRed
@@ -121,8 +124,7 @@ val incremental :
     {!run} evaluates are re-evaluated in order; a stratum no delta reaches
     is skipped outright.  Each touched tgd's plan follows from its
     shape alone:
-    - a tuple-level tgd whose target no other tgd produces is repaired
-      by {e signed delta}: with old = new − added + removed, the change
+    - a tuple-level tgd is repaired by {e signed delta}: with old = new − added + removed, the change
       Σᵢ Q(new₍<i₎, addedᵢ − removedᵢ, old₍>i₎) adds and subtracts
       derivation counts, and a target fact is removed only when its
       count reaches 0 and inserted only when it rises from 0 — for
@@ -130,14 +132,12 @@ val incremental :
       dearer than one enumeration over the current state (or the tgd
       has no counts yet) the counts are recounted and diffed instead,
       with the same result;
-    - an aggregation tgd whose target no other tgd produces
-      re-aggregates only the groups its source delta falls in;
-    - every other touched tgd (blackbox, outer combine, a tgd whose
-      target another tgd also produces) is rederived DRed-style,
-      together with every other producer of its target — the targets
-      are over-deleted and re-run from their updated sources, and the
-      old-vs-new diff becomes the (compact) delta for the strata
-      above.
+    - an aggregation tgd re-aggregates only the groups its source
+      delta falls in;
+    - every other touched tgd (blackbox, outer combine) is rederived
+      DRed-style — its target is over-deleted and re-run from its
+      updated sources, and the old-vs-new diff becomes the (compact)
+      delta for the strata above.
     Functionality egds are re-checked on every touched target.  A
     from-scratch {!run} on the updated sources is the oracle the
     repair is tested against.
@@ -149,7 +149,9 @@ val incremental :
     [added] to a relation's previous contents gives its new
     contents.
 
-    [Error] without touching [solution] when the tgds are recursive.
+    [Error] without touching [solution] when {!run} would refuse the
+    mapping: two writers of one relation, an undeclared target, or
+    recursive tgds.
     On any other [Error] the solution may be partially repaired;
     callers keeping the instance (and [state]) across batches must
     discard both. *)

@@ -44,19 +44,6 @@ let quantile q a =
 
 let median a = quantile 0.5 a
 
-let covariance x y =
-  check "covariance" x;
-  if Array.length x <> Array.length y then
-    invalid_arg "Descriptive.covariance: length mismatch";
-  let mx = mean x and my = mean y in
-  let acc = ref 0. in
-  Array.iteri (fun i xi -> acc := !acc +. ((xi -. mx) *. (y.(i) -. my))) x;
-  !acc /. float_of_int (Array.length x)
-
-let correlation x y =
-  let sx = stddev x and sy = stddev y in
-  if sx = 0. || sy = 0. then 0. else covariance x y /. (sx *. sy)
-
 let autocorrelation ~lag a =
   let n = Array.length a in
   if lag < 0 || lag >= n then 0.

@@ -20,5 +20,3 @@ val median : float array -> float
 
 val autocorrelation : lag:int -> float array -> float
 (** Sample autocorrelation at the given lag; 0 on degenerate input. *)
-
-val correlation : float array -> float array -> float

@@ -90,8 +90,3 @@ let sort_rows t =
     (List.mapi
        (fun ci n -> (n, Array.map (fun r -> r.(ci)) rows))
        t.names)
-
-let append_rows a b =
-  if a.names <> b.names then invalid_arg "Frame.append_rows: column mismatch";
-  create
-    (List.map (fun n -> (n, Array.append (column a n) (column b n))) a.names)

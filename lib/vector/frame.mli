@@ -15,8 +15,6 @@ val column : t -> string -> Value.t array
 (** @raise Invalid_argument on unknown column. *)
 
 val has_column : t -> string -> bool
-val row : t -> int -> Value.t array
-(** Values in column order. *)
 
 val of_cube : Cube.t -> t
 (** Dimension columns then the measure column, rows in sorted key
@@ -39,6 +37,3 @@ val filter_rows : t -> (int -> bool) -> t
 val sort_rows : t -> t
 (** Lexicographic by row (column order); deterministic basis for
     order-sensitive aggregates. *)
-
-val append_rows : t -> t -> t
-(** Same columns required. *)

@@ -92,9 +92,6 @@ let script_to_string ~schemas script =
     | Script.Copy { dst; src } ->
         Hashtbl.replace layouts dst (layout src);
         [ Printf.sprintf "%s = %s;" dst src ]
-    | Script.Union { dst; left; right } ->
-        Hashtbl.replace layouts dst (layout left);
-        [ Printf.sprintf "%s = unique([%s; %s], 'rows');" dst left right ]
     | Script.Filter_rows { dst; src; conditions } ->
         let cols = layout src in
         Hashtbl.replace layouts dst cols;

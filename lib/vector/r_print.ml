@@ -45,8 +45,6 @@ let quoted_list xs =
 
 let stmt_to_string = function
   | Script.Copy { dst; src } -> [ Printf.sprintf "%s <- %s" dst src ]
-  | Script.Union { dst; left; right } ->
-      [ Printf.sprintf "%s <- unique(rbind(%s, %s))" dst left right ]
   | Script.Filter_rows { dst; src; conditions } ->
       [
         Printf.sprintf "%s <- %s[%s, ]" dst src

@@ -16,6 +16,5 @@ type stmt =
     }
   | Apply_fn of { dst : string; src : string; fn : string; params : float list }
   | Const_frame of { dst : string; cols : string list; rows : Value.t list list }
-  | Union of { dst : string; left : string; right : string }
 
 type t = stmt list

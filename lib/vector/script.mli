@@ -29,8 +29,5 @@ type stmt =
       (** Output columns: the [by] names plus ["value"]. *)
   | Apply_fn of { dst : string; src : string; fn : string; params : float list }
   | Const_frame of { dst : string; cols : string list; rows : Value.t list list }
-  | Union of { dst : string; left : string; right : string }
-      (** The distinct rows of [left] and [right] (same columns): how a
-          relation several tgds produce collects all of their facts. *)
 
 type t = stmt list

@@ -227,25 +227,11 @@ let stmts_of_tgd mapping tgd =
   with Gen_error msg -> Error msg
 
 let script_of_mapping mapping =
-  let produced = Hashtbl.create 8 in
   let rec loop acc = function
     | [] -> Ok (List.concat (List.rev acc))
     | tgd :: rest -> (
         match stmts_of_tgd mapping tgd with
-        | Ok stmts ->
-            (* A relation an earlier tgd wrote keeps its rows: set them
-               aside, let this tgd write the relation, then union the
-               two, as the chase does. *)
-            let target = Tgd.target_relation tgd in
-            let stmts =
-              if not (Hashtbl.mem produced target) then stmts
-              else
-                let prev = "u_" ^ target in
-                (Script.Copy { dst = prev; src = target } :: stmts)
-                @ [ Script.Union { dst = target; left = prev; right = target } ]
-            in
-            Hashtbl.replace produced target ();
-            loop (stmts :: acc) rest
+        | Ok stmts -> loop (stmts :: acc) rest
         | Error msg ->
             Error (Printf.sprintf "on tgd [%s]: %s" (Tgd.to_string tgd) msg))
   in

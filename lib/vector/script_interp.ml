@@ -18,13 +18,6 @@ let get env name =
 let run_stmt ~schema_lookup env stmt =
   match stmt with
   | Script.Copy { dst; src } -> bind env dst (get env src)
-  | Script.Union { dst; left; right } ->
-      let f = Frame.append_rows (get env left) (get env right) in
-      let seen = Hashtbl.create (Frame.length f) in
-      bind env dst
-        (Frame.filter_rows f (fun i ->
-             let row = Frame.row f i in
-             (not (Hashtbl.mem seen row)) && (Hashtbl.replace seen row (); true)))
   | Script.Filter_rows { dst; src; conditions } ->
       let f = get env src in
       let checks =

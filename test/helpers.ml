@@ -235,32 +235,28 @@ let sum_tgd source ~group_by ~measure target =
   Mappings.Tgd.Aggregation
     { source; group_by; aggr = Stats.Aggregate.Sum; measure; target }
 
-(* Two tgds write the relation SHARED, from A and from B.  With
-   [clash] they write different measures to one key, and every
-   backend's [execute] must refuse the mapping with an [Error] naming
-   the relation; without it, SHARED holds both tgds' facts. *)
-let shared_target ~clash =
-  let quarter = ("q", Domain.Period (Some Calendar.Quarter)) in
-  let schema name = Schema.make ~name ~dims:[ quarter ] () in
+(* One tgd that is not functional, A(q, r, m) → SHARED(q, m): A's two
+   regions write different measures to 2024Q1, and every backend's
+   [execute] must refuse the mapping with an [Error] naming SHARED. *)
+let clashing_target () =
+  let dims = [ ("q", Domain.Period (Some Calendar.Quarter)); ("r", Domain.String) ] in
+  let a = Schema.make ~name:"A" ~dims () in
   let mapping =
     {
-      Mappings.Mapping.source = [ schema "A"; schema "B" ];
-      target = [ schema "A"; schema "B"; schema "SHARED" ];
+      Mappings.Mapping.source = [ a ];
+      target = [ a; Schema.make ~name:"SHARED" ~dims:[ List.hd dims ] () ];
       st_tgds = [];
       t_tgds =
-        List.map
-          (fun rel ->
-            tl [ atom rel [ var "q"; var "m" ] ] (atom "SHARED" [ var "q"; var "m" ]))
-          [ "A"; "B" ];
+        [ tl [ atom "A" [ var "q"; var "r"; var "m" ] ] (atom "SHARED" [ var "q"; var "m" ]) ];
       egds = [];
     }
   in
   let registry = Registry.create () in
   Registry.add registry Registry.Elementary
-    (cube_of "A" [ quarter ] [ [ vq 2024 1; vf 1. ]; [ vq 2024 3; vf 7. ] ]);
-  Registry.add registry Registry.Elementary
-    (cube_of "B" [ quarter ]
-       [ [ vq 2024 (if clash then 1 else 2); vf 5. ]; [ vq 2024 3; vf 7. ] ]);
+    (cube_of "A" dims
+       [
+         [ vq 2024 1; vs "n"; vf 1. ]; [ vq 2024 1; vs "s"; vf 5. ]; [ vq 2024 3; vs "n"; vf 7. ];
+       ]);
   (mapping, registry)
 
 let check_names_shared what = function
@@ -268,6 +264,10 @@ let check_names_shared what = function
   | Error msg ->
       Alcotest.(check bool) (what ^ " names SHARED: " ^ msg) true
         (Astring_contains.contains msg "SHARED")
+
+(* The shipped examples, from the test's build directory or from the
+   repository root. *)
+let examples_dir () = List.find Sys.file_exists [ "../examples"; "examples" ]
 
 (* A fresh directory name under the system temp dir. *)
 let temp_dir prefix =

@@ -363,18 +363,17 @@ let test_unproduced_target () =
 
 let example_files =
   [
-    "../examples/quickstart.exl";
-    "../examples/monetary_aggregates.exl";
-    "../examples/seasonal_tourism.exl";
-    "../examples/sdmx_dissemination.exl";
-    "../examples/multi_target_dispatch.exl";
+    "quickstart.exl";
+    "monetary_aggregates.exl";
+    "seasonal_tourism.exl";
+    "sdmx_dissemination.exl";
+    "multi_target_dispatch.exl";
   ]
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_example file =
+  In_channel.with_open_bin
+    (Filename.concat (Helpers.examples_dir ()) file)
+    In_channel.input_all
 
 (* Safe tgds and a verified weak-acyclicity certificate, for the
    generated mapping and for its [Optimize.run] output — the mapping the
@@ -405,7 +404,7 @@ let test_examples_certified () =
     (fun (what, source) ->
       Alcotest.(check (result unit string))
         (what ^ " certified") (Ok ()) (certify source))
-    (List.map (fun path -> (path, read_file path)) example_files
+    (List.map (fun file -> (file, read_example file)) example_files
     @ [
         ("Helpers.overview_program", Helpers.overview_program);
         ("Test_incr.join_source", Test_incr.join_source);
@@ -416,11 +415,11 @@ let test_examples_certified () =
    in the dependency graph or in how it is ranked. *)
 let example_max_ranks =
   [
-    ("../examples/quickstart.exl", (7, 5));
-    ("../examples/monetary_aggregates.exl", (6, 5));
-    ("../examples/seasonal_tourism.exl", (6, 5));
-    ("../examples/sdmx_dissemination.exl", (4, 3));
-    ("../examples/multi_target_dispatch.exl", (7, 5));
+    ("quickstart.exl", (7, 5));
+    ("monetary_aggregates.exl", (6, 5));
+    ("seasonal_tourism.exl", (6, 5));
+    ("sdmx_dissemination.exl", (4, 3));
+    ("multi_target_dispatch.exl", (7, 5));
   ]
 
 let test_example_ranks () =
@@ -432,13 +431,13 @@ let test_example_ranks () =
   Alcotest.(check (list (pair string (pair int int))))
     "max_rank (generated, optimized)" example_max_ranks
     (List.map
-       (fun (path, _) ->
-         match (A.Lint.source_diagnostics (read_file path)).A.Lint.mapping with
-         | None -> Alcotest.failf "%s: no mapping generated" path
+       (fun (file, _) ->
+         match (A.Lint.source_diagnostics (read_example file)).A.Lint.mapping with
+         | None -> Alcotest.failf "%s: no mapping generated" file
          | Some m ->
-             ( path,
-               ( max_rank path m,
-                 max_rank path (A.Optimize.run m).A.Optimize.optimized ) ))
+             ( file,
+               ( max_rank file m,
+                 max_rank file (A.Optimize.run m).A.Optimize.optimized ) ))
        example_max_ranks)
 
 let test_random_programs_certified =

@@ -589,27 +589,6 @@ let test_sealed_empty () =
     (X.Instance.cardinality j "P", X.Instance.cardinality j "S");
   Alcotest.(check int) "none generated" 0 stats.X.Chase.tuples_generated
 
-(* Two tgds write SHARED: the first seals it, the second finds it
-   holding facts and inserts its own one by one.  With the clash, the
-   union breaks SHARED's egd in both legs alike. *)
-let test_sealed_shared_target () =
-  List.iter
-    (fun clash ->
-      let mapping, reg = shared_target ~clash in
-      let mapping =
-        { mapping with M.Mapping.egds = List.map M.Egd.of_schema mapping.M.Mapping.target }
-      in
-      let what = if clash then "shared target, clashing" else "shared target" in
-      match (sealed_same_run ~what mapping reg, clash) with
-      | Ok (j, _), false ->
-          Alcotest.(check int) "both tgds' facts" 3 (X.Instance.cardinality j "SHARED");
-          Alcotest.(check bool) "rows after the insert fallback" true
-            (X.Instance.cached_view j "SHARED" = None)
-      | Error msg, true -> check_names_shared what (Error msg)
-      | Ok _, true -> Alcotest.fail "the clash passed"
-      | Error e, false -> Alcotest.failf "%s: %s" what e)
-    [ false; true ]
-
 (* A sealed relation read by the row matcher: a three-atom tgd joins P
    with two sources, and materializes P's rows to probe it. *)
 let test_sealed_row_reader () =
@@ -657,6 +636,5 @@ let suite =
     ("sealed: Int 1 beside Float 1.", `Quick, test_sealed_int_float);
     ("sealed: egd violation", `Quick, test_sealed_egd_violation);
     ("sealed: empty source", `Quick, test_sealed_empty);
-    ("sealed: two tgds into one target", `Quick, test_sealed_shared_target);
     ("sealed: read by a three-atom tgd", `Quick, test_sealed_row_reader);
   ]

@@ -458,29 +458,12 @@ let test_dispatcher_wave_report () =
    two measures for one key is an [Error] of [execute], not an
    exception. *)
 let test_chase_target_clash_is_error () =
-  let mapping, registry = shared_target ~clash:true in
+  let mapping, registry = clashing_target () in
   check_names_shared "Target.chase.execute"
     (Engine.Target.chase.Engine.Target.execute mapping registry)
 
-(* Tgds sharing a target union their facts on every backend, as in
-   the chase. *)
-let test_targets_union_shared_target () =
-  let mapping, registry = shared_target ~clash:false in
-  let expected =
-    cube_of "SHARED"
-      [ ("q", Domain.Period (Some Calendar.Quarter)) ]
-      [ [ vq 2024 1; vf 1. ]; [ vq 2024 2; vf 5. ]; [ vq 2024 3; vf 7. ] ]
-  in
-  List.iter
-    (fun (t : Engine.Target.t) ->
-      let out = ok (t.Engine.Target.execute mapping registry) in
-      Alcotest.check cube_eq t.Engine.Target.name expected
-        (Registry.find_exn out "SHARED"))
-    Engine.Target.builtins
-
 let suite =
   [
-    ("target: every backend unions a shared target", `Quick, test_targets_union_shared_target);
     ("target: chase execute returns clashing writes as an Error", `Quick, test_chase_target_clash_is_error);
     ("determination: affected from PDR", `Quick, test_affected_from_pdr);
     ("determination: affected from RGDPPC", `Quick, test_affected_from_rgdppc);

@@ -121,7 +121,7 @@ let prop_etl_matches_interp =
 (* A flow writing two measures for one key is an [Error] of [execute],
    not an exception. *)
 let test_execute_clash_is_error () =
-  let mapping, registry = shared_target ~clash:true in
+  let mapping, registry = clashing_target () in
   check_names_shared "Etl_target.execute" (Etl.Etl_target.execute mapping registry)
 
 let suite =

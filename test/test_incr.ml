@@ -618,9 +618,9 @@ let test_signed_two_derivations () =
 
 (* B is read before its tgd, so the statement order is no valid
    stratification; the chase orders by dependency instead (A → B and
-   E → D at depth 1, B → C at depth 2).  Every tgd is then the sole
-   producer of its target, and every batch — one whose A delta reaches
-   C through B included — is repaired by signed delta. *)
+   E → D at depth 1, B → C at depth 2).  Every tgd is tuple-level,
+   and every batch — one whose A delta reaches C through B included —
+   is repaired by signed delta. *)
 let test_misordered_stratifies_by_dependency () =
   let one = q_schema ~extra:[] in
   let mapping =
@@ -654,13 +654,13 @@ let test_misordered_stratifies_by_dependency () =
   Alcotest.(check bool) "D(2024Q1) gone with its last derivation" false
     (Exchange.Instance.mem solution "D" [| vq 2024 1; vi 1 |])
 
-(* B and C feed each other: the full chase and the incremental repair
-   both refuse the mapping and name the relation. *)
+(* B and C feed each other (B joins A with C): the full chase and the
+   incremental repair both refuse the mapping and name the relation. *)
 let test_recursive_mapping_rejected () =
   let one = q_schema ~extra:[] in
   let mapping =
     hand_mapping ~source:[ one "A" ] ~target:[ one "B"; one "C" ]
-      [ tl [ qm "A" ] (qm "B"); tl [ qm "C" ] (qm "B"); tl [ qm "B" ] (qm "C") ]
+      [ tl [ qm "A"; qm "C" ] (qm "B"); tl [ qm "B" ] (qm "C") ]
   in
   let source = source_instance mapping [ ("A", [| vq 2024 1; vf 1. |]) ] in
   let names_b what msg =
@@ -689,56 +689,6 @@ let test_signed_one_delta_per_relation () =
   in
   Alcotest.(check bool) ("names the rule: " ^ msg) true
     (Astring_contains.contains msg "more than one delta")
-
-(* Two tuple-level tgds produce U, so neither can keep derivation
-   counts of its own: an insert-only batch and a removal batch each
-   rederive U's stratum DRed-style, and a fact both tgds derive
-   survives losing one of its sources. *)
-let test_shared_target_rederives () =
-  let one = q_schema ~extra:[] in
-  let mapping =
-    hand_mapping ~source:[ one "A"; one "B" ] ~target:[ one "U" ]
-      (List.map (fun rel -> tl [ qm rel ] (atom "U" [ var "q"; num 1. ])) [ "A"; "B" ])
-  in
-  let f q = [| vq 2024 q; vf 1. |] in
-  let solution, batch =
-    signed_fixture mapping ~rels:[ "U" ] [ ("A", f 1); ("B", f 1); ("B", f 2) ]
-  in
-  let plan deltas =
-    let istats, _ = batch deltas in
-    (istats.Exchange.Chase.strata_delta, istats.Exchange.Chase.strata_rederived)
-  in
-  Alcotest.(check (pair int int)) "insert-only batch: DRed" (0, 1)
-    (plan [ ("A", { Exchange.Chase.added = [ f 3 ]; removed = [] }) ]);
-  Alcotest.(check (pair int int)) "removal batch: DRed" (0, 1)
-    (plan [ removal "A" (f 1) ]);
-  Alcotest.(check bool) "U(2024Q1) kept by B" true
-    (Exchange.Instance.mem solution "U" [| vq 2024 1; vi 1 |])
-
-(* Two aggregations produce U: neither may re-aggregate U's groups on
-   its own, or it would delete the facts the other derives at the same
-   group key.  Both rederive, and U(2024Q2) keeps B's sum when A's
-   fact goes. *)
-let test_shared_aggregation_target () =
-  let schema name = q_schema name ~extra:[ ("r", Domain.String) ] in
-  let mapping =
-    hand_mapping
-      ~source:[ schema "A"; schema "B" ]
-      ~target:[ q_schema "U" ~extra:[] ]
-      (List.map
-         (fun rel -> sum_tgd (qrm rel) ~group_by:[ var "q" ] ~measure:"m" "U")
-         [ "A"; "B" ])
-  in
-  let a = [| vq 2024 2; vs "x"; vf 10. |]
-  and b = [| vq 2024 2; vs "y"; vf 10. |] in
-  let solution, batch =
-    signed_fixture mapping ~rels:[ "U" ] [ ("A", a); ("B", b) ]
-  in
-  let istats, _ = batch [ removal "A" a ] in
-  Alcotest.(check (pair int int)) "(delta, rederived) strata" (0, 1)
-    (istats.Exchange.Chase.strata_delta, istats.Exchange.Chase.strata_rederived);
-  Alcotest.(check bool) "U(2024Q2) = 10 kept by B" true
-    (Exchange.Instance.mem solution "U" [| vq 2024 2; vf 10. |])
 
 (* --- the engine facade: apply_updates --- *)
 
@@ -1575,8 +1525,6 @@ let suite =
     ("signed: a mis-ordered mapping stratifies by dependency", `Quick, test_misordered_stratifies_by_dependency);
     ("chase: a recursive mapping is rejected", `Quick, test_recursive_mapping_rejected);
     ("signed: one delta per relation", `Quick, test_signed_one_delta_per_relation);
-    ("dred: a target two tgds produce", `Quick, test_shared_target_rederives);
-    ("dred: two aggregations share a target", `Quick, test_shared_aggregation_target);
     QCheck_alcotest.to_alcotest prop_signed_equals_scratch;
   ]
 

@@ -146,6 +146,9 @@ let chase_rel m inst rel =
   | Ok (j, stats) -> (X.Instance.facts j rel, stats)
   | Error e -> Alcotest.failf "chase: %s" e
 
+(* Two tgds write B, which the chase refuses (one writer per relation);
+   pruning the subsumed one leaves a mapping it accepts, whose B copies
+   A. *)
 let test_prune_subsumed () =
   let b = schema "B" [ ("q", quarter); ("r", Domain.String) ] in
   let keep =
@@ -162,9 +165,13 @@ let test_prune_subsumed () =
   Alcotest.(check bool) "I301 emitted" true
     (List.exists (fun (a : O.action) -> a.O.code = "I301") report.O.actions);
   Alcotest.(check (result unit string)) "certificates verify" (Ok ()) (O.verify report);
-  let before, _ = chase_rel m (instance_a ()) "B" in
+  (match X.Chase.run m (instance_a ()) with
+  | Error e ->
+      Alcotest.(check bool) ("the original is refused: " ^ e) true
+        (contains e "relation B is defined twice")
+  | Ok _ -> Alcotest.fail "the chase accepted two writers of B");
   let after, _ = chase_rel report.O.optimized (instance_a ()) "B" in
-  Alcotest.(check int) "same facts" (List.length before) (List.length after)
+  Alcotest.(check int) "B copies A" 8 (List.length after)
 
 let test_minimize_and_merge () =
   let b = schema "B" [ ("q", quarter); ("r", Domain.String) ] in
@@ -527,7 +534,7 @@ let shift_join_unfoldings what m =
   |> List.length
 
 let test_cone_check_on_examples () =
-  let dir = List.find Sys.file_exists [ "../examples"; "examples" ] in
+  let dir = examples_dir () in
   let programs =
     ("overview", overview_mapping ())
     :: List.filter_map
@@ -730,26 +737,52 @@ let test_unfolding_side_conditions () =
         "not executable" );
     ]
 
-(* Two tgds write T__1, for regions "a" and "b": fusing either would
-   leave the other writing a relation the fused mapping drops, so
-   neither is a candidate, and a run leaves both. *)
-let test_two_producers_not_fused () =
-  let str x = Term.Const (Value.String x) in
-  let writer r =
-    tl [ atom "A" [ var "q"; str r; var "m" ] ] (atom "T__1" [ var "q"; str r; var "m" ])
-  in
-  let reader =
-    tl [ atom "T__1" [ var "q"; var "r"; var "x" ] ] (atom "S" [ var "q"; var "r"; var "x" ])
-  in
-  let dims = [ ("q", quarter); ("r", Domain.String) ] in
+(* --- one writer per relation ------------------------------------------ *)
+
+let t1_writer r =
+  let r = match r with Some r -> Term.Const (Value.String r) | None -> var "r" in
+  tl [ atom "A" [ var "q"; r; var "m" ] ] (atom "T__1" [ var "q"; r; var "m" ])
+
+let t1_reader =
+  tl [ atom "T__1" [ var "q"; var "r"; var "x" ] ] (atom "S" [ var "q"; var "r"; var "x" ])
+
+let qr_dims = [ ("q", quarter); ("r", Domain.String) ]
+
+let refused what ~needle = function
+  | Ok _ -> Alcotest.failf "%s: expected an Error" what
+  | Error msg -> Alcotest.(check bool) (what ^ ": " ^ msg) true (contains msg needle)
+
+(* Two tgds write T__1, for regions "a" and "b": the full chase, the
+   naive oracle, the incremental repair and the E204 lint each refuse
+   the mapping and name T__1. *)
+let test_second_writer_refused () =
   let m =
-    hand_mapping ~t_tgds:[ writer "a"; writer "b"; reader ]
-      ~targets:[ schema "T__1" dims; schema "S" dims ]
+    hand_mapping
+      ~t_tgds:[ t1_writer (Some "a"); t1_writer (Some "b"); t1_reader ]
+      ~targets:[ schema "T__1" qr_dims; schema "S" qr_dims ]
   in
-  Alcotest.(check int) "no candidate" 0 (List.length (O.fusion_candidates m));
-  let report = O.run m in
-  Alcotest.(check int) "every tgd kept" 3 (List.length report.O.optimized.M.Mapping.t_tgds);
-  Alcotest.(check (result unit string)) "verifies" (Ok ()) (O.verify report)
+  let refused what = refused what ~needle:"relation T__1 is defined twice" in
+  refused "run" (Result.map ignore (X.Chase.run m (instance_a ())));
+  refused "run_naive" (Result.map ignore (X.Chase.run_naive m (instance_a ())));
+  refused "incremental"
+    (Result.map ignore
+       (X.Chase.incremental ~state:(X.Chase.create_incr_state ()) m
+          ~solution:(instance_a ()) ~deltas:[]));
+  match List.filter (fun d -> d.A.Diagnostic.code = "E204") (A.Map_lints.run m) with
+  | d :: _ -> refused "E204" (Error d.A.Diagnostic.message)
+  | [] -> Alcotest.fail "E204: no diagnostic"
+
+(* T__1 is written but not declared: the chase, the naive oracle and
+   the critical-instance check return an Error naming it, and none
+   raises. *)
+let test_undeclared_target_refused () =
+  let m =
+    hand_mapping ~t_tgds:[ t1_writer None; t1_reader ] ~targets:[ schema "S" qr_dims ]
+  in
+  let refused what = refused what ~needle:"T__1" in
+  refused "run" (Result.map ignore (X.Chase.run m (instance_a ())));
+  refused "run_naive" (Result.map ignore (X.Chase.run_naive m (instance_a ())));
+  refused "equivalent_on_critical" (O.equivalent_on_critical m m)
 
 (* A weekly series cannot be seasonally decomposed on the critical
    instance, which holds twelve weeks: the original mapping cannot be
@@ -849,6 +882,14 @@ let prop_optimize_preserves_chase =
           (match O.verify report with
           | Ok () -> ()
           | Error msg -> QCheck.Test.fail_reportf "certificate rejected: %s\n%s" msg src);
+          (* one writer per relation, in statement order, before and
+             after the rewrites *)
+          List.iter
+            (fun (what, m) ->
+              match M.Stratify.check m with
+              | Ok () -> ()
+              | Error msg -> QCheck.Test.fail_reportf "%s mapping: %s\n%s" what msg src)
+            [ ("generated", mapping); ("optimized", report.O.optimized) ];
           match
             ( X.Chase.run mapping (X.Instance.of_registry reg),
               X.Chase.run report.O.optimized (X.Instance.of_registry reg) )
@@ -909,7 +950,8 @@ let suite =
     ("fusion check: cone rejects like the full check", `Quick, test_cone_rejects_wrong_fusions);
     ("fusion check: new constants refresh the base", `Quick, test_commit_refreshes_base_on_new_constants);
     ("unfolding: each side condition declines", `Quick, test_unfolding_side_conditions);
-    ("fusion: a temporary with two producers is kept", `Quick, test_two_producers_not_fused);
+    ("stratify: a relation two tgds write is refused", `Quick, test_second_writer_refused);
+    ("stratify: an undeclared target is an Error", `Quick, test_undeclared_target_refused);
     ("unfolding: weekly decomposition, no critical chase", `Quick, test_unfolding_without_critical_chase);
     ("docs: diagnostics catalogue drift", `Quick, test_diagnostics_docs_drift);
     QCheck_alcotest.to_alcotest prop_optimize_preserves_chase;

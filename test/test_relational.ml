@@ -588,7 +588,7 @@ let prop_sql_matches_interp =
 (* A derived table with two measures for one key is an [Error] of
    [execute], not an exception. *)
 let test_execute_clash_is_error () =
-  let mapping, registry = shared_target ~clash:true in
+  let mapping, registry = clashing_target () in
   check_names_shared "Sql_target.execute"
     (Relational.Sql_target.execute mapping registry)
 

@@ -16,13 +16,6 @@ let test_descriptive_known_values () =
   Alcotest.check floats "max" 9. (Stats.Descriptive.max xs);
   Alcotest.check floats "sum" 40. (Stats.Descriptive.sum xs)
 
-let test_descriptive_correlation () =
-  let x = [| 1.; 2.; 3.; 4. |] in
-  let y = [| 2.; 4.; 6.; 8. |] in
-  Alcotest.check floats "perfect" 1. (Stats.Descriptive.correlation x y);
-  let y_neg = [| 8.; 6.; 4.; 2. |] in
-  Alcotest.check floats "inverse" (-1.) (Stats.Descriptive.correlation x y_neg)
-
 let test_descriptive_empty_rejected () =
   Alcotest.check_raises "mean of empty"
     (Invalid_argument "Descriptive.mean: empty input") (fun () ->
@@ -255,7 +248,6 @@ let prop_deseasonalize_removes_seasonality =
 let suite =
   [
     ("descriptive: known values", `Quick, test_descriptive_known_values);
-    ("descriptive: correlation", `Quick, test_descriptive_correlation);
     ("descriptive: empty rejected", `Quick, test_descriptive_empty_rejected);
     ("descriptive: autocorrelation", `Quick, test_autocorrelation);
     ("aggregate: known values", `Quick, test_aggregate_known);

@@ -150,7 +150,7 @@ let prop_vector_matches_interp =
 (* A derived frame with two measures for one key is an [Error] of
    [execute], not an exception. *)
 let test_execute_clash_is_error () =
-  let mapping, registry = shared_target ~clash:true in
+  let mapping, registry = clashing_target () in
   check_names_shared "Vector_target.execute"
     (Vector.Vector_target.execute mapping registry)
 
