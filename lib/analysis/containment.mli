@@ -41,16 +41,11 @@ val match_atom :
     pattern variables bind to arbitrary target subterms, everything
     else is structural. *)
 
-val subsumes :
-  general:Mappings.Tgd.t -> specific:Mappings.Tgd.t -> homomorphism option
-(** [subsumes ~general ~specific] returns a witness homomorphism from
-    [general]'s body and head onto [specific]'s when every fact
-    [specific] derives is already derived by [general] — [specific] is
-    then redundant.  Tuple-level tgds with equal target only. *)
-
 val equivalent :
   Mappings.Tgd.t -> Mappings.Tgd.t -> (homomorphism * homomorphism) option
-(** Mutual subsumption, with both witnesses. *)
+(** Mutual subsumption, with both witnesses: each tgd's body and head
+    map onto the other's by a homomorphism, so each derives every fact
+    the other derives.  Tuple-level tgds with equal target only. *)
 
 val redundant_atom :
   head:Mappings.Tgd.atom ->

@@ -71,15 +71,13 @@ let catalogue =
               the defining tgd");
     ("E204", "stratification failure: tgd order is not a valid total order");
     ("W205", "target relation is never produced by any tgd");
-    ("I301", "optimizer pruned a tgd subsumed by another (witness \
-              homomorphism attached)");
     ("I302", "optimizer dropped a redundant body atom (core folding \
               witness attached)");
     ("I303", "optimizer merged duplicate functional body atoms (justified \
               by the relation's egd)");
     ("I304", "optimizer fused a temporary into its consumer(s) (cost model \
-              win; proved by unfolding into tuple-level consumers, \
-              checked on the critical instance otherwise)");
+              win; proved by unfolding into tuple-level and aggregation \
+              consumers, checked on the critical instance otherwise)");
     ("I305", "optimizer specialized an outer combine with provably equal \
               grids to a tuple-level tgd");
     ("I306", "optimizer discharged a functionality egd implied by the \

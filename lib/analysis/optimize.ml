@@ -1,16 +1,16 @@
 (* exl-opt: the containment-based mapping optimizer.
 
-   A static pass between mapping generation and the chase.  Five
+   A static pass between mapping generation and the chase.  Four
    rewrites, every one carrying a machine-checkable certificate in the
    style of the weak-acyclicity rank certificate:
 
-   - I301  prune a tgd subsumed by another (witness homomorphism);
    - I302  drop a redundant body atom (core folding witness);
    - I303  merge duplicate functional body atoms (egd justification);
    - I304  fuse a temporary into its consumer(s), gated by a cost
-           model; proved by unfolding when every consumer is
-           tuple-level, otherwise checked by chasing both mappings on
-           a critical instance;
+           model; proved by unfolding consumer by consumer when each
+           is tuple-level or an aggregation and every side condition
+           holds, otherwise checked by chasing both mappings on a
+           critical instance;
    - I305  specialize an outer combine whose sides share one relation
            (equal grids, so the default is dead) to a tuple-level tgd;
    - I306  discharge a functionality egd implied by its defining tgd
@@ -118,9 +118,10 @@ let dim_values (d : Domain.t) =
          seasonal decompositions, which need two full cycles.  Capped
          at 30 values: weekly/daily decompositions stay unchaseable on
          the critical instance instead of blowing up the instance.
-         There the fusions that need a chase (into aggregations, table
-         functions and outer combines) are rejected; tuple-level
-         fusions are still proved by unfolding. *)
+         There the fusions that need a chase (into table functions and
+         outer combines, or failing a side condition of the unfolding
+         proof) are rejected; the others are still proved by
+         unfolding. *)
       let freq = Option.value ~default:Calendar.Quarter f in
       let count =
         match Calendar.periods_per_year freq with
@@ -297,7 +298,6 @@ let equivalent_on_critical (m1 : Mapping.t) (m2 : Mapping.t) :
 (* --- certificates and actions ---------------------------------------- *)
 
 type certificate =
-  | Subsumption_witness of { by : Tgd.t; hom : Containment.homomorphism }
   | Fold_witness of {
       dropped : Tgd.atom;
       onto : Tgd.atom;
@@ -331,56 +331,7 @@ type report = {
   fused : bool;
 }
 
-(* --- pass 1: subsumption pruning (I301) ------------------------------- *)
-
-let index_of tgds tgd =
-  let rec go i = function
-    | [] -> -1
-    | t :: rest -> if t == tgd then i else go (i + 1) rest
-  in
-  1 + go 0 tgds
-
-let prune_subsumed push (m : Mapping.t) =
-  let rec loop (m : Mapping.t) =
-    let victim =
-      List.find_map
-        (fun specific ->
-          List.find_map
-            (fun general ->
-              if general == specific then None
-              else
-                Option.map
-                  (fun hom -> (general, specific, hom))
-                  (Containment.subsumes ~general ~specific))
-            m.Mapping.t_tgds)
-        m.Mapping.t_tgds
-    in
-    match victim with
-    | None -> m
-    | Some (general, specific, hom) ->
-        push
-          {
-            code = "I301";
-            target = Tgd.target_relation specific;
-            detail =
-              Printf.sprintf "pruned tgd #%d: subsumed by #%d, witness h = %s"
-                (index_of m.Mapping.t_tgds specific)
-                (index_of m.Mapping.t_tgds general)
-                (Containment.hom_to_string hom);
-            before = Some specific;
-            after = None;
-            certificate = Subsumption_witness { by = general; hom };
-          };
-        loop
-          {
-            m with
-            Mapping.t_tgds =
-              List.filter (fun t -> not (t == specific)) m.Mapping.t_tgds;
-          }
-  in
-  loop m
-
-(* --- pass 2: body minimization (I302, I303) --------------------------- *)
+(* --- pass 1: body minimization (I302, I303) --------------------------- *)
 
 let subst_var v replacement (a : Tgd.atom) =
   let f x = if x = v then Some replacement else None in
@@ -477,15 +428,16 @@ let minimize_all push ~original (m : Mapping.t) =
 (* --- fusion checks against one base solution ------------------------- *)
 
 (* [fuse_all] checks each candidate [next] against the current mapping
-   [m] it was derived from.  A tuple-level fusion is proved by
-   unfolding, with no chase; the other candidates are checked on the
-   critical instance.  The critical instance and [m]'s solution over it
-   are the same for every candidate, so the base keeps both, chased
-   once and lazily: a run whose candidates are all unfoldings chases
-   nothing.  A committed candidate becomes the next base with the
-   solution at hand — the one the cone check just computed, or, after
-   an unfolding, the still-lazy solution of [m], which agrees with
-   [next] on every relation of [next] — unless the commit changed the
+   [m] it was derived from.  A candidate whose every consumer, whether
+   tuple-level or an aggregation, passes the unfolding proof below is
+   proved with no chase; the others are checked on the critical
+   instance.  The critical instance and [m]'s solution over it are the
+   same for every candidate, so the base keeps both, chased once and
+   lazily: a run whose candidates are all unfoldings chases nothing.
+   A committed candidate becomes the next base with the solution at
+   hand — the one the cone check just computed, or, after an
+   unfolding, the still-lazy solution of [m], which agrees with [next]
+   on every relation of [next] — unless the commit changed the
    mapping's constants, which the critical instance is built from: then
    the next base is a fresh lazy one. *)
 type fusion_base = {
@@ -569,7 +521,7 @@ let check_against (base : fusion_base) (next : Mapping.t) =
           let unchanged rel = not (List.mem rel affected) in
           (compare_solutions ~unchanged j1 j2 next, Some j2))
 
-(* --- unfolding: tuple-level fusions proved without a chase ------------ *)
+(* --- unfolding: fusions proved without a chase ------------------------ *)
 
 (* Inlining a tuple-level producer [L → T(s)] into a tuple-level
    consumer [T(u) ∧ B → H] is view unfolding: [Fuse.fuse_step] computes
@@ -591,8 +543,8 @@ let check_against (base : fusion_base) (next : Mapping.t) =
      second);
    - no other tgd reads or writes [T] once the consumers are fused.
 
-   [unfolding] checks the first three for one consumer, whose fused tgd
-   must be the replayed fusion ([replays]).  It returns σ on the
+   [unfold_tuple] checks the first three for one consumer, whose fused
+   tgd must be the replayed fusion ([replays]).  It returns σ on the
    consumer's variables, read off the replay, and the determination
    chain of [T]'s measure.  The fourth holds for every candidate, which
    fuses all of [T]'s readers, and [T] has no second writer: one writer
@@ -640,7 +592,7 @@ let match_atoms patterns targets =
 let replays ~original raw fused =
   Tgd.equal raw fused || Tgd.equal (minimize_tgd (fun _ -> ()) ~original raw) fused
 
-let unfolding ~original ~producer ~consumer ~fused =
+let unfold_tuple ~original ~producer ~consumer ~fused =
   match (producer, consumer, Fuse.fuse_step ~producer ~consumer) with
   | ( Tgd.Tuple_level { lhs = p_lhs; rhs = p_rhs },
       Tgd.Tuple_level { lhs = c_lhs; rhs = c_rhs },
@@ -691,6 +643,149 @@ let unfolding ~original ~producer ~consumer ~fused =
       | _ -> None)
   | _ -> None
 
+(* Alpha-equivalence up to variable renaming: mutual subsumption for
+   tuple-level tgds, a two-way atom match for aggregations.  Used to
+   replay fusion steps, whose fresh variable names differ between the
+   recorded and the replayed result. *)
+let alpha_equivalent (a : Tgd.t) (b : Tgd.t) =
+  match (a, b) with
+  | Tgd.Tuple_level _, Tgd.Tuple_level _ ->
+      Containment.equivalent a b <> None
+  | ( Tgd.Aggregation
+        { source = s1; group_by = g1; aggr = a1; measure = m1; target = t1 },
+      Tgd.Aggregation
+        { source = s2; group_by = g2; aggr = a2; measure = m2; target = t2 } )
+    ->
+      a1 = a2 && t1 = t2
+      && List.length g1 = List.length g2
+      && (let match_dir sa ga ma sb gb mb =
+            match
+              Containment.match_atom []
+                (Containment.normalize_atom sa)
+                (Containment.normalize_atom sb)
+            with
+            | None -> None
+            | Some sub ->
+                let sub =
+                  List.fold_left2
+                    (fun acc ta tb ->
+                      Option.bind acc (fun sub ->
+                          Containment.match_term sub
+                            (Containment.normalize_term ta)
+                            (Containment.normalize_term tb)))
+                    (Some sub) ga gb
+                in
+                Option.bind sub (fun sub ->
+                    Containment.match_term sub (Term.Var ma) (Term.Var mb))
+          in
+          match_dir s1 g1 m1 s2 g2 m2 <> None
+          && match_dir s2 g2 m2 s1 g1 m1 <> None)
+  | _ -> Tgd.equal a b
+
+(* Inlining a single-atom producer [A(x, m) → T(s, m')] into an
+   aggregation [T(u, y) → H(g, agg(y))] is [Fuse.fuse_step_agg]: σ
+   binds [u] to [s] (renamed apart), and the fused tgd aggregates [A]
+   into [H(σ(g), agg(m'))].  An aggregation reads a bag, not a set of
+   bindings, so beyond the replay (compared by [alpha_equivalent]:
+   aggregations are not minimized) the proof needs the producer to map
+   A's matches one to one onto T's facts, each keeping its group and
+   measure:
+
+   - [A] is functional, and every variable of A's dimension arguments
+     is recovered by a head dimension term that is the variable itself
+     or a shift of it at a temporal position of [A], a bijection of the
+     calendar: two matches with one head key then bind the same
+     dimensions, so they are one fact of [A].  T's facts are then in
+     bijection with A's matches, T's egd, which the fused mapping
+     drops, cannot fail, and the aggregation sees the same bag;
+   - every head dimension term is defined on every match: a constant,
+     a variable or such a shift.  Forcing an undefined term in σ(g) is
+     not enough here: where the producer skips a fact, the fused
+     aggregation would evaluate the term and fail the chase, since an
+     undefined group-by term is an error, not a skipped fact;
+   - both tgds run: A's arguments are variables and constants (the
+     aggregation matcher settles no complex term), and the variables of
+     the producer's head, of σ(g) and of the measure occur among them;
+   - the aggregate ignores the order of its bag: [first] and [last]
+     read the bag in fact order, which is A's key order after fusion
+     and T's before, and a producer may permute the dimensions.
+
+   The proof is σ on the consumer's group-by variables, read off the
+   replay, and a chain naming, for each dimension variable of [A], the
+   head dimension term that recovers it ([q ← q + 1]). *)
+
+(* [term] is [v] or, when [v] is temporal, a shift of [v] by a numeric
+   constant. *)
+let recovers ~temporal v (term : Term.t) =
+  match Containment.normalize_term term with
+  | Term.Var w -> w = v
+  | Term.Binapp
+      ((Ops.Binop.Add | Ops.Binop.Sub), Term.Var w, Term.Const (Value.Int _ | Value.Float _))
+  | Term.Binapp (Ops.Binop.Add, Term.Const (Value.Int _ | Value.Float _), Term.Var w) ->
+      w = v && temporal v
+  | _ -> false
+
+(* The variables of [a] at a position whose domain is temporal. *)
+let temporal_vars (m : Mapping.t) (a : Tgd.atom) =
+  let dims =
+    match Mapping.target_schema m a.Tgd.rel with Some s -> s.Schema.dims | None -> [||]
+  in
+  List.concat
+    (List.mapi
+       (fun i (t : Term.t) ->
+         match t with
+         | Term.Var v
+           when i < Array.length dims && Domain.is_temporal dims.(i).Schema.dim_domain ->
+             [ v ]
+         | _ -> [])
+       a.Tgd.args)
+
+let unfold_aggregation ~original ~producer ~consumer ~fused =
+  match (producer, consumer, Fuse.fuse_step_agg ~producer ~consumer) with
+  | ( Tgd.Tuple_level { lhs = [ a ]; rhs = p_rhs },
+      Tgd.Aggregation { group_by; _ },
+      Some (Tgd.Aggregation { source; group_by = fused_group_by; aggr; measure; target } as raw)
+    )
+    when (match aggr with Stats.Aggregate.First | Last -> false | _ -> true)
+         && alpha_equivalent raw fused
+         && functional_rel original a.Tgd.rel
+         && List.for_all (function Term.Var _ | Term.Const _ -> true | _ -> false) a.Tgd.args
+         && runs [ a ] p_rhs
+         && runs [ source ] (Tgd.atom target (fused_group_by @ [ Term.Var measure ])) ->
+      let temporal_vars = temporal_vars original a in
+      let temporal v = List.mem v temporal_vars in
+      let a_dims, _ = Containment.split_atom a and keys, _ = Containment.split_atom p_rhs in
+      let defined (t : Term.t) =
+        (match t with Term.Const _ -> true | _ -> false)
+        || List.exists (fun v -> recovers ~temporal v t) (Term.vars t)
+      in
+      let chain =
+        List.map
+          (fun v ->
+            Option.map
+              (fun k -> v ^ " ← " ^ Term.to_string k)
+              (List.find_opt (recovers ~temporal v) keys))
+          (Tgd.atom_vars { a with Tgd.args = a_dims })
+      in
+      let unifier =
+        List.fold_left2
+          (fun acc p t -> Option.bind acc (fun sub -> Containment.match_term sub p t))
+          (Some []) group_by fused_group_by
+      in
+      if List.for_all defined keys && List.for_all Option.is_some chain then
+        Option.map
+          (fun unifier ->
+            ( List.rev (List.filter (fun (v, t) -> not (Term.equal t (Term.Var v))) unifier),
+              List.filter_map Fun.id chain ))
+          unifier
+      else None
+  | _ -> None
+
+let unfolding ~original ~producer ~consumer ~fused =
+  match consumer with
+  | Tgd.Aggregation _ -> unfold_aggregation ~original ~producer ~consumer ~fused
+  | _ -> unfold_tuple ~original ~producer ~consumer ~fused
+
 (* When [next] is one fusion of [m]: the producer, and each consumer
    paired with the tgd of [next] that replaced it.  [m]'s tgds missing
    from [next] are the producer — the one whose target [next] drops —
@@ -736,7 +831,7 @@ let check_fusion ?(unfold = true) (base : fusion_base) (next : Mapping.t) =
       | Ok n, Some j2 -> (Ok (Chased n), commit base next (Lazy.from_val (Ok j2)))
       | verdict, _ -> (Result.map (fun n -> Chased n) verdict, base))
 
-(* --- pass 3: cost-gated, certified fusion (I304) ----------------------- *)
+(* --- pass 2: cost-gated, certified fusion (I304) ----------------------- *)
 
 let usages (m : Mapping.t) name =
   List.filter
@@ -886,12 +981,18 @@ let fuse_all push ~original ?cards (m : Mapping.t) =
               match proof with
               | Unfolded proofs ->
                   List.map2
-                    (fun pair (unifier, chain) ->
+                    (fun ((consumer, _) as pair) (unifier, chain) ->
+                      let why =
+                        match (consumer, f.producer) with
+                        | Tgd.Aggregation _, Tgd.Tuple_level { lhs = [ a ]; _ } ->
+                            Printf.sprintf "%s one to one with %s via %s" f.temp a.Tgd.rel
+                              (String.concat ", " chain)
+                        | _ -> Printf.sprintf "%s functional via %s" f.temp (String.concat " → " chain)
+                      in
                       ( pair,
                         Unfolding { producer = f.producer; unifier; chain },
-                        Printf.sprintf "unfolded with σ = %s, %s functional via %s"
-                          (Containment.hom_to_string unifier)
-                          f.temp (String.concat " → " chain) ))
+                        Printf.sprintf "unfolded with σ = %s, %s"
+                          (Containment.hom_to_string unifier) why ))
                     f.fused proofs
               | Chased facts_compared ->
                   List.map
@@ -924,7 +1025,7 @@ let fuse_all push ~original ?cards (m : Mapping.t) =
   in
   loop (fusion_base m) m []
 
-(* --- pass 4: outer-combine specialization (I305) ----------------------- *)
+(* --- pass 3: outer-combine specialization (I305) ----------------------- *)
 
 let specialize_outer (tgd : Tgd.t) =
   match tgd with
@@ -980,7 +1081,7 @@ let specialize_outers push (m : Mapping.t) =
   in
   { m with Mapping.t_tgds }
 
-(* --- pass 5: egd discharge (I306) -------------------------------------- *)
+(* --- pass 4: egd discharge (I306) -------------------------------------- *)
 
 let discharge_egds push (m : Mapping.t) =
   let defining rel =
@@ -1098,90 +1199,25 @@ let order_bodies (m : Mapping.t) =
 let run ?(fuse = true) ?cards (m : Mapping.t) =
   let actions = ref [] in
   let push a = actions := a :: !actions in
-  let m1 = prune_subsumed push m in
-  let m2 = minimize_all push ~original:m m1 in
-  let m3 = if fuse then fuse_all push ~original:m ?cards m2 else m2 in
-  let m4 = specialize_outers push m3 in
-  let m5 = discharge_egds push m4 in
-  let m6 = order_bodies m5 in
+  let m1 = minimize_all push ~original:m m in
+  let m2 = if fuse then fuse_all push ~original:m ?cards m1 else m1 in
+  let m3 = specialize_outers push m2 in
+  let m4 = discharge_egds push m3 in
+  let m5 = order_bodies m4 in
   {
     original = m;
-    optimized = m6;
+    optimized = m5;
     actions = List.rev !actions;
     est_before = estimate ?cards m;
-    est_after = estimate ?cards m6;
+    est_after = estimate ?cards m5;
     fused = fuse;
   }
 
 (* --- verification ------------------------------------------------------ *)
 
-(* Alpha-equivalence up to variable renaming: mutual subsumption for
-   tuple-level tgds, a two-way atom match for aggregations.  Used to
-   replay fusion steps, whose fresh variable names differ between the
-   recorded and the replayed result. *)
-let alpha_equivalent (a : Tgd.t) (b : Tgd.t) =
-  match (a, b) with
-  | Tgd.Tuple_level _, Tgd.Tuple_level _ ->
-      Containment.equivalent a b <> None
-  | ( Tgd.Aggregation
-        { source = s1; group_by = g1; aggr = a1; measure = m1; target = t1 },
-      Tgd.Aggregation
-        { source = s2; group_by = g2; aggr = a2; measure = m2; target = t2 } )
-    ->
-      a1 = a2 && t1 = t2
-      && List.length g1 = List.length g2
-      && (let match_dir sa ga ma sb gb mb =
-            match
-              Containment.match_atom []
-                (Containment.normalize_atom sa)
-                (Containment.normalize_atom sb)
-            with
-            | None -> None
-            | Some sub ->
-                let sub =
-                  List.fold_left2
-                    (fun acc ta tb ->
-                      Option.bind acc (fun sub ->
-                          Containment.match_term sub
-                            (Containment.normalize_term ta)
-                            (Containment.normalize_term tb)))
-                    (Some sub) ga gb
-                in
-                Option.bind sub (fun sub ->
-                    Containment.match_term sub (Term.Var ma) (Term.Var mb))
-          in
-          match_dir s1 g1 m1 s2 g2 m2 <> None
-          && match_dir s2 g2 m2 s1 g1 m1 <> None)
-  | _ -> Tgd.equal a b
-
 let verify_action (r : report) (a : action) : (unit, string) result =
   let fail fmt = Printf.ksprintf (fun s -> Error (a.code ^ ": " ^ s)) fmt in
   match (a.certificate, a.before, a.after) with
-  | Subsumption_witness { by; hom }, Some pruned, None -> (
-      match (by, pruned) with
-      | ( Tgd.Tuple_level { lhs = g_lhs; rhs = g_rhs },
-          Tgd.Tuple_level { lhs = s_lhs; rhs = s_rhs } ) ->
-          let image (atom : Tgd.atom) =
-            Containment.normalize_atom
-              {
-                atom with
-                Tgd.args = List.map (Containment.apply_hom hom) atom.Tgd.args;
-              }
-          in
-          let target_atoms = List.map Containment.normalize_atom s_lhs in
-          let head_ok =
-            Tgd.equal_atom (image g_rhs) (Containment.normalize_atom s_rhs)
-          in
-          let body_ok =
-            List.for_all
-              (fun atom ->
-                List.exists (Tgd.equal_atom (image atom)) target_atoms)
-              g_lhs
-          in
-          if head_ok && body_ok then Ok ()
-          else fail "witness homomorphism does not map the subsumer onto %s"
-                 a.target
-      | _ -> fail "subsumption certificate on non tuple-level tgds")
   | Fold_witness { dropped; onto; hom }, Some before, Some after -> (
       match (before, after) with
       | Tgd.Tuple_level { lhs = b_lhs; rhs = b_rhs },
@@ -1365,9 +1401,6 @@ let certificate_to_json c =
   let open Obs.Json in
   let obj kind fields = Obj (("kind", Str kind) :: fields) in
   match c with
-  | Subsumption_witness { by; hom } ->
-      obj "subsumption"
-        [ ("by", Str (Tgd.to_string by)); ("witness", Str (Containment.hom_to_string hom)) ]
   | Fold_witness { dropped; onto; hom } ->
       obj "fold"
         [

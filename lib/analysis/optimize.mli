@@ -1,19 +1,15 @@
 (** exl-opt: the containment-based mapping optimizer.
 
-    A static pass between mapping generation and the chase.  Five
-    rewrites — subsumption pruning, body minimization (core folding and
-    egd-justified atom merging), cost-gated fusion of temporaries,
-    outer-combine specialization, and egd discharge — each emitting a
+    A static pass between mapping generation and the chase.  Four
+    rewrites — body minimization (core folding and egd-justified atom
+    merging), cost-gated fusion of temporaries, outer-combine
+    specialization, and egd discharge — each emitting a
     machine-checkable {!certificate}.  {!verify} re-validates every
     certificate independently and re-chases the original and optimized
     mappings on a synthetic critical instance. *)
 
 (** The evidence attached to each transformation. *)
 type certificate =
-  | Subsumption_witness of {
-      by : Mappings.Tgd.t;
-      hom : Containment.homomorphism;
-    }  (** I301: the homomorphism mapping the subsumer onto the pruned tgd. *)
   | Fold_witness of {
       dropped : Mappings.Tgd.atom;
       onto : Mappings.Tgd.atom;
@@ -23,21 +19,32 @@ type certificate =
       (** I303: the relation whose functionality egd forces the merged
           measures equal. *)
   | Fusion_equivalence of { producer : Mappings.Tgd.t; facts_compared : int }
-      (** I304 into an aggregation, table-function or outer-combine
-          consumer: the inlined producer; equivalence was established by
-          chasing both mappings on the critical instance. *)
+      (** I304 not proved by unfolding (a table-function or
+          outer-combine consumer, or a side condition that fails): the
+          inlined producer; equivalence was established by chasing both
+          mappings on the critical instance. *)
   | Unfolding of {
       producer : Mappings.Tgd.t;
       unifier : Containment.homomorphism;
       chain : string list;
     }
-      (** I304 into a tuple-level consumer, proved without a chase: the
-          inlined producer, the unifier of the consumer's temporary atom
-          with the producer's head (consumer variable ↦ term of the
-          fused tgd), and the determination chain showing the
-          temporary is functional.  Also checked: every partial
-          producer head term is still evaluated by the fused tgd, and
-          the chase can run both the producer and the fused tgd. *)
+      (** I304 into a tuple-level or aggregation consumer, proved
+          without a chase: the inlined producer and the unifier
+          (consumer variable ↦ term of the fused tgd).  Into a
+          tuple-level consumer the unifier is that of the consumer's
+          temporary atom with the producer's head, and the chain is the
+          determination chain showing the temporary is functional;
+          also checked: every partial producer head term is still
+          evaluated by the fused tgd, and the chase can run both the
+          producer and the fused tgd.  Into an aggregation the unifier
+          is restricted to the group-by variables, and the chain names,
+          for each dimension variable of the producer's one body atom,
+          the head dimension term (itself or a temporal shift of it)
+          that recovers it, so the temporary's facts are in bijection
+          with the body's; also checked: the body relation is
+          functional, every head dimension term is defined, the
+          aggregate ignores the order of its bag, and both tgds
+          run. *)
   | Grid_equality of { relation : string }
       (** I305: both outer-combine sides read this relation on the same
           dimension terms, so the coalescing default is dead. *)
@@ -90,11 +97,12 @@ val equivalent_on_critical :
 (** {1 Fusion checks}
 
     The optimizer certifies each fusion candidate against the current
-    mapping.  A candidate whose consumers are all tuple-level is proved
-    by unfolding, with no chase.  Any other is checked on the critical
-    instance without re-chasing the current mapping: its solution is
-    chased once, on first use, and shared by every candidate, and each
-    candidate chases only the relations its rewrite can change. *)
+    mapping.  A candidate whose consumers, tuple-level or aggregations,
+    all pass the unfolding proof is proved with no chase.  Any other is
+    checked on the critical instance without re-chasing the current
+    mapping: its solution is chased once, on first use, and shared by
+    every candidate, and each candidate chases only the relations its
+    rewrite can change. *)
 
 type fusion_base
 (** A mapping with its critical instance and its solution over it,

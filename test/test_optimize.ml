@@ -31,10 +31,21 @@ let test_subsumes () =
       [ atom "A" [ var "q"; var "m" ]; atom "C" [ var "q"; var "x" ] ]
       (atom "B" [ var "q"; var "m" ])
   in
-  Alcotest.(check bool) "extra-atom tgd is subsumed" true
-    (C.subsumes ~general ~specific <> None);
-  Alcotest.(check bool) "not the other way around" true
-    (C.subsumes ~general:specific ~specific:general = None);
+  (* general subsumes specific, but not the other way around: C has no
+     image in general's body *)
+  Alcotest.(check bool) "an extra atom over another relation breaks equivalence" true
+    (C.equivalent general specific = None);
+  (* an extra atom over the same relation folds back onto the first *)
+  let self_join =
+    tl
+      [ atom "A" [ var "q"; var "m" ]; atom "A" [ var "q2"; var "m2" ] ]
+      (atom "B" [ var "q"; var "m" ])
+  in
+  Alcotest.(check bool) "a redundant self-join is equivalent" true
+    (C.equivalent general self_join <> None);
+  Alcotest.(check bool) "another target is not equivalent" true
+    (C.equivalent general (tl [ atom "A" [ var "q"; var "m" ] ] (atom "B2" [ var "q"; var "m" ]))
+    = None);
   (* alpha-renaming: mutual subsumption *)
   let renamed = tl [ atom "A" [ var "t"; var "y" ] ] (atom "B" [ var "t"; var "y" ]) in
   Alcotest.(check bool) "alpha-equivalent" true (C.equivalent general renamed <> None);
@@ -145,33 +156,6 @@ let chase_rel m inst rel =
   match X.Chase.run m inst with
   | Ok (j, stats) -> (X.Instance.facts j rel, stats)
   | Error e -> Alcotest.failf "chase: %s" e
-
-(* Two tgds write B, which the chase refuses (one writer per relation);
-   pruning the subsumed one leaves a mapping it accepts, whose B copies
-   A. *)
-let test_prune_subsumed () =
-  let b = schema "B" [ ("q", quarter); ("r", Domain.String) ] in
-  let keep =
-    tl [ atom "A" [ var "q"; var "r"; var "m" ] ] (atom "B" [ var "q"; var "r"; var "m" ])
-  in
-  let redundant =
-    tl
-      [ atom "A" [ var "q"; var "r"; var "m" ]; atom "A" [ var "q2"; var "r2"; var "m2" ] ]
-      (atom "B" [ var "q"; var "r"; var "m" ])
-  in
-  let m = hand_mapping ~t_tgds:[ keep; redundant ] ~targets:[ b ] in
-  let report = O.run ~fuse:false m in
-  Alcotest.(check int) "one tgd left" 1 (List.length report.O.optimized.M.Mapping.t_tgds);
-  Alcotest.(check bool) "I301 emitted" true
-    (List.exists (fun (a : O.action) -> a.O.code = "I301") report.O.actions);
-  Alcotest.(check (result unit string)) "certificates verify" (Ok ()) (O.verify report);
-  (match X.Chase.run m (instance_a ()) with
-  | Error e ->
-      Alcotest.(check bool) ("the original is refused: " ^ e) true
-        (contains e "relation B is defined twice")
-  | Ok _ -> Alcotest.fail "the chase accepted two writers of B");
-  let after, _ = chase_rel report.O.optimized (instance_a ()) "B" in
-  Alcotest.(check int) "B copies A" 8 (List.length after)
 
 let test_minimize_and_merge () =
   let b = schema "B" [ ("q", quarter); ("r", Domain.String) ] in
@@ -379,7 +363,35 @@ let test_tampered_certificate_rejected () =
                 optimized with
                 M.Mapping.t_tgds = Option.get producer :: optimized.M.Mapping.t_tgds;
               };
-          }))
+          }));
+  (* an aggregation unfolding: σ on the group-by variable and the key
+     chain [q ← f1_q + 1] *)
+  let m, _, _ = shifted_agg_mapping () in
+  let report = O.run m in
+  let tamper f =
+    {
+      report with
+      O.actions =
+        List.map
+          (fun (a : O.action) ->
+            match (a.O.certificate, a.O.before) with
+            | O.Unfolding { producer; unifier; chain }, Some (Tgd.Aggregation _) ->
+                let unifier, chain = f (unifier, chain) in
+                { a with O.certificate = O.Unfolding { producer; unifier; chain } }
+            | _ -> a)
+          report.O.actions;
+    }
+  in
+  Alcotest.(check (result unit string)) "the aggregation unfolding verifies" (Ok ())
+    (O.verify (tamper Fun.id));
+  Alcotest.(check bool) "aggregation: wrong σ rejected" true
+    (Result.is_error
+       (O.verify
+          (tamper (fun (unifier, chain) ->
+               (List.map (fun (v, _) -> (v, Term.Var "f1_q")) unifier, chain)))));
+  Alcotest.(check bool) "aggregation: wrong key chain rejected" true
+    (Result.is_error
+       (O.verify (tamper (fun (unifier, chain) -> (unifier, List.map (fun c -> c ^ " - 1") chain)))))
 
 let test_optimizer_report_json () =
   let report = O.run (overview_mapping ()) in
@@ -430,17 +442,34 @@ let test_fusion_names_never_capture () =
 (* --- fusion checks: the cone check against the full re-chase ----------- *)
 
 (* A wrong variant of a fusion candidate: every tgd it does not share
-   with [m] adds 0.5 to its head measure. *)
+   with [m] is changed.  A tuple-level one adds 0.5 to its head
+   measure; an aggregation drops the shifts of its group-by terms (the
+   [fusion:unsafe] bug) or, when none is shifted, swaps its aggregate. *)
 let perturb (m : M.Mapping.t) (next : M.Mapping.t) =
+  let unshift (t : Term.t) =
+    match t with
+    | Term.Shifted (t, _)
+    | Term.Binapp ((Ops.Binop.Add | Ops.Binop.Sub), (Term.Var _ as t), Term.Const _) ->
+        t
+    | t -> t
+  in
   let wrong tgd =
-    match tgd with
-    | Tgd.Tuple_level { lhs; rhs } when not (List.memq tgd m.M.Mapping.t_tgds) -> (
-        match List.rev rhs.Tgd.args with
-        | measure :: dims ->
-            let measure = Term.Binapp (Ops.Binop.Add, measure, Term.Const (Value.Float 0.5)) in
-            Tgd.Tuple_level { lhs; rhs = { rhs with Tgd.args = List.rev (measure :: dims) } }
-        | [] -> tgd)
-    | _ -> tgd
+    if List.memq tgd m.M.Mapping.t_tgds then tgd
+    else
+      match tgd with
+      | Tgd.Tuple_level { lhs; rhs } -> (
+          match List.rev rhs.Tgd.args with
+          | measure :: dims ->
+              let measure = Term.Binapp (Ops.Binop.Add, measure, Term.Const (Value.Float 0.5)) in
+              Tgd.Tuple_level { lhs; rhs = { rhs with Tgd.args = List.rev (measure :: dims) } }
+          | [] -> tgd)
+      | Tgd.Aggregation a ->
+          let group_by = List.map unshift a.group_by in
+          if List.equal Term.equal group_by a.group_by then
+            Tgd.Aggregation
+              { a with aggr = (if a.aggr = Stats.Aggregate.Sum then Stats.Aggregate.Max else Sum) }
+          else Tgd.Aggregation { a with group_by }
+      | _ -> tgd
   in
   { next with M.Mapping.t_tgds = List.map wrong next.M.Mapping.t_tgds }
 
@@ -737,6 +766,116 @@ let test_unfolding_side_conditions () =
         "not executable" );
     ]
 
+(* The same for an aggregation consumer: each fixture fails one side
+   condition of its unfolding and is a wrong fusion.  [extra] tgds write
+   the relation B, which has no egd. *)
+let test_agg_unfolding_side_conditions () =
+  let q = [ ("q", quarter) ] in
+  let qrx = [ ("q", quarter); ("r", Domain.String); ("x", Domain.Float) ] in
+  let a = atom "A" and b = atom "B" and t = atom "T__1" in
+  let undefined = Term.Binapp (Ops.Binop.Div, var "m", Term.Binapp (Ops.Binop.Sub, var "m", var "m")) in
+  let sum_s ~group_by source = sum_tgd source ~group_by ~measure:"y" "S" in
+  List.iter
+    (fun (what, t_dims, extra, p, c, message) ->
+      let m =
+        hand_mapping
+          ~t_tgds:(extra @ [ p; c ])
+          ~targets:
+            ((if extra = [] then [] else [ schema "B" q ])
+            @ [ schema "T__1" t_dims; schema "S" q ])
+      in
+      let m = { m with M.Mapping.egds = List.filter (fun (e : M.Egd.t) -> e.M.Egd.relation <> "B") m.M.Mapping.egds } in
+      let next =
+        match O.fusion_candidates m with
+        | [ next ] -> next
+        | l -> Alcotest.failf "%s: expected one fusion candidate, got %d" what (List.length l)
+      in
+      let full = O.equivalent_on_critical m next in
+      Alcotest.(check bool) (what ^ ": " ^ message) true (contains (verdict_to_string full) message);
+      Alcotest.(check string) (what ^ ": cone check") (verdict_to_string full)
+        (verdict_to_string (fst (cone_check (O.fusion_base m) next)));
+      Alcotest.(check string) (what ^ ": not unfolded") (verdict_to_string full)
+        (proof_to_string (fst (O.check_fusion (O.fusion_base m) next))))
+    [
+      (* T__1(q, m) drops r: its egd fails, the fused sum adds regions *)
+      ( "projecting producer under sum",
+        q,
+        [],
+        tl [ a [ var "q"; var "r"; var "m" ] ] (t [ var "q"; var "m" ]),
+        sum_s ~group_by:[ var "q" ] (t [ var "q"; var "y" ]),
+        "egd violation" );
+      (* B holds both regions' measures per quarter, so T__1's egd
+         fails where the fused sum reads B unchecked *)
+      ( "non-functional body relation",
+        q,
+        [ tl [ a [ var "q"; var "r"; var "m" ] ] (b [ var "q"; var "m" ]) ],
+        tl [ b [ var "q"; var "m" ] ] (t [ var "q"; var "m" ]),
+        sum_s ~group_by:[ var "q" ] (t [ var "q"; var "y" ]),
+        "egd violation" );
+      (* T__1's dimension x is never defined, so T__1 and S are empty,
+         but the fused sum over A does not evaluate x *)
+      ( "undefined head term not forced",
+        qrx,
+        [],
+        tl [ a [ var "q"; var "r"; var "m" ] ] (t [ var "q"; var "r"; undefined; var "m" ]),
+        sum_s ~group_by:[ var "q" ] (t [ var "q"; var "r"; var "x"; var "y" ]),
+        "solutions differ" );
+      (* forcing it in the group-by is not enough: an undefined group-by
+         term fails the fused chase, where the producer skipped the fact *)
+      ( "undefined head term forced",
+        qrx,
+        [],
+        tl [ a [ var "q"; var "r"; var "m" ] ] (t [ var "q"; var "r"; undefined; var "m" ]),
+        sum_s ~group_by:[ var "x" ] (t [ var "q"; var "r"; var "x"; var "y" ]),
+        "optimized mapping failed" );
+      (* a shift is a bijection only of a temporal dimension: r + 1 is
+         undefined on a string, so T__1 and S are empty *)
+      ( "shift of a string dimension",
+        [ ("q", quarter); ("r", Domain.String) ],
+        [],
+        tl [ a [ var "q"; var "r"; var "m" ] ] (t [ var "q"; Term.Shifted (var "r", 1); var "m" ]),
+        sum_s ~group_by:[ var "q" ] (t [ var "q"; var "r"; var "y" ]),
+        "solutions differ" );
+    ]
+
+(* An aggregation over a shifted weekly series, beside a seasonal
+   decomposition the twelve weeks of the critical instance cannot hold:
+   the shift is fused by unfolding, with no chase at all. *)
+let test_agg_unfolding_without_critical_chase () =
+  let src = "cube W(w: week);\nT := stl_t(W);\nS := sum(shift(W, 1), group by w);\n" in
+  let { M.Generate.mapping; _ } = check_ok (M.Generate.of_checked (Exl.Program.load_exn src)) in
+  Alcotest.(check bool) "the original fails on the critical instance" true
+    (contains (verdict_to_string (O.equivalent_on_critical mapping mapping)) "original mapping failed");
+  let report, chased = chased_tgd_counts (fun () -> O.run mapping) in
+  Alcotest.(check (list int)) "no chase" [] chased;
+  (match List.filter (fun (a : O.action) -> a.O.code = "I304") report.O.actions with
+  | [ { O.certificate = O.Unfolding { chain; _ }; before = Some (Tgd.Aggregation _); _ } ] ->
+      Alcotest.(check (list string)) "W's key recovered through the shift" [ "w ← w + 1" ] chain
+  | _ -> Alcotest.fail "expected one aggregation fusion, proved by unfolding");
+  Alcotest.(check (result unit string)) "all certificates verify" (Ok ()) (O.verify report);
+  (* on A's instance the fused sum is the original's; [first] reads its
+     bag in fact order, so the same fusion under [first] is cone-checked *)
+  let m, _, _ = shifted_agg_mapping () in
+  let report = O.run m in
+  let s j = fst (chase_rel j (instance_a ()) "S") in
+  Alcotest.(check bool) "same S" true (s m = s report.O.optimized);
+  let first =
+    {
+      m with
+      M.Mapping.t_tgds =
+        List.map
+          (function
+            | Tgd.Aggregation g -> Tgd.Aggregation { g with aggr = Stats.Aggregate.First }
+            | tgd -> tgd)
+          m.M.Mapping.t_tgds;
+    }
+  in
+  match O.fusion_candidates first with
+  | [ next ] ->
+      Alcotest.(check bool) "first: not unfolded" false
+        (unfolded (fst (O.check_fusion (O.fusion_base first) next)))
+  | l -> Alcotest.failf "first: expected one fusion candidate, got %d" (List.length l)
+
 (* --- one writer per relation ------------------------------------------ *)
 
 let t1_writer r =
@@ -935,7 +1074,6 @@ let suite =
     ("containment: egd merge", `Quick, test_mergeable_atoms);
     ("containment: fd chase", `Quick, test_fd_determines);
     ("containment: identity", `Quick, test_is_identity);
-    ("optimize: prune subsumed (I301)", `Quick, test_prune_subsumed);
     ("optimize: minimize + merge (I303)", `Quick, test_minimize_and_merge);
     ("fuse: agg step rewrites keys", `Quick, test_fuse_step_agg_rewrites_keys);
     ("fuse: naive agg fusion is wrong", `Quick, test_naive_agg_fusion_changes_semantics);
@@ -953,6 +1091,8 @@ let suite =
     ("stratify: a relation two tgds write is refused", `Quick, test_second_writer_refused);
     ("stratify: an undeclared target is an Error", `Quick, test_undeclared_target_refused);
     ("unfolding: weekly decomposition, no critical chase", `Quick, test_unfolding_without_critical_chase);
+    ("unfolding: aggregation side conditions decline", `Quick, test_agg_unfolding_side_conditions);
+    ("unfolding: aggregation through a shift, no critical chase", `Quick, test_agg_unfolding_without_critical_chase);
     ("docs: diagnostics catalogue drift", `Quick, test_diagnostics_docs_drift);
     QCheck_alcotest.to_alcotest prop_optimize_preserves_chase;
     QCheck_alcotest.to_alcotest prop_cone_check_matches_full;
