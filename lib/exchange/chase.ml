@@ -860,7 +860,8 @@ type incr_state = {
   bags : (string, agg_bags) Hashtbl.t;
   counts : (string, counts) Hashtbl.t;
 }
-(* Both keyed by [Tgd.to_string], stable for the lifetime of a mapping. *)
+(* Both keyed by the tgd's target relation: a relation has one writer
+   ([Stratify] refuses a second), so its name names the tgd. *)
 
 let create_incr_state () =
   { bags = Hashtbl.create 8; counts = Hashtbl.create 8 }
@@ -1287,7 +1288,7 @@ let incremental ~state (m : Mappings.Mapping.t) ~solution ~deltas =
                     (wrap_chase (fun () ->
                          List.iter
                            (fun tgd ->
-                             let key = Tgd.to_string tgd in
+                             let key = Tgd.target_relation tgd in
                              (match tgd with
                              | Tgd.Aggregation
                                  { source; group_by; aggr; measure; target }

@@ -92,7 +92,8 @@ type incr_stats = {
 val empty_incr_stats : unit -> incr_stats
 
 type incr_state
-(** Per-solution state of {!incremental}, kept per tgd: for every
+(** Per-solution state of {!incremental}, kept per tgd (under its
+    target relation, which only that tgd writes): for every
     aggregation tgd, the multiset of measures currently contributing
     to each group; for every tuple-level tgd repaired by signed delta,
     the number of lhs matches deriving each target fact.  Either is

@@ -104,33 +104,58 @@ let prec = function
   | Shifted _ -> 1
   | Binapp (op, _, _) -> Ops.Binop.precedence op
 
-let rec to_str ctx t =
-  let s =
-    match t with
-    | Var v -> v
-    | Const (Value.String text) -> Printf.sprintf "%S" text
-    | Const c -> Value.to_string c
-    | Shifted (t, k) ->
-        if k >= 0 then Printf.sprintf "%s + %d" (to_str 2 t) k
-        else Printf.sprintf "%s - %d" (to_str 2 t) (-k)
-    | Dim_fn (fn, t) -> Printf.sprintf "%s(%s)" fn (to_str 0 t)
-    | Scalar_fn (fn, [], t) -> Printf.sprintf "%s(%s)" fn (to_str 0 t)
-    | Scalar_fn (fn, ps, t) ->
-        Printf.sprintf "%s(%s, %s)" fn
-          (String.concat ", " (List.map (Printf.sprintf "%g") ps))
-          (to_str 0 t)
-    | Binapp (op, a, b) ->
-        let p = Ops.Binop.precedence op in
-        let lc, rc = if Ops.Binop.is_right_assoc op then (p + 1, p) else (p, p + 1) in
-        Printf.sprintf "%s %s %s" (to_str lc a) (Ops.Binop.to_string op)
-          (to_str rc b)
-    | Neg t -> "-" ^ to_str 4 t
-    | Coalesce (a, b) ->
-        Printf.sprintf "coalesce(%s, %s)" (to_str 0 a) (to_str 0 b)
-  in
-  if prec t < ctx then "(" ^ s ^ ")" else s
+(* Writes [t] into [buf]; an operand binding looser than [ctx] gets
+   its parentheses here, around what is written, not around a copy. *)
+let rec write buf ctx t =
+  let paren = prec t < ctx in
+  if paren then Buffer.add_char buf '(';
+  (match t with
+  | Var v -> Buffer.add_string buf v
+  | Const (Value.String text) ->
+      Buffer.add_char buf '"';
+      Buffer.add_string buf (String.escaped text);
+      Buffer.add_char buf '"'
+  | Const c -> Buffer.add_string buf (Value.to_string c)
+  | Shifted (t, k) ->
+      write buf 2 t;
+      Buffer.add_string buf (if k >= 0 then " + " else " - ");
+      Buffer.add_string buf (string_of_int (abs k))
+  | Dim_fn (fn, t) | Scalar_fn (fn, [], t) ->
+      Buffer.add_string buf fn;
+      Buffer.add_char buf '(';
+      write buf 0 t;
+      Buffer.add_char buf ')'
+  | Scalar_fn (fn, ps, t) ->
+      Buffer.add_string buf fn;
+      Buffer.add_char buf '(';
+      List.iter (fun p -> Printf.bprintf buf "%g, " p) ps;
+      write buf 0 t;
+      Buffer.add_char buf ')'
+  | Binapp (op, a, b) ->
+      let p = Ops.Binop.precedence op in
+      let lc, rc = if Ops.Binop.is_right_assoc op then (p + 1, p) else (p, p + 1) in
+      write buf lc a;
+      Buffer.add_char buf ' ';
+      Buffer.add_string buf (Ops.Binop.to_string op);
+      Buffer.add_char buf ' ';
+      write buf rc b
+  | Neg t ->
+      Buffer.add_char buf '-';
+      write buf 4 t
+  | Coalesce (a, b) ->
+      Buffer.add_string buf "coalesce(";
+      write buf 0 a;
+      Buffer.add_string buf ", ";
+      write buf 0 b;
+      Buffer.add_char buf ')');
+  if paren then Buffer.add_char buf ')'
 
-let to_string t = to_str 0 t
+let to_buffer buf t = write buf 0 t
+
+let to_string t =
+  let buf = Buffer.create 32 in
+  write buf 0 t;
+  Buffer.contents buf
 
 let rec normalize_shift = function
   | Var _ as t -> t

@@ -48,3 +48,6 @@ val equal : t -> t -> bool
 val to_string : t -> string
 (** Paper-style notation: [q - 1], [quarter(t)], [y1 * y2],
     [(y1 - y2) * 100 / y1]. *)
+
+val to_buffer : Buffer.t -> t -> unit
+(** [to_string], appended to a buffer. *)

@@ -65,21 +65,48 @@ let is_safe = function
       (* both atoms must use plain variables *)
       List.for_all Term.is_var left.args && List.for_all Term.is_var right.args
 
-let atom_to_string a =
-  Printf.sprintf "%s(%s)" a.rel
-    (String.concat ", " (List.map Term.to_string a.args))
+let add_list buf sep add = function
+  | [] -> ()
+  | x :: rest ->
+      add buf x;
+      List.iter
+        (fun x ->
+          Buffer.add_string buf sep;
+          add buf x)
+        rest
 
-let to_string = function
-  | Tuple_level { lhs = []; rhs } -> "→ " ^ atom_to_string rhs
+let add_atom buf a =
+  Buffer.add_string buf a.rel;
+  Buffer.add_char buf '(';
+  add_list buf ", " Term.to_buffer a.args;
+  Buffer.add_char buf ')'
+
+let atom_to_string a =
+  let buf = Buffer.create 32 in
+  add_atom buf a;
+  Buffer.contents buf
+
+(* [dims], then ", " when there are any: the head's dimension terms
+   before its measure. *)
+let add_dims buf dims =
+  add_list buf ", " Term.to_buffer dims;
+  if dims <> [] then Buffer.add_string buf ", "
+
+let add_tgd buf = function
   | Tuple_level { lhs; rhs } ->
-      String.concat " ∧ " (List.map atom_to_string lhs)
-      ^ " → " ^ atom_to_string rhs
+      add_list buf " ∧ " add_atom lhs;
+      Buffer.add_string buf (if lhs = [] then "→ " else " → ");
+      add_atom buf rhs
   | Aggregation { source; group_by; aggr; measure; target } ->
-      Printf.sprintf "%s → %s(%s%s%s(%s))" (atom_to_string source) target
-        (String.concat ", " (List.map Term.to_string group_by))
-        (if group_by = [] then "" else ", ")
-        (Stats.Aggregate.to_string aggr)
-        measure
+      add_atom buf source;
+      Buffer.add_string buf " → ";
+      Buffer.add_string buf target;
+      Buffer.add_char buf '(';
+      add_dims buf group_by;
+      Buffer.add_string buf (Stats.Aggregate.to_string aggr);
+      Buffer.add_char buf '(';
+      Buffer.add_string buf measure;
+      Buffer.add_string buf "))"
   | Outer_combine { left; right; op; default; target } ->
       (* the target's dimensions are the left atom's dimension terms *)
       let dims =
@@ -87,26 +114,43 @@ let to_string = function
         | _measure :: rev_dims -> List.rev rev_dims
         | [] -> []
       in
-      let measure_of (atom : atom) =
-        match List.rev atom.args with m :: _ -> m | [] -> Term.Var "m"
+      let coalesced (atom : atom) =
+        Buffer.add_string buf "coalesce(";
+        Term.to_buffer buf
+          (match List.rev atom.args with m :: _ -> m | [] -> Term.Var "m");
+        Printf.bprintf buf ", %g)" default
       in
-      let coalesced atom =
-        Printf.sprintf "coalesce(%s, %g)"
-          (Term.to_string (measure_of atom))
-          default
-      in
-      Printf.sprintf "%s ∨ %s → %s(%s%s%s %s %s)" (atom_to_string left)
-        (atom_to_string right) target
-        (String.concat ", " (List.map Term.to_string dims))
-        (if dims = [] then "" else ", ")
-        (coalesced left) (Ops.Binop.to_string op) (coalesced right)
+      add_atom buf left;
+      Buffer.add_string buf " ∨ ";
+      add_atom buf right;
+      Buffer.add_string buf " → ";
+      Buffer.add_string buf target;
+      Buffer.add_char buf '(';
+      add_dims buf dims;
+      coalesced left;
+      Buffer.add_char buf ' ';
+      Buffer.add_string buf (Ops.Binop.to_string op);
+      Buffer.add_char buf ' ';
+      coalesced right;
+      Buffer.add_char buf ')'
   | Table_fn { fn; params; source; target } ->
-      let params_str =
-        if params = [] then ""
-        else
-          "; " ^ String.concat ", " (List.map (Printf.sprintf "%g") params)
-      in
-      Printf.sprintf "%s → %s(%s(%s%s))" source target fn source params_str
+      Buffer.add_string buf source;
+      Buffer.add_string buf " → ";
+      Buffer.add_string buf target;
+      Buffer.add_char buf '(';
+      Buffer.add_string buf fn;
+      Buffer.add_char buf '(';
+      Buffer.add_string buf source;
+      if params <> [] then begin
+        Buffer.add_string buf "; ";
+        add_list buf ", " (fun buf p -> Printf.bprintf buf "%g" p) params
+      end;
+      Buffer.add_string buf "))"
+
+let to_string tgd =
+  let buf = Buffer.create 64 in
+  add_tgd buf tgd;
+  Buffer.contents buf
 
 let equal_atom (a : atom) (b : atom) =
   a.rel = b.rel && List.equal Term.equal a.args b.args

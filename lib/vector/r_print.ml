@@ -1,11 +1,38 @@
 open Matrix
 
-let lit = function
-  | Value.String s -> Printf.sprintf "\"%s\"" s
-  | Value.Date d -> Printf.sprintf "as.Date(\"%s\")" (Calendar.Date.to_string d)
-  | Value.Period p -> Printf.sprintf "\"%s\"" (Calendar.Period.to_string p)
-  | Value.Null -> "NA"
-  | (Value.Bool _ | Value.Int _ | Value.Float _) as v -> Value.to_string v
+(* The script is written into one buffer, statement by statement. *)
+
+let add = Buffer.add_string
+
+let add_list buf sep f = function
+  | [] -> ()
+  | x :: rest ->
+      f x;
+      List.iter
+        (fun x ->
+          add buf sep;
+          f x)
+        rest
+
+(* A string literal backslash-escapes its quotes and backslashes. *)
+let add_quoted buf s =
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+      if c = '"' || c = '\\' then Buffer.add_char buf '\\';
+      Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"'
+
+let add_lit buf = function
+  | Value.String s -> add_quoted buf s
+  | Value.Date d ->
+      add buf "as.Date(";
+      add_quoted buf (Calendar.Date.to_string d);
+      Buffer.add_char buf ')'
+  | Value.Period p -> add_quoted buf (Calendar.Period.to_string p)
+  | Value.Null -> add buf "NA"
+  | (Value.Bool _ | Value.Int _ | Value.Float _) as v -> add buf (Value.to_string v)
 
 let prec = function
   | Frame_ops.Bin (op, _, _) -> Ops.Binop.precedence op
@@ -15,107 +42,174 @@ let prec = function
   | Frame_ops.Coalesce_col _ ->
       10
 
-let rec expr_str frame ctx e =
-  let s =
-    match e with
-    | Frame_ops.Col c -> Printf.sprintf "%s[\"%s\"]" frame c
-    | Frame_ops.Lit v -> lit v
-    | Frame_ops.Bin (op, a, b) ->
-        let p = Ops.Binop.precedence op in
-        Printf.sprintf "%s %s %s" (expr_str frame p a) (Ops.Binop.to_string op)
-          (expr_str frame (p + 1) b)
-    | Frame_ops.Neg a -> "-" ^ expr_str frame 4 a
-    | Frame_ops.Scalar (fn, [], a) ->
-        Printf.sprintf "%s(%s)" fn (expr_str frame 0 a)
-    | Frame_ops.Scalar (fn, params, a) ->
-        Printf.sprintf "%s(%s, %s)" fn (expr_str frame 0 a)
-          (String.concat ", " (List.map (Printf.sprintf "%g") params))
-    | Frame_ops.Dim (fn, a) -> Printf.sprintf "%s(%s)" fn (expr_str frame 0 a)
-    | Frame_ops.Shift_val (a, k) ->
-        if k >= 0 then Printf.sprintf "%s + %d" (expr_str frame 2 a) k
-        else Printf.sprintf "%s - %d" (expr_str frame 2 a) (-k)
-    | Frame_ops.Coalesce_col (a, b) ->
-        Printf.sprintf "dplyr::coalesce(%s, %s)" (expr_str frame 0 a)
-          (expr_str frame 0 b)
-  in
-  if prec e < ctx then "(" ^ s ^ ")" else s
+(* An expression over [frame]'s columns; an operand binding looser than
+   [ctx] gets its parentheses here. *)
+let rec add_expr buf frame ctx e =
+  let paren = prec e < ctx in
+  if paren then Buffer.add_char buf '(';
+  (match e with
+  | Frame_ops.Col c ->
+      add buf frame;
+      add buf "[\"";
+      add buf c;
+      add buf "\"]"
+  | Frame_ops.Lit v -> add_lit buf v
+  | Frame_ops.Bin (op, a, b) ->
+      let p = Ops.Binop.precedence op in
+      add_expr buf frame p a;
+      Buffer.add_char buf ' ';
+      add buf (Ops.Binop.to_string op);
+      Buffer.add_char buf ' ';
+      add_expr buf frame (p + 1) b
+  | Frame_ops.Neg a ->
+      Buffer.add_char buf '-';
+      add_expr buf frame 4 a
+  | Frame_ops.Scalar (fn, params, a) ->
+      add buf fn;
+      Buffer.add_char buf '(';
+      add_expr buf frame 0 a;
+      List.iter (Printf.bprintf buf ", %g") params;
+      Buffer.add_char buf ')'
+  | Frame_ops.Dim (fn, a) ->
+      add buf fn;
+      Buffer.add_char buf '(';
+      add_expr buf frame 0 a;
+      Buffer.add_char buf ')'
+  | Frame_ops.Shift_val (a, k) ->
+      add_expr buf frame 2 a;
+      add buf (if k >= 0 then " + " else " - ");
+      add buf (string_of_int (abs k))
+  | Frame_ops.Coalesce_col (a, b) ->
+      add buf "dplyr::coalesce(";
+      add_expr buf frame 0 a;
+      add buf ", ";
+      add_expr buf frame 0 b;
+      Buffer.add_char buf ')');
+  if paren then Buffer.add_char buf ')'
 
-let quoted_list xs =
-  "c(" ^ String.concat ", " (List.map (Printf.sprintf "\"%s\"") xs) ^ ")"
+let add_names buf xs =
+  add buf "c(";
+  add_list buf ", "
+    (fun x ->
+      Buffer.add_char buf '"';
+      add buf x;
+      Buffer.add_char buf '"')
+    xs;
+  Buffer.add_char buf ')'
 
-let stmt_to_string = function
-  | Script.Copy { dst; src } -> [ Printf.sprintf "%s <- %s" dst src ]
+(* [dst <- ], the start of an assignment line. *)
+let assign buf dst =
+  add buf dst;
+  add buf " <- "
+
+(* The paper's R fragment for seasonal decomposition: one of the
+   components of [stl]. *)
+let add_stl buf dst src component =
+  add buf dst;
+  add buf "C <- stl(";
+  add buf src;
+  add buf ", \"periodic\")\n";
+  assign buf dst;
+  add buf dst;
+  add buf "C$time.series[ , \"";
+  add buf component;
+  add buf "\"]"
+
+let add_merge buf dst left right by options =
+  assign buf dst;
+  add buf "merge(";
+  add buf left;
+  add buf ", ";
+  add buf right;
+  add buf ", by=";
+  add_names buf by;
+  add buf options;
+  Buffer.add_char buf ')'
+
+let add_stmt buf = function
+  | Script.Copy { dst; src } ->
+      assign buf dst;
+      add buf src
   | Script.Filter_rows { dst; src; conditions } ->
-      [
-        Printf.sprintf "%s <- %s[%s, ]" dst src
-          (String.concat " & "
-             (List.map
-                (fun (col, v) -> Printf.sprintf "%s$%s == %s" src col (lit v))
-                conditions));
-      ]
-  | Script.Merge { dst; left; right; by } ->
-      [ Printf.sprintf "%s <- merge(%s, %s, by=%s)" dst left right (quoted_list by) ]
+      assign buf dst;
+      add buf src;
+      Buffer.add_char buf '[';
+      add_list buf " & "
+        (fun (col, v) ->
+          add buf src;
+          Buffer.add_char buf '$';
+          add buf col;
+          add buf " == ";
+          add_lit buf v)
+        conditions;
+      add buf ", ]"
+  | Script.Merge { dst; left; right; by } -> add_merge buf dst left right by ""
   | Script.Merge_outer { dst; left; right; by } ->
-      [
-        Printf.sprintf "%s <- merge(%s, %s, by=%s, all=TRUE)" dst left right
-          (quoted_list by);
-      ]
+      add_merge buf dst left right by ", all=TRUE"
   | Script.Assign_col { frame; col; expr } ->
-      [ Printf.sprintf "%s$%s <- %s" frame col (expr_str frame 0 expr) ]
+      add buf frame;
+      Buffer.add_char buf '$';
+      add buf col;
+      add buf " <- ";
+      add_expr buf frame 0 expr
   | Script.Select_cols { dst; src; cols } ->
-      [
-        Printf.sprintf "%s <- setNames(%s[%s], %s)" dst src
-          (quoted_list (List.map fst cols))
-          (quoted_list (List.map snd cols));
-      ]
+      assign buf dst;
+      add buf "setNames(";
+      add buf src;
+      Buffer.add_char buf '[';
+      add_names buf (List.map fst cols);
+      add buf "], ";
+      add_names buf (List.map snd cols);
+      Buffer.add_char buf ')'
   | Script.Group_agg { dst; src; by; aggr; measure } ->
-      [
-        Printf.sprintf "%s <- aggregate(x = %s, by = list(%s), FUN = %s)" dst
-          (expr_str src 0 measure)
-          (String.concat ", "
-             (List.map
-                (fun (name, e) -> Printf.sprintf "%s = %s" name (expr_str src 0 e))
-                by))
-          (match aggr with
-          | Stats.Aggregate.Avg -> "mean"
-          | Stats.Aggregate.Stddev -> "sd"
-          | other -> Stats.Aggregate.to_string other);
-      ]
+      assign buf dst;
+      add buf "aggregate(x = ";
+      add_expr buf src 0 measure;
+      add buf ", by = list(";
+      add_list buf ", "
+        (fun (name, e) ->
+          add buf name;
+          add buf " = ";
+          add_expr buf src 0 e)
+        by;
+      add buf "), FUN = ";
+      add buf
+        (match aggr with
+        | Stats.Aggregate.Avg -> "mean"
+        | Stats.Aggregate.Stddev -> "sd"
+        | other -> Stats.Aggregate.to_string other);
+      Buffer.add_char buf ')'
   | Script.Apply_fn { dst; src; fn; params } -> (
       match String.lowercase_ascii fn with
-      | "stl_t" ->
-          (* The paper's R fragment for seasonal decomposition. *)
-          [
-            Printf.sprintf "%sC <- stl(%s, \"periodic\")" dst src;
-            Printf.sprintf "%s <- %sC$time.series[ , \"trend\"]" dst dst;
-          ]
-      | "stl_s" ->
-          [
-            Printf.sprintf "%sC <- stl(%s, \"periodic\")" dst src;
-            Printf.sprintf "%s <- %sC$time.series[ , \"seasonal\"]" dst dst;
-          ]
-      | "stl_r" ->
-          [
-            Printf.sprintf "%sC <- stl(%s, \"periodic\")" dst src;
-            Printf.sprintf "%s <- %sC$time.series[ , \"remainder\"]" dst dst;
-          ]
+      | "stl_t" -> add_stl buf dst src "trend"
+      | "stl_s" -> add_stl buf dst src "seasonal"
+      | "stl_r" -> add_stl buf dst src "remainder"
       | _ ->
-          [
-            Printf.sprintf "%s <- %s(%s%s)" dst fn src
-              (String.concat ""
-                 (List.map (Printf.sprintf ", %g") params));
-          ])
+          assign buf dst;
+          add buf fn;
+          Buffer.add_char buf '(';
+          add buf src;
+          List.iter (Printf.bprintf buf ", %g") params;
+          Buffer.add_char buf ')')
   | Script.Const_frame { dst; cols; rows } ->
-      [
-        Printf.sprintf "%s <- data.frame(%s)" dst
-          (String.concat ", "
-             (List.mapi
-                (fun ci name ->
-                  Printf.sprintf "%s = c(%s)" name
-                    (String.concat ", "
-                       (List.map (fun row -> lit (List.nth row ci)) rows)))
-                cols));
-      ]
+      assign buf dst;
+      add buf "data.frame(";
+      List.iteri
+        (fun ci name ->
+          if ci > 0 then add buf ", ";
+          add buf name;
+          add buf " = c(";
+          add_list buf ", " (fun row -> add_lit buf (List.nth row ci)) rows;
+          Buffer.add_char buf ')')
+        cols;
+      Buffer.add_char buf ')'
 
 let script_to_string script =
-  String.concat "\n" (List.concat_map stmt_to_string script) ^ "\n"
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun stmt ->
+      add_stmt buf stmt;
+      Buffer.add_char buf '\n')
+    script;
+  if script = [] then Buffer.add_char buf '\n';
+  Buffer.contents buf

@@ -68,13 +68,17 @@ let tokenize src =
         emit (OP Ops.Binop.Sub);
         incr i
     | '\'' ->
-        let start = !i + 1 in
-        let j = ref start in
-        while !j < n && src.[!j] <> '\'' do
-          incr j
+        (* a doubled quote inside the literal stands for one quote *)
+        let text = Buffer.create 16 in
+        let j = ref (!i + 1) in
+        while
+          !j < n && (src.[!j] <> '\'' || (!j + 1 < n && src.[!j + 1] = '\''))
+        do
+          Buffer.add_char text src.[!j];
+          j := !j + if src.[!j] = '\'' then 2 else 1
         done;
         if !j >= n then fail "unterminated string literal";
-        emit (STRING (String.sub src start (!j - start)));
+        emit (STRING (Buffer.contents text));
         i := !j + 1
     | c when is_digit c || c = '.' ->
         let start = !i in

@@ -29,6 +29,32 @@ let test_artifacts_all_produced () =
       ("kettle", Core.kettle_of);
     ]
 
+(* A string constant holding both quote characters and a backslash
+   is a valid literal in each scripting language: SQL doubles the
+   single quote, R backslash-escapes the double quote and the
+   backslash, Matlab doubles the double quote.  The SQL is a fixpoint
+   of the test-side parser and the printer. *)
+let test_string_literals_quoted () =
+  let program =
+    Core.compile_exn
+      "cube A(m: month, shop: string);\nB := filter(A, shop = \"o'r \\\"b\\\\\");\n"
+  in
+  List.iter
+    (fun (label, produce, literal) ->
+      let text = core_ok (produce program) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s holds %s" label literal)
+        true
+        (Astring_contains.contains text literal))
+    [
+      ("sql", Core.sql_of ?fused:None, {|'o''r "b\'|});
+      ("r", Core.r_of, {|"o'r \"b\\"|});
+      ("matlab", Core.matlab_of, {|"o'r ""b\"|});
+    ];
+  let sql = core_ok (Core.sql_of program) in
+  Alcotest.(check string) "SQL reads back" sql
+    (Relational.Sql_print.statements_to_string (core_ok (Sql_parser.parse_script sql)))
+
 let test_verify_reports_differences () =
   (* A deliberately broken back end comparison: feed verify a program
      whose reference run fails (log of a negative constant). *)
@@ -98,6 +124,7 @@ let suite =
     ("backend names", `Quick, test_backend_names);
     ("compile reports errors", `Quick, test_compile_reports_errors);
     ("all artifacts produced", `Quick, test_artifacts_all_produced);
+    ("string literals quoted per target", `Quick, test_string_literals_quoted);
     ("verify reports differences", `Quick, test_verify_reports_differences);
     ("r io primitives", `Quick, test_r_io_primitives);
     ("run on every backend", `Quick, test_run_on_every_backend);

@@ -663,6 +663,27 @@ let test_optimize_words () =
     (Printf.sprintf "%.0f words <= %.0f" words optimize_words_bound)
     true (words <= optimize_words_bound)
 
+(* The four deployable artifacts of the overview program:
+   [Core.sql_of], [r_of], [matlab_of] and [kettle_of], mapping
+   generation included.  Each printer writes into one buffer; on OCaml
+   5.1 the four read 34 525 words, and the bound leaves ~2 % for the
+   other compilers CI builds on.  Building each element, expression
+   and line as a string and copying it into its parent's read 81 150. *)
+let artifact_words_bound = 35_300.
+
+let test_artifact_words () =
+  let program = Core.compile_exn Rows.micro.Rows.program in
+  let run () =
+    List.iter
+      (fun artifact -> ignore (Sys.opaque_identity (ok (artifact program))))
+      [ Core.sql_of ?fused:None; Core.r_of; Core.matlab_of; Core.kettle_of ]
+  in
+  run ();
+  let words = minor_words run in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words <= %.0f" words artifact_words_bound)
+    true (words <= artifact_words_bound)
+
 let suite =
   [
     ("chase: semi-naive matches", `Quick, test_chase);
@@ -691,4 +712,5 @@ let suite =
     ("views: key orders built", `Quick, test_key_orders);
     ("alloc: of_registry words", `Quick, test_of_registry_words);
     ("alloc: optimize+verify words", `Quick, test_optimize_words);
+    ("alloc: artifact words", `Quick, test_artifact_words);
   ]
