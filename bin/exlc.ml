@@ -75,14 +75,17 @@ let write_bundle dir program source =
         raise e);
     Printf.printf "wrote %s\n" path
   in
+  (* one mapping, generated once, for every translator *)
+  let mapping = Core.mapping_of program in
+  let of_mapping f = Result.bind mapping f in
   let artifacts =
     [
-      ("mapping.tgds", Core.tgds_of program);
-      ("schema.sql", Core.ddl_of program);
-      ("program.sql", Core.sql_of ~fused:true program);
-      ("program.r", Core.r_of program);
-      ("program.m", Core.matlab_of program);
-      ("job.kettle.xml", Core.kettle_of program);
+      ("mapping.tgds", of_mapping Core.tgds_of_mapping);
+      ("schema.sql", of_mapping Core.ddl_of_mapping);
+      ("program.sql", of_mapping (Core.sql_of_mapping ~fused:true));
+      ("program.r", of_mapping Core.r_of_mapping);
+      ("program.m", of_mapping Core.matlab_of_mapping);
+      ("job.kettle.xml", of_mapping Core.kettle_of_mapping);
       ("graph.dot", dot_of_program source);
     ]
   in
@@ -284,17 +287,18 @@ let fuse_arg =
     & opt (enum [ ("safe", true); ("off", false) ]) true
     & info [ "fuse" ] ~docv:"MODE"
         ~doc:
-          "Fusion mode: $(b,safe) (default; cost-gated, every step checked \
-           on the critical instance) or $(b,off).")
+          "Fusion mode: $(b,safe) (default; cost-gated, every fusion proved \
+           by unfolding or checked on the critical instance) or $(b,off).")
 
 let verify_arg =
   Arg.(
     value & flag
     & info [ "verify" ]
         ~doc:
-          "Re-validate every emitted certificate and re-chase original vs \
-           optimized mapping on the critical instance; non-zero exit on any \
-           failure.")
+          "Re-validate every emitted certificate and replay the action log \
+           onto the original mapping, which must give the optimized one; \
+           only a fusion certified on the critical instance is checked \
+           there again.  Non-zero exit on any failure.")
 
 let report_arg =
   Arg.(
@@ -306,7 +310,7 @@ let report_arg =
 let optimize_cmd =
   let doc =
     "run the exl-opt containment-based optimizer on a program's mapping: \
-     prune subsumed tgds, minimize bodies, fuse temporaries under a cost \
+     minimize bodies, fuse temporaries under a cost \
      model, specialize dead outer-combine defaults and discharge implied \
      egds — every step carrying a machine-checkable certificate"
   in

@@ -17,8 +17,8 @@
            (determination chain).
 
    [verify] re-validates every certificate independently of the code
-   that produced it, and re-chases original vs. optimized on the
-   critical instance. *)
+   that produced it, and replays the action log onto the original
+   mapping, which must give the optimized one. *)
 
 module Tgd = Mappings.Tgd
 module Term = Mappings.Term
@@ -544,9 +544,9 @@ let check_against (base : fusion_base) (next : Mapping.t) =
    - no other tgd reads or writes [T] once the consumers are fused.
 
    [unfold_tuple] checks the first three for one consumer, whose fused
-   tgd must be the replayed fusion ([replays]).  It returns σ on the
-   consumer's variables, read off the replay, and the determination
-   chain of [T]'s measure.  The fourth holds for every candidate, which
+   tgd must be the replayed fusion ([replays]).  It returns the replay,
+   σ on the consumer's variables, read off the replay, and the
+   determination chain of [T]'s measure.  The fourth holds for every candidate, which
    fuses all of [T]'s readers, and [T] has no second writer: one writer
    per relation is a rule of [Stratify] (E204), which the chase of
    every mapping enforces; [verify] checks it on the optimized
@@ -638,7 +638,7 @@ let unfold_tuple ~original ~producer ~consumer ~fused =
             List.filter (fun (v, t) -> not (Term.equal t (Term.Var v))) unifier
           in
           Option.map
-            (fun chain -> (List.rev moved, chain))
+            (fun chain -> (raw, List.rev moved, chain))
             (Containment.fd_determines ~body:functional_body ~head:p_rhs)
       | _ -> None)
   | _ -> None
@@ -775,12 +775,14 @@ let unfold_aggregation ~original ~producer ~consumer ~fused =
       if List.for_all defined keys && List.for_all Option.is_some chain then
         Option.map
           (fun unifier ->
-            ( List.rev (List.filter (fun (v, t) -> not (Term.equal t (Term.Var v))) unifier),
+            ( raw,
+              List.rev (List.filter (fun (v, t) -> not (Term.equal t (Term.Var v))) unifier),
               List.filter_map Fun.id chain ))
           unifier
       else None
   | _ -> None
 
+(* The fusion [raw] the proof replays, its unifier and its chain. *)
 let unfolding ~original ~producer ~consumer ~fused =
   match consumer with
   | Tgd.Aggregation _ -> unfold_aggregation ~original ~producer ~consumer ~fused
@@ -812,7 +814,9 @@ let unfoldings (base : fusion_base) (next : Mapping.t) =
       let proofs =
         List.map
           (fun (consumer, fused) ->
-            unfolding ~original:base.mapping ~producer ~consumer ~fused)
+            Option.map
+              (fun (_, unifier, chain) -> (unifier, chain))
+              (unfolding ~original:base.mapping ~producer ~consumer ~fused))
           pairs
       in
       if List.for_all Option.is_some proofs then Some (List.filter_map Fun.id proofs)
@@ -1215,7 +1219,18 @@ let run ?(fuse = true) ?cards (m : Mapping.t) =
 
 (* --- verification ------------------------------------------------------ *)
 
-let verify_action (r : report) (a : action) : (unit, string) result =
+(* [l2] is [l1] with one element [eq] to [x] removed, the others kept
+   in order. *)
+let rec drops_one eq x l1 l2 =
+  match (l1, l2) with
+  | y :: r1, _ when eq x y && List.equal eq r1 l2 -> true
+  | y :: r1, z :: r2 -> eq y z && drops_one eq x r1 r2
+  | _ -> false
+
+(* Check [a]'s certificate.  For an I304, also return the fusion it
+   recomputes, from which the log's replay chains the fusion's
+   minimization steps. *)
+let verify_action (r : report) (a : action) : (Tgd.t option, string) result =
   let fail fmt = Printf.ksprintf (fun s -> Error (a.code ^ ": " ^ s)) fmt in
   match (a.certificate, a.before, a.after) with
   | Fold_witness { dropped; onto; hom }, Some before, Some after -> (
@@ -1243,12 +1258,6 @@ let verify_action (r : report) (a : action) : (unit, string) result =
                     dropped.Tgd.args;
               }
           in
-          let body_shrunk =
-            List.length b_lhs = List.length a_lhs + 1
-            && Tgd.equal_atom
-                 (Containment.normalize_atom b_rhs)
-                 (Containment.normalize_atom a_rhs)
-          in
           let lands_on_onto =
             Tgd.equal_atom image (Containment.normalize_atom onto)
             && List.exists
@@ -1257,9 +1266,16 @@ let verify_action (r : report) (a : action) : (unit, string) result =
                      (Containment.normalize_atom b))
                  a_lhs
           in
-          if body_shrunk && (not moves_outside_var) && lands_on_onto then Ok ()
-          else fail "fold witness for %s does not land in the reduced body"
-                 a.target
+          if
+            not
+              (Tgd.equal_atom b_rhs a_rhs
+              && drops_one Tgd.equal_atom dropped b_lhs a_lhs)
+          then
+            fail "the recorded result is not the tgd for %s without %s" a.target
+              (Tgd.atom_to_string dropped)
+          else if moves_outside_var || not lands_on_onto then
+            fail "fold witness for %s does not land in the reduced body" a.target
+          else Ok None
       | _ -> fail "fold certificate on non tuple-level tgds")
   | Egd_merge { relation; dropped_var; kept_var }, Some before, Some after -> (
       if not (functional_rel r.original relation) then
@@ -1306,20 +1322,14 @@ let verify_action (r : report) (a : action) : (unit, string) result =
                       rhs = subst_var dropped_var (Term.Var kept_var) rhs;
                     }
                 in
-                if Tgd.equal replay after then Ok ()
+                if Tgd.equal replay after then Ok None
                 else fail "replayed merge differs from the recorded result")
         | _ -> fail "merge certificate on a non tuple-level tgd")
-  | Fusion_equivalence { producer; facts_compared = _ }, Some consumer, Some fused
-    -> (
-      (* the committed tgd is the fusion result after body minimization,
-         so the replay minimizes too (with the action log discarded) *)
-      let minimize = minimize_tgd (fun _ -> ()) ~original:r.original in
+  | Fusion_equivalence { producer; facts_compared = _ }, Some consumer, Some _ -> (
+      (* the replay compares the recorded tgd with this fusion and
+         cone-checks what it derives *)
       match fuse_consumer ~producer ~consumer with
-      | Some replay
-        when alpha_equivalent replay fused
-             || alpha_equivalent (minimize replay) fused ->
-          Ok ()
-      | Some _ -> fail "replayed fusion for %s differs from the recorded tgd" a.target
+      | Some raw -> Ok (Some raw)
       | None -> fail "recorded fusion for %s does not replay" a.target)
   | Unfolding { producer; unifier; chain }, Some consumer, Some fused -> (
       (* no chase: replay the fusion and re-derive its unifier and
@@ -1329,7 +1339,7 @@ let verify_action (r : report) (a : action) : (unit, string) result =
       | None ->
           fail "unfolding of %s into %s does not replay or fails a side condition"
             temp a.target
-      | Some (u, c) ->
+      | Some (raw, u, c) ->
           let same_hom =
             List.equal (fun (v, t) (w, s) -> v = w && Term.equal t s) unifier u
           in
@@ -1344,14 +1354,14 @@ let verify_action (r : report) (a : action) : (unit, string) result =
               r.optimized.Mapping.t_tgds
           then
             fail "temporary %s is still read or written after unfolding" temp
-          else Ok ())
+          else Ok (Some raw))
   | Grid_equality { relation }, Some before, Some after -> (
       match specialize_outer before with
       | Some replay when Tgd.equal replay after -> (
           match before with
           | Tgd.Outer_combine { left; right; _ }
             when left.Tgd.rel = relation && right.Tgd.rel = relation ->
-              Ok ()
+              Ok None
           | _ -> fail "grid certificate names the wrong relation")
       | _ -> fail "outer specialization for %s does not replay" a.target)
   | Determination { chain }, Some tgd, None -> (
@@ -1361,34 +1371,249 @@ let verify_action (r : report) (a : action) : (unit, string) result =
           | Some replay_chain
             when List.sort String.compare replay_chain
                  = List.sort String.compare chain ->
-              Ok ()
+              Ok None
           | Some _ -> fail "determination chain for %s does not replay" a.target
           | None ->
               fail "egd of %s is not implied by its defining tgd" a.target)
       | Tgd.Aggregation _ | Tgd.Table_fn _ | Tgd.Outer_combine _ ->
-          if chain = [] then Ok ()
+          if chain = [] then Ok None
           else fail "non-empty chain on a construction-functional tgd")
   | _ -> fail "malformed certificate for %s" a.target
 
-let verify (r : report) : (unit, string) result =
-  let rec check = function
-    | [] -> (
-        (* the global re-chase: original and optimized mappings agree
-           on the critical instance, independent of any single step.
-           A mapping whose blackbox operators reject the synthetic
-           instance outright cannot be re-chased — then the per-action
-           certificates are all the verification there is: the
-           syntactic ones, unfoldings among them, since a chased fusion
-           needs the same instance. *)
-        let inst = critical_instance r.original in
-        match Exchange.Chase.run r.original inst with
-        | Error _ -> Ok ()
-        | Ok (j1, _) ->
-            Result.map ignore (fst (chase_and_compare j1 r.optimized inst)))
-    | a :: rest -> (
-        match verify_action r a with Ok () -> check rest | Error _ as e -> e)
+(* --- replaying the action log ------------------------------------------ *)
+
+(* [verify] replays the log onto [original]: each action must rewrite
+   tgds of the mapping the replay has reached, and the result must be
+   [optimized] up to the order of each body ([order_bodies], the one
+   pass that logs nothing, reorders conjunctions).  Each certificate
+   pins its rewrite down: an I302, I303 or I305 replays to exactly its
+   recorded result, an I306's chain is re-derived from the defining
+   tgd, and an I304's fusion is recomputed.  So every step of the
+   replay preserves the solution, and the replay proves [optimized]
+   equivalent to [original] with no chase.  The one certificate whose
+   evidence is a chase, a [Fusion_equivalence], is cone-checked again,
+   once per fusion, on the mapping the replay has reached.
+
+   A fusion is its I304 actions, one per consumer, sharing a producer,
+   then the minimization steps of the fused bodies.  Each I304 replaces
+   its consumer with the recorded fused tgd, and the first one also
+   drops the producer, the temporary's schema and its egd.  The
+   minimization steps rewrite no tgd of the mapping: they must chain
+   from the fusion the certificate check recomputed to the recorded
+   fused tgd. *)
+
+(* An open fusion: the mapping before it, its producer, and for each
+   I304 so far the recomputed fusion advanced by the minimization steps
+   logged for it, beside the recorded fused tgd. *)
+type replayed_fusion = {
+  before_fusion : Mapping.t;
+  producer_of : Tgd.t;
+  chains : (Tgd.t * Tgd.t * action) list;
+}
+
+(* The mapping the replay has reached, its open fusion, and the fusion
+   base of the mapping before that fusion ([reached] when none is
+   open).  The first chased fusion builds the base, and each closed
+   fusion advances it, as [fuse_all] does, until a rewrite outside a
+   fusion drops it. *)
+type replay = {
+  reached : Mapping.t;
+  fusion : replayed_fusion option;
+  base : fusion_base option;
+}
+
+let chased (a : action) =
+  match a.certificate with Fusion_equivalence _ -> true | _ -> false
+
+(* [l] with its first element [x] such that [eq x] replaced by [by x]
+   (dropped when that is [None]), or [None] when no element qualifies.
+   Every other element is kept physically: the cone check diffs two
+   mappings by physical equality. *)
+let rec swap_first eq by = function
+  | [] -> None
+  | x :: rest when eq x -> Some (Option.fold ~none:rest ~some:(fun y -> y :: rest) (by x))
+  | x :: rest -> Option.map (fun rest -> x :: rest) (swap_first eq by rest)
+
+let swap_tgd before after (m : Mapping.t) =
+  Option.map
+    (fun t_tgds -> { m with Mapping.t_tgds })
+    (swap_first (Tgd.equal before) (fun _ -> Some after) m.Mapping.t_tgds)
+
+(* Close the open fusion: each chain must end at its recorded fused tgd
+   — exactly for an unfolding, whose certificate replays it exactly; up
+   to renaming and neutral arithmetic for a chased fusion, because what
+   that tgd derives is the cone check's to decide.  A chased fusion is
+   then cone-checked from the mapping before it. *)
+let close_fusion (st : replay) =
+  match st.fusion with
+  | None -> Ok st
+  | Some f -> (
+      let ends_at (reached, fused, a) =
+        if chased a then alpha_equivalent reached fused else Tgd.equal reached fused
+      in
+      match List.find_opt (fun c -> not (ends_at c)) f.chains with
+      | Some (reached, fused, a) ->
+          Error
+            (Printf.sprintf
+               "%s: the fusion into %s and its minimization steps give %s, not the \
+                recorded %s"
+               a.code a.target (Tgd.to_string reached) (Tgd.to_string fused))
+      | None when not (List.exists (fun (_, _, a) -> chased a) f.chains) ->
+          (* an unfolding: the base's solution agrees with the fused
+             mapping on every relation of it *)
+          let base = Option.map (fun b -> commit b st.reached b.solution) st.base in
+          Ok { st with fusion = None; base }
+      | None -> (
+          let base =
+            match st.base with Some b -> b | None -> fusion_base f.before_fusion
+          in
+          match check_fusion ~unfold:false base st.reached with
+          | Ok _, base -> Ok { st with fusion = None; base = Some base }
+          | Error e, _ ->
+              Error
+                (Printf.sprintf "I304: fusion of %s: %s"
+                   (Tgd.target_relation f.producer_of) e)))
+
+(* Replay [a], whose certificate check returned [raw]. *)
+let replay_action (st : replay) (a : action) raw =
+  let fail fmt = Printf.ksprintf (fun s -> Error (a.code ^ ": " ^ s)) fmt in
+  let ( let* ) = Result.bind in
+  let rewrite before after =
+    let* st = close_fusion st in
+    match swap_tgd before after st.reached with
+    | Some reached -> Ok { reached; fusion = None; base = None }
+    | None -> fail "rewrites a tgd of %s that is not in the mapping" a.target
   in
-  check r.actions
+  match (a.certificate, a.before, a.after, raw) with
+  | ( (Unfolding { producer; _ } | Fusion_equivalence { producer; _ }),
+      Some consumer,
+      Some fused,
+      Some raw ) -> (
+      let temp = Tgd.target_relation producer in
+      let* st, f =
+        match st.fusion with
+        | Some f when Tgd.equal f.producer_of producer -> Ok (st, f)
+        | _ -> (
+            let* st = close_fusion st in
+            match List.find_opt (Tgd.equal producer) st.reached.Mapping.t_tgds with
+            | None -> fail "the producer of %s is not in the mapping" temp
+            | Some p ->
+                Ok
+                  ( { st with reached = remove_temp st.reached temp ~producer:p ~replacements:[] },
+                    { before_fusion = st.reached; producer_of = producer; chains = [] } ))
+      in
+      match swap_tgd consumer fused st.reached with
+      | None -> fail "the consumer fused into %s is not in the mapping" a.target
+      | Some reached ->
+          Ok { st with reached; fusion = Some { f with chains = f.chains @ [ (raw, fused, a) ] } })
+  | (Fold_witness _ | Egd_merge _), Some before, Some after, _ -> (
+      (* a minimization step of the open fusion advances its chain *)
+      let advanced =
+        Option.bind st.fusion (fun f ->
+            Option.map
+              (fun chains -> { f with chains })
+              (swap_first
+                 (fun (reached, _, _) -> Tgd.equal reached before)
+                 (fun (_, fused, i304) -> Some (after, fused, i304))
+                 f.chains))
+      in
+      match advanced with
+      | Some f -> Ok { st with fusion = Some f }
+      | None -> rewrite before after)
+  | Grid_equality _, Some before, Some after, _ -> rewrite before after
+  | Determination _, Some tgd, None, _ ->
+      let* st = close_fusion st in
+      let m = st.reached in
+      let discharged =
+        swap_first (fun (e : Egd.t) -> e.Egd.relation = a.target) (fun _ -> None) m.Mapping.egds
+      in
+      if
+        not (Tgd.target_relation tgd = a.target && List.exists (Tgd.equal tgd) m.Mapping.t_tgds)
+      then fail "the tgd defining %s is not in the mapping" a.target
+      else (
+        match discharged with
+        | Some egds -> Ok { reached = { m with Mapping.egds }; fusion = None; base = None }
+        | None -> fail "the mapping has no egd of %s to discharge" a.target)
+  | _ -> fail "malformed certificate for %s" a.target
+
+(* Equal up to the order of each tuple-level body. *)
+let same_up_to_body_order (a : Tgd.t) (b : Tgd.t) =
+  match (a, b) with
+  | Tgd.Tuple_level { lhs = l1; rhs = r1 }, Tgd.Tuple_level { lhs = l2; rhs = r2 } ->
+      let rec permutation l1 l2 =
+        match l1 with
+        | [] -> l2 = []
+        | x :: rest -> (
+            match swap_first (Tgd.equal_atom x) (fun _ -> None) l2 with
+            | Some l2 -> permutation rest l2
+            | None -> false)
+      in
+      Tgd.equal_atom r1 r2 && permutation l1 l2
+  | _ -> Tgd.equal a b
+
+(* The first difference between the replayed and the optimized
+   mapping. *)
+let replay_differs (replayed : Mapping.t) (optimized : Mapping.t) =
+  let missing eq l1 l2 = List.find_opt (fun x -> not (List.exists (eq x) l2)) l1 in
+  let rec tgds = function
+    | [], [] -> None
+    | r :: _, [] ->
+        Some
+          (Printf.sprintf
+             "the replayed log keeps the tgd for %s, which the optimized mapping lacks"
+             (Tgd.target_relation r))
+    | [], o :: _ ->
+        Some
+          (Printf.sprintf
+             "the optimized mapping has a tgd for %s that the replayed log does not derive"
+             (Tgd.target_relation o))
+    | r :: rs, o :: os ->
+        if same_up_to_body_order r o then tgds (rs, os)
+        else
+          Some
+            (Printf.sprintf "the optimized tgd %s is %s in the replayed log" (Tgd.to_string o)
+               (Tgd.to_string r))
+  in
+  let egd = Option.map (fun (e : Egd.t) -> e.Egd.relation) in
+  let rel = Option.map (fun (s : Schema.t) -> s.Schema.name) in
+  List.find_map Fun.id
+    [
+      (if
+         List.equal Schema.equal replayed.Mapping.source optimized.Mapping.source
+         && List.equal Tgd.equal replayed.Mapping.st_tgds optimized.Mapping.st_tgds
+       then None
+       else Some "the optimized mapping changes the source relations or their copy tgds");
+      tgds (replayed.Mapping.t_tgds, optimized.Mapping.t_tgds);
+      Option.map
+        (Printf.sprintf
+           "the optimized mapping drops the egd of %s, which no I306 action discharges")
+        (egd (missing ( = ) replayed.Mapping.egds optimized.Mapping.egds));
+      Option.map
+        (Printf.sprintf "the optimized mapping keeps the egd of %s, which the log discharges")
+        (egd (missing ( = ) optimized.Mapping.egds replayed.Mapping.egds));
+      Option.map
+        (Printf.sprintf "the optimized mapping drops relation %s, which no fusion removes")
+        (rel (missing Schema.equal replayed.Mapping.target optimized.Mapping.target));
+      Option.map
+        (Printf.sprintf "the optimized mapping declares relation %s, which the log removes")
+        (rel (missing Schema.equal optimized.Mapping.target replayed.Mapping.target));
+    ]
+
+let verify (r : report) : (unit, string) result =
+  let ( let* ) = Result.bind in
+  let* st =
+    List.fold_left
+      (fun acc a ->
+        let* st = acc in
+        let* raw = verify_action r a in
+        replay_action st a raw)
+      (Ok { reached = r.original; fusion = None; base = None })
+      r.actions
+  in
+  let* { reached; _ } = close_fusion st in
+  match replay_differs reached r.optimized with
+  | None -> Ok ()
+  | Some d -> Error ("replay: " ^ d)
 
 (* --- rendering --------------------------------------------------------- *)
 

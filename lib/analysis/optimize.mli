@@ -5,8 +5,10 @@
     merging), cost-gated fusion of temporaries, outer-combine
     specialization, and egd discharge — each emitting a
     machine-checkable {!certificate}.  {!verify} re-validates every
-    certificate independently and re-chases the original and optimized
-    mappings on a synthetic critical instance. *)
+    certificate independently and replays the action log onto the
+    original mapping, which must give the optimized one: a proof check
+    that chases nothing but a fusion certified on the critical
+    instance. *)
 
 (** The evidence attached to each transformation. *)
 type certificate =
@@ -81,18 +83,30 @@ val run :
     of named source relations (default 64 each). *)
 
 val verify : report -> (unit, string) result
-(** Independently re-check every action's certificate (witnesses are
-    re-applied, merges and fusions replayed, an unfolding's unifier,
-    chain and side conditions re-derived, determination chains
-    re-chased) and re-chase [original] vs [optimized] on the critical
-    instance.  [Error] pinpoints the first failing certificate. *)
+(** Replay the actions in order onto [original], each after an
+    independent check of its certificate: a fold's witness is
+    re-applied and its recorded result must be the tgd without the
+    dropped atom; a merge and an outer specialization are replayed to
+    their recorded result; a fusion is recomputed, an unfolding's
+    unifier, chain and side conditions re-derived; a determination
+    chain is re-chased on the defining tgd.  Each action must rewrite
+    tgds the mapping reached so far holds (a fusion's minimization
+    steps chaining from its recomputed fused tgd to the recorded one),
+    and the result must equal [optimized] — tgds up to the order of
+    each body, egds and target schemas.  Each {!Fusion_equivalence}
+    fusion is cone-checked again ({!check_fusion} [~unfold:false]) on
+    the mapping the replay has reached, against one base carried from
+    fusion to fusion as {!run} carries it; nothing else is chased.
+    [Error] names the first failing certificate or the first
+    mismatch. *)
 
 val equivalent_on_critical :
   Mappings.Mapping.t -> Mappings.Mapping.t -> (int, string) result
 (** Chase both mappings over the first one's critical instance and
     compare the second mapping's target relations fact-by-fact (1e-9
     relative float tolerance).  [Ok n] with [n] facts compared, or the
-    first difference. *)
+    first difference.  The test oracle of {!verify} and of the fusion
+    cone check. *)
 
 (** {1 Fusion checks}
 

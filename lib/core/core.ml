@@ -12,10 +12,8 @@ let mapping_of program =
   | Ok g -> Ok g.Mappings.Generate.mapping
   | Error e -> Error (err e)
 
-let fused_mapping_of program =
-  Result.map
-    (fun m -> (Analysis.Optimize.run m).Analysis.Optimize.optimized)
-    (mapping_of program)
+let optimized m = (Analysis.Optimize.run m).Analysis.Optimize.optimized
+let fused_mapping_of program = Result.map optimized (mapping_of program)
 
 type backend = Reference | Chase | Sql | Vector_engine | Etl_engine
 
@@ -79,20 +77,20 @@ let verify_all_backends ?(eps = 1e-7) program registry =
       in
       if failures = [] then Ok () else Error (String.concat "\n" failures)
 
-let sql_of ?(fused = false) program =
-  Result.bind
-    (if fused then fused_mapping_of program else mapping_of program)
-    Relational.Sql_target.script_of_mapping
+let sql_of_mapping ?(fused = false) m =
+  Relational.Sql_target.script_of_mapping (if fused then optimized m else m)
 
-let ddl_of program = Result.map Relational.Sql_gen.ddl_of_mapping (mapping_of program)
+let ddl_of_mapping m = Ok (Relational.Sql_gen.ddl_of_mapping m)
+let r_of_mapping m = Vector.Vector_target.r_script_of_mapping m
+let matlab_of_mapping = Vector.Vector_target.matlab_script_of_mapping
+let kettle_of_mapping = Etl.Etl_target.kettle_catalog_of_mapping
+let tgds_of_mapping m = Ok (Mappings.Mapping.to_string m)
 
-let r_of program =
-  Result.bind (mapping_of program) (fun m -> Vector.Vector_target.r_script_of_mapping m)
-
-let matlab_of program =
-  Result.bind (mapping_of program) Vector.Vector_target.matlab_script_of_mapping
-
-let kettle_of program =
-  Result.bind (mapping_of program) Etl.Etl_target.kettle_catalog_of_mapping
-
-let tgds_of program = Result.map Mappings.Mapping.to_string (mapping_of program)
+(* Each artifact of a program is that of its generated mapping. *)
+let of_program artifact program = Result.bind (mapping_of program) artifact
+let sql_of ?fused program = of_program (sql_of_mapping ?fused) program
+let ddl_of program = of_program ddl_of_mapping program
+let r_of program = of_program r_of_mapping program
+let matlab_of program = of_program matlab_of_mapping program
+let kettle_of program = of_program kettle_of_mapping program
+let tgds_of program = of_program tgds_of_mapping program

@@ -65,14 +65,26 @@ val verify_all_backends :
     ({!Matrix.Registry.diff}, one line per cube, prefixed with the
     backend's name). *)
 
-(** Deployable artifacts per target system. *)
+(** Deployable artifacts per target system, of a generated mapping.
+    Each [*_of] below is its [*_of_mapping] form applied to
+    {!mapping_of}; a caller writing several artifacts generates the
+    mapping once and passes it to each. *)
+
+val sql_of_mapping : ?fused:bool -> Mappings.Mapping.t -> (string, string) result
+(** With [fused], the SQL of the optimizer's mapping, as
+    {!fused_mapping_of} gives it. *)
+
+val ddl_of_mapping : Mappings.Mapping.t -> (string, string) result
+val r_of_mapping : Mappings.Mapping.t -> (string, string) result
+val matlab_of_mapping : Mappings.Mapping.t -> (string, string) result
+val kettle_of_mapping : Mappings.Mapping.t -> (string, string) result
+
+val tgds_of_mapping : Mappings.Mapping.t -> (string, string) result
+(** The mapping in logic notation (the paper's tgd listing). *)
 
 val sql_of : ?fused:bool -> program -> (string, string) result
-(** With [fused], the SQL of {!fused_mapping_of}. *)
-
 val ddl_of : program -> (string, string) result
 val r_of : program -> (string, string) result
 val matlab_of : program -> (string, string) result
 val kettle_of : program -> (string, string) result
 val tgds_of : program -> (string, string) result
-(** The mapping in logic notation (the paper's tgd listing). *)

@@ -153,6 +153,16 @@ PCHNG := 100 * (GDPT - shift(GDPT, 1)) / GDPT;
 
 let load_overview () = Exl.Program.load_exn overview_program
 
+(* A shifted temporary shared by an aggregation and a growth rate.
+   [first] reads its bag in fact order, so the optimizer checks this
+   fusion on the critical instance instead of unfolding it. *)
+let ordered_fusion_program =
+  {|
+cube A(q: quarter, r: string);
+S := first(shift(A, 1), group by q);
+G := 100 * (A - shift(A, 1)) / A;
+|}
+
 let check_ok = function
   | Ok v -> v
   | Error e -> Alcotest.failf "unexpected error: %s" (Exl.Errors.to_string e)

@@ -393,6 +393,158 @@ let test_tampered_certificate_rejected () =
     (Result.is_error
        (O.verify (tamper (fun (unifier, chain) -> (unifier, List.map (fun c -> c ^ " - 1") chain)))))
 
+(* [verify]'s verdict and the chases it made. *)
+let verify_chases report =
+  let c = Obs.create ~spans:false () in
+  let verdict = Obs.with_collector c (fun () -> O.verify report) in
+  (verdict, Obs.Metrics.counter_value c.Obs.metrics "chase.runs")
+
+let verified_without_chase = Alcotest.(pair (result unit string) int)
+
+(* [verify] replays the action log onto the original mapping: a log
+   that does not derive the optimized mapping is rejected with no
+   chase, by a message naming the mismatch. *)
+let test_replay_rejects_tampering () =
+  let report = O.run (overview_mapping ()) in
+  Alcotest.check verified_without_chase "the overview verifies with no chase" (Ok (), 0)
+    (verify_chases report);
+  let rejected what ~needle report =
+    match verify_chases report with
+    | Ok (), _ -> Alcotest.failf "%s: verified" what
+    | Error msg, chases ->
+        Alcotest.(check bool) (what ^ ": " ^ msg) true (contains msg needle);
+        Alcotest.(check int) (what ^ ": chase.runs") 0 chases
+  in
+  (* one optimized tgd's head measure edited *)
+  let optimized = report.O.optimized in
+  let edited =
+    List.find_map
+      (function
+        | Tgd.Tuple_level { lhs; rhs } -> (
+            match List.rev rhs.Tgd.args with
+            | measure :: dims ->
+                let measure = Term.Binapp (Ops.Binop.Add, measure, num 0.5) in
+                let args = List.rev (measure :: dims) in
+                Some (Tgd.Tuple_level { lhs; rhs = { rhs with Tgd.args } })
+            | [] -> None)
+        | _ -> None)
+      optimized.M.Mapping.t_tgds
+    |> Option.get
+  in
+  rejected "head measure edited" ~needle:("the optimized tgd " ^ Tgd.to_string edited)
+    {
+      report with
+      O.optimized =
+        {
+          optimized with
+          M.Mapping.t_tgds =
+            List.map
+              (fun tgd ->
+                if Tgd.target_relation tgd = Tgd.target_relation edited then edited else tgd)
+              optimized.M.Mapping.t_tgds;
+        };
+    };
+  (* one action dropped from the log *)
+  let without (dropped : O.action) =
+    { report with O.actions = List.filter (fun a -> a != dropped) report.O.actions }
+  in
+  let first code = List.find (fun (a : O.action) -> a.O.code = code) report.O.actions in
+  let merge = first "I303" in
+  rejected "I303 removed" ~needle:("I304: the fusion into " ^ merge.O.target) (without merge);
+  let discharge = first "I306" in
+  rejected "I306 removed"
+    ~needle:
+      (Printf.sprintf
+         "replay: the optimized mapping drops the egd of %s, which no I306 action discharges"
+         discharge.O.target)
+    (without discharge);
+  (* an I302 whose recorded result swaps a two-atom body [A ∧ C] for an
+     atom [B] it never held, witnessed by folding [B] onto itself: the
+     log replays to an optimized mapping edited the same way, so only
+     the fold's certificate check can catch it *)
+  let original = report.O.original in
+  let before, lhs, rhs =
+    List.find_map
+      (function
+        | Tgd.Tuple_level { lhs = [ _; _ ] as lhs; rhs } as tgd -> Some (tgd, lhs, rhs)
+        | _ -> None)
+      original.M.Mapping.t_tgds
+    |> Option.get
+  in
+  let b = { (List.hd lhs) with Tgd.rel = "B" } in
+  let after = Tgd.Tuple_level { lhs = [ b ]; rhs } in
+  rejected "I302 result edited"
+    ~needle:
+      (Printf.sprintf "I302: the recorded result is not the tgd for %s without %s"
+         rhs.Tgd.rel (Tgd.atom_to_string b))
+    {
+      report with
+      O.optimized =
+        {
+          original with
+          M.Mapping.t_tgds =
+            List.map (fun tgd -> if tgd == before then after else tgd) original.M.Mapping.t_tgds;
+        };
+      actions =
+        [
+          {
+            O.code = "I302";
+            target = rhs.Tgd.rel;
+            detail = "forged";
+            before = Some before;
+            after = Some after;
+            certificate = O.Fold_witness { dropped = b; onto = b; hom = [] };
+          };
+        ];
+    }
+
+(* A chased fusion is cone-checked again on the mapping the replay
+   reached: under [first] the aggregation fusion of
+   [ordered_fusion_program] is a [Fusion_equivalence].  Its tgd altered
+   to group by [1 * t] for each key [t] passes the certificate's
+   replay, which compares fused tgds up to renaming and neutral
+   arithmetic, and the log's replay; but [1 * t] is undefined on a
+   period, so the cone check rejects it. *)
+let test_chased_fusion_cone_checked () =
+  let { M.Generate.mapping; _ } =
+    check_ok (M.Generate.of_checked (Exl.Program.load_exn ordered_fusion_program))
+  in
+  let report = O.run mapping in
+  Alcotest.check verified_without_chase "verified: a base chase and the cone" (Ok (), 2)
+    (verify_chases report);
+  let chased, altered =
+    List.find_map
+      (fun (a : O.action) ->
+        match (a.O.certificate, a.O.after) with
+        | O.Fusion_equivalence _, Some (Tgd.Aggregation g as fused) ->
+            let times_one t = Term.Binapp (Ops.Binop.Mul, Term.Const (Value.Int 1), t) in
+            Some (fused, Tgd.Aggregation { g with group_by = List.map times_one g.group_by })
+        | _ -> None)
+      report.O.actions
+    |> Option.get
+  in
+  let alter tgd = if Tgd.equal tgd chased then altered else tgd in
+  let tampered =
+    {
+      report with
+      O.actions =
+        List.map
+          (fun (a : O.action) -> { a with O.after = Option.map alter a.O.after })
+          report.O.actions;
+      optimized =
+        {
+          report.O.optimized with
+          M.Mapping.t_tgds = List.map alter report.O.optimized.M.Mapping.t_tgds;
+        };
+    }
+  in
+  match verify_chases tampered with
+  | Ok (), _ -> Alcotest.fail "the altered fusion verified"
+  | Error msg, chases ->
+      Alcotest.(check bool) ("rejected on the critical instance: " ^ msg) true
+        (contains msg "I304: fusion of S__1: optimized mapping failed on critical instance");
+      Alcotest.(check bool) "through the cone check" true (chases > 0)
+
 let test_optimizer_report_json () =
   let report = O.run (overview_mapping ()) in
   let json = O.report_to_json report in
@@ -562,22 +714,24 @@ let shift_join_unfoldings what m =
     (O.run m).O.actions
   |> List.length
 
-let test_cone_check_on_examples () =
+(* The overview's mapping and every example's, by path. *)
+let example_mappings () =
   let dir = examples_dir () in
-  let programs =
-    ("overview", overview_mapping ())
-    :: List.filter_map
-         (fun file ->
-           if not (Filename.check_suffix file ".exl") then None
-           else
-             let path = Filename.concat dir file in
-             let program =
-               Exl.Program.load_exn (In_channel.with_open_bin path In_channel.input_all)
-             in
-             let { M.Generate.mapping; _ } = check_ok (M.Generate.of_checked program) in
-             Some (path, mapping))
-         (List.sort compare (Array.to_list (Sys.readdir dir)))
-  in
+  ("overview", overview_mapping ())
+  :: List.filter_map
+       (fun file ->
+         if not (Filename.check_suffix file ".exl") then None
+         else
+           let path = Filename.concat dir file in
+           let program =
+             Exl.Program.load_exn (In_channel.with_open_bin path In_channel.input_all)
+           in
+           let { M.Generate.mapping; _ } = check_ok (M.Generate.of_checked program) in
+           Some (path, mapping))
+       (List.sort compare (Array.to_list (Sys.readdir dir)))
+
+let test_cone_check_on_examples () =
+  let programs = example_mappings () in
   let checked =
     List.fold_left (fun acc (what, m) -> acc + walk_or_fail what m) 0 programs
   in
@@ -593,6 +747,20 @@ let test_cone_check_on_examples () =
       ("seasonal_tourism.exl", 2);
     ]
     (List.map (fun (what, m) -> (Filename.basename what, shift_join_unfoldings what m)) programs)
+
+(* [equivalent_on_critical], the re-chase [verify] no longer runs,
+   stays the oracle: every example's optimization verifies with no
+   chase and agrees with its original on the critical instance. *)
+let test_examples_verify_by_replay () =
+  List.iter
+    (fun (what, m) ->
+      let report = O.run m in
+      Alcotest.check verified_without_chase (what ^ ": verified with no chase") (Ok (), 0)
+        (verify_chases report);
+      match O.equivalent_on_critical m report.O.optimized with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s: verified, but the re-chase finds %s" what e)
+    (example_mappings ())
 
 (* The [tgds] attribute of every chase.run span [f] opens. *)
 let chased_tgd_counts f =
@@ -1067,6 +1235,30 @@ let prop_cone_check_matches_full =
                 (proof_to_string proof) (verdict_to_string cone) (verdict_to_string full)
                 (M.Mapping.to_string next) src))
 
+(* A verified report is equivalent on the critical instance, unless
+   the original itself cannot run there (a seasonal decomposition
+   longer than its periods): then the oracle has nothing to say. *)
+let prop_verified_agrees_on_critical =
+  QCheck.Test.make ~count:qcheck_count
+    ~name:"verify Ok => original == optimized on the critical instance" Gen.arb_seed
+    (fun seed ->
+      let src, _ = Gen.program_of_seed ~profile:Fuzz.Gen.deep seed in
+      match Exl.Program.load src with
+      | Error e ->
+          QCheck.Test.fail_reportf "generated program does not check: %s\n%s"
+            (Exl.Errors.to_string e) src
+      | Ok checked -> (
+          let { M.Generate.mapping; _ } = check_ok (M.Generate.of_checked checked) in
+          let report = O.run mapping in
+          match O.verify report with
+          | Error _ -> true
+          | Ok () -> (
+              match O.equivalent_on_critical mapping report.O.optimized with
+              | Ok _ -> true
+              | Error e when contains e "original mapping failed" -> true
+              | Error e ->
+                  QCheck.Test.fail_reportf "verified, but the re-chase finds %s\n%s" e src)))
+
 let suite =
   [
     ("containment: subsumption", `Quick, test_subsumes);
@@ -1080,11 +1272,14 @@ let suite =
     ("optimize: overview end to end", `Quick, test_optimize_overview);
     ("chase: nulls_created counts temps", `Quick, test_nulls_created_counts_temps);
     ("optimize: tampered certificate rejected", `Quick, test_tampered_certificate_rejected);
+    ("verify: a log that does not replay is rejected", `Quick, test_replay_rejects_tampering);
+    ("verify: a chased fusion is cone-checked", `Quick, test_chased_fusion_cone_checked);
     ("optimize: json report", `Quick, test_optimizer_report_json);
     ("optimize: same report on a second run", `Quick, test_optimizer_report_deterministic);
     ("fuse: names never capture", `Quick, test_fusion_names_never_capture);
     ("engine: PCHNG == reference interpreter", `Quick, test_engine_matches_interpreter);
     ("fusion check: cone == full on the examples", `Quick, test_cone_check_on_examples);
+    ("verify: every example by replay, the re-chase agrees", `Quick, test_examples_verify_by_replay);
     ("fusion check: cone rejects like the full check", `Quick, test_cone_rejects_wrong_fusions);
     ("fusion check: new constants refresh the base", `Quick, test_commit_refreshes_base_on_new_constants);
     ("unfolding: each side condition declines", `Quick, test_unfolding_side_conditions);
@@ -1096,4 +1291,5 @@ let suite =
     ("docs: diagnostics catalogue drift", `Quick, test_diagnostics_docs_drift);
     QCheck_alcotest.to_alcotest prop_optimize_preserves_chase;
     QCheck_alcotest.to_alcotest prop_cone_check_matches_full;
+    QCheck_alcotest.to_alcotest prop_verified_agrees_on_critical;
   ]
